@@ -209,34 +209,6 @@ void BM_KernelTopTwoScan(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelTopTwoScan)->ArgsProduct({{30, 300, 3000}, {0, 1}});
 
-// The sorted-union merge feeding ScoreSum in the sparse scoring path. It
-// is selection/copy only and shared verbatim by both backends (see
-// kernels.h), so it has a single track; its win is removing the
-// hard-to-predict merge branch from the scoring loop, which the
-// BM_SparseVsDense sweep prices end to end.
-void BM_KernelMergeAlignedPairs(benchmark::State& state) {
-  const int nnz = static_cast<int>(state.range(0));
-  Rng rng(11);
-  std::vector<int> ids_a(nnz), ids_b(nnz);
-  std::vector<double> values_a(nnz), values_b(nnz);
-  for (int i = 0; i < nnz; ++i) {
-    // Ascending, unique, ~2/3 overlap between the two supports.
-    ids_a[i] = 3 * i + static_cast<int>(rng.NextBounded(2));
-    ids_b[i] = 3 * i + static_cast<int>(rng.NextBounded(2));
-    values_a[i] = 0.05 + rng.NextDouble();
-    values_b[i] = 0.05 + rng.NextDouble();
-  }
-  std::vector<double> out_a(2 * nnz), out_b(2 * nnz);
-  for (auto _ : state) {
-    const int merged = simd::MergeAlignedPairs(
-        ids_a.data(), values_a.data(), nnz, ids_b.data(), values_b.data(),
-        nnz, out_a.data(), out_b.data());
-    benchmark::DoNotOptimize(merged);
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_KernelMergeAlignedPairs)->Arg(15)->Arg(100)->Arg(1000);
-
 void BM_Hungarian(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(3);

@@ -14,7 +14,7 @@ namespace {
 // CI's sanitizer jobs force the sparse dispatch for the whole test suite
 // (the dense↔sparse contract is bit-identical output, so every test must
 // still pass); see .github/workflows/ci.yml. The falsy spellings are a
-// case-insensitive superset of SolverRunOptions::ExtraBool's (env-var
+// case-insensitive superset of ParseKnobValue's bool spellings (env-var
 // conventions vary more than knob values), so WGRAP_SPARSE_TOPICS=0,
 // =off, =False and =no all mean off.
 bool EnvForcesSparseTopics() {

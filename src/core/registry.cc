@@ -1,74 +1,20 @@
 #include "core/registry.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <limits>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
 
 namespace wgrap::core {
-
-Result<int> SolverRunOptions::ExtraInt(const std::string& key,
-                                       int fallback) const {
-  auto it = extra.find(key);
-  if (it == extra.end()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0' ||
-      v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument("option '" + key + "': '" + it->second +
-                                   "' is not an integer in range");
-  }
-  return static_cast<int>(v);
-}
-
-Result<double> SolverRunOptions::ExtraDouble(const std::string& key,
-                                             double fallback) const {
-  auto it = extra.find(key);
-  if (it == extra.end()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("option '" + key + "': '" + it->second +
-                                   "' is not a number");
-  }
-  return v;
-}
-
-Result<bool> SolverRunOptions::ExtraBool(const std::string& key,
-                                         bool fallback) const {
-  auto it = extra.find(key);
-  if (it == extra.end()) return fallback;
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "off") return false;
-  return Status::InvalidArgument("option '" + key + "': '" + v +
-                                 "' is not a boolean (use true/false, 1/0 "
-                                 "or on/off)");
-}
-
-std::string SolverRunOptions::ExtraString(const std::string& key,
-                                          const std::string& fallback) const {
-  auto it = extra.find(key);
-  return it == extra.end() ? fallback : it->second;
-}
-
-SolverRunOptions SolverRunOptions::RestrictedTo(
-    const std::vector<KnobSpec>& specs) const {
-  SolverRunOptions out = *this;
-  out.extra.clear();
-  for (const KnobSpec& spec : specs) {
-    auto it = extra.find(spec.name);
-    if (it != extra.end()) out.extra.emplace(it->first, it->second);
-  }
-  return out;
-}
 
 const char* KnobTypeToString(KnobType type) {
   switch (type) {
@@ -123,6 +69,34 @@ std::string RangeSuffix(const KnobSpec& spec) {
   return "";
 }
 
+// The spellings ParseKnobValue reads back as the same value.
+std::string Render(int v) { return std::to_string(v); }
+std::string Render(double v) { return FormatBound(v, KnobType::kDouble); }
+std::string Render(bool v) { return v ? "true" : "false"; }
+
+const KnobSpec* FindSpec(const std::vector<KnobSpec>& specs,
+                         const std::string& name) {
+  for (const KnobSpec& spec : specs) {
+    if (spec.name == name) return &spec;
+  }
+  return nullptr;
+}
+
+Status UnknownKnob(const std::string& owner, const std::vector<KnobSpec>& specs,
+                   const std::string& key) {
+  if (specs.empty()) {
+    return Status::InvalidArgument("'" + owner + "' takes no options (got '" +
+                                   key + "')");
+  }
+  std::string declared;
+  for (const KnobSpec& spec : specs) {
+    if (!declared.empty()) declared += ", ";
+    declared += spec.name;
+  }
+  return Status::InvalidArgument("'" + owner + "' does not take option '" +
+                                 key + "' (declared knobs: " + declared + ")");
+}
+
 }  // namespace
 
 std::string FormatKnobSpec(const KnobSpec& spec) {
@@ -147,355 +121,318 @@ std::string FormatKnobSpec(const KnobSpec& spec) {
   return out;
 }
 
-Status ValidateKnobValue(const KnobSpec& spec, const std::string& value) {
+Result<KnobValue> ParseKnobValue(const KnobSpec& spec,
+                                 const std::string& text) {
+  const std::string quoted = "option '" + spec.name + "': '" + text + "'";
+  const auto in_range = [&spec](double v) {
+    return !(spec.min_value && v < *spec.min_value) &&
+           !(spec.max_value && v > *spec.max_value);
+  };
+  const Status out_of_range = Status::InvalidArgument(
+      "option '" + spec.name + "' must be" + RangeSuffix(spec));
   switch (spec.type) {
     case KnobType::kInt: {
       errno = 0;
       char* end = nullptr;
-      const long long v = std::strtoll(value.c_str(), &end, 10);
-      if (errno != 0 || end == value.c_str() || *end != '\0' ||
+      const long long v = std::strtoll(text.c_str(), &end, 10);
+      if (errno != 0 || end == text.c_str() || *end != '\0' ||
           v < std::numeric_limits<int>::min() ||
           v > std::numeric_limits<int>::max()) {
-        return Status::InvalidArgument("option '" + spec.name + "': '" +
-                                       value + "' is not an integer in range");
+        return Status::InvalidArgument(quoted + " is not an integer in range");
       }
-      if ((spec.min_value && v < *spec.min_value) ||
-          (spec.max_value && v > *spec.max_value)) {
-        return Status::InvalidArgument("option '" + spec.name + "' must be" +
-                                       RangeSuffix(spec));
-      }
-      return Status::OK();
+      if (!in_range(static_cast<double>(v))) return out_of_range;
+      return KnobValue(static_cast<int>(v));
     }
     case KnobType::kDouble: {
       errno = 0;
       char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (errno != 0 || end == value.c_str() || *end != '\0') {
-        return Status::InvalidArgument("option '" + spec.name + "': '" +
-                                       value + "' is not a number");
+      const double v = std::strtod(text.c_str(), &end);
+      if (errno != 0 || end == text.c_str() || *end != '\0') {
+        return Status::InvalidArgument(quoted + " is not a number");
       }
-      if ((spec.min_value && v < *spec.min_value) ||
-          (spec.max_value && v > *spec.max_value)) {
-        return Status::InvalidArgument("option '" + spec.name + "' must be" +
-                                       RangeSuffix(spec));
+      // strtod accepts "nan" and "inf"; NaN would slip past every range
+      // check, and no knob has a use for either.
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument(quoted + " is not a finite number");
       }
-      return Status::OK();
+      if (!in_range(v)) return out_of_range;
+      return KnobValue(v);
     }
-    case KnobType::kBool: {
-      if (value == "true" || value == "1" || value == "on" ||
-          value == "false" || value == "0" || value == "off") {
-        return Status::OK();
+    case KnobType::kBool:
+      if (text == "true" || text == "1" || text == "on") {
+        return KnobValue(true);
       }
-      return Status::InvalidArgument("option '" + spec.name + "': '" + value +
-                                     "' is not a boolean (use true/false, "
-                                     "1/0 or on/off)");
-    }
-    case KnobType::kEnum: {
-      for (const std::string& legal : spec.enum_values) {
-        if (value == legal) return Status::OK();
+      if (text == "false" || text == "0" || text == "off") {
+        return KnobValue(false);
       }
-      return Status::InvalidArgument("option '" + spec.name + "': '" + value +
-                                     "' (use " + JoinForProse(spec.enum_values) +
-                                     ")");
-    }
+      return Status::InvalidArgument(
+          quoted + " is not a boolean (use true/false, 1/0 or on/off)");
+    case KnobType::kEnum:
+      if (std::find(spec.enum_values.begin(), spec.enum_values.end(), text) ==
+          spec.enum_values.end()) {
+        return Status::InvalidArgument(quoted + " (use " +
+                                       JoinForProse(spec.enum_values) + ")");
+      }
+      return KnobValue(text);
     case KnobType::kString:
-      return Status::OK();
+      return KnobValue(text);
   }
   return Status::Internal("unhandled knob type");
 }
 
-Status ValidateKnobs(const std::string& owner,
-                     const std::vector<KnobSpec>& specs,
-                     const std::map<std::string, std::string>& extra) {
-  for (const auto& [key, value] : extra) {
-    const KnobSpec* spec = nullptr;
-    for (const KnobSpec& candidate : specs) {
-      if (candidate.name == key) {
-        spec = &candidate;
-        break;
-      }
-    }
-    if (spec == nullptr) {
-      if (specs.empty()) {
-        return Status::InvalidArgument("'" + owner + "' takes no options "
-                                       "(got '" + key + "')");
-      }
-      std::string declared;
-      for (const KnobSpec& candidate : specs) {
-        if (!declared.empty()) declared += ", ";
-        declared += candidate.name;
-      }
-      return Status::InvalidArgument("'" + owner + "' does not take option '" +
-                                     key + "' (declared knobs: " + declared +
-                                     ")");
-    }
-    WGRAP_RETURN_IF_ERROR(ValidateKnobValue(*spec, value));
+Result<TypedOptions> DecodeKnobs(const std::string& owner,
+                                 const std::vector<KnobSpec>& specs,
+                                 const SolverRunOptions& options,
+                                 const Instance& instance) {
+  TypedOptions typed;
+  for (CraOptions* cra : std::initializer_list<CraOptions*>{
+           &typed.cra, &typed.sdga, &typed.sra, &typed.ls, &typed.ilp}) {
+    cra->time_limit_seconds = options.time_limit_seconds;
+    cra->cancel = options.cancel;
+    cra->progress = options.progress;
   }
-  return Status::OK();
-}
-
-const KnobSpec* SolverDescriptor::FindKnob(const std::string& knob) const {
-  for (const KnobSpec& spec : knobs) {
-    if (spec.name == knob) return &spec;
+  for (JraOptions* jra :
+       std::initializer_list<JraOptions*>{&typed.jra, &typed.bba}) {
+    jra->time_limit_seconds = options.time_limit_seconds;
+    jra->cancel = options.cancel;
   }
-  return nullptr;
-}
-
-namespace {
-
-// --- Declared knob schemas -------------------------------------------------
-// One builder per knob so descriptors compose their schema from shared
-// definitions and `solvers --verbose` shows identical docs everywhere.
-
-KnobSpec ThreadsKnob() {
-  KnobSpec s;
-  s.name = "threads";
-  s.type = KnobType::kInt;
-  s.default_value = "1";
-  s.doc =
-      "worker threads for the parallel hot paths; output is bit-identical "
-      "at any value";
-  s.min_value = 1;
-  s.max_value = 256;
-  return s;
-}
-
-KnobSpec LapKnob() {
-  KnobSpec s;
-  s.name = "lap";
-  s.type = KnobType::kEnum;
-  s.default_value = "mcf";
-  s.doc = "LAP backend for the per-stage linear-assignment solves";
-  s.enum_values = {"mcf", "hungarian", "auction"};
-  return s;
-}
-
-// ilp's single transportation solve supports min-cost flow and the auction
-// but not the column-replicating Hungarian backend — its schema says so
-// instead of rejecting 'hungarian' deep inside the factory.
-KnobSpec IlpLapKnob() {
-  KnobSpec s = LapKnob();
-  s.doc = "backend for the demand-dp transportation solve";
-  s.enum_values = {"mcf", "auction"};
-  return s;
-}
-
-KnobSpec LapTopKKnob() {
-  KnobSpec s;
-  s.name = "lap_topk";
-  s.type = KnobType::kInt;
-  s.default_value = "0";
-  s.doc =
-      "lap=auction only: build each stage from the top-K gains per paper "
-      "with an exactness guard (0 = dense)";
-  s.min_value = 0;
-  return s;
-}
-
-KnobSpec LapEpsilonKnob() {
-  KnobSpec s;
-  s.name = "lap_epsilon";
-  s.type = KnobType::kDouble;
-  s.default_value = "0";
-  s.doc =
-      "lap=auction only: initial epsilon of the scaling schedule in profit "
-      "units (0 = auto)";
-  s.min_value = 0.0;
-  return s;
-}
-
-KnobSpec GainsKnob() {
-  KnobSpec s;
-  s.name = "gains";
-  s.type = KnobType::kEnum;
-  s.default_value = "incremental";
-  s.doc =
-      "marginal-gain maintenance: delta-maintained caches or per-stage "
-      "rebuild (bit-identical either way)";
-  s.enum_values = {"rebuild", "incremental"};
-  return s;
-}
-
-KnobSpec SraOmegaKnob() {
-  KnobSpec s;
-  s.name = "sra_omega";
-  s.type = KnobType::kInt;
-  s.default_value = std::to_string(SraOptions{}.convergence_window);
-  s.doc = "SRA convergence window: stop after this many rounds without "
-          "improvement (Sec. 4.4)";
-  s.min_value = 1;
-  return s;
-}
-
-KnobSpec SraLambdaKnob() {
-  KnobSpec s;
-  s.name = "sra_lambda";
-  s.type = KnobType::kDouble;
-  s.default_value = FormatBound(SraOptions{}.decay_lambda, KnobType::kDouble);
-  s.doc = "SRA decay rate of the data-driven removal model (Eq. 10)";
-  return s;
-}
-
-KnobSpec TopicsKnob() {
-  KnobSpec s;
-  s.name = "topics";
-  s.type = KnobType::kEnum;
-  s.default_value = "dense";
-  s.doc =
-      "scoring-kernel selector; 'sparse' requires an instance carrying CSR "
-      "topic views and is bit-identical to 'dense'";
-  s.enum_values = {"dense", "sparse"};
-  return s;
-}
-
-KnobSpec BbaBoundingKnob() {
-  KnobSpec s;
-  s.name = "bba_bounding";
-  s.type = KnobType::kBool;
-  s.default_value = "true";
-  s.doc = "prune with the Eq. 3 cursor upper bound (ablation knob)";
-  return s;
-}
-
-KnobSpec BbaGainBranchingKnob() {
-  KnobSpec s;
-  s.name = "bba_gain_branching";
-  s.type = KnobType::kBool;
-  s.default_value = "true";
-  s.doc = "branch on the max-marginal-gain cursor reviewer (Definition 8)";
-  return s;
-}
-
-KnobSpec UpdateRefineKnob() {
-  KnobSpec s;
-  s.name = "update_refine";
-  s.type = KnobType::kEnum;
-  s.default_value = "sra";
-  s.doc = "refinement pass run on the repaired assignment after an "
-          "instance update";
-  s.enum_values = {"sra", "ls", "none"};
-  return s;
-}
-
-// Schema of the SDGA stage pipeline (shared by sdga / sdga-ls and, with
-// the SRA additions, sdga-sra / sra).
-std::vector<KnobSpec> SdgaPipelineKnobs() {
-  return {ThreadsKnob(), LapKnob(),   LapTopKKnob(),
-          LapEpsilonKnob(), GainsKnob(), TopicsKnob()};
-}
-
-std::vector<KnobSpec> SraPipelineKnobs() {
-  std::vector<KnobSpec> knobs = SdgaPipelineKnobs();
-  knobs.push_back(SraOmegaKnob());
-  knobs.push_back(SraLambdaKnob());
-  return knobs;
-}
-
-// The knobs shared by the SDGA/SRA/LS pipeline factories, decoded from
-// SolverRunOptions::extra once per dispatch. Schema validation has already
-// run by the time a factory decodes, so the checks here are defensive;
-// the cross-knob constraint (lap_topk/lap_epsilon need lap=auction) is
-// enforced here because KnobSpec is per-knob.
-struct PipelineKnobs {
-  int threads = 1;
-  LapBackend backend = LapBackend::kMinCostFlow;
-  int lap_topk = 0;
-  double lap_epsilon = 0.0;
-  GainMode gains = SdgaOptions{}.gains;
-  int sra_omega = SraOptions{}.convergence_window;
-  double sra_lambda = SraOptions{}.decay_lambda;
-  bool sparse_topics = false;  // the "topics" knob requested "sparse"
-  bool bba_bounding = BbaOptions{}.use_bounding;
-  bool bba_gain_branching = BbaOptions{}.use_gain_branching;
-};
-
-Result<PipelineKnobs> ParsePipelineKnobs(const SolverRunOptions& options) {
-  PipelineKnobs knobs;
-  auto threads = options.ExtraInt("threads", knobs.threads);
-  if (!threads.ok()) return threads.status();
-  // Bound the pool size: each worker is a real OS thread, so an absurd
-  // request must fail cleanly rather than exhaust the process.
-  if (*threads < 1 || *threads > 256) {
-    return Status::InvalidArgument("option 'threads' must be in [1, 256]");
+  typed.sra.seed = options.seed;
+  typed.ls.seed = options.seed;
+  for (const auto& [key, text] : options.extra) {
+    const KnobSpec* spec = FindSpec(specs, key);
+    if (spec == nullptr) return UnknownKnob(owner, specs, key);
+    auto value = ParseKnobValue(*spec, text);
+    if (!value.ok()) return value.status();
+    if (spec->apply) spec->apply(*value, &typed);
   }
-  knobs.threads = *threads;
-  const std::string lap = options.ExtraString("lap", "mcf");
-  if (lap == "mcf") {
-    knobs.backend = LapBackend::kMinCostFlow;
-  } else if (lap == "hungarian") {
-    knobs.backend = LapBackend::kHungarian;
-  } else if (lap == "auction") {
-    knobs.backend = LapBackend::kAuction;
-  } else {
-    return Status::InvalidArgument("option 'lap': '" + lap +
-                                   "' (use mcf, hungarian or auction)");
-  }
-  auto lap_topk = options.ExtraInt("lap_topk", knobs.lap_topk);
-  if (!lap_topk.ok()) return lap_topk.status();
-  if (*lap_topk < 0) {
-    return Status::InvalidArgument("option 'lap_topk' must be >= 0");
-  }
-  knobs.lap_topk = *lap_topk;
-  auto lap_epsilon = options.ExtraDouble("lap_epsilon", knobs.lap_epsilon);
-  if (!lap_epsilon.ok()) return lap_epsilon.status();
-  if (*lap_epsilon < 0.0) {
-    return Status::InvalidArgument("option 'lap_epsilon' must be >= 0");
-  }
-  knobs.lap_epsilon = *lap_epsilon;
-  const std::string gains = options.ExtraString("gains", "incremental");
-  if (gains == "rebuild") {
-    knobs.gains = GainMode::kRebuild;
-  } else if (gains == "incremental") {
-    knobs.gains = GainMode::kIncremental;
-  } else {
-    return Status::InvalidArgument("option 'gains': '" + gains +
-                                   "' (use rebuild or incremental)");
-  }
-  if (knobs.backend != LapBackend::kAuction &&
-      (knobs.lap_topk != 0 || knobs.lap_epsilon != 0.0)) {
+  // The one cross-knob rule. Every stage-LAP knob writes typed.sdga (ilp's
+  // included), so it holds the request whichever solver made it.
+  if (typed.sdga.backend != LapBackend::kAuction &&
+      (typed.sdga.lap_topk != 0 || typed.sdga.lap_epsilon != 0.0)) {
     return Status::InvalidArgument(
         "options 'lap_topk'/'lap_epsilon' require lap=auction");
   }
-  auto omega = options.ExtraInt("sra_omega", knobs.sra_omega);
-  if (!omega.ok()) return omega.status();
-  if (*omega <= 0) {
-    return Status::InvalidArgument("option 'sra_omega' must be > 0");
-  }
-  knobs.sra_omega = *omega;
-  auto lambda = options.ExtraDouble("sra_lambda", knobs.sra_lambda);
-  if (!lambda.ok()) return lambda.status();
-  knobs.sra_lambda = *lambda;
-  const std::string topics = options.ExtraString("topics", "dense");
-  if (topics == "sparse") {
-    knobs.sparse_topics = true;
-  } else if (topics != "dense") {
-    return Status::InvalidArgument("option 'topics': '" + topics +
-                                   "' (use dense or sparse)");
-  }
-  auto bounding = options.ExtraBool("bba_bounding", knobs.bba_bounding);
-  if (!bounding.ok()) return bounding.status();
-  knobs.bba_bounding = *bounding;
-  auto gain_branching =
-      options.ExtraBool("bba_gain_branching", knobs.bba_gain_branching);
-  if (!gain_branching.ok()) return gain_branching.status();
-  knobs.bba_gain_branching = *gain_branching;
-  return knobs;
-}
-
-// The "topics" knob's contract check, shared by every dispatch: asking for
-// the sparse kernels only makes sense on an instance that carries the CSR
-// views (building them mutates the instance, which dispatch — taking
-// const Instance& — must not do behind the caller's back).
-Status CheckTopicsKnob(const SolverRunOptions& options,
-                       const Instance& instance) {
-  if (options.ExtraString("topics", "dense") == "sparse" &&
-      !instance.has_sparse_topics()) {
+  // Asking for the sparse kernels only makes sense on an instance that
+  // carries the CSR views (building them mutates the instance, which a
+  // decode taking const Instance& must not do behind the caller's back).
+  if (typed.sparse_topics && !instance.has_sparse_topics()) {
     return Status::InvalidArgument(
         "option 'topics': 'sparse' requires an instance with sparse topic "
         "views — call Instance::BuildSparseTopics() (or pass --topics "
         "sparse to wgrap_cli, which does)");
   }
-  return Status::OK();
+  return typed;
+}
+
+const KnobSpec* SolverDescriptor::FindKnob(const std::string& knob) const {
+  return FindSpec(knobs, knob);
+}
+
+namespace {
+
+// --- The knob schema --------------------------------------------------------
+// Each knob is declared once below: name, doc, range or legal values, and
+// the TypedOptions fields it writes, as a std::tie of same-typed members.
+// The declared default is the first field's value in a default-constructed
+// TypedOptions, i.e. the options structs' own default; tests/registry_test
+// pins that every other field a knob writes has that same default.
+
+template <typename Fields>
+using FieldType = std::decay_t<
+    std::tuple_element_t<0, std::invoke_result_t<Fields, TypedOptions&>>>;
+
+template <typename Fields, typename T>
+void AssignAll(const Fields& fields, TypedOptions* options, const T& value) {
+  std::apply([&value](auto&... field) { ((field = value), ...); },
+             fields(*options));
+}
+
+// An int, double or bool knob with an optional inclusive range; the parsed
+// value is stored as is.
+template <typename Fields>
+KnobSpec ScalarKnob(std::string name, std::string doc, Fields fields,
+                    std::optional<double> min_value = std::nullopt,
+                    std::optional<double> max_value = std::nullopt) {
+  using T = FieldType<Fields>;
+  static_assert(std::is_same_v<T, int> || std::is_same_v<T, double> ||
+                std::is_same_v<T, bool>);
+  KnobSpec spec;
+  spec.name = std::move(name);
+  spec.type = std::is_same_v<T, int>      ? KnobType::kInt
+              : std::is_same_v<T, double> ? KnobType::kDouble
+                                          : KnobType::kBool;
+  TypedOptions defaults;
+  spec.default_value = Render(std::get<0>(fields(defaults)));
+  spec.doc = std::move(doc);
+  spec.min_value = min_value;
+  spec.max_value = max_value;
+  spec.apply = [fields](const KnobValue& value, TypedOptions* out) {
+    AssignAll(fields, out, std::get<T>(value));
+  };
+  return spec;
+}
+
+// An enum knob: `table` maps each legal spelling to its field value.
+template <typename Fields>
+KnobSpec EnumKnob(std::string name, std::string doc,
+                  std::vector<std::pair<std::string, FieldType<Fields>>> table,
+                  Fields fields) {
+  KnobSpec spec;
+  spec.name = std::move(name);
+  spec.type = KnobType::kEnum;
+  TypedOptions defaults;
+  for (const auto& [spelling, value] : table) {
+    spec.enum_values.push_back(spelling);
+    if (value == std::get<0>(fields(defaults))) spec.default_value = spelling;
+  }
+  spec.doc = std::move(doc);
+  spec.apply = [table = std::move(table), fields](const KnobValue& value,
+                                                  TypedOptions* out) {
+    for (const auto& [spelling, typed] : table) {
+      if (spelling == std::get<std::string>(value)) {
+        AssignAll(fields, out, typed);
+      }
+    }
+  };
+  return spec;
+}
+
+KnobSpec ThreadsKnob() {
+  // Bounded: each worker is a real OS thread, so an absurd request must
+  // fail cleanly rather than exhaust the process.
+  return ScalarKnob(
+      "threads",
+      "worker threads for the parallel hot paths; output is bit-identical "
+      "at any value",
+      [](TypedOptions& o) {
+        return std::tie(o.cra.num_threads, o.sdga.num_threads,
+                        o.sra.num_threads, o.ls.num_threads,
+                        o.ilp.num_threads);
+      },
+      1, 256);
+}
+
+KnobSpec LapKnob() {
+  return EnumKnob(
+      "lap", "LAP backend for the per-stage linear-assignment solves",
+      {{"mcf", LapBackend::kMinCostFlow},
+       {"hungarian", LapBackend::kHungarian},
+       {"auction", LapBackend::kAuction}},
+      [](TypedOptions& o) {
+        return std::tie(o.sdga.backend, o.sra.backend, o.ilp.backend);
+      });
+}
+
+// ilp's single transportation solve supports min-cost flow and the auction
+// but not the column-replicating Hungarian backend — its schema says so
+// instead of rejecting 'hungarian' deep inside the solver.
+KnobSpec IlpLapKnob() {
+  KnobSpec s = LapKnob();
+  s.doc = "backend for the demand-dp transportation solve";
+  s.enum_values.erase(
+      std::find(s.enum_values.begin(), s.enum_values.end(), "hungarian"));
+  return s;
+}
+
+KnobSpec LapTopKKnob() {
+  return ScalarKnob(
+      "lap_topk",
+      "lap=auction only: build each stage from the top-K gains per paper "
+      "with an exactness guard (0 = dense)",
+      [](TypedOptions& o) { return std::tie(o.sdga.lap_topk, o.sra.lap_topk); },
+      0);
+}
+
+KnobSpec LapEpsilonKnob() {
+  return ScalarKnob(
+      "lap_epsilon",
+      "lap=auction only: initial epsilon of the scaling schedule in profit "
+      "units (0 = auto)",
+      [](TypedOptions& o) {
+        return std::tie(o.sdga.lap_epsilon, o.sra.lap_epsilon,
+                        o.ilp.lap_epsilon);
+      },
+      0.0);
+}
+
+KnobSpec GainsKnob() {
+  return EnumKnob(
+      "gains",
+      "marginal-gain maintenance: delta-maintained caches or per-stage "
+      "rebuild (bit-identical either way)",
+      {{"rebuild", GainMode::kRebuild},
+       {"incremental", GainMode::kIncremental}},
+      [](TypedOptions& o) {
+        return std::tie(o.sdga.gains, o.sra.gains, o.ls.gains);
+      });
+}
+
+KnobSpec SraOmegaKnob() {
+  return ScalarKnob(
+      "sra_omega",
+      "SRA convergence window: stop after this many rounds without "
+      "improvement (Sec. 4.4)",
+      [](TypedOptions& o) { return std::tie(o.sra.convergence_window); }, 1);
+}
+
+KnobSpec SraLambdaKnob() {
+  // λ < 0 turns Eq. 10's decay into growth and, far enough below 0,
+  // flattens the removal model into uniform sampling.
+  return ScalarKnob(
+      "sra_lambda", "SRA decay rate of the data-driven removal model (Eq. 10)",
+      [](TypedOptions& o) { return std::tie(o.sra.decay_lambda); }, 0.0);
+}
+
+KnobSpec TopicsKnob() {
+  return EnumKnob(
+      "topics",
+      "scoring-kernel selector; 'sparse' requires an instance carrying CSR "
+      "topic views and is bit-identical to 'dense'",
+      {{"dense", false}, {"sparse", true}},
+      [](TypedOptions& o) { return std::tie(o.sparse_topics); });
+}
+
+KnobSpec BbaBoundingKnob() {
+  return ScalarKnob(
+      "bba_bounding", "prune with the Eq. 3 cursor upper bound (ablation knob)",
+      [](TypedOptions& o) { return std::tie(o.bba.use_bounding); });
+}
+
+KnobSpec BbaGainBranchingKnob() {
+  return ScalarKnob(
+      "bba_gain_branching",
+      "branch on the max-marginal-gain cursor reviewer (Definition 8)",
+      [](TypedOptions& o) { return std::tie(o.bba.use_gain_branching); });
+}
+
+KnobSpec UpdateRefineKnob() {
+  return EnumKnob(
+      "update_refine",
+      "refinement pass run on the repaired assignment after an instance "
+      "update",
+      {{"sra", "sra"}, {"ls", "ls"}, {"none", "none"}},
+      [](TypedOptions& o) { return std::tie(o.update_refine); });
+}
+
+// Schema of the SDGA stage pipeline (shared by sdga / sdga-ls and, with
+// the SRA additions, sdga-sra / sra).
+std::vector<KnobSpec> SdgaKnobs() {
+  return {ThreadsKnob(),    LapKnob(),   LapTopKKnob(),
+          LapEpsilonKnob(), GainsKnob(), TopicsKnob()};
+}
+
+std::vector<KnobSpec> SraKnobs() {
+  std::vector<KnobSpec> knobs = SdgaKnobs();
+  knobs.push_back(SraOmegaKnob());
+  knobs.push_back(SraLambdaKnob());
+  return knobs;
+}
+
+// The anytime pipelines spend the budget on refinement only: their SDGA
+// stage always runs to completion.
+SdgaOptions Unbudgeted(SdgaOptions sdga) {
+  sdga.time_limit_seconds = 0.0;
+  return sdga;
 }
 
 // Adapts RRAP's unconstrained per-paper lists into an Assignment via
@@ -503,11 +440,8 @@ Status CheckTopicsKnob(const SolverRunOptions& options,
 // feasible solvers. The result intentionally fails ValidateComplete —
 // that imbalance (Fig. 1(a)) is the point of the baseline.
 Result<Assignment> SolveRrapAsAssignment(const Instance& instance,
-                                         const SolverRunOptions& options) {
-  CraOptions cra;
-  cra.time_limit_seconds = options.time_limit_seconds;
-  cra.cancel = options.cancel;
-  auto raw = SolveCraRrap(instance, cra);
+                                         const TypedOptions& options) {
+  auto raw = SolveCraRrap(instance, options.cra);
   WGRAP_RETURN_IF_ERROR(raw.status());
   Assignment assignment(&instance);
   for (int p = 0; p < instance.num_papers(); ++p) {
@@ -519,295 +453,135 @@ Result<Assignment> SolveRrapAsAssignment(const Instance& instance,
 }
 
 SolverRegistry BuildDefaultRegistry() {
-  SolverRegistry registry;
-  auto add_cra = [&registry](std::string name, std::string paper_name,
-                             std::string summary, std::vector<KnobSpec> knobs,
-                             CraSolverFn fn, bool feasible = true) {
-    SolverDescriptor d;
+  // Descriptors are filled in place (a deque keeps the references `add`
+  // returns valid) and registered at the end.
+  std::deque<SolverDescriptor> built_ins;
+  auto add = [&built_ins](SolverFamily family, std::string name,
+                          std::string paper_name, std::string summary,
+                          std::vector<KnobSpec> knobs) -> SolverDescriptor& {
+    SolverDescriptor& d = built_ins.emplace_back();
     d.name = std::move(name);
-    d.family = SolverFamily::kCra;
-    d.paper_name = std::move(paper_name);
-    d.summary = std::move(summary);
-    d.produces_feasible = feasible;
-    d.knobs = std::move(knobs);
-    d.cra = std::move(fn);
-    const Status status = registry.Register(std::move(d));
-    WGRAP_CHECK_MSG(status.ok(), "built-in solver registration failed");
-  };
-  auto add_jra = [&registry](std::string name, std::string paper_name,
-                             std::string summary, std::vector<KnobSpec> knobs,
-                             JraSolverFn fn) {
-    SolverDescriptor d;
-    d.name = std::move(name);
-    d.family = SolverFamily::kJra;
+    d.family = family;
     d.paper_name = std::move(paper_name);
     d.summary = std::move(summary);
     d.knobs = std::move(knobs);
-    d.jra = std::move(fn);
-    const Status status = registry.Register(std::move(d));
-    WGRAP_CHECK_MSG(status.ok(), "built-in solver registration failed");
+    return d;
   };
+  constexpr SolverFamily kCra = SolverFamily::kCra;
+  constexpr SolverFamily kJra = SolverFamily::kJra;
 
   // --- CRA: whole-conference solvers (Sec. 4 / Sec. 5.2 line-up) ---------
-  add_cra("greedy", "Greedy (Long et al. [22], Eq. 4)",
-          "pair-at-a-time lazy-heap greedy, 1/3-approximation",
-          {TopicsKnob()},
-          [](const Instance& instance, const SolverRunOptions& options) {
-            CraOptions cra;
-            cra.time_limit_seconds = options.time_limit_seconds;
-            cra.cancel = options.cancel;
-            return SolveCraGreedy(instance, cra);
-          });
-  add_cra("brgg", "BRGG (best reviewer-group greedy)",
-          "commits the best whole (group, paper) pair per round",
-          {ThreadsKnob(), TopicsKnob()},
-          [](const Instance& instance,
-             const SolverRunOptions& options) -> Result<Assignment> {
-            auto knobs = ParsePipelineKnobs(options);
-            WGRAP_RETURN_IF_ERROR(knobs.status());
-            CraOptions cra;
-            cra.time_limit_seconds = options.time_limit_seconds;
-            cra.num_threads = knobs->threads;
-            cra.cancel = options.cancel;
-            return SolveCraBrgg(instance, cra);
-          });
-  add_cra("sdga", "SDGA (Algorithm 2)",
-          "stage-deepening greedy: dp linear-assignment stages, "
-          "1/2-approximation",
-          SdgaPipelineKnobs(),
-          [](const Instance& instance,
-             const SolverRunOptions& options) -> Result<Assignment> {
-            auto knobs = ParsePipelineKnobs(options);
-            WGRAP_RETURN_IF_ERROR(knobs.status());
-            SdgaOptions sdga;
-            sdga.time_limit_seconds = options.time_limit_seconds;
-            sdga.num_threads = knobs->threads;
-            sdga.backend = knobs->backend;
-            sdga.lap_topk = knobs->lap_topk;
-            sdga.lap_epsilon = knobs->lap_epsilon;
-            sdga.gains = knobs->gains;
-            sdga.cancel = options.cancel;
-            sdga.progress = options.progress;
-            return SolveCraSdga(instance, sdga);
-          });
-  add_cra("sdga-sra", "SDGA + SRA (Algorithms 2+3)",
-          "the paper's recommended pipeline: SDGA then stochastic refinement",
-          SraPipelineKnobs(),
-          [](const Instance& instance,
-             const SolverRunOptions& options) -> Result<Assignment> {
-            auto knobs = ParsePipelineKnobs(options);
-            WGRAP_RETURN_IF_ERROR(knobs.status());
-            SdgaOptions sdga;
-            sdga.num_threads = knobs->threads;
-            sdga.backend = knobs->backend;
-            sdga.lap_topk = knobs->lap_topk;
-            sdga.lap_epsilon = knobs->lap_epsilon;
-            sdga.gains = knobs->gains;
-            sdga.cancel = options.cancel;
-            sdga.progress = options.progress;
-            SraOptions sra;
-            sra.time_limit_seconds = options.time_limit_seconds;
-            sra.seed = options.seed;
-            sra.num_threads = knobs->threads;
-            sra.backend = knobs->backend;
-            sra.lap_topk = knobs->lap_topk;
-            sra.lap_epsilon = knobs->lap_epsilon;
-            sra.gains = knobs->gains;
-            sra.convergence_window = knobs->sra_omega;
-            sra.decay_lambda = knobs->sra_lambda;
-            sra.cancel = options.cancel;
-            sra.progress = options.progress;
-            return SolveCraSdgaSra(instance, sdga, sra);
-          });
-  add_cra("sdga-ls", "SDGA + LS (Fig. 12 baseline)",
-          "SDGA then plain hill-climbing local search",
-          SdgaPipelineKnobs(),
-          [](const Instance& instance,
-             const SolverRunOptions& options) -> Result<Assignment> {
-            auto knobs = ParsePipelineKnobs(options);
-            WGRAP_RETURN_IF_ERROR(knobs.status());
-            SdgaOptions sdga;
-            sdga.num_threads = knobs->threads;
-            sdga.backend = knobs->backend;
-            sdga.lap_topk = knobs->lap_topk;
-            sdga.lap_epsilon = knobs->lap_epsilon;
-            sdga.gains = knobs->gains;
-            sdga.cancel = options.cancel;
-            sdga.progress = options.progress;
-            auto initial = SolveCraSdga(instance, sdga);
-            WGRAP_RETURN_IF_ERROR(initial.status());
-            LocalSearchOptions ls;
-            ls.time_limit_seconds = options.time_limit_seconds;
-            ls.seed = options.seed;
-            ls.num_threads = knobs->threads;
-            ls.gains = knobs->gains;
-            ls.cancel = options.cancel;
-            ls.progress = options.progress;
-            return RefineLocalSearch(instance, *initial, ls);
-          });
-  add_cra("sm", "SM (stable matching)",
-          "Gale-Shapley college-admissions baseline",
-          {TopicsKnob()},
-          [](const Instance& instance, const SolverRunOptions& options) {
-            CraOptions cra;
-            cra.time_limit_seconds = options.time_limit_seconds;
-            cra.cancel = options.cancel;
-            return SolveCraStableMatching(instance, cra);
-          });
-  add_cra("ilp", "ILP (exact ARAP)",
-          "exact per-pair-objective assignment via one transportation "
-          "solve (lap=mcf or auction)",
-          {ThreadsKnob(), IlpLapKnob(), LapEpsilonKnob(), TopicsKnob()},
-          [](const Instance& instance,
-             const SolverRunOptions& options) -> Result<Assignment> {
-            auto knobs = ParsePipelineKnobs(options);
-            WGRAP_RETURN_IF_ERROR(knobs.status());
-            // Defensive: the declared schema (IlpLapKnob) already rejects
-            // 'hungarian' at dispatch; keep the factory honest for direct
-            // callers.
-            if (knobs->backend == LapBackend::kHungarian) {
-              return Status::InvalidArgument(
-                  "option 'lap': 'hungarian' is not supported by ilp "
-                  "(use mcf or auction)");
-            }
-            IlpArapOptions ilp;
-            ilp.time_limit_seconds = options.time_limit_seconds;
-            ilp.num_threads = knobs->threads;
-            ilp.backend = knobs->backend;
-            ilp.lap_epsilon = knobs->lap_epsilon;
-            ilp.cancel = options.cancel;
-            ilp.progress = options.progress;
-            return SolveCraIlpArap(instance, ilp);
-          });
-  add_cra("rrap", "RRAP (Definition 4, retrieval baseline)",
+  add(kCra, "greedy", "Greedy (Long et al. [22], Eq. 4)",
+      "pair-at-a-time lazy-heap greedy, 1/3-approximation", {TopicsKnob()})
+      .cra = [](const Instance& instance, const TypedOptions& options) {
+    return SolveCraGreedy(instance, options.cra);
+  };
+  add(kCra, "brgg", "BRGG (best reviewer-group greedy)",
+      "commits the best whole (group, paper) pair per round",
+      {ThreadsKnob(), TopicsKnob()})
+      .cra = [](const Instance& instance, const TypedOptions& options) {
+    return SolveCraBrgg(instance, options.cra);
+  };
+  add(kCra, "sdga", "SDGA (Algorithm 2)",
+      "stage-deepening greedy: dp linear-assignment stages, "
+      "1/2-approximation",
+      SdgaKnobs())
+      .cra = [](const Instance& instance, const TypedOptions& options) {
+    return SolveCraSdga(instance, options.sdga);
+  };
+  add(kCra, "sdga-sra", "SDGA + SRA (Algorithms 2+3)",
+      "the paper's recommended pipeline: SDGA then stochastic refinement",
+      SraKnobs())
+      .cra = [](const Instance& instance, const TypedOptions& options) {
+    return SolveCraSdgaSra(instance, Unbudgeted(options.sdga), options.sra);
+  };
+  add(kCra, "sdga-ls", "SDGA + LS (Fig. 12 baseline)",
+      "SDGA then plain hill-climbing local search", SdgaKnobs())
+      .cra = [](const Instance& instance,
+                const TypedOptions& options) -> Result<Assignment> {
+    auto initial = SolveCraSdga(instance, Unbudgeted(options.sdga));
+    WGRAP_RETURN_IF_ERROR(initial.status());
+    return RefineLocalSearch(instance, *initial, options.ls);
+  };
+  add(kCra, "sm", "SM (stable matching)",
+      "Gale-Shapley college-admissions baseline", {TopicsKnob()})
+      .cra = [](const Instance& instance, const TypedOptions& options) {
+    return SolveCraStableMatching(instance, options.cra);
+  };
+  add(kCra, "ilp", "ILP (exact ARAP)",
+      "exact per-pair-objective assignment via one transportation solve "
+      "(lap=mcf or auction)",
+      {ThreadsKnob(), IlpLapKnob(), LapEpsilonKnob(), TopicsKnob()})
+      .cra = [](const Instance& instance, const TypedOptions& options) {
+    return SolveCraIlpArap(instance, options.ilp);
+  };
+  SolverDescriptor& rrap =
+      add(kCra, "rrap", "RRAP (Definition 4, retrieval baseline)",
           "each reviewer takes their top-dr papers; group sizes "
           "unconstrained (diagnostic baseline)",
-          {TopicsKnob()}, SolveRrapAsAssignment, /*feasible=*/false);
+          {TopicsKnob()});
+  rrap.produces_feasible = false;
+  rrap.cra = SolveRrapAsAssignment;
 
   // --- CRA refinement-only entries (refine-from-initial hook) ------------
-  auto add_refine = [&registry](std::string name, std::string paper_name,
-                                std::string summary,
-                                std::vector<KnobSpec> knobs, CraRefineFn fn) {
-    SolverDescriptor d;
-    d.name = std::move(name);
-    d.family = SolverFamily::kCra;
-    d.paper_name = std::move(paper_name);
-    d.summary = std::move(summary);
-    d.knobs = std::move(knobs);
-    d.refine = std::move(fn);
-    const Status status = registry.Register(std::move(d));
-    WGRAP_CHECK_MSG(status.ok(), "built-in solver registration failed");
+  add(kCra, "sra", "SRA (Algorithm 3)",
+      "stochastic refinement of an existing assignment (requires an initial "
+      "assignment; use RefineCra / --refine)",
+      SraKnobs())
+      .refine = [](const Instance& instance, const Assignment& initial,
+                   const TypedOptions& options) {
+    return RefineSra(instance, initial, options.sra);
   };
-  add_refine("sra", "SRA (Algorithm 3)",
-             "stochastic refinement of an existing assignment "
-             "(requires an initial assignment; use RefineCra / --refine)",
-             SraPipelineKnobs(),
-             [](const Instance& instance, const Assignment& initial,
-                const SolverRunOptions& options) -> Result<Assignment> {
-               auto knobs = ParsePipelineKnobs(options);
-               WGRAP_RETURN_IF_ERROR(knobs.status());
-               SraOptions sra;
-               sra.time_limit_seconds = options.time_limit_seconds;
-               sra.seed = options.seed;
-               sra.num_threads = knobs->threads;
-               sra.backend = knobs->backend;
-               sra.lap_topk = knobs->lap_topk;
-               sra.lap_epsilon = knobs->lap_epsilon;
-               sra.gains = knobs->gains;
-               sra.convergence_window = knobs->sra_omega;
-               sra.decay_lambda = knobs->sra_lambda;
-               sra.cancel = options.cancel;
-               sra.progress = options.progress;
-               return RefineSra(instance, initial, sra);
-             });
-  add_refine("ls", "LS (Fig. 12 baseline)",
-             "hill-climbing refinement of an existing assignment "
-             "(requires an initial assignment; use RefineCra / --refine)",
-             {ThreadsKnob(), GainsKnob(), TopicsKnob()},
-             [](const Instance& instance, const Assignment& initial,
-                const SolverRunOptions& options) -> Result<Assignment> {
-               auto knobs = ParsePipelineKnobs(options);
-               WGRAP_RETURN_IF_ERROR(knobs.status());
-               LocalSearchOptions ls;
-               ls.time_limit_seconds = options.time_limit_seconds;
-               ls.seed = options.seed;
-               ls.num_threads = knobs->threads;
-               ls.gains = knobs->gains;
-               ls.cancel = options.cancel;
-               ls.progress = options.progress;
-               return RefineLocalSearch(instance, initial, ls);
-             });
+  add(kCra, "ls", "LS (Fig. 12 baseline)",
+      "hill-climbing refinement of an existing assignment (requires an "
+      "initial assignment; use RefineCra / --refine)",
+      {ThreadsKnob(), GainsKnob(), TopicsKnob()})
+      .refine = [](const Instance& instance, const Assignment& initial,
+                   const TypedOptions& options) {
+    return RefineLocalSearch(instance, initial, options.ls);
+  };
 
   // --- JRA: single-paper solvers (Sec. 3 / Sec. 5.1 line-up) -------------
-  {
-    SolverDescriptor d;
-    d.name = "bba";
-    d.family = SolverFamily::kJra;
-    d.paper_name = "BBA (Algorithm 1)";
-    d.summary =
-        "branch-and-bound with the Eq. 3 upper bound and max-gain "
-        "branching (bba_bounding / bba_gain_branching knobs; top-k via "
-        "SolveJraTopK)";
-    d.knobs = {TopicsKnob(), BbaBoundingKnob(), BbaGainBranchingKnob()};
-    d.jra = [](const Instance& instance, int paper,
-               const SolverRunOptions& options) -> Result<JraResult> {
-      auto knobs = ParsePipelineKnobs(options);
-      WGRAP_RETURN_IF_ERROR(knobs.status());
-      BbaOptions bba;
-      bba.time_limit_seconds = options.time_limit_seconds;
-      bba.use_bounding = knobs->bba_bounding;
-      bba.use_gain_branching = knobs->bba_gain_branching;
-      bba.cancel = options.cancel;
-      return SolveJraBba(instance, paper, bba);
-    };
-    // The size-k best-so-far heap variant (Sec. 3, final remark / Fig. 15)
-    // shares the knob decoding with the single-best entry point.
-    d.jra_topk = [](const Instance& instance, int paper, int k,
-                    const SolverRunOptions& options)
-        -> Result<std::vector<JraResult>> {
-      auto knobs = ParsePipelineKnobs(options);
-      WGRAP_RETURN_IF_ERROR(knobs.status());
-      BbaOptions bba;
-      bba.time_limit_seconds = options.time_limit_seconds;
-      bba.use_bounding = knobs->bba_bounding;
-      bba.use_gain_branching = knobs->bba_gain_branching;
-      bba.cancel = options.cancel;
-      return SolveJraBbaTopK(instance, paper, k, bba);
-    };
-    const Status status = registry.Register(std::move(d));
+  SolverDescriptor& bba =
+      add(kJra, "bba", "BBA (Algorithm 1)",
+          "branch-and-bound with the Eq. 3 upper bound and max-gain "
+          "branching (bba_bounding / bba_gain_branching knobs; top-k via "
+          "SolveJraTopK)",
+          {TopicsKnob(), BbaBoundingKnob(), BbaGainBranchingKnob()});
+  bba.jra = [](const Instance& instance, int paper,
+               const TypedOptions& options) {
+    return SolveJraBba(instance, paper, options.bba);
+  };
+  // The size-k best-so-far heap variant (Sec. 3, final remark / Fig. 15).
+  bba.jra_topk = [](const Instance& instance, int paper, int k,
+                    const TypedOptions& options) {
+    return SolveJraBbaTopK(instance, paper, k, options.bba);
+  };
+  add(kJra, "bfs", "BFS (brute force)",
+      "enumerates all C(R, dp) groups — exact but exponential", {TopicsKnob()})
+      .jra = [](const Instance& instance, int paper,
+                const TypedOptions& options) {
+    return SolveJraBruteForce(instance, paper, options.jra);
+  };
+  add(kJra, "jra-ilp", "ILP (MIP formulation)",
+      "mixed-integer formulation on the lp/ simplex + B&B solver",
+      {TopicsKnob()})
+      .jra = [](const Instance& instance, int paper,
+                const TypedOptions& options) {
+    return SolveJraIlp(instance, paper, options.jra);
+  };
+  add(kJra, "jra-cp", "CP (constraint programming)",
+      "generic CP search over the cp/ select-k substrate", {TopicsKnob()})
+      .jra = [](const Instance& instance, int paper,
+                const TypedOptions& options) {
+    return SolveJraCp(instance, paper, options.jra);
+  };
+
+  SolverRegistry registry;
+  for (SolverDescriptor& descriptor : built_ins) {
+    const Status status = registry.Register(std::move(descriptor));
     WGRAP_CHECK_MSG(status.ok(), "built-in solver registration failed");
   }
-  add_jra("bfs", "BFS (brute force)",
-          "enumerates all C(R, dp) groups — exact but exponential",
-          {TopicsKnob()},
-          [](const Instance& instance, int paper,
-             const SolverRunOptions& options) {
-            JraOptions jra;
-            jra.time_limit_seconds = options.time_limit_seconds;
-            jra.cancel = options.cancel;
-            return SolveJraBruteForce(instance, paper, jra);
-          });
-  add_jra("jra-ilp", "ILP (MIP formulation)",
-          "mixed-integer formulation on the lp/ simplex + B&B solver",
-          {TopicsKnob()},
-          [](const Instance& instance, int paper,
-             const SolverRunOptions& options) {
-            JraOptions jra;
-            jra.time_limit_seconds = options.time_limit_seconds;
-            jra.cancel = options.cancel;
-            return SolveJraIlp(instance, paper, jra);
-          });
-  add_jra("jra-cp", "CP (constraint programming)",
-          "generic CP search over the cp/ select-k substrate",
-          {TopicsKnob()},
-          [](const Instance& instance, int paper,
-             const SolverRunOptions& options) {
-            JraOptions jra;
-            jra.time_limit_seconds = options.time_limit_seconds;
-            jra.cancel = options.cancel;
-            return SolveJraCp(instance, paper, jra);
-          });
-
   return registry;
 }
 
@@ -815,7 +589,7 @@ SolverRegistry BuildDefaultRegistry() {
 
 const std::vector<KnobSpec>& IncrementalResolveKnobSpecs() {
   static const std::vector<KnobSpec>* specs = [] {
-    auto* s = new std::vector<KnobSpec>(SraPipelineKnobs());
+    auto* s = new std::vector<KnobSpec>(SraKnobs());
     s->push_back(UpdateRefineKnob());
     return s;
   }();
@@ -937,37 +711,35 @@ Result<SolverResponse> SolverRegistry::Run(const SolverRequest& request,
       }
       break;
   }
-  // One validation pass against the declared schema — unknown or ill-typed
-  // knobs never reach a factory — then the shared topics contract check.
-  WGRAP_RETURN_IF_ERROR(
-      ValidateKnobs(descriptor->name, descriptor->knobs, request.options.extra));
-  WGRAP_RETURN_IF_ERROR(CheckTopicsKnob(request.options, instance));
+  // Unknown or ill-typed knobs never reach a factory.
+  auto options = DecodeKnobs(descriptor->name, descriptor->knobs,
+                             request.options, instance);
+  WGRAP_RETURN_IF_ERROR(options.status());
 
   Stopwatch timer;
   SolverResponse response;
   switch (request.kind) {
     case Kind::kSolveCra: {
-      auto result = descriptor->cra(instance, request.options);
+      auto result = descriptor->cra(instance, *options);
       WGRAP_RETURN_IF_ERROR(result.status());
       response.assignment = std::move(result).value();
       break;
     }
     case Kind::kRefineCra: {
-      auto result =
-          descriptor->refine(instance, *request.initial, request.options);
+      auto result = descriptor->refine(instance, *request.initial, *options);
       WGRAP_RETURN_IF_ERROR(result.status());
       response.assignment = std::move(result).value();
       break;
     }
     case Kind::kSolveJra: {
-      auto result = descriptor->jra(instance, request.paper, request.options);
+      auto result = descriptor->jra(instance, request.paper, *options);
       WGRAP_RETURN_IF_ERROR(result.status());
       response.jra.push_back(std::move(result).value());
       break;
     }
     case Kind::kSolveJraTopK: {
-      auto result = descriptor->jra_topk(instance, request.paper, request.k,
-                                         request.options);
+      auto result =
+          descriptor->jra_topk(instance, request.paper, request.k, *options);
       WGRAP_RETURN_IF_ERROR(result.status());
       response.jra = std::move(result).value();
       break;

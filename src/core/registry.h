@@ -15,15 +15,19 @@
 // additional solvers — e.g. a sharded or GPU-backed variant — under new
 // keys at startup.
 //
-// Solver-specific switches ride in SolverRunOptions::extra, but the map is
-// no longer a free-form blob: every descriptor declares the knobs it
-// accepts as a list of KnobSpec (name, type, default, doc, legal values /
-// range), and dispatch validates the whole map against that schema before
-// the factory runs. Unknown keys and ill-typed values are rejected with
-// kInvalidArgument naming the offending key and listing the solver's
-// declared knobs, so clients — including remote ones talking to the
-// service API — discover capabilities from DescribeSolvers /
-// `wgrap_cli solvers --verbose` instead of reading headers.
+// Solver-specific switches ride in SolverRunOptions::extra, checked against
+// one declarative schema: each knob is a KnobSpec, declared once in
+// registry.cc with its name, type, doc, legal values or range, and the
+// fields of TypedOptions it writes. Its default is read off the options
+// struct's own default member value, so the schema cannot drift from the
+// solver. Every entry point — Run, the service's Submit/Resolve and
+// IncrementalResolve — decodes `extra` with the same DecodeKnobs step:
+// unknown keys, ill-typed values (ParseKnobValue), the cross-knob rule and
+// the topics/instance check fail with kInvalidArgument naming the key, and
+// on success the factory receives the filled TypedOptions. Clients,
+// remote ones included, discover the schema from DescribeSolvers /
+// `wgrap_cli solvers --verbose`; wgrap_cli derives its flags from it
+// (knob `a_b` is flag `--a-b`).
 //
 // Usage:
 //   const auto& registry = core::SolverRegistry::Default();
@@ -36,6 +40,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/cancel.h"
@@ -55,7 +60,7 @@ enum class SolverFamily {
 /// Value type of a declared knob.
 enum class KnobType {
   kInt,
-  kDouble,
+  kDouble,  // finite values only
   kBool,    // accepts true/false, 1/0, on/off
   kEnum,    // one of KnobSpec::enum_values
   kString,  // free-form
@@ -63,37 +68,6 @@ enum class KnobType {
 
 /// Human-readable type name ("int", "double", "bool", "enum", "string").
 const char* KnobTypeToString(KnobType type);
-
-/// Declared schema of one `extra` knob: the contract a solver exposes to
-/// front ends. Validation (ValidateKnobValue) enforces the type, the enum
-/// value list, and the numeric range; DescribeSolvers renders the rest.
-struct KnobSpec {
-  std::string name;
-  KnobType type = KnobType::kString;
-  /// Rendered default (what the solver uses when the key is absent).
-  std::string default_value;
-  /// One-line doc for `wgrap_cli solvers --verbose` / DescribeSolvers.
-  std::string doc;
-  /// kEnum: the closed set of legal values.
-  std::vector<std::string> enum_values;
-  /// kInt/kDouble: optional inclusive bounds.
-  std::optional<double> min_value;
-  std::optional<double> max_value;
-};
-
-/// "name (type, default X) — doc", with the enum values / range inlined.
-std::string FormatKnobSpec(const KnobSpec& spec);
-
-/// OK iff `value` parses as spec.type and satisfies the enum/range
-/// constraints; kInvalidArgument naming the knob otherwise.
-Status ValidateKnobValue(const KnobSpec& spec, const std::string& value);
-
-/// Validates every key of options.extra against `specs`: unknown keys are
-/// kInvalidArgument listing the declared knobs (`owner` names the solver in
-/// the message), known keys are checked with ValidateKnobValue.
-Status ValidateKnobs(const std::string& owner,
-                     const std::vector<KnobSpec>& specs,
-                     const std::map<std::string, std::string>& extra);
 
 /// Family-agnostic run parameters threaded to whichever options struct the
 /// concrete solver takes, plus the string→string `extra` map of
@@ -119,38 +93,88 @@ struct SolverRunOptions {
   /// best-score frames through this. Null = no reporting. Observational
   /// only — results are bit-identical with or without a callback.
   ProgressFn progress;
-  /// Solver-specific knobs; validated against the solver's KnobSpec list.
+  /// Solver-specific knobs; decoded against the solver's KnobSpec list.
   std::map<std::string, std::string> extra;
-
-  /// Typed accessors over `extra`: the fallback when the key is absent,
-  /// kInvalidArgument (naming the key) when the value doesn't parse.
-  Result<int> ExtraInt(const std::string& key, int fallback) const;
-  Result<double> ExtraDouble(const std::string& key, double fallback) const;
-  /// Accepts "true"/"false", "1"/"0", "on"/"off".
-  Result<bool> ExtraBool(const std::string& key, bool fallback) const;
-  std::string ExtraString(const std::string& key,
-                          const std::string& fallback) const;
-
-  /// Copy with `extra` filtered down to the keys `specs` declares — how a
-  /// composite caller (IncrementalResolve, the service) forwards its own
-  /// validated knob set to an inner solver with a narrower schema.
-  SolverRunOptions RestrictedTo(const std::vector<KnobSpec>& specs) const;
 };
 
+/// What DecodeKnobs produces: every solver's options struct, filled from
+/// the run parameters and the `extra` knobs in one place. A knob that
+/// several structs carry (threads, lap, gains, ...) is written to all of
+/// them; each factory hands its own struct to the solver.
+struct TypedOptions {
+  CraOptions cra;          // greedy, brgg, sm, rrap
+  SdgaOptions sdga;        // sdga, and the SDGA stage of sdga-sra / sdga-ls
+  SraOptions sra;          // sra, and the refinement of sdga-sra
+  LocalSearchOptions ls;   // ls, and the refinement of sdga-ls
+  IlpArapOptions ilp;      // ilp
+  JraOptions jra;          // bfs, jra-ilp, jra-cp
+  BbaOptions bba;          // bba
+  /// The "topics" knob asked for the CSR-sparse kernels.
+  bool sparse_topics = false;
+  /// IncrementalResolve's refiner: a registry refine key, or "none".
+  std::string update_refine = "sra";
+};
+
+/// A parsed knob value; the alternative matches KnobSpec::type (kEnum and
+/// kString parse to the string).
+using KnobValue = std::variant<int, double, bool, std::string>;
+
+/// Declared schema of one `extra` knob: the contract a solver exposes to
+/// front ends, and the binding that stores its value. ParseKnobValue
+/// enforces the type, the enum value list and the numeric range;
+/// DescribeSolvers renders the rest.
+struct KnobSpec {
+  std::string name;
+  KnobType type = KnobType::kString;
+  /// Rendered default (what the solver uses when the key is absent).
+  std::string default_value;
+  /// One-line doc for `wgrap_cli solvers --verbose` / DescribeSolvers.
+  std::string doc;
+  /// kEnum: the closed set of legal values.
+  std::vector<std::string> enum_values;
+  /// kInt/kDouble: optional inclusive bounds.
+  std::optional<double> min_value;
+  std::optional<double> max_value;
+  /// Writes a parsed value into every field of the typed options the knob
+  /// sets. Null = validated but not stored.
+  std::function<void(const KnobValue&, TypedOptions*)> apply;
+};
+
+/// "name (type, default X) — doc", with the enum values / range inlined.
+std::string FormatKnobSpec(const KnobSpec& spec);
+
+/// The one parser for knob values: `text` as spec.type, within the enum
+/// value list or the numeric range. kInvalidArgument naming the knob
+/// otherwise.
+Result<KnobValue> ParseKnobValue(const KnobSpec& spec, const std::string& text);
+
+/// The decode step every entry point shares (SolverRegistry::Run, the
+/// service's Submit/Resolve, IncrementalResolve). Copies the run
+/// parameters into every options struct, then parses each key of
+/// options.extra against `specs` and stores it. Fails with
+/// kInvalidArgument on an unknown key (listing the declared knobs; `owner`
+/// names the solver), an ill-typed value, lap_topk/lap_epsilon without
+/// lap=auction, or topics=sparse on an instance without sparse views.
+Result<TypedOptions> DecodeKnobs(const std::string& owner,
+                                 const std::vector<KnobSpec>& specs,
+                                 const SolverRunOptions& options,
+                                 const Instance& instance);
+
+// Solver factories receive the options DecodeKnobs filled.
 using CraSolverFn =
-    std::function<Result<Assignment>(const Instance&, const SolverRunOptions&)>;
+    std::function<Result<Assignment>(const Instance&, const TypedOptions&)>;
 using JraSolverFn = std::function<Result<JraResult>(
-    const Instance&, int paper, const SolverRunOptions&)>;
+    const Instance&, int paper, const TypedOptions&)>;
 /// Top-k JRA hook: the k best groups for one paper, sorted best first
 /// (SolveJraBbaTopK, the Fig. 15 experiment). Dispatched via
 /// SolverRegistry::SolveJraTopK.
 using JraTopKSolverFn = std::function<Result<std::vector<JraResult>>(
-    const Instance&, int paper, int k, const SolverRunOptions&)>;
+    const Instance&, int paper, int k, const TypedOptions&)>;
 /// Refine-from-initial hook: improves an existing complete feasible
 /// assignment instead of building one from scratch (RefineSra,
 /// RefineLocalSearch). Dispatched via SolverRegistry::RefineCra.
 using CraRefineFn = std::function<Result<Assignment>(
-    const Instance&, const Assignment& initial, const SolverRunOptions&)>;
+    const Instance&, const Assignment& initial, const TypedOptions&)>;
 
 struct SolverDescriptor {
   std::string name;        // registry key, e.g. "sdga-sra"
@@ -160,9 +184,9 @@ struct SolverDescriptor {
   /// False only for diagnostic baselines (rrap) whose output deliberately
   /// violates the group-size/workload constraints.
   bool produces_feasible = true;
-  /// The `extra` keys this solver accepts. Dispatch validates the whole
-  /// map against this schema; an empty list means the solver takes no
-  /// knobs and any `extra` key is rejected.
+  /// The `extra` keys this solver accepts. Dispatch decodes the whole map
+  /// against this schema; an empty list means the solver takes no knobs
+  /// and any `extra` key is rejected.
   std::vector<KnobSpec> knobs;
   /// kCra descriptors set `cra` (build from scratch), `refine` (improve an
   /// initial assignment), or both; kJra descriptors set `jra` and may also
@@ -228,8 +252,8 @@ class SolverRegistry {
 
   /// Validates and dispatches `request` against the named solver:
   /// kNotFound for unknown names (listing the family's keys), then the
-  /// knob schema check, then the family/kind/argument checks the legacy
-  /// wrappers document. On success the response carries the assignment or
+  /// family/kind/argument checks the legacy wrappers document, then
+  /// DecodeKnobs. On success the response carries the assignment or
   /// JRA results plus the elapsed wall-clock.
   Result<SolverResponse> Run(const SolverRequest& request,
                              const Instance& instance) const;
@@ -269,9 +293,9 @@ class SolverRegistry {
 };
 
 /// The knob schema of the IncrementalResolve path (core/update.h): the
-/// union of the refiner pipeline knobs plus "update_refine". Shared here so
-/// the CLI `update` subcommand and the service mutation endpoint validate
-/// against the same contract the registry solvers use.
+/// refiner pipeline knobs plus "update_refine". Shared here so the CLI
+/// `update` subcommand and the service resolve endpoint decode against the
+/// same contract the registry solvers use.
 const std::vector<KnobSpec>& IncrementalResolveKnobSpecs();
 
 }  // namespace wgrap::core

@@ -549,11 +549,11 @@ Result<ResolveReport> IncrementalResolve(const Instance& instance,
   Stopwatch watch;
   obs::ScopedSpan resolve_span("incremental_resolve");
   // The resolve path declares its own schema (refiner pipeline knobs +
-  // update_refine) and validates eagerly — same contract as registry
+  // update_refine) and decodes eagerly — the same step as registry
   // dispatch, so a typo fails before any mutation-repair work.
-  WGRAP_RETURN_IF_ERROR(ValidateKnobs("update", IncrementalResolveKnobSpecs(),
-                                      options.extra));
-  const std::string refine = options.ExtraString("update_refine", "sra");
+  auto typed = DecodeKnobs("update", IncrementalResolveKnobSpecs(), options,
+                           instance);
+  WGRAP_RETURN_IF_ERROR(typed.status());
   ResolveReport report;
   // Normalize first: re-derive every cached score from the groups so the
   // numeric state is independent of the mutation history — this is what
@@ -573,15 +573,14 @@ Result<ResolveReport> IncrementalResolve(const Instance& instance,
   static obs::Histogram* const repaired = obs::Registry::Global().GetHistogram(
       "wgrap_update_repaired_papers", obs::ExponentialBounds(1.0, 2.0, 12));
   if (repaired) repaired->Observe(static_cast<double>(report.repaired_papers));
-  if (refine != "none") {
-    const SolverRegistry& registry = SolverRegistry::Default();
-    const SolverDescriptor* refiner = registry.Find(refine);
-    WGRAP_CHECK_MSG(refiner != nullptr, "built-in refiner missing");
-    // Forward only the knobs the refiner declares: this path's own keys
-    // (update_refine; sra_* when refine=ls) would otherwise be rejected by
-    // the refiner's stricter schema.
-    auto refined = registry.RefineCra(refine, instance, *assignment,
-                                      options.RestrictedTo(refiner->knobs));
+  if (typed->update_refine != "none") {
+    const SolverDescriptor* refiner =
+        SolverRegistry::Default().Find(typed->update_refine);
+    WGRAP_CHECK_MSG(refiner != nullptr && refiner->refine,
+                    "built-in refiner missing");
+    // The decoded options already hold the refiner's struct; knobs it does
+    // not read (sra_* when refine=ls) are simply not looked at.
+    auto refined = refiner->refine(instance, *assignment, *typed);
     WGRAP_RETURN_IF_ERROR(refined.status());
     *assignment = *std::move(refined);
   }

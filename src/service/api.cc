@@ -73,6 +73,29 @@ std::string RenderProgressFrame(const core::ProgressFrame& frame) {
   return line;
 }
 
+// The run parameters and knobs of a submit or resolve request.
+template <typename Request>
+core::SolverRunOptions RunOptions(const Request& request) {
+  core::SolverRunOptions options;
+  options.time_limit_seconds = request.time_limit_seconds;
+  options.seed = request.seed;
+  options.extra = request.knobs;
+  return options;
+}
+
+// `options` plus the job's cancel token and progress sink.
+core::SolverRunOptions WithJobContext(core::SolverRunOptions options,
+                                      const JobContext& context) {
+  options.cancel = context.cancel;
+  if (context.progress) {
+    options.progress =
+        [sink = context.progress](const core::ProgressFrame& frame) {
+          sink(RenderProgressFrame(frame));
+        };
+  }
+  return options;
+}
+
 void CountCasConflict(const Status& install) {
   if (install.ok() || install.code() != StatusCode::kFailedPrecondition) {
     return;
@@ -169,17 +192,21 @@ Result<SubmitResponse> ServiceApi::Submit(const SubmitRequest& request) {
   static obs::Histogram* const latency =
       obs::Registry::Global().GetHistogram("wgrap_service_submit_seconds");
   ScopedEndpointTimer timer(latency);
-  const auto& registry = core::SolverRegistry::Default();
   // Fail fast at submit time: unknown solvers and bad knobs are caught
   // here (with the schema in the message), before a job id is handed out.
-  const core::SolverDescriptor* descriptor = registry.Find(request.solver);
+  const core::SolverDescriptor* descriptor =
+      core::SolverRegistry::Default().Find(request.solver);
   if (descriptor == nullptr) {
     return Status::NotFound("unknown solver '" + request.solver + "'");
   }
-  WGRAP_RETURN_IF_ERROR(core::ValidateKnobs(descriptor->name,
-                                            descriptor->knobs, request.knobs));
   auto snapshot = store_.Get(request.session);
   if (!snapshot.ok()) return snapshot.status();
+  core::SolverRunOptions options = RunOptions(request);
+  // The job's Run repeats this decode on the same snapshot; here it only
+  // decides whether a job id is handed out.
+  WGRAP_RETURN_IF_ERROR(core::DecodeKnobs(descriptor->name, descriptor->knobs,
+                                          options, *snapshot->instance)
+                            .status());
   const bool is_refine =
       request.kind == core::SolverRequest::Kind::kRefineCra;
   if (is_refine && snapshot->assignment == nullptr) {
@@ -191,8 +218,8 @@ Result<SubmitResponse> ServiceApi::Submit(const SubmitRequest& request) {
   SessionSnapshot snap = *std::move(snapshot);
   const Result<int64_t> id = jobs_.Submit(
       std::string(KindLabel(request.kind)) + ":" + request.solver,
-      [this, job_request = std::move(job_request),
-       snap = std::move(snap)](const JobContext& context) {
+      [this, job_request = std::move(job_request), snap = std::move(snap),
+       options = std::move(options)](const JobContext& context) {
         JobResult result;
         core::SolverRequest solver_request;
         solver_request.kind = job_request.kind;
@@ -200,17 +227,7 @@ Result<SubmitResponse> ServiceApi::Submit(const SubmitRequest& request) {
         solver_request.paper = job_request.paper;
         solver_request.k = job_request.k;
         solver_request.initial = snap.assignment.get();
-        solver_request.options.time_limit_seconds =
-            job_request.time_limit_seconds;
-        solver_request.options.seed = job_request.seed;
-        solver_request.options.cancel = context.cancel;
-        if (context.progress) {
-          solver_request.options.progress =
-              [sink = context.progress](const core::ProgressFrame& frame) {
-                sink(RenderProgressFrame(frame));
-              };
-        }
-        solver_request.options.extra = job_request.knobs;
+        solver_request.options = WithJobContext(options, context);
         auto response =
             core::SolverRegistry::Default().Run(solver_request,
                                                 *snap.instance);
@@ -265,21 +282,23 @@ Result<SubmitResponse> ServiceApi::Resolve(const ResolveRequest& request) {
   static obs::Histogram* const latency =
       obs::Registry::Global().GetHistogram("wgrap_service_resolve_seconds");
   ScopedEndpointTimer timer(latency);
-  WGRAP_RETURN_IF_ERROR(core::ValidateKnobs(
-      "update", core::IncrementalResolveKnobSpecs(), request.knobs));
   auto snapshot = store_.Get(request.session);
   if (!snapshot.ok()) return snapshot.status();
+  core::SolverRunOptions options = RunOptions(request);
+  WGRAP_RETURN_IF_ERROR(core::DecodeKnobs("update",
+                                          core::IncrementalResolveKnobSpecs(),
+                                          options, *snapshot->instance)
+                            .status());
   if (snapshot->assignment == nullptr) {
     return Status::FailedPrecondition("session '" + request.session +
                                       "' has no assignment to resolve");
   }
 
-  ResolveRequest job_request = request;
   SessionSnapshot snap = *std::move(snapshot);
   const Result<int64_t> id = jobs_.Submit(
       "resolve:" + request.session,
-      [this, job_request = std::move(job_request),
-       snap = std::move(snap)](const JobContext& context) {
+      [this, snap = std::move(snap),
+       options = std::move(options)](const JobContext& context) {
         JobResult result;
         // Work on a private rebind of the snapshot's assignment — the
         // snapshot itself stays immutable for other readers.
@@ -291,19 +310,8 @@ Result<SubmitResponse> ServiceApi::Resolve(const ResolveRequest& request) {
             return result;
           }
         }
-        core::SolverRunOptions options;
-        options.time_limit_seconds = job_request.time_limit_seconds;
-        options.seed = job_request.seed;
-        options.cancel = context.cancel;
-        if (context.progress) {
-          options.progress =
-              [sink = context.progress](const core::ProgressFrame& frame) {
-                sink(RenderProgressFrame(frame));
-              };
-        }
-        options.extra = job_request.knobs;
-        auto report = core::IncrementalResolve(*snap.instance, &working,
-                                               options);
+        auto report = core::IncrementalResolve(
+            *snap.instance, &working, WithJobContext(options, context));
         if (!report.ok()) {
           result.status = report.status();
           return result;

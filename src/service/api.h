@@ -67,9 +67,10 @@ struct SubmitRequest {
   int k = 1;      // kSolveJraTopK
   double time_limit_seconds = 0.0;
   uint64_t seed = 20150531;
-  /// Solver knobs; validated against the solver's KnobSpec schema at
-  /// submit time (bad knobs fail the Submit call itself, with the valid
-  /// knob list in the error — the job is never created).
+  /// Solver knobs; decoded against the solver's KnobSpec schema at
+  /// submit time (core::DecodeKnobs: a bad knob, a broken cross-knob rule
+  /// or topics=sparse without sparse views fails the Submit call itself —
+  /// the job is never created).
   std::map<std::string, std::string> knobs;
   /// CRA kinds: install the solved assignment into the session when it is
   /// still at the snapshot's version (compare-and-set; a concurrent
@@ -94,7 +95,7 @@ struct MutateResponse {
 };
 
 /// Incremental re-solve of the session's (mutated) assignment — the
-/// IncrementalResolve pipeline as an async job. Knobs are validated
+/// IncrementalResolve pipeline as an async job. Knobs are decoded
 /// against core::IncrementalResolveKnobSpecs at submit time.
 struct ResolveRequest {
   std::string session;

@@ -24,7 +24,7 @@
 //    ternary; predicated lanes use the exact predicate complement
 //    (_CMP_NLE_UQ for `!(a <= b)`, _CMP_GE_OQ for `a >= b`); max folds use
 //    compare+blend, NOT VMAXPD (which differs from std::max on ±0.0/NaN).
-//  * Integer kernels (top-two scans, filters, merges) are exact by nature;
+//  * Integer kernels (top-two scans, filters) are exact by nature;
 //    ties select the lowest index, matching the scalar scan order.
 //
 // tests/simd_kernel_test.cc fuzzes every kernel across backends and fails
@@ -157,30 +157,6 @@ inline TopTwo TopTwoNegPrice(const int64_t* price, int n, int64_t no_price) {
 #endif
   return scalar::TopTwoNegPrice(price, n, no_price);
 }
-
-/// Branch-free sorted-union merge of two sparse operands into aligned
-/// value pairs: on exit (out_a[k], out_b[k]) for k in [0, return) hold the
-/// two operand values over the ascending union of the supports, with 0.0
-/// where a side is absent — exactly the (r, p) pairs the fused merge in
-/// sparse/sparse_scoring.cc feeds to TopicContribution, in the same
-/// order. Selection/copy only (no FP arithmetic), so both backends share
-/// this one implementation. NOTE: measured SLOWER than the fused merge
-/// loops at every density (the compiler compiles those to conditional
-/// moves, and this split pass adds a store/reload of the pair buffers),
-/// so sparse_scoring.cc does not dispatch it — it stays as the
-/// benchmarked negative result (BM_KernelMergeAlignedPairs,
-/// bench/BASELINES.md). Output buffers must have room for na + nb
-/// entries.
-int MergeAlignedPairs(const int* ids_a, const double* values_a, int na,
-                      const int* ids_b, const double* values_b, int nb,
-                      double* out_a, double* out_b);
-
-/// MergeAlignedPairs with a dense left operand restricted to the sorted
-/// support `ids_a` (the SparseGroupAccumulator path): left values are read
-/// from acc[ids_a[i]].
-int MergeAlignedPairsDenseLeft(const double* acc, const int* ids_a, int na,
-                               const int* ids_b, const double* values_b,
-                               int nb, double* out_a, double* out_b);
 
 }  // namespace wgrap::simd
 

@@ -100,59 +100,4 @@ TopTwo TopTwoNegPrice(const int64_t* price, int n, int64_t no_price) {
 
 }  // namespace scalar
 
-int MergeAlignedPairs(const int* ids_a, const double* values_a, int na,
-                      const int* ids_b, const double* values_b, int nb,
-                      double* out_a, double* out_b) {
-  int i = 0, j = 0, k = 0;
-  // The merge comparisons compile to conditional moves / flag-driven index
-  // bumps — no data-dependent branch in the joint region, which is where a
-  // branchy merge pays ~half a mispredict per element on real supports.
-  while (i < na && j < nb) {
-    const int ta = ids_a[i];
-    const int tb = ids_b[j];
-    const bool take_a = ta <= tb;
-    const bool take_b = tb <= ta;
-    out_a[k] = take_a ? values_a[i] : 0.0;
-    out_b[k] = take_b ? values_b[j] : 0.0;
-    i += take_a;
-    j += take_b;
-    ++k;
-  }
-  for (; i < na; ++i, ++k) {
-    out_a[k] = values_a[i];
-    out_b[k] = 0.0;
-  }
-  for (; j < nb; ++j, ++k) {
-    out_a[k] = 0.0;
-    out_b[k] = values_b[j];
-  }
-  return k;
-}
-
-int MergeAlignedPairsDenseLeft(const double* acc, const int* ids_a, int na,
-                               const int* ids_b, const double* values_b,
-                               int nb, double* out_a, double* out_b) {
-  int i = 0, j = 0, k = 0;
-  while (i < na && j < nb) {
-    const int ta = ids_a[i];
-    const int tb = ids_b[j];
-    const bool take_a = ta <= tb;
-    const bool take_b = tb <= ta;
-    out_a[k] = take_a ? acc[ta] : 0.0;
-    out_b[k] = take_b ? values_b[j] : 0.0;
-    i += take_a;
-    j += take_b;
-    ++k;
-  }
-  for (; i < na; ++i, ++k) {
-    out_a[k] = acc[ids_a[i]];
-    out_b[k] = 0.0;
-  }
-  for (; j < nb; ++j, ++k) {
-    out_a[k] = 0.0;
-    out_b[k] = values_b[j];
-  }
-  return k;
-}
-
 }  // namespace wgrap::simd

@@ -10,16 +10,13 @@ namespace wgrap::sparse {
 
 namespace {
 
-// These merges stay FUSED and scalar on purpose. The kernel layer offers
-// a split alternative — simd::MergeAlignedPairs materializes the (r, p)
-// pairs over the union, then one vector ScoreSum reduces them, byte-
-// identically (fuzzed in tests/simd_kernel_test.cc) — but measured 2–3×
-// SLOWER than the loops below at every density (BM_SparseVsDense with
-// WGRAP_SIMD on vs. off; bench/BASELINES.md records the sweep): the
-// compiler already turns these ternaries into conditional moves, so the
-// "hard-to-predict merge branch" never exists, and the split pass adds a
-// 2n-double store/reload the fused loop never pays. The kernels and
-// BM_KernelMergeAlignedPairs stay as the documented negative result.
+// These merges stay FUSED and scalar on purpose. A split alternative —
+// materialize the (r, p) pairs over the union, then reduce them with one
+// vector ScoreSum — is byte-identical but measured 2–3× SLOWER than the
+// loops below at every density (bench/BASELINES.md records the numbers):
+// the compiler already turns these ternaries into conditional moves, so
+// the "hard-to-predict merge branch" never exists, and the split pass
+// adds a 2n-double store/reload the fused loop never pays.
 //
 // Sorted union merge of two supports, summing contrib(r_t, p_t) in
 // ascending topic order. The contribution functor is a template parameter

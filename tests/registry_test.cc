@@ -5,7 +5,9 @@
 
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/check.h"
@@ -173,7 +175,7 @@ TEST(SolverRegistryTest, RegisterRejectsDuplicatesAndMalformedDescriptors) {
   d.paper_name = "Custom";
   d.summary = "test";
   d.cra = [](const core::Instance& instance,
-             const core::SolverRunOptions&) -> Result<core::Assignment> {
+             const core::TypedOptions&) -> Result<core::Assignment> {
     return core::SolveCraGreedy(instance);
   };
   EXPECT_TRUE(registry.Register(d).ok());
@@ -318,6 +320,9 @@ TEST(SolverRegistryTest, MalformedExtraValuesAreRejected) {
         {"lap", "simplex"},
         {"sra_omega", "0"},
         {"sra_lambda", "fast"},
+        {"sra_lambda", "nan"},  // would slip past every range check
+        {"sra_lambda", "-1"},   // Eq. 10 needs a decay, not a growth
+        {"lap_epsilon", "inf"},
         {"topics", "csr"},
         {"gains", "cached"}}) {
     core::SolverRunOptions options;
@@ -362,10 +367,7 @@ TEST(SolverRegistryTest, DescriptorsDeclareWellFormedKnobSchemas) {
       EXPECT_NE(line.find(core::KnobTypeToString(knob.type)),
                 std::string::npos);
       // Declared defaults must satisfy their own spec.
-      if (!knob.default_value.empty()) {
-        EXPECT_TRUE(
-            core::ValidateKnobValue(knob, knob.default_value).ok());
-      }
+      EXPECT_TRUE(core::ParseKnobValue(knob, knob.default_value).ok());
     }
   }
   // The update pipeline shares the same schema machinery.
@@ -376,8 +378,10 @@ TEST(SolverRegistryTest, DescriptorsDeclareWellFormedKnobSchemas) {
     if (knob.name == "update_refine") has_refine = true;
   }
   EXPECT_TRUE(has_refine);
-  EXPECT_EQ(core::ValidateKnobs("update", update_knobs,
-                                {{"update_refine", "cold"}})
+  core::SolverRunOptions cold;
+  cold.extra["update_refine"] = "cold";
+  EXPECT_EQ(core::DecodeKnobs("update", update_knobs, cold, TinyInstance())
+                .status()
                 .code(),
             StatusCode::kInvalidArgument);
 }
@@ -430,55 +434,142 @@ TEST(SolverRegistryTest, RunUnifiedDispatchMatchesLegacyWrappers) {
   EXPECT_NEAR(single->jra[0].score, groups->jra[0].score, 1e-9);
 }
 
-TEST(SolverRunOptionsTest, RestrictedToFiltersUndeclaredKeys) {
-  core::SolverRunOptions options;
-  options.time_limit_seconds = 2.5;
-  options.seed = 99;
-  options.extra["sra_omega"] = "4";
-  options.extra["update_refine"] = "sra";
-  std::vector<core::KnobSpec> specs;
-  core::KnobSpec omega;
-  omega.name = "sra_omega";
-  specs.push_back(omega);
-  const core::SolverRunOptions narrowed = options.RestrictedTo(specs);
-  EXPECT_EQ(narrowed.time_limit_seconds, 2.5);
-  EXPECT_EQ(narrowed.seed, 99u);
-  EXPECT_EQ(narrowed.extra.size(), 1u);
-  EXPECT_EQ(narrowed.extra.count("sra_omega"), 1u);
-  EXPECT_EQ(narrowed.extra.count("update_refine"), 0u);
-}
-
-TEST(SolverRunOptionsTest, TypedExtraAccessors) {
-  core::SolverRunOptions options;
-  EXPECT_EQ(*options.ExtraInt("absent", 7), 7);
-  EXPECT_EQ(*options.ExtraDouble("absent", 0.5), 0.5);
-  EXPECT_EQ(options.ExtraString("absent", "x"), "x");
-  EXPECT_EQ(*options.ExtraBool("absent", true), true);
+TEST(KnobSchemaTest, ParseKnobValueAcceptsExactlyTheTypedSpellings) {
+  core::KnobSpec flag;
+  flag.name = "flag";
+  flag.type = core::KnobType::kBool;
   for (const char* yes : {"true", "1", "on"}) {
-    options.extra["flag"] = yes;
-    EXPECT_TRUE(*options.ExtraBool("flag", false)) << yes;
+    auto value = core::ParseKnobValue(flag, yes);
+    ASSERT_TRUE(value.ok()) << yes;
+    EXPECT_TRUE(std::get<bool>(*value)) << yes;
   }
   for (const char* no : {"false", "0", "off"}) {
-    options.extra["flag"] = no;
-    EXPECT_FALSE(*options.ExtraBool("flag", true)) << no;
+    auto value = core::ParseKnobValue(flag, no);
+    ASSERT_TRUE(value.ok()) << no;
+    EXPECT_FALSE(std::get<bool>(*value)) << no;
   }
-  options.extra["flag"] = "yes";
-  EXPECT_EQ(options.ExtraBool("flag", false).status().code(),
+  EXPECT_EQ(core::ParseKnobValue(flag, "yes").status().code(),
             StatusCode::kInvalidArgument);
-  options.extra["a"] = "42";
-  options.extra["b"] = "2.25";
-  options.extra["c"] = "text";
-  EXPECT_EQ(*options.ExtraInt("a", 0), 42);
-  EXPECT_EQ(*options.ExtraDouble("b", 0.0), 2.25);
-  EXPECT_EQ(options.ExtraString("c", ""), "text");
-  EXPECT_EQ(options.ExtraInt("c", 0).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(options.ExtraDouble("c", 0.0).status().code(),
+
+  core::KnobSpec count;
+  count.name = "count";
+  count.type = core::KnobType::kInt;
+  EXPECT_EQ(std::get<int>(*core::ParseKnobValue(count, "42")), 42);
+  EXPECT_EQ(core::ParseKnobValue(count, "text").status().code(),
             StatusCode::kInvalidArgument);
   // Values outside int range are rejected, not truncated.
-  options.extra["d"] = "4294967297";
-  EXPECT_EQ(options.ExtraInt("d", 0).status().code(),
+  EXPECT_EQ(core::ParseKnobValue(count, "4294967297").status().code(),
             StatusCode::kInvalidArgument);
+
+  core::KnobSpec rate;
+  rate.name = "rate";
+  rate.type = core::KnobType::kDouble;
+  EXPECT_EQ(std::get<double>(*core::ParseKnobValue(rate, "2.25")), 2.25);
+  for (const char* bad : {"text", "nan", "inf", "-inf"}) {
+    auto value = core::ParseKnobValue(rate, bad);
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(value.status().message().find("'rate'"), std::string::npos);
+  }
+
+  core::KnobSpec label;
+  label.name = "label";
+  EXPECT_EQ(std::get<std::string>(*core::ParseKnobValue(label, "text")),
+            "text");
+}
+
+// Every plain field of the typed options, so two decodes compare member
+// by member (the callables — cancel, progress, trace — are left out).
+auto PlainFields(const core::TypedOptions& o) {
+  return std::tie(
+      o.cra.time_limit_seconds, o.cra.num_threads, o.sdga.time_limit_seconds,
+      o.sdga.num_threads, o.sdga.backend, o.sdga.gains,
+      o.sdga.confine_stage_workload, o.sdga.lap_topk, o.sdga.lap_epsilon,
+      o.sra.time_limit_seconds, o.sra.num_threads, o.sra.backend,
+      o.sra.lap_topk, o.sra.lap_epsilon, o.sra.gains,
+      o.sra.convergence_window, o.sra.decay_lambda, o.sra.max_iterations,
+      o.sra.uniform_probability, o.sra.seed, o.ls.time_limit_seconds,
+      o.ls.num_threads, o.ls.max_stall_proposals, o.ls.gains, o.ls.seed,
+      o.ilp.time_limit_seconds, o.ilp.num_threads, o.ilp.backend,
+      o.ilp.lap_epsilon, o.jra.time_limit_seconds, o.jra.max_nodes,
+      o.bba.time_limit_seconds, o.bba.max_nodes, o.bba.use_bounding,
+      o.bba.use_gain_branching, o.sparse_topics, o.update_refine);
+}
+
+// The drift guard of the single schema: a knob's declared default is read
+// off one field, so naming it explicitly must change nothing — in that
+// field or in any other field the knob writes.
+TEST(KnobSchemaTest, DeclaredDefaultsDecodeLikeAbsentKnobs) {
+  const core::Instance instance = TinyInstance();
+  auto check = [&instance](const std::string& owner,
+                           const std::vector<core::KnobSpec>& specs) {
+    auto absent = core::DecodeKnobs(owner, specs, {}, instance);
+    ASSERT_TRUE(absent.ok()) << absent.status().ToString();
+    core::SolverRunOptions all;
+    for (const core::KnobSpec& spec : specs) {
+      SCOPED_TRACE(owner + "/" + spec.name);
+      core::SolverRunOptions one;
+      one.extra[spec.name] = spec.default_value;
+      all.extra[spec.name] = spec.default_value;
+      auto decoded = core::DecodeKnobs(owner, specs, one, instance);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_TRUE(PlainFields(*decoded) == PlainFields(*absent));
+    }
+    auto decoded = core::DecodeKnobs(owner, specs, all, instance);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(PlainFields(*decoded) == PlainFields(*absent)) << owner;
+  };
+  for (const auto* descriptor : core::SolverRegistry::Default().List()) {
+    check(descriptor->name, descriptor->knobs);
+  }
+  check("update", core::IncrementalResolveKnobSpecs());
+}
+
+TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
+  const core::Instance instance = TinyInstance();
+  core::SolverRunOptions options;
+  options.time_limit_seconds = 3.0;
+  options.seed = 5;
+  options.extra = {{"threads", "4"},     {"lap", "auction"},
+                   {"lap_topk", "8"},    {"lap_epsilon", "0.5"},
+                   {"gains", "rebuild"}, {"sra_omega", "3"},
+                   {"sra_lambda", "0.2"}};
+  auto typed = core::DecodeKnobs("sdga-sra",
+                                 core::SolverRegistry::Default()
+                                     .Find("sdga-sra")
+                                     ->knobs,
+                                 options, instance);
+  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+  for (const core::CraOptions* cra :
+       std::initializer_list<const core::CraOptions*>{
+           &typed->sdga, &typed->sra, &typed->ls, &typed->ilp}) {
+    EXPECT_EQ(cra->num_threads, 4);
+    EXPECT_EQ(cra->time_limit_seconds, 3.0);
+  }
+  EXPECT_EQ(typed->sdga.backend, core::LapBackend::kAuction);
+  EXPECT_EQ(typed->sra.backend, core::LapBackend::kAuction);
+  EXPECT_EQ(typed->sdga.lap_topk, 8);
+  EXPECT_EQ(typed->sra.lap_topk, 8);
+  EXPECT_EQ(typed->sra.lap_epsilon, 0.5);
+  EXPECT_EQ(typed->sdga.gains, core::GainMode::kRebuild);
+  EXPECT_EQ(typed->ls.gains, core::GainMode::kRebuild);
+  EXPECT_EQ(typed->sra.convergence_window, 3);
+  EXPECT_EQ(typed->sra.decay_lambda, 0.2);
+  EXPECT_EQ(typed->sra.seed, 5u);
+  EXPECT_EQ(typed->ls.seed, 5u);
+
+  // The cross-knob rule lives in the same step: the auction-only knobs
+  // without lap=auction fail, whichever solver declares them.
+  for (const char* solver : {"sdga", "sra", "ilp"}) {
+    SCOPED_TRACE(solver);
+    core::SolverRunOptions bad;
+    bad.extra["lap_epsilon"] = "0.5";
+    auto rejected = core::DecodeKnobs(
+        solver, core::SolverRegistry::Default().Find(solver)->knobs, bad,
+        instance);
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find("require lap=auction"),
+              std::string::npos);
+  }
 }
 
 TEST(SolverRegistryTest, TimeLimitIsThreadedThrough) {

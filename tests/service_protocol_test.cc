@@ -163,6 +163,37 @@ TEST(ProtocolTest, ErrorFramesCarryStatusCodes) {
   EXPECT_EQ(out.str(), expected);
 }
 
+TEST(ProtocolTest, CrossKnobErrorsFailTheSubmitWithoutAJobId) {
+  auto dataset = core::MakeFuzzDataset(Config());
+  ASSERT_TRUE(dataset.ok());
+  std::string script;
+  Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
+  // Each knob is legal on its own; together with the default lap=mcf they
+  // break the one cross-knob rule, which submit and resolve check before
+  // handing out a job id.
+  script += "submit conf solve sdga lap_topk=8\n";
+  script += "resolve conf lap_epsilon=0.5\n";
+  script += "submit conf solve greedy\n";
+  script += "wait 1\n";
+  script += "resolve conf lap_epsilon=0.5\n";
+  script += "resolve conf refine=none\n";
+  script += "quit\n";
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  const std::string rule =
+      Err(StatusCode::kInvalidArgument,
+          "options 'lap_topk'/'lap_epsilon' require lap=auction");
+  const std::string session = Ok("session conf v1 P=8 R=12 T=10 unassigned\n");
+  const std::string output = out.str();
+  ASSERT_EQ(output.rfind(session + rule + rule + Ok("job 1\n"), 0), 0u)
+      << output;
+  const std::size_t resolved = output.find(rule + Ok("job 2\n"));
+  EXPECT_NE(resolved, std::string::npos) << output;
+}
+
 TEST(ProtocolTest, SolversVerboseRendersKnobSchemas) {
   ServiceApi api;
   std::istringstream in("solvers verbose\nquit\n");

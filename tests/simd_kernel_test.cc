@@ -232,72 +232,6 @@ TEST(SimdKernelTest, TopTwoNegPriceBackendsAreIdentical) {
 
 #endif  // WGRAP_SIMD_HAVE_AVX2
 
-// The merges are shared between backends (selection/copy only); verify
-// them against a straightforward two-pointer reference.
-TEST(SimdKernelTest, MergeAlignedPairsMatchesReference) {
-  Rng rng(7);
-  for (int rep = 0; rep < 200; ++rep) {
-    const int na = rng.NextInt(0, 24);
-    const int nb = rng.NextInt(0, 24);
-    const auto make_support = [&](int n) {
-      std::vector<int> ids;
-      int next = 0;
-      for (int i = 0; i < n; ++i) {
-        next += 1 + rng.NextInt(0, 3);
-        ids.push_back(next);
-      }
-      return ids;
-    };
-    const std::vector<int> ids_a = make_support(na);
-    const std::vector<int> ids_b = make_support(nb);
-    const std::vector<double> va = NastyVector(na, &rng);
-    const std::vector<double> vb = NastyVector(nb, &rng);
-
-    std::vector<double> out_a(na + nb), out_b(na + nb);
-    const int n =
-        MergeAlignedPairs(ids_a.data(), va.data(), na, ids_b.data(),
-                          vb.data(), nb, out_a.data(), out_b.data());
-
-    std::vector<double> ref_a, ref_b;
-    int i = 0, j = 0;
-    while (i < na || j < nb) {
-      const int ta = i < na ? ids_a[i] : std::numeric_limits<int>::max();
-      const int tb = j < nb ? ids_b[j] : std::numeric_limits<int>::max();
-      if (ta <= tb) {
-        ref_a.push_back(va[i]);
-        ref_b.push_back(ta == tb ? vb[j] : 0.0);
-        ++i;
-        if (ta == tb) ++j;
-      } else {
-        ref_a.push_back(0.0);
-        ref_b.push_back(vb[j]);
-        ++j;
-      }
-    }
-    ASSERT_EQ(n, static_cast<int>(ref_a.size())) << "rep=" << rep;
-    for (int k = 0; k < n; ++k) {
-      ASSERT_EQ(Bits(out_a[k]), Bits(ref_a[k])) << "rep=" << rep;
-      ASSERT_EQ(Bits(out_b[k]), Bits(ref_b[k])) << "rep=" << rep;
-    }
-
-    // Dense-left variant must agree with the pair merge when the dense
-    // accumulator is the scatter of (ids_a, va).
-    const int dense_size = (ids_a.empty() ? 0 : ids_a.back() + 1) +
-                           (ids_b.empty() ? 0 : ids_b.back() + 1) + 1;
-    std::vector<double> acc(dense_size, 0.0);
-    for (int k = 0; k < na; ++k) acc[ids_a[k]] = va[k];
-    std::vector<double> dl_a(na + nb), dl_b(na + nb);
-    const int n2 = MergeAlignedPairsDenseLeft(acc.data(), ids_a.data(), na,
-                                              ids_b.data(), vb.data(), nb,
-                                              dl_a.data(), dl_b.data());
-    ASSERT_EQ(n2, n) << "rep=" << rep;
-    for (int k = 0; k < n; ++k) {
-      ASSERT_EQ(Bits(dl_a[k]), Bits(out_a[k])) << "rep=" << rep;
-      ASSERT_EQ(Bits(dl_b[k]), Bits(out_b[k])) << "rep=" << rep;
-    }
-  }
-}
-
 TEST(SimdKernelTest, DispatchReportsABackendName) {
   const Backend active = ActiveBackend();
   EXPECT_TRUE(active == Backend::kScalar || active == Backend::kAvx2);

@@ -448,15 +448,12 @@ TEST_P(UpdateEquivalenceTest, PatchedStateMatchesFreshBuild) {
       last_resolved_score = ExpectResolveMechanismEqual(
           instance, assignment, fresh, fresh_clone,
           ResolveOptions(c.threads, "sra"));
-      // The cold solver only sees the knobs it declares; update_refine is
-      // an IncrementalResolve-level knob, so narrow the map before handing
-      // the options to the registry (the same move IncrementalResolve makes
-      // when forwarding to its refiner).
-      const auto& registry = SolverRegistry::Default();
-      auto cold = registry.SolveCra(
-          "sdga-sra", instance,
-          ResolveOptions(c.threads, "sra")
-              .RestrictedTo(registry.Find("sdga-sra")->knobs));
+      // update_refine is an IncrementalResolve-level knob the cold solver
+      // does not declare, so it is dropped from the map.
+      SolverRunOptions cold_options = ResolveOptions(c.threads, "sra");
+      cold_options.extra.erase("update_refine");
+      auto cold = SolverRegistry::Default().SolveCra("sdga-sra", instance,
+                                                     cold_options);
       ASSERT_TRUE(cold.ok()) << cold.status().ToString();
       EXPECT_GE(last_resolved_score, 0.85 * cold->TotalScore());
     }

@@ -6,6 +6,12 @@
 // solver registered at startup is immediately usable via --algo; run
 // `wgrap_cli solvers` for the live menu.
 //
+// Solver knobs are flags by one rule: registry knob `a_b` is `--a-b`
+// (`wgrap_cli solvers --verbose` lists each solver's knobs). solve, jra
+// and update forward every such flag; a knob the chosen solver (or, for
+// update, IncrementalResolve) does not declare fails with
+// InvalidArgument. The knobs shown below are examples, not the full list.
+//
 //   wgrap_cli solvers   [--verbose]   (--verbose appends each solver's
 //                       declared knob schema — the same payload the
 //                       service's `solvers verbose` command returns)
@@ -35,10 +41,12 @@
 //                       --dp 3 [--dr N] [--scoring c|cR|cP|cD]
 //                       [--topics dense|sparse] [--refine sra|ls|none]
 //                       [--seed S] [--budget secs] [--threads N]
+//                       [...any sdga-sra knob]
 //                       [--mode patch|rebuild] [--cold] [--out a2.csv]
 //     (applies a mutation script — see core/update.h ParseMutationScript
 //      for the line grammar — to the instance and incrementally re-solves
-//      from the surviving assignment; --cold also runs a cold solve for
+//      from the surviving assignment; --refine is the alias of knob
+//      update_refine; --cold also runs a cold solve for
 //      comparison, --mode rebuild cross-checks the patch path by
 //      rebuilding the instance from scratch after the mutations)
 //   wgrap_cli serve     [--port P] [--jobs W] [--results M]
@@ -72,6 +80,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -79,6 +88,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <random>
@@ -125,28 +135,29 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  // The numeric getters are strict: a malformed value exits 2 naming the
+  // flag instead of silently meaning 0 ("--budget abc" is not "unlimited").
   int GetInt(const std::string& name, int fallback) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    const long long v = Strict<long long>(
+        name, fallback, "integer",
+        [](const char* s, char** end) { return std::strtoll(s, end, 10); });
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      Invalid(name, "integer");
+    }
+    return static_cast<int>(v);
   }
 
   double GetDouble(const std::string& name, double fallback) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return Strict<double>(
+        name, fallback, "number",
+        [](const char* s, char** end) { return std::strtod(s, end); });
   }
 
   uint64_t GetUint64(const std::string& name, uint64_t fallback) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-    if (errno != 0 || end == it->second.c_str() || *end != '\0') {
-      std::fprintf(stderr, "--%s: invalid unsigned integer '%s'\n",
-                   name.c_str(), it->second.c_str());
-      std::exit(2);
-    }
-    return v;
+    return Strict<uint64_t>(
+        name, fallback, "unsigned integer",
+        [](const char* s, char** end) { return std::strtoull(s, end, 10); });
   }
 
   std::string Require(const std::string& name) const {
@@ -159,8 +170,50 @@ class Flags {
   }
 
  private:
+  template <typename T, typename Parse>
+  T Strict(const std::string& name, T fallback, const char* what,
+           Parse parse) const {
+    auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    errno = 0;
+    char* end = nullptr;
+    const T v = parse(it->second.c_str(), &end);
+    if (errno != 0 || end == it->second.c_str() || *end != '\0') {
+      Invalid(name, what);
+    }
+    return v;
+  }
+
+  [[noreturn]] void Invalid(const std::string& name, const char* what) const {
+    std::fprintf(stderr, "--%s: invalid %s '%s'\n", name.c_str(), what,
+                 GetString(name).c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
+
+// The solver knobs named on the command line, by the one naming rule:
+// knob `a_b` is flag `--a-b`, for every knob a registered solver or
+// IncrementalResolve declares. The registry rejects a knob the chosen
+// solver does not take, so no subcommand keeps its own list.
+std::map<std::string, std::string> KnobFlags(const Flags& flags) {
+  std::map<std::string, std::string> knobs;
+  auto take = [&](const core::KnobSpec& spec) {
+    std::string flag = spec.name;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    const std::string value = flags.GetString(flag, "");
+    if (!value.empty()) knobs[spec.name] = value;
+  };
+  for (const core::SolverDescriptor* solver :
+       core::SolverRegistry::Default().List()) {
+    for (const core::KnobSpec& spec : solver->knobs) take(spec);
+  }
+  for (const core::KnobSpec& spec : core::IncrementalResolveKnobSpecs()) {
+    take(spec);
+  }
+  return knobs;
+}
 
 [[noreturn]] void Die(const Status& status, const char* what) {
   std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
@@ -242,20 +295,7 @@ int CmdGenerate(const Flags& flags) {
   data::SyntheticDblpConfig config;
   config.seed = flags.GetInt("seed", 42);
   config.num_topics = flags.GetInt("topics", 30);
-  // Strict parse: a malformed --density must fail loudly, not silently
-  // fall back to the fully dense default and skew a sparsity sweep.
-  const std::string density_flag = flags.GetString("density", "");
-  if (!density_flag.empty()) {
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(density_flag.c_str(), &end);
-    if (errno != 0 || end == density_flag.c_str() || *end != '\0') {
-      std::fprintf(stderr, "--density: invalid number '%s'\n",
-                   density_flag.c_str());
-      return 2;
-    }
-    config.topic_density = v;
-  }
+  config.topic_density = flags.GetDouble("density", config.topic_density);
   Result<data::RapDataset> dataset = Status::Internal("unset");
   if (flags.GetInt("pool", 0) > 0) {
     dataset = data::GenerateReviewerPool(flags.GetInt("pool", 0),
@@ -317,20 +357,8 @@ int CmdSolve(const Flags& flags) {
   core::SolverRunOptions options;
   options.time_limit_seconds = flags.GetDouble("budget", 0.0);
   options.seed = flags.GetUint64("seed", 20150531);
-  // Solver-specific knobs ride in the registry's extra map; results are
-  // bit-identical for any --threads value at a fixed --seed.
-  for (const auto& [flag, key] :
-       {std::pair<const char*, const char*>{"threads", "threads"},
-        {"lap", "lap"},
-        {"lap-topk", "lap_topk"},
-        {"lap-epsilon", "lap_epsilon"},
-        {"sra-omega", "sra_omega"},
-        {"sra-lambda", "sra_lambda"},
-        {"topics", "topics"},
-        {"gains", "gains"}}) {
-    const std::string value = flags.GetString(flag, "");
-    if (!value.empty()) options.extra[key] = value;
-  }
+  // Results are bit-identical for any --threads value at a fixed --seed.
+  options.extra = KnobFlags(flags);
   const auto& registry = core::SolverRegistry::Default();
   Result<core::Assignment> assignment = Status::Internal("unset");
   const std::string trace_path = flags.GetString("trace", "");
@@ -412,15 +440,7 @@ int CmdJra(const Flags& flags) {
   const int topk = flags.GetInt("topk", 1);
   const std::string algo = flags.GetString("algo", "bba");
   core::SolverRunOptions options;
-  // BBA ablation switches and the kernel selector ride the extra map, like
-  // the CRA knobs in CmdSolve; the registry validates the values.
-  for (const auto& [flag, key] :
-       {std::pair<const char*, const char*>{"topics", "topics"},
-        {"bba-bounding", "bba_bounding"},
-        {"bba-gain-branching", "bba_gain_branching"}}) {
-    const std::string value = flags.GetString(flag, "");
-    if (!value.empty()) options.extra[key] = value;
-  }
+  options.extra = KnobFlags(flags);
   Result<std::vector<core::JraResult>> results = Status::Internal("unset");
   if (topk > 1) {
     // Top-k enumeration dispatches through the registry's top-k hook like
@@ -489,16 +509,10 @@ int CmdUpdate(const Flags& flags) {
   core::SolverRunOptions options;
   options.time_limit_seconds = flags.GetDouble("budget", 0.0);
   options.seed = flags.GetUint64("seed", 20150531);
-  for (const auto& [flag, key] :
-       {std::pair<const char*, const char*>{"threads", "threads"},
-        {"lap", "lap"},
-        {"gains", "gains"},
-        {"sra-omega", "sra_omega"},
-        {"sra-lambda", "sra_lambda"},
-        {"refine", "update_refine"}}) {
-    const std::string value = flags.GetString(flag, "");
-    if (!value.empty()) options.extra[key] = value;
-  }
+  options.extra = KnobFlags(flags);
+  // --refine is the one alias, like the protocol's `resolve refine=`.
+  const std::string refine = flags.GetString("refine", "");
+  if (!refine.empty()) options.extra["update_refine"] = refine;
 
   // --mode rebuild cross-checks the patch path: export the patched
   // instance back to a dataset, rebuild it from scratch, replay COIs and
@@ -546,9 +560,11 @@ int CmdUpdate(const Flags& flags) {
   std::fprintf(stderr, "incremental resolve: %.3fs\n", resolve->seconds);
 
   if (!flags.GetString("cold", "").empty()) {
+    core::SolverRunOptions cold_options = options;
+    cold_options.extra.erase("update_refine");  // sdga-sra does not take it
     Stopwatch cold_watch;
     auto cold = core::SolverRegistry::Default().SolveCra("sdga-sra", *live,
-                                                         options);
+                                                         cold_options);
     if (!cold.ok()) Die(cold.status(), "cold solve");
     const double cold_seconds = cold_watch.ElapsedSeconds();
     std::printf("cold: score %.6f\n", cold->TotalScore());
@@ -647,7 +663,8 @@ int CmdWatch(const Flags& flags) {
     std::fprintf(stderr, "watch requires --port (a `serve --port` process)\n");
     return 2;
   }
-  const int job = std::atoi(flags.Require("job").c_str());
+  flags.Require("job");
+  const int job = flags.GetInt("job", 0);
   const int max_retries = flags.GetInt("retries", 5);
 
   // Jittered exponential backoff between reconnect attempts: jitter keeps

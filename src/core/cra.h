@@ -83,8 +83,10 @@ enum class GainMode {
 
 /// LAP backend used by each SDGA stage (and the SRA completion step).
 enum class LapBackend {
-  kMinCostFlow,  // transportation network, default
-  kHungarian,    // reviewer columns replicated per unit of stage capacity
+  kMinCostFlow,  // transportation network (la/transportation.h)
+  kHungarian,    // default: capacity-aware Jonker–Volgenant shortest
+                 // augmenting paths, one dual per reviewer
+                 // (la::SolveCapacitatedAssignment in la/hungarian.h)
   kAuction,      // parallel ε-scaling auction (la/auction.h): capacity-
                  // aware (no column replication), bidding rounds fan out
                  // over the thread pool, optionally pruned to the top-K
@@ -93,7 +95,7 @@ enum class LapBackend {
 };
 
 struct SdgaOptions : CraOptions {
-  LapBackend backend = LapBackend::kMinCostFlow;
+  LapBackend backend = LapBackend::kHungarian;
   /// Stage-profit maintenance mode; kIncremental is the default because it
   /// is bit-identical to kRebuild and never meaningfully slower (on dense
   /// instances the changed-topic columns cover every reviewer and the two
@@ -114,16 +116,6 @@ struct SdgaOptions : CraOptions {
   double lap_epsilon = 0.0;
 };
 
-/// Scratch reused across per-stage LAP solves — most importantly the
-/// Hungarian column-replication matrix, which used to be reallocated for
-/// every stage (an R×⌈δr/δp⌉-column buffer). Owned by the solver loop
-/// (SDGA's δp stages, SRA's refinement rounds) and threaded through to the
-/// stage engine; a default-constructed workspace is valid.
-struct StageWorkspace {
-  Matrix hungarian_expanded;
-  std::vector<int> hungarian_column_owner;
-};
-
 /// Progress callback: (elapsed seconds, best objective so far). Used by the
 /// refinement-over-time experiments (Fig. 12, Fig. 16).
 using RefineTrace = std::function<void(double, double)>;
@@ -131,7 +123,7 @@ using RefineTrace = std::function<void(double, double)>;
 struct SraOptions : CraOptions {
   /// LAP backend for the per-round completion step (same machinery as the
   /// SDGA stages).
-  LapBackend backend = LapBackend::kMinCostFlow;
+  LapBackend backend = LapBackend::kHungarian;
   /// Auction-backend pruning/ε knobs; same semantics as SdgaOptions.
   int lap_topk = 0;
   double lap_epsilon = 0.0;

@@ -10,9 +10,10 @@
 //
 // Three interchangeable LAP backends solve the stage (all find the same
 // optimum of the same scaled integer program):
+//   kHungarian   — the default: capacity-aware Jonker–Volgenant shortest
+//                  augmenting paths with one dual per reviewer
+//                  (la::SolveCapacitatedAssignment), sequential.
 //   kMinCostFlow — dense transportation network, sequential.
-//   kHungarian   — reviewer columns replicated per unit of stage capacity
-//                  into a scratch matrix reused across stages.
 //   kAuction     — parallel ε-scaling auction on a CSR candidate set,
 //                  optionally pruned to the top-K gains per paper. Pruning
 //                  is guarded for exactness: if the auction's final duals
@@ -39,72 +40,11 @@ namespace wgrap::core {
 
 namespace {
 
-// Hard cap on the Hungarian replication buffer (cells). δr values that
-// would blow past it (possible with confine_stage_workload off and a huge
-// workload) are a configuration error for this backend — the capacity-
-// aware backends handle them natively.
-constexpr int64_t kMaxHungarianCells = 200'000'000;
-
-Status SolveStageMinCostFlow(const Matrix& stage_profit,
-                             const std::vector<int>& capacity,
-                             std::vector<int>* chosen_agent) {
-  auto solved = la::SolveTransportation(stage_profit, capacity);
+// Moves a dense engine's per-paper reviewer choice into `chosen_agent`.
+Status TakeAgents(Result<la::TransportationResult> solved,
+                  std::vector<int>* chosen_agent) {
   if (!solved.ok()) return solved.status();
   *chosen_agent = std::move(solved->task_to_agent);
-  return Status::OK();
-}
-
-Status SolveStageHungarian(const Matrix& stage_profit,
-                           const std::vector<int>& capacity,
-                           StageWorkspace* workspace,
-                           std::vector<int>* chosen_agent) {
-  const int rows = stage_profit.rows();
-  const int R = stage_profit.cols();
-  // Replicate each reviewer column once per unit of capacity — clamped to
-  // the paper count, since a stage assigns at most one paper per column
-  // set and extra replicas could never carry flow. This bounds the buffer
-  // at rows × (R·rows) no matter how pathological δr is.
-  std::vector<int>& column_owner = workspace->hungarian_column_owner;
-  column_owner.clear();
-  for (int r = 0; r < R; ++r) {
-    const int replicas = std::min(capacity[r], rows);
-    for (int c = 0; c < replicas; ++c) column_owner.push_back(r);
-  }
-  const int cols = static_cast<int>(column_owner.size());
-  if (cols < rows) {
-    return Status::Infeasible("stage capacity below paper count");
-  }
-  if (static_cast<int64_t>(rows) * cols > kMaxHungarianCells) {
-    return Status::InvalidArgument(
-        "Hungarian column replication would exceed the scratch budget; "
-        "use the mcf or auction backend for this workload");
-  }
-  Matrix& expanded = workspace->hungarian_expanded;
-  if (expanded.rows() != rows || expanded.cols() != cols) {
-    expanded = Matrix(rows, cols);  // reused across stages once sized
-  }
-  for (int i = 0; i < rows; ++i) {
-    for (int c = 0; c < cols; ++c) {
-      const double v = stage_profit(i, column_owner[c]);
-      if (v <= la::kTransportForbidden / 2) {
-        expanded(i, c) = la::kForbiddenProfit;
-        continue;
-      }
-      // Quantize to the shared 1e9-scaled grid before the double-domain
-      // Hungarian runs, so every stage backend — and both gain modes,
-      // whose profits can differ below the quantum (GainCache stores the
-      // scaled integers) — solves literally the same integer program.
-      WGRAP_RETURN_IF_ERROR(la::ValidateTransportProfit(v));
-      expanded(i, c) = static_cast<double>(la::ScaleTransportProfit(v)) /
-                       la::kTransportProfitScale;
-    }
-  }
-  auto solved = la::SolveMaxProfitAssignment(expanded);
-  if (!solved.ok()) return solved.status();
-  chosen_agent->resize(rows);
-  for (int i = 0; i < rows; ++i) {
-    (*chosen_agent)[i] = column_owner[solved->row_to_col[i]];
-  }
   return Status::OK();
 }
 
@@ -138,8 +78,7 @@ Status SolveStageAuction(const Matrix& stage_profit,
 // integer program, so the stage outcome is identical (gain_cache.h).
 Status RunStage(const Instance& instance, const std::vector<int>& capacity,
                 const SdgaOptions& options, ThreadPool* pool,
-                StageWorkspace* workspace, GainCache* cache,
-                Assignment* assignment) {
+                GainCache* cache, Assignment* assignment) {
   const int P = instance.num_papers();
   const int R = instance.num_reviewers();
 
@@ -184,11 +123,13 @@ Status RunStage(const Instance& instance, const std::vector<int>& capacity,
   Status solved = Status::OK();
   switch (options.backend) {
     case LapBackend::kMinCostFlow:
-      solved = SolveStageMinCostFlow(stage_profit, capacity, &chosen_agent);
+      solved = TakeAgents(la::SolveTransportation(stage_profit, capacity),
+                          &chosen_agent);
       break;
     case LapBackend::kHungarian:
-      solved = SolveStageHungarian(stage_profit, capacity, workspace,
-                                   &chosen_agent);
+      solved = TakeAgents(
+          la::SolveCapacitatedAssignment(stage_profit, capacity),
+          &chosen_agent);
       break;
     case LapBackend::kAuction:
       solved = SolveStageAuction(stage_profit, capacity, options.lap_topk,
@@ -203,8 +144,8 @@ Status RunStage(const Instance& instance, const std::vector<int>& capacity,
             obs::Registry::Global().GetCounter(
                 "wgrap_lap_auction_fallbacks_total");
         if (fallbacks) fallbacks->Add();
-        solved =
-            SolveStageMinCostFlow(stage_profit, capacity, &chosen_agent);
+        solved = TakeAgents(la::SolveTransportation(stage_profit, capacity),
+                            &chosen_agent);
       }
       break;
   }
@@ -223,16 +164,13 @@ Status RunStage(const Instance& instance, const std::vector<int>& capacity,
 
 // Exposed for cra_sra.cc (declared there): completes an assignment where
 // every paper is missing at most one reviewer. `lap` carries the backend
-// plus the auction pruning/ε knobs; `workspace` persists stage scratch and
-// `cache` (may be null for gains=rebuild) the delta-maintained profits
-// across calls.
+// plus the auction pruning/ε knobs; `cache` (may be null for
+// gains=rebuild) persists the delta-maintained profits across calls.
 Status SolveStageAssignment(const Instance& instance,
                             const std::vector<int>& capacity,
                             const SdgaOptions& lap, ThreadPool* pool,
-                            StageWorkspace* workspace, GainCache* cache,
-                            Assignment* assignment) {
-  return RunStage(instance, capacity, lap, pool, workspace, cache,
-                  assignment);
+                            GainCache* cache, Assignment* assignment) {
+  return RunStage(instance, capacity, lap, pool, cache, assignment);
 }
 
 Result<Assignment> SolveCraSdga(const Instance& instance,
@@ -245,7 +183,6 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
   const int dr = instance.reviewer_workload();
   const int stage_cap = (dr + dp - 1) / dp;  // ⌈δr/δp⌉
   ThreadPool pool(options.num_threads);
-  StageWorkspace workspace;  // scratch shared by all δp stages
   // gains=incremental: one cache lives across the δp stages — stage k
   // patches only the entries stage k-1's commits actually changed.
   std::unique_ptr<GainCache> cache;
@@ -268,7 +205,7 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
                         : remaining_total;
     }
     Status stage_status = RunStage(instance, capacity, options, &pool,
-                                   &workspace, cache.get(), &assignment);
+                                   cache.get(), &assignment);
     if (!stage_status.ok() &&
         stage_status.code() == StatusCode::kInfeasible &&
         options.confine_stage_workload) {
@@ -280,7 +217,7 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
       // committed nothing, so the gain cache needs no rollback.)
       for (int r = 0; r < R; ++r) capacity[r] = dr - assignment.LoadOf(r);
       stage_status = RunStage(instance, capacity, options, &pool,
-                              &workspace, cache.get(), &assignment);
+                              cache.get(), &assignment);
     }
     WGRAP_RETURN_IF_ERROR(stage_status);
     static obs::Histogram* const stage_seconds =

@@ -34,13 +34,12 @@
 namespace wgrap::core {
 
 // Defined in cra_sdga.cc. `lap` carries the LAP backend plus the auction
-// pruning/ε knobs; `workspace` persists stage scratch and `cache` (null
-// for gains=rebuild) the delta-maintained profits across rounds.
+// pruning/ε knobs; `cache` (null for gains=rebuild) persists the
+// delta-maintained profits across rounds.
 Status SolveStageAssignment(const Instance& instance,
                             const std::vector<int>& capacity,
                             const SdgaOptions& lap, ThreadPool* pool,
-                            StageWorkspace* workspace, GainCache* cache,
-                            Assignment* assignment);
+                            GainCache* cache, Assignment* assignment);
 
 Result<Assignment> RefineSra(const Instance& instance,
                              const Assignment& initial,
@@ -56,12 +55,11 @@ Result<Assignment> RefineSra(const Instance& instance,
   Stopwatch watch;
   Deadline deadline(options.time_limit_seconds);
   ThreadPool pool(options.num_threads);
-  // Completion-step LAP configuration + scratch shared by every round.
+  // Completion-step LAP configuration shared by every round.
   SdgaOptions completion_lap;
   completion_lap.backend = options.backend;
   completion_lap.lap_topk = options.lap_topk;
   completion_lap.lap_epsilon = options.lap_epsilon;
-  StageWorkspace completion_workspace;
   // gains=incremental: one cache across all refinement rounds. A round
   // touches each paper's group at ≤ nnz(victim) + nnz(replacement)
   // topics, so the next completion step patches those columns instead of
@@ -158,7 +156,6 @@ Result<Assignment> RefineSra(const Instance& instance,
     }
     WGRAP_RETURN_IF_ERROR(SolveStageAssignment(instance, capacity,
                                                completion_lap, &pool,
-                                               &completion_workspace,
                                                gain_cache.get(), &current));
     if (current.TotalScore() > best.TotalScore() + 1e-12) {
       best = current;

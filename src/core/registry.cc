@@ -205,9 +205,13 @@ Result<TypedOptions> DecodeKnobs(const std::string& owner,
     if (!value.ok()) return value.status();
     if (spec->apply) spec->apply(*value, &typed);
   }
-  // The one cross-knob rule. Every stage-LAP knob writes typed.sdga (ilp's
-  // included), so it holds the request whichever solver made it.
-  if (typed.sdga.backend != LapBackend::kAuction &&
+  // The one cross-knob rule. lap_topk/lap_epsilon write typed.sdga
+  // whichever solver declares them, while `lap` writes typed.sdga on the
+  // stage pipelines and typed.ilp on ilp (no schema writes both), so the
+  // auction may be chosen on either.
+  const bool auction = typed.sdga.backend == LapBackend::kAuction ||
+                       typed.ilp.backend == LapBackend::kAuction;
+  if (!auction &&
       (typed.sdga.lap_topk != 0 || typed.sdga.lap_epsilon != 0.0)) {
     return Status::InvalidArgument(
         "options 'lap_topk'/'lap_epsilon' require lap=auction");
@@ -318,20 +322,18 @@ KnobSpec LapKnob() {
       {{"mcf", LapBackend::kMinCostFlow},
        {"hungarian", LapBackend::kHungarian},
        {"auction", LapBackend::kAuction}},
-      [](TypedOptions& o) {
-        return std::tie(o.sdga.backend, o.sra.backend, o.ilp.backend);
-      });
+      [](TypedOptions& o) { return std::tie(o.sdga.backend, o.sra.backend); });
 }
 
-// ilp's single transportation solve supports min-cost flow and the auction
-// but not the column-replicating Hungarian backend — its schema says so
-// instead of rejecting 'hungarian' deep inside the solver.
+// ilp's single transportation solve gives each paper δp distinct reviewers
+// (demand-δp rows). Min-cost flow and the auction model that; the
+// Hungarian engine gives each row one agent. So ilp's schema offers only
+// mcf and auction, keeps mcf as its default and writes only o.ilp.
 KnobSpec IlpLapKnob() {
-  KnobSpec s = LapKnob();
-  s.doc = "backend for the demand-dp transportation solve";
-  s.enum_values.erase(
-      std::find(s.enum_values.begin(), s.enum_values.end(), "hungarian"));
-  return s;
+  return EnumKnob(
+      "lap", "backend for the demand-dp transportation solve",
+      {{"mcf", LapBackend::kMinCostFlow}, {"auction", LapBackend::kAuction}},
+      [](TypedOptions& o) { return std::tie(o.ilp.backend); });
 }
 
 KnobSpec LapTopKKnob() {

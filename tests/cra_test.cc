@@ -177,6 +177,45 @@ TEST(CraSdgaTest, BackendsAgreeOnObjective) {
   }
 }
 
+// δp = 3 ∤ δr = 4, so the per-stage cap is ⌈4/3⌉ = 2. Paper i conflicts
+// with strong reviewer i, so its group must be the other two strong
+// reviewers plus the weak r4. Stages 1–2 place the strong reviewers and
+// leave stage 3 needing r4 on all three papers — above the cap, which
+// makes the capped stage infeasible on every backend. SDGA completes only
+// through the retry with the full remaining workload.
+TEST(CraSdgaTest, CapRelaxationRetryRunsOnEveryBackend) {
+  data::RapDataset dataset;
+  dataset.num_topics = 3;
+  dataset.reviewers.push_back({"r1", {1.0, 0.0, 0.0}, 1});
+  dataset.reviewers.push_back({"r2", {0.0, 1.0, 0.0}, 1});
+  dataset.reviewers.push_back({"r3", {0.0, 0.0, 1.0}, 1});
+  dataset.reviewers.push_back({"r4", {0.05, 0.05, 0.05}, 1});
+  for (const char* title : {"p1", "p2", "p3"}) {
+    dataset.papers.push_back({title, {1.0, 1.0, 1.0}, "V"});
+  }
+  InstanceParams params;
+  params.group_size = 3;
+  params.reviewer_workload = 4;
+  auto instance = Instance::FromDataset(dataset, params);
+  ASSERT_TRUE(instance.ok());
+  for (int p = 0; p < 3; ++p) instance->AddConflict(p, p);
+
+  double reference = -1.0;
+  for (const LapBackend backend :
+       {LapBackend::kMinCostFlow, LapBackend::kHungarian,
+        LapBackend::kAuction}) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    SdgaOptions options;
+    options.backend = backend;
+    auto sdga = SolveCraSdga(*instance, options);
+    ASSERT_TRUE(sdga.ok()) << sdga.status().ToString();
+    EXPECT_TRUE(sdga->ValidateComplete().ok());
+    EXPECT_EQ(sdga->LoadOf(3), 3);
+    if (reference < 0.0) reference = sdga->TotalScore();
+    EXPECT_NEAR(sdga->TotalScore(), reference, 1e-9);
+  }
+}
+
 TEST(CraIlpArapTest, MaximizesPairwiseObjective) {
   // ARAP maximizes Σ c(r,p); compare against exhaustive search on the
   // pairwise objective (not the group objective).

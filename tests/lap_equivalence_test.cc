@@ -1,6 +1,7 @@
-// Cross-backend LAP equivalence suite: the ε-scaling auction must find
-// exactly the optimum min-cost flow (and, at unit capacities, the
-// Hungarian algorithm) finds — same scaled-integer objective on every
+// Cross-backend LAP equivalence suite: the ε-scaling auction and the
+// capacity-aware Jonker–Volgenant engine must find exactly the optimum
+// min-cost flow (and, at unit capacities, the double-domain Hungarian
+// algorithm) finds — same scaled-integer objective on every
 // instance, and the identical assignment on instances whose optimum is
 // unique (continuous random profits; the paper's instances are of this
 // kind). Sweeps cover P/R shapes, capacity styles, forbidden-pair
@@ -10,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -347,6 +349,127 @@ TEST(LapEquivalenceTest, RejectsMalformedInput) {
   EXPECT_TRUE(empty->task_to_agent.empty());
 }
 
+// A solution is valid when every task has an agent, no agent exceeds its
+// capacity and no forbidden pair is used.
+void ExpectValidAssignment(const Matrix& profit,
+                           const std::vector<int>& capacity,
+                           const std::vector<int>& task_to_agent) {
+  ASSERT_EQ(task_to_agent.size(), static_cast<size_t>(profit.rows()));
+  std::vector<int> load(capacity.size(), 0);
+  for (int t = 0; t < profit.rows(); ++t) {
+    const int a = task_to_agent[t];
+    ASSERT_GE(a, 0);
+    ASSERT_LT(a, profit.cols());
+    EXPECT_GT(profit.At(t, a), kTransportForbidden / 2) << "task " << t;
+    ++load[a];
+  }
+  for (size_t a = 0; a < capacity.size(); ++a) {
+    EXPECT_LE(load[a], capacity[a]) << "agent " << a;
+  }
+}
+
+// Seeded fuzz of the capacity-aware Jonker–Volgenant stage engine against
+// min-cost flow: tie-heavy (1–4 profit levels) and continuous profits, a
+// 1/7 forbidden share, and three capacity styles — random in [0, 4] (zero
+// capacities included), all above the task count, and a tight Σcap =
+// tasks (the SRA completion shape). Optima are tied on most instances, so
+// the scaled objective is compared, not the assignment.
+TEST(LapEquivalenceTest, CapacitatedAssignmentMatchesFlowFuzz) {
+  int feasible = 0;
+  int infeasible = 0;
+  for (uint64_t seed = 0; seed < 1500; ++seed) {
+    Rng rng(70000 + seed);
+    const int tasks = rng.NextInt(1, 14);
+    const int agents = rng.NextInt(1, 9);
+    const int levels = static_cast<int>(seed % 5);  // 0 = continuous
+    Matrix profit(tasks, agents, kTransportForbidden);
+    for (int t = 0; t < tasks; ++t) {
+      for (int a = 0; a < agents; ++a) {
+        if (rng.NextInt(0, 6) == 0) continue;
+        profit.At(t, a) = levels == 0
+                              ? rng.NextDouble()
+                              : 0.25 * rng.NextInt(0, levels - 1);
+      }
+    }
+    std::vector<int> capacity(agents, 0);
+    switch (seed / 5 % 3) {
+      case 0:
+        for (int& c : capacity) c = rng.NextInt(0, 4);
+        break;
+      case 1:
+        for (int& c : capacity) c = tasks + rng.NextInt(1, 3);
+        break;
+      case 2:
+        for (int t = 0; t < tasks; ++t) ++capacity[rng.NextInt(0, agents - 1)];
+        break;
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto flow = SolveTransportation(profit, capacity);
+    auto jv = SolveCapacitatedAssignment(profit, capacity);
+    if (!flow.ok()) {
+      ASSERT_EQ(flow.status().code(), StatusCode::kInfeasible);
+      ASSERT_FALSE(jv.ok());
+      EXPECT_EQ(jv.status().code(), StatusCode::kInfeasible);
+      ++infeasible;
+      continue;
+    }
+    ASSERT_TRUE(jv.ok()) << jv.status().ToString();
+    ExpectValidAssignment(profit, capacity, jv->task_to_agent);
+    EXPECT_EQ(ScaledObjective(profit, flow->task_to_agent),
+              ScaledObjective(profit, jv->task_to_agent));
+    ++feasible;
+  }
+  // Both verdicts must actually be exercised.
+  EXPECT_GT(feasible, 300);
+  EXPECT_GT(infeasible, 100);
+}
+
+TEST(LapEquivalenceTest, CapacitatedAssignmentVerdicts) {
+  // An all-forbidden row has no augmenting path despite ample capacity.
+  Matrix blocked(3, 3, 0.5);
+  for (int a = 0; a < 3; ++a) blocked.At(1, a) = kTransportForbidden;
+  EXPECT_EQ(SolveCapacitatedAssignment(blocked, {3, 3, 3}).status().code(),
+            StatusCode::kInfeasible);
+  // Σcap < tasks.
+  EXPECT_EQ(SolveCapacitatedAssignment(Matrix(5, 2, 0.5), {2, 2})
+                .status()
+                .code(),
+            StatusCode::kInfeasible);
+  // NaN and out-of-range profits on an otherwise feasible instance.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 2e6,
+                           -2e6}) {
+    Matrix profit(2, 2, 0.5);
+    profit.At(1, 0) = bad;
+    EXPECT_EQ(SolveCapacitatedAssignment(profit, {1, 1}).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  // Malformed capacity vectors.
+  EXPECT_EQ(SolveCapacitatedAssignment(Matrix(1, 2, 0.5), {1}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      SolveCapacitatedAssignment(Matrix(1, 2, 0.5), {1, -1}).status().code(),
+      StatusCode::kInvalidArgument);
+  // Empty instance is trivially solved.
+  auto empty = SolveCapacitatedAssignment(Matrix(0, 2), {1, 1});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->task_to_agent.empty());
+  // Ties go to the lowest agent index: three identical agents, one slot
+  // each on the first two.
+  auto tied = SolveCapacitatedAssignment(Matrix(2, 3, 0.5), {1, 1, 1});
+  ASSERT_TRUE(tied.ok());
+  EXPECT_EQ(tied->task_to_agent, (std::vector<int>{0, 1}));
+  // Unique optimum: continuous profits give the same assignment as flow.
+  Rng rng(3);
+  Matrix profit = RandomProfit(12, 5, 0.2, &rng);
+  const std::vector<int> capacity = {3, 2, 4, 1, 3};
+  auto flow = SolveTransportation(profit, capacity);
+  auto jv = SolveCapacitatedAssignment(profit, capacity);
+  ASSERT_TRUE(flow.ok() && jv.ok());
+  EXPECT_EQ(flow->task_to_agent, jv->task_to_agent);
+  EXPECT_EQ(flow->profit, jv->profit);
+}
+
 }  // namespace
 }  // namespace wgrap::la
 
@@ -420,8 +543,17 @@ TEST(LapEquivalenceTest, SdgaSraPipelineIsBackendInvariant) {
   Instance instance = PoolInstance(15, 12, 3, 77, /*topics=*/30);
   SraOptions sra;
   sra.max_iterations = 25;
-  auto flow = SolveCraSdgaSra(instance, {}, sra);
+  SdgaOptions sdga_flow;
+  sdga_flow.backend = LapBackend::kMinCostFlow;
+  SraOptions sra_flow = sra;
+  sra_flow.backend = LapBackend::kMinCostFlow;
+  auto flow = SolveCraSdgaSra(instance, sdga_flow, sra_flow);
   ASSERT_TRUE(flow.ok());
+  // The default engine (capacity-aware Hungarian) lands on the same
+  // groups as well.
+  auto hungarian = SolveCraSdgaSra(instance, {}, sra);
+  ASSERT_TRUE(hungarian.ok()) << hungarian.status().ToString();
+  EXPECT_EQ(Groups(*flow, instance), Groups(*hungarian, instance));
   SdgaOptions sdga_auction;
   sdga_auction.backend = LapBackend::kAuction;
   sdga_auction.lap_topk = 4;

@@ -168,8 +168,8 @@ TEST(ProtocolTest, CrossKnobErrorsFailTheSubmitWithoutAJobId) {
   ASSERT_TRUE(dataset.ok());
   std::string script;
   Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
-  // Each knob is legal on its own; together with the default lap=mcf they
-  // break the one cross-knob rule, which submit and resolve check before
+  // Each knob is legal on its own; together with the default lap=hungarian
+  // they break the one cross-knob rule, which submit and resolve check before
   // handing out a job id.
   script += "submit conf solve sdga lap_topk=8\n";
   script += "resolve conf lap_epsilon=0.5\n";

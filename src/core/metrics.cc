@@ -2,41 +2,55 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 
 namespace wgrap::core {
 
 Result<Assignment> BuildIdealAssignment(const Instance& instance) {
-  // The O(P·δp·R) gain scan below dispatches to the sparse marginal-gain
-  // kernel (O(nnz) per candidate) whenever the instance carries sparse
-  // topic views — AI and every ratio derived from it are bit-identical
-  // either way.
   Assignment ideal(&instance);
-  const int R = instance.num_reviewers();
+  std::vector<double> gains(instance.group_size());
   for (int p = 0; p < instance.num_papers(); ++p) {
-    for (int pick = 0; pick < instance.group_size(); ++pick) {
-      int best = -1;
-      double best_gain = -1.0;
-      for (int r = 0; r < R; ++r) {
-        if (ideal.Contains(p, r) || instance.IsConflict(r, p)) continue;
-        const double gain = ideal.MarginalGain(p, r);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = r;
-        }
-      }
-      if (best < 0) return Status::Infeasible("not enough eligible reviewers");
-      WGRAP_RETURN_IF_ERROR(ideal.AddUnchecked(p, best));
-    }
+    WGRAP_RETURN_IF_ERROR(AddIdealPicks(p, &ideal, gains.data()));
   }
   return ideal;
 }
 
+Status AddIdealPicks(int paper, Assignment* ideal, double* gains) {
+  // The O(δp·R) gain scan below dispatches to the sparse marginal-gain
+  // kernel (O(nnz) per candidate) whenever the instance carries sparse
+  // topic views — AI and every ratio derived from it are bit-identical
+  // either way.
+  const Instance& instance = ideal->instance();
+  const int R = instance.num_reviewers();
+  for (int pick = 0; pick < instance.group_size(); ++pick) {
+    int best = -1;
+    double best_gain = -1.0;
+    for (int r = 0; r < R; ++r) {
+      if (ideal->Contains(paper, r) || instance.IsConflict(r, paper)) continue;
+      const double gain = ideal->MarginalGain(paper, r);
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = r;
+      }
+    }
+    if (best < 0) return Status::Infeasible("not enough eligible reviewers");
+    // AddUnchecked re-derives the same gain and adds it to the total, so
+    // the recorded gains fold to the total's exact bits.
+    WGRAP_RETURN_IF_ERROR(ideal->AddUnchecked(paper, best));
+    gains[pick] = best_gain;
+  }
+  return Status::OK();
+}
+
 double OptimalityRatio(const Assignment& assignment, const Assignment& ideal) {
-  const double denom = ideal.TotalScore();
-  WGRAP_CHECK(denom > 0.0);
-  return assignment.TotalScore() / denom;
+  return OptimalityRatio(assignment, ideal.TotalScore());
+}
+
+double OptimalityRatio(const Assignment& assignment, double ideal_score) {
+  WGRAP_CHECK(ideal_score > 0.0);
+  return assignment.TotalScore() / ideal_score;
 }
 
 Superiority SuperiorityRatio(const Assignment& x, const Assignment& y) {

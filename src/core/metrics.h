@@ -16,9 +16,23 @@ namespace wgrap::core {
 /// c(AI) >= c(O), so c(A)/c(AI) lower-bounds the true optimality ratio.
 Result<Assignment> BuildIdealAssignment(const Instance& instance);
 
+/// One paper's share of AI — the per-paper body of BuildIdealAssignment:
+/// adds to `ideal` (which must hold no pair of `paper` yet) the δp
+/// reviewers BuildIdealAssignment picks for `paper`, in pick order, and
+/// writes each pick's marginal gain to gains[0..δp). kInfeasible when
+/// fewer than δp reviewers are eligible. The picks depend only on the
+/// paper's topics, mass, COIs and bids and on the reviewer matrix, so one
+/// paper can be re-derived without the others; folding all papers' gains
+/// left to right from 0.0 in (paper, pick) order gives
+/// BuildIdealAssignment(instance)->TotalScore() bit for bit.
+Status AddIdealPicks(int paper, Assignment* ideal, double* gains);
+
 /// c(A) / c(AI). `ideal` must come from BuildIdealAssignment on the same
 /// instance.
 double OptimalityRatio(const Assignment& assignment, const Assignment& ideal);
+/// Same, from c(AI) itself (e.g. a fold of AddIdealPicks gains); requires
+/// ideal_score > 0.
+double OptimalityRatio(const Assignment& assignment, double ideal_score);
 
 /// Superiority of X over Y (Sec. 5.2): fraction of papers whose group in X
 /// scores >= (resp. ==) their group in Y.

@@ -108,7 +108,7 @@ void CountCasConflict(const Status& install) {
 }  // namespace
 
 ServiceApi::ServiceApi(const ServiceOptions& options)
-    : store_(options.cache_threads), jobs_(QueueOptions(options)) {}
+    : jobs_(QueueOptions(options)) {}
 
 Result<SessionResponse> ServiceApi::Open(const OpenRequest& request) {
   static obs::Histogram* const latency =
@@ -165,18 +165,19 @@ Result<TextResponse> ServiceApi::GetAssignment(
   return response;
 }
 
-Result<TextResponse> ServiceApi::Evaluate(const std::string& session) const {
+Result<TextResponse> ServiceApi::Evaluate(const std::string& session) {
   static obs::Histogram* const latency =
       obs::Registry::Global().GetHistogram("wgrap_service_evaluate_seconds");
   ScopedEndpointTimer timer(latency);
-  auto snapshot = store_.Get(session);
-  if (!snapshot.ok()) return snapshot.status();
-  if (snapshot->assignment == nullptr) {
+  auto view = store_.GetEvaluationView(session);
+  if (!view.ok()) return view.status();
+  if (view->snapshot.assignment == nullptr) {
     return Status::FailedPrecondition("session '" + session +
                                       "' has no assignment");
   }
   TextResponse response;
-  response.text = EvaluationReport(*snapshot->instance, *snapshot->assignment);
+  response.text =
+      EvaluationReport(*view->snapshot.assignment, view->ideal_score);
   return response;
 }
 

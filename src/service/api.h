@@ -30,8 +30,6 @@ struct ServiceOptions {
   int job_workers = 2;
   /// Bounded result store size (JobQueue::Options::max_results).
   int max_results = 64;
-  /// Threads for the store's GainCache maintenance pool.
-  int cache_threads = 1;
   /// Admission control (JobQueue::Options::max_queue_depth): queued-job
   /// limit past which Submit/Resolve shed with kUnavailable. 0 = off.
   int max_queue_depth = 0;
@@ -122,8 +120,9 @@ class ServiceApi {
   /// The session's current assignment as CSV; kFailedPrecondition when
   /// none is installed.
   Result<TextResponse> GetAssignment(const std::string& session) const;
-  /// The `wgrap_cli evaluate` block for the current assignment.
-  Result<TextResponse> Evaluate(const std::string& session) const;
+  /// The `wgrap_cli evaluate` block for the current assignment, from the
+  /// store's per-paper c(AI) (InstanceStore::GetEvaluationView).
+  Result<TextResponse> Evaluate(const std::string& session);
 
   // --- capability discovery ---------------------------------------------
   /// The `wgrap_cli solvers [--verbose]` text: the solver table, plus the

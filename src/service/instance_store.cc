@@ -4,24 +4,47 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
+#include "core/metrics.h"
+#include "obs/metrics.h"
 
 namespace wgrap::service {
 
-InstanceStore::InstanceStore(int cache_threads)
-    : cache_pool_(cache_threads) {}
+InstanceStore::InstanceStore() = default;
 
 InstanceStore::~InstanceStore() = default;
 
-Result<SessionSnapshot> InstanceStore::Open(
-    const std::string& name, const data::RapDataset& dataset,
-    const core::InstanceParams& params) {
+namespace {
+
+// What both Open overloads check before building or touching anything.
+Status CheckOpen(const std::string& name) {
   WGRAP_RETURN_IF_ERROR(WGRAP_INJECT_FAULT("store.open"));
   if (name.empty()) {
     return Status::InvalidArgument("session name must be non-empty");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<SessionSnapshot> InstanceStore::Open(
+    const std::string& name, const data::RapDataset& dataset,
+    const core::InstanceParams& params) {
+  WGRAP_RETURN_IF_ERROR(CheckOpen(name));
   auto instance = core::Instance::FromDataset(dataset, params);
   if (!instance.ok()) return instance.status();
+  return Insert(name, *std::move(instance), params);
+}
 
+Result<SessionSnapshot> InstanceStore::Open(
+    const std::string& name, core::Instance instance,
+    const core::InstanceParams& params) {
+  WGRAP_RETURN_IF_ERROR(CheckOpen(name));
+  return Insert(name, std::move(instance), params);
+}
+
+Result<SessionSnapshot> InstanceStore::Insert(
+    const std::string& name, core::Instance instance,
+    const core::InstanceParams& params) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (sessions_.count(name) != 0) {
     return Status::FailedPrecondition("session '" + name +
@@ -29,13 +52,13 @@ Result<SessionSnapshot> InstanceStore::Open(
   }
   Session& session = sessions_[name];
   session.params = params;
-  session.instance =
-      std::make_unique<core::Instance>(*std::move(instance));
+  session.instance = std::make_unique<core::Instance>(std::move(instance));
   session.updater = std::make_unique<core::InstanceUpdater>(
       session.instance.get(), params);
   session.snapshot.name = name;
   session.snapshot.params = params;
   Publish(&session);
+  MarkIdealStale(&session, {});
   return session.snapshot;
 }
 
@@ -46,6 +69,19 @@ Result<SessionSnapshot> InstanceStore::Get(const std::string& name) const {
     return Status::NotFound("no session '" + name + "'");
   }
   return it->second.snapshot;
+}
+
+Result<EvaluationView> InstanceStore::GetEvaluationView(
+    const std::string& name) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = sessions_.find(name);
+  if (it == sessions_.end()) {
+    return Status::NotFound("no session '" + name + "'");
+  }
+  EvaluationView view;
+  view.snapshot = it->second.snapshot;
+  view.ideal_score = RefreshIdealScore(&it->second);
+  return view;
 }
 
 std::vector<SessionInfo> InstanceStore::List() const {
@@ -83,14 +119,7 @@ Status InstanceStore::InstallLocked(
     WGRAP_RETURN_IF_ERROR(assignment->AddUnchecked(p, r));
   }
   session->assignment = std::move(assignment);
-  // Fresh warm cache over the new assignment: the first Refresh is the
-  // one-time full build; every mutation afterwards patches it via the
-  // updater hooks instead of rebuilding.
-  session->cache =
-      std::make_unique<core::GainCache>(session->instance.get());
-  session->cache->Refresh(*session->assignment, &cache_pool_);
   session->updater->TrackAssignment(session->assignment.get());
-  session->updater->TrackGainCache(session->cache.get());
   Publish(session);
   return Status::OK();
 }
@@ -151,12 +180,10 @@ Result<MutateOutcome> InstanceStore::Mutate(
     RestoreFromSnapshot(&session);
     return publish;
   }
-  if (session.cache != nullptr) {
-    // Settle the patched cache now (targeted re-scores only), keeping it
-    // bit-identical to a fresh build against the mutated instance.
-    session.cache->Refresh(*session.assignment, &cache_pool_);
-  }
   Publish(&session);
+  // Only now: a rolled-back batch (either return above) must leave every
+  // row valid for the snapshot that stays published.
+  MarkIdealStale(&session, updates);
   MutateOutcome outcome;
   outcome.snapshot = session.snapshot;
   outcome.report = *std::move(report);
@@ -192,7 +219,6 @@ void InstanceStore::RestoreFromSnapshot(Session* session) {
   session->updater = std::make_unique<core::InstanceUpdater>(
       session->instance.get(), session->params);
   session->assignment.reset();
-  session->cache.reset();
   if (snap.assignment != nullptr) {
     std::vector<std::pair<int, int>> pairs;
     for (int p = 0; p < snap.instance->num_papers(); ++p) {
@@ -204,6 +230,62 @@ void InstanceStore::RestoreFromSnapshot(Session* session) {
     // InstallLocked published a fresh snapshot (version bump) — that is
     // fine: versions only ever move forward, even on rollback.
   }
+}
+
+void InstanceStore::MarkIdealStale(
+    Session* session, const std::vector<core::InstanceUpdate>& updates) {
+  const int P = session->instance->num_papers();
+  // A new paper count (or a fresh session) resets every row; so does any
+  // op that can move other papers' picks or shift paper ids.
+  bool every_paper = static_cast<int>(session->ideal_rows.size()) != P;
+  for (const core::InstanceUpdate& u : updates) {
+    switch (u.kind) {
+      case core::InstanceUpdate::Kind::kSetCoi:
+      case core::InstanceUpdate::Kind::kSetBid:
+      case core::InstanceUpdate::Kind::kSetPaperTopics:
+        break;
+      default:
+        every_paper = true;
+    }
+  }
+  if (every_paper) {
+    session->ideal_gains.assign(
+        static_cast<size_t>(P) * session->instance->group_size(), 0.0);
+    session->ideal_rows.assign(P, IdealRow::kStale);
+    return;
+  }
+  // No op in the batch shifted ids, so each op's paper is still its id.
+  for (const core::InstanceUpdate& u : updates) {
+    session->ideal_rows[u.paper] = IdealRow::kStale;
+  }
+}
+
+std::optional<double> InstanceStore::RefreshIdealScore(Session* session) {
+  static obs::Counter* const refreshed = obs::Registry::Global().GetCounter(
+      "wgrap_service_ideal_papers_refreshed_total");
+  const core::Instance& instance = *session->snapshot.instance;
+  const int P = instance.num_papers();
+  const int dp = instance.group_size();
+  std::optional<core::Assignment> scratch;  // built on the first stale row
+  int64_t stale = 0;
+  for (int p = 0; p < P; ++p) {
+    if (session->ideal_rows[p] != IdealRow::kStale) continue;
+    if (!scratch.has_value()) scratch.emplace(&instance);
+    const Status picked = core::AddIdealPicks(
+        p, &*scratch, &session->ideal_gains[static_cast<size_t>(p) * dp]);
+    session->ideal_rows[p] =
+        picked.ok() ? IdealRow::kFeasible : IdealRow::kInfeasible;
+    ++stale;
+  }
+  if (refreshed != nullptr) refreshed->Add(stale);
+  double total = 0.0;
+  for (int p = 0; p < P; ++p) {
+    if (session->ideal_rows[p] == IdealRow::kInfeasible) return std::nullopt;
+    for (int k = 0; k < dp; ++k) {
+      total += session->ideal_gains[static_cast<size_t>(p) * dp + k];
+    }
+  }
+  return total;
 }
 
 }  // namespace wgrap::service

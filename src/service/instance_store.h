@@ -1,15 +1,13 @@
 // Named-session store: the resident-state half of the service layer. Each
-// session owns a live Instance (with its CSR sparse views), an optional
-// tracked Assignment and a warm GainCache, all kept consistent through
-// typed mutations by the core/update.h machinery — the regime the
-// incremental engines of the last two PRs were built for, where the server
-// stays up and instances never get re-parsed.
+// session owns a live Instance (with its CSR sparse views) and an optional
+// tracked Assignment, kept consistent through typed mutations by the
+// core/update.h machinery, so the server stays up and instances never get
+// re-parsed.
 //
 // Concurrency model — snapshots with copy-on-mutate:
-//   - The master lineage (Instance + Assignment + GainCache + the
-//     InstanceUpdater tracking them) is mutable and guarded by the store
-//     mutex. Mutations patch it in place, which is exactly what keeps the
-//     GainCache warm (InstanceUpdater::TrackGainCache hooks).
+//   - The master lineage (Instance + Assignment + the InstanceUpdater
+//     tracking them) is mutable and guarded by the store mutex. Mutations
+//     patch it in place.
 //   - Readers never touch the master. Every accessor returns the current
 //     SessionSnapshot: shared_ptr<const ...> copies published after each
 //     change. An in-flight solve holds its snapshot for the whole run, so
@@ -20,6 +18,16 @@
 //     compare-and-set on the version, so a result computed against a
 //     snapshot that a mutation has since superseded is kept as a job
 //     result but not installed over newer state.
+//
+// Per-paper c(AI) — the store pays only for what changed. `evaluate`
+// reports c(A)/c(AI), where AI (core/metrics.h) is a per-paper greedy that
+// ignores workloads: paper p's δp picks depend only on p's topics, COIs
+// and bids and on the reviewer matrix. Each session keeps the P×δp pick
+// gains; c(AI) is their left fold in (paper, pick) order, bit-identical to
+// BuildIdealAssignment(instance)->TotalScore(). A published mutation marks
+// the papers it touched stale (set_coi, set_bid, set_paper_topics: their
+// one paper; any other op: every paper), and GetEvaluationView re-derives
+// only the stale ones, lazily, so `open` and `mutate` pay nothing for it.
 #ifndef WGRAP_SERVICE_INSTANCE_STORE_H_
 #define WGRAP_SERVICE_INSTANCE_STORE_H_
 
@@ -27,14 +35,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/assignment.h"
-#include "core/gain_cache.h"
 #include "core/instance.h"
 #include "core/update.h"
 #include "data/dataset.h"
@@ -69,12 +76,18 @@ struct MutateOutcome {
   core::UpdateReport report;
 };
 
+/// A snapshot plus c(AI) of its instance — what `evaluate` renders.
+struct EvaluationView {
+  SessionSnapshot snapshot;
+  /// c(AI); nullopt when some paper has fewer than δp eligible reviewers
+  /// (BuildIdealAssignment would fail).
+  std::optional<double> ideal_score;
+};
+
 /// Thread-safe session store. All methods may be called concurrently.
 class InstanceStore {
  public:
-  /// `cache_threads` sizes the internal pool GainCache refreshes fan over
-  /// (results are bit-identical at any value; 1 = fully inline).
-  explicit InstanceStore(int cache_threads = 1);
+  InstanceStore();
   ~InstanceStore();
 
   InstanceStore(const InstanceStore&) = delete;
@@ -86,19 +99,31 @@ class InstanceStore {
   Result<SessionSnapshot> Open(const std::string& name,
                                const data::RapDataset& dataset,
                                const core::InstanceParams& params);
+  /// Opens a session over an instance built elsewhere — e.g. one carrying
+  /// COIs or bids (Instance::SetBids), which a dataset cannot. `params`
+  /// must be the ones `instance` was built with.
+  Result<SessionSnapshot> Open(const std::string& name,
+                               core::Instance instance,
+                               const core::InstanceParams& params);
 
   /// Current snapshot. kNotFound for unknown sessions.
   Result<SessionSnapshot> Get(const std::string& name) const;
+
+  /// Current snapshot plus its c(AI). Re-derives the stale papers' AI
+  /// picks in the same critical section that takes the snapshot, so the
+  /// two always match; counts them into
+  /// wgrap_service_ideal_papers_refreshed_total.
+  Result<EvaluationView> GetEvaluationView(const std::string& name);
 
   std::vector<SessionInfo> List() const;
 
   Status Close(const std::string& name);
 
   /// Installs (replacing any previous) the tracked assignment from
-  /// (paper, reviewer) pairs, builds the warm GainCache over it, and
-  /// publishes a new snapshot. Pairs are applied AddUnchecked in the
-  /// given order; invalid pairs (COI, duplicate, out of range) reject the
-  /// whole install and leave the session unchanged.
+  /// (paper, reviewer) pairs and publishes a new snapshot. Pairs are
+  /// applied AddUnchecked in the given order; invalid pairs (COI,
+  /// duplicate, out of range) reject the whole install and leave the
+  /// session unchanged.
   Result<SessionSnapshot> InstallAssignment(
       const std::string& name, const std::vector<std::pair<int, int>>& pairs);
 
@@ -111,28 +136,39 @@ class InstanceStore {
       const std::string& name, int64_t expected_version,
       const std::vector<std::pair<int, int>>& pairs);
 
-  /// Applies the updates to the master lineage (assignment evictions and
-  /// GainCache patches included, via InstanceUpdater) and publishes a new
-  /// snapshot. Atomic at the snapshot level: on a mid-batch failure the
+  /// Applies the updates to the master lineage (assignment evictions
+  /// included, via InstanceUpdater), publishes a new snapshot, and only
+  /// then marks the papers whose AI picks the batch may have moved stale.
+  /// Atomic at the snapshot level: on a mid-batch failure the
   /// already-applied prefix is rolled back by rebuilding the master from
   /// the last published snapshot, so readers and the master never see a
-  /// half-applied batch.
+  /// half-applied batch (and the per-paper c(AI) stays valid).
   Result<MutateOutcome> Mutate(const std::string& name,
                                const std::vector<core::InstanceUpdate>& updates);
 
  private:
+  /// The state of one paper's row of AI picks.
+  enum class IdealRow : uint8_t { kStale, kFeasible, kInfeasible };
+
   struct Session {
     core::InstanceParams params;
     // Master lineage — mutable, guarded by mutex_.
     std::unique_ptr<core::Instance> instance;
     std::unique_ptr<core::Assignment> assignment;  // null until installed
-    std::unique_ptr<core::GainCache> cache;        // null until installed
     std::unique_ptr<core::InstanceUpdater> updater;
     int64_t version = 0;
     // Published copy (readers take shared_ptr copies of this).
     SessionSnapshot snapshot;
+    // Per-paper AI over the published instance, guarded by mutex_:
+    // P×δp pick gains, row-major, and each row's state.
+    std::vector<double> ideal_gains;
+    std::vector<IdealRow> ideal_rows;
   };
 
+  /// Registers a new session over `instance` and publishes v1.
+  Result<SessionSnapshot> Insert(const std::string& name,
+                                 core::Instance instance,
+                                 const core::InstanceParams& params);
   /// Copies the master into session.snapshot (bumping the version). The
   /// assignment copy replays pairs in (paper asc, group order) onto the
   /// copied instance and normalizes with RecomputeAll, so snapshot scores
@@ -143,9 +179,15 @@ class InstanceStore {
   /// Rebuilds the master lineage from the published snapshot (mutation
   /// rollback path).
   void RestoreFromSnapshot(Session* session);
+  /// Marks the AI rows a published batch may have moved stale, resizing
+  /// them to the new paper count when the shape changed.
+  static void MarkIdealStale(Session* session,
+                             const std::vector<core::InstanceUpdate>& updates);
+  /// Re-derives the stale AI rows against the published instance and
+  /// folds c(AI).
+  static std::optional<double> RefreshIdealScore(Session* session);
 
   mutable std::mutex mutex_;
-  ThreadPool cache_pool_;
   std::map<std::string, Session> sessions_;
 };
 

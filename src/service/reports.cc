@@ -1,6 +1,7 @@
 #include "service/reports.h"
 
 #include <cstdio>
+#include <optional>
 
 #include "common/table_printer.h"
 #include "core/metrics.h"
@@ -21,33 +22,52 @@ std::string Sprintf(const char* format, Args... args) {
   return out;
 }
 
+// c(AI) built from scratch; nullopt when AI is infeasible.
+std::optional<double> IdealScore(const core::Instance& instance) {
+  auto ideal = core::BuildIdealAssignment(instance);
+  if (!ideal.ok()) return std::nullopt;
+  return ideal->TotalScore();
+}
+
+// The optimality ratio in percent; nullopt when there is no usable
+// denominator — AI infeasible, or c(AI) = 0 (no paper can be covered).
+std::optional<double> OptimalityPercent(const core::Assignment& assignment,
+                                        std::optional<double> ideal_score) {
+  if (!ideal_score.has_value() || !(*ideal_score > 0.0)) return std::nullopt;
+  return 100.0 * core::OptimalityRatio(assignment, *ideal_score);
+}
+
 }  // namespace
 
 std::string SolveReportLine(const std::string& algo,
                             const core::Instance& instance,
                             const core::Assignment& assignment,
                             const std::string& wrote_path) {
-  auto ideal = core::BuildIdealAssignment(instance);
   return Sprintf(
       "%s: coverage %.3f (optimality %.1f%%), lowest paper %.3f%s\n",
       algo.c_str(), assignment.TotalScore(),
-      ideal.ok() ? 100.0 * core::OptimalityRatio(assignment, *ideal) : 0.0,
+      OptimalityPercent(assignment, IdealScore(instance)).value_or(0.0),
       core::LowestCoverage(assignment),
       wrote_path.empty() ? "" : (", wrote " + wrote_path).c_str());
 }
 
 std::string EvaluationReport(const core::Instance& instance,
                              const core::Assignment& assignment) {
+  return EvaluationReport(assignment, IdealScore(instance));
+}
+
+std::string EvaluationReport(const core::Assignment& assignment,
+                             std::optional<double> ideal_score) {
   const Status valid = assignment.ValidateComplete();
-  auto ideal = core::BuildIdealAssignment(instance);
+  const std::optional<double> optimality =
+      OptimalityPercent(assignment, ideal_score);
   std::string out;
   out += Sprintf("pairs: %lld\n", static_cast<long long>(assignment.size()));
   out += Sprintf("feasible: %s\n",
                  valid.ok() ? "yes" : valid.ToString().c_str());
   out += Sprintf("coverage score: %.4f\n", assignment.TotalScore());
-  if (ideal.ok()) {
-    out += Sprintf("optimality ratio: %.2f%%\n",
-                   100.0 * core::OptimalityRatio(assignment, *ideal));
+  if (optimality.has_value()) {
+    out += Sprintf("optimality ratio: %.2f%%\n", *optimality);
   }
   out += Sprintf("lowest paper coverage: %.4f\n",
                  core::LowestCoverage(assignment));

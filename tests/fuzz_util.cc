@@ -62,4 +62,13 @@ Result<Instance> MakeFuzzInstance(const FuzzInstanceConfig& config) {
   return instance;
 }
 
+std::vector<double> RandomTopics(Rng* rng, int T) {
+  std::vector<double> v(T, 0.0);
+  for (int t = 0; t < T; ++t) {
+    if (rng->NextDouble() < 0.4) v[t] = rng->NextDouble();
+  }
+  v[rng->NextInt(0, T - 1)] += 0.25;
+  return v;
+}
+
 }  // namespace wgrap::core

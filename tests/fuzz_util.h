@@ -10,7 +10,9 @@
 #define WGRAP_TESTS_FUZZ_UTIL_H_
 
 #include <cstdint>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "core/instance.h"
 #include "data/dataset.h"
@@ -49,6 +51,11 @@ Status PerturbInstance(const FuzzInstanceConfig& config, Instance* instance);
 
 /// MakeFuzzDataset + FromDataset(MakeFuzzParams) + PerturbInstance.
 Result<Instance> MakeFuzzInstance(const FuzzInstanceConfig& config);
+
+/// A random T-topic vector with the sparse-ish support real profiles have
+/// (each topic nonzero with probability 0.4, plus 0.25 on one topic), so
+/// its mass is always positive and it is valid for every topic update.
+std::vector<double> RandomTopics(Rng* rng, int T);
 
 }  // namespace wgrap::core
 

@@ -1,13 +1,17 @@
-// Metrics tests: ideal assignment dominance, optimality/superiority ratios,
-// lowest coverage, Fig. 7 closed forms, and the case-study report.
+// Metrics tests: ideal assignment dominance, the per-paper AI routine,
+// optimality/superiority ratios, lowest coverage, Fig. 7 closed forms, and
+// the case-study report.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/case_study.h"
 #include "core/cra.h"
 #include "core/metrics.h"
 #include "data/synthetic_dblp.h"
+#include "fuzz_util.h"
 
 namespace wgrap::core {
 namespace {
@@ -63,6 +67,65 @@ TEST(IdealAssignmentTest, IgnoresWorkloads) {
   ASSERT_TRUE(ideal.ok());
   EXPECT_EQ(ideal->LoadOf(0), 4);  // far above δr = 2
   EXPECT_NEAR(ideal->TotalScore(), 4.0, 1e-9);
+}
+
+TEST(IdealAssignmentTest, PerPaperFoldMatchesTheWholeBuildBitForBit) {
+  // Each paper re-derived on its own scratch assignment, in reverse order
+  // (as a store refreshing stale papers one at a time would), must give
+  // BuildIdealAssignment's groups, and the (paper, pick) left fold of the
+  // recorded gains its exact total bits.
+  for (const bool sparse : {false, true}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      FuzzInstanceConfig config;
+      config.reviewers = 14;
+      config.papers = 9;
+      config.num_topics = 12;
+      config.group_size = 1 + static_cast<int>(seed % 3);
+      config.conflict_rate = 0.2;
+      config.with_bids = seed % 2 == 0;
+      config.sparse_topics = sparse;
+      config.seed = seed;
+      auto instance = MakeFuzzInstance(config);
+      ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+      auto ideal = BuildIdealAssignment(*instance);
+      ASSERT_TRUE(ideal.ok()) << ideal.status().ToString();
+
+      const int P = instance->num_papers();
+      const int dp = instance->group_size();
+      std::vector<double> gains(static_cast<size_t>(P) * dp);
+      for (int p = P - 1; p >= 0; --p) {
+        Assignment scratch(&*instance);
+        ASSERT_TRUE(AddIdealPicks(p, &scratch, &gains[p * dp]).ok());
+        EXPECT_EQ(scratch.GroupFor(p), ideal->GroupFor(p))
+            << "sparse " << sparse << " seed " << seed << " paper " << p;
+      }
+      double fold = 0.0;
+      for (double gain : gains) fold += gain;
+      const double total = ideal->TotalScore();
+      EXPECT_EQ(std::memcmp(&fold, &total, sizeof(double)), 0)
+          << "sparse " << sparse << " seed " << seed << ": " << fold
+          << " vs " << total;
+    }
+  }
+}
+
+TEST(IdealAssignmentTest, PerPaperPicksReportAnAllConflictPaper) {
+  FuzzInstanceConfig config;
+  config.reviewers = 6;
+  config.papers = 4;
+  config.group_size = 2;
+  auto instance = MakeFuzzInstance(config);
+  ASSERT_TRUE(instance.ok());
+  for (int r = 1; r < config.reviewers; ++r) {
+    instance->AddConflict(r, 2);
+  }
+  Assignment scratch(&*instance);
+  std::vector<double> gains(2);
+  EXPECT_TRUE(AddIdealPicks(1, &scratch, gains.data()).ok());
+  EXPECT_EQ(AddIdealPicks(2, &scratch, gains.data()).code(),
+            StatusCode::kInfeasible);
+  EXPECT_EQ(BuildIdealAssignment(*instance).status().code(),
+            StatusCode::kInfeasible);
 }
 
 TEST(MetricsTest, OptimalityRatioInUnitRange) {

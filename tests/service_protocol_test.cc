@@ -133,6 +133,41 @@ TEST(ProtocolTest, MutateAndResolveRoundTrip) {
   EXPECT_NE(output.find("feasible: yes"), std::string::npos) << output;
 }
 
+TEST(ProtocolTest, ZeroCoverageInstanceCannotAbortTheServer) {
+  // Every reviewer covers only topic 1, every paper only topic 0, so
+  // c(AI) = 0. The solve line prints optimality 0.0% and evaluate omits the
+  // ratio (as for an infeasible AI) instead of dividing by zero; the
+  // server keeps answering.
+  const std::string csv =
+      "kind,name,venue,h_index,t0,t1\n"
+      "reviewer,ra,,1,0,1\n"
+      "reviewer,rb,,1,0,1\n"
+      "paper,pa,V,0,1,0\n"
+      "paper,pb,V,0,1,0\n";
+  std::string script;
+  Send(&script, "open z dp=2", csv);
+  script += "submit z solve sdga\n";
+  script += "wait 1\n";
+  script += "evaluate z\n";
+  script += "ping\n";
+
+  std::string expected;
+  expected += Ok("session z v1 P=2 R=2 T=2 unassigned\n");
+  expected += Ok("job 1\n");
+  expected +=
+      Ok("sdga: coverage 0.000 (optimality 0.0%), lowest paper 0.000\n");
+  expected += Ok(
+      "pairs: 4\nfeasible: yes\ncoverage score: 0.0000\n"
+      "lowest paper coverage: 0.0000\n");
+  expected += Ok("pong\n");
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  EXPECT_EQ(out.str(), expected);
+}
+
 TEST(ProtocolTest, ErrorFramesCarryStatusCodes) {
   ServiceApi api;
   std::string script;
@@ -335,8 +370,7 @@ TEST(ProtocolTest, WatchAnEvictedJobReportsResourceExhausted) {
   ASSERT_TRUE(dataset.ok());
   // max_results=1: the first job's payload (and frames) get evicted by
   // the second.
-  ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/1,
-                                /*cache_threads=*/1});
+  ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/1});
   std::string script;
   Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
   script += "submit conf solve greedy\n";

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/rng.h"
+#include "core/metrics.h"
 #include "core/registry.h"
 #include "obs/metrics.h"
 #include "core/update.h"
@@ -185,6 +188,220 @@ TEST(InstanceStoreTest, FailedMutationRollsBackTheBatch) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->version, before->version);
   EXPECT_FALSE(after->instance->IsConflict(0, 0));
+}
+
+// --- Per-paper c(AI) --------------------------------------------------------
+
+// Papers evaluate has re-derived so far; -1 when telemetry is off.
+int64_t IdealPapersRefreshed() {
+  obs::Counter* counter = obs::Registry::Global().GetCounter(
+      "wgrap_service_ideal_papers_refreshed_total");
+  return counter != nullptr ? counter->Value() : -1;
+}
+
+// Evaluates `session` and checks the reply, and the c(AI) the store keeps,
+// against from-scratch rebuilds of the same snapshot; `refreshed` is the
+// number of papers the evaluate must have re-derived.
+void ExpectEvaluateMatchesScratch(ServiceApi& api, const std::string& session,
+                                  int64_t refreshed, const std::string& where) {
+  const int64_t before = IdealPapersRefreshed();
+  auto reply = api.Evaluate(session);
+  ASSERT_TRUE(reply.ok()) << where << ": " << reply.status().ToString();
+  if (before >= 0) {
+    EXPECT_EQ(IdealPapersRefreshed() - before, refreshed) << where;
+  }
+  auto view = api.store().GetEvaluationView(session);
+  ASSERT_TRUE(view.ok()) << where;
+  if (before >= 0) {  // nothing changed since the evaluate: no re-derivation
+    EXPECT_EQ(IdealPapersRefreshed() - before, refreshed) << where;
+  }
+  const SessionSnapshot& snap = view->snapshot;
+  ASSERT_NE(snap.assignment, nullptr) << where;
+  EXPECT_EQ(reply->text, EvaluationReport(*snap.instance, *snap.assignment))
+      << where;
+  auto ideal = core::BuildIdealAssignment(*snap.instance);
+  ASSERT_EQ(view->ideal_score.has_value(), ideal.ok()) << where;
+  if (ideal.ok()) {
+    const double cached = *view->ideal_score;
+    const double scratch = ideal->TotalScore();
+    EXPECT_EQ(std::memcmp(&cached, &scratch, sizeof(double)), 0)
+        << where << ": " << cached << " vs " << scratch;
+  }
+}
+
+TEST(IdealScoreCacheTest, SeededMutationsKeepEvaluateByteExact) {
+  using core::InstanceUpdate;
+  failpoint::DisarmAll();
+  for (const bool sparse : {false, true}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      core::FuzzInstanceConfig config;
+      config.reviewers = 12;
+      config.papers = 9;
+      config.num_topics = 10;
+      config.group_size = 3;
+      config.conflict_rate = 0.1;
+      config.with_bids = true;
+      config.sparse_topics = sparse;
+      config.seed = seed;
+      const int T = config.num_topics;
+      auto built = core::MakeFuzzInstance(config);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/4});
+      ASSERT_TRUE(api.store()
+                      .Open("conf", *std::move(built),
+                            core::MakeFuzzParams(config))
+                      .ok());
+      const SessionSnapshot opened = *api.store().Get("conf");
+      const int papers = opened.instance->num_papers();
+      ASSERT_TRUE(api.store()
+                      .InstallAssignment("conf", SolvePairs(*opened.instance))
+                      .ok());
+      const std::string tag = std::string(sparse ? "sparse" : "dense") +
+                              " seed " + std::to_string(seed);
+      // The first evaluate is the full build.
+      ExpectEvaluateMatchesScratch(api, "conf", papers, tag + " open");
+
+      Rng rng(seed * 7919);
+      for (int step = 0; step < 48; ++step) {
+        const SessionSnapshot snap = *api.store().Get("conf");
+        const core::Instance& instance = *snap.instance;
+        const core::Assignment& assignment = *snap.assignment;
+        const int P = instance.num_papers();
+        const int R = instance.num_reviewers();
+        const int p = rng.NextInt(0, P - 1);
+        const int r = rng.NextInt(0, R - 1);
+        std::vector<InstanceUpdate> batch;
+        bool local = true;   // the batch touches only paper p's AI picks
+        bool expect_ok = true;
+        const int kind = rng.NextInt(0, 12);
+        std::string what;
+        switch (kind) {
+          case 0: {  // COI on an assigned pair: evicts it
+            const std::vector<int>& group = assignment.GroupFor(p);
+            if (group.empty()) continue;
+            batch = {InstanceUpdate::SetCoi(
+                group[rng.NextInt(0, static_cast<int>(group.size()) - 1)], p,
+                true)};
+            what = "set_coi assigned on";
+            break;
+          }
+          case 1:  // COI on or off an unassigned pair
+            if (assignment.Contains(p, r)) continue;
+            batch = {InstanceUpdate::SetCoi(r, p, rng.NextDouble() < 0.5)};
+            what = "set_coi unassigned";
+            break;
+          case 2: {  // lift a COI of p, if it has one
+            int conflicted = -1;
+            for (int q = 0; q < R && conflicted < 0; ++q) {
+              if (instance.IsConflict(q, p)) conflicted = q;
+            }
+            if (conflicted < 0) continue;
+            batch = {InstanceUpdate::SetCoi(conflicted, p, false)};
+            what = "set_coi off";
+            break;
+          }
+          case 3:
+            batch = {InstanceUpdate::SetBid(p, r, rng.NextDouble())};
+            what = "set_bid";
+            break;
+          case 4:
+            batch = {InstanceUpdate::SetPaperTopics(
+                p, core::RandomTopics(&rng, T))};
+            what = "set_paper_topics";
+            break;
+          case 5:
+            batch = {InstanceUpdate::AddPaper(core::RandomTopics(&rng, T))};
+            local = false;
+            what = "add_paper";
+            break;
+          case 6:
+            if (P <= 5) continue;
+            batch = {InstanceUpdate::RemovePaper(p)};
+            local = false;
+            what = "remove_paper";
+            break;
+          case 7:
+            batch = {InstanceUpdate::AddReviewer(core::RandomTopics(&rng, T))};
+            local = false;
+            what = "add_reviewer";
+            break;
+          case 8:
+            if (R <= config.group_size + 5) continue;
+            batch = {InstanceUpdate::RemoveReviewer(r)};
+            local = false;
+            what = "remove_reviewer";
+            break;
+          case 9:
+            batch = {InstanceUpdate::SetReviewerTopics(
+                r, core::RandomTopics(&rng, T))};
+            local = false;
+            what = "set_reviewer_topics";
+            break;
+          case 10:  // rejected mid-batch: the prefix is rolled back
+            batch = {InstanceUpdate::SetPaperTopics(
+                         p, core::RandomTopics(&rng, T)),
+                     InstanceUpdate::RemovePaper(P + 3)};
+            expect_ok = false;
+            what = "rejected batch";
+            break;
+          case 11:  // fails after the whole batch applied cleanly
+            ASSERT_TRUE(failpoint::Arm("store.publish", "error").ok());
+            batch = {InstanceUpdate::AddPaper(core::RandomTopics(&rng, T))};
+            expect_ok = false;
+            what = "store.publish fault";
+            break;
+          default: {  // refill the evicted slots
+            ResolveRequest resolve;
+            resolve.session = "conf";
+            resolve.knobs["update_refine"] = "none";
+            auto job = api.Resolve(resolve);
+            ASSERT_TRUE(job.ok()) << job.status().ToString();
+            ASSERT_TRUE(api.WaitJob(job->job).ok());
+            ExpectEvaluateMatchesScratch(
+                api, "conf", 0,
+                tag + " step " + std::to_string(step) + " resolve");
+            continue;
+          }
+        }
+        auto outcome = api.store().Mutate("conf", batch);
+        failpoint::DisarmAll();
+        const std::string where =
+            tag + " step " + std::to_string(step) + " " + what;
+        ASSERT_EQ(outcome.ok(), expect_ok)
+            << where << ": " << outcome.status().ToString();
+        const int now = api.store().Get("conf")->instance->num_papers();
+        ExpectEvaluateMatchesScratch(api, "conf",
+                                     !expect_ok ? 0 : (local ? 1 : now),
+                                     where);
+      }
+    }
+  }
+}
+
+TEST(IdealScoreCacheTest, InfeasibleIdealDropsTheRatioUntilLifted) {
+  // Conflicting every reviewer of one paper makes AI infeasible: evaluate
+  // omits the optimality line, exactly like the from-scratch report; lifting
+  // the COIs again brings the cached c(AI) back to the rebuilt bits.
+  ServiceApi api;
+  OpenSmall(api, "conf");
+  ASSERT_TRUE(api.store()
+                  .InstallAssignment(
+                      "conf", SolvePairs(*api.store().Get("conf")->instance))
+                  .ok());
+  ExpectEvaluateMatchesScratch(api, "conf", 8, "open");
+  const int R = SmallConfig().reviewers;
+  std::vector<core::InstanceUpdate> on, off;
+  for (int r = 0; r < R; ++r) {
+    on.push_back(core::InstanceUpdate::SetCoi(r, 5, true));
+    off.push_back(core::InstanceUpdate::SetCoi(r, 5, false));
+  }
+  ASSERT_TRUE(api.store().Mutate("conf", on).ok());
+  ExpectEvaluateMatchesScratch(api, "conf", 1, "all COIs on");
+  auto reply = api.Evaluate("conf");
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->text.find("optimality"), std::string::npos);
+  ASSERT_TRUE(api.store().Mutate("conf", off).ok());
+  ExpectEvaluateMatchesScratch(api, "conf", 1, "all COIs off");
 }
 
 // --- JobQueue ----------------------------------------------------------------
@@ -642,8 +859,7 @@ TEST(ServiceApiTest, CancelAbortsASolveMidRun) {
   auto dataset = core::MakeFuzzDataset(config);
   ASSERT_TRUE(dataset.ok());
 
-  ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/8,
-                                /*cache_threads=*/1});
+  ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/8});
   OpenRequest open;
   open.session = "big";
   open.dataset_csv = data::DatasetToCsv(*dataset);

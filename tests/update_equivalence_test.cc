@@ -147,17 +147,6 @@ Instance BuildFresh(const GroundTruth& gt, const InstanceParams& params) {
   return *std::move(instance);
 }
 
-// A random topic vector with the sparse-ish support real profiles have;
-// always positive mass, so it is valid for every topic op.
-std::vector<double> RandomTopics(Rng* rng, int T) {
-  std::vector<double> v(T, 0.0);
-  for (int t = 0; t < T; ++t) {
-    if (rng->NextDouble() < 0.4) v[t] = rng->NextDouble();
-  }
-  v[rng->NextInt(0, T - 1)] += 0.25;
-  return v;
-}
-
 int ClearReviewers(const GroundTruth& gt, int paper) {
   int clear = 0;
   for (int r = 0; r < gt.R(); ++r) clear += gt.coi[paper][r] ? 0 : 1;

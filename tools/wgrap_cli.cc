@@ -50,7 +50,7 @@
 //      comparison, --mode rebuild cross-checks the patch path by
 //      rebuilding the instance from scratch after the mutations)
 //   wgrap_cli serve     [--port P] [--jobs W] [--results M]
-//                       [--cache-threads N] [--max-queue D] [--max-conns C]
+//                       [--max-queue D] [--max-conns C]
 //                       [--read-timeout S] [--max-payload BYTES]
 //     (the WGRAP service: named sessions, async solver jobs, incremental
 //      mutations — the line protocol of service/protocol.h on stdin/stdout,
@@ -586,7 +586,6 @@ int CmdServe(const Flags& flags) {
   service::ServiceOptions options;
   options.job_workers = flags.GetInt("jobs", 2);
   options.max_results = flags.GetInt("results", 64);
-  options.cache_threads = flags.GetInt("cache-threads", 1);
   options.max_queue_depth = flags.GetInt("max-queue", 0);
   service::ServeOptions serve_options;
   serve_options.max_payload_bytes = static_cast<int64_t>(flags.GetUint64(

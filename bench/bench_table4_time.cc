@@ -2,11 +2,11 @@
 // the Databases and Data Mining 2008 conferences, for δ = 3 and δ = 5.
 // Pass "--threads N" to fan the BRGG/SDGA/SDGA-SRA hot paths across N
 // workers (identical output, per the determinism contract),
-// "--lap mcf|hungarian|auction [--lap-topk K]" to pick the stage-LAP
-// engine of ILP/SDGA/SDGA-SRA, and "--gains rebuild|incremental" to pick
-// the stage-profit maintenance mode (identical output; incremental
-// delta-patches instead of rebuilding P×R per stage) — the comparisons
-// are recorded in bench/BASELINES.md.
+// "--lap hungarian|mcf" to pick the stage engine of SDGA/SDGA-SRA
+// (hungarian by default; ILP runs its own default), and "--gains
+// rebuild|incremental" to pick the stage-profit maintenance mode
+// (identical output; incremental delta-patches instead of rebuilding P×R
+// per stage) — the comparisons are recorded in bench/BASELINES.md.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,16 +18,13 @@
 int main(int argc, char** argv) {
   using namespace wgrap;
   int num_threads = 1;
-  int lap_topk = 0;
-  core::LapBackend lap_backend = core::LapBackend::kMinCostFlow;
-  const char* lap_name = "mcf";
+  core::LapBackend stage_lap = core::LapBackend::kHungarian;
+  const char* lap_name = "hungarian";
   core::GainMode gains = core::GainMode::kIncremental;
   const char* gains_name = "incremental";
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0) {
       num_threads = std::atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--lap-topk") == 0) {
-      lap_topk = std::atoi(argv[i + 1]);
     } else if (std::strcmp(argv[i], "--gains") == 0) {
       gains_name = argv[i + 1];
       if (std::strcmp(gains_name, "rebuild") == 0) {
@@ -41,11 +38,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--lap") == 0) {
       lap_name = argv[i + 1];
       if (std::strcmp(lap_name, "mcf") == 0) {
-        lap_backend = core::LapBackend::kMinCostFlow;
+        stage_lap = core::LapBackend::kMinCostFlow;
       } else if (std::strcmp(lap_name, "hungarian") == 0) {
-        lap_backend = core::LapBackend::kHungarian;
-      } else if (std::strcmp(lap_name, "auction") == 0) {
-        lap_backend = core::LapBackend::kAuction;
+        stage_lap = core::LapBackend::kHungarian;
       } else {
         std::fprintf(stderr, "unknown --lap '%s'\n", lap_name);
         return 2;
@@ -56,14 +51,10 @@ int main(int argc, char** argv) {
   // reaching ~46 s. We bound it so the whole harness stays interactive.
   const double kSraBudgetSeconds = 20.0;
   std::printf("=== Table 4: response time (s) of approximate methods "
-              "(SDGA-SRA budget %.0fs, %d thread%s, lap=%s topk=%d, "
+              "(SDGA-SRA budget %.0fs, %d thread%s, stage lap=%s, "
               "gains=%s) ===\n\n",
               kSraBudgetSeconds, num_threads, num_threads == 1 ? "" : "s",
-              lap_name, lap_topk, gains_name);
-  if (lap_backend == core::LapBackend::kHungarian) {
-    std::printf("(note: lap=hungarian applies to the SDGA stage LAPs; "
-                "the ILP column runs min-cost flow)\n\n");
-  }
+              lap_name, gains_name);
 
   TablePrinter table({"dataset", "SM", "ILP", "BRGG", "Greedy", "SDGA",
                       "SDGA-SRA"});
@@ -81,7 +72,7 @@ int main(int argc, char** argv) {
         bench::DatasetLabel(config.area, 2008) +
         " (d=" + std::to_string(config.dp) + ")"};
     for (const auto& method :
-         bench::PaperCraMethods(num_threads, lap_backend, lap_topk, gains)) {
+         bench::PaperCraMethods(num_threads, stage_lap, gains)) {
       Stopwatch watch;
       auto assignment = method.run(setup.instance, kSraBudgetSeconds);
       bench::DieOnError(assignment.status(), method.name);

@@ -45,23 +45,17 @@ core::Instance MakeJraPool(int num_reviewers, int group_size, uint64_t seed) {
 }
 
 std::vector<CraMethod> PaperCraMethods(int num_threads,
-                                       core::LapBackend lap_backend,
-                                       int lap_topk, core::GainMode gains) {
+                                       core::LapBackend stage_lap,
+                                       core::GainMode gains) {
   return {
       {"SM",
        [](const core::Instance& instance, double) {
          return core::SolveCraStableMatching(instance);
        }},
       {"ILP",
-       [num_threads, lap_backend](const core::Instance& instance, double) {
+       [num_threads](const core::Instance& instance, double) {
          core::IlpArapOptions ilp;
          ilp.num_threads = num_threads;
-         // ILP's demand-δp solve supports mcf and auction only; for
-         // lap=hungarian the column honestly runs mcf (the caller's
-         // banner notes this) rather than mislabeling the timing.
-         ilp.backend = lap_backend == core::LapBackend::kAuction
-                           ? core::LapBackend::kAuction
-                           : core::LapBackend::kMinCostFlow;
          return core::SolveCraIlpArap(instance, ilp);
        }},
       {"BRGG",
@@ -75,28 +69,25 @@ std::vector<CraMethod> PaperCraMethods(int num_threads,
          return core::SolveCraGreedy(instance);
        }},
       {"SDGA",
-       [num_threads, lap_backend, lap_topk, gains](
-           const core::Instance& instance, double) {
+       [num_threads, stage_lap, gains](const core::Instance& instance,
+                                       double) {
          core::SdgaOptions sdga;
          sdga.num_threads = num_threads;
-         sdga.backend = lap_backend;
-         sdga.lap_topk = lap_topk;
+         sdga.backend = stage_lap;
          sdga.gains = gains;
          return core::SolveCraSdga(instance, sdga);
        }},
       {"SDGA-SRA",
-       [num_threads, lap_backend, lap_topk, gains](
-           const core::Instance& instance, double budget_seconds) {
+       [num_threads, stage_lap, gains](const core::Instance& instance,
+                                       double budget_seconds) {
          core::SdgaOptions sdga;
          sdga.num_threads = num_threads;
-         sdga.backend = lap_backend;
-         sdga.lap_topk = lap_topk;
+         sdga.backend = stage_lap;
          sdga.gains = gains;
          core::SraOptions sra;
          sra.time_limit_seconds = budget_seconds;
          sra.num_threads = num_threads;
-         sra.backend = lap_backend;
-         sra.lap_topk = lap_topk;
+         sra.backend = stage_lap;
          sra.gains = gains;
          return core::SolveCraSdgaSra(instance, sdga, sra);
        }},

@@ -39,15 +39,14 @@ struct CraMethod {
 /// The Sec. 5.2 line-up: SM, ILP, BRGG, Greedy, SDGA, SDGA-SRA.
 /// `num_threads` feeds the parallel hot paths of BRGG/SDGA/SDGA-SRA
 /// (results are bit-identical for any value; see CraOptions::num_threads).
-/// `lap_backend`/`lap_topk` select the stage-LAP engine of ILP/SDGA/
-/// SDGA-SRA (mcf, hungarian, or the ε-scaling auction — optionally with
-/// exactness-guarded top-K pruning). `gains` picks the stage-profit
-/// maintenance mode of SDGA/SDGA-SRA (rebuild vs the delta-maintained
-/// GainCache — identical output, different wall-clock).
+/// `stage_lap` selects the stage engine of SDGA/SDGA-SRA (hungarian, the
+/// library default, or mcf); ILP runs its library default. `gains` picks
+/// the stage-profit maintenance mode of SDGA/SDGA-SRA (rebuild vs the
+/// delta-maintained GainCache — identical output, different wall-clock).
 std::vector<CraMethod> PaperCraMethods(
     int num_threads = 1,
-    core::LapBackend lap_backend = core::LapBackend::kMinCostFlow,
-    int lap_topk = 0, core::GainMode gains = core::GainMode::kIncremental);
+    core::LapBackend stage_lap = core::LapBackend::kHungarian,
+    core::GainMode gains = core::GainMode::kIncremental);
 
 /// Aborts with a message when a Result-carrying expression failed.
 void DieOnError(const Status& status, const std::string& what);

@@ -6,14 +6,17 @@
 //   SolveCraBrgg           — Best Reviewer Group Greedy: per iteration, the
 //                            best (group, paper) pair is committed whole.
 //   SolveCraSdga           — Stage Deepening Greedy (Algorithm 2): δp
-//                            linear-assignment stages, 1/2-approx (≥1-1/e
-//                            when δp | δr).
+//                            linear-assignment stages, each solved by the
+//                            Hungarian algorithm (JV, default) or
+//                            min-cost flow; 1/2-approx (≥1-1/e when
+//                            δp | δr).
 //   RefineSra              — Stochastic Refinement (Algorithm 3) on top of
 //                            any feasible assignment.
 //   RefineLocalSearch      — plain hill-climbing refinement (Fig. 12's LS).
 //   SolveCraStableMatching — Gale–Shapley college-admissions baseline (SM).
 //   SolveCraIlpArap        — exact ARAP (per-pair objective) via min-cost
-//                            flow; the paper's "ILP" baseline.
+//                            flow or the ε-scaling auction; the paper's
+//                            "ILP" baseline.
 #ifndef WGRAP_CORE_CRA_H_
 #define WGRAP_CORE_CRA_H_
 
@@ -81,17 +84,17 @@ enum class GainMode {
   kIncremental,
 };
 
-/// LAP backend used by each SDGA stage (and the SRA completion step).
+/// LAP engine. The SDGA stages and the SRA completion step run the two
+/// engines of Sec. 4.2, kHungarian (the default) and kMinCostFlow;
+/// SolveCraSdga and RefineSra reject kAuction with kInvalidArgument.
+/// ILP-ARAP runs kMinCostFlow (its default) or kAuction.
 enum class LapBackend {
   kMinCostFlow,  // transportation network (la/transportation.h)
-  kHungarian,    // default: capacity-aware Jonker–Volgenant shortest
-                 // augmenting paths, one dual per reviewer
+  kHungarian,    // capacity-aware Jonker–Volgenant shortest augmenting
+                 // paths, one dual per reviewer
                  // (la::SolveCapacitatedAssignment in la/hungarian.h)
-  kAuction,      // parallel ε-scaling auction (la/auction.h): capacity-
-                 // aware (no column replication), bidding rounds fan out
-                 // over the thread pool, optionally pruned to the top-K
-                 // gains per paper with an exactness guard — same optimum
-                 // as kMinCostFlow, bit-identical at any thread count
+  kAuction,      // ILP-ARAP only: parallel ε-scaling auction
+                 // (la/auction.h), bit-identical at any thread count
 };
 
 struct SdgaOptions : CraOptions {
@@ -104,16 +107,6 @@ struct SdgaOptions : CraOptions {
   /// Per-stage reviewer cap ⌈δr/δp⌉ (Definition 9). Turning this off
   /// forfeits the approximation guarantee — ablation knob (DESIGN.md §5).
   bool confine_stage_workload = true;
-  /// Auction backend only: build each stage's LAP from the top-K gains
-  /// per paper instead of the dense P×R matrix (0 = keep everything).
-  /// Exactness is preserved: if the auction's final duals show a pruned
-  /// edge could still matter, K is widened and the stage re-solved, so
-  /// the stage optimum always equals the dense backends'.
-  int lap_topk = 0;
-  /// Auction backend only: initial ε of the scaling schedule in profit
-  /// units (0 = auto, Δ/8). The final phase always runs at the exactness
-  /// threshold regardless.
-  double lap_epsilon = 0.0;
 };
 
 /// Progress callback: (elapsed seconds, best objective so far). Used by the
@@ -121,12 +114,9 @@ struct SdgaOptions : CraOptions {
 using RefineTrace = std::function<void(double, double)>;
 
 struct SraOptions : CraOptions {
-  /// LAP backend for the per-round completion step (same machinery as the
-  /// SDGA stages).
+  /// LAP engine for the per-round completion step (same machinery and
+  /// same two engines as the SDGA stages).
   LapBackend backend = LapBackend::kHungarian;
-  /// Auction-backend pruning/ε knobs; same semantics as SdgaOptions.
-  int lap_topk = 0;
-  double lap_epsilon = 0.0;
   /// Completion-step profit maintenance (see SdgaOptions::gains). With
   /// kIncremental one GainCache lives across all refinement rounds: each
   /// round's removals and re-adds patch it instead of rebuilding P×R.
@@ -173,8 +163,9 @@ Result<Assignment> SolveCraBrgg(const Instance& instance,
 /// linear assignment over the marginal gains, with the per-stage workload
 /// cap ⌈δr/δp⌉ (Definition 9). Approximation ratio 1/2, rising to ≥ 1-1/e
 /// when δp | δr (Theorems 1-2). Cost: δp LAP solves — O(δp · LAP(P, R))
-/// plus O(P·R·T) gain evaluations per stage; the LAP backend is
-/// options.backend. Same feasibility contract as SolveCraGreedy.
+/// plus O(P·R·T) gain evaluations per stage; the LAP engine is
+/// options.backend (kInvalidArgument for kAuction). Same feasibility
+/// contract as SolveCraGreedy.
 Result<Assignment> SolveCraSdga(const Instance& instance,
                                 const SdgaOptions& options = {});
 

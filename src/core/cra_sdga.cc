@@ -8,19 +8,16 @@
 // (Theorems 1 and 2) relies on. Conflicts of interest are forbidden edges
 // and do not affect the guarantee (Sec. 4.3).
 //
-// Three interchangeable LAP backends solve the stage (all find the same
-// optimum of the same scaled integer program):
+// Sec. 4.2 solves each stage with "the Hungarian algorithm or minimum-cost
+// flow", and those are the two stage engines (both find the same optimum
+// of the same scaled integer program):
 //   kHungarian   — the default: capacity-aware Jonker–Volgenant shortest
 //                  augmenting paths with one dual per reviewer
 //                  (la::SolveCapacitatedAssignment), sequential.
-//   kMinCostFlow — dense transportation network, sequential.
-//   kAuction     — parallel ε-scaling auction on a CSR candidate set,
-//                  optionally pruned to the top-K gains per paper. Pruning
-//                  is guarded for exactness: if the auction's final duals
-//                  cannot prove every pruned edge irrelevant (or the
-//                  pruned graph is infeasible), K widens and the stage
-//                  re-solves, so the returned stage assignment is the
-//                  same optimum the dense backends find.
+//   kMinCostFlow — dense transportation network, sequential; the
+//                  reference engine the equivalence tests compare against.
+// The ε-scaling auction is ILP-ARAP's engine only (cra_ilp_arap.cc); a
+// stage asked to run it fails with kInvalidArgument.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -32,40 +29,12 @@
 #include "core/gain_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "la/auction.h"
 #include "la/hungarian.h"
 #include "la/transportation.h"
 
 namespace wgrap::core {
 
 namespace {
-
-// Moves a dense engine's per-paper reviewer choice into `chosen_agent`.
-Status TakeAgents(Result<la::TransportationResult> solved,
-                  std::vector<int>* chosen_agent) {
-  if (!solved.ok()) return solved.status();
-  *chosen_agent = std::move(solved->task_to_agent);
-  return Status::OK();
-}
-
-// Auction with top-K candidate pruning: la::SolveAuctionTopK widens K
-// and re-solves until the final duals certify that no pruned edge could
-// improve the optimum. kFailedPrecondition (instance outside the
-// auction's integer price domain, or non-convergence) is not an error —
-// the caller falls back to min-cost flow, keeping the optimum identical.
-Status SolveStageAuction(const Matrix& stage_profit,
-                         const std::vector<int>& capacity, int top_k,
-                         double initial_epsilon, ThreadPool* pool,
-                         std::vector<int>* chosen_agent) {
-  la::AuctionOptions auction;
-  auction.pool = pool;
-  auction.initial_epsilon = initial_epsilon;
-  auto solved =
-      la::SolveAuctionTopK(stage_profit, capacity, top_k, auction);
-  if (!solved.ok()) return solved.status();
-  *chosen_agent = std::move(solved->task_to_agent);
-  return Status::OK();
-}
 
 // One SDGA stage: assigns one reviewer to every paper, maximizing summed
 // marginal gain, respecting per-stage capacities. Shared with the SRA
@@ -77,8 +46,8 @@ Status SolveStageAuction(const Matrix& stage_profit,
 // function of the frozen assignment — and they feed the LAP the same
 // integer program, so the stage outcome is identical (gain_cache.h).
 Status RunStage(const Instance& instance, const std::vector<int>& capacity,
-                const SdgaOptions& options, ThreadPool* pool,
-                GainCache* cache, Assignment* assignment) {
+                LapBackend backend, ThreadPool* pool, GainCache* cache,
+                Assignment* assignment) {
   const int P = instance.num_papers();
   const int R = instance.num_reviewers();
 
@@ -119,37 +88,11 @@ Status RunStage(const Instance& instance, const std::vector<int>& capacity,
     }
   }
 
-  std::vector<int> chosen_agent;
-  Status solved = Status::OK();
-  switch (options.backend) {
-    case LapBackend::kMinCostFlow:
-      solved = TakeAgents(la::SolveTransportation(stage_profit, capacity),
-                          &chosen_agent);
-      break;
-    case LapBackend::kHungarian:
-      solved = TakeAgents(
-          la::SolveCapacitatedAssignment(stage_profit, capacity),
-          &chosen_agent);
-      break;
-    case LapBackend::kAuction:
-      solved = SolveStageAuction(stage_profit, capacity, options.lap_topk,
-                                 options.lap_epsilon, pool, &chosen_agent);
-      if (!solved.ok() &&
-          solved.code() == StatusCode::kFailedPrecondition) {
-        // Outside the auction's integer price domain — same optimum via
-        // the flow backend. The fallback is counted: it used to be fully
-        // silent, which hid auction-budget exhaustion from benchmarks
-        // (`wgrap_cli solve --verbose` surfaces the count).
-        static obs::Counter* const fallbacks =
-            obs::Registry::Global().GetCounter(
-                "wgrap_lap_auction_fallbacks_total");
-        if (fallbacks) fallbacks->Add();
-        solved = TakeAgents(la::SolveTransportation(stage_profit, capacity),
-                            &chosen_agent);
-      }
-      break;
-  }
-  WGRAP_RETURN_IF_ERROR(solved);
+  auto solved = backend == LapBackend::kMinCostFlow
+                    ? la::SolveTransportation(stage_profit, capacity)
+                    : la::SolveCapacitatedAssignment(stage_profit, capacity);
+  if (!solved.ok()) return solved.status();
+  const std::vector<int>& chosen_agent = solved->task_to_agent;
   for (size_t i = 0; i < papers_needing.size(); ++i) {
     WGRAP_RETURN_IF_ERROR(
         assignment->Add(papers_needing[i], chosen_agent[i]));
@@ -162,20 +105,31 @@ Status RunStage(const Instance& instance, const std::vector<int>& capacity,
 
 }  // namespace
 
+// Exposed for cra_sra.cc (declared there), like SolveStageAssignment.
+Status CheckStageBackend(LapBackend backend) {
+  if (backend == LapBackend::kHungarian ||
+      backend == LapBackend::kMinCostFlow) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "SDGA/SRA stages run on lap=hungarian or lap=mcf; the auction is "
+      "ILP-ARAP's engine only");
+}
+
 // Exposed for cra_sra.cc (declared there): completes an assignment where
-// every paper is missing at most one reviewer. `lap` carries the backend
-// plus the auction pruning/ε knobs; `cache` (may be null for
+// every paper is missing at most one reviewer. `cache` (may be null for
 // gains=rebuild) persists the delta-maintained profits across calls.
 Status SolveStageAssignment(const Instance& instance,
                             const std::vector<int>& capacity,
-                            const SdgaOptions& lap, ThreadPool* pool,
+                            LapBackend backend, ThreadPool* pool,
                             GainCache* cache, Assignment* assignment) {
-  return RunStage(instance, capacity, lap, pool, cache, assignment);
+  return RunStage(instance, capacity, backend, pool, cache, assignment);
 }
 
 Result<Assignment> SolveCraSdga(const Instance& instance,
                                 const SdgaOptions& options) {
   obs::ScopedSpan solve_span("sdga");
+  WGRAP_RETURN_IF_ERROR(CheckStageBackend(options.backend));
   Deadline deadline(options.time_limit_seconds);
   Assignment assignment(&instance);
   const int R = instance.num_reviewers();
@@ -204,8 +158,8 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
                         ? std::min(stage_cap, remaining_total)
                         : remaining_total;
     }
-    Status stage_status = RunStage(instance, capacity, options, &pool,
-                                   cache.get(), &assignment);
+    Status stage_status = RunStage(instance, capacity, options.backend,
+                                   &pool, cache.get(), &assignment);
     if (!stage_status.ok() &&
         stage_status.code() == StatusCode::kInfeasible &&
         options.confine_stage_workload) {
@@ -216,7 +170,7 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
       // workload keeps the 1/2 guarantee intact. (The infeasible attempt
       // committed nothing, so the gain cache needs no rollback.)
       for (int r = 0; r < R; ++r) capacity[r] = dr - assignment.LoadOf(r);
-      stage_status = RunStage(instance, capacity, options, &pool,
+      stage_status = RunStage(instance, capacity, options.backend, &pool,
                               cache.get(), &assignment);
     }
     WGRAP_RETURN_IF_ERROR(stage_status);

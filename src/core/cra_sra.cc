@@ -33,12 +33,13 @@
 
 namespace wgrap::core {
 
-// Defined in cra_sdga.cc. `lap` carries the LAP backend plus the auction
-// pruning/ε knobs; `cache` (null for gains=rebuild) persists the
+// Defined in cra_sdga.cc. CheckStageBackend rejects an engine the stages
+// do not run; `cache` (null for gains=rebuild) persists the
 // delta-maintained profits across rounds.
+Status CheckStageBackend(LapBackend backend);
 Status SolveStageAssignment(const Instance& instance,
                             const std::vector<int>& capacity,
-                            const SdgaOptions& lap, ThreadPool* pool,
+                            LapBackend backend, ThreadPool* pool,
                             GainCache* cache, Assignment* assignment);
 
 Result<Assignment> RefineSra(const Instance& instance,
@@ -48,6 +49,7 @@ Result<Assignment> RefineSra(const Instance& instance,
   if (options.convergence_window <= 0) {
     return Status::InvalidArgument("convergence_window must be > 0");
   }
+  WGRAP_RETURN_IF_ERROR(CheckStageBackend(options.backend));
   WGRAP_RETURN_IF_ERROR(initial.ValidateComplete());
 
   const int P = instance.num_papers();
@@ -55,11 +57,6 @@ Result<Assignment> RefineSra(const Instance& instance,
   Stopwatch watch;
   Deadline deadline(options.time_limit_seconds);
   ThreadPool pool(options.num_threads);
-  // Completion-step LAP configuration shared by every round.
-  SdgaOptions completion_lap;
-  completion_lap.backend = options.backend;
-  completion_lap.lap_topk = options.lap_topk;
-  completion_lap.lap_epsilon = options.lap_epsilon;
   // gains=incremental: one cache across all refinement rounds. A round
   // touches each paper's group at ≤ nnz(victim) + nnz(replacement)
   // topics, so the next completion step patches those columns instead of
@@ -155,7 +152,7 @@ Result<Assignment> RefineSra(const Instance& instance,
       capacity[r] = instance.reviewer_workload() - current.LoadOf(r);
     }
     WGRAP_RETURN_IF_ERROR(SolveStageAssignment(instance, capacity,
-                                               completion_lap, &pool,
+                                               options.backend, &pool,
                                                gain_cache.get(), &current));
     if (current.TotalScore() > best.TotalScore() + 1e-12) {
       best = current;

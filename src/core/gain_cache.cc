@@ -49,205 +49,13 @@ void GainCache::Initialize(const Assignment& assignment, ThreadPool* pool) {
   ++full_builds_;
 }
 
-void GainCache::RebuildReviewerIndex() {
-  reviewer_index_ =
-      instance_->has_sparse_topics()
-          ? sparse::TopicIndex::FromSparse(instance_->ReviewerSparseMatrix())
-          : sparse::TopicIndex::FromMatrix(instance_->ReviewerMatrix());
-}
-
-void GainCache::ApplyStructuralPatches(const Assignment& assignment,
-                                       ThreadPool* pool) {
-  const int P = instance_->num_papers();
-  const int R = num_reviewers_;
-  const int T = instance_->num_topics();
-  auto dedup = [](std::vector<int>* v) {
-    std::sort(v->begin(), v->end());
-    v->erase(std::unique(v->begin(), v->end()), v->end());
-  };
-  dedup(&pending_rows_);
-  dedup(&pending_cols_);
-  // Full rows first: they reset the snapshot row, so any note-diff patch
-  // for the same paper later this Refresh sees no spurious changes. The
-  // same kernels and conflict marker as Initialize, row-disjoint.
-  pool->ParallelFor(0, static_cast<int64_t>(pending_rows_.size()),
-                    /*grain=*/1, [&](int64_t i) {
-    const int p = pending_rows_[i];
-    double* row = &gains_[static_cast<size_t>(p) * R];
-    for (int r = 0; r < R; ++r) {
-      row[r] = instance_->IsConflict(r, p) ? la::kTransportForbidden
-                                           : assignment.MarginalGain(p, r);
-    }
-    const double* gv = assignment.GroupVector(p);
-    std::copy(gv, gv + T, group_snapshot_.Row(p));
-  });
-  patched_entries_ += static_cast<int64_t>(pending_rows_.size()) * R;
-  // Full columns next (column-disjoint). A cell covered by both a row and
-  // a column re-score is simply computed twice to the same double.
-  pool->ParallelFor(0, static_cast<int64_t>(pending_cols_.size()),
-                    /*grain=*/1, [&](int64_t i) {
-    const int r = pending_cols_[i];
-    for (int p = 0; p < P; ++p) {
-      gains_[static_cast<size_t>(p) * R + r] =
-          instance_->IsConflict(r, p) ? la::kTransportForbidden
-                                      : assignment.MarginalGain(p, r);
-    }
-  });
-  patched_entries_ += static_cast<int64_t>(pending_cols_.size()) * P;
-  for (const auto& [p, r] : pending_cells_) {
-    gains_[static_cast<size_t>(p) * R + r] =
-        instance_->IsConflict(r, p) ? la::kTransportForbidden
-                                    : assignment.MarginalGain(p, r);
-    ++patched_entries_;
-  }
-  pending_rows_.clear();
-  pending_cols_.clear();
-  pending_cells_.clear();
-}
-
-void GainCache::UpdateAddPaper() {
-  if (!initialized_) return;
-  const int P = instance_->num_papers();  // includes the appended paper
-  const int T = instance_->num_topics();
-  gains_.resize(static_cast<size_t>(P) * num_reviewers_, 0.0);
-  Matrix snapshot(P, T);
-  for (int p = 0; p < P - 1; ++p) {
-    const double* src = group_snapshot_.Row(p);
-    std::copy(src, src + T, snapshot.Row(p));
-  }
-  group_snapshot_ = std::move(snapshot);
-  pending_rows_.push_back(P - 1);
-}
-
-void GainCache::UpdateRemovePaper(int paper) {
-  if (!initialized_) return;
-  const int P = instance_->num_papers();  // already excludes `paper`
-  const int T = instance_->num_topics();
-  gains_.erase(gains_.begin() + static_cast<int64_t>(paper) * num_reviewers_,
-               gains_.begin() +
-                   static_cast<int64_t>(paper + 1) * num_reviewers_);
-  Matrix snapshot(P, T);
-  for (int p = 0; p < P; ++p) {
-    const double* src = group_snapshot_.Row(p < paper ? p : p + 1);
-    std::copy(src, src + T, snapshot.Row(p));
-  }
-  group_snapshot_ = std::move(snapshot);
-  // Remap every pending paper id past the removed one; work queued for the
-  // removed paper itself is moot.
-  auto remap = [paper](int p) { return p < paper ? p : p - 1; };
-  std::vector<std::pair<int, int>> notes;
-  for (const auto& [p, r] : pending_) {
-    if (p != paper) notes.emplace_back(remap(p), r);
-  }
-  pending_ = std::move(notes);
-  std::vector<int> rows;
-  for (int p : pending_rows_) {
-    if (p != paper) rows.push_back(remap(p));
-  }
-  pending_rows_ = std::move(rows);
-  std::vector<std::pair<int, int>> cells;
-  for (const auto& [p, r] : pending_cells_) {
-    if (p != paper) cells.emplace_back(remap(p), r);
-  }
-  pending_cells_ = std::move(cells);
-}
-
-void GainCache::UpdateAddReviewer() {
-  RebuildReviewerIndex();
-  const int R = instance_->num_reviewers();  // includes the appended one
-  if (initialized_) {
-    const int P = instance_->num_papers();
-    // Repack the row stride from R-1 to R; the moved entries are the
-    // identical doubles a fresh build would compute for those pairs.
-    std::vector<double> gains(static_cast<size_t>(P) * R, 0.0);
-    for (int p = 0; p < P; ++p) {
-      const double* src = &gains_[static_cast<size_t>(p) * num_reviewers_];
-      std::copy(src, src + num_reviewers_, &gains[static_cast<size_t>(p) * R]);
-    }
-    gains_ = std::move(gains);
-    pending_cols_.push_back(R - 1);
-  }
-  num_reviewers_ = R;
-}
-
-void GainCache::UpdateRemoveReviewer(int reviewer) {
-  RebuildReviewerIndex();
-  const int R = instance_->num_reviewers();  // already excludes `reviewer`
-  if (initialized_) {
-    const int P = instance_->num_papers();
-    std::vector<double> gains(static_cast<size_t>(P) * R);
-    for (int p = 0; p < P; ++p) {
-      const double* src = &gains_[static_cast<size_t>(p) * num_reviewers_];
-      double* dst = &gains[static_cast<size_t>(p) * R];
-      std::copy(src, src + reviewer, dst);
-      std::copy(src + reviewer + 1, src + num_reviewers_, dst + reviewer);
-    }
-    gains_ = std::move(gains);
-    auto remap = [reviewer](int r) { return r < reviewer ? r : r - 1; };
-    // A note whose reviewer is gone can no longer drive the sparse diff
-    // scan (its support row left the instance); promote the paper to a
-    // full-row re-score, which subsumes the diff.
-    std::vector<std::pair<int, int>> notes;
-    for (const auto& [p, r] : pending_) {
-      if (r == reviewer) {
-        pending_rows_.push_back(p);
-      } else {
-        notes.emplace_back(p, remap(r));
-      }
-    }
-    pending_ = std::move(notes);
-    std::vector<int> cols;
-    for (int r : pending_cols_) {
-      if (r != reviewer) cols.push_back(remap(r));
-    }
-    pending_cols_ = std::move(cols);
-    std::vector<std::pair<int, int>> cells;
-    for (const auto& [p, r] : pending_cells_) {
-      if (r != reviewer) cells.emplace_back(p, remap(r));
-    }
-    pending_cells_ = std::move(cells);
-  }
-  num_reviewers_ = R;
-}
-
-void GainCache::UpdatePaperChanged(int paper) {
-  if (!initialized_) return;
-  pending_rows_.push_back(paper);
-}
-
-void GainCache::UpdateReviewerChanged(int reviewer) {
-  RebuildReviewerIndex();
-  if (!initialized_) return;
-  pending_cols_.push_back(reviewer);
-}
-
-void GainCache::UpdateConflictChanged(int paper, int reviewer,
-                                      bool conflicted) {
-  if (!initialized_) return;
-  if (conflicted) {
-    gains_[static_cast<size_t>(paper) * num_reviewers_ + reviewer] =
-        la::kTransportForbidden;
-  } else {
-    pending_cells_.emplace_back(paper, reviewer);
-  }
-}
-
-void GainCache::UpdateBidChanged(int paper, int reviewer) {
-  if (!initialized_) return;
-  pending_cells_.emplace_back(paper, reviewer);
-}
-
 void GainCache::Refresh(const Assignment& assignment, ThreadPool* pool) {
   if (!initialized_) {
     // Whatever was noted is subsumed by the full build.
     pending_.clear();
-    pending_rows_.clear();
-    pending_cols_.clear();
-    pending_cells_.clear();
     Initialize(assignment, pool);
     return;
   }
-  if (HasStructuralWork()) ApplyStructuralPatches(assignment, pool);
   if (pending_.empty()) return;
   const int T = instance_->num_topics();
   // Group the notes by paper: [begin, end) ranges into the sorted,
@@ -357,7 +165,7 @@ void GainCache::AssembleStageProfit(const std::vector<int>& papers,
                                     const Assignment& assignment,
                                     ThreadPool* pool,
                                     Matrix* stage_profit) const {
-  WGRAP_CHECK_MSG(initialized_ && pending_.empty() && !HasStructuralWork(),
+  WGRAP_CHECK_MSG(initialized_ && pending_.empty(),
                   "AssembleStageProfit requires a Refresh with no notes "
                   "pending");
   const int R = num_reviewers_;

@@ -18,10 +18,10 @@
 // count (tests/gain_cache_test.cc).
 //
 // The int64 domain: what the cache maintains exactly is the stage integer
-// program — the 1e9-scaled int64 profits (la::ScaleTransportProfit) every
-// stage backend optimizes (min-cost flow and the auction scale their
-// inputs; the stage Hungarian quantizes to the same grid — cra_sdga.cc —
-// so there is exactly one integer program per stage in both gain modes).
+// program — the 1e9-scaled int64 profits (la::ScaleTransportProfit) both
+// stage engines optimize (min-cost flow scales its inputs; the stage
+// Hungarian quantizes to the same grid — cra_sdga.cc — so there is
+// exactly one integer program per stage in both gain modes).
 // Maintenance in the rounded domain cannot be arithmetic (llround is not
 // additive — llround(a+b) ≠ llround(a)+llround(b)), so the cache keeps
 // the pre-quantization doubles, whose bit-exactness (above) makes the
@@ -71,7 +71,9 @@ namespace wgrap::core {
 ///     assignment.Remove(p, r); cache.NoteRemove(p, r);
 ///   }
 /// Every mutation of the tracked assignment between Refresh calls must be
-/// noted — an unnoted change makes cached entries silently stale. Not
+/// noted — an unnoted change makes cached entries silently stale. The
+/// instance must not change for the cache's lifetime: a cache lives inside
+/// one solve, and online updates (core/update.h) run between solves. Not
 /// thread-safe; one cache per solver loop, mutated only between parallel
 /// regions (Refresh itself fans out internally, touched papers are row-
 /// disjoint).
@@ -141,73 +143,20 @@ class GainCache {
   /// Completed full builds (1 after the first Refresh).
   int64_t full_builds() const { return full_builds_; }
 
-  const sparse::TopicIndex& reviewer_index() const { return reviewer_index_; }
-
-  /// --- Online-update hooks (core/update.h) -------------------------------
-  /// Called by InstanceUpdater *after* it patches the bound Instance, so a
-  /// live cache survives instance mutations without a full rebuild. Each
-  /// hook repairs the cache geometry immediately (row/column moves of the
-  /// stored doubles, never a re-score) and schedules the minimal re-score
-  /// set for the next Refresh: a full row for a new/retopiced paper, a
-  /// full column for a new/retopiced reviewer, a single cell for a bid or
-  /// lifted-COI change. Re-scores use the same kernels as the initial
-  /// build, and moved entries are the identical doubles a fresh build
-  /// would produce, so after Refresh the cache is bit-identical to one
-  /// built from scratch against the mutated instance
-  /// (tests/update_equivalence_test.cc).
-  ///
-  /// For the remove hooks, `paper`/`reviewer` are pre-removal ids; the
-  /// add hooks apply to the id instance->num_papers()-1 /
-  /// num_reviewers()-1 that the updater just appended. Evictions from the
-  /// tracked assignment are reported separately via NoteAdd/NoteRemove as
-  /// usual (before the geometry hook, with pre-removal ids).
-  void UpdateAddPaper();
-  void UpdateRemovePaper(int paper);
-  void UpdateAddReviewer();
-  void UpdateRemoveReviewer(int reviewer);
-  /// Paper p's topic vector (and mass) changed: full-row re-score.
-  void UpdatePaperChanged(int paper);
-  /// Reviewer r's topic vector changed: rebuilds the CSC index and
-  /// schedules a full-column re-score. The updater additionally calls
-  /// UpdatePaperChanged for every paper whose group contains r — their
-  /// group vectors moved at topics of r's *old* support, which the
-  /// note-diff scan (walking the new support) could miss.
-  void UpdateReviewerChanged(int reviewer);
-  /// COI flip for (paper, reviewer). On: the entry takes the forbidden
-  /// marker immediately (what a fresh build stores). Off: the entry is
-  /// re-scored at the next Refresh.
-  void UpdateConflictChanged(int paper, int reviewer, bool conflicted);
-  /// bids(paper, reviewer) changed: single-cell re-score (the bid bonus is
-  /// per-pair, so no other entry moves).
-  void UpdateBidChanged(int paper, int reviewer);
-
  private:
   void Note(int paper, int reviewer) {
     pending_.emplace_back(paper, reviewer);
   }
   void Initialize(const Assignment& assignment, ThreadPool* pool);
-  void RebuildReviewerIndex();
-  /// Processes pending_rows_/pending_cols_/pending_cells_ (Refresh phase 1,
-  /// before the note-diff patch).
-  void ApplyStructuralPatches(const Assignment& assignment, ThreadPool* pool);
-  bool HasStructuralWork() const {
-    return !pending_rows_.empty() || !pending_cols_.empty() ||
-           !pending_cells_.empty();
-  }
 
   const Instance* instance_;
-  int num_reviewers_ = 0;
+  const int num_reviewers_;
   sparse::TopicIndex reviewer_index_;  // topic → reviewers carrying it
   /// P×R gain doubles; the snapshot holds the group vectors they were
   /// last scored against (the diff base for changed-topic detection).
   std::vector<double> gains_;
   Matrix group_snapshot_;  // P×T
   std::vector<std::pair<int, int>> pending_;  // noted (paper, reviewer)
-  /// Re-score work scheduled by the online-update hooks, consumed by the
-  /// next Refresh before the note-diff patch.
-  std::vector<int> pending_rows_;   // papers needing a full-row re-score
-  std::vector<int> pending_cols_;   // reviewers needing a full-column one
-  std::vector<std::pair<int, int>> pending_cells_;  // single entries
   bool initialized_ = false;
   int64_t patched_entries_ = 0;
   int64_t full_builds_ = 0;

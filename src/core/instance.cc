@@ -40,6 +40,12 @@ Result<Instance> Instance::FromDataset(const data::RapDataset& dataset,
   if (params.group_size <= 0) {
     return Status::InvalidArgument("group_size must be > 0");
   }
+  // 0 is the dynamic-δr sentinel; a negative δr must not pass as one,
+  // since InstanceUpdater checks its params against the built instance.
+  if (params.reviewer_workload < 0) {
+    return Status::InvalidArgument(
+        "reviewer_workload must be >= 0 (0 = minimal)");
+  }
   if (dataset.reviewers.empty()) {
     return Status::InvalidArgument("no reviewers");
   }

@@ -26,7 +26,8 @@ struct InstanceParams {
   /// δp — reviewers per paper.
   int group_size = 3;
   /// δr — max papers per reviewer. 0 selects the paper's default, the
-  /// minimum feasible workload ⌈P·δp/R⌉ (Sec. 5.2).
+  /// minimum feasible workload ⌈P·δp/R⌉ (Sec. 5.2); negative values are
+  /// rejected by FromDataset.
   int reviewer_workload = 0;
   ScoringFunction scoring = ScoringFunction::kWeightedCoverage;
   /// Build CSR views of the topic matrices at construction, switching the

@@ -34,7 +34,7 @@ const char* KnobTypeToString(KnobType type) {
 
 namespace {
 
-// "mcf, hungarian or auction" — the style the pre-schema error messages
+// "sra, ls or none" — the style the pre-schema error messages
 // used, kept so migrated callers see familiar diagnostics.
 std::string JoinForProse(const std::vector<std::string>& values) {
   std::string out;
@@ -205,16 +205,12 @@ Result<TypedOptions> DecodeKnobs(const std::string& owner,
     if (!value.ok()) return value.status();
     if (spec->apply) spec->apply(*value, &typed);
   }
-  // The one cross-knob rule. lap_topk/lap_epsilon write typed.sdga
-  // whichever solver declares them, while `lap` writes typed.sdga on the
-  // stage pipelines and typed.ilp on ilp (no schema writes both), so the
-  // auction may be chosen on either.
-  const bool auction = typed.sdga.backend == LapBackend::kAuction ||
-                       typed.ilp.backend == LapBackend::kAuction;
-  if (!auction &&
-      (typed.sdga.lap_topk != 0 || typed.sdga.lap_epsilon != 0.0)) {
+  // The one cross-knob rule: lap_epsilon tunes ilp's auction, so it is
+  // meaningless on lap=mcf.
+  if (typed.ilp.backend != LapBackend::kAuction &&
+      typed.ilp.lap_epsilon != 0.0) {
     return Status::InvalidArgument(
-        "options 'lap_topk'/'lap_epsilon' require lap=auction");
+        "option 'lap_epsilon' requires lap=auction");
   }
   // Asking for the sparse kernels only makes sense on an instance that
   // carries the CSR views (building them mutates the instance, which a
@@ -316,12 +312,12 @@ KnobSpec ThreadsKnob() {
       1, 256);
 }
 
+// The two stage engines of Sec. 4.2; the auction is ilp's only.
 KnobSpec LapKnob() {
   return EnumKnob(
       "lap", "LAP backend for the per-stage linear-assignment solves",
       {{"mcf", LapBackend::kMinCostFlow},
-       {"hungarian", LapBackend::kHungarian},
-       {"auction", LapBackend::kAuction}},
+       {"hungarian", LapBackend::kHungarian}},
       [](TypedOptions& o) { return std::tie(o.sdga.backend, o.sra.backend); });
 }
 
@@ -336,25 +332,12 @@ KnobSpec IlpLapKnob() {
       [](TypedOptions& o) { return std::tie(o.ilp.backend); });
 }
 
-KnobSpec LapTopKKnob() {
-  return ScalarKnob(
-      "lap_topk",
-      "lap=auction only: build each stage from the top-K gains per paper "
-      "with an exactness guard (0 = dense)",
-      [](TypedOptions& o) { return std::tie(o.sdga.lap_topk, o.sra.lap_topk); },
-      0);
-}
-
 KnobSpec LapEpsilonKnob() {
   return ScalarKnob(
       "lap_epsilon",
       "lap=auction only: initial epsilon of the scaling schedule in profit "
       "units (0 = auto)",
-      [](TypedOptions& o) {
-        return std::tie(o.sdga.lap_epsilon, o.sra.lap_epsilon,
-                        o.ilp.lap_epsilon);
-      },
-      0.0);
+      [](TypedOptions& o) { return std::tie(o.ilp.lap_epsilon); }, 0.0);
 }
 
 KnobSpec GainsKnob() {
@@ -419,8 +402,7 @@ KnobSpec UpdateRefineKnob() {
 // Schema of the SDGA stage pipeline (shared by sdga / sdga-ls and, with
 // the SRA additions, sdga-sra / sra).
 std::vector<KnobSpec> SdgaKnobs() {
-  return {ThreadsKnob(),    LapKnob(),   LapTopKKnob(),
-          LapEpsilonKnob(), GainsKnob(), TopicsKnob()};
+  return {ThreadsKnob(), LapKnob(), GainsKnob(), TopicsKnob()};
 }
 
 std::vector<KnobSpec> SraKnobs() {

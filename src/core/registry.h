@@ -153,7 +153,7 @@ Result<KnobValue> ParseKnobValue(const KnobSpec& spec, const std::string& text);
 /// parameters into every options struct, then parses each key of
 /// options.extra against `specs` and stores it. Fails with
 /// kInvalidArgument on an unknown key (listing the declared knobs; `owner`
-/// names the solver), an ill-typed value, lap_topk/lap_epsilon without
+/// names the solver), an ill-typed value, lap_epsilon without
 /// lap=auction, or topics=sparse on an instance without sparse views.
 Result<TypedOptions> DecodeKnobs(const std::string& owner,
                                  const std::vector<KnobSpec>& specs,

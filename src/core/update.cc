@@ -253,7 +253,6 @@ void InstanceUpdater::EvictPair(int paper, int reviewer,
                                 UpdateReport* report) {
   const Status st = assignment_->Remove(paper, reviewer);
   WGRAP_CHECK_MSG(st.ok(), "evicted pair must be present in the assignment");
-  if (cache_ != nullptr) cache_->NoteRemove(paper, reviewer);
   report->evicted.emplace_back(paper, reviewer);
 }
 
@@ -336,7 +335,6 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
         assignment_->group_vec_ =
             WithRowAppended(assignment_->group_vec_, {});
       }
-      if (cache_ != nullptr) cache_->UpdateAddPaper();
       RefreshWorkload(report);  // δr can only grow here: no evictions
       return Status::OK();
     }
@@ -366,7 +364,6 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
         assignment_->group_vec_ =
             WithRowErased(assignment_->group_vec_, removed);
       }
-      if (cache_ != nullptr) cache_->UpdateRemovePaper(removed);
       RefreshWorkload(report);  // dynamic δr can shrink: may evict
       return Status::OK();
     }
@@ -381,7 +378,6 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
           P, R, [](int p) { return p; }, [](int r) { return r; });
       RebuildSparseViews();
       if (assignment_ != nullptr) assignment_->load_.push_back(0);
-      if (cache_ != nullptr) cache_->UpdateAddReviewer();
       RefreshWorkload(report);  // dynamic δr can shrink: may evict
       return Status::OK();
     }
@@ -428,7 +424,6 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
           }
         }
       }
-      if (cache_ != nullptr) cache_->UpdateRemoveReviewer(removed);
       RefreshWorkload(report);  // dynamic δr can only grow: no evictions
       return Status::OK();
     }
@@ -452,9 +447,6 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       } else {
         instance_->conflicts_[bit >> 6] &= ~(uint64_t{1} << (bit & 63));
       }
-      if (cache_ != nullptr) {
-        cache_->UpdateConflictChanged(u.paper, u.reviewer, u.conflicted);
-      }
       return Status::OK();
     }
     case InstanceUpdate::Kind::kSetBid: {
@@ -477,7 +469,6 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
           assignment_->Contains(u.paper, u.reviewer)) {
         assignment_->RecomputePaper(u.paper);
       }
-      if (cache_ != nullptr) cache_->UpdateBidChanged(u.paper, u.reviewer);
       return Status::OK();
     }
     case InstanceUpdate::Kind::kSetPaperTopics: {
@@ -492,7 +483,6 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       instance_->paper_mass_[u.paper] = mass;
       RebuildSparseViews();
       if (assignment_ != nullptr) assignment_->RecomputePaper(u.paper);
-      if (cache_ != nullptr) cache_->UpdatePaperChanged(u.paper);
       return Status::OK();
     }
     case InstanceUpdate::Kind::kSetReviewerTopics: {
@@ -503,15 +493,11 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       std::copy(u.topics.begin(), u.topics.end(),
                 instance_->reviewers_.Row(u.reviewer));
       RebuildSparseViews();
-      // The CSC index must see the new support before any per-paper work.
-      if (cache_ != nullptr) cache_->UpdateReviewerChanged(u.reviewer);
       for (int p = 0; p < P; ++p) {
         if (assignment_ != nullptr && assignment_->Contains(p, u.reviewer)) {
           // The paper's group vector moved at topics of the reviewer's old
-          // and new supports; recompute it and re-score the whole row (the
-          // note-diff scan only covers the new support).
+          // and new supports.
           assignment_->RecomputePaper(p);
-          if (cache_ != nullptr) cache_->UpdatePaperChanged(p);
         }
       }
       return Status::OK();

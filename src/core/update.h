@@ -6,20 +6,17 @@
 //
 //   InstanceUpdater updater(&instance, params);
 //   updater.TrackAssignment(&assignment);   // optional
-//   updater.TrackGainCache(&cache);         // optional
 //   auto report = updater.Apply(InstanceUpdate::RemoveReviewer(7));
 //   auto resolve = IncrementalResolve(instance, &assignment, options);
 //
 // The contract everything rests on: after Apply, the patched Instance —
 // topic matrices, paper masses, CSR sparse views, COI bitset, bids, and
 // the recomputed default workload δr — is bitwise equal to the one
-// Instance::FromDataset would build from the mutated ground truth, a
-// tracked GainCache refreshes to the bit-identical state of one built
-// from scratch, and a tracked Assignment remains a feasible partial
-// assignment (no COI pairs, no overloaded reviewer) whose groups mirror
-// the survivors. tests/update_equivalence_test.cc fuzzes hundreds of
-// random ops per seed against an independently maintained ground truth to
-// pin exactly that.
+// Instance::FromDataset would build from the mutated ground truth, and a
+// tracked Assignment remains a feasible partial assignment (no COI pairs,
+// no overloaded reviewer) whose groups mirror the survivors.
+// tests/update_equivalence_test.cc fuzzes hundreds of random ops per seed
+// against an independently maintained ground truth to pin exactly that.
 //
 // Id semantics are positional, like the CSV formats: removing paper p
 // shifts every paper id above p down by one (same for reviewers). Batch
@@ -33,7 +30,6 @@
 
 #include "common/status.h"
 #include "core/assignment.h"
-#include "core/gain_cache.h"
 #include "core/instance.h"
 #include "core/registry.h"
 
@@ -89,8 +85,9 @@ struct UpdateReport {
   std::vector<std::pair<int, int>> evicted;
 };
 
-/// Applies typed updates to a live Instance and keeps optional attached
-/// state — one Assignment and one GainCache — consistent with every op.
+/// Applies typed updates to a live Instance and keeps an optional attached
+/// Assignment consistent with every op. Solver caches (core/gain_cache.h)
+/// live inside one solve, so none is ever attached across an update.
 /// Each op validates fully before mutating anything, so a rejected op
 /// leaves the instance untouched. Not thread-safe; apply updates between
 /// solves, never while a solver holds the instance.
@@ -107,12 +104,6 @@ class InstanceUpdater {
   /// decrease) and remaps ids, keeping the assignment a feasible partial
   /// one at all times. Pass nullptr to detach.
   void TrackAssignment(Assignment* assignment) { assignment_ = assignment; }
-
-  /// Attaches a live gain cache over *instance; it is patched via the
-  /// GainCache::Update* hooks and refreshes to the bit-identical state of
-  /// a cache built from scratch. Pass nullptr to detach. Requires a
-  /// tracked assignment (evictions must be noted against it).
-  void TrackGainCache(GainCache* cache) { cache_ = cache; }
 
   Result<UpdateReport> Apply(const InstanceUpdate& update);
   /// Applies in order; stops at (and returns) the first failure, with the
@@ -138,7 +129,6 @@ class InstanceUpdater {
   Instance* instance_;
   InstanceParams params_;
   Assignment* assignment_ = nullptr;
-  GainCache* cache_ = nullptr;
 };
 
 /// Report of one IncrementalResolve run.

@@ -1,6 +1,6 @@
 // Umbrella header for the core/ layer: instances, assignments, scoring,
 // every CRA/JRA solver, the string-keyed solver registry, metrics,
-// repair/reassignment, the SGRAP reduction and case-study reporting.
+// repair, online updates, the SGRAP reduction and case-study reporting.
 // Programs that also want the data layer (CSV I/O, synthetic generators)
 // should include the top-level "wgrap.h" instead.
 //
@@ -23,7 +23,6 @@
 #include "core/instance.h"     // IWYU pragma: export
 #include "core/jra.h"          // IWYU pragma: export
 #include "core/metrics.h"      // IWYU pragma: export
-#include "core/reassign.h"     // IWYU pragma: export
 #include "core/registry.h"     // IWYU pragma: export
 #include "core/repair.h"       // IWYU pragma: export
 #include "core/scoring.h"      // IWYU pragma: export

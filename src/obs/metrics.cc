@@ -9,9 +9,6 @@
 namespace wgrap::obs {
 
 bool Enabled() {
-#ifdef WGRAP_OBS_DISABLED
-  return false;
-#else
   static const bool enabled = [] {
     const char* env = std::getenv("WGRAP_OBS");
     if (env == nullptr) return true;
@@ -19,7 +16,6 @@ bool Enabled() {
            std::strcmp(env, "false") != 0;
   }();
   return enabled;
-#endif
 }
 
 unsigned ShardIndex() {

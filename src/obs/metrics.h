@@ -8,10 +8,9 @@
 // at scrape time. That makes every instrument TSan-clean by construction
 // (tests/obs_test.cc hammers them from 8 threads under the TSan CI job).
 //
-// Kill switch: when telemetry is off (`WGRAP_OBS=0` in the environment,
-// or the WGRAP_OBS_DISABLED compile definition) the registry registers
-// nothing and every Get* returns nullptr, so the canonical call-site
-// idiom reduces to a single never-taken branch:
+// Kill switch: when telemetry is off (`WGRAP_OBS=0` in the environment)
+// the registry registers nothing and every Get* returns nullptr, so the
+// canonical call-site idiom reduces to a single never-taken branch:
 //
 //   static obs::Counter* const fallbacks =
 //       obs::Registry::Global().GetCounter("wgrap_lap_auction_fallbacks");
@@ -35,8 +34,7 @@
 namespace wgrap::obs {
 
 /// Process-wide runtime kill switch: false when the environment says
-/// WGRAP_OBS=0|off|false (read once, at first use) or the library was
-/// compiled with WGRAP_OBS_DISABLED.
+/// WGRAP_OBS=0|off|false (read once, at first use).
 bool Enabled();
 
 /// Threads map onto this many write shards; a power of two so the modulo

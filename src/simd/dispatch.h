@@ -1,8 +1,8 @@
 // Runtime backend selection for the vector kernels (simd/kernels.h).
 //
 // The decision is made once, on first use, and never changes:
-//   1. Built with -DWGRAP_SIMD=OFF (or on a non-x86-64 target) — the AVX2
-//      backend does not exist in the binary; everything is scalar.
+//   1. Built for a non-x86-64 target — the AVX2 backend does not exist
+//      in the binary; everything is scalar.
 //   2. WGRAP_SIMD=0|off|false in the environment — compiled in but
 //      disabled at runtime (the kill-switch idiom WGRAP_OBS and
 //      WGRAP_FAILPOINTS use).

@@ -56,7 +56,7 @@ struct TopTwo {
 };
 
 // Per-backend entry points. `scalar` is always compiled and is the
-// reference; `avx2` exists only in WGRAP_SIMD builds on x86-64
+// reference; `avx2` exists only in x86-64 builds
 // (WGRAP_SIMD_HAVE_AVX2). Call the dispatched wrappers below unless you
 // are the equivalence test.
 namespace scalar {

@@ -1,7 +1,8 @@
 // Single public entry point for the WGRAP library: include "wgrap.h", link
 // wgrap::wgrap. Pulls in the full core API (instances, assignments, every
-// CRA/JRA solver, the solver registry, metrics, repair/reassign, SGRAP and
-// case studies) plus the dataset layer front ends most programs need.
+// CRA/JRA solver, the solver registry, metrics, repair, online updates,
+// SGRAP and case studies) plus the dataset layer front ends most programs
+// need.
 //
 // Quick start (runnable version: examples/quickstart.cc):
 //

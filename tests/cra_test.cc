@@ -202,8 +202,7 @@ TEST(CraSdgaTest, CapRelaxationRetryRunsOnEveryBackend) {
 
   double reference = -1.0;
   for (const LapBackend backend :
-       {LapBackend::kMinCostFlow, LapBackend::kHungarian,
-        LapBackend::kAuction}) {
+       {LapBackend::kMinCostFlow, LapBackend::kHungarian}) {
     SCOPED_TRACE(static_cast<int>(backend));
     SdgaOptions options;
     options.backend = backend;
@@ -214,6 +213,22 @@ TEST(CraSdgaTest, CapRelaxationRetryRunsOnEveryBackend) {
     if (reference < 0.0) reference = sdga->TotalScore();
     EXPECT_NEAR(sdga->TotalScore(), reference, 1e-9);
   }
+}
+
+// The stages run the two engines of Sec. 4.2; the auction is ILP-ARAP's
+// only, and a direct library caller asking for it gets kInvalidArgument.
+TEST(CraSdgaTest, AuctionIsNotAStageEngine) {
+  Instance instance = SmallInstance(9, 7, 3, 64);
+  SdgaOptions sdga;
+  sdga.backend = LapBackend::kAuction;
+  EXPECT_EQ(SolveCraSdga(instance, sdga).status().code(),
+            StatusCode::kInvalidArgument);
+  auto initial = SolveCraSdga(instance);
+  ASSERT_TRUE(initial.ok());
+  SraOptions sra;
+  sra.backend = LapBackend::kAuction;
+  EXPECT_EQ(RefineSra(instance, *initial, sra).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CraIlpArapTest, MaximizesPairwiseObjective) {

@@ -2,6 +2,8 @@
 // capacity feasibility, COI registration, pair scores.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/instance.h"
 #include "data/synthetic_dblp.h"
 
@@ -67,6 +69,18 @@ TEST(InstanceTest, BadGroupSizeRejected) {
   InstanceParams params;
   params.group_size = 0;
   EXPECT_FALSE(Instance::FromDataset(TinyDataset(), params).ok());
+}
+
+// A negative δr is rejected, not read as the dynamic-δr sentinel 0.
+TEST(InstanceTest, NegativeWorkloadRejected) {
+  InstanceParams params;
+  params.group_size = 2;
+  params.reviewer_workload = -3;
+  auto instance = Instance::FromDataset(TinyDataset(), params);
+  ASSERT_FALSE(instance.ok());
+  EXPECT_EQ(instance.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(instance.status().message().find("reviewer_workload"),
+            std::string::npos);
 }
 
 TEST(InstanceTest, InvalidDatasetRejected) {

@@ -322,7 +322,7 @@ TEST(SolverRegistryTest, MalformedExtraValuesAreRejected) {
         {"sra_lambda", "fast"},
         {"sra_lambda", "nan"},  // would slip past every range check
         {"sra_lambda", "-1"},   // Eq. 10 needs a decay, not a growth
-        {"lap_epsilon", "inf"},
+        {"lap", "auction"},  // ILP-ARAP's engine, not a stage engine
         {"topics", "csr"},
         {"gains", "cached"}}) {
     core::SolverRunOptions options;
@@ -483,9 +483,8 @@ auto PlainFields(const core::TypedOptions& o) {
   return std::tie(
       o.cra.time_limit_seconds, o.cra.num_threads, o.sdga.time_limit_seconds,
       o.sdga.num_threads, o.sdga.backend, o.sdga.gains,
-      o.sdga.confine_stage_workload, o.sdga.lap_topk, o.sdga.lap_epsilon,
-      o.sra.time_limit_seconds, o.sra.num_threads, o.sra.backend,
-      o.sra.lap_topk, o.sra.lap_epsilon, o.sra.gains,
+      o.sdga.confine_stage_workload, o.sra.time_limit_seconds,
+      o.sra.num_threads, o.sra.backend, o.sra.gains,
       o.sra.convergence_window, o.sra.decay_lambda, o.sra.max_iterations,
       o.sra.uniform_probability, o.sra.seed, o.ls.time_limit_seconds,
       o.ls.num_threads, o.ls.max_stall_proposals, o.ls.gains, o.ls.seed,
@@ -529,8 +528,7 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
   core::SolverRunOptions options;
   options.time_limit_seconds = 3.0;
   options.seed = 5;
-  options.extra = {{"threads", "4"},     {"lap", "auction"},
-                   {"lap_topk", "8"},    {"lap_epsilon", "0.5"},
+  options.extra = {{"threads", "4"},   {"lap", "mcf"},
                    {"gains", "rebuild"}, {"sra_omega", "3"},
                    {"sra_lambda", "0.2"}};
   auto typed = core::DecodeKnobs("sdga-sra",
@@ -545,11 +543,8 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
     EXPECT_EQ(cra->num_threads, 4);
     EXPECT_EQ(cra->time_limit_seconds, 3.0);
   }
-  EXPECT_EQ(typed->sdga.backend, core::LapBackend::kAuction);
-  EXPECT_EQ(typed->sra.backend, core::LapBackend::kAuction);
-  EXPECT_EQ(typed->sdga.lap_topk, 8);
-  EXPECT_EQ(typed->sra.lap_topk, 8);
-  EXPECT_EQ(typed->sra.lap_epsilon, 0.5);
+  EXPECT_EQ(typed->sdga.backend, core::LapBackend::kMinCostFlow);
+  EXPECT_EQ(typed->sra.backend, core::LapBackend::kMinCostFlow);
   EXPECT_EQ(typed->sdga.gains, core::GainMode::kRebuild);
   EXPECT_EQ(typed->ls.gains, core::GainMode::kRebuild);
   EXPECT_EQ(typed->sra.convergence_window, 3);
@@ -557,19 +552,41 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
   EXPECT_EQ(typed->sra.seed, 5u);
   EXPECT_EQ(typed->ls.seed, 5u);
 
-  // The cross-knob rule lives in the same step: the auction-only knobs
-  // without lap=auction fail, whichever solver declares them.
-  for (const char* solver : {"sdga", "sra", "ilp"}) {
-    SCOPED_TRACE(solver);
-    core::SolverRunOptions bad;
-    bad.extra["lap_epsilon"] = "0.5";
-    auto rejected = core::DecodeKnobs(
-        solver, core::SolverRegistry::Default().Find(solver)->knobs, bad,
-        instance);
-    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(rejected.status().message().find("require lap=auction"),
-              std::string::npos);
+  // The stage pipelines run hungarian or mcf only: lap=auction and the
+  // retired lap_topk are rejected, naming the knob.
+  for (const char* solver : {"sdga", "sdga-sra", "sdga-ls", "sra"}) {
+    for (const auto& [key, value] :
+         {std::pair<const char*, const char*>{"lap", "auction"},
+          {"lap_topk", "8"},
+          {"lap_epsilon", "0.5"}}) {
+      SCOPED_TRACE(std::string(solver) + " " + key);
+      core::SolverRunOptions bad;
+      bad.extra[key] = value;
+      auto rejected = core::DecodeKnobs(
+          solver, core::SolverRegistry::Default().Find(solver)->knobs, bad,
+          instance);
+      EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(rejected.status().message().find(key), std::string::npos);
+    }
   }
+
+  // The cross-knob rule lives in the same step: ilp's lap_epsilon tunes
+  // the auction, so it needs lap=auction, and then writes only o.ilp.
+  const std::vector<core::KnobSpec>& ilp_knobs =
+      core::SolverRegistry::Default().Find("ilp")->knobs;
+  core::SolverRunOptions bad;
+  bad.extra["lap_epsilon"] = "0.5";
+  auto rejected = core::DecodeKnobs("ilp", ilp_knobs, bad, instance);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("requires lap=auction"),
+            std::string::npos);
+  core::SolverRunOptions good = bad;
+  good.extra["lap"] = "auction";
+  auto ilp = core::DecodeKnobs("ilp", ilp_knobs, good, instance);
+  ASSERT_TRUE(ilp.ok()) << ilp.status().ToString();
+  EXPECT_EQ(ilp->ilp.backend, core::LapBackend::kAuction);
+  EXPECT_EQ(ilp->ilp.lap_epsilon, 0.5);
+  EXPECT_EQ(ilp->sdga.backend, core::LapBackend::kHungarian);
 }
 
 TEST(SolverRegistryTest, TimeLimitIsThreadedThrough) {

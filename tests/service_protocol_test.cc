@@ -168,6 +168,26 @@ TEST(ProtocolTest, ZeroCoverageInstanceCannotAbortTheServer) {
   EXPECT_EQ(out.str(), expected);
 }
 
+TEST(ProtocolTest, NegativeWorkloadCannotAbortTheServer) {
+  // Regression: a negative dr used to build an instance with dynamic δr,
+  // and the session's InstanceUpdater then aborted on the mismatch. The
+  // open is now rejected and the server keeps answering.
+  auto dataset = core::MakeFuzzDataset(Config());
+  ASSERT_TRUE(dataset.ok());
+  std::string script;
+  Send(&script, "open s dp=3 dr=-3", data::DatasetToCsv(*dataset));
+  script += "ping\n";
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  EXPECT_EQ(out.str(),
+            Err(StatusCode::kInvalidArgument,
+                "reviewer_workload must be >= 0 (0 = minimal)") +
+                Ok("pong\n"));
+}
+
 TEST(ProtocolTest, ErrorFramesCarryStatusCodes) {
   ServiceApi api;
   std::string script;
@@ -198,19 +218,19 @@ TEST(ProtocolTest, ErrorFramesCarryStatusCodes) {
   EXPECT_EQ(out.str(), expected);
 }
 
-TEST(ProtocolTest, CrossKnobErrorsFailTheSubmitWithoutAJobId) {
+TEST(ProtocolTest, KnobErrorsFailTheSubmitWithoutAJobId) {
   auto dataset = core::MakeFuzzDataset(Config());
   ASSERT_TRUE(dataset.ok());
   std::string script;
   Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
-  // Each knob is legal on its own; together with the default lap=hungarian
-  // they break the one cross-knob rule, which submit and resolve check before
-  // handing out a job id.
-  script += "submit conf solve sdga lap_topk=8\n";
-  script += "resolve conf lap_epsilon=0.5\n";
+  // The auction is not a stage engine, and lap_epsilon alone breaks ilp's
+  // one cross-knob rule; submit and resolve check both before handing out
+  // a job id, and the session keeps serving.
+  script += "submit conf solve sdga lap=auction\n";
+  script += "submit conf solve ilp lap_epsilon=0.5\n";
   script += "submit conf solve greedy\n";
   script += "wait 1\n";
-  script += "resolve conf lap_epsilon=0.5\n";
+  script += "resolve conf lap=auction\n";
   script += "resolve conf refine=none\n";
   script += "quit\n";
 
@@ -218,14 +238,17 @@ TEST(ProtocolTest, CrossKnobErrorsFailTheSubmitWithoutAJobId) {
   std::istringstream in(script);
   std::ostringstream out;
   ServeStream(in, out, api);
-  const std::string rule =
+  const std::string stage_engine =
       Err(StatusCode::kInvalidArgument,
-          "options 'lap_topk'/'lap_epsilon' require lap=auction");
+          "option 'lap': 'auction' (use mcf or hungarian)");
+  const std::string rule = Err(StatusCode::kInvalidArgument,
+                               "option 'lap_epsilon' requires lap=auction");
   const std::string session = Ok("session conf v1 P=8 R=12 T=10 unassigned\n");
   const std::string output = out.str();
-  ASSERT_EQ(output.rfind(session + rule + rule + Ok("job 1\n"), 0), 0u)
+  ASSERT_EQ(output.rfind(session + stage_engine + rule + Ok("job 1\n"), 0),
+            0u)
       << output;
-  const std::size_t resolved = output.find(rule + Ok("job 2\n"));
+  const std::size_t resolved = output.find(stage_engine + Ok("job 2\n"));
   EXPECT_NE(resolved, std::string::npos) << output;
 }
 

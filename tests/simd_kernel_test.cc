@@ -5,7 +5,7 @@
 // does not manufacture a NaN from infinities (see FiniteNastyDouble).
 // Doubles are compared by bit pattern, never by ==, so a
 // -0.0-vs-+0.0 or NaN-payload divergence fails loudly. When the build
-// carries no AVX2 backend (WGRAP_SIMD=OFF or non-x86), the cross-backend
+// carries no AVX2 backend (a non-x86 target), the cross-backend
 // cases vanish and only the scalar-reference properties remain.
 #include <gtest/gtest.h>
 

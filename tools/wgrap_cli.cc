@@ -19,8 +19,7 @@
 //   wgrap_cli generate  --pool 300 --papers 50 --out pool.csv
 //   wgrap_cli solve     --dataset d.csv --dp 3 [--dr N] [--algo sdga-sra]
 //                       [--scoring c|cR|cP|cD] [--budget secs] [--seed S]
-//                       [--threads N] [--lap mcf|hungarian|auction]
-//                       [--lap-topk K] [--lap-epsilon E]
+//                       [--threads N] [--lap hungarian|mcf]
 //                       [--sra-omega W] [--sra-lambda L]
 //                       [--topics dense|sparse]
 //                       [--gains incremental|rebuild]
@@ -32,6 +31,8 @@
 //      byte-identical to an uninstrumented run, which CI asserts)
 //     (--refine runs the algo's refine-from-initial hook — sra or ls —
 //      on an existing assignment instead of solving from scratch)
+//     (--algo ilp takes --lap mcf|auction [--lap-epsilon E]; the auction
+//      is ILP-ARAP's engine only)
 //   wgrap_cli jra       --dataset d.csv --paper 0 --dp 3 [--topk 5]
 //                       [--algo bba] [--topics dense|sparse]
 //                       [--bba-bounding on|off] [--bba-gain-branching on|off]

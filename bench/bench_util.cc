@@ -53,10 +53,8 @@ std::vector<CraMethod> PaperCraMethods(int num_threads,
          return core::SolveCraStableMatching(instance);
        }},
       {"ILP",
-       [num_threads](const core::Instance& instance, double) {
-         core::IlpArapOptions ilp;
-         ilp.num_threads = num_threads;
-         return core::SolveCraIlpArap(instance, ilp);
+       [](const core::Instance& instance, double) {
+         return core::SolveCraIlpArap(instance);
        }},
       {"BRGG",
        [num_threads](const core::Instance& instance, double) {

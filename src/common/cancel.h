@@ -2,7 +2,7 @@
 // shared flag the owner (typically the service job queue) flips to true;
 // solvers poll it at the same coarse-grained boundaries where they poll
 // their Deadline (SDGA stage starts, SRA/LS rounds, greedy/BRGG commits,
-// RRAP reviewer scans, min-cost-flow augmenting paths) and abort with
+// RRAP reviewer scans, ILP-ARAP's JV unit insertions) and abort with
 // Status::Cancelled. Like the time budget, cancellation is best-effort and
 // coarse: a solve that finishes before the next poll returns its result
 // normally.

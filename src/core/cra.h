@@ -14,8 +14,8 @@
 //                            any feasible assignment.
 //   RefineLocalSearch      — plain hill-climbing refinement (Fig. 12's LS).
 //   SolveCraStableMatching — Gale–Shapley college-admissions baseline (SM).
-//   SolveCraIlpArap        — exact ARAP (per-pair objective) via min-cost
-//                            flow or the ε-scaling auction; the paper's
+//   SolveCraIlpArap        — exact ARAP (per-pair objective) via one
+//                            demand-δp Jonker–Volgenant solve; the paper's
 //                            "ILP" baseline.
 #ifndef WGRAP_CORE_CRA_H_
 #define WGRAP_CORE_CRA_H_
@@ -84,17 +84,16 @@ enum class GainMode {
   kIncremental,
 };
 
-/// LAP engine. The SDGA stages and the SRA completion step run the two
-/// engines of Sec. 4.2, kHungarian (the default) and kMinCostFlow;
+/// Stage LAP engine. The SDGA stages and the SRA completion step run the
+/// two engines of Sec. 4.2, kHungarian (the default) and kMinCostFlow;
 /// SolveCraSdga and RefineSra reject kAuction with kInvalidArgument.
-/// ILP-ARAP runs kMinCostFlow (its default) or kAuction.
 enum class LapBackend {
   kMinCostFlow,  // transportation network (la/transportation.h)
   kHungarian,    // capacity-aware Jonker–Volgenant shortest augmenting
                  // paths, one dual per reviewer
                  // (la::SolveCapacitatedAssignment in la/hungarian.h)
-  kAuction,      // ILP-ARAP only: parallel ε-scaling auction
-                 // (la/auction.h), bit-identical at any thread count
+  kAuction,      // no solver accepts it: the ε-scaling auction
+                 // (la/auction.h) is a benchmark probe only
 };
 
 struct SdgaOptions : CraOptions {
@@ -194,24 +193,14 @@ Result<Assignment> RefineLocalSearch(const Instance& instance,
 Result<Assignment> SolveCraStableMatching(const Instance& instance,
                                           const CraOptions& options = {});
 
-struct IlpArapOptions : CraOptions {
-  /// kAuction routes the single demand-δp transportation solve through
-  /// the parallel auction (silently falling back to min-cost flow
-  /// whenever the demand > 1 auction cannot certify optimality, so the
-  /// returned optimum is backend-independent); anything else uses
-  /// min-cost flow. num_threads feeds the auction's bidding fan-out.
-  LapBackend backend = LapBackend::kMinCostFlow;
-  /// Auction initial ε in profit units (0 = auto).
-  double lap_epsilon = 0.0;
-};
-
 /// Exact solver for ARAP, the *per-pair* objective Σ c(r→, p→) (the
-/// paper's "ILP" baseline), via one transportation solve (min-cost flow,
-/// or the ε-scaling auction when options.backend == kAuction).
-/// Optimal for ARAP but not for WGRAP — the group objective is what it
-/// deliberately ignores. O(min-cost-flow(P·δp, R)).
+/// paper's "ILP" baseline), via one transportation solve: the stage JV
+/// with demand δp (la::SolveCapacitatedAssignment), polling the budget
+/// and the cancel token per inserted reviewer slot. Sequential. Optimal
+/// for ARAP but not for WGRAP — the group objective is what it
+/// deliberately ignores. O(P·δp · R · (R + P)) worst case.
 Result<Assignment> SolveCraIlpArap(const Instance& instance,
-                                   const IlpArapOptions& options = {});
+                                   const CraOptions& options = {});
 
 /// Convenience: SDGA followed by SRA (the paper's SDGA-SRA method).
 Result<Assignment> SolveCraSdgaSra(const Instance& instance,

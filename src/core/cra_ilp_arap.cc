@@ -3,26 +3,19 @@
 // Its constraint matrix is a transportation polytope (totally unimodular),
 // so the integer optimum equals the LP optimum and one transportation
 // solve finds it exactly — same optimum as lp_solve on the ILP, orders of
-// magnitude faster. Like SM, it ignores group diversity; an
-// interdisciplinary paper can end up with δp copies of the same narrow
-// expertise.
-//
-// With options.backend == kAuction, the demand-δp solve runs on the
-// parallel ε-scaling auction (la/auction.h); the transportation layer
-// falls back to min-cost flow whenever the demand > 1 auction cannot
-// certify optimality, so the optimum is backend-independent either way.
-#include <memory>
-
+// magnitude faster. That solve is the stage engine's Jonker–Volgenant
+// (la/hungarian.h) with demand δp per paper. Like SM, it ignores group
+// diversity; an interdisciplinary paper can end up with δp copies of the
+// same narrow expertise.
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/cra.h"
-#include "la/transportation.h"
+#include "la/hungarian.h"
 #include "obs/trace.h"
 
 namespace wgrap::core {
 
 Result<Assignment> SolveCraIlpArap(const Instance& instance,
-                                   const IlpArapOptions& options) {
+                                   const CraOptions& options) {
   obs::ScopedSpan solve_span("ilp_arap");
   const int P = instance.num_papers();
   const int R = instance.num_reviewers();
@@ -31,7 +24,7 @@ Result<Assignment> SolveCraIlpArap(const Instance& instance,
   Matrix profit(P, R);
   for (int p = 0; p < P; ++p) {
     // Per-paper-row poll: the profit build is O(P·R) and can dominate on
-    // wide instances, so the budget must cover it, not just the flow solve.
+    // wide instances, so the budget must cover it, not just the JV solve.
     if (deadline.Expired()) {
       return Status::ResourceExhausted("ILP-ARAP time limit exceeded");
     }
@@ -43,20 +36,8 @@ Result<Assignment> SolveCraIlpArap(const Instance& instance,
   }
   std::vector<int> capacity(R, instance.reviewer_workload());
 
-  la::TransportationOptions transport;
-  std::unique_ptr<ThreadPool> pool;
-  if (options.backend == LapBackend::kAuction) {
-    transport.backend = la::TransportationBackend::kAuction;
-    transport.initial_epsilon = options.lap_epsilon;
-    if (options.num_threads > 1) {
-      pool = std::make_unique<ThreadPool>(options.num_threads);
-      transport.pool = pool.get();
-    }
-  }
-  if (deadline.HasLimit()) transport.deadline = &deadline;
-  transport.cancel = options.cancel;
-  auto solved = la::SolveTransportationWithDemand(
-      profit, capacity, instance.group_size(), transport);
+  auto solved = la::SolveCapacitatedAssignment(
+      profit, capacity, instance.group_size(), &deadline, options.cancel);
   if (!solved.ok()) return solved.status();
 
   Assignment assignment(&instance);

@@ -186,7 +186,7 @@ Result<TypedOptions> DecodeKnobs(const std::string& owner,
                                  const Instance& instance) {
   TypedOptions typed;
   for (CraOptions* cra : std::initializer_list<CraOptions*>{
-           &typed.cra, &typed.sdga, &typed.sra, &typed.ls, &typed.ilp}) {
+           &typed.cra, &typed.sdga, &typed.sra, &typed.ls}) {
     cra->time_limit_seconds = options.time_limit_seconds;
     cra->cancel = options.cancel;
     cra->progress = options.progress;
@@ -204,13 +204,6 @@ Result<TypedOptions> DecodeKnobs(const std::string& owner,
     auto value = ParseKnobValue(*spec, text);
     if (!value.ok()) return value.status();
     if (spec->apply) spec->apply(*value, &typed);
-  }
-  // The one cross-knob rule: lap_epsilon tunes ilp's auction, so it is
-  // meaningless on lap=mcf.
-  if (typed.ilp.backend != LapBackend::kAuction &&
-      typed.ilp.lap_epsilon != 0.0) {
-    return Status::InvalidArgument(
-        "option 'lap_epsilon' requires lap=auction");
   }
   // Asking for the sparse kernels only makes sense on an instance that
   // carries the CSR views (building them mutates the instance, which a
@@ -306,38 +299,18 @@ KnobSpec ThreadsKnob() {
       "at any value",
       [](TypedOptions& o) {
         return std::tie(o.cra.num_threads, o.sdga.num_threads,
-                        o.sra.num_threads, o.ls.num_threads,
-                        o.ilp.num_threads);
+                        o.sra.num_threads, o.ls.num_threads);
       },
       1, 256);
 }
 
-// The two stage engines of Sec. 4.2; the auction is ilp's only.
+// The two stage engines of Sec. 4.2.
 KnobSpec LapKnob() {
   return EnumKnob(
       "lap", "LAP backend for the per-stage linear-assignment solves",
       {{"mcf", LapBackend::kMinCostFlow},
        {"hungarian", LapBackend::kHungarian}},
       [](TypedOptions& o) { return std::tie(o.sdga.backend, o.sra.backend); });
-}
-
-// ilp's single transportation solve gives each paper δp distinct reviewers
-// (demand-δp rows). Min-cost flow and the auction model that; the
-// Hungarian engine gives each row one agent. So ilp's schema offers only
-// mcf and auction, keeps mcf as its default and writes only o.ilp.
-KnobSpec IlpLapKnob() {
-  return EnumKnob(
-      "lap", "backend for the demand-dp transportation solve",
-      {{"mcf", LapBackend::kMinCostFlow}, {"auction", LapBackend::kAuction}},
-      [](TypedOptions& o) { return std::tie(o.ilp.backend); });
-}
-
-KnobSpec LapEpsilonKnob() {
-  return ScalarKnob(
-      "lap_epsilon",
-      "lap=auction only: initial epsilon of the scaling schedule in profit "
-      "units (0 = auto)",
-      [](TypedOptions& o) { return std::tie(o.ilp.lap_epsilon); }, 0.0);
 }
 
 KnobSpec GainsKnob() {
@@ -493,11 +466,11 @@ SolverRegistry BuildDefaultRegistry() {
     return SolveCraStableMatching(instance, options.cra);
   };
   add(kCra, "ilp", "ILP (exact ARAP)",
-      "exact per-pair-objective assignment via one transportation solve "
-      "(lap=mcf or auction)",
-      {ThreadsKnob(), IlpLapKnob(), LapEpsilonKnob(), TopicsKnob()})
+      "exact per-pair-objective assignment via one demand-dp "
+      "transportation solve",
+      {TopicsKnob()})
       .cra = [](const Instance& instance, const TypedOptions& options) {
-    return SolveCraIlpArap(instance, options.ilp);
+    return SolveCraIlpArap(instance, options.cra);
   };
   SolverDescriptor& rrap =
       add(kCra, "rrap", "RRAP (Definition 4, retrieval baseline)",

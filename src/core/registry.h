@@ -102,11 +102,10 @@ struct SolverRunOptions {
 /// several structs carry (threads, lap, gains, ...) is written to all of
 /// them; each factory hands its own struct to the solver.
 struct TypedOptions {
-  CraOptions cra;          // greedy, brgg, sm, rrap
+  CraOptions cra;          // greedy, brgg, sm, ilp, rrap
   SdgaOptions sdga;        // sdga, and the SDGA stage of sdga-sra / sdga-ls
   SraOptions sra;          // sra, and the refinement of sdga-sra
   LocalSearchOptions ls;   // ls, and the refinement of sdga-ls
-  IlpArapOptions ilp;      // ilp
   JraOptions jra;          // bfs, jra-ilp, jra-cp
   BbaOptions bba;          // bba
   /// The "topics" knob asked for the CSR-sparse kernels.
@@ -153,8 +152,8 @@ Result<KnobValue> ParseKnobValue(const KnobSpec& spec, const std::string& text);
 /// parameters into every options struct, then parses each key of
 /// options.extra against `specs` and stores it. Fails with
 /// kInvalidArgument on an unknown key (listing the declared knobs; `owner`
-/// names the solver), an ill-typed value, lap_epsilon without
-/// lap=auction, or topics=sparse on an instance without sparse views.
+/// names the solver), an ill-typed value, or topics=sparse on an instance
+/// without sparse views.
 Result<TypedOptions> DecodeKnobs(const std::string& owner,
                                  const std::vector<KnobSpec>& specs,
                                  const SolverRunOptions& options,

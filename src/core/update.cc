@@ -596,10 +596,18 @@ Result<std::vector<InstanceUpdate>> ParseMutationScript(
     auto read_int = [&](int* out) {
       return static_cast<bool>(in >> *out);
     };
+    // A topic vector is the rest of the line: a token that is not a number
+    // fails it instead of ending the vector early.
     auto read_topics = [&](std::vector<double>* out) {
       double w;
       while (in >> w) out->push_back(w);
-      return !out->empty();
+      return !out->empty() && in.eof();
+    };
+    // Whatever a field read left behind ("3abc" reads as 3) or a token
+    // after the last field makes the line malformed.
+    auto at_end = [&] {
+      std::string rest;
+      return !(in >> rest);
     };
 
     if (op == "add_paper" || op == "add_reviewer") {
@@ -612,24 +620,28 @@ Result<std::vector<InstanceUpdate>> ParseMutationScript(
                             : InstanceUpdate::AddReviewer(std::move(topics)));
     } else if (op == "remove_paper") {
       int p;
-      if (!read_int(&p)) return bad("remove_paper needs a paper id");
+      if (!read_int(&p) || !at_end()) {
+        return bad("remove_paper needs a paper id");
+      }
       updates.push_back(InstanceUpdate::RemovePaper(p));
     } else if (op == "remove_reviewer") {
       int r;
-      if (!read_int(&r)) return bad("remove_reviewer needs a reviewer id");
+      if (!read_int(&r) || !at_end()) {
+        return bad("remove_reviewer needs a reviewer id");
+      }
       updates.push_back(InstanceUpdate::RemoveReviewer(r));
     } else if (op == "set_coi") {
       int r, p;
       std::string state;
       if (!read_int(&r) || !read_int(&p) || !(in >> state) ||
-          (state != "on" && state != "off")) {
+          (state != "on" && state != "off") || !at_end()) {
         return bad("set_coi needs <reviewer> <paper> on|off");
       }
       updates.push_back(InstanceUpdate::SetCoi(r, p, state == "on"));
     } else if (op == "set_bid") {
       int p, r;
       double bid;
-      if (!read_int(&p) || !read_int(&r) || !(in >> bid)) {
+      if (!read_int(&p) || !read_int(&r) || !(in >> bid) || !at_end()) {
         return bad("set_bid needs <paper> <reviewer> <bid>");
       }
       updates.push_back(InstanceUpdate::SetBid(p, r, bid));

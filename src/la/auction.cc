@@ -40,44 +40,13 @@
 // simd/kernels.h selection kernels (AVX2 when dispatched, same result
 // bit for bit).
 //
-// Demand > 1: task-atomic multi-bids + a reverse repair stage. With
-// demand d, a task's units must land on d DISTINCT agents — an
-// edge-capacitated transportation problem, not a plain assignment.
-// Per-unit bidding with sibling exclusion livelocks near saturation (two
-// siblings chasing the same last agent lock each other out forever), so
-// a task bids atomically for ALL of its m missing units at once: its m
-// best distinct non-held agents at prices that keep every chosen agent's
-// post-bid reduced value at the (m+1)-th best alternative minus ε
-// (Bertsekas & Castañón's similar-object bidding). Distinctness is
-// structural — the m targets are distinct by construction and disjoint
-// from the held set — so no exclusion rule is needed in resolution.
-// Because distinctness is a side constraint the symmetric ε-CS theorem
-// does not cover, optimality comes from an explicit dual certificate
-// for the edge-capacitated LP instead, checked by a repair stage at the
-// end of every phase. The certificate's agent duals are the cheapest
-// slot prices bidders actually see, normalized by subtracting the
-// global minimum cheapest price (see the repair stage comment): the
-// normalization makes the certificate invariant under uniform price
-// inflation, the dummies pin every spare-capacity agent's dual within ε
-// of zero, and — because cert duals and bidder-visible prices agree up
-// to that shared constant — every certificate violation is also a > ε
-// forward-bid improvement for the unit it releases, so release-and-
-// re-bid repairs make direct progress instead of fighting the bidding.
-// Each term the relaxed certificate tolerates costs ≤ ε in the duality
-// gap, values are multiples of M = total_slots + 1, and the final phase
-// runs at ε = 1, so a gap < total_slots·ε < M pins the exact optimum.
-// The min-cost-flow fallback remains as a budget-guarded failsafe
-// (wgrap_lap_auction_fallbacks_total counts it; the equivalence suite
-// pins it at zero).
-//
 // Infeasibility. If the instance is feasible, no slot price can climb
 // more than (units + 1)·(Δ + ε) above its value at the start of a phase
 // (Bertsekas' price bound), so a bid exceeding the accumulated ceiling
 // proves the candidate graph cannot cover all units — except that the
 // bound is theory, so before declaring infeasibility we confirm with an
 // exact zero-cost max-flow on the candidate graph (cheap, and only on
-// this rare path). The pruning layer in cra_sdga.cc treats kInfeasible as
-// "widen K".
+// this rare path). SolveAuctionTopK treats kInfeasible as "widen K".
 #include "la/auction.h"
 
 #include <algorithm>
@@ -157,16 +126,16 @@ Status ValidateProblem(const SparseLapProblem& problem,
 }
 
 // Exact feasibility of the candidate graph via zero-cost max flow: can
-// every task route `demand` units to distinct usable agents? Only run on
-// the rare ceiling-hit path, so the cost does not sit on the solve path.
+// every task get a slot of its own? Only run on the rare ceiling-hit path,
+// so the cost does not sit on the solve path.
 bool ExactlyFeasible(const SparseLapProblem& problem,
-                     const std::vector<int>& slots_per_agent, int demand) {
+                     const std::vector<int>& slots_per_agent) {
   const int tasks = problem.num_tasks;
   const int agents = problem.num_agents;
   const int source = 0;
   const int sink = tasks + agents + 1;
   MinCostFlow flow(sink + 1);
-  for (int t = 0; t < tasks; ++t) flow.AddEdge(source, 1 + t, demand, 0);
+  for (int t = 0; t < tasks; ++t) flow.AddEdge(source, 1 + t, 1, 0);
   for (int t = 0; t < tasks; ++t) {
     for (int64_t e = problem.row_offsets[t]; e < problem.row_offsets[t + 1];
          ++e) {
@@ -180,8 +149,7 @@ bool ExactlyFeasible(const SparseLapProblem& problem,
     }
   }
   auto solved = flow.Solve(source, sink);
-  return solved.ok() &&
-         solved->flow == static_cast<int64_t>(tasks) * demand;
+  return solved.ok() && solved->flow == tasks;
 }
 
 }  // namespace
@@ -192,15 +160,10 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
   WGRAP_RETURN_IF_ERROR(ValidateProblem(problem, capacity));
   const int tasks = problem.num_tasks;
   const int agents = problem.num_agents;
-  const int demand = options.demand;
-  if (demand < 1) return Status::InvalidArgument("demand must be >= 1");
 
   AuctionResult result;
-  result.task_to_agents.resize(tasks);
   result.task_value.assign(tasks, 0);
   if (tasks == 0) return result;
-
-  const int64_t num_real64 = static_cast<int64_t>(tasks) * demand;
 
   // A task sends at most one unit to any agent, so capacity beyond
   // num_tasks is unusable — clamp so slot storage stays O(agents·tasks).
@@ -210,7 +173,7 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
     slots_per_agent[a] = std::min(capacity[a], tasks);
     total_slots64 += slots_per_agent[a];
   }
-  if (total_slots64 < num_real64) {
+  if (total_slots64 < tasks) {
     return Status::Infeasible("agent capacity below total task demand");
   }
   if (total_slots64 > std::numeric_limits<int>::max() / 2) {
@@ -218,10 +181,7 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
   }
   // Balance the problem: zero-value dummy units fill the spare slots
   // (see the header comment — required for ε-scaling price carryover to
-  // stay exact, and for demand > 1 the dummies are also what pins the
-  // spare-capacity agents' duals near the price floor). Real units are
-  // [0, num_real); unit u < num_real belongs to task u / demand.
-  const int num_real = static_cast<int>(num_real64);
+  // stay exact). Unit u < tasks is task u; the rest are dummies.
   const int num_units = static_cast<int>(total_slots64);
 
   // Scale profits once; track the range over usable edges (edges to
@@ -240,8 +200,8 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
       s_max = std::max(s_max, scaled[e]);
       ++usable;
     }
-    if (usable < demand) {
-      return Status::Infeasible("task has fewer candidate agents than demand");
+    if (usable == 0) {
+      return Status::Infeasible("task has no candidate agent");
     }
   }
 
@@ -260,17 +220,8 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
   }
   const int64_t value_range = static_cast<int64_t>(range128);  // Δ
 
-  int64_t epsilon0 = std::max<int64_t>(1, value_range / kEpsilonDivisor);
-  if (options.initial_epsilon > 0.0) {
-    const double clamped =
-        std::min(options.initial_epsilon, 2.0 * kMaxTransportProfit);
-    const __int128 user =
-        static_cast<__int128>(
-            std::llround(clamped * kTransportProfitScale)) *
-        unit_value;
-    epsilon0 = static_cast<int64_t>(std::max<__int128>(
-        1, std::min<__int128>(user, std::max<int64_t>(value_range, 1))));
-  }
+  const int64_t epsilon0 =
+      std::max<int64_t>(1, value_range / kEpsilonDivisor);
   int num_phases = 1;
   for (int64_t e = epsilon0; e > 1; e /= kEpsilonDivisor) ++num_phases;
   // Accumulated Bertsekas price bound over every phase; exceeding it is
@@ -317,11 +268,6 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
   touched.reserve(agents);
   std::vector<int> unassigned;
   unassigned.reserve(num_units);
-  // Demand > 1: tasks bid atomically for all their missing units (see the
-  // header comment); scratch for grouping the round's bidders.
-  std::vector<int> bidder_tasks;
-  std::vector<int> bidder_dummies;
-
   int64_t work = 0;  // bids + per-round bookkeeping, the actual cost unit
   int64_t rounds = 0;
   int64_t bids = 0;
@@ -336,22 +282,18 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
   const int64_t work_cap =
       std::max<int64_t>(20'000'000, 5'000 * int64_t{num_units});
 
-  // Symmetric bid for one unit: every unit when demand == 1, and the
-  // task-less dummies at any demand (real units with demand > 1 bid
-  // through bid_for_task instead, which owns the sibling-distinctness
-  // constraint). Reads only the immutable snapshot and writes only its own
-  // bid cells — deterministic at any thread count. The scans are the
-  // dispatched top-two kernels; price1[a] == kNoPrice exactly when agent
+  // Bid for one unit. Reads only the immutable snapshot and writes only
+  // its own bid cells — deterministic at any thread count. The scans are
+  // the dispatched top-two kernels; price1[a] == kNoPrice exactly when agent
   // a has no slots, so the reduced scan needs no separate empty mask.
   const auto bid_for_unit = [&](int u, int64_t epsilon) {
     int64_t best_v = 0;  // M-domain value of the chosen agent's edge
     int64_t best_e = -1;
     int chosen = -1;
     simd::TopTwo top;
-    if (u < num_real) {
-      const int t = u / demand;
-      const int64_t begin = problem.row_offsets[t];
-      const int count = static_cast<int>(problem.row_offsets[t + 1] - begin);
+    if (u < tasks) {
+      const int64_t begin = problem.row_offsets[u];
+      const int count = static_cast<int>(problem.row_offsets[u + 1] - begin);
       top = simd::TopTwoReduced(value.data() + begin,
                                 problem.agent_ids.data() + begin, count,
                                 price1.data(), kNoPrice);
@@ -384,78 +326,6 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
     bid_amount[u] = best_v - second_value + epsilon;
   };
 
-  // Task-atomic multi-bid (demand > 1): task t bids for all m of its
-  // missing units at once, on its m best distinct non-held agents, each
-  // priced so the chosen agent's post-bid reduced value sits at the
-  // (m+1)-th best alternative minus ε. Every bid strictly beats its
-  // target's snapshot cheapest price (the m-th best reduced value is ≥
-  // the floor by construction), so every round makes progress; and the m
-  // targets are distinct and disjoint from the held set by construction,
-  // which is what lets resolution drop the old sibling-exclusion rule —
-  // and with it the near-saturation livelock that rule caused.
-  const auto bid_for_task = [&](int t, int64_t epsilon) {
-    static thread_local std::vector<int> missing;
-    static thread_local std::vector<int64_t> top_w;
-    static thread_local std::vector<int64_t> top_e;
-    const int base = t * demand;
-    missing.clear();
-    for (int v = base; v < base + demand; ++v) {
-      if (assigned_agent[v] < 0) missing.push_back(v);
-    }
-    const int m = static_cast<int>(missing.size());
-    // Top m+1 candidates by (reduced value desc, edge asc) over agents
-    // with slots that no sibling currently holds. The task has >= demand
-    // usable agents (validated) and holds demand - m of them, so at least
-    // m candidates always exist.
-    top_w.assign(m + 1, kNoValue);
-    top_e.assign(m + 1, -1);
-    for (int64_t e = problem.row_offsets[t]; e < problem.row_offsets[t + 1];
-         ++e) {
-      const int a = problem.agent_ids[e];
-      if (price1[a] == kNoPrice) continue;  // no slots
-      bool held = false;
-      for (int v = base; v < base + demand; ++v) {
-        held = held || assigned_agent[v] == a;
-      }
-      if (held) continue;
-      const int64_t v1 = value[e] - price1[a];
-      if (v1 <= top_w[m]) continue;
-      int pos = m;
-      while (pos > 0 && v1 > top_w[pos - 1]) --pos;
-      for (int q = m; q > pos; --q) {
-        top_w[q] = top_w[q - 1];
-        top_e[q] = top_e[q - 1];
-      }
-      top_w[pos] = v1;
-      top_e[pos] = e;
-    }
-    // Bid floor: the best alternative outside the chosen m. With exactly
-    // m candidates there is no (m+1)-th — synthesize one below every
-    // possible reduced value, as the single-candidate unit bid does.
-    int64_t w_floor = top_w[m];
-    if (w_floor == kNoValue) w_floor = top_w[m - 1] - (value_range + epsilon);
-    for (int k = 0; k < m; ++k) {
-      const int u = missing[k];
-      if (top_e[k] < 0) {  // defensive: cannot happen on validated input
-        bid_agent[u] = -1;
-        continue;
-      }
-      const int64_t e = top_e[k];
-      const int a = problem.agent_ids[e];
-      // The chosen agent's own second-cheapest slot competes as an
-      // alternative exactly as in the unit bid. Alternatives on the other
-      // chosen agents need no special handling: the targets are distinct,
-      // so no sibling's acceptance can consume this bid's slot.
-      int64_t alt = w_floor;
-      if (price2[a] != kNoPrice) {
-        alt = std::max(alt, value[e] - price2[a]);
-      }
-      bid_agent[u] = a;
-      bid_edge[u] = e;
-      bid_amount[u] = value[e] - alt + epsilon;
-    }
-  };
-
   enum class Rounds { kAssigned, kDiverged, kCeilingHit };
   // One forward bidding phase at a fixed ε: Jacobi bidding + sequential
   // resolution until every unit holds a slot, the work budget trips, or a
@@ -479,52 +349,15 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
         price2[a] = slots[a].size() > 1 ? slots[a][1].price : kNoPrice;
       }
 
-      if (demand == 1) {
-        const auto bid_one = [&](int64_t i) {
-          bid_for_unit(unassigned[i], epsilon);
-        };
-        if (options.pool != nullptr) {
-          options.pool->ParallelFor(0,
-                                    static_cast<int64_t>(unassigned.size()),
-                                    /*grain=*/16, bid_one);
-        } else {
-          for (size_t i = 0; i < unassigned.size(); ++i) {
-            bid_one(static_cast<int64_t>(i));
-          }
-        }
+      const auto bid_one = [&](int64_t i) {
+        bid_for_unit(unassigned[i], epsilon);
+      };
+      if (options.pool != nullptr) {
+        options.pool->ParallelFor(0, static_cast<int64_t>(unassigned.size()),
+                                  /*grain=*/16, bid_one);
       } else {
-        // One atomic bid per task with missing real units; dummies bid
-        // alone as in the symmetric case. `unassigned` is ascending with
-        // real units first, so the grouping is deterministic.
-        bidder_tasks.clear();
-        bidder_dummies.clear();
-        int last_task = -1;
-        for (const int u : unassigned) {
-          if (u >= num_real) {
-            bidder_dummies.push_back(u);
-            continue;
-          }
-          const int t = u / demand;
-          if (t != last_task) {
-            bidder_tasks.push_back(t);
-            last_task = t;
-          }
-        }
-        const int64_t num_tasks_bidding =
-            static_cast<int64_t>(bidder_tasks.size());
-        const int64_t num_bidders =
-            num_tasks_bidding + static_cast<int64_t>(bidder_dummies.size());
-        const auto bid_one = [&](int64_t i) {
-          if (i < num_tasks_bidding) {
-            bid_for_task(bidder_tasks[i], epsilon);
-          } else {
-            bid_for_unit(bidder_dummies[i - num_tasks_bidding], epsilon);
-          }
-        };
-        if (options.pool != nullptr) {
-          options.pool->ParallelFor(0, num_bidders, /*grain=*/16, bid_one);
-        } else {
-          for (int64_t i = 0; i < num_bidders; ++i) bid_one(i);
+        for (size_t i = 0; i < unassigned.size(); ++i) {
+          bid_one(static_cast<int64_t>(i));
         }
       }
 
@@ -532,10 +365,7 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
       // the j-th cheapest slot while it strictly beats that slot's
       // snapshot price (see the header comment for why this keeps ε-CS
       // exact per slot). Grouping walks units in ascending order and
-      // agents independently, so the outcome is scheduling-free. No
-      // distinctness check is needed: a task's concurrent bids target
-      // distinct agents by construction and never an agent a sibling
-      // holds.
+      // agents independently, so the outcome is scheduling-free.
       bool any_bid = false;
       bool ceiling_hit = false;
       for (const int u : unassigned) {
@@ -595,14 +425,14 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
     if (outcome == Rounds::kCeilingHit) {
       // Feasible instances provably stay below the ceiling; confirm with
       // an exact flow before reporting infeasibility.
-      if (ExactlyFeasible(problem, slots_per_agent, demand)) {
+      if (ExactlyFeasible(problem, slots_per_agent)) {
         return Status::FailedPrecondition(
             "auction exceeded its price bound on a feasible instance");
       }
       return Status::Infeasible(
           "candidate edges cannot cover all tasks (auction price bound)");
     }
-    if (!ExactlyFeasible(problem, slots_per_agent, demand)) {
+    if (!ExactlyFeasible(problem, slots_per_agent)) {
       return Status::Infeasible(
           "candidate edges cannot cover all tasks (auction stall)");
     }
@@ -610,175 +440,22 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
         "auction did not converge; use the min-cost-flow backend");
   };
 
-  // Per-phase reverse repair stage for demand > 1 (forward-reverse
-  // auction). The forward rounds assign every unit (so every slot is
-  // held), but the distinctness side constraint means symmetric ε-CS
-  // alone does not certify the edge-capacitated transportation LP — the
-  // repair checks an explicit ε-relaxed dual certificate instead and
-  // releases units until it passes.
-  //
-  // The duals are read straight off the prices bidders actually see:
-  // dual[a] = cheapest slot price of a, NORMALIZED by subtracting the
-  // global minimum cheapest price c. The normalization is what makes the
-  // certificate invariant under uniform price inflation (the forward
-  // auction fixes only price differences, not the level), and the
-  // dummies are what make it tight: a held dummy in ε-CS sits within ε
-  // of the globally cheapest slot, so every agent with spare capacity
-  // has dual ≤ ε and the spare slots contribute ≤ spare·ε to the gap.
-  // Because cert duals and bidder-visible prices agree (up to the shared
-  // constant c), a violation IS a forward-bid improvement of > ε for the
-  // released unit — releasing it makes direct progress, with none of the
-  // price-view misalignment a "free capacity prices at 0" convention
-  // would reintroduce.
-  //
-  // Two conditions are checked, with π(t) = min reduced value over t's
-  // units (reduced value rv = value − dual of the holding agent):
-  //   1. candidate: an edge (t, a) with no unit on a has
-  //      value − dual[a] > π(t) + ε   (t should move a unit to a);
-  //   2. dummy staleness: a held dummy's price exceeds c + ε (its ε-CS
-  //      is from the phase it last bid; re-bidding it restores the
-  //      spare-capacity dual bound at the current resolution).
-  // A unit whose rv sits ABOVE π(t) + ε needs no condition: the edge it
-  // occupies is at its x ≤ 1 capacity, so that edge's own dual absorbs
-  // the overshoot exactly and contributes zero gap. Each surviving ≤-ε
-  // term is paid once in the duality gap: num_real·ε for the units,
-  // spare·ε for the spare slots — total ≤ total_slots·ε < M at the
-  // final ε = 1, so the M-domain optimum is exact. Repairing inside
-  // every phase rather than once at ε = 1 keeps the price wars short:
-  // each phase closes the gaps the previous phase left at 8× coarser
-  // resolution. Budget-guarded, with min-cost flow as the failsafe.
-  std::vector<int64_t> dual_price(agents, 0);
-  std::vector<int64_t> potential(tasks);
-  std::vector<int> worst_unit(tasks, -1);
-  std::vector<int> violating;        // tasks to release a unit from
-  std::vector<int> stale_dummies;    // dummy units to re-bid
-  const auto find_violations = [&](int64_t epsilon) {
-    int64_t c = std::numeric_limits<int64_t>::max();
-    for (int a = 0; a < agents; ++a) {
-      if (slots[a].empty()) continue;
-      dual_price[a] = slots[a][0].price;
-      c = std::min(c, dual_price[a]);
-    }
-    for (int a = 0; a < agents; ++a) {
-      if (!slots[a].empty()) dual_price[a] -= c;
-    }
-    stale_dummies.clear();
-    for (int a = 0; a < agents; ++a) {
-      for (const Slot& s : slots[a]) {
-        if (s.unit >= num_real && s.price > c + epsilon) {
-          stale_dummies.push_back(s.unit);
-        }
-      }
-    }
-    std::fill(potential.begin(), potential.end(),
-              std::numeric_limits<int64_t>::max());
-    for (int u = 0; u < num_real; ++u) {
-      const int t = u / demand;
-      const int64_t rv =
-          value[assigned_edge[u]] - dual_price[assigned_agent[u]];
-      if (rv < potential[t]) {
-        potential[t] = rv;
-        worst_unit[t] = u;
-      }
-    }
-    violating.clear();
-    for (int t = 0; t < tasks; ++t) {
-      // ε-relaxed: a violation within ε is already paid for by the
-      // duality-gap bound, and chasing it exactly would livelock on
-      // ties.
-      const int64_t bar = potential[t] + epsilon;
-      bool violated = false;
-      for (int64_t e = problem.row_offsets[t];
-           !violated && e < problem.row_offsets[t + 1]; ++e) {
-        const int a = problem.agent_ids[e];
-        if (slots_per_agent[a] == 0) continue;
-        bool assigned_here = false;
-        for (int v = t * demand; v < (t + 1) * demand; ++v) {
-          assigned_here = assigned_here || assigned_agent[v] == a;
-        }
-        if (assigned_here) continue;
-        violated = value[e] - dual_price[a] > bar;
-      }
-      if (violated) violating.push_back(t);
-    }
-  };
-
-  const auto run_repair = [&](int64_t epsilon) -> Status {
-    static obs::Counter* const sweep_count =
-        obs::Registry::Global().GetCounter(
-            "wgrap_lap_auction_reverse_sweeps_total");
-    for (;;) {
-      find_violations(epsilon);
-      if (violating.empty() && stale_dummies.empty()) {
-        return Status::OK();  // ε-relaxed certificate holds
-      }
-      if (work > work_cap) {
-        return Status::FailedPrecondition(
-            "demand > 1 auction could not certify optimality; use the "
-            "min-cost-flow backend");
-      }
-      if (sweep_count) sweep_count->Add();
-      // Release the flagged units — each violating task's worst-value
-      // unit plus every stale dummy — and let the forward rounds re-bid
-      // them. The freed slot's price drops to the agent's cheapest slot
-      // price: the agent's visible price (what bids and duals read) is
-      // unchanged, but the free slot now sorts first, so the next
-      // accepted bid fills it instead of evicting a holder. Keeping the
-      // old (possibly coarse-phase) price would strand an overpriced
-      // relic slot the cheap slots could only climb to in +ε steps — a
-      // multimillion-round musical-chairs war at ε = 1.
-      const auto release = [&](int u) {
-        const int a = assigned_agent[u];
-        for (Slot& s : slots[a]) {
-          if (s.unit == u) {
-            s.unit = -1;
-            s.price = std::min(s.price, slots[a][0].price);
-            break;
-          }
-        }
-        std::sort(slots[a].begin(), slots[a].end(), SlotLess);
-        assigned_agent[u] = -1;
-        assigned_edge[u] = -1;
-      };
-      for (const int t : violating) release(worst_unit[t]);
-      for (const int u : stale_dummies) release(u);
-      // The certificate scan is a full CSR pass — charge it like a round.
-      work += round_overhead + num_edges / 8;
-      const Rounds outcome = run_rounds(epsilon);
-      if (outcome != Rounds::kAssigned) return phase_failure(outcome);
-    }
-  };
-
   for (int64_t epsilon = epsilon0;; epsilon /= kEpsilonDivisor) {
     epsilon = std::max<int64_t>(1, epsilon);
-    if (demand == 1) {
-      // New phase: keep every slot price (the warm start ε-scaling relies
-      // on) but clear all assignments; the phase re-runs at the tighter ε.
-      for (int a = 0; a < agents; ++a) {
-        for (Slot& s : slots[a]) s.unit = -1;
-        std::sort(slots[a].begin(), slots[a].end(), SlotLess);
-      }
-      std::fill(assigned_agent.begin(), assigned_agent.end(), -1);
-      std::fill(assigned_edge.begin(), assigned_edge.end(), -1);
+    // New phase: keep every slot price (the warm start ε-scaling relies
+    // on) but clear all assignments; the phase re-runs at the tighter ε.
+    for (int a = 0; a < agents; ++a) {
+      for (Slot& s : slots[a]) s.unit = -1;
+      std::sort(slots[a].begin(), slots[a].end(), SlotLess);
     }
-    // Demand > 1 keeps the assignment across phases instead: the
-    // ε-relaxed certificate's releases drive the re-optimization at each
-    // scale. Clearing would strand the phase's most overpriced slots
-    // free, and the refill war would have to climb back to them in +ε
-    // steps; warm-continuing touches only the units the certificate says
-    // are misplaced.
+    std::fill(assigned_agent.begin(), assigned_agent.end(), -1);
+    std::fill(assigned_edge.begin(), assigned_edge.end(), -1);
     const Rounds outcome = run_rounds(epsilon);
     if (outcome != Rounds::kAssigned) return phase_failure(outcome);
-    if (demand > 1) {
-      const Status repaired = run_repair(epsilon);
-      if (!repaired.ok()) return repaired;
-    }
     if (epsilon == 1) break;
   }
 
-  // Recover the assignment and the duals the pruning guard needs (for
-  // demand > 1 the reverse phase above already certified exact
-  // complementary slackness of the final prices).
+  // Recover the assignment and the duals the pruning guard needs.
   result.final_epsilon = 1;
   result.value_unit = unit_value;
   result.rounds = rounds;
@@ -794,7 +471,6 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
     if (round_count) round_count->Add(rounds);
     if (bid_count) bid_count->Add(bids);
   }
-  result.task_value.assign(tasks, std::numeric_limits<int64_t>::max());
   // Every agent's cheapest slot price lower-bounds what a pruned edge
   // would have to pay — on tight instances where every agent got bid up,
   // this is what lets CertifiesPruning accept small K.
@@ -813,41 +489,16 @@ Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
       if (s.unit >= 0) paid[s.unit] = s.price;
     }
   }
-  for (int u = 0; u < num_real; ++u) {
-    const int t = u / demand;
-    const int a = assigned_agent[u];
-    const int64_t e = assigned_edge[u];
-    WGRAP_CHECK(a >= 0 && e >= 0);
-    result.task_to_agents[t].push_back(a);
+  result.task_to_agent.resize(tasks);
+  for (int t = 0; t < tasks; ++t) {
+    const int64_t e = assigned_edge[t];
+    WGRAP_CHECK(assigned_agent[t] >= 0 && e >= 0);
+    result.task_to_agent[t] = assigned_agent[t];
     result.profit += problem.profits[e];
     // Exported in the unshifted M-domain: s·M − price, so CertifiesPruning
     // can compare pruned profits without knowing the internal shift.
-    const int64_t shifted_value = value[e] - paid[u];
-    result.task_value[t] = std::min(
-        result.task_value[t],
-        shifted_value + s_min * unit_value);
+    result.task_value[t] = value[e] - paid[t] + s_min * unit_value;
   }
-  for (int t = 0; t < tasks; ++t) {
-    std::sort(result.task_to_agents[t].begin(),
-              result.task_to_agents[t].end());
-    // Distinctness holds by bid construction; this guard is the cheap
-    // insurance that a violation can only ever surface as a fallback,
-    // never as a wrong answer.
-    for (size_t i = 1; i < result.task_to_agents[t].size(); ++i) {
-      if (result.task_to_agents[t][i] == result.task_to_agents[t][i - 1]) {
-        return Status::FailedPrecondition(
-            "auction assigned duplicate agents to a task; use the "
-            "min-cost-flow backend");
-      }
-    }
-  }
-  if (demand == 1) {
-    result.task_to_agent.resize(tasks);
-    for (int t = 0; t < tasks; ++t) {
-      result.task_to_agent[t] = result.task_to_agents[t][0];
-    }
-  }
-
   return result;
 }
 
@@ -880,31 +531,10 @@ SparseLapProblem CsrFromDense(const Matrix& profit) {
 Result<TransportationResult> SolveAuctionTransportation(
     const Matrix& profit, const std::vector<int>& capacity,
     const AuctionOptions& options) {
-  AuctionOptions unit = options;
-  unit.demand = 1;
-  auto solved = SolveAuctionSparse(CsrFromDense(profit), capacity, unit);
+  auto solved = SolveAuctionSparse(CsrFromDense(profit), capacity, options);
   if (!solved.ok()) return solved.status();
   TransportationResult result;
   result.task_to_agent = std::move(solved->task_to_agent);
-  result.profit = solved->profit;
-  return result;
-}
-
-Result<MultiTransportationResult> SolveAuctionTransportationWithDemand(
-    const Matrix& profit, const std::vector<int>& capacity, int demand,
-    const AuctionOptions& options) {
-  if (demand == 0) {
-    MultiTransportationResult empty;
-    empty.task_to_agents.resize(profit.rows());
-    return empty;
-  }
-  AuctionOptions with_demand = options;
-  with_demand.demand = demand;
-  auto solved =
-      SolveAuctionSparse(CsrFromDense(profit), capacity, with_demand);
-  if (!solved.ok()) return solved.status();
-  MultiTransportationResult result;
-  result.task_to_agents = std::move(solved->task_to_agents);
   result.profit = solved->profit;
   return result;
 }
@@ -1020,14 +650,12 @@ Result<AuctionResult> SolveAuctionTopK(const Matrix& profit,
                                        const AuctionOptions& options,
                                        int* widen_count) {
   const int agents = profit.cols();
-  AuctionOptions unit = options;
-  unit.demand = 1;
   if (widen_count != nullptr) *widen_count = 0;
   int k = top_k <= 0 ? agents : std::min(top_k, agents);
   for (;;) {
     PrunedCandidates candidates =
-        BuildTopKCandidates(profit, k >= agents ? 0 : k, unit.pool);
-    auto solved = SolveAuctionSparse(candidates.problem, capacity, unit);
+        BuildTopKCandidates(profit, k >= agents ? 0 : k, options.pool);
+    auto solved = SolveAuctionSparse(candidates.problem, capacity, options);
     if (solved.ok() &&
         (!candidates.pruned_any ||
          CertifiesPruning(*solved, candidates.best_pruned))) {

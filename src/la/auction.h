@@ -1,9 +1,10 @@
 // Bertsekas ε-scaling auction for the capacitated max-profit assignment
-// ("transportation") problem — the third LAP backend behind SDGA's stages
-// (Sec. 4.2 stage subproblem) next to min-cost flow and the Hungarian
-// algorithm. Unlike the Hungarian backend it is capacity-aware: reviewer r
-// offers `capacity[r]` identical slots directly (Bertsekas–Castañón
-// "similar objects"), so no column replication is ever materialized.
+// ("transportation") problem at demand 1 — the Sec. 4.2 stage subproblem.
+// No solver runs it: the stages use the Jonker–Volgenant of hungarian.h or
+// min-cost flow. It stays as perfbench's third stage-engine probe and the
+// subject of the SIMD top-two kernels. Reviewer r offers `capacity[r]`
+// identical slots directly (Bertsekas–Castañón "similar objects"), so no
+// column replication is ever materialized.
 //
 // The auction runs Jacobi-style bidding rounds: every unassigned task
 // computes its bid against a snapshot of the slot prices (fanned out over
@@ -20,8 +21,8 @@
 // ε-scaling warm start stays sound on asymmetric instances.
 // The final slot prices are ε-complementary-slackness duals; task_value /
 // final_epsilon / value_unit export them so callers that pruned candidate
-// edges (cra_sdga.cc) can certify that no pruned edge could improve the
-// optimum — see CertifiesPruning.
+// edges (SolveAuctionTopK) can certify that no pruned edge could improve
+// the optimum — see CertifiesPruning.
 #ifndef WGRAP_LA_AUCTION_H_
 #define WGRAP_LA_AUCTION_H_
 
@@ -55,28 +56,16 @@ struct AuctionOptions {
   /// Bidding-round fan-out. nullptr (or a 1-thread pool) runs inline; any
   /// pool produces bit-identical output.
   ThreadPool* pool = nullptr;
-  /// Initial ε of the scaling schedule, in profit units. 0 picks Δ/8 where
-  /// Δ is the instance's profit range (the scaling divisor in auction.cc).
-  /// The final phase always runs at the exactness threshold regardless.
-  double initial_epsilon = 0.0;
-  /// Agents required per task, all distinct (ILP-ARAP uses δp). For
-  /// demand > 1 the result is verified against exact complementary
-  /// slackness and kFailedPrecondition is returned when certification
-  /// fails (callers fall back to min-cost flow); demand == 1 needs no
-  /// verification, the ε-scaling theory guarantees optimality.
-  int demand = 1;
 };
 
 struct AuctionResult {
-  /// Assigned agent per task (demand == 1 only; empty otherwise).
+  /// Assigned agent per task.
   std::vector<int> task_to_agent;
-  /// Assigned agents per task, ascending (always filled).
-  std::vector<std::vector<int>> task_to_agents;
   double profit = 0.0;
 
   /// Exactness-guard exports, all in the scaled integer M-domain
-  /// (profit × kTransportProfitScale × value_unit): per task the minimum
-  /// over its assigned units of (profit − own slot price). A pruned edge
+  /// (profit × kTransportProfitScale × value_unit): per task its profit
+  /// minus its slot's price. A pruned edge
   /// would pay at least `min_slot_price` (the cheapest final slot price
   /// anywhere, ≥ 0), so it can only matter when
   /// ScaleTransportProfit(q) * value_unit − min_slot_price >
@@ -93,35 +82,27 @@ struct AuctionResult {
 };
 
 /// Solves the CSR instance. kInfeasible when capacities cannot cover all
-/// tasks, a task has too few candidate edges, or the bidding price bound
+/// tasks, a task has no candidate edge, or the bidding price bound
 /// (confirmed by an exact max-flow check) proves no feasible assignment
-/// exists within the candidate set (the signal the pruning layer uses to
+/// exists within the candidate set (the signal SolveAuctionTopK uses to
 /// widen K). kInvalidArgument for malformed CSR or out-of-range profits.
 /// kFailedPrecondition when the instance is outside the auction's reach —
 /// profit range × size would overflow the int64 price domain, or the
-/// demand > 1 collision-avoiding auction cannot certify optimality —
-/// and the caller should fall back to min-cost flow.
+/// bidding does not converge within its work budget — and the caller
+/// should fall back to min-cost flow.
 Result<AuctionResult> SolveAuctionSparse(const SparseLapProblem& problem,
                                          const std::vector<int>& capacity,
                                          const AuctionOptions& options = {});
 
-/// Dense convenience wrapper (demand 1): entries <= kTransportForbidden / 2
-/// are forbidden, everything else must be in range. Same contract as
+/// Dense convenience wrapper: entries <= kTransportForbidden / 2 are
+/// forbidden, everything else must be in range. Same contract as
 /// SolveTransportation.
 Result<TransportationResult> SolveAuctionTransportation(
     const Matrix& profit, const std::vector<int>& capacity,
     const AuctionOptions& options = {});
 
-/// Demand-d dense wrapper returning one distinct-agent list per task, the
-/// auction counterpart of SolveTransportationWithDemand. May return
-/// kFailedPrecondition when demand > 1 and the collision-avoiding auction
-/// cannot certify optimality (rare; callers fall back to min-cost flow).
-Result<MultiTransportationResult> SolveAuctionTransportationWithDemand(
-    const Matrix& profit, const std::vector<int>& capacity, int demand,
-    const AuctionOptions& options = {});
-
 /// Per-task top-K candidate selection from a dense profit matrix — the
-/// pruning half of the auction stage engine. Keeps the K largest profits
+/// pruning half of SolveAuctionTopK. Keeps the K largest profits
 /// per task (deterministic profit-desc / agent-asc order, forbidden
 /// entries never kept) and records the best pruned-out profit per task so
 /// CertifiesPruning can prove the pruned solve still found the full
@@ -146,15 +127,14 @@ bool CertifiesPruning(const AuctionResult& result,
                       const std::vector<double>& best_pruned);
 
 /// The widen-until-certified driver around BuildTopKCandidates +
-/// SolveAuctionSparse (demand 1): solves on the top-`top_k` candidate
+/// SolveAuctionSparse: solves on the top-`top_k` candidate
 /// edges per task and re-solves with doubled K whenever the pruned graph
 /// is infeasible or the duals cannot certify the pruned optimum — so an
 /// OK result is exactly the dense optimum. Terminal failures (true
 /// infeasibility, invalid input, kFailedPrecondition asking for the
 /// min-cost-flow fallback) return immediately; widening never loops past
 /// the full candidate set. `widen_count` (optional) reports how many
-/// times K grew. Shared by the SDGA stage engine, the benchmarks and the
-/// equivalence tests.
+/// times K grew. Shared by the benchmarks and the equivalence tests.
 Result<AuctionResult> SolveAuctionTopK(const Matrix& profit,
                                        const std::vector<int>& capacity,
                                        int top_k,

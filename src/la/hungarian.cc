@@ -14,32 +14,48 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int64_t kNoEdge = -1;  // forbidden cell or zero-capacity agent
 constexpr int64_t kUnreached = std::numeric_limits<int64_t>::max();
-}  // namespace
+// `settled` mark for the agents a task already holds while that task is
+// scanned: its forward scan must skip them (one unit per pair at most).
+constexpr char kHeldByScan = 2;
 
-// Costs are c = s_max - s >= 0 on the scaled profits s. Invariants between
-// task insertions: reduced costs c - u[t] - v[a] >= 0 on every edge, tight
-// on held pairs; v[a] <= 0, and v[a] < 0 only for a full agent. A new task
-// starts at u = 0 (feasible as c >= 0 >= v). After its Dijkstra ends at
-// distance d_end, every settled agent a moves by v[a] -= d_end - d[a] and
-// every scanned task t by u[t] += d_end - d[t], which keeps the invariants
-// and makes the path tight; it is then flipped. At the end every task is
-// placed with dual feasibility and complementary slackness, so the
-// assignment is optimal.
+// The JV behind both public overloads. Returns the agents of task t at
+// [t·demand, (t+1)·demand), ascending.
 //
-// Overflow: telescoping the tight backward edges, the path from the new
-// task to a held task t has length L + u[t] and to a non-full agent
-// (v = 0) length L, with L = Σ forward c − Σ backward c over at most rows
-// edges each way. So d_end <= rows·Δ, and each scanned task leaves with
-// u = d_end − L ∈ [0, 2·rows·Δ]. Then v >= −2·rows·Δ, and a tentative
-// distance stays below (3·rows + 1)·Δ, which the entry check keeps inside
-// int64.
-Result<TransportationResult> SolveCapacitatedAssignment(
-    const Matrix& profit, const std::vector<int>& capacity) {
+// Costs are c = s_max - s >= 0 on the scaled profits s. Invariants between
+// unit insertions: reduced costs rc = c - u[t] - v[a] are >= 0 on every
+// edge a task does not hold and <= 0 on every held edge (a held edge is at
+// its unit capacity, so its own bound dual absorbs the rest); v[a] <= 0,
+// and v[a] < 0 only for a full agent. At demand 1 a task is reached only
+// through its one agent, so held edges stay tight.
+//
+// A unit of task t0 is inserted by a Dijkstra over agents and tasks. A
+// settled full agent a reaches each held task t over the backward edge of
+// reduced cost -rc(t, a) >= 0: a tight task is scanned at once at a's
+// distance, any other one waits with the tentative distance dist[a] -
+// rc(t, a) until it is the minimum. The first non-full agent settled ends
+// the path, since non-full agents keep dual 0 and full ones a dual <= 0.
+// With d_end its distance, every settled agent moves by v[a] -= d_end -
+// d[a] and every scanned task by u[t] += d_end - d[t], which keeps the
+// invariants and makes the path tight; it is then flipped. At the end
+// every unit is placed with dual feasibility and complementary slackness,
+// so the assignment is optimal.
+//
+// Overflow: write D(x) for the true cost of x's tree path (forward edges
+// +c, backward edges -c). A simple path has at most units edges each way,
+// so |D| <= units·Δ. After an insertion a scanned task holds
+// u[t] = D(end) - D(t) >= 0 and a settled agent v[a] = D(a) - D(end) >=
+// -2·units·Δ, so a tentative distance D(t) - u[t0] + c - v[a] stays below
+// (3·units + 1)·Δ, which the entry check keeps inside int64.
+Result<std::vector<int>> SolveJv(const Matrix& profit,
+                                 const std::vector<int>& capacity, int demand,
+                                 const Deadline* deadline,
+                                 const CancelToken* cancel) {
   const int rows = profit.rows();
   const int cols = profit.cols();
   if (static_cast<int>(capacity.size()) != cols) {
     return Status::InvalidArgument("capacity size != number of agents");
   }
+  if (demand < 0) return Status::InvalidArgument("negative demand");
   int64_t total_capacity = 0;
   for (int c : capacity) {
     if (c < 0) return Status::InvalidArgument("negative capacity");
@@ -59,14 +75,14 @@ Result<TransportationResult> SolveCapacitatedAssignment(
       if (capacity[a] > 0) cost[static_cast<size_t>(t) * cols + a] = s;
     }
   }
+  const int64_t units = static_cast<int64_t>(rows) * demand;
   if (s_min <= s_max &&
-      static_cast<__int128>(3 * static_cast<int64_t>(rows) + 2) *
-              (s_max - s_min) >
+      static_cast<__int128>(3 * units + 2) * (s_max - s_min) >
           std::numeric_limits<int64_t>::max()) {
     return Status::InvalidArgument(
-        "profit spread x task count exceeds the int64 dual domain");
+        "profit spread x unit count exceeds the int64 dual domain");
   }
-  if (total_capacity < rows) {
+  if (total_capacity < units) {
     return Status::Infeasible("agent capacity below total task demand");
   }
   for (int64_t& c : cost) {
@@ -74,77 +90,178 @@ Result<TransportationResult> SolveCapacitatedAssignment(
   }
 
   std::vector<int64_t> u(rows, 0), v(cols, 0);
-  std::vector<int> agent_of(rows, -1);
+  std::vector<int> agents_of(units, -1);  // task t's at [t·demand, ...)
+  std::vector<int> held_count(rows, 0);
   std::vector<std::vector<int>> held(cols);  // ascending task ids
   std::vector<int64_t> dist(cols);
   std::vector<int> pred(cols);  // task the agent's shortest path enters from
   std::vector<char> settled(cols, 0);
   std::vector<int> settled_agents;
+  std::vector<int64_t> task_dist(rows, kUnreached);
+  std::vector<int> via(rows);  // agent a task's path leaves; -1 at the root
+  std::vector<char> task_scanned(rows, 0);
+  std::vector<int> pending;  // tasks given a tentative distance
   std::vector<std::pair<int, int64_t>> scanned;  // (task, distance)
+  // The scan and argmin loops are the whole cost at demand 1; they read
+  // through hoisted pointers, which the scan captures by value, so the
+  // compiler keeps them in registers.
+  int64_t* const dist_p = dist.data();
+  int* const pred_p = pred.data();
+  char* const settled_p = settled.data();
+  const int64_t* const v_p = v.data();
+
+  const auto scan = [&, dist_p, pred_p, settled_p, v_p](int t, int64_t d) {
+    scanned.emplace_back(t, d);
+    task_scanned[t] = 1;
+    int* const own = agents_of.data() + static_cast<size_t>(t) * demand;
+    for (int k = 0; k < held_count[t]; ++k) {
+      if (!settled_p[own[k]]) settled_p[own[k]] = kHeldByScan;
+    }
+    const int64_t* row = &cost[static_cast<size_t>(t) * cols];
+    const int64_t base = d - u[t];
+    for (int a = 0; a < cols; ++a) {
+      if (row[a] == kNoEdge || settled_p[a]) continue;
+      const int64_t nd = base + row[a] - v_p[a];
+      if (nd < dist_p[a]) {
+        dist_p[a] = nd;
+        pred_p[a] = t;
+      }
+    }
+    for (int k = 0; k < held_count[t]; ++k) {
+      if (settled_p[own[k]] == kHeldByScan) settled_p[own[k]] = 0;
+    }
+  };
 
   for (int t0 = 0; t0 < rows; ++t0) {
-    std::fill(dist.begin(), dist.end(), kUnreached);
-    settled_agents.clear();
-    scanned.clear();
-    const auto scan = [&](int t, int64_t d) {
-      scanned.emplace_back(t, d);
-      const int64_t* row = &cost[static_cast<size_t>(t) * cols];
-      const int64_t base = d - u[t];
-      for (int a = 0; a < cols; ++a) {
-        if (row[a] == kNoEdge || settled[a]) continue;
-        const int64_t nd = base + row[a] - v[a];
-        if (nd < dist[a]) {
-          dist[a] = nd;
-          pred[a] = t;
+    for (int unit = 0; unit < demand; ++unit) {
+      if (deadline != nullptr && deadline->Expired()) {
+        return Status::ResourceExhausted(
+            "capacitated assignment time limit exceeded");
+      }
+      if (cancel != nullptr) {
+        WGRAP_RETURN_IF_ERROR(
+            CheckNotCancelled(*cancel, "capacitated assignment"));
+      }
+      std::fill(dist.begin(), dist.end(), kUnreached);
+      settled_agents.clear();
+      scanned.clear();
+      via[t0] = -1;
+      scan(t0, 0);
+      int end = -1;
+      while (end < 0) {
+        int next = -1;
+        for (int a = 0; a < cols; ++a) {
+          if (!settled_p[a] && dist_p[a] != kUnreached &&
+              (next < 0 || dist_p[a] < dist_p[next])) {
+            next = a;
+          }
+        }
+        // The nearest waiting task, lowest index on ties, goes before an
+        // agent at equal distance.
+        int wait = -1;
+        for (int t : pending) {
+          if (!task_scanned[t] &&
+              (wait < 0 || task_dist[t] < task_dist[wait] ||
+               (task_dist[t] == task_dist[wait] && t < wait))) {
+            wait = t;
+          }
+        }
+        if (wait >= 0 && (next < 0 || task_dist[wait] <= dist_p[next])) {
+          scan(wait, task_dist[wait]);
+          continue;
+        }
+        if (next < 0) {
+          return Status::Infeasible("no augmenting path for task " +
+                                    std::to_string(t0));
+        }
+        settled_p[next] = 1;
+        settled_agents.push_back(next);
+        if (static_cast<int>(held[next].size()) < capacity[next]) {
+          end = next;
+          break;
+        }
+        for (int t : held[next]) {
+          if (task_scanned[t]) continue;
+          const int64_t rc =
+              cost[static_cast<size_t>(t) * cols + next] - u[t] - v[next];
+          const int64_t d = dist_p[next] - rc;
+          if (rc == 0) {
+            via[t] = next;
+            scan(t, d);
+          } else if (d < task_dist[t]) {
+            if (task_dist[t] == kUnreached) pending.push_back(t);
+            task_dist[t] = d;
+            via[t] = next;
+          }
         }
       }
-    };
-    scan(t0, 0);
-    int end = -1;
-    while (end < 0) {
-      int next = -1;
-      for (int a = 0; a < cols; ++a) {
-        if (!settled[a] && dist[a] != kUnreached &&
-            (next < 0 || dist[a] < dist[next])) {
-          next = a;
+      const int64_t d_end = dist_p[end];
+      for (int a : settled_agents) {
+        v[a] -= d_end - dist_p[a];
+        settled_p[a] = 0;
+      }
+      for (const auto& [t, d] : scanned) {
+        u[t] += d_end - d;
+        task_scanned[t] = 0;
+        task_dist[t] = kUnreached;
+      }
+      for (int t : pending) task_dist[t] = kUnreached;
+      pending.clear();
+      // Flip the path: each agent takes its predecessor task, which leaves
+      // the agent it was reached through (if any) to that agent's own
+      // predecessor.
+      for (int a = end;;) {
+        const int t = pred_p[a];
+        const int from = via[t];
+        int* const own = agents_of.data() + static_cast<size_t>(t) * demand;
+        if (from < 0) {
+          own[held_count[t]++] = a;
+        } else {
+          *std::find(own, own + held_count[t], from) = a;
         }
+        held[a].insert(std::lower_bound(held[a].begin(), held[a].end(), t),
+                       t);
+        if (from < 0) break;
+        held[from].erase(std::find(held[from].begin(), held[from].end(), t));
+        a = from;
       }
-      if (next < 0) {
-        return Status::Infeasible("no augmenting path for task " +
-                                  std::to_string(t0));
-      }
-      settled[next] = 1;
-      settled_agents.push_back(next);
-      if (static_cast<int>(held[next].size()) < capacity[next]) {
-        end = next;
-      } else {
-        for (int t : held[next]) scan(t, dist[next]);
-      }
-    }
-    const int64_t d_end = dist[end];
-    for (int a : settled_agents) {
-      v[a] -= d_end - dist[a];
-      settled[a] = 0;
-    }
-    for (const auto& [t, d] : scanned) u[t] += d_end - d;
-    // Flip the path: each agent takes its predecessor task, which leaves
-    // the agent it held (if any) to that agent's own predecessor.
-    for (int a = end;;) {
-      const int t = pred[a];
-      const int previous = agent_of[t];
-      agent_of[t] = a;
-      held[a].insert(std::lower_bound(held[a].begin(), held[a].end(), t), t);
-      if (previous < 0) break;
-      held[previous].erase(
-          std::find(held[previous].begin(), held[previous].end(), t));
-      a = previous;
     }
   }
-
-  TransportationResult result;
-  result.task_to_agent = std::move(agent_of);
   for (int t = 0; t < rows; ++t) {
+    std::sort(agents_of.begin() + static_cast<size_t>(t) * demand,
+              agents_of.begin() + static_cast<size_t>(t + 1) * demand);
+  }
+  return agents_of;
+}
+
+}  // namespace
+
+Result<TransportationResult> SolveCapacitatedAssignment(
+    const Matrix& profit, const std::vector<int>& capacity) {
+  auto solved = SolveJv(profit, capacity, 1, /*deadline=*/nullptr,
+                        /*cancel=*/nullptr);
+  if (!solved.ok()) return solved.status();
+  TransportationResult result;
+  result.task_to_agent = std::move(solved).value();
+  for (int t = 0; t < profit.rows(); ++t) {
     result.profit += profit(t, result.task_to_agent[t]);
+  }
+  return result;
+}
+
+Result<MultiTransportationResult> SolveCapacitatedAssignment(
+    const Matrix& profit, const std::vector<int>& capacity, int demand,
+    const Deadline* deadline, const CancelToken& cancel) {
+  auto solved = SolveJv(profit, capacity, demand, deadline, &cancel);
+  if (!solved.ok()) return solved.status();
+  MultiTransportationResult result;
+  result.task_to_agents.resize(profit.rows());
+  for (int t = 0; t < profit.rows(); ++t) {
+    for (int k = 0; k < demand; ++k) {
+      const int a = (*solved)[static_cast<size_t>(t) * demand + k];
+      result.task_to_agents[t].push_back(a);
+      result.profit += profit(t, a);
+    }
   }
   return result;
 }

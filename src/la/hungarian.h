@@ -2,8 +2,10 @@
 // augmenting paths and dual potentials). The paper's SDGA may use it or
 // min-cost flow for every stage (Sec. 4.2 treats them as interchangeable):
 //
-//   SolveCapacitatedAssignment — the stage engine: exact int64 JV over
-//                                reviewer columns with slot capacities.
+//   SolveCapacitatedAssignment — the exact int64 JV over reviewer columns
+//                                with slot capacities: the SDGA/SRA stage
+//                                engine (demand 1) and ILP-ARAP's
+//                                demand-δp transportation solve.
 //   SolveMinCostAssignment /
 //   SolveMaxProfitAssignment   — plain rectangular LAP in doubles, one row
 //                                per column.
@@ -12,34 +14,50 @@
 
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/matrix.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "la/transportation.h"
 
 namespace wgrap::la {
 
 /// Maximizes total profit assigning each of `profit.rows()` tasks exactly
-/// one of `profit.cols()` agents, agent a used at most capacity[a] times —
-/// the integer program SolveTransportation and the auction solve (profits
-/// scaled by ScaleTransportProfit, cells <= kTransportForbidden / 2 are
-/// forbidden), so all three return the same optimum value.
+/// `demand` distinct agents of `profit.cols()`, agent a used at most
+/// capacity[a] times — the integer program SolveTransportationWithDemand
+/// solves (profits scaled by ScaleTransportProfit, cells <=
+/// kTransportForbidden / 2 are forbidden), so both return the same optimum
+/// value. task_to_agents[t] is ascending.
 ///
 /// Jonker–Volgenant with one dual per agent instead of one column per
-/// capacity unit: tasks are inserted in index order, each by a Dijkstra
-/// over the agent columns in exact int64 reduced costs. A full agent is
-/// expanded by scanning the tasks it already holds; the first non-full
-/// agent settled ends the path, since non-full agents keep dual 0 and full
-/// ones a dual <= 0. O(rows · R · (R + rows)) worst case.
+/// capacity unit: units are inserted task by task in index order, each by
+/// a Dijkstra over agents and tasks in exact int64 reduced costs. A full
+/// agent is expanded through the tasks it already holds; the first
+/// non-full agent settled ends the path, since non-full agents keep dual 0
+/// and full ones a dual <= 0. O(units · R · (R + rows)) worst case, units =
+/// rows · demand.
 ///
-/// Ties break to the lowest index: agents settle in (distance, index)
-/// order, an agent's predecessor task changes only on a strict
-/// improvement, and a full agent's tasks are scanned in ascending index.
+/// Ties break to the lowest index: nodes settle in (distance, index) order
+/// with a task before an agent at equal distance; an agent's predecessor
+/// task and a waiting task's predecessor agent change only on a strict
+/// improvement; a settled full agent visits its tasks in ascending index,
+/// scanning those on a tight edge at once. At demand 1 every held edge is
+/// tight, so no task ever waits.
 ///
+/// Polls `deadline` (borrowed; may be null) and `cancel` once per unit
+/// insertion: kResourceExhausted on expiry, kCancelled on cancellation.
 /// Returns kInvalidArgument for a capacity vector of the wrong size, a
-/// negative capacity, a profit outside ValidateTransportProfit's range, or
-/// a profit spread too wide for the int64 duals ((3·rows + 2)·Δ must fit);
-/// kInfeasible when some task has no augmenting path (total capacity below
-/// the task count, or only forbidden or exhausted agents left).
+/// negative capacity or demand, a profit outside ValidateTransportProfit's
+/// range, or a profit spread too wide for the int64 duals
+/// ((3·units + 2)·Δ must fit); kInfeasible when some unit has no
+/// augmenting path (total capacity below the unit count, or only
+/// forbidden, held or exhausted agents left).
+Result<MultiTransportationResult> SolveCapacitatedAssignment(
+    const Matrix& profit, const std::vector<int>& capacity, int demand,
+    const Deadline* deadline = nullptr, const CancelToken& cancel = nullptr);
+
+/// The demand-1 form the SDGA/SRA stages call: one agent per task, the
+/// same solve and ties, no interrupt polls.
 Result<TransportationResult> SolveCapacitatedAssignment(
     const Matrix& profit, const std::vector<int>& capacity);
 

@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "common/check.h"
+#include "common/failpoint.h"
 
 namespace wgrap::la {
 
@@ -69,12 +70,9 @@ Result<FlowResult> MinCostFlow::Solve(int source, int sink, int64_t max_flow) {
   std::vector<int> prev_node(n), prev_edge(n);
 
   while (result.flow < max_flow) {
-    // One augmenting path per iteration — the natural poll granularity for
-    // the time budget and cooperative cancellation.
-    if (deadline_ != nullptr && deadline_->Expired()) {
-      return Status::ResourceExhausted("min-cost flow time limit exceeded");
-    }
-    WGRAP_RETURN_IF_ERROR(CheckNotCancelled(cancel_, "min-cost flow"));
+    // One augmenting path per iteration: the solver poll fault site, so
+    // the chaos suite can fail an `lap=mcf` stage mid-solve.
+    WGRAP_RETURN_IF_ERROR(WGRAP_INJECT_FAULT("solver.poll"));
     // Dijkstra on reduced costs.
     using QItem = std::pair<int64_t, int>;
     std::priority_queue<QItem, std::vector<QItem>, std::greater<>> queue;

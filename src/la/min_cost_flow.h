@@ -9,9 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/cancel.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 
 namespace wgrap::la {
 
@@ -31,15 +29,6 @@ class MinCostFlow {
   /// Adds an edge and returns its id (for FlowOnEdge). Cost may be negative
   /// only before the first Solve call (handled via Bellman–Ford priming).
   int AddEdge(int from, int to, int64_t capacity, int64_t cost);
-
-  /// Interruption hooks, polled once per augmenting path: Solve aborts with
-  /// kResourceExhausted when `deadline` (borrowed; may be null) expires and
-  /// kCancelled when `cancel` fires. The network's residual state is
-  /// unspecified after an interrupted solve.
-  void SetInterrupt(const Deadline* deadline, CancelToken cancel) {
-    deadline_ = deadline;
-    cancel_ = std::move(cancel);
-  }
 
   /// Sends up to `max_flow` units from source to sink (int64 max = send all).
   /// Returns the achieved flow and its total cost.
@@ -69,8 +58,6 @@ class MinCostFlow {
   std::vector<std::vector<Edge>> graph_;
   std::vector<EdgeRef> edge_refs_;
   bool has_negative_costs_ = false;
-  const Deadline* deadline_ = nullptr;  // borrowed, may be null
-  CancelToken cancel_;
 };
 
 }  // namespace wgrap::la

@@ -1,11 +1,9 @@
 #include "la/transportation.h"
-#include "obs/metrics.h"
 
 #include <cmath>
 #include <cstdint>
 
 #include "common/check.h"
-#include "la/auction.h"
 #include "la/min_cost_flow.h"
 
 namespace wgrap::la {
@@ -23,11 +21,8 @@ Status ValidateTransportProfit(double profit) {
   return Status::OK();
 }
 
-namespace {
-
-Result<MultiTransportationResult> SolveWithMinCostFlow(
-    const Matrix& profit, const std::vector<int>& capacity, int demand,
-    const Deadline* deadline, const CancelToken& cancel) {
+Result<MultiTransportationResult> SolveTransportationWithDemand(
+    const Matrix& profit, const std::vector<int>& capacity, int demand) {
   const int tasks = profit.rows();
   const int agents = profit.cols();
   if (static_cast<int>(capacity.size()) != agents) {
@@ -68,7 +63,6 @@ Result<MultiTransportationResult> SolveWithMinCostFlow(
     flow.AddEdge(1 + tasks + a, sink, capacity[a], 0);
   }
 
-  flow.SetInterrupt(deadline, cancel);
   auto solved = flow.Solve(source, sink);
   if (!solved.ok()) return solved.status();
   if (solved->flow != total_demand) {
@@ -88,44 +82,6 @@ Result<MultiTransportationResult> SolveWithMinCostFlow(
     WGRAP_CHECK(static_cast<int>(result.task_to_agents[t].size()) == demand);
   }
   return result;
-}
-
-}  // namespace
-
-Result<MultiTransportationResult> SolveTransportationWithDemand(
-    const Matrix& profit, const std::vector<int>& capacity, int demand) {
-  return SolveWithMinCostFlow(profit, capacity, demand, /*deadline=*/nullptr,
-                              /*cancel=*/nullptr);
-}
-
-Result<MultiTransportationResult> SolveTransportationWithDemand(
-    const Matrix& profit, const std::vector<int>& capacity, int demand,
-    const TransportationOptions& options) {
-  if (options.backend == TransportationBackend::kAuction && demand >= 1) {
-    // The auction's bidding rounds don't poll the budget yet, so check it
-    // at least on entry instead of starting a solve that is already late.
-    if (options.deadline != nullptr && options.deadline->Expired()) {
-      return Status::ResourceExhausted("transportation time limit exceeded");
-    }
-    WGRAP_RETURN_IF_ERROR(CheckNotCancelled(options.cancel, "transportation"));
-    AuctionOptions auction;
-    auction.pool = options.pool;
-    auction.initial_epsilon = options.initial_epsilon;
-    auto solved =
-        SolveAuctionTransportationWithDemand(profit, capacity, demand, auction);
-    // kFailedPrecondition = the demand > 1 auction could not certify
-    // complementary slackness; everything else (ok, infeasible, invalid)
-    // is a final answer. The fallback keeps the optimum backend-agnostic.
-    if (solved.ok() ||
-        solved.status().code() != StatusCode::kFailedPrecondition) {
-      return solved;
-    }
-    static obs::Counter* const fallbacks = obs::Registry::Global().GetCounter(
-        "wgrap_lap_auction_fallbacks_total");
-    if (fallbacks) fallbacks->Add();
-  }
-  return SolveWithMinCostFlow(profit, capacity, demand, options.deadline,
-                              options.cancel);
 }
 
 Result<TransportationResult> SolveTransportation(

@@ -1,21 +1,18 @@
 // Capacitated max-profit assignment ("transportation") on top of min-cost
 // flow: every task (paper) receives exactly one agent (reviewer), each agent
 // serves at most `capacity[a]` tasks, total profit maximized. This is the
-// per-stage subproblem of SDGA (Definition 9, Stage-WGRAP) and also solves
-// ILP-ARAP exactly because the constraint matrix is totally unimodular.
+// per-stage subproblem of SDGA (Definition 9, Stage-WGRAP); with demand δp
+// it is ILP-ARAP, solved exactly because the constraint matrix is totally
+// unimodular. The solvers run la::SolveCapacitatedAssignment (hungarian.h)
+// on the same scaled program; the min-cost-flow forms here are the
+// `lap=mcf` stage engine and the test oracle.
 #ifndef WGRAP_LA_TRANSPORTATION_H_
 #define WGRAP_LA_TRANSPORTATION_H_
 
 #include <vector>
 
-#include "common/cancel.h"
 #include "common/matrix.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
-
-namespace wgrap {
-class ThreadPool;
-}  // namespace wgrap
 
 namespace wgrap::la {
 
@@ -28,18 +25,17 @@ struct TransportationResult {
 /// Profit marking an infeasible (forbidden) pair, e.g. conflicts of interest.
 inline constexpr double kTransportForbidden = -1e15;
 
-/// Fixed-point scale shared by every integer LAP backend (min-cost flow and
-/// the auction). Profits are in [0, 1] per topic sums in this codebase, so
-/// 1e9 keeps ~9 significant digits without overflow.
+/// Fixed-point scale shared by every integer LAP engine (Jonker–Volgenant,
+/// min-cost flow and the auction). Profits are in [0, 1] per topic sums in
+/// this codebase, so 1e9 keeps ~9 significant digits without overflow.
 inline constexpr double kTransportProfitScale = 1e9;
 /// Largest |profit| the int64 scaling supports; anything outside (other
 /// than the forbidden marker) is rejected with kInvalidArgument.
 inline constexpr double kMaxTransportProfit = 1e6;
 
 /// llround(profit * kTransportProfitScale). Callers validate the range
-/// first; this is the single definition both integer backends share, so a
-/// pruned auction solve and a dense min-cost-flow solve optimize literally
-/// the same integer program.
+/// first; this is the single definition every integer engine shares, so
+/// they all optimize literally the same integer program.
 int64_t ScaleTransportProfit(double profit);
 
 /// OK for finite profits in [-kMaxTransportProfit, kMaxTransportProfit];
@@ -58,9 +54,10 @@ Status ValidateTransportProfit(double profit);
 Result<TransportationResult> SolveTransportation(
     const Matrix& profit, const std::vector<int>& capacity);
 
-/// Variant where every task needs `demand` agents (all distinct), used by
-/// ILP-ARAP: paper p needs δp reviewers, reviewer r serves ≤ δr papers.
-/// Returns one agent list per task.
+/// Variant where every task needs `demand` agents (all distinct), the
+/// ILP-ARAP program: paper p needs δp reviewers, reviewer r serves ≤ δr
+/// papers. Returns one agent list per task, ascending. The oracle the JV's
+/// demand form is tested against.
 struct MultiTransportationResult {
   std::vector<std::vector<int>> task_to_agents;
   double profit = 0.0;
@@ -68,37 +65,6 @@ struct MultiTransportationResult {
 
 Result<MultiTransportationResult> SolveTransportationWithDemand(
     const Matrix& profit, const std::vector<int>& capacity, int demand);
-
-/// Backend selector for the options overload below: the successive-
-/// shortest-path min-cost flow (default, sequential) or the parallel
-/// ε-scaling auction of la/auction.h. Both find the same optimum of the
-/// same scaled integer program.
-enum class TransportationBackend {
-  kMinCostFlow,
-  kAuction,
-};
-
-struct TransportationOptions {
-  TransportationBackend backend = TransportationBackend::kMinCostFlow;
-  /// Auction bidding fan-out; ignored by min-cost flow. nullptr = inline.
-  wgrap::ThreadPool* pool = nullptr;
-  /// Auction initial ε (profit units); 0 = auto. Ignored by min-cost flow.
-  double initial_epsilon = 0.0;
-  /// Time budget (borrowed; may be null): the min-cost-flow backend polls it
-  /// per augmenting path and returns kResourceExhausted on expiry; the
-  /// auction backend is checked around the solve (coarser).
-  const Deadline* deadline = nullptr;
-  /// Cooperative cancellation, polled at the same sites (kCancelled).
-  CancelToken cancel;
-};
-
-/// Options overload: routes to the selected backend. The auction path is
-/// exact for demand == 1; for demand > 1 it verifies complementary
-/// slackness and silently falls back to min-cost flow when certification
-/// fails, so the returned optimum is backend-independent either way.
-Result<MultiTransportationResult> SolveTransportationWithDemand(
-    const Matrix& profit, const std::vector<int>& capacity, int demand,
-    const TransportationOptions& options);
 
 }  // namespace wgrap::la
 

@@ -5,10 +5,11 @@
 // instance, and the identical assignment on instances whose optimum is
 // unique (continuous random profits; the paper's instances are of this
 // kind). Sweeps cover P/R shapes, capacity styles, forbidden-pair
-// densities, top-K pruning with the exactness guard, demand > 1, and 1-
-// vs 8-thread bidding (bit-identical output is the determinism contract).
-// At the solver level, the SDGA/SRA stages compare their two engines
-// (Hungarian vs min-cost flow) and ILP-ARAP its auction against flow.
+// densities, top-K pruning with the exactness guard, the JV at demand
+// 1–4, and 1- vs 8-thread bidding (bit-identical output is the
+// determinism contract). At the solver level, the SDGA/SRA stages compare
+// their two engines (Hungarian vs min-cost flow) and ILP-ARAP its JV
+// against the flow oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,14 +17,15 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/cra.h"
 #include "data/synthetic_dblp.h"
 #include "la/auction.h"
 #include "la/hungarian.h"
 #include "la/transportation.h"
-#include "obs/metrics.h"
 
 namespace wgrap::la {
 namespace {
@@ -160,44 +162,37 @@ TEST(LapEquivalenceTest, TopKPruningGuardNeverReturnsSubOptimal) {
   }
 }
 
-TEST(LapEquivalenceTest, DemandAuctionMatchesFlowOrFallsBack) {
-  ThreadPool pool(8);
-  Rng rng(1234);
-  for (const int demand : {2, 3}) {
-    for (const int tasks : {6, 14}) {
-      const int agents = 10;
-      Matrix profit = RandomProfit(tasks, agents, 0.15, &rng);
-      std::vector<int> capacity(agents, (tasks * demand) / agents + 2);
-      auto flow = SolveTransportationWithDemand(profit, capacity, demand);
-      TransportationOptions options;
-      options.backend = TransportationBackend::kAuction;
-      options.pool = &pool;
-      auto auction =
-          SolveTransportationWithDemand(profit, capacity, demand, options);
-      ASSERT_EQ(flow.ok(), auction.ok());
-      if (!flow.ok()) continue;
-      EXPECT_EQ(ScaledObjective(profit, flow->task_to_agents),
-                ScaledObjective(profit, auction->task_to_agents));
-      EXPECT_EQ(flow->task_to_agents, auction->task_to_agents);
+// A solution is valid when every task has `demand` distinct agents, no
+// agent exceeds its capacity and no forbidden pair is used.
+void ExpectValidAssignment(
+    const Matrix& profit, const std::vector<int>& capacity, int demand,
+    const std::vector<std::vector<int>>& task_to_agents) {
+  ASSERT_EQ(task_to_agents.size(), static_cast<size_t>(profit.rows()));
+  std::vector<int> load(capacity.size(), 0);
+  for (int t = 0; t < profit.rows(); ++t) {
+    ASSERT_EQ(task_to_agents[t].size(), static_cast<size_t>(demand))
+        << "task " << t;
+    for (size_t i = 0; i < task_to_agents[t].size(); ++i) {
+      const int a = task_to_agents[t][i];
+      ASSERT_GE(a, 0);
+      ASSERT_LT(a, profit.cols());
+      EXPECT_GT(profit.At(t, a), kTransportForbidden / 2) << "task " << t;
+      if (i > 0) {
+        EXPECT_LT(task_to_agents[t][i - 1], a) << "task " << t;
+      }
+      ++load[a];
     }
+  }
+  for (size_t a = 0; a < capacity.size(); ++a) {
+    EXPECT_LE(load[a], capacity[a]) << "agent " << a;
   }
 }
 
-// The forward-reverse auction must solve near-saturated and tie-heavy
-// demand > 1 instances outright — no min-cost-flow fallback. Both
-// families were the old certify-or-fallback auction's failure modes:
-// with total capacity exactly equal to total demand every agent must
-// saturate and the old sibling-exclusion rule livelocked siblings
-// chasing the last open agent, while quantized profits (massive ties)
-// stressed the exact dual certificate. Convergence is asserted two ways:
-// the raw auction solve must succeed (kFailedPrecondition is the
-// fallback trigger), and the public backend's fallback counter must not
-// move across the whole sweep.
-TEST(LapEquivalenceTest, AdversarialDemandInstancesNeedNoFallback) {
-  obs::Counter* const fallbacks = obs::Registry::Global().GetCounter(
-      "wgrap_lap_auction_fallbacks_total");
-  const int64_t fallbacks_before = fallbacks ? fallbacks->Value() : 0;
-  ThreadPool pool(8);
+// Near-saturated and tie-heavy demand > 1 instances: with total capacity
+// exactly equal to total demand every agent must saturate, and quantized
+// profits make massive ties. The JV must reach the flow optimum on every
+// one.
+TEST(LapEquivalenceTest, AdversarialDemandInstancesMatchFlow) {
   int solves = 0;
   for (const bool tie_heavy : {false, true}) {
     for (const int demand : {2, 3}) {
@@ -219,108 +214,20 @@ TEST(LapEquivalenceTest, AdversarialDemandInstancesNeedNoFallback) {
           for (int a = 0; a < total % agents; ++a) ++capacity[a];
           auto flow = SolveTransportationWithDemand(profit, capacity, demand);
           ASSERT_TRUE(flow.ok()) << flow.status().ToString();
-          const int64_t optimum = ScaledObjective(profit, flow->task_to_agents);
-
-          AuctionOptions options;
-          options.demand = demand;
-          options.pool = &pool;
-          auto direct = SolveAuctionSparse(
-              BuildTopKCandidates(profit, 0, nullptr).problem, capacity,
-              options);
-          ASSERT_TRUE(direct.ok())
+          auto jv = SolveCapacitatedAssignment(profit, capacity, demand);
+          ASSERT_TRUE(jv.ok())
               << "demand=" << demand << " tasks=" << tasks << " spare="
               << spare << " tie_heavy=" << tie_heavy << ": "
-              << direct.status().ToString();
-          EXPECT_EQ(optimum, ScaledObjective(profit, direct->task_to_agents));
-          for (int t = 0; t < tasks; ++t) {
-            ASSERT_EQ(direct->task_to_agents[t].size(),
-                      static_cast<size_t>(demand));
-            for (size_t i = 1; i < direct->task_to_agents[t].size(); ++i) {
-              EXPECT_NE(direct->task_to_agents[t][i],
-                        direct->task_to_agents[t][i - 1]);
-            }
-          }
-
-          TransportationOptions backend;
-          backend.backend = TransportationBackend::kAuction;
-          backend.pool = &pool;
-          auto via_backend =
-              SolveTransportationWithDemand(profit, capacity, demand, backend);
-          ASSERT_TRUE(via_backend.ok());
-          EXPECT_EQ(optimum,
-                    ScaledObjective(profit, via_backend->task_to_agents));
+              << jv.status().ToString();
+          ExpectValidAssignment(profit, capacity, demand, jv->task_to_agents);
+          EXPECT_EQ(ScaledObjective(profit, flow->task_to_agents),
+                    ScaledObjective(profit, jv->task_to_agents));
           ++solves;
         }
       }
     }
   }
   EXPECT_GT(solves, 10);
-  if (fallbacks) {
-    EXPECT_EQ(fallbacks->Value(), fallbacks_before)
-        << "the forward-reverse auction fell back to min-cost flow";
-  }
-}
-
-// Regression: two unassigned units of one task can submit identical bids
-// to the same agent in one round; with the task-atomic multi-bid the
-// targets are distinct by construction, and the result-assembly guard is
-// the last line of defense. Before the original fix this produced
-// task_to_agents[t] = [a, a] on ~1 in 9 of these seeds.
-TEST(LapEquivalenceTest, DemandUnitsNeverShareAnAgent) {
-  for (uint64_t seed = 0; seed < 60; ++seed) {
-    Rng rng(9000 + seed);
-    Matrix profit = RandomProfit(6, 10, 0.0, &rng);
-    std::vector<int> capacity(10, 3);
-    AuctionOptions options;
-    options.demand = 2;
-    auto solved = SolveAuctionSparse(
-        BuildTopKCandidates(profit, 0, nullptr).problem, capacity, options);
-    if (!solved.ok()) {
-      // Certification failure is allowed (callers fall back) — silently
-      // returning a duplicate pair is not.
-      EXPECT_EQ(solved.status().code(), StatusCode::kFailedPrecondition);
-      continue;
-    }
-    auto flow = SolveTransportationWithDemand(profit, capacity, 2);
-    ASSERT_TRUE(flow.ok());
-    for (int t = 0; t < 6; ++t) {
-      ASSERT_EQ(solved->task_to_agents[t].size(), 2u) << "seed " << seed;
-      EXPECT_NE(solved->task_to_agents[t][0], solved->task_to_agents[t][1])
-          << "seed " << seed << " task " << t;
-    }
-    // A certified demand-2 solve is exact — same objective as the flow.
-    EXPECT_EQ(ScaledObjective(profit, flow->task_to_agents),
-              ScaledObjective(profit, solved->task_to_agents))
-        << "seed " << seed;
-  }
-}
-
-TEST(LapEquivalenceTest, InitialEpsilonKnobKeepsTheOptimum) {
-  Rng rng(5);
-  Matrix profit = RandomProfit(12, 9, 0.1, &rng);
-  std::vector<int> capacity(9, 2);
-  auto reference = SolveAuctionTransportation(profit, capacity);
-  ASSERT_TRUE(reference.ok());
-  for (const double epsilon : {1e-3, 0.25, 50.0}) {
-    AuctionOptions options;
-    options.initial_epsilon = epsilon;
-    auto tuned = SolveAuctionTransportation(profit, capacity, options);
-    ASSERT_TRUE(tuned.ok()) << "epsilon " << epsilon;
-    EXPECT_EQ(ScaledObjective(profit, reference->task_to_agent),
-              ScaledObjective(profit, tuned->task_to_agent));
-  }
-  // A near-zero ε disables the scaling schedule entirely; the auction may
-  // then hit its round cap and ask for the mcf fallback — that is the
-  // documented contract (never a wrong answer, never a hang).
-  AuctionOptions degenerate;
-  degenerate.initial_epsilon = 1e-9;
-  auto tiny = SolveAuctionTransportation(profit, capacity, degenerate);
-  if (tiny.ok()) {
-    EXPECT_EQ(ScaledObjective(profit, reference->task_to_agent),
-              ScaledObjective(profit, tiny->task_to_agent));
-  } else {
-    EXPECT_EQ(tiny.status().code(), StatusCode::kFailedPrecondition);
-  }
 }
 
 TEST(LapEquivalenceTest, RejectsMalformedInput) {
@@ -351,72 +258,78 @@ TEST(LapEquivalenceTest, RejectsMalformedInput) {
   EXPECT_TRUE(empty->task_to_agent.empty());
 }
 
-// A solution is valid when every task has an agent, no agent exceeds its
-// capacity and no forbidden pair is used.
-void ExpectValidAssignment(const Matrix& profit,
-                           const std::vector<int>& capacity,
-                           const std::vector<int>& task_to_agent) {
-  ASSERT_EQ(task_to_agent.size(), static_cast<size_t>(profit.rows()));
-  std::vector<int> load(capacity.size(), 0);
-  for (int t = 0; t < profit.rows(); ++t) {
-    const int a = task_to_agent[t];
-    ASSERT_GE(a, 0);
-    ASSERT_LT(a, profit.cols());
-    EXPECT_GT(profit.At(t, a), kTransportForbidden / 2) << "task " << t;
-    ++load[a];
+// One seeded fuzz instance: tie-heavy (1–4 profit levels) or continuous
+// profits, a 1/7 forbidden share, and three capacity styles — random in
+// [0, 4] (zero capacities included), all above the task count, and a
+// tight Σcap = tasks · demand (the SRA completion shape at demand 1).
+struct FuzzInstance {
+  Matrix profit;
+  std::vector<int> capacity;
+};
+
+FuzzInstance DrawFuzzInstance(uint64_t seed, Rng* rng, int max_tasks,
+                              int max_agents, int demand) {
+  const int tasks = rng->NextInt(1, max_tasks);
+  const int agents = rng->NextInt(1, max_agents);
+  const int levels = static_cast<int>(seed % 5);  // 0 = continuous
+  FuzzInstance instance{Matrix(tasks, agents, kTransportForbidden),
+                        std::vector<int>(agents, 0)};
+  for (int t = 0; t < tasks; ++t) {
+    for (int a = 0; a < agents; ++a) {
+      if (rng->NextInt(0, 6) == 0) continue;
+      instance.profit.At(t, a) = levels == 0
+                                     ? rng->NextDouble()
+                                     : 0.25 * rng->NextInt(0, levels - 1);
+    }
   }
-  for (size_t a = 0; a < capacity.size(); ++a) {
-    EXPECT_LE(load[a], capacity[a]) << "agent " << a;
+  std::vector<int>& capacity = instance.capacity;
+  switch (seed / 5 % 3) {
+    case 0:
+      for (int& c : capacity) c = rng->NextInt(0, 4);
+      break;
+    case 1:
+      for (int& c : capacity) c = tasks + rng->NextInt(1, 3);
+      break;
+    case 2:
+      for (int u = 0; u < tasks * demand; ++u) {
+        ++capacity[rng->NextInt(0, agents - 1)];
+      }
+      break;
   }
+  return instance;
 }
 
-// Seeded fuzz of the capacity-aware Jonker–Volgenant stage engine against
-// min-cost flow: tie-heavy (1–4 profit levels) and continuous profits, a
-// 1/7 forbidden share, and three capacity styles — random in [0, 4] (zero
-// capacities included), all above the task count, and a tight Σcap =
-// tasks (the SRA completion shape). Optima are tied on most instances, so
-// the scaled objective is compared, not the assignment.
+// Seeded fuzz of the capacity-aware Jonker–Volgenant stage engine (demand
+// 1) against min-cost flow. Optima are tied on most instances, so the
+// scaled objective is compared, not the assignment. The demand overload
+// at demand 1 must return exactly the stage overload's assignment.
 TEST(LapEquivalenceTest, CapacitatedAssignmentMatchesFlowFuzz) {
   int feasible = 0;
   int infeasible = 0;
   for (uint64_t seed = 0; seed < 1500; ++seed) {
     Rng rng(70000 + seed);
-    const int tasks = rng.NextInt(1, 14);
-    const int agents = rng.NextInt(1, 9);
-    const int levels = static_cast<int>(seed % 5);  // 0 = continuous
-    Matrix profit(tasks, agents, kTransportForbidden);
-    for (int t = 0; t < tasks; ++t) {
-      for (int a = 0; a < agents; ++a) {
-        if (rng.NextInt(0, 6) == 0) continue;
-        profit.At(t, a) = levels == 0
-                              ? rng.NextDouble()
-                              : 0.25 * rng.NextInt(0, levels - 1);
-      }
-    }
-    std::vector<int> capacity(agents, 0);
-    switch (seed / 5 % 3) {
-      case 0:
-        for (int& c : capacity) c = rng.NextInt(0, 4);
-        break;
-      case 1:
-        for (int& c : capacity) c = tasks + rng.NextInt(1, 3);
-        break;
-      case 2:
-        for (int t = 0; t < tasks; ++t) ++capacity[rng.NextInt(0, agents - 1)];
-        break;
-    }
+    const FuzzInstance instance = DrawFuzzInstance(seed, &rng, 14, 9, 1);
+    const Matrix& profit = instance.profit;
+    const std::vector<int>& capacity = instance.capacity;
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto flow = SolveTransportation(profit, capacity);
     auto jv = SolveCapacitatedAssignment(profit, capacity);
+    auto unit = SolveCapacitatedAssignment(profit, capacity, 1);
     if (!flow.ok()) {
       ASSERT_EQ(flow.status().code(), StatusCode::kInfeasible);
       ASSERT_FALSE(jv.ok());
       EXPECT_EQ(jv.status().code(), StatusCode::kInfeasible);
+      ASSERT_FALSE(unit.ok());
+      EXPECT_EQ(unit.status().code(), StatusCode::kInfeasible);
       ++infeasible;
       continue;
     }
     ASSERT_TRUE(jv.ok()) << jv.status().ToString();
-    ExpectValidAssignment(profit, capacity, jv->task_to_agent);
+    ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+    ExpectValidAssignment(profit, capacity, 1, unit->task_to_agents);
+    for (int t = 0; t < profit.rows(); ++t) {
+      EXPECT_EQ(jv->task_to_agent[t], unit->task_to_agents[t][0]);
+    }
     EXPECT_EQ(ScaledObjective(profit, flow->task_to_agent),
               ScaledObjective(profit, jv->task_to_agent));
     ++feasible;
@@ -424,6 +337,42 @@ TEST(LapEquivalenceTest, CapacitatedAssignmentMatchesFlowFuzz) {
   // Both verdicts must actually be exercised.
   EXPECT_GT(feasible, 300);
   EXPECT_GT(infeasible, 100);
+}
+
+// The same fuzz at demand 2–4, the ILP-ARAP solve, against
+// SolveTransportationWithDemand: identical verdicts, equal scaled
+// objectives, and δp distinct agents per task within capacity.
+TEST(LapEquivalenceTest, CapacitatedDemandMatchesFlowFuzz) {
+  int feasible[5] = {0, 0, 0, 0, 0};
+  int infeasible[5] = {0, 0, 0, 0, 0};
+  for (uint64_t seed = 0; seed < 2250; ++seed) {
+    Rng rng(90000 + seed);
+    const int demand = 2 + static_cast<int>(seed / 15 % 3);
+    const FuzzInstance instance = DrawFuzzInstance(seed, &rng, 12, 10, demand);
+    const Matrix& profit = instance.profit;
+    const std::vector<int>& capacity = instance.capacity;
+    SCOPED_TRACE("seed " + std::to_string(seed) + " demand " +
+                 std::to_string(demand));
+    auto flow = SolveTransportationWithDemand(profit, capacity, demand);
+    auto jv = SolveCapacitatedAssignment(profit, capacity, demand);
+    if (!flow.ok()) {
+      ASSERT_EQ(flow.status().code(), StatusCode::kInfeasible);
+      ASSERT_FALSE(jv.ok());
+      EXPECT_EQ(jv.status().code(), StatusCode::kInfeasible);
+      ++infeasible[demand];
+      continue;
+    }
+    ASSERT_TRUE(jv.ok()) << jv.status().ToString();
+    ExpectValidAssignment(profit, capacity, demand, jv->task_to_agents);
+    EXPECT_EQ(ScaledObjective(profit, flow->task_to_agents),
+              ScaledObjective(profit, jv->task_to_agents));
+    ++feasible[demand];
+  }
+  // Both verdicts must actually be exercised at every demand.
+  for (int demand = 2; demand <= 4; ++demand) {
+    EXPECT_GT(feasible[demand], 150) << "demand " << demand;
+    EXPECT_GT(infeasible[demand], 100) << "demand " << demand;
+  }
 }
 
 TEST(LapEquivalenceTest, CapacitatedAssignmentVerdicts) {
@@ -470,6 +419,75 @@ TEST(LapEquivalenceTest, CapacitatedAssignmentVerdicts) {
   ASSERT_TRUE(flow.ok() && jv.ok());
   EXPECT_EQ(flow->task_to_agent, jv->task_to_agent);
   EXPECT_EQ(flow->profit, jv->profit);
+}
+
+TEST(LapEquivalenceTest, CapacitatedAssignmentDemandVerdictsAndTies) {
+  // A task with fewer usable agents than its demand has no path for its
+  // last unit, whatever the capacity.
+  Matrix narrow(2, 3, 0.5);
+  narrow.At(1, 0) = kTransportForbidden;
+  narrow.At(1, 1) = kTransportForbidden;
+  EXPECT_EQ(SolveCapacitatedAssignment(narrow, {2, 2, 2}, 2).status().code(),
+            StatusCode::kInfeasible);
+  EXPECT_EQ(
+      SolveCapacitatedAssignment(Matrix(2, 3, 0.5), {1, 1, 1}, -1)
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  auto none = SolveCapacitatedAssignment(Matrix(2, 3, 0.5), {0, 0, 0}, 0);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->task_to_agents, (std::vector<std::vector<int>>{{}, {}}));
+  // Ties go to the lowest index (hungarian.h): with four identical
+  // one-slot agents, task 0 takes the first two and task 1 the rest.
+  auto spread = SolveCapacitatedAssignment(Matrix(2, 4, 0.5), {1, 1, 1, 1}, 2);
+  ASSERT_TRUE(spread.ok());
+  EXPECT_EQ(spread->task_to_agents,
+            (std::vector<std::vector<int>>{{0, 1}, {2, 3}}));
+  // Only agent 2 has two slots, so both tasks must share it. Task 0 first
+  // takes {0, 1}; task 1 then takes 2, and its second unit goes to agent
+  // 0, the lowest index settled, whose task 0 moves on to agent 2.
+  auto shared = SolveCapacitatedAssignment(Matrix(2, 3, 0.5), {1, 1, 2}, 2);
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ(shared->task_to_agents,
+            (std::vector<std::vector<int>>{{1, 2}, {0, 2}}));
+  // A tied case where a task waits: after its second unit, task 0's held
+  // edge to agent 0 is slack, so task 1 reaches task 0 only at a tentative
+  // distance. Min-cost flow returns a different optimum of the same value.
+  Matrix slack(3, 4);
+  const double rows[3][4] = {
+      {0.5, 0.25, 0.25, 0.25}, {0.25, 0.0, 0.5, 0.0}, {0.25, 0.25, 0.25, 0.5}};
+  for (int t = 0; t < 3; ++t) {
+    for (int a = 0; a < 4; ++a) slack.At(t, a) = rows[t][a];
+  }
+  auto waited = SolveCapacitatedAssignment(slack, {1, 2, 1, 2}, 2);
+  ASSERT_TRUE(waited.ok());
+  EXPECT_EQ(waited->task_to_agents,
+            (std::vector<std::vector<int>>{{0, 3}, {1, 2}, {1, 3}}));
+  auto flow = SolveTransportationWithDemand(slack, {1, 2, 1, 2}, 2);
+  ASSERT_TRUE(flow.ok());
+  EXPECT_EQ(ScaledObjective(slack, flow->task_to_agents),
+            ScaledObjective(slack, waited->task_to_agents));
+}
+
+// The demand form polls its deadline and cancel token before every unit
+// insertion. Both instances are feasible, so only the poll can fail them.
+TEST(LapEquivalenceTest, CapacitatedAssignmentHonorsDeadlineAndCancel) {
+  const Matrix profit(4, 3, 0.5);
+  const std::vector<int> capacity = {3, 3, 3};
+  ASSERT_TRUE(SolveCapacitatedAssignment(profit, capacity, 2).ok());
+  const Deadline expired(1e-9);
+  while (!expired.Expired()) {
+  }
+  EXPECT_EQ(SolveCapacitatedAssignment(profit, capacity, 2, &expired)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+  auto source = MakeCancelSource();
+  source->store(true);
+  EXPECT_EQ(SolveCapacitatedAssignment(profit, capacity, 2, nullptr, source)
+                .status()
+                .code(),
+            StatusCode::kCancelled);
 }
 
 }  // namespace
@@ -556,30 +574,39 @@ TEST(LapEquivalenceTest, SdgaSraPipelineIsBackendInvariant) {
   EXPECT_NEAR(flow->TotalScore(), hungarian->TotalScore(), 1e-9);
 }
 
-TEST(LapEquivalenceTest, IlpArapAuctionBackendMatchesFlow) {
+// ILP-ARAP runs the JV with demand δp; the min-cost-flow oracle on the
+// same profits must reach the same scaled optimum. This pool contains an
+// exact score tie (reviewers 1 and 2 score paper 1 identically), so the
+// groups themselves may differ.
+TEST(LapEquivalenceTest, IlpArapMatchesFlowOracle) {
   Instance instance = PoolInstance(12, 9, 3, 41);
-  auto flow = SolveCraIlpArap(instance);
-  ASSERT_TRUE(flow.ok());
-  IlpArapOptions auction_options;
-  auction_options.backend = LapBackend::kAuction;
-  auction_options.num_threads = 1;
-  auto auction = SolveCraIlpArap(instance, auction_options);
-  ASSERT_TRUE(auction.ok()) << auction.status().ToString();
-  // The auction's bidding fans out over the pool; its groups are
-  // bit-identical at any thread count.
-  auction_options.num_threads = 8;
-  auto auction8 = SolveCraIlpArap(instance, auction_options);
-  ASSERT_TRUE(auction8.ok()) << auction8.status().ToString();
-  EXPECT_EQ(Groups(*auction, instance), Groups(*auction8, instance));
-  // This pool contains an exact score tie (reviewers 1 and 2 score paper
-  // 1 identically), and the forward-reverse auction and the flow backend
-  // legitimately pick different members of the tied optimum — the seed-era
-  // version of this test only saw identical groups because demand > 1
-  // auctions always fell back to the flow solver. Compare objectives and
-  // completeness instead; AdversarialDemandInstancesNeedNoFallback pins
-  // the scaled objective exactly across a whole sweep.
-  EXPECT_NEAR(flow->TotalScore(), auction->TotalScore(), 1e-9);
-  EXPECT_TRUE(auction->ValidateComplete().ok());
+  auto ilp = SolveCraIlpArap(instance);
+  ASSERT_TRUE(ilp.ok()) << ilp.status().ToString();
+  EXPECT_TRUE(ilp->ValidateComplete().ok());
+  const int P = instance.num_papers();
+  const int R = instance.num_reviewers();
+  Matrix profit(P, R);
+  for (int p = 0; p < P; ++p) {
+    for (int r = 0; r < R; ++r) {
+      profit(p, r) = instance.IsConflict(r, p) ? la::kTransportForbidden
+                                               : instance.PairUtility(r, p);
+    }
+  }
+  auto flow = la::SolveTransportationWithDemand(
+      profit, std::vector<int>(R, instance.reviewer_workload()),
+      instance.group_size());
+  ASSERT_TRUE(flow.ok()) << flow.status().ToString();
+  int64_t flow_objective = 0;
+  int64_t ilp_objective = 0;
+  for (int p = 0; p < P; ++p) {
+    for (int r : flow->task_to_agents[p]) {
+      flow_objective += la::ScaleTransportProfit(profit(p, r));
+    }
+    for (int r : ilp->GroupFor(p)) {
+      ilp_objective += la::ScaleTransportProfit(profit(p, r));
+    }
+  }
+  EXPECT_EQ(flow_objective, ilp_objective);
 }
 
 }  // namespace

@@ -322,7 +322,7 @@ TEST(SolverRegistryTest, MalformedExtraValuesAreRejected) {
         {"sra_lambda", "fast"},
         {"sra_lambda", "nan"},  // would slip past every range check
         {"sra_lambda", "-1"},   // Eq. 10 needs a decay, not a growth
-        {"lap", "auction"},  // ILP-ARAP's engine, not a stage engine
+        {"lap", "auction"},  // the auction is not a stage engine
         {"topics", "csr"},
         {"gains", "cached"}}) {
     core::SolverRunOptions options;
@@ -488,8 +488,7 @@ auto PlainFields(const core::TypedOptions& o) {
       o.sra.convergence_window, o.sra.decay_lambda, o.sra.max_iterations,
       o.sra.uniform_probability, o.sra.seed, o.ls.time_limit_seconds,
       o.ls.num_threads, o.ls.max_stall_proposals, o.ls.gains, o.ls.seed,
-      o.ilp.time_limit_seconds, o.ilp.num_threads, o.ilp.backend,
-      o.ilp.lap_epsilon, o.jra.time_limit_seconds, o.jra.max_nodes,
+      o.jra.time_limit_seconds, o.jra.max_nodes,
       o.bba.time_limit_seconds, o.bba.max_nodes, o.bba.use_bounding,
       o.bba.use_gain_branching, o.sparse_topics, o.update_refine);
 }
@@ -539,7 +538,7 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
   ASSERT_TRUE(typed.ok()) << typed.status().ToString();
   for (const core::CraOptions* cra :
        std::initializer_list<const core::CraOptions*>{
-           &typed->sdga, &typed->sra, &typed->ls, &typed->ilp}) {
+           &typed->cra, &typed->sdga, &typed->sra, &typed->ls}) {
     EXPECT_EQ(cra->num_threads, 4);
     EXPECT_EQ(cra->time_limit_seconds, 3.0);
   }
@@ -570,23 +569,25 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
     }
   }
 
-  // The cross-knob rule lives in the same step: ilp's lap_epsilon tunes
-  // the auction, so it needs lap=auction, and then writes only o.ilp.
+  // ilp is one sequential JV solve with a single knob: the engine, its
+  // epsilon and the thread count are unknown options there.
   const std::vector<core::KnobSpec>& ilp_knobs =
       core::SolverRegistry::Default().Find("ilp")->knobs;
-  core::SolverRunOptions bad;
-  bad.extra["lap_epsilon"] = "0.5";
-  auto rejected = core::DecodeKnobs("ilp", ilp_knobs, bad, instance);
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().message().find("requires lap=auction"),
-            std::string::npos);
-  core::SolverRunOptions good = bad;
-  good.extra["lap"] = "auction";
-  auto ilp = core::DecodeKnobs("ilp", ilp_knobs, good, instance);
-  ASSERT_TRUE(ilp.ok()) << ilp.status().ToString();
-  EXPECT_EQ(ilp->ilp.backend, core::LapBackend::kAuction);
-  EXPECT_EQ(ilp->ilp.lap_epsilon, 0.5);
-  EXPECT_EQ(ilp->sdga.backend, core::LapBackend::kHungarian);
+  ASSERT_EQ(ilp_knobs.size(), 1u);
+  EXPECT_EQ(ilp_knobs[0].name, "topics");
+  for (const auto& [key, value] :
+       {std::pair<const char*, const char*>{"lap", "mcf"},
+        {"lap_epsilon", "0.5"},
+        {"threads", "4"}}) {
+    SCOPED_TRACE(std::string("ilp ") + key);
+    core::SolverRunOptions bad;
+    bad.extra[key] = value;
+    auto rejected = core::DecodeKnobs("ilp", ilp_knobs, bad, instance);
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(rejected.status().message(),
+              std::string("'ilp' does not take option '") + key +
+                  "' (declared knobs: topics)");
+  }
 }
 
 TEST(SolverRegistryTest, TimeLimitIsThreadedThrough) {

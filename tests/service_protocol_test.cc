@@ -223,9 +223,9 @@ TEST(ProtocolTest, KnobErrorsFailTheSubmitWithoutAJobId) {
   ASSERT_TRUE(dataset.ok());
   std::string script;
   Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
-  // The auction is not a stage engine, and lap_epsilon alone breaks ilp's
-  // one cross-knob rule; submit and resolve check both before handing out
-  // a job id, and the session keeps serving.
+  // The auction is not a stage engine, and ilp takes no lap_epsilon;
+  // submit and resolve check both before handing out a job id, and the
+  // session keeps serving.
   script += "submit conf solve sdga lap=auction\n";
   script += "submit conf solve ilp lap_epsilon=0.5\n";
   script += "submit conf solve greedy\n";
@@ -241,8 +241,10 @@ TEST(ProtocolTest, KnobErrorsFailTheSubmitWithoutAJobId) {
   const std::string stage_engine =
       Err(StatusCode::kInvalidArgument,
           "option 'lap': 'auction' (use mcf or hungarian)");
-  const std::string rule = Err(StatusCode::kInvalidArgument,
-                               "option 'lap_epsilon' requires lap=auction");
+  const std::string rule =
+      Err(StatusCode::kInvalidArgument,
+          "'ilp' does not take option 'lap_epsilon' (declared knobs: "
+          "topics)");
   const std::string session = Ok("session conf v1 P=8 R=12 T=10 unassigned\n");
   const std::string output = out.str();
   ASSERT_EQ(output.rfind(session + stage_engine + rule + Ok("job 1\n"), 0),

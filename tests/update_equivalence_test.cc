@@ -634,6 +634,25 @@ TEST(ParseMutationScriptTest, DiagnosesBadLinesByNumber) {
   EXPECT_EQ(bad_coi.status().code(), StatusCode::kInvalidArgument);
   auto no_topics = ParseMutationScript("add_paper\n");
   EXPECT_EQ(no_topics.status().code(), StatusCode::kInvalidArgument);
+  // A field with a tail, a token after the last field and a non-numeric
+  // topic weight fail the line; none is read as a shorter valid line.
+  for (const char* line :
+       {"remove_paper 3abc", "set_coi 1 2 on off", "set_bid 1 2 0.5x",
+        "remove_reviewer 4 5", "add_paper 0.1 0.2 junk 0.3",
+        "set_paper_topics 1 0.5 0.5x"}) {
+    SCOPED_TRACE(line);
+    auto parsed =
+        ParseMutationScript(std::string("remove_paper 1\n") + line + "\n");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos);
+  }
+  // Trailing blanks and comments still end a line cleanly.
+  auto clean = ParseMutationScript(
+      "set_coi 1 2 on   # conflict\nadd_paper 0.25 0.75 \nset_bid 1 2 0.5\n");
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_EQ(clean->size(), 3u);
+  EXPECT_EQ((*clean)[1].topics, (std::vector<double>{0.25, 0.75}));
+  EXPECT_EQ((*clean)[2].value, 0.5);
 }
 
 TEST(SnapshotDatasetTest, RoundTripsTheLiveInstance) {

@@ -31,8 +31,8 @@
 //      byte-identical to an uninstrumented run, which CI asserts)
 //     (--refine runs the algo's refine-from-initial hook — sra or ls —
 //      on an existing assignment instead of solving from scratch)
-//     (--algo ilp takes --lap mcf|auction [--lap-epsilon E]; the auction
-//      is ILP-ARAP's engine only)
+//     (--algo ilp takes only --topics: one sequential demand-dp JV
+//      solve, no --threads or --lap)
 //   wgrap_cli jra       --dataset d.csv --paper 0 --dp 3 [--topk 5]
 //                       [--algo bba] [--topics dense|sparse]
 //                       [--bba-bounding on|off] [--bba-gain-branching on|off]
@@ -396,11 +396,7 @@ int CmdSolve(const Flags& flags) {
     } else {
       obs::Registry& metrics = obs::Registry::Global();
       for (const char* name :
-           {"wgrap_lap_auction_fallbacks_total",
-            "wgrap_lap_auction_phases_total", "wgrap_lap_auction_rounds_total",
-            "wgrap_lap_auction_bids_total", "wgrap_lap_auction_widen_total",
-            "wgrap_lap_auction_reverse_sweeps_total",
-            "wgrap_gain_cache_patched_cells_total",
+           {"wgrap_gain_cache_patched_cells_total",
             "wgrap_gain_cache_rebuilt_cells_total",
             "wgrap_gain_cache_full_builds_total", "wgrap_sra_rounds_total"}) {
         obs::Counter* counter = metrics.GetCounter(name);

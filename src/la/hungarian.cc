@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/metrics.h"
 
 namespace wgrap::la {
 
@@ -17,6 +18,25 @@ constexpr int64_t kUnreached = std::numeric_limits<int64_t>::max();
 // `settled` mark for the agents a task already holds while that task is
 // scanned: its forward scan must skip them (one unit per pair at most).
 constexpr char kHeldByScan = 2;
+
+// JV work of one solve, counted in locals and added to the process
+// counters once, on every return path.
+struct JvWork {
+  int64_t agents_settled = 0;
+  int64_t full_agents_expanded = 0;
+  int64_t tasks_scanned = 0;
+  ~JvWork() {
+    static obs::Counter* const settled = obs::Registry::Global().GetCounter(
+        "wgrap_lap_jv_agents_settled_total");
+    static obs::Counter* const expanded = obs::Registry::Global().GetCounter(
+        "wgrap_lap_jv_full_agents_expanded_total");
+    static obs::Counter* const scanned = obs::Registry::Global().GetCounter(
+        "wgrap_lap_jv_tasks_scanned_total");
+    if (settled) settled->Add(agents_settled);
+    if (expanded) expanded->Add(full_agents_expanded);
+    if (scanned) scanned->Add(tasks_scanned);
+  }
+};
 
 // The JV behind both public overloads. Returns the agents of task t at
 // [t·demand, (t+1)·demand), ascending.
@@ -33,7 +53,9 @@ constexpr char kHeldByScan = 2;
 // reduced cost -rc(t, a) >= 0: a tight task is scanned at once at a's
 // distance, any other one waits with the tentative distance dist[a] -
 // rc(t, a) until it is the minimum. The first non-full agent settled ends
-// the path, since non-full agents keep dual 0 and full ones a dual <= 0.
+// the path, since non-full agents keep dual 0 and full ones a dual <= 0;
+// at equal distance a non-full agent settles before any other node, so a
+// tie never expands a full agent that a free slot could have ended.
 // With d_end its distance, every settled agent moves by v[a] -= d_end -
 // d[a] and every scanned task by u[t] += d_end - d[t], which keeps the
 // invariants and makes the path tight; it is then flipped. At the end
@@ -61,6 +83,10 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
     if (c < 0) return Status::InvalidArgument("negative capacity");
     total_capacity += c;
   }
+  const int64_t units = static_cast<int64_t>(rows) * demand;
+  if (total_capacity < units) {
+    return Status::Infeasible("agent capacity below total task demand");
+  }
   std::vector<int64_t> cost(static_cast<size_t>(rows) * cols, kNoEdge);
   int64_t s_min = std::numeric_limits<int64_t>::max();
   int64_t s_max = std::numeric_limits<int64_t>::min();
@@ -75,15 +101,11 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
       if (capacity[a] > 0) cost[static_cast<size_t>(t) * cols + a] = s;
     }
   }
-  const int64_t units = static_cast<int64_t>(rows) * demand;
   if (s_min <= s_max &&
       static_cast<__int128>(3 * units + 2) * (s_max - s_min) >
           std::numeric_limits<int64_t>::max()) {
     return Status::InvalidArgument(
         "profit spread x unit count exceeds the int64 dual domain");
-  }
-  if (total_capacity < units) {
-    return Status::Infeasible("agent capacity below total task demand");
   }
   for (int64_t& c : cost) {
     if (c != kNoEdge) c = s_max - c;
@@ -109,8 +131,13 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
   int* const pred_p = pred.data();
   char* const settled_p = settled.data();
   const int64_t* const v_p = v.data();
+  JvWork work;
+  const auto open = [&](int a) {
+    return static_cast<int>(held[a].size()) < capacity[a];
+  };
 
   const auto scan = [&, dist_p, pred_p, settled_p, v_p](int t, int64_t d) {
+    ++work.tasks_scanned;
     scanned.emplace_back(t, d);
     task_scanned[t] = 1;
     int* const own = agents_of.data() + static_cast<size_t>(t) * demand;
@@ -149,15 +176,18 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
       scan(t0, 0);
       int end = -1;
       while (end < 0) {
+        // The nearest agent; on ties the lowest-index non-full one, else
+        // the lowest-index full one. Fullness is read only on a tie.
         int next = -1;
         for (int a = 0; a < cols; ++a) {
           if (!settled_p[a] && dist_p[a] != kUnreached &&
-              (next < 0 || dist_p[a] < dist_p[next])) {
+              (next < 0 || dist_p[a] < dist_p[next] ||
+               (dist_p[a] == dist_p[next] && !open(next) && open(a)))) {
             next = a;
           }
         }
-        // The nearest waiting task, lowest index on ties, goes before an
-        // agent at equal distance.
+        // The nearest waiting task, lowest index on ties, goes before a
+        // full agent at equal distance.
         int wait = -1;
         for (int t : pending) {
           if (!task_scanned[t] &&
@@ -166,7 +196,9 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
             wait = t;
           }
         }
-        if (wait >= 0 && (next < 0 || task_dist[wait] <= dist_p[next])) {
+        if (wait >= 0 &&
+            (next < 0 || task_dist[wait] < dist_p[next] ||
+             (task_dist[wait] == dist_p[next] && !open(next)))) {
           scan(wait, task_dist[wait]);
           continue;
         }
@@ -176,10 +208,12 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
         }
         settled_p[next] = 1;
         settled_agents.push_back(next);
-        if (static_cast<int>(held[next].size()) < capacity[next]) {
+        ++work.agents_settled;
+        if (open(next)) {
           end = next;
           break;
         }
+        ++work.full_agents_expanded;
         for (int t : held[next]) {
           if (task_scanned[t]) continue;
           const int64_t rc =

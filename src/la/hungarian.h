@@ -37,12 +37,19 @@ namespace wgrap::la {
 /// and full ones a dual <= 0. O(units · R · (R + rows)) worst case, units =
 /// rows · demand.
 ///
-/// Ties break to the lowest index: nodes settle in (distance, index) order
-/// with a task before an agent at equal distance; an agent's predecessor
-/// task and a waiting task's predecessor agent change only on a strict
-/// improvement; a settled full agent visits its tasks in ascending index,
-/// scanning those on a tight edge at once. At demand 1 every held edge is
-/// tight, so no task ever waits.
+/// The tie rule: nodes settle in distance order, and at equal distance a
+/// non-full agent goes first, then a waiting task, then a full agent, the
+/// lowest index first within each class. A tied non-full agent thus ends
+/// the path at once instead of a full agent re-routing its tasks, which on
+/// sparse instances (most gains 0, most distances tied) saves nearly all
+/// the work. An agent's predecessor task and a waiting task's predecessor
+/// agent change only on a strict improvement; a settled full agent visits
+/// its tasks in ascending index, scanning those on a tight edge at once.
+/// At demand 1 every held edge is tight, so no task ever waits. The rule
+/// picks which tied optimum is returned, never its value.
+///
+/// Each call adds its work to the counters
+/// wgrap_lap_jv_{agents_settled,full_agents_expanded,tasks_scanned}_total.
 ///
 /// Polls `deadline` (borrowed; may be null) and `cancel` once per unit
 /// insertion: kResourceExhausted on expiry, kCancelled on cancellation.

@@ -155,7 +155,7 @@ TEST_P(JraFuzzTest, BbaMatchesBfs) {
   params.scoring = c.scoring;
   auto instance = Instance::FromDataset(*dataset, params);
   ASSERT_TRUE(instance.ok());
-  Rng rng(c.seed ^ 0x70 + 1);
+  Rng rng(c.seed ^ (0x70 + 1));
   for (int r = 0; r < c.reviewers; ++r) {
     if (rng.NextDouble() < c.conflict_rate) instance->AddConflict(r, 0);
   }

@@ -26,6 +26,7 @@
 #include "la/auction.h"
 #include "la/hungarian.h"
 #include "la/transportation.h"
+#include "obs/metrics.h"
 
 namespace wgrap::la {
 namespace {
@@ -386,6 +387,21 @@ TEST(LapEquivalenceTest, CapacitatedAssignmentVerdicts) {
                 .status()
                 .code(),
             StatusCode::kInfeasible);
+  // Σcap < tasks is checked before any profit, as min-cost flow does, so a
+  // NaN profit does not change the verdict of either engine.
+  {
+    Matrix profit(3, 2, 0.5);
+    profit.At(1, 0) = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(SolveCapacitatedAssignment(profit, {1, 1}).status().code(),
+              StatusCode::kInfeasible);
+    EXPECT_EQ(SolveTransportation(profit, {1, 1}).status().code(),
+              StatusCode::kInfeasible);
+    EXPECT_EQ(SolveCapacitatedAssignment(profit, {2, 2}, 2).status().code(),
+              StatusCode::kInfeasible);
+    EXPECT_EQ(
+        SolveTransportationWithDemand(profit, {2, 2}, 2).status().code(),
+        StatusCode::kInfeasible);
+  }
   // NaN and out-of-range profits on an otherwise feasible instance.
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 2e6,
                            -2e6}) {
@@ -405,11 +421,21 @@ TEST(LapEquivalenceTest, CapacitatedAssignmentVerdicts) {
   auto empty = SolveCapacitatedAssignment(Matrix(0, 2), {1, 1});
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->task_to_agent.empty());
-  // Ties go to the lowest agent index: three identical agents, one slot
-  // each on the first two.
+  // Ties go to the lowest-index non-full agent: three identical agents,
+  // one slot each on the first two.
   auto tied = SolveCapacitatedAssignment(Matrix(2, 3, 0.5), {1, 1, 1});
   ASSERT_TRUE(tied.ok());
   EXPECT_EQ(tied->task_to_agent, (std::vector<int>{0, 1}));
+  // Non-full first (hungarian.h): task 1 reaches the full agent 0 and the
+  // free agent 2 at the same distance, and agent 2 ends the path. Settling
+  // agent 0 first would move task 0 to agent 1 and return {1, 0}, the
+  // same profit 1.0.
+  Matrix free_slot(2, 3, 0.5);
+  free_slot.At(1, 1) = 0.25;
+  auto non_full = SolveCapacitatedAssignment(free_slot, {1, 1, 1});
+  ASSERT_TRUE(non_full.ok());
+  EXPECT_EQ(non_full->task_to_agent, (std::vector<int>{0, 2}));
+  EXPECT_EQ(non_full->profit, 1.0);
   // Unique optimum: continuous profits give the same assignment as flow.
   Rng rng(3);
   Matrix profit = RandomProfit(12, 5, 0.2, &rng);
@@ -467,6 +493,42 @@ TEST(LapEquivalenceTest, CapacitatedAssignmentDemandVerdictsAndTies) {
   ASSERT_TRUE(flow.ok());
   EXPECT_EQ(ScaledObjective(slack, flow->task_to_agents),
             ScaledObjective(slack, waited->task_to_agents));
+  // A non-full agent goes before a waiting task at equal distance. Task 0
+  // holds the full agents 0 and 1, its edge to agent 1 slack by 0.25. Task
+  // 1's second unit settles agent 1, so task 0 waits at 0.25, tied with
+  // the free agent 3, which ends the path. Scanning task 0 first would
+  // move it to agent 2 and return {{0, 2}, {1, 2}}, the same profit 1.0.
+  Matrix tie(2, 4, 0.0);
+  tie.At(0, 1) = 0.25;
+  tie.At(1, 1) = 0.5;
+  tie.At(1, 2) = 0.5;
+  tie.At(1, 3) = 0.25;
+  auto ended = SolveCapacitatedAssignment(tie, {1, 1, 2, 1}, 2);
+  ASSERT_TRUE(ended.ok());
+  EXPECT_EQ(ended->task_to_agents,
+            (std::vector<std::vector<int>>{{0, 1}, {2, 3}}));
+  EXPECT_EQ(ended->profit, 1.0);
+}
+
+int64_t JvCounter(const char* name) {
+  return obs::Registry::Global().GetCounter(name)->Value();
+}
+
+// On an all-tied instance every unit insertion settles one free agent and
+// ends there: no full agent is expanded and only the inserting task is
+// scanned. Settling the lowest index first would expand the full agents.
+TEST(LapEquivalenceTest, JvWorkCountersOnAllTiedInstance) {
+  if (!obs::Enabled()) GTEST_SKIP() << "telemetry disabled";
+  const int64_t settled = JvCounter("wgrap_lap_jv_agents_settled_total");
+  const int64_t expanded = JvCounter("wgrap_lap_jv_full_agents_expanded_total");
+  const int64_t scanned = JvCounter("wgrap_lap_jv_tasks_scanned_total");
+  auto solved = SolveCapacitatedAssignment(Matrix(40, 10, 0.5),
+                                           std::vector<int>(10, 4));
+  ASSERT_TRUE(solved.ok());
+  EXPECT_EQ(JvCounter("wgrap_lap_jv_agents_settled_total") - settled, 40);
+  EXPECT_EQ(JvCounter("wgrap_lap_jv_full_agents_expanded_total") - expanded,
+            0);
+  EXPECT_EQ(JvCounter("wgrap_lap_jv_tasks_scanned_total") - scanned, 40);
 }
 
 // The demand form polls its deadline and cancel token before every unit

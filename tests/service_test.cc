@@ -623,7 +623,9 @@ TEST(JobQueueTest, ThrowingJobBodySurvivesTheWorker) {
   EXPECT_EQ(next->report, "alive\n");
   queue.Drain();
   // Nothing is left queued — the depth gauge wound back to zero.
-  if (depth != nullptr) EXPECT_EQ(depth->Value(), 0);
+  if (depth != nullptr) {
+    EXPECT_EQ(depth->Value(), 0);
+  }
 }
 
 TEST(JobQueueTest, AdmissionControlShedsWhenTheQueueIsFull) {

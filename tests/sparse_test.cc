@@ -77,7 +77,9 @@ TEST(SparseTopicMatrixTest, FromMatrixCompressesAndRoundTrips) {
       }
       ASSERT_EQ(column.nnz, expected_degree) << "topic " << t;
       for (int k = 0; k < column.nnz; ++k) {
-        if (k > 0) EXPECT_LT(column.ids[k - 1], column.ids[k]);  // sorted
+        if (k > 0) {
+          EXPECT_LT(column.ids[k - 1], column.ids[k]);  // sorted
+        }
         EXPECT_EQ(column.values[k], dense(column.ids[k], t));
       }
     }

@@ -398,7 +398,10 @@ int CmdSolve(const Flags& flags) {
       for (const char* name :
            {"wgrap_gain_cache_patched_cells_total",
             "wgrap_gain_cache_rebuilt_cells_total",
-            "wgrap_gain_cache_full_builds_total", "wgrap_sra_rounds_total"}) {
+            "wgrap_gain_cache_full_builds_total", "wgrap_sra_rounds_total",
+            "wgrap_lap_jv_agents_settled_total",
+            "wgrap_lap_jv_full_agents_expanded_total",
+            "wgrap_lap_jv_tasks_scanned_total"}) {
         obs::Counter* counter = metrics.GetCounter(name);
         if (counter != nullptr) {
           std::fprintf(stderr, "telemetry: %s %lld\n", name,

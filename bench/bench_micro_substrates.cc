@@ -315,21 +315,20 @@ BENCHMARK(BM_LapAuctionThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // Per-stage profit maintenance head-to-head: rebuild every P×R marginal
-// gain vs. the delta-maintained GainCache (core/gain_cache.h), on a
-// 400-paper reviewer-pool instance at the given topic density. Args:
+// gain per pair vs. the GainCache (core/gain_cache.h), which re-scores
+// each moved paper's row in one topic-major pass, on a 400-paper
+// reviewer-pool instance at the given topic density. Args:
 // {density%, epoch, mode} with mode 0 = rebuild, 1 = incremental (notes
 // + Refresh + AssembleStageProfit; the cache copy that resets state is
 // excluded from timing), over the two epochs the solvers actually
 // maintain:
 //   epoch 0 — SDGA stage: "stage 2 just committed one reviewer per
-//     paper; produce stage 3's LAP matrix". The cache's worst case:
-//     young groups mean low per-topic maxima, so a commit changes most
-//     of its support and the invalidation floors bite little.
+//     paper; produce stage 3's LAP matrix". Young groups cover few
+//     topics, so the row pass skips few of them.
 //   epoch 1 — SRA completion round: "one victim removed per complete
 //     group; produce the completion LAP matrix". The dominant workload
-//     in sdga-sra (rounds outnumber stages ~100:1) and the cache's home
-//     turf: a removal only lowers maxima the victim uniquely held, and
-//     the min(old, new)-max floor screens out most column reviewers.
+//     in sdga-sra (rounds outnumber stages ~100:1). A paper whose victim
+//     held no max keeps its row; the others are re-scored whole.
 // Both modes produce the identical integer program; only wall-clock
 // differs.
 void BM_GainCacheVsRebuild(benchmark::State& state) {

@@ -45,6 +45,65 @@ double Assignment::MarginalGain(int paper, int reviewer) const {
          instance_->BidBonus(reviewer, paper);
 }
 
+namespace {
+
+// The column scatter of MarginalGainRow with f fixed at compile time, so
+// the TopicContribution switch folds out of the inner loop. For reviewer
+// r the sum runs over the admitted topics t ascending with r[t] > g[t] —
+// the per-pair gate — and the topics TopicCanGain rejects add +0.0 there.
+template <ScoringFunction F>
+void ScatterGainTerms(const double* group, const double* paper, int topics,
+                      const sparse::TopicIndex& by_topic, double* out) {
+  for (int t = 0; t < topics; ++t) {
+    const double g = group[t];
+    const double p = paper[t];
+    if (!TopicCanGain(F, g, p)) continue;
+    const double base = TopicContribution(F, g, p);
+    const sparse::SparseVector column = by_topic.Column(t);
+    for (int k = 0; k < column.nnz; ++k) {
+      const double r = column.values[k];
+      if (r <= g) continue;  // max unchanged at this topic
+      out[column.ids[k]] += TopicContribution(F, r, p) - base;
+    }
+  }
+}
+
+}  // namespace
+
+void Assignment::MarginalGainRow(int paper,
+                                 const sparse::TopicIndex& by_topic,
+                                 double* out) const {
+  const int R = instance_->num_reviewers();
+  const int T = instance_->num_topics();
+  WGRAP_CHECK(by_topic.num_rows() == R && by_topic.num_topics() == T);
+  const double mass = instance_->PaperMass(paper);
+  WGRAP_CHECK(mass > 0.0);
+  const double* group = group_vec_.Row(paper);
+  const double* paper_vec = instance_->PaperVector(paper);
+  std::fill(out, out + R, 0.0);
+  switch (instance_->scoring()) {
+    case ScoringFunction::kWeightedCoverage:
+      ScatterGainTerms<ScoringFunction::kWeightedCoverage>(
+          group, paper_vec, T, by_topic, out);
+      break;
+    case ScoringFunction::kReviewerCoverage:
+      ScatterGainTerms<ScoringFunction::kReviewerCoverage>(
+          group, paper_vec, T, by_topic, out);
+      break;
+    case ScoringFunction::kPaperCoverage:
+      ScatterGainTerms<ScoringFunction::kPaperCoverage>(
+          group, paper_vec, T, by_topic, out);
+      break;
+    case ScoringFunction::kDotProduct:
+      ScatterGainTerms<ScoringFunction::kDotProduct>(
+          group, paper_vec, T, by_topic, out);
+      break;
+  }
+  for (int r = 0; r < R; ++r) {
+    out[r] = out[r] / mass + instance_->BidBonus(r, paper);
+  }
+}
+
 Status Assignment::AddUnchecked(int paper, int reviewer) {
   if (paper < 0 || paper >= instance_->num_papers() || reviewer < 0 ||
       reviewer >= instance_->num_reviewers()) {

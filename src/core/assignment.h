@@ -12,6 +12,7 @@
 #include "common/matrix.h"
 #include "common/status.h"
 #include "core/instance.h"
+#include "sparse/topic_index.h"
 
 namespace wgrap::core {
 
@@ -46,6 +47,17 @@ class Assignment {
   /// gain(A[p], r, p) per Definition 8 (+ bid bonus if bids are set);
   /// O(T) dense, O(nnz(r)) with sparse views — same bits either way.
   double MarginalGain(int paper, int reviewer) const;
+
+  /// Writes MarginalGain(paper, r) into out[r] for every reviewer r (COI
+  /// pairs included), bit for bit, in one topic-major pass: for each topic
+  /// that TopicCanGain admits, in ascending order, it walks the column of
+  /// `by_topic` (Instance::ReviewerTopicIndex of the bound instance) and
+  /// adds each reviewer's term into its slot, then divides by PaperMass
+  /// and adds BidBonus. Per reviewer these are the per-pair kernels'
+  /// operations in the same order, minus terms that are exactly +0.0.
+  /// O(T + Σ_{admitted t} degree(t) + R) against MarginalGain's R calls.
+  void MarginalGainRow(int paper, const sparse::TopicIndex& by_topic,
+                       double* out) const;
 
   /// Score of `paper` with `drop` replaced by `add` in its group, computed
   /// read-only with the same formula the internal recompute uses — the

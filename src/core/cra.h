@@ -72,15 +72,14 @@ struct CraOptions {
 
 /// How the per-stage profit matrix (SDGA stages, the SRA completion step)
 /// and the local-search replacement scores are produced. Both modes give
-/// bit-identical scores and assignments (tests/gain_cache_test.cc);
-/// kIncremental wins wall-clock on sparse topic profiles, where a stage
-/// commit invalidates only the CSC columns of the topics it actually
-/// changed (core/gain_cache.h).
+/// bit-identical scores and assignments (tests/gain_cache_test.cc).
 enum class GainMode {
-  /// Recompute every P×R marginal gain from scratch each stage.
+  /// Recompute every P×R marginal gain from scratch each stage, one
+  /// per-pair kernel call each (the reference).
   kRebuild,
-  /// Delta-maintain the stage profits over a topic-inverted index and
-  /// cache local-search group folds.
+  /// Keep the stage profits across stages, re-scoring the row of each
+  /// paper whose group moved in one topic-major pass over a topic-inverted
+  /// index (core/gain_cache.h), and cache local-search group folds.
   kIncremental,
 };
 
@@ -99,9 +98,8 @@ enum class LapBackend {
 struct SdgaOptions : CraOptions {
   LapBackend backend = LapBackend::kHungarian;
   /// Stage-profit maintenance mode; kIncremental is the default because it
-  /// is bit-identical to kRebuild and never meaningfully slower (on dense
-  /// instances the changed-topic columns cover every reviewer and the two
-  /// modes converge in cost).
+  /// is bit-identical to kRebuild and faster (one row pass per paper whose
+  /// group moved instead of R per-pair gain calls per paper).
   GainMode gains = GainMode::kIncremental;
   /// Per-stage reviewer cap ⌈δr/δp⌉ (Definition 9). Turning this off
   /// forfeits the approximation guarantee — ablation knob (DESIGN.md §5).
@@ -118,7 +116,7 @@ struct SraOptions : CraOptions {
   LapBackend backend = LapBackend::kHungarian;
   /// Completion-step profit maintenance (see SdgaOptions::gains). With
   /// kIncremental one GainCache lives across all refinement rounds: each
-  /// round's removals and re-adds patch it instead of rebuilding P×R.
+  /// round re-scores only the rows whose group vector moved.
   GainMode gains = GainMode::kIncremental;
   /// ω — stop after this many rounds without improvement (Sec. 4.4; the
   /// paper's default is 10).

@@ -13,10 +13,10 @@
 // order. Results are bit-identical for any num_threads.
 //
 // Sparse topics: the O(PR) suitability model below scores every pair via
-// Instance::PairUtility, and the completion step re-scores marginal gains
-// via Assignment::MarginalGain — both dispatch to the bit-identical sparse
-// kernels when the instance carries sparse views, so SRA needs no sparse
-// code of its own.
+// Instance::PairUtility, which dispatches to the bit-identical sparse
+// kernels when the instance carries sparse views, and the completion step
+// re-scores marginal gains via Assignment::MarginalGain or its row kernel,
+// bit-identical either way — so SRA needs no sparse code of its own.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -57,10 +57,9 @@ Result<Assignment> RefineSra(const Instance& instance,
   Stopwatch watch;
   Deadline deadline(options.time_limit_seconds);
   ThreadPool pool(options.num_threads);
-  // gains=incremental: one cache across all refinement rounds. A round
-  // touches each paper's group at ≤ nnz(victim) + nnz(replacement)
-  // topics, so the next completion step patches those columns instead of
-  // rebuilding the whole P×R profit matrix.
+  // gains=incremental: one cache across all refinement rounds. The next
+  // completion step re-scores, one row pass each, only the papers whose
+  // group vector the round's removal (and the last re-add) moved.
   std::unique_ptr<GainCache> gain_cache;
   if (options.gains == GainMode::kIncremental) {
     gain_cache = std::make_unique<GainCache>(&instance);

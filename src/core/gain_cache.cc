@@ -22,26 +22,25 @@ constexpr int64_t kPaperGrain = 8;
 GainCache::GainCache(const Instance* instance)
     : instance_(instance),
       num_reviewers_(instance->num_reviewers()),
-      reviewer_index_(
-          instance->has_sparse_topics()
-              ? sparse::TopicIndex::FromSparse(instance->ReviewerSparseMatrix())
-              : sparse::TopicIndex::FromMatrix(instance->ReviewerMatrix())) {}
+      reviewer_index_(instance->ReviewerTopicIndex()) {}
+
+void GainCache::ScoreRow(const Assignment& assignment, int paper) {
+  double* row = &gains_[static_cast<size_t>(paper) * num_reviewers_];
+  assignment.MarginalGainRow(paper, reviewer_index_, row);
+  // Conflicts hold the forbidden marker permanently.
+  for (int r = 0; r < num_reviewers_; ++r) {
+    if (instance_->IsConflict(r, paper)) row[r] = la::kTransportForbidden;
+  }
+}
 
 void GainCache::Initialize(const Assignment& assignment, ThreadPool* pool) {
   const int P = instance_->num_papers();
-  const int R = num_reviewers_;
   const int T = instance_->num_topics();
-  gains_.assign(static_cast<size_t>(P) * R, 0.0);
+  gains_.assign(static_cast<size_t>(P) * num_reviewers_, 0.0);
   group_snapshot_ = Matrix(P, T);
-  // Exactly the entries a stage rebuild would compute, via the identical
-  // kernels; conflicts hold the forbidden marker permanently.
   pool->ParallelFor(0, P, kPaperGrain, [&](int64_t p64) {
     const int p = static_cast<int>(p64);
-    double* row = &gains_[static_cast<size_t>(p) * R];
-    for (int r = 0; r < R; ++r) {
-      row[r] = instance_->IsConflict(r, p) ? la::kTransportForbidden
-                                           : assignment.MarginalGain(p, r);
-    }
+    ScoreRow(assignment, p);
     const double* gv = assignment.GroupVector(p);
     std::copy(gv, gv + T, group_snapshot_.Row(p));
   });
@@ -58,106 +57,26 @@ void GainCache::Refresh(const Assignment& assignment, ThreadPool* pool) {
   }
   if (pending_.empty()) return;
   const int T = instance_->num_topics();
-  // Group the notes by paper: [begin, end) ranges into the sorted,
-  // deduplicated note list.
+  // Each paper once: two workers must never re-score the same row.
   std::sort(pending_.begin(), pending_.end());
   pending_.erase(std::unique(pending_.begin(), pending_.end()),
                  pending_.end());
-  struct Touched {
-    int paper;
-    size_t begin;
-    size_t end;
-  };
-  std::vector<Touched> touched;
-  for (size_t i = 0; i < pending_.size();) {
-    size_t j = i;
-    while (j < pending_.size() && pending_[j].first == pending_[i].first) ++j;
-    touched.push_back({pending_[i].first, i, j});
-    i = j;
-  }
-
-  std::vector<int64_t> paper_patched(touched.size(), 0);
-  pool->ParallelForChunks(
-      0, static_cast<int64_t>(touched.size()), kPaperGrain,
-      [&](int64_t chunk_begin, int64_t chunk_end) {
-        // Per-worker scratch, reused across chunks and Refresh calls (the
-        // steady-state patch is small, so per-chunk allocation would be a
-        // visible fraction of it). `seen` is a reviewer stamp set cleared
-        // via the candidate list after every paper — that invariant is
-        // what lets it persist — so dedup costs O(collected), not a sort.
-        static thread_local std::vector<int> changed_topics;
-        static thread_local std::vector<double> changed_floor;
-        static thread_local std::vector<int> candidates;
-        static thread_local std::vector<uint8_t> seen;
-        if (static_cast<int>(seen.size()) < num_reviewers_) {
-          seen.assign(static_cast<size_t>(num_reviewers_), 0);
-        }
-        for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-          const Touched& item = touched[i];
-          const int p = item.paper;
-          const double* now = assignment.GroupVector(p);
-          double* snap = group_snapshot_.Row(p);
-          // A changed topic invalidates reviewer r only when
-          // r[t] > min(old max, new max): the Definition 8 per-topic term
-          // is gated by the strict r[t] > g[t] test, so a reviewer at or
-          // below both maxima contributed exactly 0.0 before and after.
-          // `changed_floor` records that threshold per changed topic.
-          changed_topics.clear();
-          changed_floor.clear();
-          const auto record_if_changed = [&](int t) {
-            if (snap[t] != now[t]) {
-              changed_topics.push_back(t);
-              changed_floor.push_back(std::min(snap[t], now[t]));
-              snap[t] = now[t];
-            }
-          };
-          if (instance_->has_sparse_topics()) {
-            // Every change sits inside a noted reviewer's support: an Add
-            // raises the max only there, a Remove lowers it only where the
-            // victim held the max. Diff just that union (snap is updated
-            // as we go, so a topic shared by two noted reviewers cannot
-            // be reported twice).
-            for (size_t k = item.begin; k < item.end; ++k) {
-              const sparse::SparseVector row =
-                  instance_->ReviewerSparse(pending_[k].second);
-              for (int e = 0; e < row.nnz; ++e) record_if_changed(row.ids[e]);
-            }
-          } else {
-            for (int t = 0; t < T; ++t) record_if_changed(t);
-          }
-          if (changed_topics.empty()) continue;
-          // Union the CSC columns of the changed topics, filtered to
-          // reviewers above the per-topic floor — only their gains can
-          // have moved.
-          candidates.clear();
-          for (size_t c = 0; c < changed_topics.size(); ++c) {
-            const sparse::SparseVector column =
-                reviewer_index_.Column(changed_topics[c]);
-            const double floor = changed_floor[c];
-            for (int k = 0; k < column.nnz; ++k) {
-              if (column.values[k] <= floor) continue;
-              const int r = column.ids[k];
-              if (!seen[r]) {
-                seen[r] = 1;
-                candidates.push_back(r);
-              }
-            }
-          }
-          // Candidates stay in stamp insertion order (a merge of sorted
-          // columns — already near-ascending; a tidy-up sort measurably
-          // costs more than it buys). Patch values are order-independent,
-          // so determinism is untouched.
-          double* row = &gains_[static_cast<size_t>(p) * num_reviewers_];
-          for (int r : candidates) {
-            seen[r] = 0;  // reset the stamp set for the next paper
-            if (instance_->IsConflict(r, p)) continue;
-            row[r] = assignment.MarginalGain(p, r);
-            ++paper_patched[i];
-          }
-        }
-      });
+  // A row is re-scored only when the paper's group vector moved: every
+  // gain of the row reads the group through that vector alone, so an
+  // unchanged vector (e.g. a remove-then-re-add) keeps every bit.
+  std::vector<uint8_t> rescored(pending_.size(), 0);
+  pool->ParallelFor(0, static_cast<int64_t>(pending_.size()), kPaperGrain,
+                    [&](int64_t i) {
+                      const int p = pending_[i];
+                      const double* now = assignment.GroupVector(p);
+                      double* snap = group_snapshot_.Row(p);
+                      if (std::equal(now, now + T, snap)) return;
+                      std::copy(now, now + T, snap);
+                      ScoreRow(assignment, p);
+                      rescored[i] = 1;
+                    });
   pending_.clear();
-  for (int64_t count : paper_patched) patched_entries_ += count;
+  for (uint8_t row : rescored) patched_entries_ += row * num_reviewers_;
 }
 
 void GainCache::AssembleStageProfit(const std::vector<int>& papers,

@@ -4,18 +4,19 @@
 // local-search group folds behind ScoreWithReplacement. Selected by
 // GainMode (core/cra.h) / the registry knob `gains=rebuild|incremental`.
 //
-// Why exact deltas are possible (the contract everything here rests on):
-// gain(A[p], r, p) reads the group vector g→ only at topics in reviewer
-// r's support — for t with r[t] = 0 ≤ g[t] the kernel skips the topic no
-// matter what g[t] is (core::MarginalGainVectors and its bit-identical
-// sparse twin). So after a commit changes g→ of paper p at topic set Δ,
-// the only entries that can change are (p, r) for r in the CSC columns
-// of Δ (sparse/topic_index.h), and every entry outside that set would be
-// recomputed to the *same double, bit for bit* by a full rebuild. The
-// cache therefore patches exactly that set with the identical kernels and
-// leaves the rest untouched, which is why `gains=incremental` equals
+// Why whole-row recompute is exact (the contract everything here rests
+// on): gain(A[p], r, p) reads the assignment only through paper p's group
+// vector g→. So a row whose g→ equals its snapshot holds exactly the
+// doubles a full rebuild would compute, and a row whose g→ moved is
+// re-scored in one topic-major pass by Assignment::MarginalGainRow, which
+// reproduces MarginalGain bit for bit for every reviewer: it walks the
+// CSC columns (sparse/topic_index.h) of the topics core::TopicCanGain
+// admits, in ascending order, and adds each reviewer's term into its
+// slot — the per-pair kernels' operations in the same order, minus terms
+// that are exactly +0.0. That is why `gains=incremental` equals
 // `gains=rebuild` exactly — same scores, same assignments, at any thread
-// count (tests/gain_cache_test.cc).
+// count (tests/gain_cache_test.cc; tests/assignment_test.cc pins the row
+// kernel against MarginalGain with memcmp).
 //
 // The int64 domain: what the cache maintains exactly is the stage integer
 // program — the 1e9-scaled int64 profits (la::ScaleTransportProfit) both
@@ -32,19 +33,20 @@
 // view is exposed through ScaledGain() and pinned by the equivalence
 // tests.
 //
-// Cost: a stage commit that changes Σ_p |Δ_p| topics costs
-// O(Σ_p Σ_{t∈Δ_p} degree(t)) gain kernels (fanned over the ThreadPool,
-// papers independent) plus an O(rows × R) assembly copy — versus the
-// rebuild's O(P·R) kernels per stage. On sparse instances (nnz/T ≤ 0.1)
-// that is a ≥3× cut in stage-profit maintenance (BM_GainCacheVsRebuild,
-// bench/BASELINES.md); on fully dense instances the column walks cover
-// every reviewer and the two modes cost about the same.
+// Cost: a Refresh costs O(T) per noted paper to diff its group vector,
+// plus one row pass, O(T + Σ_{admitted t} degree(t) + R), per paper whose
+// vector moved — fanned over the ThreadPool, papers independent — plus an
+// O(rows × R) assembly copy. The rebuild pays R per-pair kernels of
+// O(T) (or O(nnz(r))) per row instead. SDGA stages and SRA rounds change
+// nearly every paper's group, so what the cache still saves is the rows
+// of papers whose group did not move, and the row pass's skip of covered
+// topics (g_t ≥ p_t under c and cP), which the per-pair kernels re-test
+// for every reviewer.
 #ifndef WGRAP_CORE_GAIN_CACHE_H_
 #define WGRAP_CORE_GAIN_CACHE_H_
 
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
@@ -84,9 +86,8 @@ class GainCache {
   static constexpr int64_t kConflictSentinel =
       std::numeric_limits<int64_t>::min();
 
-  /// Builds the CSC reviewer index (from the CSR views when the instance
-  /// carries them, else by inverting the dense matrix). No gains are
-  /// computed until the first Refresh.
+  /// Builds the CSC reviewer index (Instance::ReviewerTopicIndex). No
+  /// gains are computed until the first Refresh.
   explicit GainCache(const Instance* instance);
 
   bool initialized() const { return initialized_; }
@@ -94,22 +95,20 @@ class GainCache {
   /// Records a committed Add/Remove on the tracked assignment. O(1); the
   /// work happens at the next Refresh.
   ///
-  /// Both directions deliberately funnel into the same direction-less
-  /// note: Refresh never replays the operation, it diffs the paper's group
-  /// vector against the snapshot, and an add and a remove of reviewer r
-  /// can change that vector only at topics in r's support — exactly the
-  /// set the note feeds into the sparse diff scan (an add raises the max
-  /// only where r carries weight; a remove lowers it only where r held
-  /// the max). The direction adds no information, so a remove-then-re-add
-  /// epoch refreshes back to the bit-identical cache (regression test:
-  /// tests/gain_cache_test.cc NoteDirectionIsIrrelevant).
-  void NoteAdd(int paper, int reviewer) { Note(paper, reviewer); }
-  void NoteRemove(int paper, int reviewer) { Note(paper, reviewer); }
+  /// Both directions deliberately funnel into the same note, which keeps
+  /// only the paper: Refresh never replays the operation, it diffs the
+  /// paper's group vector against the snapshot. Neither the direction nor
+  /// the reviewer adds information, so a remove-then-re-add epoch
+  /// refreshes back to the bit-identical cache without re-scoring the row
+  /// (regression test: tests/gain_cache_test.cc
+  /// NoteDirectionIsIrrelevant).
+  void NoteAdd(int paper, int /*reviewer*/) { Note(paper); }
+  void NoteRemove(int paper, int /*reviewer*/) { Note(paper); }
 
-  /// First call: full O(P·R) gain build against `assignment` (exactly the
-  /// entries a stage rebuild would compute). Later calls: diffs the group
-  /// vectors of noted papers against the snapshot, walks the CSC columns
-  /// of the changed topics, and re-scores only those (p, r) entries — all
+  /// First call: full gain build against `assignment`, one row pass per
+  /// paper (exactly the entries a stage rebuild would compute). Later
+  /// calls: diffs the group vectors of noted papers against the snapshot
+  /// and re-scores the whole row of each paper whose vector moved — all
   /// on `pool`, bit-identical at any thread count. Out-of-range or
   /// non-finite gains are stored as-is and rejected later by the LAP,
   /// exactly like the rebuild path.
@@ -137,26 +136,27 @@ class GainCache {
   /// pairs. Test and diagnostics hook; requires initialized().
   int64_t ScaledGain(int paper, int reviewer) const;
 
-  /// Entries re-scored by Refresh patches (excludes the initial build) —
-  /// the targeted-invalidation tests and BM_GainCacheVsRebuild read this.
+  /// Entries re-scored by Refresh patches (excludes the initial build):
+  /// R per re-scored row, COI entries included — the invalidation tests
+  /// and BM_GainCacheVsRebuild read this.
   int64_t patched_entries() const { return patched_entries_; }
   /// Completed full builds (1 after the first Refresh).
   int64_t full_builds() const { return full_builds_; }
 
  private:
-  void Note(int paper, int reviewer) {
-    pending_.emplace_back(paper, reviewer);
-  }
+  void Note(int paper) { pending_.push_back(paper); }
   void Initialize(const Assignment& assignment, ThreadPool* pool);
+  /// Re-scores gains_ row `paper` against `assignment`.
+  void ScoreRow(const Assignment& assignment, int paper);
 
   const Instance* instance_;
   const int num_reviewers_;
   sparse::TopicIndex reviewer_index_;  // topic → reviewers carrying it
   /// P×R gain doubles; the snapshot holds the group vectors they were
-  /// last scored against (the diff base for changed-topic detection).
+  /// last scored against (the diff base for moved rows).
   std::vector<double> gains_;
   Matrix group_snapshot_;  // P×T
-  std::vector<std::pair<int, int>> pending_;  // noted (paper, reviewer)
+  std::vector<int> pending_;  // noted papers
   bool initialized_ = false;
   int64_t patched_entries_ = 0;
   int64_t full_builds_ = 0;

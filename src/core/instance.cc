@@ -96,6 +96,12 @@ Result<Instance> Instance::FromDataset(const data::RapDataset& dataset,
   return instance;
 }
 
+sparse::TopicIndex Instance::ReviewerTopicIndex() const {
+  return has_sparse_topics()
+             ? sparse::TopicIndex::FromSparse(sparse_views_->reviewers)
+             : sparse::TopicIndex::FromMatrix(reviewers_);
+}
+
 void Instance::BuildSparseTopics() {
   if (sparse_views_ != nullptr) return;
   auto views = std::make_shared<SparseViews>();

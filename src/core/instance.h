@@ -19,6 +19,7 @@
 #include "data/dataset.h"
 #include "sparse/sparse_matrix.h"
 #include "sparse/sparse_scoring.h"
+#include "sparse/topic_index.h"
 
 namespace wgrap::core {
 
@@ -54,10 +55,12 @@ class Instance {
 
   const double* ReviewerVector(int r) const { return reviewers_.Row(r); }
   const double* PaperVector(int p) const { return papers_.Row(p); }
-  /// The dense R×T reviewer topic matrix (whole-matrix consumers like the
-  /// CSC topic-inverted index of core/gain_cache.h; per-row access is
-  /// ReviewerVector).
-  const Matrix& ReviewerMatrix() const { return reviewers_; }
+  /// The CSC topic → reviewers index that Assignment::MarginalGainRow
+  /// walks: inverted from the CSR views when the instance carries them,
+  /// else from the dense matrix (same entries either way). O(nnz) resp.
+  /// O(R·T). A snapshot: build it once per solve or evaluation and never
+  /// keep it across a mutation of the instance.
+  sparse::TopicIndex ReviewerTopicIndex() const;
   /// Σ_t p→[t], the normalization denominator of Eq. 1.
   double PaperMass(int p) const { return paper_mass_[p]; }
 
@@ -81,10 +84,6 @@ class Instance {
   }
   sparse::SparseVector PaperSparse(int p) const {
     return sparse_views_->papers.Row(p);
-  }
-  /// The whole CSR reviewer matrix; only valid when has_sparse_topics().
-  const sparse::SparseTopicMatrix& ReviewerSparseMatrix() const {
-    return sparse_views_->reviewers;
   }
 
   /// c(r→, p→) for a single reviewer (Definition 1).

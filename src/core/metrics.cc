@@ -9,35 +9,35 @@
 namespace wgrap::core {
 
 Result<Assignment> BuildIdealAssignment(const Instance& instance) {
+  const sparse::TopicIndex by_topic = instance.ReviewerTopicIndex();
   Assignment ideal(&instance);
   std::vector<double> gains(instance.group_size());
   for (int p = 0; p < instance.num_papers(); ++p) {
-    WGRAP_RETURN_IF_ERROR(AddIdealPicks(p, &ideal, gains.data()));
+    WGRAP_RETURN_IF_ERROR(AddIdealPicks(p, by_topic, &ideal, gains.data()));
   }
   return ideal;
 }
 
-Status AddIdealPicks(int paper, Assignment* ideal, double* gains) {
-  // The O(δp·R) gain scan below dispatches to the sparse marginal-gain
-  // kernel (O(nnz) per candidate) whenever the instance carries sparse
-  // topic views — AI and every ratio derived from it are bit-identical
-  // either way.
+Status AddIdealPicks(int paper, const sparse::TopicIndex& by_topic,
+                     Assignment* ideal, double* gains) {
   const Instance& instance = ideal->instance();
   const int R = instance.num_reviewers();
+  std::vector<double> row(R);
   for (int pick = 0; pick < instance.group_size(); ++pick) {
+    ideal->MarginalGainRow(paper, by_topic, row.data());
     int best = -1;
     double best_gain = -1.0;
     for (int r = 0; r < R; ++r) {
-      if (ideal->Contains(paper, r) || instance.IsConflict(r, paper)) continue;
-      const double gain = ideal->MarginalGain(paper, r);
-      if (gain > best_gain) {
-        best_gain = gain;
+      if (row[r] > best_gain && !instance.IsConflict(r, paper) &&
+          !ideal->Contains(paper, r)) {
+        best_gain = row[r];
         best = r;
       }
     }
     if (best < 0) return Status::Infeasible("not enough eligible reviewers");
-    // AddUnchecked re-derives the same gain and adds it to the total, so
-    // the recorded gains fold to the total's exact bits.
+    // AddUnchecked re-derives the same gain (MarginalGain, bit-identical
+    // to the row) and adds it to the total, so the recorded gains fold to
+    // the total's exact bits.
     WGRAP_RETURN_IF_ERROR(ideal->AddUnchecked(paper, best));
     gains[pick] = best_gain;
   }

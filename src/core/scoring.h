@@ -40,6 +40,31 @@ inline double TopicContribution(ScoringFunction f, double r_t, double p_t) {
   return 0.0;
 }
 
+/// Whether topic t can contribute a nonzero term to any Definition 8 gain
+/// against group max g_t and paper weight p_t. The gain kernels add
+/// f(r_t, p_t) − f(g_t, p_t) only when r_t > g_t, and that term is exactly
+/// +0.0 for every r_t > g_t when
+///   c, cP: g_t ≥ p_t (both sides evaluate to p_t);
+///   cD:    p_t = 0   (both products are zero, their difference +0.0);
+/// cR has no such topic: r_t − g_t > 0 whenever r_t ≥ p_t, even at p_t = 0.
+/// Adding +0.0 to the non-negative running gain is the identity, so a
+/// kernel may skip every topic this rejects without changing a bit.
+/// Assumes finite, non-negative weights, which ValidateVector in
+/// data/dataset.cc enforces for every dataset an Instance is built from
+/// (and InstanceUpdater::ValidateTopics for online updates).
+inline bool TopicCanGain(ScoringFunction f, double g_t, double p_t) {
+  switch (f) {
+    case ScoringFunction::kWeightedCoverage:
+    case ScoringFunction::kPaperCoverage:
+      return g_t < p_t;
+    case ScoringFunction::kDotProduct:
+      return p_t != 0.0;
+    case ScoringFunction::kReviewerCoverage:
+      return true;
+  }
+  return true;
+}
+
 /// c(r→, p→): sum of per-topic contributions normalized by the paper mass
 /// Σ_t p[t] (Eq. 1). `expertise` may be a single reviewer vector or a group
 /// max-vector (Definition 2) — both length `num_topics`. Contract:

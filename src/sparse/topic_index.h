@@ -4,12 +4,12 @@
 // "which topics does reviewer r know" in O(nnz(r)); this index answers
 // "which reviewers know topic t" in O(degree(t)).
 //
-// That column walk is what makes gain invalidation targeted: a marginal
-// gain (Definition 8) depends on a paper's group vector only at the topics
-// in the reviewer's support, so when a stage commit changes the group max
-// at topic t, exactly the reviewers in Column(t) can see a different gain
-// for that paper (core/gain_cache.h is the consumer). The same walk is the
-// substrate for future per-topic sharding.
+// That column walk is what computes a paper's whole gain row in one
+// topic-major pass: a marginal gain (Definition 8) adds a term at topic t
+// only for reviewers with r[t] > g[t], i.e. reviewers in Column(t), so
+// walking the columns in ascending topic order scatters every reviewer's
+// terms in the per-pair kernel's order (core::Assignment::MarginalGainRow
+// is the consumer; Instance::ReviewerTopicIndex builds the index).
 //
 // A TopicIndex is immutable after construction; Column() views are cheap
 // pointer views into it, valid as long as the index lives.

@@ -1,11 +1,16 @@
 // Assignment container tests: incremental group-vector and score
-// maintenance, add/remove invariants, capacity and COI enforcement, and a
-// randomized consistency property against recomputation from scratch.
+// maintenance, add/remove invariants, capacity and COI enforcement, a
+// randomized consistency property against recomputation from scratch, and
+// the bitwise identity of the MarginalGainRow row kernel with the
+// per-pair MarginalGain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/matrix.h"
 #include "common/rng.h"
 #include "core/assignment.h"
 #include "core/jra.h"
@@ -177,6 +182,137 @@ TEST(AssignmentTest, RandomizedConsistencyAgainstRecomputation) {
         total += expected;
       }
       ASSERT_NEAR(assignment.TotalScore(), total, 1e-9);
+    }
+  }
+}
+
+// Every entry of MarginalGainRow must carry MarginalGain's exact bits —
+// compared with memcmp, so even a +0.0/-0.0 or last-ulp drift fails.
+void ExpectRowMatchesPerPair(const Assignment& assignment,
+                             const sparse::TopicIndex& by_topic, int paper,
+                             const std::string& what) {
+  const int R = assignment.instance().num_reviewers();
+  std::vector<double> row(R, -7.0);  // stale garbage the kernel overwrites
+  assignment.MarginalGainRow(paper, by_topic, row.data());
+  for (int r = 0; r < R; ++r) {
+    const double expected = assignment.MarginalGain(paper, r);
+    EXPECT_EQ(std::memcmp(&row[r], &expected, sizeof(double)), 0)
+        << what << " paper " << paper << " reviewer " << r << ": "
+        << row[r] << " vs " << expected;
+  }
+}
+
+constexpr ScoringFunction kAllScorings[] = {
+    ScoringFunction::kWeightedCoverage, ScoringFunction::kReviewerCoverage,
+    ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct};
+
+TEST(MarginalGainRowTest, MatchesPerPairGainBitwise) {
+  // Dense and sparse views, all four scorings, bids on and off, COIs, and
+  // every group size 0..δp (the rows are checked before each fill step).
+  for (const double density : {1.0, 0.3}) {
+    data::SyntheticDblpConfig config;
+    config.num_topics = 12;
+    config.seed = 31;
+    config.topic_density = density;
+    auto dataset = data::GenerateReviewerPool(14, 9, config);
+    ASSERT_TRUE(dataset.ok());
+    for (const ScoringFunction f : kAllScorings) {
+      for (const bool sparse_views : {false, true}) {
+        for (const bool bids : {false, true}) {
+          InstanceParams params;
+          params.group_size = 3;
+          params.scoring = f;
+          auto instance = Instance::FromDataset(*dataset, params);
+          ASSERT_TRUE(instance.ok());
+          if (sparse_views) {
+            instance->BuildSparseTopics();
+          } else {
+            instance->DropSparseTopics();
+          }
+          Rng rng(5);
+          const int P = instance->num_papers();
+          const int R = instance->num_reviewers();
+          for (int p = 0; p < P; ++p) {
+            for (int r = 0; r < R; ++r) {
+              if (rng.NextDouble() < 0.15) instance->AddConflict(r, p);
+            }
+          }
+          if (bids) {
+            Matrix bid(P, R);
+            for (int p = 0; p < P; ++p) {
+              for (int r = 0; r < R; ++r) bid(p, r) = rng.NextDouble();
+            }
+            ASSERT_TRUE(instance->SetBids(std::move(bid), 0.4).ok());
+          }
+          const sparse::TopicIndex by_topic = instance->ReviewerTopicIndex();
+          const std::string what =
+              ScoringFunctionName(f) + " density " + std::to_string(density) +
+              (sparse_views ? " sparse" : " dense") +
+              (bids ? " bids" : "");
+          Assignment assignment(&*instance);
+          for (int size = 0; size <= params.group_size; ++size) {
+            for (int p = 0; p < P; ++p) {
+              ExpectRowMatchesPerPair(assignment, by_topic, p,
+                                      what + " size " + std::to_string(size));
+            }
+            if (size == params.group_size) break;
+            for (int p = 0; p < P; ++p) {
+              // A deterministic non-member, non-COI reviewer per step.
+              for (int k = 0; k < R; ++k) {
+                const int r = (p * 5 + size * 3 + k) % R;
+                if (assignment.AddUnchecked(p, r).ok()) break;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MarginalGainRowTest, HandMadeEdgeRows) {
+  // Topic 0: a reviewer exactly at the group max (gated out by r > g).
+  // Topic 1: group max above the paper weight (no c/cP gain; cR and cD
+  //          still gain).
+  // Topic 2: zero paper weight with a reviewer beating the group — cR
+  //          gains r − g there and must not skip it; cD has p_t = 0.
+  // Topic 3: the only topic every scoring gains on.
+  data::RapDataset dataset;
+  dataset.num_topics = 4;
+  dataset.reviewers.push_back({"member", {0.3, 0.5, 0.1, 0.05}, 1});
+  dataset.reviewers.push_back({"at_max", {0.3, 0.0, 0.0, 0.0}, 1});
+  dataset.reviewers.push_back({"above_p", {0.0, 0.7, 0.0, 0.0}, 1});
+  dataset.reviewers.push_back({"zero_p", {0.0, 0.0, 0.6, 0.0}, 1});
+  dataset.reviewers.push_back({"mixed", {0.4, 0.9, 0.8, 0.3}, 1});
+  dataset.reviewers.push_back({"empty_gain", {0.2, 0.1, 0.05, 0.01}, 1});
+  dataset.papers.push_back({"p", {0.5, 0.2, 0.0, 0.3}, "V"});
+  dataset.papers.push_back({"q", {0.0, 0.0, 0.0, 1.0}, "V"});
+  for (const ScoringFunction f : kAllScorings) {
+    for (const bool sparse_views : {false, true}) {
+      InstanceParams params;
+      params.group_size = 2;
+      params.reviewer_workload = 2;
+      params.scoring = f;
+      auto instance = Instance::FromDataset(dataset, params);
+      ASSERT_TRUE(instance.ok());
+      if (sparse_views) {
+        instance->BuildSparseTopics();
+      } else {
+        instance->DropSparseTopics();
+      }
+      instance->AddConflict(/*reviewer=*/4, /*paper=*/1);
+      const sparse::TopicIndex by_topic = instance->ReviewerTopicIndex();
+      Assignment assignment(&*instance);
+      ASSERT_TRUE(assignment.Add(0, 0).ok());
+      ASSERT_TRUE(assignment.Add(1, 0).ok());
+      const std::string what = ScoringFunctionName(f) +
+                               (sparse_views ? " sparse" : " dense");
+      ExpectRowMatchesPerPair(assignment, by_topic, 0, what);
+      ExpectRowMatchesPerPair(assignment, by_topic, 1, what);
+      if (f == ScoringFunction::kReviewerCoverage) {
+        // The zero-weight topic is cR's whole gain for "zero_p".
+        EXPECT_GT(assignment.MarginalGain(0, 3), 0.0);
+      }
     }
   }
 }

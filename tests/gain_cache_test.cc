@@ -2,7 +2,7 @@
 // solver-level equivalence of gains=incremental vs gains=rebuild — scores
 // AND assignments, compared with EXPECT_EQ on purpose, because the
 // contract is bit-identical, not approximately equal — across solvers,
-// topic representations and thread counts, plus targeted invalidation
+// topic representations and thread counts, plus row-granular invalidation
 // units (COI pairs, exhausted reviewers, add/removal epochs) against a
 // freshly built cache.
 #include <gtest/gtest.h>
@@ -150,10 +150,9 @@ TEST(GainCacheTest, AddEpochPatchesMatchFreshBuild) {
           << "(" << p << ", " << r << ")";
     }
   }
-  // On a sparse instance the patch is targeted: far fewer entries than a
-  // full P×R rebuild touches.
-  EXPECT_GT(cache.patched_entries(), 0);
-  EXPECT_LT(cache.patched_entries(),
+  // Every paper's group vector moved, so every row is re-scored whole:
+  // exactly P×R entries.
+  EXPECT_EQ(cache.patched_entries(),
             static_cast<int64_t>(instance.num_papers()) *
                 instance.num_reviewers());
 }
@@ -200,7 +199,11 @@ TEST(GainCacheTest, NoteDirectionIsIrrelevant) {
   GainCache cache(&instance);
   cache.Refresh(assignment, &pool);
   ASSERT_EQ(cache.full_builds(), 1);
+  const int T = instance.num_topics();
+  int64_t moved = 0;  // papers whose group vector changed
   for (int p = 0; p < instance.num_papers(); ++p) {
+    const std::vector<double> before(assignment.GroupVector(p),
+                                     assignment.GroupVector(p) + T);
     const int victim = assignment.GroupFor(p).front();
     ASSERT_TRUE(assignment.Remove(p, victim).ok());
     cache.NoteRemove(p, victim);
@@ -211,9 +214,16 @@ TEST(GainCacheTest, NoteDirectionIsIrrelevant) {
       ASSERT_TRUE(assignment.Add(p, victim).ok());
       cache.NoteAdd(p, victim);
     }
+    if (!std::equal(before.begin(), before.end(), assignment.GroupVector(p))) {
+      ++moved;
+    }
   }
+  ASSERT_GT(moved, 0);
   cache.Refresh(assignment, &pool);
   EXPECT_EQ(cache.full_builds(), 1);  // patched, not rebuilt
+  // Only the moved rows are re-scored, whole; the re-added half costs
+  // zero rows.
+  EXPECT_EQ(cache.patched_entries(), moved * instance.num_reviewers());
 
   GainCache fresh(&instance);
   fresh.Refresh(assignment, &pool);

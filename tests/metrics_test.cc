@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/case_study.h"
@@ -92,10 +93,11 @@ TEST(IdealAssignmentTest, PerPaperFoldMatchesTheWholeBuildBitForBit) {
 
       const int P = instance->num_papers();
       const int dp = instance->group_size();
+      const sparse::TopicIndex by_topic = instance->ReviewerTopicIndex();
       std::vector<double> gains(static_cast<size_t>(P) * dp);
       for (int p = P - 1; p >= 0; --p) {
         Assignment scratch(&*instance);
-        ASSERT_TRUE(AddIdealPicks(p, &scratch, &gains[p * dp]).ok());
+        ASSERT_TRUE(AddIdealPicks(p, by_topic, &scratch, &gains[p * dp]).ok());
         EXPECT_EQ(scratch.GroupFor(p), ideal->GroupFor(p))
             << "sparse " << sparse << " seed " << seed << " paper " << p;
       }
@@ -119,13 +121,139 @@ TEST(IdealAssignmentTest, PerPaperPicksReportAnAllConflictPaper) {
   for (int r = 1; r < config.reviewers; ++r) {
     instance->AddConflict(r, 2);
   }
+  const sparse::TopicIndex by_topic = instance->ReviewerTopicIndex();
   Assignment scratch(&*instance);
   std::vector<double> gains(2);
-  EXPECT_TRUE(AddIdealPicks(1, &scratch, gains.data()).ok());
-  EXPECT_EQ(AddIdealPicks(2, &scratch, gains.data()).code(),
+  EXPECT_TRUE(AddIdealPicks(1, by_topic, &scratch, gains.data()).ok());
+  EXPECT_EQ(AddIdealPicks(2, by_topic, &scratch, gains.data()).code(),
             StatusCode::kInfeasible);
   EXPECT_EQ(BuildIdealAssignment(*instance).status().code(),
             StatusCode::kInfeasible);
+}
+
+// The per-pair AI pick loop AddIdealPicks ran before the row kernel, kept
+// verbatim as the reference the row-kernel picks must reproduce.
+Status ReferenceIdealPicks(int paper, Assignment* ideal, double* gains) {
+  const Instance& instance = ideal->instance();
+  const int R = instance.num_reviewers();
+  for (int pick = 0; pick < instance.group_size(); ++pick) {
+    int best = -1;
+    double best_gain = -1.0;
+    for (int r = 0; r < R; ++r) {
+      if (ideal->Contains(paper, r) || instance.IsConflict(r, paper)) continue;
+      const double gain = ideal->MarginalGain(paper, r);
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = r;
+      }
+    }
+    if (best < 0) return Status::Infeasible("not enough eligible reviewers");
+    WGRAP_RETURN_IF_ERROR(ideal->AddUnchecked(paper, best));
+    gains[pick] = best_gain;
+  }
+  return Status::OK();
+}
+
+// Runs both pickers on fresh scratch assignments for every paper and
+// requires the same verdict, the same reviewers and the same gain bits.
+void ExpectPicksMatchReference(const Instance& instance,
+                               const std::string& what) {
+  const sparse::TopicIndex by_topic = instance.ReviewerTopicIndex();
+  const int dp = instance.group_size();
+  for (int p = 0; p < instance.num_papers(); ++p) {
+    Assignment row_scratch(&instance);
+    Assignment ref_scratch(&instance);
+    std::vector<double> row_gains(dp, -1.0);
+    std::vector<double> ref_gains(dp, -1.0);
+    const Status row = AddIdealPicks(p, by_topic, &row_scratch,
+                                     row_gains.data());
+    const Status ref = ReferenceIdealPicks(p, &ref_scratch, ref_gains.data());
+    ASSERT_EQ(row.code(), ref.code()) << what << " paper " << p;
+    EXPECT_EQ(row_scratch.GroupFor(p), ref_scratch.GroupFor(p))
+        << what << " paper " << p;
+    EXPECT_EQ(std::memcmp(row_gains.data(), ref_gains.data(),
+                          sizeof(double) * dp),
+              0)
+        << what << " paper " << p;
+  }
+}
+
+TEST(IdealAssignmentTest, RowKernelPicksMatchPerPairReference) {
+  // Dense and sparse views, all four scorings, bids, and COIs dense
+  // enough (0.6 over 10 reviewers at δp = 3) that some papers come out
+  // kInfeasible and the verdicts are compared too.
+  constexpr ScoringFunction kScorings[] = {
+      ScoringFunction::kWeightedCoverage, ScoringFunction::kReviewerCoverage,
+      ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct};
+  int infeasible = 0;
+  for (const bool sparse : {false, true}) {
+    for (const ScoringFunction f : kScorings) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        FuzzInstanceConfig config;
+        config.reviewers = seed <= 2 ? 14 : 10;
+        config.papers = 9;
+        config.num_topics = 12;
+        config.group_size = seed <= 2 ? 2 : 3;
+        config.scoring = f;
+        config.conflict_rate = seed <= 2 ? 0.2 : 0.6;
+        config.with_bids = seed % 2 == 0;
+        config.sparse_topics = sparse;
+        config.seed = seed;
+        // The tight COIs leave too little capacity for FromDataset's
+        // workload check, so the instance takes them after the build.
+        auto dataset = MakeFuzzDataset(config);
+        ASSERT_TRUE(dataset.ok());
+        auto instance = Instance::FromDataset(*dataset, MakeFuzzParams(config));
+        ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+        ASSERT_TRUE(PerturbInstance(config, &*instance).ok());
+        if (!sparse) instance->DropSparseTopics();
+        ExpectPicksMatchReference(
+            *instance, ScoringFunctionName(f) +
+                           (sparse ? " sparse" : " dense") + " seed " +
+                           std::to_string(seed));
+        if (!BuildIdealAssignment(*instance).ok()) ++infeasible;
+      }
+    }
+  }
+  EXPECT_GT(infeasible, 0) << "no case exercised the kInfeasible verdict";
+}
+
+TEST(IdealAssignmentTest, TiedGainsPickTheLowestIndex) {
+  // Reviewers 1, 3 and 4 are identical and the best match; 0 and 2 are
+  // weaker. Pick 1 ties three ways and goes to 1 (to 3 on paper q, where
+  // reviewer 1 is a COI); the twins then add nothing, so pick 2 is
+  // reviewer 0, and pick 3 is a three-way tie at gain 0 among 2 and the
+  // remaining twins, which reviewer 2 wins by index.
+  data::RapDataset dataset;
+  dataset.num_topics = 3;
+  dataset.reviewers.push_back({"weak", {0.2, 0.0, 0.8}, 1});
+  dataset.reviewers.push_back({"twin", {0.5, 0.5, 0.0}, 1});
+  dataset.reviewers.push_back({"weak2", {0.0, 0.3, 0.7}, 1});
+  dataset.reviewers.push_back({"twin", {0.5, 0.5, 0.0}, 1});
+  dataset.reviewers.push_back({"twin", {0.5, 0.5, 0.0}, 1});
+  dataset.papers.push_back({"p", {0.45, 0.45, 0.1}, "V"});
+  dataset.papers.push_back({"q", {0.45, 0.45, 0.1}, "V"});
+  for (const ScoringFunction f :
+       {ScoringFunction::kWeightedCoverage, ScoringFunction::kDotProduct}) {
+    for (const bool sparse : {false, true}) {
+      InstanceParams params;
+      params.group_size = 3;
+      params.reviewer_workload = 2;
+      params.scoring = f;
+      params.sparse_topics = sparse;
+      auto instance = Instance::FromDataset(dataset, params);
+      ASSERT_TRUE(instance.ok());
+      if (!sparse) instance->DropSparseTopics();
+      instance->AddConflict(/*reviewer=*/1, /*paper=*/1);
+      const std::string what =
+          ScoringFunctionName(f) + (sparse ? " sparse" : " dense");
+      ExpectPicksMatchReference(*instance, what);
+      auto ideal = BuildIdealAssignment(*instance);
+      ASSERT_TRUE(ideal.ok());
+      EXPECT_EQ(ideal->GroupFor(0), (std::vector<int>{1, 0, 2})) << what;
+      EXPECT_EQ(ideal->GroupFor(1), (std::vector<int>{3, 0, 2})) << what;
+    }
+  }
 }
 
 TEST(MetricsTest, OptimalityRatioInUnitRange) {

@@ -169,6 +169,9 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
       // stage's contribution, so relaxing the cap to the full remaining
       // workload keeps the 1/2 guarantee intact. (The infeasible attempt
       // committed nothing, so the gain cache needs no rollback.)
+      static obs::Counter* const retries = obs::Registry::Global().GetCounter(
+          "wgrap_sdga_cap_relax_retries_total");
+      if (retries) retries->Add();
       for (int r = 0; r < R; ++r) capacity[r] = dr - assignment.LoadOf(r);
       stage_status = RunStage(instance, capacity, options.backend, &pool,
                               cache.get(), &assignment);

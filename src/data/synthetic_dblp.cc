@@ -266,6 +266,9 @@ Result<RapDataset> GenerateReviewerPool(int num_reviewers, int num_papers,
     return Status::InvalidArgument("num_reviewers must be > 0");
   }
   if (num_papers < 0) return Status::InvalidArgument("negative num_papers");
+  if (config.num_topics < 1) {
+    return Status::InvalidArgument("num_topics must be >= 1");
+  }
   if (!(config.topic_density >= 0.0 && config.topic_density <= 1.0)) {  // rejects NaN too
     return Status::InvalidArgument("topic_density must be in [0, 1]");
   }

@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "obs/metrics.h"
+#include "simd/kernels.h"
 
 namespace wgrap::la {
 
@@ -15,9 +16,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int64_t kNoEdge = -1;  // forbidden cell or zero-capacity agent
 constexpr int64_t kUnreached = std::numeric_limits<int64_t>::max();
-// `settled` mark for the agents a task already holds while that task is
-// scanned: its forward scan must skip them (one unit per pair at most).
-constexpr char kHeldByScan = 2;
 
 // JV work of one solve, counted in locals and added to the process
 // counters once, on every return path.
@@ -25,6 +23,7 @@ struct JvWork {
   int64_t agents_settled = 0;
   int64_t full_agents_expanded = 0;
   int64_t tasks_scanned = 0;
+  int64_t path_agents = 0;
   ~JvWork() {
     static obs::Counter* const settled = obs::Registry::Global().GetCounter(
         "wgrap_lap_jv_agents_settled_total");
@@ -32,9 +31,12 @@ struct JvWork {
         "wgrap_lap_jv_full_agents_expanded_total");
     static obs::Counter* const scanned = obs::Registry::Global().GetCounter(
         "wgrap_lap_jv_tasks_scanned_total");
+    static obs::Counter* const path = obs::Registry::Global().GetCounter(
+        "wgrap_lap_jv_path_agents_total");
     if (settled) settled->Add(agents_settled);
     if (expanded) expanded->Add(full_agents_expanded);
     if (scanned) scanned->Add(tasks_scanned);
+    if (path) path->Add(path_agents);
   }
 };
 
@@ -61,6 +63,13 @@ struct JvWork {
 // invariants and makes the path tight; it is then flipped. At the end
 // every unit is placed with dual feasibility and complementary slackness,
 // so the assignment is optimal.
+//
+// The two O(R) loops, the relax of a scanned task and the search for the
+// nearest agent, are the whole cost at demand 1. They carry no per-agent
+// branch: a settled agent's distance moves to `settled` and its dist
+// entry is parked at simd::kJvParked, as are a scanning task's own agents
+// while it scans, so simd::JvRelax needs only the edge test and
+// simd::JvMinDist only the parked test.
 //
 // Overflow: write D(x) for the true cost of x's tree path (forward edges
 // +c, backward edges -c). A simple path has at most units edges each way,
@@ -91,14 +100,16 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
   int64_t s_min = std::numeric_limits<int64_t>::max();
   int64_t s_max = std::numeric_limits<int64_t>::min();
   for (int t = 0; t < rows; ++t) {
+    const double* prow = profit.Row(t);
+    int64_t* crow = &cost[static_cast<size_t>(t) * cols];
     for (int a = 0; a < cols; ++a) {
-      const double p = profit(t, a);
+      const double p = prow[a];
       if (p <= kTransportForbidden / 2) continue;
-      WGRAP_RETURN_IF_ERROR(ValidateTransportProfit(p));
+      if (!TransportProfitInRange(p)) return ValidateTransportProfit(p);
       const int64_t s = ScaleTransportProfit(p);
       s_min = std::min(s_min, s);
       s_max = std::max(s_max, s);
-      if (capacity[a] > 0) cost[static_cast<size_t>(t) * cols + a] = s;
+      if (capacity[a] > 0) crow[a] = s;
     }
   }
   if (s_min <= s_max &&
@@ -117,46 +128,30 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
   std::vector<std::vector<int>> held(cols);  // ascending task ids
   std::vector<int64_t> dist(cols);
   std::vector<int> pred(cols);  // task the agent's shortest path enters from
-  std::vector<char> settled(cols, 0);
-  std::vector<int> settled_agents;
+  std::vector<std::pair<int, int64_t>> settled;  // (agent, distance)
+  std::vector<int64_t> unparked(demand);  // a scanning task's agents' dist
   std::vector<int64_t> task_dist(rows, kUnreached);
   std::vector<int> via(rows);  // agent a task's path leaves; -1 at the root
   std::vector<char> task_scanned(rows, 0);
   std::vector<int> pending;  // tasks given a tentative distance
   std::vector<std::pair<int, int64_t>> scanned;  // (task, distance)
-  // The scan and argmin loops are the whole cost at demand 1; they read
-  // through hoisted pointers, which the scan captures by value, so the
-  // compiler keeps them in registers.
-  int64_t* const dist_p = dist.data();
-  int* const pred_p = pred.data();
-  char* const settled_p = settled.data();
-  const int64_t* const v_p = v.data();
   JvWork work;
   const auto open = [&](int a) {
     return static_cast<int>(held[a].size()) < capacity[a];
   };
 
-  const auto scan = [&, dist_p, pred_p, settled_p, v_p](int t, int64_t d) {
+  const auto scan = [&](int t, int64_t d) {
     ++work.tasks_scanned;
     scanned.emplace_back(t, d);
     task_scanned[t] = 1;
-    int* const own = agents_of.data() + static_cast<size_t>(t) * demand;
+    const int* const own = agents_of.data() + static_cast<size_t>(t) * demand;
     for (int k = 0; k < held_count[t]; ++k) {
-      if (!settled_p[own[k]]) settled_p[own[k]] = kHeldByScan;
+      unparked[k] = dist[own[k]];
+      dist[own[k]] = simd::kJvParked;
     }
-    const int64_t* row = &cost[static_cast<size_t>(t) * cols];
-    const int64_t base = d - u[t];
-    for (int a = 0; a < cols; ++a) {
-      if (row[a] == kNoEdge || settled_p[a]) continue;
-      const int64_t nd = base + row[a] - v_p[a];
-      if (nd < dist_p[a]) {
-        dist_p[a] = nd;
-        pred_p[a] = t;
-      }
-    }
-    for (int k = 0; k < held_count[t]; ++k) {
-      if (settled_p[own[k]] == kHeldByScan) settled_p[own[k]] = 0;
-    }
+    simd::JvRelax(&cost[static_cast<size_t>(t) * cols], v.data(),
+                  dist.data(), pred.data(), cols, d - u[t], t);
+    for (int k = 0; k < held_count[t]; ++k) dist[own[k]] = unparked[k];
   };
 
   for (int t0 = 0; t0 < rows; ++t0) {
@@ -170,20 +165,27 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
             CheckNotCancelled(*cancel, "capacitated assignment"));
       }
       std::fill(dist.begin(), dist.end(), kUnreached);
-      settled_agents.clear();
+      settled.clear();
       scanned.clear();
       via[t0] = -1;
       scan(t0, 0);
       int end = -1;
+      int64_t d_end = 0;
       while (end < 0) {
-        // The nearest agent; on ties the lowest-index non-full one, else
-        // the lowest-index full one. Fullness is read only on a tie.
+        // The nearest agent: its distance from the vector min, then the
+        // lowest-index non-full agent at it, else the lowest-index one.
+        const int64_t d_next = simd::JvMinDist(dist.data(), cols);
         int next = -1;
-        for (int a = 0; a < cols; ++a) {
-          if (!settled_p[a] && dist_p[a] != kUnreached &&
-              (next < 0 || dist_p[a] < dist_p[next] ||
-               (dist_p[a] == dist_p[next] && !open(next) && open(a)))) {
-            next = a;
+        bool next_open = false;
+        if (d_next != kUnreached) {
+          for (int a = 0; a < cols; ++a) {
+            if (dist[a] != d_next) continue;
+            if (open(a)) {
+              next = a;
+              next_open = true;
+              break;
+            }
+            if (next < 0) next = a;
           }
         }
         // The nearest waiting task, lowest index on ties, goes before a
@@ -197,8 +199,8 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
           }
         }
         if (wait >= 0 &&
-            (next < 0 || task_dist[wait] < dist_p[next] ||
-             (task_dist[wait] == dist_p[next] && !open(next)))) {
+            (next < 0 || task_dist[wait] < d_next ||
+             (task_dist[wait] == d_next && !next_open))) {
           scan(wait, task_dist[wait]);
           continue;
         }
@@ -206,11 +208,12 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
           return Status::Infeasible("no augmenting path for task " +
                                     std::to_string(t0));
         }
-        settled_p[next] = 1;
-        settled_agents.push_back(next);
+        settled.emplace_back(next, d_next);
+        dist[next] = simd::kJvParked;
         ++work.agents_settled;
-        if (open(next)) {
+        if (next_open) {
           end = next;
+          d_end = d_next;
           break;
         }
         ++work.full_agents_expanded;
@@ -218,7 +221,7 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
           if (task_scanned[t]) continue;
           const int64_t rc =
               cost[static_cast<size_t>(t) * cols + next] - u[t] - v[next];
-          const int64_t d = dist_p[next] - rc;
+          const int64_t d = d_next - rc;
           if (rc == 0) {
             via[t] = next;
             scan(t, d);
@@ -229,11 +232,7 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
           }
         }
       }
-      const int64_t d_end = dist_p[end];
-      for (int a : settled_agents) {
-        v[a] -= d_end - dist_p[a];
-        settled_p[a] = 0;
-      }
+      for (const auto& [a, d] : settled) v[a] -= d_end - d;
       for (const auto& [t, d] : scanned) {
         u[t] += d_end - d;
         task_scanned[t] = 0;
@@ -245,7 +244,8 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
       // the agent it was reached through (if any) to that agent's own
       // predecessor.
       for (int a = end;;) {
-        const int t = pred_p[a];
+        ++work.path_agents;
+        const int t = pred[a];
         const int from = via[t];
         int* const own = agents_of.data() + static_cast<size_t>(t) * demand;
         if (from < 0) {

@@ -48,8 +48,20 @@ namespace wgrap::la {
 /// At demand 1 every held edge is tight, so no task ever waits. The rule
 /// picks which tied optimum is returned, never its value.
 ///
+/// Cost model: O(R) per scanned task (the relax) and per settled agent (the
+/// nearest-agent search), both vector kernels (simd::JvRelax and
+/// simd::JvMinDist, scalar or AVX2, byte-identical), plus one O(rows · R)
+/// cost build per call. A settled agent's distance moves to a side list and
+/// its dist entry is parked at simd::kJvParked, as are the agents a task
+/// holds while that task is scanned; the relax never lowers a parked entry
+/// and the min skips it, so neither loop branches per agent. The min gives
+/// the nearest distance only; a scalar pass over the agents at it applies
+/// the tie rule.
+///
 /// Each call adds its work to the counters
-/// wgrap_lap_jv_{agents_settled,full_agents_expanded,tasks_scanned}_total.
+/// wgrap_lap_jv_{agents_settled,full_agents_expanded,tasks_scanned}_total
+/// and wgrap_lap_jv_path_agents_total (the agents re-seated along flipped
+/// augmenting paths, at least one per unit).
 ///
 /// Polls `deadline` (borrowed; may be null) and `cancel` once per unit
 /// insertion: kResourceExhausted on expiry, kCancelled on cancellation.

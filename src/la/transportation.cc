@@ -1,6 +1,5 @@
 #include "la/transportation.h"
 
-#include <cmath>
 #include <cstdint>
 
 #include "common/check.h"
@@ -8,13 +7,8 @@
 
 namespace wgrap::la {
 
-int64_t ScaleTransportProfit(double profit) {
-  return static_cast<int64_t>(std::llround(profit * kTransportProfitScale));
-}
-
 Status ValidateTransportProfit(double profit) {
-  // Negated comparison so NaN (all comparisons false) is rejected too.
-  if (!(std::abs(profit) <= kMaxTransportProfit)) {
+  if (!TransportProfitInRange(profit)) {
     return Status::InvalidArgument(
         "profit outside the scalable range [-1e6, 1e6]");
   }

@@ -9,6 +9,8 @@
 #ifndef WGRAP_LA_TRANSPORTATION_H_
 #define WGRAP_LA_TRANSPORTATION_H_
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/matrix.h"
@@ -33,14 +35,31 @@ inline constexpr double kTransportProfitScale = 1e9;
 /// than the forbidden marker) is rejected with kInvalidArgument.
 inline constexpr double kMaxTransportProfit = 1e6;
 
-/// llround(profit * kTransportProfitScale). Callers validate the range
-/// first; this is the single definition every integer engine shares, so
-/// they all optimize literally the same integer program.
-int64_t ScaleTransportProfit(double profit);
+/// llround(profit * kTransportProfitScale), computed inline and exactly:
+/// truncate toward zero, then step one away from zero when the dropped
+/// fraction is at least one half (llround's round-half-away rule). Inside
+/// the validated range |x| <= 1e15 < 2^53, so x and its truncation are
+/// both exact doubles and x - trunc(x) is the exact fraction. Callers
+/// validate the range first; this is the single definition every integer
+/// engine (and GainCache::ScaledGain) shares, so they all optimize
+/// literally the same integer program.
+inline int64_t ScaleTransportProfit(double profit) {
+  const double x = profit * kTransportProfitScale;
+  const int64_t whole = static_cast<int64_t>(x);
+  const double frac = x - static_cast<double>(whole);
+  return whole + (frac >= 0.5) - (frac <= -0.5);
+}
 
-/// OK for finite profits in [-kMaxTransportProfit, kMaxTransportProfit];
-/// kInvalidArgument otherwise (including NaN). The forbidden marker is not
-/// a valid input — callers skip it before scaling.
+/// True for finite profits in [-kMaxTransportProfit, kMaxTransportProfit];
+/// false for NaN, whose comparisons are all false. Hot loops test this
+/// inline and call ValidateTransportProfit only to build the error.
+inline bool TransportProfitInRange(double profit) {
+  return std::abs(profit) <= kMaxTransportProfit;
+}
+
+/// OK when TransportProfitInRange(profit); kInvalidArgument otherwise
+/// (including NaN). The forbidden marker is not a valid input — callers
+/// skip it before scaling.
 Status ValidateTransportProfit(double profit);
 
 /// Maximizes total profit assigning each of `profit.rows()` tasks exactly one

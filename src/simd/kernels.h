@@ -24,8 +24,15 @@
 //    ternary; predicated lanes use the exact predicate complement
 //    (_CMP_NLE_UQ for `!(a <= b)`, _CMP_GE_OQ for `a >= b`); max folds use
 //    compare+blend, NOT VMAXPD (which differs from std::max on ±0.0/NaN).
-//  * Integer kernels (top-two scans, filters) are exact by nature;
-//    ties select the lowest index, matching the scalar scan order.
+//  * Integer kernels (top-two scans, filters, the JV relax and min) are
+//    exact by nature; selections tie to the lowest index, matching the
+//    scalar scan order. JvRelax's int64 sum wraps (two's complement) in
+//    both backends, so it matches for any input, not only for the bounded
+//    distances the JV feeds it.
+//  * The JV kernels (JvRelax, JvMinDist) skip parked agents by value,
+//    never by a side mask: a parked dist entry is kJvParked, which no
+//    relax can undercut and the min ignores. That keeps both O(R) loops
+//    of la::SolveCapacitatedAssignment free of per-agent branches.
 //
 // tests/simd_kernel_test.cc fuzzes every kernel across backends and fails
 // on the first differing byte.
@@ -55,6 +62,10 @@ struct TopTwo {
   int index = -1;
 };
 
+/// A dist entry of JvRelax/JvMinDist that is out of play: an agent the
+/// JV has settled, or one the scanning task already holds.
+inline constexpr int64_t kJvParked = std::numeric_limits<int64_t>::min();
+
 // Per-backend entry points. `scalar` is always compiled and is the
 // reference; `avx2` exists only in x86-64 builds
 // (WGRAP_SIMD_HAVE_AVX2). Call the dispatched wrappers below unless you
@@ -70,6 +81,9 @@ int FilterGreaterThan(const double* values, int n, double threshold,
 TopTwo TopTwoReduced(const int64_t* values, const int* agent_ids, int n,
                      const int64_t* price, int64_t no_price);
 TopTwo TopTwoNegPrice(const int64_t* price, int n, int64_t no_price);
+void JvRelax(const int64_t* row, const int64_t* v, int64_t* dist, int* pred,
+             int n, int64_t base, int t);
+int64_t JvMinDist(const int64_t* dist, int n);
 }  // namespace scalar
 
 #if defined(WGRAP_SIMD_HAVE_AVX2)
@@ -84,6 +98,9 @@ int FilterGreaterThan(const double* values, int n, double threshold,
 TopTwo TopTwoReduced(const int64_t* values, const int* agent_ids, int n,
                      const int64_t* price, int64_t no_price);
 TopTwo TopTwoNegPrice(const int64_t* price, int n, int64_t no_price);
+void JvRelax(const int64_t* row, const int64_t* v, int64_t* dist, int* pred,
+             int n, int64_t base, int t);
+int64_t JvMinDist(const int64_t* dist, int n);
 }  // namespace avx2
 #endif  // WGRAP_SIMD_HAVE_AVX2
 
@@ -156,6 +173,28 @@ inline TopTwo TopTwoNegPrice(const int64_t* price, int n, int64_t no_price) {
   if (UseAvx2()) return avx2::TopTwoNegPrice(price, n, no_price);
 #endif
   return scalar::TopTwoNegPrice(price, n, no_price);
+}
+
+/// The Jonker–Volgenant relax of one scanned task t: for a in [0, n),
+/// with nd = base + row[a] - v[a] (wrapping), sets dist[a] = nd and
+/// pred[a] = t when row[a] >= 0 (a negative cost marks no edge) and
+/// nd < dist[a]. A kJvParked entry is never lowered.
+inline void JvRelax(const int64_t* row, const int64_t* v, int64_t* dist,
+                    int* pred, int n, int64_t base, int t) {
+#if defined(WGRAP_SIMD_HAVE_AVX2)
+  if (UseAvx2()) return avx2::JvRelax(row, v, dist, pred, n, base, t);
+#endif
+  scalar::JvRelax(row, v, dist, pred, n, base, t);
+}
+
+/// min over dist[a] != kJvParked, a in [0, n); INT64_MAX when every entry
+/// is parked or n == 0. The JV finds which agent holds it (its tie rule)
+/// in a second pass.
+inline int64_t JvMinDist(const int64_t* dist, int n) {
+#if defined(WGRAP_SIMD_HAVE_AVX2)
+  if (UseAvx2()) return avx2::JvMinDist(dist, n);
+#endif
+  return scalar::JvMinDist(dist, n);
 }
 
 }  // namespace wgrap::simd

@@ -6,6 +6,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "simd/kernels.h"
 
@@ -299,6 +301,69 @@ TopTwo TopTwoNegPrice(const int64_t* price, int n, int64_t no_price) {
     ScalarTailUpdate(&top, -price[a], a);
   }
   return top;
+}
+
+void JvRelax(const int64_t* row, const int64_t* v, int64_t* dist, int* pred,
+             int n, int64_t base, int t) {
+  // VPADDQ/VPSUBQ wrap like the scalar backend's unsigned sum. The 64-bit
+  // take mask is narrowed to the four 32-bit pred lanes by picking the
+  // low dword of each qword (both dwords of a mask qword are equal).
+  const __m256i vbase = _mm256_set1_epi64x(base);
+  const __m256i vnoedge = _mm256_set1_epi64x(-1);
+  const __m256i narrow = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const __m128i vt = _mm_set1_epi32(t);
+  int a = 0;
+  for (; a + 4 <= n; a += 4) {
+    const __m256i c = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(row + a));
+    const __m256i va = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(v + a));
+    const __m256i d = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(dist + a));
+    const __m256i nd = _mm256_sub_epi64(_mm256_add_epi64(vbase, c), va);
+    const __m256i take = _mm256_and_si256(_mm256_cmpgt_epi64(c, vnoedge),
+                                          _mm256_cmpgt_epi64(d, nd));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dist + a),
+                        _mm256_blendv_epi8(d, nd, take));
+    const __m128i take32 = _mm256_castsi256_si128(
+        _mm256_permutevar8x32_epi32(take, narrow));
+    const __m128i p =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pred + a));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(pred + a),
+                     _mm_blendv_epi8(p, vt, take32));
+  }
+  scalar::JvRelax(row + a, v + a, dist + a, pred + a, n - a, base, t);
+}
+
+int64_t JvMinDist(const int64_t* dist, int n) {
+  // No VPMINSQ before AVX-512: the min is compare + blend. Parked lanes
+  // are blended to INT64_MAX first, the value an all-parked scan returns.
+  const __m256i vparked = _mm256_set1_epi64x(kJvParked);
+  const __m256i vmax =
+      _mm256_set1_epi64x(std::numeric_limits<int64_t>::max());
+  const auto unparked = [&](const int64_t* p) {
+    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    return _mm256_blendv_epi8(d, vmax, _mm256_cmpeq_epi64(d, vparked));
+  };
+  const auto lane_min = [](__m256i x, __m256i y) {
+    return _mm256_blendv_epi8(x, y, _mm256_cmpgt_epi64(x, y));
+  };
+  __m256i m0 = vmax;
+  __m256i m1 = vmax;
+  int a = 0;
+  for (; a + 8 <= n; a += 8) {
+    m0 = lane_min(m0, unparked(dist + a));
+    m1 = lane_min(m1, unparked(dist + a + 4));
+  }
+  if (a + 4 <= n) {
+    m0 = lane_min(m0, unparked(dist + a));
+    a += 4;
+  }
+  alignas(32) int64_t lane[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lane), lane_min(m0, m1));
+  int64_t m = scalar::JvMinDist(dist + a, n - a);
+  for (const int64_t x : lane) m = std::min(m, x);
+  return m;
 }
 
 }  // namespace avx2

@@ -1,8 +1,10 @@
 // The scalar reference backend: these are the exact loops the solvers ran
-// before the kernel layer existed (core/scoring.cc, la/auction.cc), moved
-// here verbatim so the AVX2 backend has a single source of truth to be
-// byte-identical against.
+// before the kernel layer existed (core/scoring.cc, la/auction.cc,
+// la/hungarian.cc), moved here so the AVX2 backend has a single source of
+// truth to be byte-identical against.
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "simd/kernels.h"
 
@@ -96,6 +98,28 @@ TopTwo TopTwoNegPrice(const int64_t* price, int n, int64_t no_price) {
     }
   }
   return top;
+}
+
+void JvRelax(const int64_t* row, const int64_t* v, int64_t* dist, int* pred,
+             int n, int64_t base, int t) {
+  for (int a = 0; a < n; ++a) {
+    // Unsigned arithmetic: the wrapping sum the AVX2 lanes compute, and
+    // no signed overflow for any input.
+    const int64_t nd = static_cast<int64_t>(static_cast<uint64_t>(base) +
+                                            static_cast<uint64_t>(row[a]) -
+                                            static_cast<uint64_t>(v[a]));
+    const bool take = row[a] >= 0 && nd < dist[a];
+    dist[a] = take ? nd : dist[a];
+    pred[a] = take ? t : pred[a];
+  }
+}
+
+int64_t JvMinDist(const int64_t* dist, int n) {
+  int64_t m = std::numeric_limits<int64_t>::max();
+  for (int a = 0; a < n; ++a) {
+    if (dist[a] != kJvParked && dist[a] < m) m = dist[a];
+  }
+  return m;
 }
 
 }  // namespace scalar

@@ -11,6 +11,7 @@
 #include "core/jra.h"
 #include "core/metrics.h"
 #include "data/synthetic_dblp.h"
+#include "obs/metrics.h"
 
 namespace wgrap::core {
 namespace {
@@ -158,6 +159,34 @@ TEST(CraSdgaTest, WorkloadReservationExampleFromSection42) {
   auto greedy_stages = SolveCraSdga(*instance, unconfined);
   ASSERT_TRUE(greedy_stages.ok());
   EXPECT_LE(greedy_stages->TotalScore(), confined->TotalScore() + 1e-9);
+}
+
+// δp = 3 ∤ δr = 4, so each stage caps a reviewer at ⌈4/3⌉ = 2. r0 and r1
+// out-gain r2 on every paper in stages 1 and 2, which leaves r2 with all
+// four papers for stage 3: over its cap, so SDGA retries that stage once
+// with the full remaining workload. The retry counter pins it.
+TEST(CraSdgaTest, CapRelaxRetryIsCounted) {
+  if (!obs::Enabled()) GTEST_SKIP() << "telemetry disabled";
+  data::RapDataset dataset;
+  dataset.num_topics = 3;
+  dataset.reviewers.push_back({"r0", {0.5, 0.0, 0.0}, 1});
+  dataset.reviewers.push_back({"r1", {0.0, 0.5, 0.0}, 1});
+  dataset.reviewers.push_back({"r2", {0.1, 0.1, 0.0}, 1});
+  for (const char* title : {"p0", "p1", "p2", "p3"}) {
+    dataset.papers.push_back({title, {0.5, 0.5, 0.0}, "V"});
+  }
+  InstanceParams params;
+  params.group_size = 3;
+  params.reviewer_workload = 4;
+  auto instance = Instance::FromDataset(dataset, params);
+  ASSERT_TRUE(instance.ok());
+  obs::Counter* retries = obs::Registry::Global().GetCounter(
+      "wgrap_sdga_cap_relax_retries_total");
+  const int64_t before = retries->Value();
+  auto solved = SolveCraSdga(*instance);
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  EXPECT_TRUE(solved->ValidateComplete().ok());
+  EXPECT_EQ(retries->Value() - before, 1);
 }
 
 TEST(CraSdgaTest, BackendsAgreeOnObjective) {

@@ -134,6 +134,14 @@ TEST(SyntheticDblpTest, PoolRejectsBadSizes) {
   SyntheticDblpConfig config;
   EXPECT_FALSE(GenerateReviewerPool(0, 5, config).ok());
   EXPECT_FALSE(GenerateReviewerPool(10, -1, config).ok());
+  for (int topics : {0, -3}) {
+    config.num_topics = topics;
+    const auto pool = GenerateReviewerPool(3, 2, config);
+    ASSERT_FALSE(pool.ok()) << topics;
+    EXPECT_EQ(pool.status().code(), StatusCode::kInvalidArgument);
+  }
+  config.num_topics = 1;  // a one-topic pool stays valid
+  EXPECT_TRUE(GenerateReviewerPool(3, 2, config).ok());
 }
 
 TEST(HIndexScalingTest, MapsIntoOneToTwo) {

@@ -522,6 +522,7 @@ TEST(LapEquivalenceTest, JvWorkCountersOnAllTiedInstance) {
   const int64_t settled = JvCounter("wgrap_lap_jv_agents_settled_total");
   const int64_t expanded = JvCounter("wgrap_lap_jv_full_agents_expanded_total");
   const int64_t scanned = JvCounter("wgrap_lap_jv_tasks_scanned_total");
+  const int64_t path = JvCounter("wgrap_lap_jv_path_agents_total");
   auto solved = SolveCapacitatedAssignment(Matrix(40, 10, 0.5),
                                            std::vector<int>(10, 4));
   ASSERT_TRUE(solved.ok());
@@ -529,6 +530,31 @@ TEST(LapEquivalenceTest, JvWorkCountersOnAllTiedInstance) {
   EXPECT_EQ(JvCounter("wgrap_lap_jv_full_agents_expanded_total") - expanded,
             0);
   EXPECT_EQ(JvCounter("wgrap_lap_jv_tasks_scanned_total") - scanned, 40);
+  EXPECT_EQ(JvCounter("wgrap_lap_jv_path_agents_total") - path, 40);
+}
+
+// A flip re-seats every agent on the path. Task 0 takes agent 0 (a
+// one-agent path); task 1 wants agent 0 too, so agent 0 is expanded, task
+// 0 moves on to agent 1 and task 1 takes agent 0 (a two-agent path).
+TEST(LapEquivalenceTest, JvPathAgentsCountFlippedPaths) {
+  if (!obs::Enabled()) GTEST_SKIP() << "telemetry disabled";
+  const int64_t settled = JvCounter("wgrap_lap_jv_agents_settled_total");
+  const int64_t expanded = JvCounter("wgrap_lap_jv_full_agents_expanded_total");
+  const int64_t scanned = JvCounter("wgrap_lap_jv_tasks_scanned_total");
+  const int64_t path = JvCounter("wgrap_lap_jv_path_agents_total");
+  Matrix profit(2, 2);
+  profit.At(0, 0) = 1.0;
+  profit.At(0, 1) = 0.9;
+  profit.At(1, 0) = 1.0;
+  profit.At(1, 1) = 0.0;
+  auto solved = SolveCapacitatedAssignment(profit, {1, 1});
+  ASSERT_TRUE(solved.ok());
+  EXPECT_EQ(solved->task_to_agent, (std::vector<int>{1, 0}));
+  EXPECT_EQ(JvCounter("wgrap_lap_jv_path_agents_total") - path, 3);
+  EXPECT_EQ(JvCounter("wgrap_lap_jv_agents_settled_total") - settled, 3);
+  EXPECT_EQ(JvCounter("wgrap_lap_jv_full_agents_expanded_total") - expanded,
+            1);
+  EXPECT_EQ(JvCounter("wgrap_lap_jv_tasks_scanned_total") - scanned, 3);
 }
 
 // The demand form polls its deadline and cancel token before every unit

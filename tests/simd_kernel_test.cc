@@ -230,7 +230,96 @@ TEST(SimdKernelTest, TopTwoNegPriceBackendsAreIdentical) {
   }
 }
 
+// JV dist stream: parked and unreached lanes, a few tied small values,
+// and occasional extremes whose wrapping sums must agree across backends.
+int64_t JvDist(Rng* rng) {
+  switch (rng->NextInt(0, 7)) {
+    case 0:
+      return kJvParked;
+    case 1:
+      return std::numeric_limits<int64_t>::max();  // unreached
+    case 2:
+      return static_cast<int64_t>(rng->NextU64());
+    default:
+      return static_cast<int64_t>(rng->NextBounded(6)) - 2;  // ties
+  }
+}
+
+TEST(SimdKernelTest, JvRelaxBackendsAreIdentical) {
+  Rng rng(7);
+  for (const int n : kLengths) {
+    for (int rep = 0; rep < 60; ++rep) {
+      std::vector<int64_t> row(n), v(n), dist0(n);
+      std::vector<int> pred0(n);
+      for (int a = 0; a < n; ++a) {
+        const int kind = rng.NextInt(0, 5);
+        row[a] = kind == 0   ? -1  // kNoEdge
+                 : kind == 1 ? -static_cast<int64_t>(rng.NextBounded(9)) - 1
+                 : kind == 2 ? static_cast<int64_t>(rng.NextU64())
+                             : static_cast<int64_t>(rng.NextBounded(4));
+        v[a] = rng.NextInt(0, 9) == 0
+                   ? static_cast<int64_t>(rng.NextU64())
+                   : -static_cast<int64_t>(rng.NextBounded(4));
+        dist0[a] = JvDist(&rng);
+        pred0[a] = rng.NextInt(-1, 50);
+      }
+      const int64_t base = rng.NextInt(0, 9) == 0
+                               ? static_cast<int64_t>(rng.NextU64())
+                               : static_cast<int64_t>(rng.NextBounded(5)) - 2;
+      const int t = rng.NextInt(0, 1000);
+      std::vector<int64_t> dist_s = dist0, dist_v = dist0;
+      std::vector<int> pred_s = pred0, pred_v = pred0;
+      scalar::JvRelax(row.data(), v.data(), dist_s.data(), pred_s.data(), n,
+                      base, t);
+      avx2::JvRelax(row.data(), v.data(), dist_v.data(), pred_v.data(), n,
+                    base, t);
+      ASSERT_EQ(dist_s, dist_v) << "n=" << n << " rep=" << rep;
+      ASSERT_EQ(pred_s, pred_v) << "n=" << n << " rep=" << rep;
+      for (int a = 0; a < n; ++a) {
+        if (dist0[a] == kJvParked) {
+          ASSERT_EQ(dist_s[a], kJvParked) << a;
+        }
+        if (row[a] < 0) {
+          ASSERT_EQ(pred_s[a], pred0[a]) << a;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, JvMinDistBackendsAreIdentical) {
+  Rng rng(8);
+  for (const int n : kLengths) {
+    for (int rep = 0; rep < 60; ++rep) {
+      std::vector<int64_t> dist(n);
+      for (int64_t& d : dist) d = JvDist(&rng);
+      if (rep % 10 == 0) dist.assign(n, kJvParked);  // nothing in play
+      ASSERT_EQ(scalar::JvMinDist(dist.data(), n),
+                avx2::JvMinDist(dist.data(), n))
+          << "n=" << n << " rep=" << rep;
+    }
+  }
+}
+
 #endif  // WGRAP_SIMD_HAVE_AVX2
+
+// The scalar JV kernels are the reference every backend must match.
+TEST(SimdKernelTest, JvScalarKernelsSkipParkedAndNoEdgeLanes) {
+  const int64_t unreached = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> row = {-1, 5, 5, 0, 2};
+  const std::vector<int64_t> v = {0, 0, -1, 0, 0};
+  std::vector<int64_t> dist = {unreached, kJvParked, unreached, 3, 4};
+  std::vector<int> pred = {9, 9, 9, 9, 9};
+  scalar::JvRelax(row.data(), v.data(), dist.data(), pred.data(), 5,
+                  /*base=*/2, /*t=*/1);
+  EXPECT_EQ(dist, (std::vector<int64_t>{unreached, kJvParked, 8, 2, 4}));
+  EXPECT_EQ(pred, (std::vector<int>{9, 9, 1, 1, 9}));  // 4 == 4 keeps pred
+  EXPECT_EQ(scalar::JvMinDist(dist.data(), 5), 2);
+  dist[3] = kJvParked;
+  EXPECT_EQ(scalar::JvMinDist(dist.data(), 5), 4);
+  EXPECT_EQ(scalar::JvMinDist(dist.data(), 2), unreached);
+  EXPECT_EQ(scalar::JvMinDist(dist.data(), 0), unreached);
+}
 
 TEST(SimdKernelTest, DispatchReportsABackendName) {
   const Backend active = ActiveBackend();

@@ -3,6 +3,8 @@
 // infeasibility detection.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iomanip>
 #include <limits>
 #include <vector>
 
@@ -122,6 +124,45 @@ TEST(TransportationTest, RejectsProfitsOutsideScalableRange) {
   auto skipped = SolveTransportation(with_forbidden, {1, 1});
   ASSERT_TRUE(skipped.ok());
   EXPECT_EQ(skipped->task_to_agent[0], 1);
+}
+
+// ScaleTransportProfit is an inline truncate-and-correct formula; it must
+// equal llround(p · 1e9) on the whole validated range, including the exact
+// halves of the scaled value (where the rounding direction matters) and
+// their nextafter neighbours.
+TEST(TransportationTest, ScaleTransportProfitMatchesLlround) {
+  const auto expect_llround = [](double p) {
+    ASSERT_EQ(ScaleTransportProfit(p),
+              std::llround(p * kTransportProfitScale))
+        << std::setprecision(17) << p;
+  };
+  Rng rng(11);
+  for (int i = 0; i < 200000; ++i) {
+    expect_llround((2.0 * rng.NextDouble() - 1.0) * kMaxTransportProfit);
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  int exact_halves = 0;
+  for (int i = 0; i < 20000; ++i) {
+    // Scaled values k + 1/2 at every magnitude up to 1e15, both signs.
+    const double k = std::floor(std::pow(10.0, 15.0 * rng.NextDouble()));
+    for (const double sign : {1.0, -1.0}) {
+      double p = sign * (k + 0.5) / kTransportProfitScale;
+      p = std::nextafter(std::nextafter(p, -inf), -inf);
+      for (int step = 0; step < 5; ++step, p = std::nextafter(p, inf)) {
+        const double x = std::abs(p * kTransportProfitScale);
+        if (x - std::floor(x) == 0.5) ++exact_halves;
+        expect_llround(p);
+      }
+    }
+  }
+  EXPECT_GT(exact_halves, 10000);
+  for (const double p :
+       {0.0, -0.0, 5e-10, -5e-10, 1.5e-9, -1.5e-9, 2.5e-9, -2.5e-9,
+        kMaxTransportProfit, -kMaxTransportProfit,
+        std::nextafter(kMaxTransportProfit, 0.0),
+        std::nextafter(-kMaxTransportProfit, 0.0)}) {
+    expect_llround(p);
+  }
 }
 
 class TransportationVsHungarianTest : public ::testing::TestWithParam<int> {};

@@ -401,7 +401,9 @@ int CmdSolve(const Flags& flags) {
             "wgrap_gain_cache_full_builds_total", "wgrap_sra_rounds_total",
             "wgrap_lap_jv_agents_settled_total",
             "wgrap_lap_jv_full_agents_expanded_total",
-            "wgrap_lap_jv_tasks_scanned_total"}) {
+            "wgrap_lap_jv_tasks_scanned_total",
+            "wgrap_lap_jv_path_agents_total",
+            "wgrap_sdga_cap_relax_retries_total"}) {
         obs::Counter* counter = metrics.GetCounter(name);
         if (counter != nullptr) {
           std::fprintf(stderr, "telemetry: %s %lld\n", name,
@@ -442,9 +444,10 @@ int CmdJra(const Flags& flags) {
   core::SolverRunOptions options;
   options.extra = KnobFlags(flags);
   Result<std::vector<core::JraResult>> results = Status::Internal("unset");
-  if (topk > 1) {
+  if (topk != 1) {
     // Top-k enumeration dispatches through the registry's top-k hook like
-    // every other solve; the registry diagnoses solvers without one.
+    // every other solve; the registry diagnoses solvers without one and
+    // rejects k < 1.
     results = core::SolverRegistry::Default().SolveJraTopK(
         algo, *instance, paper, topk, options);
   } else {

@@ -4,15 +4,8 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "simd/kernels.h"
-#include "sparse/sparse_scoring.h"
 
 namespace wgrap::core {
-
-// The sparse recompute/replacement paths below use the shared per-thread
-// accumulator (sparse::ThreadLocalGroupAccumulator): local search scores
-// proposals from pool workers, and the warm accumulator makes Reset()
-// O(touched) instead of O(T).
 
 Assignment::Assignment(const Instance* instance)
     : instance_(instance),
@@ -27,21 +20,7 @@ bool Assignment::Contains(int paper, int reviewer) const {
 }
 
 double Assignment::MarginalGain(int paper, int reviewer) const {
-  if (instance_->has_sparse_topics()) {
-    // Bit-identical to the dense branch (sparse/sparse_scoring.h): the
-    // dense loop only touches topics where the reviewer exceeds the group
-    // max, which is a subset of the reviewer's support.
-    return sparse::MarginalGainSparse(
-               instance_->scoring(), group_vec_.Row(paper),
-               instance_->ReviewerSparse(reviewer),
-               instance_->PaperVector(paper), instance_->PaperMass(paper)) +
-           instance_->BidBonus(reviewer, paper);
-  }
-  return MarginalGainVectors(
-             instance_->scoring(), group_vec_.Row(paper),
-             instance_->ReviewerVector(reviewer),
-             instance_->PaperVector(paper), instance_->num_topics(),
-             instance_->PaperMass(paper)) +
+  return instance_->MarginalGain(group_vec_.Row(paper), reviewer, paper) +
          instance_->BidBonus(reviewer, paper);
 }
 
@@ -70,12 +49,10 @@ void ScatterGainTerms(const double* group, const double* paper, int topics,
 
 }  // namespace
 
-void Assignment::MarginalGainRow(int paper,
-                                 const sparse::TopicIndex& by_topic,
-                                 double* out) const {
+void Assignment::MarginalGainRow(int paper, double* out) const {
   const int R = instance_->num_reviewers();
   const int T = instance_->num_topics();
-  WGRAP_CHECK(by_topic.num_rows() == R && by_topic.num_topics() == T);
+  const sparse::TopicIndex& by_topic = instance_->ReviewerTopicIndex();
   const double mass = instance_->PaperMass(paper);
   WGRAP_CHECK(mass > 0.0);
   const double* group = group_vec_.Row(paper);
@@ -119,13 +96,7 @@ Status Assignment::AddUnchecked(int paper, int reviewer) {
   groups_[paper].push_back(reviewer);
   ++load_[reviewer];
   ++size_;
-  double* gv = group_vec_.Row(paper);
-  if (instance_->has_sparse_topics()) {
-    sparse::MaxInto(instance_->ReviewerSparse(reviewer), gv);
-  } else {
-    simd::MaxFold(gv, instance_->ReviewerVector(reviewer),
-                  instance_->num_topics());
-  }
+  instance_->FoldReviewer(reviewer, group_vec_.Row(paper));
   paper_score_[paper] += gain;
   total_score_ += gain;
   return Status::OK();
@@ -165,74 +136,35 @@ Status Assignment::Remove(int paper, int reviewer) {
   return Status::OK();
 }
 
-double Assignment::ScoreWithReplacement(int paper, int drop, int add,
-                                        std::vector<double>* gv_scratch)
-    const {
-  const int T = instance_->num_topics();
-  if (instance_->has_sparse_topics()) {
-    // Sparse twin of the dense fold below, sharing kernels with the sparse
-    // RecomputePaper — the two must never diverge (see the header
-    // contract). `gv_scratch` is unused: the thread-local accumulator is
-    // the scratch.
-    sparse::SparseGroupAccumulator& acc =
-        sparse::ThreadLocalGroupAccumulator();
-    acc.Reset(T);
-    double bids = 0.0;
-    for (int r : groups_[paper]) {
-      if (r == drop) continue;
-      acc.Fold(instance_->ReviewerSparse(r));
-      bids += instance_->BidBonus(r, paper);
-    }
-    acc.Fold(instance_->ReviewerSparse(add));
-    bids += instance_->BidBonus(add, paper);
-    return acc.Score(instance_->scoring(), instance_->PaperSparse(paper),
-                     instance_->PaperMass(paper)) +
-           bids;
-  }
-  std::vector<double>& gv = *gv_scratch;
-  gv.assign(T, 0.0);
+double Assignment::ScoreWithReplacement(int paper, int drop,
+                                        int add) const {
+  GroupFold fold(*instance_);
   double bids = 0.0;
-  auto fold = [&](int r) {
-    simd::MaxFold(gv.data(), instance_->ReviewerVector(r), T);
-    bids += instance_->BidBonus(r, paper);
-  };
   for (int r : groups_[paper]) {
-    if (r != drop) fold(r);
+    if (r == drop) continue;
+    fold.Add(r);
+    bids += instance_->BidBonus(r, paper);
   }
-  fold(add);
-  return ScoreVectors(instance_->scoring(), gv.data(),
-                      instance_->PaperVector(paper), T,
-                      instance_->PaperMass(paper)) +
-         bids;
+  fold.Add(add);
+  bids += instance_->BidBonus(add, paper);
+  return fold.Score(paper) + bids;
 }
 
 void Assignment::RecomputePaper(int paper) {
   double* gv = group_vec_.Row(paper);
   const int T = instance_->num_topics();
   std::fill(gv, gv + T, 0.0);
+  for (int r : groups_[paper]) instance_->FoldReviewer(r, gv);
   const double old_score = paper_score_[paper];
   double score = 0.0;
-  if (instance_->has_sparse_topics()) {
-    sparse::SparseGroupAccumulator& acc =
-        sparse::ThreadLocalGroupAccumulator();
-    acc.Reset(T);
-    for (int r : groups_[paper]) acc.Fold(instance_->ReviewerSparse(r));
-    acc.ScatterInto(gv);  // keep the dense member in sync for MarginalGain
-    if (!groups_[paper].empty()) {
-      score = acc.Score(instance_->scoring(), instance_->PaperSparse(paper),
-                        instance_->PaperMass(paper));
-      for (int r : groups_[paper]) score += instance_->BidBonus(r, paper);
-    }
-  } else {
-    for (int r : groups_[paper]) {
-      simd::MaxFold(gv, instance_->ReviewerVector(r), T);
-    }
-    if (!groups_[paper].empty()) {
-      score = ScoreVectors(instance_->scoring(), gv,
-                           instance_->PaperVector(paper), T,
-                           instance_->PaperMass(paper));
-      for (int r : groups_[paper]) score += instance_->BidBonus(r, paper);
-    }
+  if (!groups_[paper].empty()) {
+    // The row is dense and O(T) to clear anyway, so score it with the
+    // dense kernel: by the CSR kernels' bit-identity contract that is the
+    // same double GroupFold's CSR merge would give.
+    score = ScoreVectors(instance_->scoring(), gv,
+                         instance_->PaperVector(paper), T,
+                         instance_->PaperMass(paper));
+    for (int r : groups_[paper]) score += instance_->BidBonus(r, paper);
   }
   paper_score_[paper] = score;
   total_score_ += paper_score_[paper] - old_score;

@@ -1,9 +1,9 @@
 // A (possibly partial) WGRAP assignment A ⊆ P × R with incremental
 // group-expertise maintenance: adding a reviewer updates the group
 // max-vector (Definition 2) and cached coverage score in O(T) — or
-// O(nnz) when the bound Instance carries sparse topic views, in which
-// case every scoring path here dispatches to the bit-identical kernels
-// of src/sparse/sparse_scoring.h.
+// O(nnz) when the bound Instance carries CSR topic views. Every scoring
+// path here goes through the Instance's primitives (MarginalGain,
+// FoldReviewer, GroupFold), which pick the kernels.
 #ifndef WGRAP_CORE_ASSIGNMENT_H_
 #define WGRAP_CORE_ASSIGNMENT_H_
 
@@ -12,7 +12,6 @@
 #include "common/matrix.h"
 #include "common/status.h"
 #include "core/instance.h"
-#include "sparse/topic_index.h"
 
 namespace wgrap::core {
 
@@ -50,24 +49,20 @@ class Assignment {
 
   /// Writes MarginalGain(paper, r) into out[r] for every reviewer r (COI
   /// pairs included), bit for bit, in one topic-major pass: for each topic
-  /// that TopicCanGain admits, in ascending order, it walks the column of
-  /// `by_topic` (Instance::ReviewerTopicIndex of the bound instance) and
-  /// adds each reviewer's term into its slot, then divides by PaperMass
-  /// and adds BidBonus. Per reviewer these are the per-pair kernels'
-  /// operations in the same order, minus terms that are exactly +0.0.
+  /// that TopicCanGain admits, in ascending order, it walks that topic's
+  /// column of the instance's ReviewerTopicIndex and adds each reviewer's
+  /// term into its slot, then divides by PaperMass and adds BidBonus. Per
+  /// reviewer these are the per-pair kernels' operations in the same
+  /// order, minus terms that are exactly +0.0.
   /// O(T + Σ_{admitted t} degree(t) + R) against MarginalGain's R calls.
-  void MarginalGainRow(int paper, const sparse::TopicIndex& by_topic,
-                       double* out) const;
+  void MarginalGainRow(int paper, double* out) const;
 
   /// Score of `paper` with `drop` replaced by `add` in its group, computed
-  /// read-only with the same formula the internal recompute uses — the
+  /// read-only with the same GroupFold the internal recompute uses — the
   /// parallel local-search gain evaluation depends on the two never
-  /// diverging. `gv_scratch` is dense-path scratch only (reused across
-  /// calls, carries no output); the sparse path uses a thread-local
-  /// accumulator instead and leaves it untouched. O(δp·T) dense,
-  /// O(δp·nnz) sparse.
-  double ScoreWithReplacement(int paper, int drop, int add,
-                              std::vector<double>* gv_scratch) const;
+  /// diverging. Safe to call from several threads (GroupFold scratch is
+  /// per thread). O(δp·T) dense, O(δp·nnz) sparse.
+  double ScoreWithReplacement(int paper, int drop, int add) const;
 
   /// Adds (r, p). Fails on duplicates, COI, full group, or exhausted
   /// workload. O(T) on success.

@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "core/cra.h"
 #include "core/repair.h"
-#include "sparse/sparse_scoring.h"
 
 namespace wgrap::core {
 
@@ -26,17 +25,12 @@ struct CachedGroup {
 };
 
 // Greedily builds a δp-group for `paper` from reviewers with remaining
-// capacity, maximizing marginal gain at each pick. With sparse topic views
-// the per-candidate gain drops from O(T) to O(nnz(r)) via the bit-identical
-// sparse kernel — this loop over all R candidates per pick is BRGG's
-// dominant cost.
+// capacity, maximizing marginal gain at each pick. This loop over all R
+// candidates per pick is BRGG's dominant cost; with CSR topic views each
+// gain is O(nnz(r)) instead of O(T) (Instance::MarginalGain).
 CachedGroup BuildGreedyGroup(const Instance& instance, int paper,
                              const std::vector<int>& remaining_capacity) {
-  const int T = instance.num_topics();
-  const double* pv = instance.PaperVector(paper);
-  const double mass = instance.PaperMass(paper);
-  const bool use_sparse = instance.has_sparse_topics();
-  std::vector<double> group_vec(T, 0.0);
+  std::vector<double> group_vec(instance.num_topics(), 0.0);
   std::vector<char> in_group(instance.num_reviewers(), 0);
   CachedGroup out;
   out.score = 0.0;
@@ -48,16 +42,8 @@ CachedGroup BuildGreedyGroup(const Instance& instance, int paper,
           instance.IsConflict(r, paper)) {
         continue;
       }
-      const double gain =
-          (use_sparse
-               ? sparse::MarginalGainSparse(instance.scoring(),
-                                            group_vec.data(),
-                                            instance.ReviewerSparse(r), pv,
-                                            mass)
-               : MarginalGainVectors(instance.scoring(), group_vec.data(),
-                                     instance.ReviewerVector(r), pv, T,
-                                     mass)) +
-          instance.BidBonus(r, paper);
+      const double gain = instance.MarginalGain(group_vec.data(), r, paper) +
+                          instance.BidBonus(r, paper);
       if (gain > best_gain) {
         best_gain = gain;
         best = r;
@@ -71,14 +57,7 @@ CachedGroup BuildGreedyGroup(const Instance& instance, int paper,
     in_group[best] = 1;
     out.reviewers.push_back(best);
     out.score += best_gain;
-    if (use_sparse) {
-      sparse::MaxInto(instance.ReviewerSparse(best), group_vec.data());
-    } else {
-      const double* rv = instance.ReviewerVector(best);
-      for (int t = 0; t < T; ++t) {
-        group_vec[t] = std::max(group_vec[t], rv[t]);
-      }
-    }
+    instance.FoldReviewer(best, group_vec.data());
   }
   out.valid = true;
   return out;

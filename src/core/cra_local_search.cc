@@ -106,13 +106,10 @@ Proposal DrawProposal(const Assignment& assignment, uint64_t seed,
 // cache when given, else directly through ScoreWithReplacement — the same
 // doubles either way (the cache's bit-identity contract).
 double ScoreProposal(const Assignment& assignment, const Proposal& proposal,
-                     const ReplacementFoldCache* folds,
-                     std::vector<double>* gv_scratch) {
+                     const ReplacementFoldCache* folds) {
   const auto replaced = [&](int paper, int drop, int add) {
-    return folds != nullptr
-               ? folds->Score(paper, drop, add)
-               : assignment.ScoreWithReplacement(paper, drop, add,
-                                                 gv_scratch);
+    return folds != nullptr ? folds->Score(paper, drop, add)
+                            : assignment.ScoreWithReplacement(paper, drop, add);
   };
   if (proposal.is_swap) {
     return replaced(proposal.p1, proposal.r1, proposal.r2) +
@@ -183,7 +180,6 @@ Result<Assignment> RefineLocalSearch(const Instance& instance,
   }
   int64_t stall = 0;
   std::vector<Proposal> batch(kProposalBatch);
-  std::vector<double> gv_serial;
   const bool use_folds = options.gains == GainMode::kIncremental;
   ReplacementFoldCache folds(&initial.instance());
   std::vector<int> touched;  // papers a batch's valid proposals read
@@ -216,22 +212,16 @@ Result<Assignment> RefineLocalSearch(const Instance& instance,
       folds.Prepare(current, touched, &pool);
       pool.ParallelFor(0, kProposalBatch, /*grain=*/8, [&](int64_t j) {
         if (batch[j].valid) {
-          batch[j].gain = ScoreProposal(current, batch[j], &folds, nullptr);
+          batch[j].gain = ScoreProposal(current, batch[j], &folds);
         }
       });
     } else if (parallel) {
-      pool.ParallelForChunks(
-          0, kProposalBatch, /*grain=*/8,
-          [&](int64_t chunk_begin, int64_t chunk_end) {
-            std::vector<double> gv_scratch;
-            for (int64_t j = chunk_begin; j < chunk_end; ++j) {
-              batch[j] = DrawProposal(current, options.seed, round, j);
-              if (batch[j].valid) {
-                batch[j].gain = ScoreProposal(current, batch[j], nullptr,
-                                              &gv_scratch);
-              }
-            }
-          });
+      pool.ParallelFor(0, kProposalBatch, /*grain=*/8, [&](int64_t j) {
+        batch[j] = DrawProposal(current, options.seed, round, j);
+        if (batch[j].valid) {
+          batch[j].gain = ScoreProposal(current, batch[j], nullptr);
+        }
+      });
     }
     // Accept the first improving proposal by index — the same trajectory a
     // sequential walker over this proposal stream would take.
@@ -244,8 +234,7 @@ Result<Assignment> RefineLocalSearch(const Instance& instance,
       } else {
         proposal = DrawProposal(current, options.seed, round, j);
         if (proposal.valid) {
-          proposal.gain = ScoreProposal(current, proposal, nullptr,
-                                        &gv_serial);
+          proposal.gain = ScoreProposal(current, proposal, nullptr);
         }
       }
       if (!proposal.valid || proposal.gain <= 1e-12) {

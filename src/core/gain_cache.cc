@@ -5,8 +5,6 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "la/transportation.h"
-#include "simd/kernels.h"
-#include "sparse/sparse_scoring.h"
 
 namespace wgrap::core {
 
@@ -20,13 +18,11 @@ constexpr int64_t kPaperGrain = 8;
 }  // namespace
 
 GainCache::GainCache(const Instance* instance)
-    : instance_(instance),
-      num_reviewers_(instance->num_reviewers()),
-      reviewer_index_(instance->ReviewerTopicIndex()) {}
+    : instance_(instance), num_reviewers_(instance->num_reviewers()) {}
 
 void GainCache::ScoreRow(const Assignment& assignment, int paper) {
   double* row = &gains_[static_cast<size_t>(paper) * num_reviewers_];
-  assignment.MarginalGainRow(paper, reviewer_index_, row);
+  assignment.MarginalGainRow(paper, row);
   // Conflicts hold the forbidden marker permanently.
   for (int r = 0; r < num_reviewers_; ++r) {
     if (instance_->IsConflict(r, paper)) row[r] = la::kTransportForbidden;
@@ -130,7 +126,6 @@ void ReplacementFoldCache::Prepare(const Assignment& assignment,
     if (!papers_[p].fresh) stale.push_back(p);
   }
   if (stale.empty()) return;
-  const int T = instance_->num_topics();
   pool->ParallelFor(0, static_cast<int64_t>(stale.size()), /*grain=*/4,
                     [&](int64_t i) {
     const int p = stale[i];
@@ -138,34 +133,16 @@ void ReplacementFoldCache::Prepare(const Assignment& assignment,
     const std::vector<int>& group = assignment.GroupFor(p);
     const int n = static_cast<int>(group.size());
     folds.members = group;
-    folds.fold_values.assign(n, {});
-    folds.fold_ids.assign(n, {});
+    folds.kept.assign(n, {});
     folds.kept_bids.assign(n, 0.0);
     for (int skip = 0; skip < n; ++skip) {
-      if (instance_->has_sparse_topics()) {
-        sparse::SparseGroupAccumulator& acc =
-            sparse::ThreadLocalGroupAccumulator();
-        acc.Reset(T);
-        for (int j = 0; j < n; ++j) {
-          if (j == skip) continue;
-          acc.Fold(instance_->ReviewerSparse(group[j]));
-          folds.kept_bids[skip] += instance_->BidBonus(group[j], p);
-        }
-        const std::vector<int>& ids = acc.SortedTouched();
-        folds.fold_ids[skip] = ids;
-        folds.fold_values[skip].resize(ids.size());
-        for (size_t k = 0; k < ids.size(); ++k) {
-          folds.fold_values[skip][k] = acc.ValueAt(ids[k]);
-        }
-      } else {
-        std::vector<double>& fold = folds.fold_values[skip];
-        fold.assign(T, 0.0);
-        for (int j = 0; j < n; ++j) {
-          if (j == skip) continue;
-          simd::MaxFold(fold.data(), instance_->ReviewerVector(group[j]), T);
-          folds.kept_bids[skip] += instance_->BidBonus(group[j], p);
-        }
+      GroupFold fold(*instance_);
+      for (int j = 0; j < n; ++j) {
+        if (j == skip) continue;
+        fold.Add(group[j]);
+        folds.kept_bids[skip] += instance_->BidBonus(group[j], p);
       }
+      folds.kept[skip] = fold.Save();
     }
     folds.fresh = true;
   });
@@ -178,32 +155,19 @@ double ReplacementFoldCache::Score(int paper, int drop, int add) const {
       std::find(folds.members.begin(), folds.members.end(), drop);
   WGRAP_CHECK_MSG(it != folds.members.end(), "drop is not a group member");
   const int skip = static_cast<int>(it - folds.members.begin());
-  const int T = instance_->num_topics();
   // Total the bids before adding them to the score: ScoreWithReplacement
   // accumulates all bid bonuses into one term and adds it to the score
   // once, and fp addition is not associative — (score + kept) + add_bid
   // would differ in the low bits.
   const double bids =
       folds.kept_bids[skip] + instance_->BidBonus(add, paper);
-  if (instance_->has_sparse_topics()) {
-    sparse::SparseGroupAccumulator& acc =
-        sparse::ThreadLocalGroupAccumulator();
-    acc.Reset(T);
-    acc.Fold(sparse::SparseVector{
-        folds.fold_ids[skip].data(), folds.fold_values[skip].data(),
-        static_cast<int>(folds.fold_ids[skip].size()), T});
-    acc.Fold(instance_->ReviewerSparse(add));
-    return acc.Score(instance_->scoring(), instance_->PaperSparse(paper),
-                     instance_->PaperMass(paper)) +
-           bids;
-  }
-  static thread_local std::vector<double> gv;
-  gv.assign(folds.fold_values[skip].begin(), folds.fold_values[skip].end());
-  simd::MaxFold(gv.data(), instance_->ReviewerVector(add), T);
-  return ScoreVectors(instance_->scoring(), gv.data(),
-                      instance_->PaperVector(paper), T,
-                      instance_->PaperMass(paper)) +
-         bids;
+  // Folding the saved vector into an empty group reproduces it exactly
+  // (the running max of non-negative weights from +0.0), so this is the
+  // same fold ScoreWithReplacement makes.
+  GroupFold fold(*instance_);
+  fold.Add(folds.kept[skip]);
+  fold.Add(add);
+  return fold.Score(paper) + bids;
 }
 
 }  // namespace wgrap::core

@@ -10,13 +10,15 @@
 // doubles a full rebuild would compute, and a row whose g→ moved is
 // re-scored in one topic-major pass by Assignment::MarginalGainRow, which
 // reproduces MarginalGain bit for bit for every reviewer: it walks the
-// CSC columns (sparse/topic_index.h) of the topics core::TopicCanGain
-// admits, in ascending order, and adds each reviewer's term into its
-// slot — the per-pair kernels' operations in the same order, minus terms
-// that are exactly +0.0. That is why `gains=incremental` equals
-// `gains=rebuild` exactly — same scores, same assignments, at any thread
-// count (tests/gain_cache_test.cc; tests/assignment_test.cc pins the row
-// kernel against MarginalGain with memcmp).
+// columns of the instance's CSC reviewer index (Instance::
+// ReviewerTopicIndex; the cache owns no index of its own) for the topics
+// core::TopicCanGain admits, in ascending order, and adds each reviewer's
+// term into its slot — the per-pair kernels' operations in the same
+// order, minus terms that are exactly +0.0. That is why
+// `gains=incremental` equals `gains=rebuild` exactly — same scores, same
+// assignments, at any thread count (tests/gain_cache_test.cc;
+// tests/assignment_test.cc pins the row kernel against MarginalGain with
+// memcmp).
 //
 // The int64 domain: what the cache maintains exactly is the stage integer
 // program — the 1e9-scaled int64 profits (la::ScaleTransportProfit) both
@@ -53,7 +55,6 @@
 #include "common/status.h"
 #include "core/assignment.h"
 #include "core/instance.h"
-#include "sparse/topic_index.h"
 
 namespace wgrap {
 class ThreadPool;
@@ -61,7 +62,8 @@ class ThreadPool;
 
 namespace wgrap::core {
 
-/// Delta-maintained stage profit matrix over a topic-inverted index.
+/// Delta-maintained stage profit matrix, re-scored row by row over the
+/// instance's topic-inverted reviewer index.
 ///
 /// Usage protocol (cra_sdga.cc / cra_sra.cc):
 ///   GainCache cache(&instance);
@@ -86,8 +88,7 @@ class GainCache {
   static constexpr int64_t kConflictSentinel =
       std::numeric_limits<int64_t>::min();
 
-  /// Builds the CSC reviewer index (Instance::ReviewerTopicIndex). No
-  /// gains are computed until the first Refresh.
+  /// No gains are computed until the first Refresh.
   explicit GainCache(const Instance* instance);
 
   bool initialized() const { return initialized_; }
@@ -151,7 +152,6 @@ class GainCache {
 
   const Instance* instance_;
   const int num_reviewers_;
-  sparse::TopicIndex reviewer_index_;  // topic → reviewers carrying it
   /// P×R gain doubles; the snapshot holds the group vectors they were
   /// last scored against (the diff base for moved rows).
   std::vector<double> gains_;
@@ -163,12 +163,12 @@ class GainCache {
 };
 
 /// Local-search companion: caches, per paper, the δp "leave one member
-/// out" group folds (max-vector and bid sum), so a replacement score folds
-/// one cached vector plus the incoming reviewer instead of re-folding all
-/// δp members. Score() is bit-identical to Assignment::
+/// out" group folds (GroupFold::Saved and bid sum), so a replacement score
+/// folds one cached vector plus the incoming reviewer instead of
+/// re-folding all δp members. Score() is bit-identical to Assignment::
 /// ScoreWithReplacement — max-folding is exact and order-independent, the
-/// cached bid partial sums keep the group's summation order, and the final
-/// merge/ScoreVectors call is the same kernel — so the `gains` knob never
+/// cached bid partial sums keep the group's summation order, and both
+/// score through the same GroupFold — so the `gains` knob never
 /// changes a local-search trajectory (asserted in tests/gain_cache_test.cc).
 ///
 /// Protocol (cra_local_search.cc): Prepare() the papers a proposal batch
@@ -196,12 +196,9 @@ class ReplacementFoldCache {
   struct PaperFolds {
     bool fresh = false;
     std::vector<int> members;  // group order at build time
-    // Per member i, the fold of the other members: dense max-vector
-    // (length T) on dense instances, or sorted (ids, values) support on
-    // sparse ones, plus the Σ bid bonus of the kept members (summed in
-    // group order, matching ScoreWithReplacement).
-    std::vector<std::vector<double>> fold_values;
-    std::vector<std::vector<int>> fold_ids;  // sparse instances only
+    // Per member i, the fold of the other members and their Σ bid bonus
+    // (summed in group order, matching ScoreWithReplacement).
+    std::vector<GroupFold::Saved> kept;
     std::vector<double> kept_bids;
   };
 

@@ -49,6 +49,11 @@ Result<Instance> Instance::FromDataset(const data::RapDataset& dataset,
   if (dataset.reviewers.empty()) {
     return Status::InvalidArgument("no reviewers");
   }
+  // Every per-paper quantity (gain rows, c(AI), the lowest-coverage
+  // paper, SRA's paper sampling) assumes P > 0.
+  if (dataset.papers.empty()) {
+    return Status::InvalidArgument("no papers");
+  }
   if (params.group_size > dataset.num_reviewers()) {
     return Status::InvalidArgument("group_size exceeds reviewer count");
   }
@@ -90,24 +95,36 @@ Result<Instance> Instance::FromDataset(const data::RapDataset& dataset,
     instance.paper_mass_[p] = mass;
   }
   instance.conflicts_.assign((static_cast<size_t>(P) * R + 63) / 64, 0);
-  if (params.sparse_topics || EnvForcesSparseTopics()) {
-    instance.BuildSparseTopics();
-  }
+  instance.ResetViews(params.sparse_topics || EnvForcesSparseTopics(),
+                      /*reviewers_moved=*/true, /*papers_moved=*/true);
   return instance;
 }
 
-sparse::TopicIndex Instance::ReviewerTopicIndex() const {
-  return has_sparse_topics()
-             ? sparse::TopicIndex::FromSparse(sparse_views_->reviewers)
-             : sparse::TopicIndex::FromMatrix(reviewers_);
+void Instance::ResetViews(bool csr, bool reviewers_moved, bool papers_moved) {
+  const TopicViews* old = views_.get();
+  const bool had_csr = old != nullptr && csr_;
+  auto views = std::make_shared<TopicViews>();
+  views->reviewer_index = reviewers_moved || old == nullptr
+                              ? sparse::TopicIndex::FromMatrix(reviewers_)
+                              : old->reviewer_index;
+  if (csr) {
+    views->reviewers = reviewers_moved || !had_csr
+                           ? sparse::SparseTopicMatrix::FromMatrix(reviewers_)
+                           : old->reviewers;
+    views->papers = papers_moved || !had_csr
+                        ? sparse::SparseTopicMatrix::FromMatrix(papers_)
+                        : old->papers;
+  }
+  views_ = std::move(views);
+  csr_ = csr;
 }
 
 void Instance::BuildSparseTopics() {
-  if (sparse_views_ != nullptr) return;
-  auto views = std::make_shared<SparseViews>();
-  views->reviewers = sparse::SparseTopicMatrix::FromMatrix(reviewers_);
-  views->papers = sparse::SparseTopicMatrix::FromMatrix(papers_);
-  sparse_views_ = std::move(views);
+  if (!has_sparse_topics()) ResetViews(true, false, false);
+}
+
+void Instance::DropSparseTopics() {
+  if (has_sparse_topics()) ResetViews(false, false, false);
 }
 
 Status Instance::SetBids(Matrix bids, double weight) {
@@ -133,6 +150,77 @@ void Instance::AddConflict(int reviewer, int paper) {
   WGRAP_CHECK(paper >= 0 && paper < num_papers());
   const size_t bit = static_cast<size_t>(paper) * num_reviewers() + reviewer;
   conflicts_[bit >> 6] |= uint64_t{1} << (bit & 63);
+}
+
+Result<bool> ParseTopicsMode(const std::string& text) {
+  if (text == "dense") return false;
+  if (text == "sparse") return true;
+  return Status::InvalidArgument("unknown topics mode '" + text +
+                                 "' (use dense or sparse)");
+}
+
+namespace {
+
+// GroupFold's per-thread scratch: the dense group vector, or the shared
+// CSR accumulator (whose Reset is O(touched), not O(T), when warm).
+std::vector<double>& ThreadLocalDenseGroup() {
+  static thread_local std::vector<double> group;
+  return group;
+}
+
+}  // namespace
+
+GroupFold::GroupFold(const Instance& instance) : instance_(instance) {
+  const int T = instance.num_topics();
+  if (instance.has_sparse_topics()) {
+    accumulator_ = &sparse::ThreadLocalGroupAccumulator();
+    accumulator_->Reset(T);
+  } else {
+    dense_ = &ThreadLocalDenseGroup();
+    dense_->assign(T, 0.0);
+  }
+}
+
+void GroupFold::Add(int reviewer) {
+  if (accumulator_ != nullptr) {
+    accumulator_->Fold(instance_.ReviewerSparse(reviewer));
+  } else {
+    instance_.FoldReviewer(reviewer, dense_->data());
+  }
+}
+
+void GroupFold::Add(const Saved& saved) {
+  if (accumulator_ != nullptr) {
+    accumulator_->Fold(sparse::SparseVector{
+        saved.ids.data(), saved.values.data(),
+        static_cast<int>(saved.ids.size()), instance_.num_topics()});
+  } else {
+    simd::MaxFold(dense_->data(), saved.values.data(),
+                  instance_.num_topics());
+  }
+}
+
+GroupFold::Saved GroupFold::Save() const {
+  Saved saved;
+  if (accumulator_ != nullptr) {
+    saved.ids = accumulator_->SortedTouched();
+    saved.values.reserve(saved.ids.size());
+    for (int t : saved.ids) saved.values.push_back(accumulator_->ValueAt(t));
+  } else {
+    saved.values = *dense_;
+  }
+  return saved;
+}
+
+double GroupFold::Score(int paper) const {
+  if (accumulator_ != nullptr) {
+    return accumulator_->Score(instance_.scoring(),
+                               instance_.PaperSparse(paper),
+                               instance_.PaperMass(paper));
+  }
+  return ScoreVectors(instance_.scoring(), dense_->data(),
+                      instance_.PaperVector(paper), instance_.num_topics(),
+                      instance_.PaperMass(paper));
 }
 
 }  // namespace wgrap::core

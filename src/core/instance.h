@@ -1,22 +1,34 @@
 // A WGRAP problem instance (Definition 3): reviewer and paper topic
 // matrices, the group-size constraint δp, the reviewer workload δr, the
 // scoring function, and conflicts of interest. Instances are immutable
-// after construction apart from COI registration and the optional sparse
+// after construction apart from COI registration and the optional CSR
 // topic views (BuildSparseTopics), both setup-time calls — and the typed
 // online-update path of core/update.h (InstanceUpdater), which patches an
 // instance in place to the exact state FromDataset would build from the
 // mutated inputs.
+//
+// The representation contract: the Instance alone decides how topic
+// vectors are read. The dense matrices are always present; the CSC
+// reviewer index (ReviewerTopicIndex) is always present and always
+// current; the CSR row views exist only when sparse topics were asked
+// for. Scoring code outside the Instance never branches on that choice:
+// it calls PairScore, MarginalGain, FoldReviewer and GroupFold, which
+// dispatch once to the dense kernels (core/scoring.h, simd/kernels.h) or
+// to their bit-identical CSR twins (src/sparse/). Every result is the
+// same double either way.
 #ifndef WGRAP_CORE_INSTANCE_H_
 #define WGRAP_CORE_INSTANCE_H_
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/status.h"
 #include "core/scoring.h"
 #include "data/dataset.h"
+#include "simd/kernels.h"
 #include "sparse/sparse_matrix.h"
 #include "sparse/sparse_scoring.h"
 #include "sparse/topic_index.h"
@@ -38,11 +50,17 @@ struct InstanceParams {
   bool sparse_topics = false;
 };
 
+/// "dense" → false, "sparse" → true: the spellings of
+/// InstanceParams::sparse_topics on every front end. kInvalidArgument
+/// otherwise.
+Result<bool> ParseTopicsMode(const std::string& text);
+
 /// Immutable WGRAP instance over dense topic matrices.
 class Instance {
  public:
   /// Validates the dataset and copies vectors into dense matrices. Fails if
-  /// R·δr < P·δp (not enough review capacity, Sec. 2.2 assumption).
+  /// the dataset has no paper or no reviewer, or if R·δr < P·δp (not
+  /// enough review capacity, Sec. 2.2 assumption).
   static Result<Instance> FromDataset(const data::RapDataset& dataset,
                                       const InstanceParams& params);
 
@@ -56,44 +74,68 @@ class Instance {
   const double* ReviewerVector(int r) const { return reviewers_.Row(r); }
   const double* PaperVector(int p) const { return papers_.Row(p); }
   /// The CSC topic → reviewers index that Assignment::MarginalGainRow
-  /// walks: inverted from the CSR views when the instance carries them,
-  /// else from the dense matrix (same entries either way). O(nnz) resp.
-  /// O(R·T). A snapshot: build it once per solve or evaluation and never
-  /// keep it across a mutation of the instance.
-  sparse::TopicIndex ReviewerTopicIndex() const;
+  /// walks. Instance state: FromDataset builds it from the dense reviewer
+  /// matrix and InstanceUpdater rebuilds it on every reviewer-side op, so
+  /// it always matches ReviewerVector.
+  const sparse::TopicIndex& ReviewerTopicIndex() const {
+    return views_->reviewer_index;
+  }
   /// Σ_t p→[t], the normalization denominator of Eq. 1.
   double PaperMass(int p) const { return paper_mass_[p]; }
 
   /// Builds immutable CSR views of the reviewer/paper topic matrices. Once
-  /// present, PairScore and the Assignment/solver hot paths dispatch to the
-  /// sparse kernels (src/sparse/), which are bit-identical to the dense
-  /// loops but O(nnz) instead of O(T) per score. Like AddConflict, this is
-  /// a setup call, not per-solve state: do it before handing the instance
-  /// to concurrent solvers. Idempotent. Also forced on for every instance
-  /// when the WGRAP_SPARSE_TOPICS environment variable is set to anything
-  /// but ""/"0"/"off"/"false" (CI's sanitizer jobs use =1 to run the
-  /// whole suite on the sparse path).
+  /// present, the scoring primitives below dispatch to the sparse kernels
+  /// (src/sparse/), which are bit-identical to the dense loops but O(nnz)
+  /// instead of O(T) per score. Like AddConflict, this is a setup call,
+  /// not per-solve state: do it before handing the instance to concurrent
+  /// solvers. Idempotent. Also forced on for every instance when the
+  /// WGRAP_SPARSE_TOPICS environment variable is set to anything but
+  /// ""/"0"/"off"/"false" (CI's sanitizer jobs use =1 to run the whole
+  /// suite on the sparse path).
   void BuildSparseTopics();
-  /// Returns to dense-only dispatch (drops the views).
-  void DropSparseTopics() { sparse_views_.reset(); }
-  bool has_sparse_topics() const { return sparse_views_ != nullptr; }
+  /// Returns to dense-only dispatch (drops the CSR views).
+  void DropSparseTopics();
+  bool has_sparse_topics() const { return csr_; }
 
-  /// Sparse row views; only valid when has_sparse_topics().
+  /// CSR row views; only valid when has_sparse_topics().
   sparse::SparseVector ReviewerSparse(int r) const {
-    return sparse_views_->reviewers.Row(r);
+    return views_->reviewers.Row(r);
   }
   sparse::SparseVector PaperSparse(int p) const {
-    return sparse_views_->papers.Row(p);
+    return views_->papers.Row(p);
   }
 
   /// c(r→, p→) for a single reviewer (Definition 1).
   double PairScore(int r, int p) const {
-    if (sparse_views_ != nullptr) {
+    if (has_sparse_topics()) {
       return sparse::ScoreSparse(scoring_, ReviewerSparse(r), PaperSparse(p),
                                  paper_mass_[p]);
     }
     return ScoreVectors(scoring_, ReviewerVector(r), PaperVector(p),
                         num_topics(), paper_mass_[p]);
+  }
+
+  /// gain(g→, r, p) of Definition 8 against the dense group max-vector
+  /// `group` (length T), without the bid bonus. O(T) dense, O(nnz(r))
+  /// with CSR views (the dense loop only touches topics where r exceeds
+  /// the group max, a subset of r's support).
+  double MarginalGain(const double* group, int r, int p) const {
+    if (has_sparse_topics()) {
+      return sparse::MarginalGainSparse(scoring_, group, ReviewerSparse(r),
+                                        PaperVector(p), paper_mass_[p]);
+    }
+    return MarginalGainVectors(scoring_, group, ReviewerVector(r),
+                               PaperVector(p), num_topics(), paper_mass_[p]);
+  }
+
+  /// group[t] = max(group[t], r[t]) for every topic — the Definition 2
+  /// running max. With CSR views only r's support is visited.
+  void FoldReviewer(int r, double* group) const {
+    if (has_sparse_topics()) {
+      sparse::MaxInto(ReviewerSparse(r), group);
+    } else {
+      simd::MaxFold(group, ReviewerVector(r), num_topics());
+    }
   }
 
   /// Registers a conflict of interest; (r, p) then never appears in any
@@ -145,16 +187,35 @@ class Instance {
 
   Instance() = default;
 
-  struct SparseViews {
+  /// Derived read-only views of the topic matrices: the CSC reviewer
+  /// index always, the CSR rows of both matrices when csr_ (empty else).
+  struct TopicViews {
+    sparse::TopicIndex reviewer_index;
     sparse::SparseTopicMatrix reviewers;
     sparse::SparseTopicMatrix papers;
   };
 
+  /// Sets the dispatch to `csr` and replaces views_, re-deriving from the
+  /// dense matrices the reviewer side (index, and CSR rows when csr) if
+  /// `reviewers_moved`, the paper CSR rows if `papers_moved`, and any
+  /// part the current views lack; the rest is carried over.
+  void ResetViews(bool csr, bool reviewers_moved, bool papers_moved);
+  /// After InstanceUpdater moved one side of the dense matrices:
+  /// re-derives the views that side feeds, keeping the dispatch. False
+  /// when there is none (the paper side of a dense-only instance).
+  bool RefreshTopicViews(bool reviewer_side) {
+    if (!reviewer_side && !has_sparse_topics()) return false;
+    ResetViews(has_sparse_topics(), reviewer_side, !reviewer_side);
+    return true;
+  }
+
   Matrix reviewers_;  // R x T
   Matrix papers_;     // P x T
-  /// CSR views of reviewers_/papers_; shared so Instance copies stay cheap
-  /// to make and the views immutable. nullptr = dense-only dispatch.
-  std::shared_ptr<const SparseViews> sparse_views_;
+  /// Shared so Instance copies stay cheap to make and the views
+  /// immutable; a mutation swaps in a new bundle. Never null once built.
+  std::shared_ptr<const TopicViews> views_;
+  /// The one dispatch flag: CSR kernels when set, dense ones otherwise.
+  bool csr_ = false;
   Matrix bids_;       // P x R when has_bids()
   double bid_weight_ = 0.0;
   std::vector<double> paper_mass_;
@@ -163,6 +224,39 @@ class Instance {
   int group_size_ = 0;
   int reviewer_workload_ = 0;
   ScoringFunction scoring_ = ScoringFunction::kWeightedCoverage;
+};
+
+/// A Definition 2 group vector folded from scratch (ScoreGroup, an
+/// Assignment's replacement scores, the fold cache): the dense T-vector,
+/// or the CSR accumulator when the instance carries CSR views — the
+/// caller never knows which. Score() is bit-identical to
+/// core::ScoreVectors on the dense group vector either way. A GroupFold
+/// borrows this thread's scratch: keep at most one alive per thread, and
+/// only within a call.
+class GroupFold {
+ public:
+  /// A folded group vector kept across calls (ReplacementFoldCache): all
+  /// T values on dense instances (ids empty), else the sorted support.
+  struct Saved {
+    std::vector<int> ids;
+    std::vector<double> values;
+  };
+
+  /// Starts the empty group (all-zero vector).
+  explicit GroupFold(const Instance& instance);
+
+  /// Folds reviewer r's topic vector in.
+  void Add(int reviewer);
+  /// Folds a saved group vector in.
+  void Add(const Saved& saved);
+  Saved Save() const;
+  /// c(g→, p→) of the folded group against `paper`.
+  double Score(int paper) const;
+
+ private:
+  const Instance& instance_;
+  std::vector<double>* dense_ = nullptr;               // dense instances
+  sparse::SparseGroupAccumulator* accumulator_ = nullptr;  // CSR views
 };
 
 }  // namespace wgrap::core

@@ -9,12 +9,12 @@
 // the best-so-far group. Cursor sets are cloned downwards (Π^{s+1} ← Π^s)
 // and visited marks are reset on backtracking, so every group is examined
 // at most once.
-// When the instance carries sparse topic views, the per-node marginal-gain
-// pass (the O(T²)-per-node hot loop: one Definition 8 gain per cursor
-// reviewer) dispatches to sparse::MarginalGainSparse — O(T·nnz) per node,
-// bit-identical scores. The Eq. 3 cursor bound itself stays dense: its ub
-// vector is assembled from one cursor per topic, so it has no useful
-// sparsity to exploit.
+// The per-node marginal-gain pass (the O(T²)-per-node hot loop: one
+// Definition 8 gain per cursor reviewer) goes through Instance::
+// MarginalGain, which is O(T·nnz) per node when the instance carries CSR
+// topic views, with bit-identical scores. The Eq. 3 cursor bound itself
+// stays dense: its ub vector is assembled from one cursor per topic, so
+// it has no useful sparsity to exploit.
 #include <algorithm>
 #include <queue>
 #include <vector>
@@ -22,7 +22,6 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "core/jra.h"
-#include "sparse/sparse_scoring.h"
 
 namespace wgrap::core {
 
@@ -36,7 +35,6 @@ class BbaSearch {
       : instance_(instance), paper_(paper), k_best_(k_best),
         options_(options), T_(instance.num_topics()),
         k_(instance.group_size()),
-        use_sparse_(instance.has_sparse_topics()),
         deadline_(options.time_limit_seconds) {}
 
   Status Run() {
@@ -83,15 +81,8 @@ class BbaSearch {
           }
           continue;
         }
-        const double gain =
-            use_sparse_
-                ? sparse::MarginalGainSparse(
-                      instance_.scoring(), stage_vec_.Row(s),
-                      instance_.ReviewerSparse(candidates_[cand]), pv, mass)
-                : MarginalGainVectors(
-                      instance_.scoring(), stage_vec_.Row(s),
-                      instance_.ReviewerVector(candidates_[cand]), pv, T_,
-                      mass);
+        const double gain = instance_.MarginalGain(
+            stage_vec_.Row(s), candidates_[cand], paper_);
         if (gain > branch_gain) {
           branch_gain = gain;
           branch = cand;
@@ -113,19 +104,11 @@ class BbaSearch {
       // Branch (Alg. 1 line 12): take `branch` as the stage-s member.
       blocked_[branch]++;
       marked_[s].push_back(branch);
-      if (use_sparse_) {
-        // Copy the prefix maxima, then raise only the branch reviewer's
-        // support — same values as the dense element-wise max.
-        std::copy(stage_vec_.Row(s), stage_vec_.Row(s) + T_,
-                  stage_vec_.Row(s + 1));
-        sparse::MaxInto(instance_.ReviewerSparse(candidates_[branch]),
-                        stage_vec_.Row(s + 1));
-      } else {
-        const double* rv = instance_.ReviewerVector(candidates_[branch]);
-        for (int t = 0; t < T_; ++t) {
-          stage_vec_(s + 1, t) = std::max(stage_vec_(s, t), rv[t]);
-        }
-      }
+      // The next stage's prefix maxima: this stage's, raised by the
+      // branch reviewer.
+      std::copy(stage_vec_.Row(s), stage_vec_.Row(s) + T_,
+                stage_vec_.Row(s + 1));
+      instance_.FoldReviewer(candidates_[branch], stage_vec_.Row(s + 1));
       chosen_.resize(s);
       chosen_.push_back(branch);
       if (s + 1 == k_) {
@@ -227,7 +210,6 @@ class BbaSearch {
   const BbaOptions& options_;
   const int T_;
   const int k_;
-  const bool use_sparse_;
   Deadline deadline_;
 
   std::vector<int> candidates_;

@@ -7,33 +7,14 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "core/jra.h"
-#include "sparse/sparse_scoring.h"
 
 namespace wgrap::core {
 
 double ScoreGroup(const Instance& instance, int paper,
                   const std::vector<int>& group) {
-  const int T = instance.num_topics();
-  if (instance.has_sparse_topics()) {
-    // Definition 2 group max over the members' supports only —
-    // bit-identical to the dense fold below. The shared per-thread
-    // accumulator keeps the warm O(touched) Reset for the CP/ILP scorers,
-    // which call this once per explored group.
-    sparse::SparseGroupAccumulator& accumulator =
-        sparse::ThreadLocalGroupAccumulator();
-    accumulator.Reset(T);
-    for (int r : group) accumulator.Fold(instance.ReviewerSparse(r));
-    return accumulator.Score(instance.scoring(), instance.PaperSparse(paper),
-                             instance.PaperMass(paper));
-  }
-  std::vector<double> expertise(T, 0.0);
-  for (int r : group) {
-    const double* rv = instance.ReviewerVector(r);
-    for (int t = 0; t < T; ++t) expertise[t] = std::max(expertise[t], rv[t]);
-  }
-  return ScoreVectors(instance.scoring(), expertise.data(),
-                      instance.PaperVector(paper), T,
-                      instance.PaperMass(paper));
+  GroupFold fold(instance);
+  for (int r : group) fold.Add(r);
+  return fold.Score(paper);
 }
 
 Result<JraResult> SolveJraBruteForce(const Instance& instance, int paper,

@@ -9,22 +9,20 @@
 namespace wgrap::core {
 
 Result<Assignment> BuildIdealAssignment(const Instance& instance) {
-  const sparse::TopicIndex by_topic = instance.ReviewerTopicIndex();
   Assignment ideal(&instance);
   std::vector<double> gains(instance.group_size());
   for (int p = 0; p < instance.num_papers(); ++p) {
-    WGRAP_RETURN_IF_ERROR(AddIdealPicks(p, by_topic, &ideal, gains.data()));
+    WGRAP_RETURN_IF_ERROR(AddIdealPicks(p, &ideal, gains.data()));
   }
   return ideal;
 }
 
-Status AddIdealPicks(int paper, const sparse::TopicIndex& by_topic,
-                     Assignment* ideal, double* gains) {
+Status AddIdealPicks(int paper, Assignment* ideal, double* gains) {
   const Instance& instance = ideal->instance();
   const int R = instance.num_reviewers();
   std::vector<double> row(R);
   for (int pick = 0; pick < instance.group_size(); ++pick) {
-    ideal->MarginalGainRow(paper, by_topic, row.data());
+    ideal->MarginalGainRow(paper, row.data());
     int best = -1;
     double best_gain = -1.0;
     for (int r = 0; r < R; ++r) {

@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "core/assignment.h"
 #include "core/instance.h"
-#include "sparse/topic_index.h"
 
 namespace wgrap::core {
 
@@ -15,17 +14,15 @@ namespace wgrap::core {
 /// best δp reviewers disregarding workloads (built greedily, like the
 /// evaluation in the paper; exact per-paper optimization is NP-hard).
 /// c(AI) >= c(O), so c(A)/c(AI) lower-bounds the true optimality ratio.
-/// Builds the instance's ReviewerTopicIndex once and runs AddIdealPicks
-/// for every paper.
+/// Runs AddIdealPicks for every paper.
 Result<Assignment> BuildIdealAssignment(const Instance& instance);
 
 /// One paper's share of AI — the per-paper body of BuildIdealAssignment:
 /// adds to `ideal` (which must hold no pair of `paper` yet) the δp
 /// reviewers BuildIdealAssignment picks for `paper`, in pick order, and
 /// writes each pick's marginal gain to gains[0..δp). Each pick is one
-/// Assignment::MarginalGainRow over `by_topic` — which must be
-/// ideal->instance().ReviewerTopicIndex(), built after the instance's
-/// last mutation — and an argmax over the reviewers that are neither
+/// Assignment::MarginalGainRow and an argmax over the reviewers that are
+/// neither
 /// members nor COIs: the first strictly larger gain wins, so a tie goes
 /// to the lowest reviewer index. kInfeasible when fewer than δp
 /// reviewers are eligible. The picks depend only on the paper's topics,
@@ -33,8 +30,7 @@ Result<Assignment> BuildIdealAssignment(const Instance& instance);
 /// re-derived without the others; folding all papers' gains left to
 /// right from 0.0 in (paper, pick) order gives
 /// BuildIdealAssignment(instance)->TotalScore() bit for bit.
-Status AddIdealPicks(int paper, const sparse::TopicIndex& by_topic,
-                     Assignment* ideal, double* gains);
+Status AddIdealPicks(int paper, Assignment* ideal, double* gains);
 
 /// c(A) / c(AI). `ideal` must come from BuildIdealAssignment on the same
 /// instance.

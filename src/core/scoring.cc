@@ -19,6 +19,16 @@ std::string ScoringFunctionName(ScoringFunction f) {
   return "?";
 }
 
+Result<ScoringFunction> ParseScoringFunction(const std::string& name) {
+  for (ScoringFunction f :
+       {ScoringFunction::kWeightedCoverage, ScoringFunction::kReviewerCoverage,
+        ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct}) {
+    if (name == ScoringFunctionName(f)) return f;
+  }
+  return Status::InvalidArgument("unknown scoring '" + name +
+                                 "' (use c, cR, cP, cD)");
+}
+
 double ScoreVectors(ScoringFunction f, const double* expertise,
                     const double* paper, int num_topics, double paper_mass) {
   WGRAP_CHECK(paper_mass > 0.0);

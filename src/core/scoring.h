@@ -8,6 +8,8 @@
 
 #include <string>
 
+#include "common/status.h"
+
 namespace wgrap::core {
 
 /// Which per-topic contribution f(r[t], p[t]) to use (Table 5).
@@ -24,6 +26,9 @@ enum class ScoringFunction {
 
 /// "c", "cR", "cP", "cD" (paper notation).
 std::string ScoringFunctionName(ScoringFunction f);
+/// The inverse of ScoringFunctionName — the one parser of the scoring
+/// spellings every front end takes; kInvalidArgument on anything else.
+Result<ScoringFunction> ParseScoringFunction(const std::string& name);
 
 /// Per-topic contribution f(r_t, p_t) of expertise r_t to paper weight p_t.
 inline double TopicContribution(ScoringFunction f, double r_t, double p_t) {

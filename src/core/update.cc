@@ -213,16 +213,12 @@ Status InstanceUpdater::ValidateTopics(const std::vector<double>& topics,
   return Status::OK();
 }
 
-void InstanceUpdater::RebuildSparseViews() {
-  if (instance_->sparse_views_ == nullptr) return;
+void InstanceUpdater::RebuildTopicViews(bool reviewer_side) {
   static obs::Counter* const rebuilds = obs::Registry::Global().GetCounter(
       "wgrap_update_view_rebuilds_total");
-  if (rebuilds) rebuilds->Add();
-  auto views = std::make_shared<Instance::SparseViews>();
-  views->reviewers =
-      sparse::SparseTopicMatrix::FromMatrix(instance_->reviewers_);
-  views->papers = sparse::SparseTopicMatrix::FromMatrix(instance_->papers_);
-  instance_->sparse_views_ = std::move(views);
+  if (instance_->RefreshTopicViews(reviewer_side) && rebuilds) {
+    rebuilds->Add();
+  }
 }
 
 template <typename PaperMap, typename ReviewerMap>
@@ -328,7 +324,7 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       // the tail bits of the old last word are already zero.
       instance_->conflicts_.resize(
           (static_cast<size_t>(P + 1) * R + 63) / 64, 0);
-      RebuildSparseViews();
+      RebuildTopicViews(/*reviewer_side=*/false);
       if (assignment_ != nullptr) {
         assignment_->groups_.emplace_back();
         assignment_->paper_score_.push_back(0.0);
@@ -341,6 +337,9 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
     case InstanceUpdate::Kind::kRemovePaper: {
       if (u.paper < 0 || u.paper >= P) {
         return Status::OutOfRange("paper id out of range");
+      }
+      if (P == 1) {  // FromDataset rejects a paperless instance too
+        return Status::InvalidArgument("cannot remove the last paper");
       }
       if (assignment_ != nullptr) {
         const std::vector<int> group = assignment_->GroupFor(u.paper);
@@ -356,7 +355,7 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
           P, R,
           [removed](int p) { return p == removed ? -1 : (p < removed ? p : p - 1); },
           [](int r) { return r; });
-      RebuildSparseViews();
+      RebuildTopicViews(/*reviewer_side=*/false);
       if (assignment_ != nullptr) {
         assignment_->groups_.erase(assignment_->groups_.begin() + removed);
         assignment_->paper_score_.erase(assignment_->paper_score_.begin() +
@@ -376,7 +375,7 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       // The bitset stride is R, so a reviewer-count change repacks it.
       RemapConflicts(
           P, R, [](int p) { return p; }, [](int r) { return r; });
-      RebuildSparseViews();
+      RebuildTopicViews(/*reviewer_side=*/true);
       if (assignment_ != nullptr) assignment_->load_.push_back(0);
       RefreshWorkload(report);  // dynamic δr can shrink: may evict
       return Status::OK();
@@ -415,7 +414,7 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       RemapConflicts(
           P, R, [](int p) { return p; },
           [removed](int r) { return r == removed ? -1 : (r < removed ? r : r - 1); });
-      RebuildSparseViews();
+      RebuildTopicViews(/*reviewer_side=*/true);
       if (assignment_ != nullptr) {
         assignment_->load_.erase(assignment_->load_.begin() + removed);
         for (auto& group : assignment_->groups_) {
@@ -481,7 +480,7 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       double mass = 0.0;
       for (double w : u.topics) mass += w;
       instance_->paper_mass_[u.paper] = mass;
-      RebuildSparseViews();
+      RebuildTopicViews(/*reviewer_side=*/false);
       if (assignment_ != nullptr) assignment_->RecomputePaper(u.paper);
       return Status::OK();
     }
@@ -492,7 +491,7 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       WGRAP_RETURN_IF_ERROR(ValidateTopics(u.topics, "reviewer"));
       std::copy(u.topics.begin(), u.topics.end(),
                 instance_->reviewers_.Row(u.reviewer));
-      RebuildSparseViews();
+      RebuildTopicViews(/*reviewer_side=*/true);
       for (int p = 0; p < P; ++p) {
         if (assignment_ != nullptr && assignment_->Contains(p, u.reviewer)) {
           // The paper's group vector moved at topics of the reviewer's old

@@ -10,11 +10,13 @@
 //   auto resolve = IncrementalResolve(instance, &assignment, options);
 //
 // The contract everything rests on: after Apply, the patched Instance —
-// topic matrices, paper masses, CSR sparse views, COI bitset, bids, and
-// the recomputed default workload δr — is bitwise equal to the one
-// Instance::FromDataset would build from the mutated ground truth, and a
-// tracked Assignment remains a feasible partial assignment (no COI pairs,
-// no overloaded reviewer) whose groups mirror the survivors.
+// topic matrices, paper masses, CSC reviewer index, CSR sparse views, COI
+// bitset, bids, and the recomputed default workload δr — is bitwise equal
+// to the one Instance::FromDataset would build from the mutated ground
+// truth, and a tracked Assignment remains a feasible partial assignment
+// (no COI pairs, no overloaded reviewer) whose groups mirror the
+// survivors. An op whose result FromDataset would reject (removing the
+// last paper, too little review capacity, ...) is rejected instead.
 // tests/update_equivalence_test.cc fuzzes hundreds of random ops per seed
 // against an independently maintained ground truth to pin exactly that.
 //
@@ -119,7 +121,9 @@ class InstanceUpdater {
   /// smallest leave-one-out score loss, ties to the smaller paper id).
   void RefreshWorkload(UpdateReport* report);
   void EvictPair(int paper, int reviewer, UpdateReport* report);
-  void RebuildSparseViews();
+  /// Instance::RefreshTopicViews after an op moved one side of the topic
+  /// matrices, counting each rebuild.
+  void RebuildTopicViews(bool reviewer_side);
   /// Rewrites the COI bitset for a new shape via per-pair remap functions
   /// (negative mapped id = drop the pair).
   template <typename PaperMap, typename ReviewerMap>

@@ -28,7 +28,6 @@
 #include "core/scoring.h"      // IWYU pragma: export
 #include "core/sgrap.h"        // IWYU pragma: export
 #include "core/update.h"       // IWYU pragma: export
-#include "sparse/sparse_matrix.h"   // IWYU pragma: export
-#include "sparse/sparse_scoring.h"  // IWYU pragma: export
+#include "sparse/sparse_matrix.h"  // IWYU pragma: export
 
 #endif  // WGRAP_CORE_WGRAP_H_

@@ -1,5 +1,6 @@
 #include "data/io.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -69,10 +70,17 @@ Result<double> ParseDouble(const std::string& field, size_t row) {
   return v;
 }
 
+// Ids and h-indexes are whole-field integers in int range: "0.9", "1e10"
+// and "nan" are errors, never a truncated or out-of-range conversion.
 Result<int> ParseInt(const std::string& field, size_t row) {
-  auto v = ParseDouble(field, row);
-  if (!v.ok()) return v.status();
-  return static_cast<int>(*v);
+  int v = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument(StrFormat(
+        "row %zu: '%s' is not an integer in int range", row, field.c_str()));
+  }
+  return v;
 }
 
 }  // namespace

@@ -268,17 +268,12 @@ std::optional<double> InstanceStore::RefreshIdealScore(Session* session) {
   const int dp = instance.group_size();
   // Built on the first stale row, over the published (immutable) instance.
   std::optional<core::Assignment> scratch;
-  std::optional<sparse::TopicIndex> by_topic;
   int64_t stale = 0;
   for (int p = 0; p < P; ++p) {
     if (session->ideal_rows[p] != IdealRow::kStale) continue;
-    if (!scratch.has_value()) {
-      scratch.emplace(&instance);
-      by_topic.emplace(instance.ReviewerTopicIndex());
-    }
+    if (!scratch.has_value()) scratch.emplace(&instance);
     const Status picked = core::AddIdealPicks(
-        p, *by_topic, &*scratch,
-        &session->ideal_gains[static_cast<size_t>(p) * dp]);
+        p, &*scratch, &session->ideal_gains[static_cast<size_t>(p) * dp]);
     session->ideal_rows[p] =
         picked.ok() ? IdealRow::kFeasible : IdealRow::kInfeasible;
     ++stale;

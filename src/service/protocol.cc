@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <cmath>
 #include <cstdint>
 #include <istream>
 #include <map>
@@ -58,6 +59,8 @@ bool ParseInt(const std::string& text, int* out) {
   return *out == wide;
 }
 
+// Finite only: stod accepts "nan" and "inf", which no numeric key (like
+// no registry knob) has a use for — "budget=nan" is not "unlimited".
 bool ParseDouble(const std::string& text, double* out) {
   if (text.empty()) return false;
   std::size_t pos = 0;
@@ -66,7 +69,7 @@ bool ParseDouble(const std::string& text, double* out) {
   } catch (...) {
     return false;
   }
-  return pos == text.size();
+  return pos == text.size() && std::isfinite(*out);
 }
 
 /// Splits "key=value" tokens (everything after the fixed positional args)
@@ -105,7 +108,8 @@ Status TakeDouble(std::map<std::string, std::string>* kv,
   auto it = kv->find(key);
   if (it == kv->end()) return Status::OK();
   if (!ParseDouble(it->second, out)) {
-    return Status::InvalidArgument("'" + key + "' must be a number, got '" +
+    return Status::InvalidArgument("'" + key +
+                                   "' must be a finite number, got '" +
                                    it->second + "'");
   }
   kv->erase(it);
@@ -189,29 +193,16 @@ Reply HandleOpen(ServiceApi& api, const std::vector<std::string>& tokens,
   if (Status taken = TakeString(&kv, "scoring", &scoring); !taken.ok()) {
     return Err(taken);
   }
-  if (scoring == "c") {
-    request.params.scoring = core::ScoringFunction::kWeightedCoverage;
-  } else if (scoring == "cR") {
-    request.params.scoring = core::ScoringFunction::kReviewerCoverage;
-  } else if (scoring == "cP") {
-    request.params.scoring = core::ScoringFunction::kPaperCoverage;
-  } else if (scoring == "cD") {
-    request.params.scoring = core::ScoringFunction::kDotProduct;
-  } else {
-    return BadArgs("unknown scoring '" + scoring + "' (use c, cR, cP, cD)");
-  }
+  auto parsed_scoring = core::ParseScoringFunction(scoring);
+  if (!parsed_scoring.ok()) return Err(parsed_scoring.status());
+  request.params.scoring = *parsed_scoring;
   std::string topics = "dense";
   if (Status taken = TakeString(&kv, "topics", &topics); !taken.ok()) {
     return Err(taken);
   }
-  if (topics == "sparse") {
-    request.params.sparse_topics = true;
-  } else if (topics == "dense") {
-    request.params.sparse_topics = false;
-  } else {
-    return BadArgs("unknown topics mode '" + topics +
-                   "' (use dense or sparse)");
-  }
+  auto sparse_topics = core::ParseTopicsMode(topics);
+  if (!sparse_topics.ok()) return Err(sparse_topics.status());
+  request.params.sparse_topics = *sparse_topics;
   if (!kv.empty()) {
     return BadArgs("unknown open option '" + kv.begin()->first + "'");
   }

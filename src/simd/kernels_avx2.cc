@@ -55,8 +55,8 @@ double ScoreSum(core::ScoringFunction f, const double* expertise,
   //    AND. The scalar loop skips the add entirely; adding +0.0 instead is
   //    an identity because the running total can never be -0.0 (it starts
   //    at +0.0, and x + y == -0.0 in round-to-nearest requires both
-  //    operands -0.0) — the same argument sparse/sparse_scoring.h makes
-  //    for skipped topics.
+  //    operands -0.0) — the same argument the CSR scoring kernels
+  //    (src/sparse/) make for skipped topics.
   //  * kDotProduct: VMULPD is IEEE-exact per lane.
   alignas(32) double lane[4];
   double total = 0.0;

@@ -178,10 +178,6 @@ const std::vector<int>& SparseGroupAccumulator::SortedTouched() {
   return touched_;
 }
 
-void SparseGroupAccumulator::ScatterInto(double* dense) const {
-  for (int t : touched_) dense[t] = acc_[t];
-}
-
 SparseGroupAccumulator& ThreadLocalGroupAccumulator() {
   static thread_local SparseGroupAccumulator accumulator;
   return accumulator;

@@ -14,6 +14,11 @@
 // the dense path, at any thread count (asserted in tests/sparse_test.cc
 // and tests/determinism_test.cc).
 //
+// Consumers: core::Instance only. Its scoring primitives (PairScore,
+// MarginalGain, FoldReviewer and GroupFold, core/instance.h) pick these
+// kernels or the dense ones; every solver, the Assignment, the gain
+// caches and the metrics call those primitives and never this header.
+//
 // Dependency note: this header uses core/scoring.h only for the
 // ScoringFunction enum and the inline TopicContribution — header-only, so
 // wgrap_sparse does not link wgrap_core and the library DAG stays acyclic
@@ -49,9 +54,9 @@ double MarginalGainSparse(core::ScoringFunction f, const double* group,
                           double paper_mass);
 
 /// dense[t] = max(dense[t], v[t]) over v's support — the Definition 2
-/// running-max update shared by Assignment group maintenance, BRGG group
-/// construction and BBA's stage prefix maxima. Only v's support can raise
-/// the max, so the untouched entries of `dense` are left alone.
+/// running-max update behind core::Instance::FoldReviewer. Only v's
+/// support can raise the max, so the untouched entries of `dense` are
+/// left alone.
 inline void MaxInto(const SparseVector& v, double* dense) {
   for (int k = 0; k < v.nnz; ++k) {
     if (v.values[k] > dense[v.ids[k]]) dense[v.ids[k]] = v.values[k];
@@ -66,8 +71,8 @@ inline void MaxInto(const SparseVector& v, double* dense) {
 /// dense group vector. Reusable: Reset() clears only the touched entries,
 /// so a warm accumulator costs O(Σ nnz) per group, not O(T).
 ///
-/// Not thread-safe; use one accumulator per thread — call sites inside the
-/// solvers share the ThreadLocalGroupAccumulator() instance below.
+/// Not thread-safe; use one accumulator per thread — core::GroupFold
+/// borrows the ThreadLocalGroupAccumulator() instance below.
 class SparseGroupAccumulator {
  public:
   /// Prepares for a new group over `num_topics` topics.
@@ -81,17 +86,12 @@ class SparseGroupAccumulator {
   double Score(core::ScoringFunction f, const SparseVector& paper,
                double paper_mass);
 
-  /// Writes the accumulated group vector into `dense` (length num_topics).
-  /// Only touched entries are written; the caller zero-fills beforehand.
-  void ScatterInto(double* dense) const;
-
   /// Value at topic t (0 when untouched).
   double ValueAt(int t) const { return acc_[t]; }
-  int TouchedCount() const { return static_cast<int>(touched_.size()); }
 
   /// The touched topic ids in ascending order (sorting lazily, like
   /// Score). The reference is invalidated by Reset/Fold — callers that
-  /// persist the support (e.g. core::ReplacementFoldCache) must copy.
+  /// persist the support (core::GroupFold::Save) must copy.
   const std::vector<int>& SortedTouched();
 
  private:
@@ -100,10 +100,9 @@ class SparseGroupAccumulator {
   bool sorted_ = true;
 };
 
-/// The per-thread warm accumulator the scoring call sites share
-/// (Assignment group maintenance, ScoreGroup, …). Callers must Reset()
-/// before use and must not hold it across calls into other scoring code —
-/// it is scratch, not state.
+/// The per-thread warm accumulator behind core::GroupFold. Callers must
+/// Reset() before use and must not hold it across calls into other
+/// scoring code — it is scratch, not state.
 SparseGroupAccumulator& ThreadLocalGroupAccumulator();
 
 }  // namespace wgrap::sparse

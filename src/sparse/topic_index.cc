@@ -65,13 +65,4 @@ TopicIndex TopicIndex::FromMatrix(const Matrix& dense) {
                     std::move(csc.ids), std::move(csc.values));
 }
 
-TopicIndex TopicIndex::FromSparse(const SparseTopicMatrix& csr) {
-  CscArrays csc = BuildCsc(csr.rows(), csr.cols(), [&](int r, auto emit) {
-    const SparseVector row = csr.Row(r);
-    for (int k = 0; k < row.nnz; ++k) emit(row.ids[k], row.values[k]);
-  });
-  return TopicIndex(csr.rows(), csr.cols(), std::move(csc.col_offsets),
-                    std::move(csc.ids), std::move(csc.values));
-}
-
 }  // namespace wgrap::sparse

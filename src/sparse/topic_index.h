@@ -9,7 +9,8 @@
 // only for reviewers with r[t] > g[t], i.e. reviewers in Column(t), so
 // walking the columns in ascending topic order scatters every reviewer's
 // terms in the per-pair kernel's order (core::Assignment::MarginalGainRow
-// is the consumer; Instance::ReviewerTopicIndex builds the index).
+// is the consumer; core::Instance owns the reviewer index and keeps it
+// current across online updates).
 //
 // A TopicIndex is immutable after construction; Column() views are cheap
 // pointer views into it, valid as long as the index lives.
@@ -34,9 +35,6 @@ class TopicIndex {
   /// Inverts a dense rows×topics matrix. Entries must be finite and >= 0;
   /// exact zeros are dropped. O(rows * topics).
   static TopicIndex FromMatrix(const Matrix& dense);
-
-  /// Inverts a CSR matrix (same entries, transposed layout). O(nnz).
-  static TopicIndex FromSparse(const SparseTopicMatrix& csr);
 
   int num_rows() const { return rows_; }
   int num_topics() const { return topics_; }

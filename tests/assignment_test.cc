@@ -188,12 +188,11 @@ TEST(AssignmentTest, RandomizedConsistencyAgainstRecomputation) {
 
 // Every entry of MarginalGainRow must carry MarginalGain's exact bits —
 // compared with memcmp, so even a +0.0/-0.0 or last-ulp drift fails.
-void ExpectRowMatchesPerPair(const Assignment& assignment,
-                             const sparse::TopicIndex& by_topic, int paper,
+void ExpectRowMatchesPerPair(const Assignment& assignment, int paper,
                              const std::string& what) {
   const int R = assignment.instance().num_reviewers();
   std::vector<double> row(R, -7.0);  // stale garbage the kernel overwrites
-  assignment.MarginalGainRow(paper, by_topic, row.data());
+  assignment.MarginalGainRow(paper, row.data());
   for (int r = 0; r < R; ++r) {
     const double expected = assignment.MarginalGain(paper, r);
     EXPECT_EQ(std::memcmp(&row[r], &expected, sizeof(double)), 0)
@@ -244,7 +243,6 @@ TEST(MarginalGainRowTest, MatchesPerPairGainBitwise) {
             }
             ASSERT_TRUE(instance->SetBids(std::move(bid), 0.4).ok());
           }
-          const sparse::TopicIndex by_topic = instance->ReviewerTopicIndex();
           const std::string what =
               ScoringFunctionName(f) + " density " + std::to_string(density) +
               (sparse_views ? " sparse" : " dense") +
@@ -252,7 +250,7 @@ TEST(MarginalGainRowTest, MatchesPerPairGainBitwise) {
           Assignment assignment(&*instance);
           for (int size = 0; size <= params.group_size; ++size) {
             for (int p = 0; p < P; ++p) {
-              ExpectRowMatchesPerPair(assignment, by_topic, p,
+              ExpectRowMatchesPerPair(assignment, p,
                                       what + " size " + std::to_string(size));
             }
             if (size == params.group_size) break;
@@ -301,14 +299,13 @@ TEST(MarginalGainRowTest, HandMadeEdgeRows) {
         instance->DropSparseTopics();
       }
       instance->AddConflict(/*reviewer=*/4, /*paper=*/1);
-      const sparse::TopicIndex by_topic = instance->ReviewerTopicIndex();
       Assignment assignment(&*instance);
       ASSERT_TRUE(assignment.Add(0, 0).ok());
       ASSERT_TRUE(assignment.Add(1, 0).ok());
       const std::string what = ScoringFunctionName(f) +
                                (sparse_views ? " sparse" : " dense");
-      ExpectRowMatchesPerPair(assignment, by_topic, 0, what);
-      ExpectRowMatchesPerPair(assignment, by_topic, 1, what);
+      ExpectRowMatchesPerPair(assignment, 0, what);
+      ExpectRowMatchesPerPair(assignment, 1, what);
       if (f == ScoringFunction::kReviewerCoverage) {
         // The zero-weight topic is cR's whole gain for "zero_p".
         EXPECT_GT(assignment.MarginalGain(0, 3), 0.0);

@@ -297,13 +297,12 @@ TEST(GainCacheTest, ReplacementFoldCacheMatchesScoreWithReplacement) {
     std::vector<int> papers;
     for (int p = 0; p < instance.num_papers(); ++p) papers.push_back(p);
     folds.Prepare(assignment, papers, &pool);
-    std::vector<double> scratch;
     for (int p = 0; p < instance.num_papers(); ++p) {
       for (int drop : assignment.GroupFor(p)) {
         for (int add = 0; add < instance.num_reviewers(); ++add) {
           if (add == drop || assignment.Contains(p, add)) continue;
           EXPECT_EQ(folds.Score(p, drop, add),
-                    assignment.ScoreWithReplacement(p, drop, add, &scratch))
+                    assignment.ScoreWithReplacement(p, drop, add))
               << "p=" << p << " drop=" << drop << " add=" << add;
         }
       }

@@ -91,6 +91,38 @@ TEST(InstanceTest, InvalidDatasetRejected) {
   EXPECT_FALSE(Instance::FromDataset(dataset, params).ok());
 }
 
+// Every per-paper quantity assumes P > 0; a reviewer-only dataset is an
+// InvalidArgument, not an instance that aborts its first solve.
+TEST(InstanceTest, ZeroPapersRejected) {
+  auto dataset = TinyDataset();
+  dataset.papers.clear();
+  InstanceParams params;
+  params.group_size = 2;
+  auto instance = Instance::FromDataset(dataset, params);
+  ASSERT_FALSE(instance.ok());
+  EXPECT_EQ(instance.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(instance.status().message().find("no papers"), std::string::npos);
+}
+
+// The one parser of the instance parameters' spellings that every front
+// end (wgrap_cli flags, the line protocol's open) calls.
+TEST(InstanceTest, ParsesParameterSpellings) {
+  for (const ScoringFunction f :
+       {ScoringFunction::kWeightedCoverage, ScoringFunction::kReviewerCoverage,
+        ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct}) {
+    auto parsed = ParseScoringFunction(ScoringFunctionName(f));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(*parsed, f);
+  }
+  const auto bad = ParseScoringFunction("cX");
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(), "unknown scoring 'cX' (use c, cR, cP, cD)");
+  EXPECT_FALSE(*ParseTopicsMode("dense"));
+  EXPECT_TRUE(*ParseTopicsMode("sparse"));
+  EXPECT_EQ(ParseTopicsMode("Sparse").status().message(),
+            "unknown topics mode 'Sparse' (use dense or sparse)");
+}
+
 TEST(InstanceTest, PairScoreMatchesDefinitionOne) {
   InstanceParams params;
   params.group_size = 2;

@@ -112,5 +112,35 @@ TEST(AssignmentCsvTest, RejectsMalformed) {
       AssignmentPairsFromCsv("paper_id,reviewer_id\n0,x\n").ok());
 }
 
+// Ids are whole-field integers in int range: a fractional, exponent,
+// non-finite or out-of-range id is an error naming the row, never a
+// truncation to some other id.
+TEST(AssignmentCsvTest, RejectsNonIntegerIds) {
+  for (const char* bad : {"0.9", "1e10", "nan", "inf", "2147483648",
+                          "-2147483649", "", "3x", " 3", "0x10"}) {
+    const auto parsed = AssignmentPairsFromCsv(
+        std::string("paper_id,reviewer_id\n") + bad + ",19\n");
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("row 2"), std::string::npos);
+  }
+  const auto edge = AssignmentPairsFromCsv(
+      "paper_id,reviewer_id\n2147483647,-2147483648\n");
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ((*edge)[0], std::make_pair(2147483647, -2147483647 - 1));
+}
+
+TEST(DatasetCsvTest, RejectsNonIntegerHIndex) {
+  for (const char* bad : {"1.5", "1e10", "nan", "99999999999"}) {
+    const auto parsed = DatasetFromCsv(
+        std::string("kind,name,venue,h_index,t0\nreviewer,x,,") + bad +
+        ",0.5\npaper,y,v,0,0.5\n");
+    EXPECT_FALSE(parsed.ok()) << "'" << bad << "'";
+  }
+  EXPECT_TRUE(DatasetFromCsv("kind,name,venue,h_index,t0\nreviewer,x,,12,"
+                             "0.5\npaper,y,v,0,0.5\n")
+                  .ok());
+}
+
 }  // namespace
 }  // namespace wgrap::data

@@ -93,11 +93,10 @@ TEST(IdealAssignmentTest, PerPaperFoldMatchesTheWholeBuildBitForBit) {
 
       const int P = instance->num_papers();
       const int dp = instance->group_size();
-      const sparse::TopicIndex by_topic = instance->ReviewerTopicIndex();
       std::vector<double> gains(static_cast<size_t>(P) * dp);
       for (int p = P - 1; p >= 0; --p) {
         Assignment scratch(&*instance);
-        ASSERT_TRUE(AddIdealPicks(p, by_topic, &scratch, &gains[p * dp]).ok());
+        ASSERT_TRUE(AddIdealPicks(p, &scratch, &gains[p * dp]).ok());
         EXPECT_EQ(scratch.GroupFor(p), ideal->GroupFor(p))
             << "sparse " << sparse << " seed " << seed << " paper " << p;
       }
@@ -121,11 +120,10 @@ TEST(IdealAssignmentTest, PerPaperPicksReportAnAllConflictPaper) {
   for (int r = 1; r < config.reviewers; ++r) {
     instance->AddConflict(r, 2);
   }
-  const sparse::TopicIndex by_topic = instance->ReviewerTopicIndex();
   Assignment scratch(&*instance);
   std::vector<double> gains(2);
-  EXPECT_TRUE(AddIdealPicks(1, by_topic, &scratch, gains.data()).ok());
-  EXPECT_EQ(AddIdealPicks(2, by_topic, &scratch, gains.data()).code(),
+  EXPECT_TRUE(AddIdealPicks(1, &scratch, gains.data()).ok());
+  EXPECT_EQ(AddIdealPicks(2, &scratch, gains.data()).code(),
             StatusCode::kInfeasible);
   EXPECT_EQ(BuildIdealAssignment(*instance).status().code(),
             StatusCode::kInfeasible);
@@ -158,15 +156,13 @@ Status ReferenceIdealPicks(int paper, Assignment* ideal, double* gains) {
 // requires the same verdict, the same reviewers and the same gain bits.
 void ExpectPicksMatchReference(const Instance& instance,
                                const std::string& what) {
-  const sparse::TopicIndex by_topic = instance.ReviewerTopicIndex();
   const int dp = instance.group_size();
   for (int p = 0; p < instance.num_papers(); ++p) {
     Assignment row_scratch(&instance);
     Assignment ref_scratch(&instance);
     std::vector<double> row_gains(dp, -1.0);
     std::vector<double> ref_gains(dp, -1.0);
-    const Status row = AddIdealPicks(p, by_topic, &row_scratch,
-                                     row_gains.data());
+    const Status row = AddIdealPicks(p, &row_scratch, row_gains.data());
     const Status ref = ReferenceIdealPicks(p, &ref_scratch, ref_gains.data());
     ASSERT_EQ(row.code(), ref.code()) << what << " paper " << p;
     EXPECT_EQ(row_scratch.GroupFor(p), ref_scratch.GroupFor(p))

@@ -188,6 +188,69 @@ TEST(ProtocolTest, NegativeWorkloadCannotAbortTheServer) {
                 Ok("pong\n"));
 }
 
+TEST(ProtocolTest, ZeroPaperInstanceCannotAbortTheServer) {
+  // Regression: a reviewer-only dataset used to open as a P = 0 session;
+  // sdga-ls then failed a CHECK sampling a paper and killed the server.
+  // Both routes to a paperless instance are refused instead: the open
+  // itself, and a batch removing the last paper (rolled back whole, so
+  // the session keeps both papers and still solves).
+  const std::string reviewers =
+      "kind,name,venue,h_index,t0,t1\n"
+      "reviewer,ra,,1,0,1\n"
+      "reviewer,rb,,1,1,0\n"
+      "reviewer,rc,,1,1,1\n"
+      "reviewer,rd,,1,0.5,1\n";
+  const std::string papers = "paper,pa,V,0,1,0\npaper,pb,V,0,0.5,0.5\n";
+  std::string script;
+  Send(&script, "open s dp=3", reviewers);
+  script += "submit s solve sdga-ls\n";
+  Send(&script, "open t dp=3", reviewers + papers);
+  Send(&script, "mutate t", "remove_paper 0\nremove_paper 0\n");
+  script += "submit t solve sdga-ls\n";
+  script += "wait 1\n";
+  script += "ping\n";
+
+  std::string expected;
+  expected += Err(StatusCode::kInvalidArgument, "no papers");
+  expected += Err(StatusCode::kNotFound, "no session 's'");
+  expected += Ok("session t v1 P=2 R=4 T=2 unassigned\n");
+  expected += Err(StatusCode::kInvalidArgument, "cannot remove the last paper");
+  expected += Ok("job 1\n");
+  expected += Ok(
+      "sdga-ls: coverage 2.000 (optimality 100.0%), lowest paper 1.000\n");
+  expected += Ok("pong\n");
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  EXPECT_EQ(out.str(), expected);
+}
+
+// Numeric keys take finite numbers only, like every registry knob:
+// "budget=nan" is an error, not an unlimited budget.
+TEST(ProtocolTest, NonFiniteBudgetIsRejected) {
+  auto dataset = core::MakeFuzzDataset(Config());
+  ASSERT_TRUE(dataset.ok());
+  std::string script;
+  Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
+  script += "submit conf solve sdga budget=nan\n";
+  script += "resolve conf budget=inf\n";
+  script += "ping\n";
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  EXPECT_EQ(out.str(),
+            Ok("session conf v1 P=8 R=12 T=10 unassigned\n") +
+                Err(StatusCode::kInvalidArgument,
+                    "'budget' must be a finite number, got 'nan'") +
+                Err(StatusCode::kInvalidArgument,
+                    "'budget' must be a finite number, got 'inf'") +
+                Ok("pong\n"));
+}
+
 TEST(ProtocolTest, ErrorFramesCarryStatusCodes) {
   ServiceApi api;
   std::string script;

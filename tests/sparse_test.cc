@@ -6,6 +6,7 @@
 // bit-identical, not approximately equal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -61,27 +62,24 @@ TEST(SparseTopicMatrixTest, FromMatrixCompressesAndRoundTrips) {
   EXPECT_EQ(row0.dim, 5);
 
   // The CSC inverted index is the exact transpose: same entries, reached
-  // by column, whichever representation it was built from.
-  for (const sparse::TopicIndex& index :
-       {sparse::TopicIndex::FromMatrix(dense),
-        sparse::TopicIndex::FromSparse(csr)}) {
-    EXPECT_EQ(index.num_rows(), 3);
-    EXPECT_EQ(index.num_topics(), 5);
-    EXPECT_EQ(index.nnz(), 3);
-    for (int t = 0; t < 5; ++t) {
-      const sparse::SparseVector column = index.Column(t);
-      EXPECT_EQ(column.dim, 3);
-      int expected_degree = 0;
-      for (int r = 0; r < 3; ++r) {
-        if (dense(r, t) > 0.0) ++expected_degree;
+  // by column.
+  const sparse::TopicIndex index = sparse::TopicIndex::FromMatrix(dense);
+  EXPECT_EQ(index.num_rows(), 3);
+  EXPECT_EQ(index.num_topics(), 5);
+  EXPECT_EQ(index.nnz(), 3);
+  for (int t = 0; t < 5; ++t) {
+    const sparse::SparseVector column = index.Column(t);
+    EXPECT_EQ(column.dim, 3);
+    int expected_degree = 0;
+    for (int r = 0; r < 3; ++r) {
+      if (dense(r, t) > 0.0) ++expected_degree;
+    }
+    ASSERT_EQ(column.nnz, expected_degree) << "topic " << t;
+    for (int k = 0; k < column.nnz; ++k) {
+      if (k > 0) {
+        EXPECT_LT(column.ids[k - 1], column.ids[k]);  // sorted
       }
-      ASSERT_EQ(column.nnz, expected_degree) << "topic " << t;
-      for (int k = 0; k < column.nnz; ++k) {
-        if (k > 0) {
-          EXPECT_LT(column.ids[k - 1], column.ids[k]);  // sorted
-        }
-        EXPECT_EQ(column.values[k], dense(column.ids[k], t));
-      }
+      EXPECT_EQ(column.values[k], dense(column.ids[k], t));
     }
   }
   const Matrix round_trip = csr.ToMatrix();
@@ -215,9 +213,11 @@ TEST(SparseKernelTest, GroupAccumulatorIsBitIdenticalToDense) {
       EXPECT_EQ(dense_score, accumulator.Score(f, paper_csr.Row(0), mass))
           << core::ScoringFunctionName(f) << " trial " << trial;
 
-      // ScatterInto reproduces the dense max (over a zeroed buffer).
+      // The sorted support and its values reproduce the dense max.
+      const std::vector<int>& support = accumulator.SortedTouched();
+      EXPECT_TRUE(std::is_sorted(support.begin(), support.end()));
       std::vector<double> scattered(T, 0.0);
-      accumulator.ScatterInto(scattered.data());
+      for (int t : support) scattered[t] = accumulator.ValueAt(t);
       for (int t = 0; t < T; ++t) EXPECT_EQ(scattered[t], dense_max[t]);
     }
   }
@@ -291,6 +291,42 @@ TEST(SparseEquivalenceTest, SolversMatchDensePathExactly) {
         EXPECT_EQ(a->score, b->score);
         EXPECT_EQ(a->group, b->group);
       }
+      {
+        // BBA top-3: the per-node gain and the prefix fold over the
+        // instance's primitives, on both twins.
+        core::SolverRunOptions sparse_options;
+        sparse_options.extra["topics"] = "sparse";
+        auto a = registry.SolveJraTopK("bba", dense, /*paper=*/2, 3);
+        auto b = registry.SolveJraTopK("bba", sparse_twin, 2, 3,
+                                       sparse_options);
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        ASSERT_TRUE(b.ok()) << b.status().ToString();
+        ASSERT_EQ(a->size(), b->size());
+        for (size_t i = 0; i < a->size(); ++i) {
+          EXPECT_EQ((*a)[i].score, (*b)[i].score) << "rank " << i;
+          EXPECT_EQ((*a)[i].group, (*b)[i].group) << "rank " << i;
+        }
+      }
+      for (const char* gains : {"incremental", "rebuild"}) {
+        // sdga-ls scores its moves through the ReplacementFoldCache under
+        // gains=incremental and through ScoreWithReplacement under
+        // gains=rebuild; both twins must walk the same trajectory.
+        SCOPED_TRACE(std::string("sdga-ls gains=") + gains);
+        core::SolverRunOptions dense_options;
+        dense_options.seed = 17;
+        dense_options.extra["gains"] = gains;
+        dense_options.extra["threads"] = "4";
+        core::SolverRunOptions sparse_options = dense_options;
+        sparse_options.extra["topics"] = "sparse";
+        auto a = registry.SolveCra("sdga-ls", dense, dense_options);
+        auto b = registry.SolveCra("sdga-ls", sparse_twin, sparse_options);
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        ASSERT_TRUE(b.ok()) << b.status().ToString();
+        EXPECT_EQ(a->TotalScore(), b->TotalScore());
+        for (int p = 0; p < dense.num_papers(); ++p) {
+          EXPECT_EQ(a->GroupFor(p), b->GroupFor(p)) << "paper " << p;
+        }
+      }
       // Metrics path: the ideal assignment is bit-identical too.
       auto ideal_dense = core::BuildIdealAssignment(dense);
       auto ideal_sparse = core::BuildIdealAssignment(sparse_twin);
@@ -331,6 +367,17 @@ TEST(SparseInstanceTest, BuildAndDropSparseViews) {
   }
   instance.DropSparseTopics();
   EXPECT_FALSE(instance.has_sparse_topics());
+  // The CSC reviewer index is instance state either way: building or
+  // dropping the CSR views leaves it whole.
+  int64_t nnz = 0;
+  for (int r = 0; r < instance.num_reviewers(); ++r) {
+    for (int t = 0; t < instance.num_topics(); ++t) {
+      if (instance.ReviewerVector(r)[t] > 0.0) ++nnz;
+    }
+  }
+  EXPECT_EQ(instance.ReviewerTopicIndex().num_rows(),
+            instance.num_reviewers());
+  EXPECT_EQ(instance.ReviewerTopicIndex().nnz(), nnz);
 }
 
 TEST(SparseDatasetTest, TopicDensityControlsSupport) {

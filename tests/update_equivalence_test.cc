@@ -1,14 +1,15 @@
 // Mutation-fuzz equivalence harness for the online-update subsystem
 // (core/update.h). A seeded fuzzer interleaves hundreds of random typed
 // mutations with checkpoints; at every checkpoint the patched Instance
-// and its CSR sparse views must be EXPECT_EQ-identical — bit for bit — to
-// state built from scratch off an independently maintained ground truth,
-// and IncrementalResolve on the patched state must follow the
-// bit-identical trajectory of a resolve on the freshly built state. The
-// grid covers dense|sparse topic kernels and 1|8 resolve threads across
-// multiple seeds; a dedicated case pins the pure-removal sequence the ROADMAP
-// calls out, and smaller tests cover validation failures, eviction
-// reporting and the mutation-script grammar.
+// and its topic views (CSC reviewer index, CSR rows) must be
+// EXPECT_EQ-identical — bit for bit — to state built from scratch off an
+// independently maintained ground truth, and IncrementalResolve on the
+// patched state must follow the bit-identical trajectory of a resolve on
+// the freshly built state. The grid covers dense|sparse topic kernels and
+// 1|8 resolve threads across multiple seeds; dedicated cases pin the
+// pure-removal sequence the ROADMAP calls out and each op kind alone, and
+// smaller tests cover validation failures, eviction reporting and the
+// mutation-script grammar.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -254,6 +255,17 @@ void ExpectInstancesBitEqual(const Instance& patched, const Instance& fresh) {
           << "bid (" << r << ", " << p << ")";
     }
   }
+  // The instance-owned CSC reviewer index: same shape, same column
+  // offsets (degrees), same ids and values, with or without CSR views.
+  const sparse::TopicIndex& index = patched.ReviewerTopicIndex();
+  const sparse::TopicIndex& fresh_index = fresh.ReviewerTopicIndex();
+  ASSERT_EQ(index.num_rows(), fresh_index.num_rows());
+  ASSERT_EQ(index.num_topics(), fresh_index.num_topics());
+  EXPECT_EQ(index.nnz(), fresh_index.nnz());
+  for (int t = 0; t < T; ++t) {
+    ExpectSparseVectorsEqual(index.Column(t), fresh_index.Column(t),
+                             "csc topic " + std::to_string(t));
+  }
   if (patched.has_sparse_topics()) {
     for (int r = 0; r < R; ++r) {
       ExpectSparseVectorsEqual(patched.ReviewerSparse(r),
@@ -472,6 +484,45 @@ TEST(UpdateEquivalencePureRemoval, ResolveMatchesFreshBuildExactly) {
                               ResolveOptions(1, "sra"));
 }
 
+// Every op kind, alone, with and without CSR views: the patched views
+// (CSC reviewer index included) equal a fresh build, and a copy taken
+// before the op — what the service publishes — keeps the views it had.
+TEST(UpdateEquivalenceOpKinds, EveryOpKeepsTheTopicViewsCurrent) {
+  for (const bool sparse : {false, true}) {
+    for (int kind = 0; kind < 8; ++kind) {
+      SCOPED_TRACE("sparse " + std::to_string(sparse) + " kind " +
+                   std::to_string(kind));
+      FuzzInstanceConfig config = BaseConfig(/*seed=*/300 + kind, sparse);
+      config.with_bids = kind == 5;
+      const InstanceParams params = MakeFuzzParams(config);
+      auto built = MakeFuzzInstance(config);
+      ASSERT_TRUE(built.ok());
+      Instance instance = *std::move(built);
+      GroundTruth gt = MakeGroundTruth(config);
+      const Instance before = instance;
+      const GroundTruth gt_before = gt;
+      Rng rng(kind + 1);
+      const int T = config.num_topics;
+      const std::vector<InstanceUpdate> ops = {
+          InstanceUpdate::AddPaper(RandomTopics(&rng, T)),
+          InstanceUpdate::RemovePaper(2),
+          InstanceUpdate::AddReviewer(RandomTopics(&rng, T)),
+          InstanceUpdate::RemoveReviewer(5),
+          InstanceUpdate::SetCoi(3, 1, true),
+          InstanceUpdate::SetBid(1, 3, 0.75),
+          InstanceUpdate::SetPaperTopics(4, RandomTopics(&rng, T)),
+          InstanceUpdate::SetReviewerTopics(6, RandomTopics(&rng, T))};
+      ASSERT_EQ(static_cast<int>(ops[kind].kind), kind);
+      InstanceUpdater updater(&instance, params);
+      auto report = updater.Apply(ops[kind]);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ApplyToGroundTruth(&gt, ops[kind]);
+      ExpectInstancesBitEqual(instance, BuildFresh(gt, params));
+      ExpectInstancesBitEqual(before, BuildFresh(gt_before, params));
+    }
+  }
+}
+
 // --- validation and reporting ---------------------------------------------
 
 TEST(InstanceUpdaterValidation, RejectedOpsLeaveTheInstanceUntouched) {
@@ -514,6 +565,27 @@ TEST(InstanceUpdaterValidation, RejectedOpsLeaveTheInstanceUntouched) {
             StatusCode::kInvalidArgument);
   // Every rejection validated before mutating: still equal to the
   // untouched ground truth.
+  ExpectInstancesBitEqual(instance, BuildFresh(gt, params));
+}
+
+// FromDataset rejects a paperless instance, so the updater refuses to
+// produce one: removing the last paper fails and leaves it in place.
+TEST(InstanceUpdaterValidation, TheLastPaperCannotBeRemoved) {
+  FuzzInstanceConfig config = BaseConfig(/*seed=*/9, false);
+  config.papers = 2;
+  config.with_bids = false;
+  config.conflict_rate = 0.0;
+  const InstanceParams params = MakeFuzzParams(config);
+  auto built = MakeFuzzInstance(config);
+  ASSERT_TRUE(built.ok());
+  Instance instance = *std::move(built);
+  GroundTruth gt = MakeGroundTruth(config);
+  InstanceUpdater updater(&instance, params);
+  ASSERT_TRUE(updater.Apply(InstanceUpdate::RemovePaper(0)).ok());
+  ApplyToGroundTruth(&gt, InstanceUpdate::RemovePaper(0));
+  const auto rejected = updater.Apply(InstanceUpdate::RemovePaper(0));
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(instance.num_papers(), 1);
   ExpectInstancesBitEqual(instance, BuildFresh(gt, params));
 }
 

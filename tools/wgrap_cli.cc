@@ -84,6 +84,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -150,9 +151,13 @@ class Flags {
   }
 
   double GetDouble(const std::string& name, double fallback) const {
-    return Strict<double>(
+    const double v = Strict<double>(
         name, fallback, "number",
         [](const char* s, char** end) { return std::strtod(s, end); });
+    // strtod accepts "nan" and "inf"; like the registry's numeric knobs,
+    // no flag has a use for either ("--budget nan" is not "unlimited").
+    if (!std::isfinite(v)) Invalid(name, "finite number");
+    return v;
   }
 
   uint64_t GetUint64(const std::string& name, uint64_t fallback) const {
@@ -221,14 +226,20 @@ std::map<std::string, std::string> KnobFlags(const Flags& flags) {
   std::exit(1);
 }
 
-core::ScoringFunction ParseScoring(const std::string& name) {
-  if (name == "c") return core::ScoringFunction::kWeightedCoverage;
-  if (name == "cR") return core::ScoringFunction::kReviewerCoverage;
-  if (name == "cP") return core::ScoringFunction::kPaperCoverage;
-  if (name == "cD") return core::ScoringFunction::kDotProduct;
-  std::fprintf(stderr, "unknown scoring '%s' (use c, cR, cP, cD)\n",
-               name.c_str());
-  std::exit(2);
+// Unwraps a parsed instance parameter; a bad spelling exits 2 with the
+// parser's message.
+template <typename T>
+T ParamOrDie(Result<T> value) {
+  if (!value.ok()) {
+    std::fprintf(stderr, "%s\n", value.status().message().c_str());
+    std::exit(2);
+  }
+  return *value;
+}
+
+core::ScoringFunction ParseScoring(const Flags& flags) {
+  return ParamOrDie(
+      core::ParseScoringFunction(flags.GetString("scoring", "c")));
 }
 
 data::RapDataset LoadDatasetOrDie(const std::string& path) {
@@ -240,14 +251,7 @@ data::RapDataset LoadDatasetOrDie(const std::string& path) {
 // Validates `--topics` and returns true when the sparse kernels were
 // requested (the caller builds the instance's CSR views).
 bool ParseTopicsMode(const Flags& flags) {
-  const std::string topics = flags.GetString("topics", "dense");
-  if (topics == "sparse") return true;
-  if (topics != "dense") {
-    std::fprintf(stderr, "unknown --topics '%s' (use dense or sparse)\n",
-                 topics.c_str());
-    std::exit(2);
-  }
-  return false;
+  return ParamOrDie(core::ParseTopicsMode(flags.GetString("topics", "dense")));
 }
 
 core::Instance MakeInstanceOrDie(const data::RapDataset& dataset,
@@ -255,7 +259,7 @@ core::Instance MakeInstanceOrDie(const data::RapDataset& dataset,
   core::InstanceParams params;
   params.group_size = flags.GetInt("dp", 3);
   params.reviewer_workload = flags.GetInt("dr", 0);
-  params.scoring = ParseScoring(flags.GetString("scoring", "c"));
+  params.scoring = ParseScoring(flags);
   params.sparse_topics = ParseTopicsMode(flags);
   auto instance = core::Instance::FromDataset(dataset, params);
   if (!instance.ok()) Die(instance.status(), "build instance");
@@ -434,7 +438,7 @@ int CmdJra(const Flags& flags) {
   core::InstanceParams params;  // JRA ignores workloads (δr := R)
   params.group_size = flags.GetInt("dp", 3);
   params.reviewer_workload = dataset.num_reviewers();
-  params.scoring = ParseScoring(flags.GetString("scoring", "c"));
+  params.scoring = ParseScoring(flags);
   params.sparse_topics = ParseTopicsMode(flags);
   auto instance = core::Instance::FromDataset(dataset, params);
   if (!instance.ok()) Die(instance.status(), "build instance");
@@ -502,7 +506,7 @@ int CmdUpdate(const Flags& flags) {
   core::InstanceParams params;
   params.group_size = flags.GetInt("dp", 3);
   params.reviewer_workload = flags.GetInt("dr", 0);
-  params.scoring = ParseScoring(flags.GetString("scoring", "c"));
+  params.scoring = ParseScoring(flags);
   core::InstanceUpdater updater(&instance, params);
   updater.TrackAssignment(&assignment);
   auto report = updater.ApplyAll(*updates);

@@ -1,11 +1,14 @@
 // JRA solver tests: all four solvers agree with brute force on random
 // instances (the core exactness property of the paper's BBA), the Fig. 5
 // worked example, top-k correctness against full enumeration, COI handling,
-// and the ablation switches.
+// the ablation switches, and goldens pinning BBA's exact trajectory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/jra.h"
@@ -239,6 +242,170 @@ TEST(JraTest, BbaTimeLimitReportsAbort) {
   } else {
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   }
+}
+
+// --- BBA goldens ------------------------------------------------------------
+// Algorithm 1's exact trajectory, pinned: for every paper of each pool, the
+// node count, the groups and the score bits of BBA top-1 and top-3 are
+// folded into one digest. Recorded once and unchanged since, so any change
+// to the cursor order, the Definition 8 branching or the Eq. 3 pruning
+// shows here even when the optimum stays the same. Every pool runs as a
+// dense instance and as its CSR twin against the same golden.
+
+struct BbaGolden {
+  const char* name;
+  int64_t nodes;    // summed over papers, top-1 and top-3 runs
+  uint64_t digest;  // FNV-1a over nodes, group ids and score bits
+};
+
+void Fnv(uint64_t value, uint64_t* digest) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *digest ^= (value >> (8 * byte)) & 0xff;
+    *digest *= 0x100000001b3ULL;
+  }
+}
+
+void FoldResult(const JraResult& result, uint64_t* digest) {
+  Fnv(static_cast<uint64_t>(result.nodes_explored), digest);
+  for (int r : result.group) Fnv(static_cast<uint64_t>(r), digest);
+  uint64_t bits = 0;
+  std::memcpy(&bits, &result.score, sizeof(bits));
+  Fnv(bits, digest);
+}
+
+// Runs top-1 and top-3 on every paper; returns {summed nodes, digest}.
+std::pair<int64_t, uint64_t> BbaTrajectory(const Instance& instance,
+                                           const BbaOptions& options) {
+  int64_t nodes = 0;
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (int p = 0; p < instance.num_papers(); ++p) {
+    auto best = SolveJraBba(instance, p, options);
+    EXPECT_TRUE(best.ok()) << "paper " << p << ": "
+                           << best.status().ToString();
+    if (!best.ok()) continue;
+    nodes += best->nodes_explored;
+    FoldResult(*best, &digest);
+    auto top3 = SolveJraBbaTopK(instance, p, 3, options);
+    EXPECT_TRUE(top3.ok()) << "paper " << p;
+    if (!top3.ok()) continue;
+    nodes += (*top3)[0].nodes_explored;
+    for (const JraResult& result : *top3) FoldResult(result, &digest);
+  }
+  return {nodes, digest};
+}
+
+// Checks the golden on the dense instance and on its CSR twin.
+void ExpectBbaGolden(const Instance& instance, const BbaOptions& options,
+                     const BbaGolden& golden) {
+  SCOPED_TRACE(golden.name);
+  Instance dense = instance;
+  dense.DropSparseTopics();
+  Instance csr = instance;
+  csr.BuildSparseTopics();
+  for (const Instance* twin : {&dense, &csr}) {
+    const auto [nodes, digest] = BbaTrajectory(*twin, options);
+    const std::string got = std::string(twin == &csr ? "csr" : "dense") +
+                            " nodes " + std::to_string(nodes) + " digest " +
+                            std::to_string(digest);
+    EXPECT_EQ(nodes, golden.nodes) << got;
+    EXPECT_EQ(digest, golden.digest) << got;
+  }
+}
+
+Instance GoldenPool(int num_reviewers, int num_papers, int group_size,
+                    int num_topics, double density, uint64_t seed,
+                    ScoringFunction scoring) {
+  data::SyntheticDblpConfig config;
+  config.num_topics = num_topics;
+  config.topic_density = density;
+  config.seed = seed;
+  auto dataset =
+      data::GenerateReviewerPool(num_reviewers, num_papers, config);
+  EXPECT_TRUE(dataset.ok());
+  InstanceParams params;
+  params.group_size = group_size;
+  params.reviewer_workload = num_papers;  // irrelevant for JRA
+  params.scoring = scoring;
+  auto instance = Instance::FromDataset(*dataset, params);
+  EXPECT_TRUE(instance.ok());
+  return std::move(instance).value();
+}
+
+// Six profiles repeated over 24 reviewers (ids i and i + 6k share one), so
+// most sorted lists hold runs of equal values broken only by reviewer id;
+// topic 5 is zero for every reviewer and the others carry zero tails.
+Instance TieHeavyPool() {
+  const std::vector<std::vector<double>> profiles = {
+      {0.5, 0.5, 0.0, 0.0, 0.0, 0.0},     {0.25, 0.25, 0.5, 0.0, 0.0, 0.0},
+      {0.0, 0.0, 0.0, 1.0, 0.0, 0.0},     {0.5, 0.0, 0.0, 0.0, 0.5, 0.0},
+      {0.0, 0.5, 0.5, 0.0, 0.0, 0.0},     {0.25, 0.25, 0.0, 0.25, 0.25, 0.0}};
+  data::RapDataset dataset;
+  dataset.num_topics = 6;
+  for (int r = 0; r < 24; ++r) {
+    dataset.reviewers.push_back(
+        {std::to_string(r), profiles[r % profiles.size()], 1});
+  }
+  dataset.papers.push_back({"p0", {0.2, 0.2, 0.2, 0.2, 0.1, 0.1}, "V"});
+  dataset.papers.push_back({"p1", {0.5, 0.5, 0.0, 0.0, 0.0, 0.0}, "V"});
+  dataset.papers.push_back({"p2", {0.0, 0.0, 0.0, 0.5, 0.25, 0.25}, "V"});
+  InstanceParams params;
+  params.group_size = 3;
+  params.reviewer_workload = 3;
+  auto instance = Instance::FromDataset(dataset, params);
+  EXPECT_TRUE(instance.ok());
+  return std::move(instance).value();
+}
+
+TEST(BbaGoldenTest, DensePool) {
+  ExpectBbaGolden(
+      GoldenPool(80, 5, 3, 30, 0.0, 501, ScoringFunction::kWeightedCoverage),
+      BbaOptions{}, {"dense R80 T30", 1165, 10777454636326401486ULL});
+}
+
+TEST(BbaGoldenTest, SparsePool) {
+  ExpectBbaGolden(
+      GoldenPool(150, 5, 3, 30, 0.1, 502, ScoringFunction::kWeightedCoverage),
+      BbaOptions{}, {"sparse R150 T30", 70, 5067966398391116793ULL});
+}
+
+TEST(BbaGoldenTest, PoolWithConflicts) {
+  Instance instance = GoldenPool(40, 4, 4, 20, 0.2, 503,
+                                 ScoringFunction::kPaperCoverage);
+  // Conflicts on three of the four papers, including low, high and
+  // adjacent reviewer ids.
+  for (int r : {0, 1, 7, 22, 39}) instance.AddConflict(r, 0);
+  for (int r : {3, 4, 5, 6, 30}) instance.AddConflict(r, 1);
+  for (int r : {12, 38}) instance.AddConflict(r, 3);
+  ExpectBbaGolden(instance, BbaOptions{},
+                  {"cP R40 T20 coi", 72, 13463674118134834240ULL});
+}
+
+TEST(BbaGoldenTest, TieHeavyPool) {
+  ExpectBbaGolden(TieHeavyPool(), BbaOptions{},
+                  {"ties", 42, 11071850748879188115ULL});
+  Instance instance = TieHeavyPool();
+  for (int r : {0, 6, 13}) instance.AddConflict(r, 1);
+  ExpectBbaGolden(instance, BbaOptions{},
+                  {"ties coi", 42, 11532467560445248749ULL});
+}
+
+TEST(BbaGoldenTest, AblationsPinned) {
+  BbaOptions no_bounding;
+  no_bounding.use_bounding = false;
+  ExpectBbaGolden(
+      GoldenPool(30, 4, 3, 8, 0.0, 501, ScoringFunction::kWeightedCoverage),
+      no_bounding,
+      {"dense R30 T8 no bounding", 39928, 10775362908103517337ULL});
+  BbaOptions no_gain_branching;
+  no_gain_branching.use_gain_branching = false;
+  ExpectBbaGolden(
+      GoldenPool(60, 4, 3, 30, 0.1, 502, ScoringFunction::kWeightedCoverage),
+      no_gain_branching,
+      {"sparse R60 T30 no gain branching", 15546, 15883350543537792077ULL});
+  ExpectBbaGolden(
+      GoldenPool(25, 3, 2, 12, 0.0, 504, ScoringFunction::kDotProduct),
+      no_gain_branching,
+      {"cD R25 T12 no gain branching", 655, 2688459661675806863ULL});
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "core/instance.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <string>
@@ -23,6 +24,35 @@ bool EnvForcesSparseTopics() {
   std::string v = value;
   for (char& c : v) c = static_cast<char>(std::tolower(c));
   return !(v.empty() || v == "0" || v == "off" || v == "false" || v == "no");
+}
+
+// Algorithm 1's sorted lists from the CSC index of `reviewers`: each
+// column's nonzeros by (value desc, id asc), then the reviewers absent
+// from the column (the zero-valued ones) in id order. Only the nonzeros
+// are sorted, so sparse instances pay O(nnz log nnz), not O(T·R log R).
+std::vector<int> BuildTopicRanking(const sparse::TopicIndex& index,
+                                   const Matrix& reviewers) {
+  const int R = index.num_rows();
+  std::vector<int> ranking(static_cast<size_t>(index.num_topics()) * R);
+  for (int t = 0; t < index.num_topics(); ++t) {
+    const sparse::SparseVector column = index.Column(t);
+    int* out = ranking.data() + static_cast<size_t>(t) * R;
+    std::copy(column.ids, column.ids + column.nnz, out);
+    // Column ids ascend, so a stable sort on value keeps ties by id.
+    std::stable_sort(out, out + column.nnz, [&](int a, int b) {
+      return reviewers(a, t) > reviewers(b, t);
+    });
+    int next = column.nnz;
+    int e = 0;
+    for (int r = 0; r < R; ++r) {
+      if (e < column.nnz && column.ids[e] == r) {
+        ++e;
+      } else {
+        out[next++] = r;
+      }
+    }
+  }
+  return ranking;
 }
 
 }  // namespace
@@ -104,9 +134,13 @@ void Instance::ResetViews(bool csr, bool reviewers_moved, bool papers_moved) {
   const TopicViews* old = views_.get();
   const bool had_csr = old != nullptr && csr_;
   auto views = std::make_shared<TopicViews>();
-  views->reviewer_index = reviewers_moved || old == nullptr
-                              ? sparse::TopicIndex::FromMatrix(reviewers_)
-                              : old->reviewer_index;
+  if (reviewers_moved || old == nullptr) {
+    views->reviewer_index = sparse::TopicIndex::FromMatrix(reviewers_);
+    views->ranking = BuildTopicRanking(views->reviewer_index, reviewers_);
+  } else {
+    views->reviewer_index = old->reviewer_index;
+    views->ranking = old->ranking;
+  }
   if (csr) {
     views->reviewers = reviewers_moved || !had_csr
                            ? sparse::SparseTopicMatrix::FromMatrix(reviewers_)

@@ -9,7 +9,8 @@
 //
 // The representation contract: the Instance alone decides how topic
 // vectors are read. The dense matrices are always present; the CSC
-// reviewer index (ReviewerTopicIndex) is always present and always
+// reviewer index (ReviewerTopicIndex) and the per-topic reviewer ranking
+// (TopicRanking, Algorithm 1's sorted lists) are always present and always
 // current; the CSR row views exist only when sparse topics were asked
 // for. Scoring code outside the Instance never branches on that choice:
 // it calls PairScore, MarginalGain, FoldReviewer and GroupFold, which
@@ -79,6 +80,14 @@ class Instance {
   /// it always matches ReviewerVector.
   const sparse::TopicIndex& ReviewerTopicIndex() const {
     return views_->reviewer_index;
+  }
+  /// The sorted list SL_t of Algorithm 1: all R reviewer ids ordered by
+  /// expertise on topic t, value descending, ties to the lower id — the
+  /// reviewers with a nonzero value first, then the zero-valued ones in id
+  /// order. Instance state like the CSC index: FromDataset builds it and
+  /// InstanceUpdater rebuilds it on every reviewer-side op.
+  const int* TopicRanking(int t) const {
+    return views_->ranking.data() + static_cast<size_t>(t) * num_reviewers();
   }
   /// Σ_t p→[t], the normalization denominator of Eq. 1.
   double PaperMass(int p) const { return paper_mass_[p]; }
@@ -188,15 +197,19 @@ class Instance {
   Instance() = default;
 
   /// Derived read-only views of the topic matrices: the CSC reviewer
-  /// index always, the CSR rows of both matrices when csr_ (empty else).
+  /// index and the topic rankings always, the CSR rows of both matrices
+  /// when csr_ (empty else).
   struct TopicViews {
     sparse::TopicIndex reviewer_index;
+    /// T×R reviewer ids, topic-major: TopicRanking(t) is row t.
+    std::vector<int> ranking;
     sparse::SparseTopicMatrix reviewers;
     sparse::SparseTopicMatrix papers;
   };
 
   /// Sets the dispatch to `csr` and replaces views_, re-deriving from the
-  /// dense matrices the reviewer side (index, and CSR rows when csr) if
+  /// dense matrices the reviewer side (index, rankings, and CSR rows when
+  /// csr) if
   /// `reviewers_moved`, the paper CSR rows if `papers_moved`, and any
   /// part the current views lack; the rest is carried over.
   void ResetViews(bool csr, bool reviewers_moved, bool papers_moved);

@@ -59,12 +59,20 @@ Result<JraResult> SolveJraBruteForce(const Instance& instance, int paper,
 /// The paper's Branch-and-Bound Algorithm (Algorithm 1, Sec. 3): cursor
 /// branching in max-marginal-gain order (Definition 8), pruned by the
 /// Eq. 3 coverage upper bound. Exact; worst case exponential but orders of
-/// magnitude faster than BFS in practice (Fig. 9). O(T) work per node.
+/// magnitude faster than BFS in practice (Fig. 9). Costs: the T sorted
+/// lists are instance state (Instance::TopicRanking), so a query pays
+/// O(R) set-up (blocking its COI reviewers) and no sort. A node advances T
+/// cursors and scores the Eq. 3 bound in O(T); its branching pass needs up
+/// to T Definition 8 gains of O(T) each (O(nnz(r)) on CSR views), but a
+/// gain is memoized per (stage, reviewer) while the stage's prefix group
+/// is unchanged, so most cursor reviewers cost a lookup.
 Result<JraResult> SolveJraBba(const Instance& instance, int paper,
                               const BbaOptions& options = {});
 
 /// Top-k variant: `bsf` becomes a size-k heap (Sec. 3, final remark).
-/// Results are sorted by score, best first.
+/// Results are sorted by score, best first. Nothing is pruned until the
+/// heap holds k groups, so the solver registry caps k at kMaxJraTopK
+/// (core/registry.h).
 Result<std::vector<JraResult>> SolveJraBbaTopK(const Instance& instance,
                                                int paper, int k,
                                                const BbaOptions& options = {});

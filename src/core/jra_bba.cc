@@ -9,12 +9,19 @@
 // the best-so-far group. Cursor sets are cloned downwards (Π^{s+1} ← Π^s)
 // and visited marks are reset on backtracking, so every group is examined
 // at most once.
-// The per-node marginal-gain pass (the O(T²)-per-node hot loop: one
-// Definition 8 gain per cursor reviewer) goes through Instance::
-// MarginalGain, which is O(T·nnz) per node when the instance carries CSR
-// topic views, with bit-identical scores. The Eq. 3 cursor bound itself
-// stays dense: its ub vector is assembled from one cursor per topic, so
-// it has no useful sparsity to exploit.
+//
+// The sorted lists depend on the reviewers alone, so they are instance
+// state (Instance::TopicRanking, kept current by InstanceUpdater), not
+// per-query work: a query only blocks its COI reviewers, which the cursors
+// then skip like visited ones. The per-node pass evaluates up to T
+// Definition 8 gains, each O(T) dense or O(nnz(r)) on CSR views (Instance::
+// MarginalGain, bit-identical either way). A cursor reviewer's gain depends
+// only on the stage's prefix vector, which stays fixed from the descent
+// into the stage until the backtrack out of it, so gains are memoized per
+// (stage, reviewer) under a stage epoch: a stage re-evaluates a reviewer
+// only after its prefix changed. The Eq. 3 cursor bound stays dense: its
+// ub vector is assembled from one cursor per topic, so it has no useful
+// sparsity to exploit.
 #include <algorithm>
 #include <queue>
 #include <vector>
@@ -22,6 +29,7 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "core/jra.h"
+#include "obs/metrics.h"
 
 namespace wgrap::core {
 
@@ -34,22 +42,33 @@ class BbaSearch {
             const BbaOptions& options)
       : instance_(instance), paper_(paper), k_best_(k_best),
         options_(options), T_(instance.num_topics()),
-        k_(instance.group_size()),
+        R_(instance.num_reviewers()), k_(instance.group_size()),
         deadline_(options.time_limit_seconds) {}
 
   Status Run() {
-    // Eligible candidates (COI filtered out up front).
-    for (int r = 0; r < instance_.num_reviewers(); ++r) {
-      if (!instance_.IsConflict(r, paper_)) candidates_.push_back(r);
+    // COI reviewers are blocked for the whole query: their count is never
+    // decremented, so no cursor ever stops on them.
+    blocked_.assign(R_, 0);
+    int eligible = R_;
+    for (int r = 0; r < R_; ++r) {
+      if (instance_.IsConflict(r, paper_)) {
+        blocked_[r] = 1;
+        --eligible;
+      }
     }
-    n_ = static_cast<int>(candidates_.size());
-    if (n_ < k_) return Status::Infeasible("fewer eligible reviewers than δp");
+    if (eligible < k_) {
+      return Status::Infeasible("fewer eligible reviewers than δp");
+    }
 
-    BuildSortedLists();
-    blocked_.assign(n_, 0);
+    lists_.resize(T_);
+    for (int t = 0; t < T_; ++t) lists_[t] = instance_.TopicRanking(t);
     marked_.assign(k_, {});
-    cursors_ = Matrix(k_, T_, 0.0);
+    cursors_.assign(static_cast<size_t>(k_) * T_, 0);
     stage_vec_ = Matrix(k_ + 1, T_, 0.0);
+    memo_gain_.assign(static_cast<size_t>(k_) * R_, 0.0);
+    memo_epoch_.assign(static_cast<size_t>(k_) * R_, 0);
+    stage_epoch_.assign(k_, 0);
+    stage_epoch_[0] = ++epochs_;  // stage 0's prefix is the empty group
 
     const double* pv = instance_.PaperVector(paper_);
     const double mass = instance_.PaperMass(paper_);
@@ -57,7 +76,11 @@ class BbaSearch {
 
     int s = 0;  // 0-based stage: the group currently has s members
     while (s >= 0) {
-      WGRAP_RETURN_IF_ERROR(CheckNotCancelled(options_.cancel, "BBA"));
+      const Status polled = CheckNotCancelled(options_.cancel, "BBA");
+      if (!polled.ok()) {
+        RecordWork();
+        return polled;
+      }
       if (deadline_.Expired() ||
           (options_.max_nodes > 0 && nodes_ >= options_.max_nodes)) {
         aborted_ = true;
@@ -68,24 +91,25 @@ class BbaSearch {
       // and compute the cursor upper bound in the same pass.
       int branch = -1;
       double branch_gain = -1.0;
-      for (int t = 0; t < T_; ++t) ub[t] = stage_vec_(s, t);
+      const double* prefix = stage_vec_.Row(s);
+      for (int t = 0; t < T_; ++t) ub[t] = prefix[t];
       for (int t = 0; t < T_; ++t) {
-        const int cand = CursorCandidate(s, t);
-        if (cand < 0) continue;
-        const double v = sl_val_[t][CursorPos(s, t)];
+        const int pos = CursorAdvance(s, t);
+        if (pos == R_) continue;
+        const int r = lists_[t][pos];
+        const double v = instance_.ReviewerVector(r)[t];
         if (v > ub[t]) ub[t] = v;
         if (!options_.use_gain_branching) {
           if (branch < 0) {  // ablation: first non-nil cursor wins
-            branch = cand;
+            branch = r;
             branch_gain = 0.0;
           }
           continue;
         }
-        const double gain = instance_.MarginalGain(
-            stage_vec_.Row(s), candidates_[cand], paper_);
+        const double gain = StageGain(s, prefix, r);
         if (gain > branch_gain) {
           branch_gain = gain;
-          branch = cand;
+          branch = r;
         }
       }
       bool prune = branch < 0;
@@ -96,7 +120,7 @@ class BbaSearch {
       }
       if (prune) {
         // Backtrack: reset this stage's visited marks (Alg. 1 line 9-10).
-        for (int cand : marked_[s]) --blocked_[cand];
+        for (int r : marked_[s]) --blocked_[r];
         marked_[s].clear();
         --s;
         continue;
@@ -105,10 +129,10 @@ class BbaSearch {
       blocked_[branch]++;
       marked_[s].push_back(branch);
       // The next stage's prefix maxima: this stage's, raised by the
-      // branch reviewer.
-      std::copy(stage_vec_.Row(s), stage_vec_.Row(s) + T_,
-                stage_vec_.Row(s + 1));
-      instance_.FoldReviewer(candidates_[branch], stage_vec_.Row(s + 1));
+      // branch reviewer. A new prefix voids that stage's memoized gains.
+      std::copy(prefix, prefix + T_, stage_vec_.Row(s + 1));
+      instance_.FoldReviewer(branch, stage_vec_.Row(s + 1));
+      if (s + 1 < k_) stage_epoch_[s + 1] = ++epochs_;
       chosen_.resize(s);
       chosen_.push_back(branch);
       if (s + 1 == k_) {
@@ -119,10 +143,12 @@ class BbaSearch {
         Report(score);
       } else {
         // Descend: clone cursors (line 19) and move to the next stage.
-        for (int t = 0; t < T_; ++t) cursors_(s + 1, t) = cursors_(s, t);
+        std::copy_n(&cursors_[static_cast<size_t>(s) * T_], T_,
+                    &cursors_[static_cast<size_t>(s + 1) * T_]);
         ++s;
       }
     }
+    RecordWork();
     if (results_.empty()) {
       return aborted_ ? Status::ResourceExhausted("BBA aborted before a group")
                       : Status::Infeasible("no feasible group");
@@ -145,8 +171,6 @@ class BbaSearch {
     return out;
   }
 
-  int64_t nodes() const { return nodes_; }
-
  private:
   struct ByScoreDesc {
     bool operator()(const JraResult& a, const JraResult& b) const {
@@ -154,36 +178,35 @@ class BbaSearch {
     }
   };
 
-  void BuildSortedLists() {
-    sl_cand_.assign(T_, std::vector<int>(n_));
-    sl_val_.assign(T_, std::vector<double>(n_));
-    std::vector<int> order(n_);
-    for (int t = 0; t < T_; ++t) {
-      for (int i = 0; i < n_; ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        const double va = instance_.ReviewerVector(candidates_[a])[t];
-        const double vb = instance_.ReviewerVector(candidates_[b])[t];
-        if (va != vb) return va > vb;
-        return a < b;
-      });
-      for (int i = 0; i < n_; ++i) {
-        sl_cand_[t][i] = order[i];
-        sl_val_[t][i] = instance_.ReviewerVector(candidates_[order[i]])[t];
-      }
+  // Advances cursor (stage, t) past blocked reviewers lazily and returns
+  // its position in SL_t, or R_ when exhausted (nil).
+  int CursorAdvance(int stage, int t) {
+    int& pos = cursors_[static_cast<size_t>(stage) * T_ + t];
+    const int* list = lists_[t];
+    while (pos < R_ && blocked_[list[pos]] > 0) ++pos;
+    return pos;
+  }
+
+  // gain(stage prefix, r, p) of Definition 8, evaluated once per stage
+  // epoch: the same double the kernel returns, so branching is unchanged.
+  double StageGain(int stage, const double* prefix, int r) {
+    const size_t slot = static_cast<size_t>(stage) * R_ + r;
+    if (memo_epoch_[slot] != stage_epoch_[stage]) {
+      memo_gain_[slot] = instance_.MarginalGain(prefix, r, paper_);
+      memo_epoch_[slot] = stage_epoch_[stage];
+      ++gain_evals_;
     }
+    return memo_gain_[slot];
   }
 
-  int CursorPos(int stage, int t) const {
-    return static_cast<int>(cursors_(stage, t));
-  }
-
-  // Advances cursor (stage, t) past visited reviewers lazily and returns the
-  // candidate it points at, or -1 when exhausted (nil).
-  int CursorCandidate(int stage, int t) {
-    int pos = CursorPos(stage, t);
-    while (pos < n_ && blocked_[sl_cand_[t][pos]] > 0) ++pos;
-    cursors_(stage, t) = pos;
-    return pos < n_ ? sl_cand_[t][pos] : -1;
+  // One add per query, from the locals (never per node).
+  void RecordWork() const {
+    static obs::Counter* const nodes =
+        obs::Registry::Global().GetCounter("wgrap_jra_bba_nodes_total");
+    static obs::Counter* const gain_evals =
+        obs::Registry::Global().GetCounter("wgrap_jra_bba_gain_evals_total");
+    if (nodes) nodes->Add(nodes_);
+    if (gain_evals) gain_evals->Add(gain_evals_);
   }
 
   double Threshold() const {
@@ -198,7 +221,7 @@ class BbaSearch {
     }
     JraResult result;
     result.score = score;
-    for (int cand : chosen_) result.group.push_back(candidates_[cand]);
+    result.group = chosen_;
     std::sort(result.group.begin(), result.group.end());
     results_.push(std::move(result));
     if (static_cast<int>(results_.size()) > k_best_) results_.pop();
@@ -209,20 +232,23 @@ class BbaSearch {
   const int k_best_;
   const BbaOptions& options_;
   const int T_;
+  const int R_;
   const int k_;
   Deadline deadline_;
 
-  std::vector<int> candidates_;
-  int n_ = 0;
-  std::vector<std::vector<int>> sl_cand_;   // T x n candidate ids
-  std::vector<std::vector<double>> sl_val_; // T x n sorted values
-  std::vector<int> blocked_;                // visited count per candidate
-  std::vector<std::vector<int>> marked_;    // per-stage visited lists
-  Matrix cursors_;                          // k x T positions
-  Matrix stage_vec_;                        // (k+1) x T prefix group maxima
+  std::vector<const int*> lists_;        // SL_t, instance-owned
+  std::vector<int> blocked_;             // visited (or COI) count per reviewer
+  std::vector<std::vector<int>> marked_; // per-stage visited lists
+  std::vector<int> cursors_;             // k x T positions into SL_t
+  Matrix stage_vec_;                     // (k+1) x T prefix group maxima
+  std::vector<double> memo_gain_;        // k x R memoized stage gains
+  std::vector<uint64_t> memo_epoch_;     // k x R epoch each gain belongs to
+  std::vector<uint64_t> stage_epoch_;    // current epoch of each prefix
+  uint64_t epochs_ = 0;
   std::vector<int> chosen_;
   std::priority_queue<JraResult, std::vector<JraResult>, ByScoreDesc> results_;
   int64_t nodes_ = 0;
+  int64_t gain_evals_ = 0;
   bool aborted_ = false;
 };
 

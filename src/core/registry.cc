@@ -13,6 +13,7 @@
 
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 
 namespace wgrap::core {
 
@@ -665,6 +666,10 @@ Result<SolverResponse> SolverRegistry::Run(const SolverRequest& request,
       }
       if (request.k < 1) {
         return Status::InvalidArgument("top-k requires k >= 1");
+      }
+      if (request.k > kMaxJraTopK) {
+        return Status::InvalidArgument(
+            StrFormat("top-k requires k <= %d", kMaxJraTopK));
       }
       break;
   }

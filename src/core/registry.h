@@ -278,8 +278,8 @@ class SolverRegistry {
 
   /// Runs the named JRA solver's top-k hook: the k best groups for `paper`,
   /// sorted best first (`wgrap_cli jra --topk`). kNotFound for unknown
-  /// names; kInvalidArgument when k < 1 or the solver has no top-k hook
-  /// (currently only "bba" has one).
+  /// names; kInvalidArgument when k is outside [1, kMaxJraTopK] or the
+  /// solver has no top-k hook (currently only "bba" has one).
   Result<std::vector<JraResult>> SolveJraTopK(
       const std::string& name, const Instance& instance, int paper, int k,
       const SolverRunOptions& options = {}) const;
@@ -290,6 +290,13 @@ class SolverRegistry {
  private:
   std::map<std::string, SolverDescriptor> solvers_;
 };
+
+/// The largest k a top-k JRA query may ask for: Fig. 15's largest k. BBA
+/// top-k keeps a k-group heap and prunes nothing until the heap is full,
+/// so a k near C(R, δp) would enumerate and hold every group in memory —
+/// a reply no client can use, and one `serve` would also keep in its job
+/// store. A fixed bound, not a knob.
+inline constexpr int kMaxJraTopK = 1000;
 
 /// The knob schema of the IncrementalResolve path (core/update.h): the
 /// refiner pipeline knobs plus "update_refine". Shared here so the CLI

@@ -2,7 +2,9 @@
 // capacity feasibility, COI registration, pair scores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/instance.h"
 #include "data/synthetic_dblp.h"
@@ -166,6 +168,44 @@ TEST(InstanceTest, ScoringFunctionPropagates) {
   EXPECT_EQ(instance->scoring(), ScoringFunction::kDotProduct);
   // cD(r1, p0) = 1.0 * 0.6 = 0.6.
   EXPECT_NEAR(instance->PairScore(1, 0), 0.6, 1e-12);
+}
+
+// TopicRanking(t) is Algorithm 1's sorted list SL_t: a stable sort of all
+// reviewer ids by value on t, descending (so equal values keep id order),
+// on the dense instance and on its CSR twin.
+TEST(InstanceTest, TopicRankingIsAStableSortOfTheDenseColumn) {
+  data::SyntheticDblpConfig config;
+  config.num_topics = 12;
+  config.topic_density = 0.25;  // zero tails on every topic
+  config.seed = 5;
+  auto dataset = data::GenerateReviewerPool(40, 2, config);
+  ASSERT_TRUE(dataset.ok());
+  // Duplicated profiles force runs of equal values.
+  for (int r = 30; r < 40; ++r) {
+    dataset->reviewers[r].topics = dataset->reviewers[r - 30].topics;
+  }
+  InstanceParams params;
+  params.group_size = 3;
+  auto built = Instance::FromDataset(*dataset, params);
+  ASSERT_TRUE(built.ok());
+  Instance dense = *built;
+  dense.DropSparseTopics();
+  Instance csr = *built;
+  csr.BuildSparseTopics();
+  const int R = dense.num_reviewers();
+  for (const Instance* instance : {&dense, &csr}) {
+    for (int t = 0; t < dense.num_topics(); ++t) {
+      std::vector<int> order(R);
+      for (int r = 0; r < R; ++r) order[r] = r;
+      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        return dense.ReviewerVector(a)[t] > dense.ReviewerVector(b)[t];
+      });
+      const int* ranking = instance->TopicRanking(t);
+      for (int i = 0; i < R; ++i) {
+        ASSERT_EQ(ranking[i], order[i]) << "topic " << t << " rank " << i;
+      }
+    }
+  }
 }
 
 TEST(InstanceTest, FromGeneratedDatasetAtScale) {

@@ -1,13 +1,18 @@
 // Telemetry subsystem tests: sharded counter/histogram correctness under
 // concurrent writers (the merge-at-scrape contract), histogram bucket and
 // quantile math, Prometheus rendering, the kill switch's zero-registration
-// guarantee, and the tracer's deterministic span-tree shape.
+// guarantee, the tracer's deterministic span-tree shape, and BBA's
+// per-query work counters.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/jra.h"
+#include "data/synthetic_dblp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -195,6 +200,59 @@ TEST(ObsTraceTest, ChromeJsonIsWellFormed) {
   EXPECT_EQ(json.substr(json.size() - 3), "]}\n");
   EXPECT_NE(json.find("\"name\":\"solve\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+}
+
+// BBA adds its node and Definition 8 gain-evaluation counts once per
+// query. The node counter matches the nodes the results report; the
+// per-stage gain memo keeps evaluations within T per node (one per cursor
+// is the unmemoized cost). CI reruns this test under WGRAP_OBS=0, where
+// the counters do not exist and the results must hash to the same pinned
+// digest: telemetry never changes an answer.
+TEST(ObsBbaCountersTest, CountNodesAndGainEvaluationsPerQuery) {
+  data::SyntheticDblpConfig config;
+  config.seed = 7;
+  auto dataset = data::GenerateReviewerPool(60, 6, config);
+  ASSERT_TRUE(dataset.ok());
+  core::InstanceParams params;
+  params.group_size = 3;
+  params.reviewer_workload = 6;
+  auto instance = core::Instance::FromDataset(*dataset, params);
+  ASSERT_TRUE(instance.ok());
+
+  Registry& registry = Registry::Global();
+  Counter* nodes = registry.GetCounter("wgrap_jra_bba_nodes_total");
+  Counter* gain_evals = registry.GetCounter("wgrap_jra_bba_gain_evals_total");
+  const int64_t nodes_before = nodes ? nodes->Value() : 0;
+  const int64_t evals_before = gain_evals ? gain_evals->Value() : 0;
+  int64_t reported_nodes = 0;
+  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a
+  auto fold = [&digest](uint64_t value) {
+    digest = (digest ^ value) * 0x100000001b3ULL;
+  };
+  for (int p = 0; p < instance->num_papers(); ++p) {
+    auto top3 = core::SolveJraBbaTopK(*instance, p, 3);
+    ASSERT_TRUE(top3.ok()) << top3.status().ToString();
+    reported_nodes += (*top3)[0].nodes_explored;
+    for (const core::JraResult& result : *top3) {
+      for (int r : result.group) fold(static_cast<uint64_t>(r));
+      uint64_t bits = 0;
+      std::memcpy(&bits, &result.score, sizeof(bits));
+      fold(bits);
+    }
+  }
+  EXPECT_EQ(digest, 1652576152188270364ULL) << "digest " << digest;
+  EXPECT_GT(reported_nodes, 0);
+  if (!registry.enabled()) {
+    EXPECT_EQ(nodes, nullptr);
+    EXPECT_EQ(gain_evals, nullptr);
+    return;
+  }
+  ASSERT_NE(nodes, nullptr);
+  ASSERT_NE(gain_evals, nullptr);
+  EXPECT_EQ(nodes->Value() - nodes_before, reported_nodes);
+  const int64_t evals = gain_evals->Value() - evals_before;
+  EXPECT_GT(evals, 0);
+  EXPECT_LE(evals, instance->num_topics() * reported_nodes);
 }
 
 }  // namespace

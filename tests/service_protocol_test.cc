@@ -251,6 +251,41 @@ TEST(ProtocolTest, NonFiniteBudgetIsRejected) {
                 Ok("pong\n"));
 }
 
+// Regression: BBA top-k prunes nothing until it holds k groups, so
+// topk=1000000000 used to enumerate and store every C(R, dp) group (209 MB
+// and a 1.1M-line reply on a 189-reviewer pool). The registry caps k at
+// kMaxJraTopK, and the job fails with that message instead.
+TEST(ProtocolTest, HugeTopKIsRejected) {
+  auto dataset = core::MakeFuzzDataset(Config());
+  ASSERT_TRUE(dataset.ok());
+  std::string script;
+  Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
+  script += "submit conf jra bba topk=1000000000 paper=0\n";
+  script += "wait 1\n";
+  script += "submit conf jra bba topk=1001 paper=1\n";
+  script += "wait 2\n";
+  script += "submit conf jra bba topk=1000 paper=2\n";
+  script += "wait 3\n";
+  script += "ping\n";
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  const std::string rejected =
+      Err(StatusCode::kInvalidArgument, "top-k requires k <= 1000");
+  const std::string head = Ok("session conf v1 P=8 R=12 T=10 unassigned\n") +
+                           Ok("job 1\n") + rejected + Ok("job 2\n") +
+                           rejected + Ok("job 3\n");
+  const std::string reply = out.str();
+  ASSERT_EQ(reply.substr(0, head.size()), head);
+  // k = 1000 is allowed; the 12-reviewer pool has C(12, 3) = 220 groups,
+  // and the session still answers afterwards.
+  EXPECT_NE(reply.find("#220 score"), std::string::npos);
+  EXPECT_EQ(reply.find("#221 score"), std::string::npos);
+  EXPECT_EQ(reply.substr(reply.size() - 5), "pong\n");
+}
+
 TEST(ProtocolTest, ErrorFramesCarryStatusCodes) {
   ServiceApi api;
   std::string script;

@@ -266,6 +266,15 @@ void ExpectInstancesBitEqual(const Instance& patched, const Instance& fresh) {
     ExpectSparseVectorsEqual(index.Column(t), fresh_index.Column(t),
                              "csc topic " + std::to_string(t));
   }
+  // The instance-owned topic rankings (Algorithm 1's sorted lists): the
+  // same reviewer order on every topic.
+  for (int t = 0; t < T; ++t) {
+    const int* a = patched.TopicRanking(t);
+    const int* b = fresh.TopicRanking(t);
+    for (int i = 0; i < R; ++i) {
+      EXPECT_EQ(a[i], b[i]) << "ranking topic " << t << " rank " << i;
+    }
+  }
   if (patched.has_sparse_topics()) {
     for (int r = 0; r < R; ++r) {
       ExpectSparseVectorsEqual(patched.ReviewerSparse(r),

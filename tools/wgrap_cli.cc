@@ -451,7 +451,7 @@ int CmdJra(const Flags& flags) {
   if (topk != 1) {
     // Top-k enumeration dispatches through the registry's top-k hook like
     // every other solve; the registry diagnoses solvers without one and
-    // rejects k < 1.
+    // rejects k outside [1, core::kMaxJraTopK].
     results = core::SolverRegistry::Default().SolveJraTopK(
         algo, *instance, paper, topk, options);
   } else {

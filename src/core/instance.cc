@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -26,31 +28,22 @@ bool EnvForcesSparseTopics() {
   return !(v.empty() || v == "0" || v == "off" || v == "false" || v == "no");
 }
 
-// Algorithm 1's sorted lists from the CSC index of `reviewers`: each
-// column's nonzeros by (value desc, id asc), then the reviewers absent
-// from the column (the zero-valued ones) in id order. Only the nonzeros
-// are sorted, so sparse instances pay O(nnz log nnz), not O(T·R log R).
-std::vector<int> BuildTopicRanking(const sparse::TopicIndex& index,
-                                   const Matrix& reviewers) {
-  const int R = index.num_rows();
-  std::vector<int> ranking(static_cast<size_t>(index.num_topics()) * R);
+// Algorithm 1's sorted lists, nonzero part: each column of the CSC index
+// reordered by (value desc, id asc). O(nnz log nnz).
+std::vector<int> BuildTopicRanking(const sparse::TopicIndex& index) {
+  std::vector<int> ranking(static_cast<size_t>(index.nnz()));
+  std::vector<std::pair<double, int>> entries;
   for (int t = 0; t < index.num_topics(); ++t) {
     const sparse::SparseVector column = index.Column(t);
-    int* out = ranking.data() + static_cast<size_t>(t) * R;
-    std::copy(column.ids, column.ids + column.nnz, out);
-    // Column ids ascend, so a stable sort on value keeps ties by id.
-    std::stable_sort(out, out + column.nnz, [&](int a, int b) {
-      return reviewers(a, t) > reviewers(b, t);
-    });
-    int next = column.nnz;
-    int e = 0;
-    for (int r = 0; r < R; ++r) {
-      if (e < column.nnz && column.ids[e] == r) {
-        ++e;
-      } else {
-        out[next++] = r;
-      }
+    entries.clear();
+    for (int e = 0; e < column.nnz; ++e) {
+      entries.emplace_back(column.values[e], column.ids[e]);
     }
+    std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    int* out = ranking.data() + index.ColumnBegin(t);
+    for (int e = 0; e < column.nnz; ++e) out[e] = entries[e].second;
   }
   return ranking;
 }
@@ -136,7 +129,7 @@ void Instance::ResetViews(bool csr, bool reviewers_moved, bool papers_moved) {
   auto views = std::make_shared<TopicViews>();
   if (reviewers_moved || old == nullptr) {
     views->reviewer_index = sparse::TopicIndex::FromMatrix(reviewers_);
-    views->ranking = BuildTopicRanking(views->reviewer_index, reviewers_);
+    views->ranking = BuildTopicRanking(views->reviewer_index);
   } else {
     views->reviewer_index = old->reviewer_index;
     views->ranking = old->ranking;

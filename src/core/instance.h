@@ -81,13 +81,20 @@ class Instance {
   const sparse::TopicIndex& ReviewerTopicIndex() const {
     return views_->reviewer_index;
   }
-  /// The sorted list SL_t of Algorithm 1: all R reviewer ids ordered by
-  /// expertise on topic t, value descending, ties to the lower id — the
-  /// reviewers with a nonzero value first, then the zero-valued ones in id
-  /// order. Instance state like the CSC index: FromDataset builds it and
+  /// The sorted list SL_t of Algorithm 1, stored sparsely: the reviewers
+  /// with a nonzero value on topic t, value descending, ties to the lower
+  /// id. SL_t goes on with every other reviewer (value 0) in id order,
+  /// which is left implicit. It holds the CSC index's column t reordered,
+  /// and like the index it is instance state: FromDataset builds it and
   /// InstanceUpdater rebuilds it on every reviewer-side op.
-  const int* TopicRanking(int t) const {
-    return views_->ranking.data() + static_cast<size_t>(t) * num_reviewers();
+  struct RankedList {
+    const int* ids;
+    int size;
+  };
+  RankedList TopicRanking(int t) const {
+    const sparse::TopicIndex& index = views_->reviewer_index;
+    return {views_->ranking.data() + index.ColumnBegin(t),
+            index.ColumnNnz(t)};
   }
   /// Σ_t p→[t], the normalization denominator of Eq. 1.
   double PaperMass(int p) const { return paper_mass_[p]; }
@@ -201,7 +208,7 @@ class Instance {
   /// when csr_ (empty else).
   struct TopicViews {
     sparse::TopicIndex reviewer_index;
-    /// T×R reviewer ids, topic-major: TopicRanking(t) is row t.
+    /// The index's entries by (value desc, id asc) within each column.
     std::vector<int> ranking;
     sparse::SparseTopicMatrix reviewers;
     sparse::SparseTopicMatrix papers;

@@ -13,7 +13,9 @@
 // The sorted lists depend on the reviewers alone, so they are instance
 // state (Instance::TopicRanking, kept current by InstanceUpdater), not
 // per-query work: a query only blocks its COI reviewers, which the cursors
-// then skip like visited ones. The per-node pass evaluates up to T
+// then skip like visited ones. The instance keeps each list's nonzero
+// part; a cursor that runs past it walks the zero tail (every reviewer
+// with value 0 on the topic, in id order) straight off the dense matrix. The per-node pass evaluates up to T
 // Definition 8 gains, each O(T) dense or O(nnz(r)) on CSR views (Instance::
 // MarginalGain, bit-identical either way). A cursor reviewer's gain depends
 // only on the stage's prefix vector, which stays fixed from the descent
@@ -94,9 +96,8 @@ class BbaSearch {
       const double* prefix = stage_vec_.Row(s);
       for (int t = 0; t < T_; ++t) ub[t] = prefix[t];
       for (int t = 0; t < T_; ++t) {
-        const int pos = CursorAdvance(s, t);
-        if (pos == R_) continue;
-        const int r = lists_[t][pos];
+        const int r = CursorAdvance(s, t);
+        if (r < 0) continue;
         const double v = instance_.ReviewerVector(r)[t];
         if (v > ub[t]) ub[t] = v;
         if (!options_.use_gain_branching) {
@@ -179,12 +180,22 @@ class BbaSearch {
   };
 
   // Advances cursor (stage, t) past blocked reviewers lazily and returns
-  // its position in SL_t, or R_ when exhausted (nil).
+  // the reviewer it points at, or -1 when exhausted (nil). Positions below
+  // the ranking's size index its nonzero entries; position size + r is
+  // reviewer r in SL_t's implicit zero tail (value 0 on t, id order).
   int CursorAdvance(int stage, int t) {
     int& pos = cursors_[static_cast<size_t>(stage) * T_ + t];
-    const int* list = lists_[t];
-    while (pos < R_ && blocked_[list[pos]] > 0) ++pos;
-    return pos;
+    const Instance::RankedList ranked = lists_[t];
+    const int size = ranked.size;
+    while (pos < size && blocked_[ranked.ids[pos]] > 0) ++pos;
+    if (pos < size) return ranked.ids[pos];
+    int r = pos - size;
+    while (r < R_ &&
+           (blocked_[r] > 0 || instance_.ReviewerVector(r)[t] != 0.0)) {
+      ++r;
+    }
+    pos = size + r;
+    return r < R_ ? r : -1;
   }
 
   // gain(stage prefix, r, p) of Definition 8, evaluated once per stage
@@ -236,7 +247,7 @@ class BbaSearch {
   const int k_;
   Deadline deadline_;
 
-  std::vector<const int*> lists_;        // SL_t, instance-owned
+  std::vector<Instance::RankedList> lists_;  // SL_t, instance-owned
   std::vector<int> blocked_;             // visited (or COI) count per reviewer
   std::vector<std::vector<int>> marked_; // per-stage visited lists
   std::vector<int> cursors_;             // k x T positions into SL_t

@@ -10,13 +10,14 @@
 //   auto resolve = IncrementalResolve(instance, &assignment, options);
 //
 // The contract everything rests on: after Apply, the patched Instance —
-// topic matrices, paper masses, CSC reviewer index, CSR sparse views, COI
-// bitset, bids, and the recomputed default workload δr — is bitwise equal
-// to the one Instance::FromDataset would build from the mutated ground
-// truth, and a tracked Assignment remains a feasible partial assignment
-// (no COI pairs, no overloaded reviewer) whose groups mirror the
-// survivors. An op whose result FromDataset would reject (removing the
-// last paper, too little review capacity, ...) is rejected instead.
+// topic matrices, paper masses, CSC reviewer index and topic rankings,
+// CSR sparse views, COI bitset, bids, and the recomputed default workload
+// δr — is bitwise equal to the one Instance::FromDataset would build from
+// the mutated ground truth, and a tracked Assignment remains a feasible
+// partial assignment (no COI pairs, no overloaded reviewer) whose groups
+// mirror the survivors. An op whose result FromDataset would reject
+// (removing the last paper, too little review capacity, ...) is rejected
+// instead.
 // tests/update_equivalence_test.cc fuzzes hundreds of random ops per seed
 // against an independently maintained ground truth to pin exactly that.
 //

@@ -9,8 +9,8 @@
 // only for reviewers with r[t] > g[t], i.e. reviewers in Column(t), so
 // walking the columns in ascending topic order scatters every reviewer's
 // terms in the per-pair kernel's order (core::Assignment::MarginalGainRow
-// is the consumer; core::Instance owns the reviewer index and keeps it
-// current across online updates).
+// is the consumer; core::Instance owns the reviewer index, keeps it
+// current across online updates, and derives BBA's sorted lists from it).
 //
 // A TopicIndex is immutable after construction; Column() views are cheap
 // pointer views into it, valid as long as the index lives.
@@ -43,6 +43,9 @@ class TopicIndex {
   int ColumnNnz(int t) const {
     return static_cast<int>(col_offsets_[t + 1] - col_offsets_[t]);
   }
+  /// Offset of column t's first entry in the nnz-long entry order, so
+  /// callers can keep per-entry arrays parallel to the index.
+  int64_t ColumnBegin(int t) const { return col_offsets_[t]; }
 
   /// Rows carrying topic t, ids sorted ascending, values > 0. Reuses the
   /// SparseVector view type with `dim` = num_rows().

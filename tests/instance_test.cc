@@ -170,9 +170,10 @@ TEST(InstanceTest, ScoringFunctionPropagates) {
   EXPECT_NEAR(instance->PairScore(1, 0), 0.6, 1e-12);
 }
 
-// TopicRanking(t) is Algorithm 1's sorted list SL_t: a stable sort of all
-// reviewer ids by value on t, descending (so equal values keep id order),
-// on the dense instance and on its CSR twin.
+// TopicRanking(t) followed by the zero-valued reviewers in id order is
+// Algorithm 1's sorted list SL_t: a stable sort of all reviewer ids by
+// value on t, descending (so equal values keep id order). Checked on the
+// dense instance and on its CSR twin.
 TEST(InstanceTest, TopicRankingIsAStableSortOfTheDenseColumn) {
   data::SyntheticDblpConfig config;
   config.num_topics = 12;
@@ -200,10 +201,12 @@ TEST(InstanceTest, TopicRankingIsAStableSortOfTheDenseColumn) {
       std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
         return dense.ReviewerVector(a)[t] > dense.ReviewerVector(b)[t];
       });
-      const int* ranking = instance->TopicRanking(t);
-      for (int i = 0; i < R; ++i) {
-        ASSERT_EQ(ranking[i], order[i]) << "topic " << t << " rank " << i;
+      const Instance::RankedList ranked = instance->TopicRanking(t);
+      std::vector<int> list(ranked.ids, ranked.ids + ranked.size);
+      for (int r = 0; r < R; ++r) {
+        if (dense.ReviewerVector(r)[t] == 0.0) list.push_back(r);
       }
+      EXPECT_EQ(list, order) << "topic " << t;
     }
   }
 }

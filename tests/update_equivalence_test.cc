@@ -12,6 +12,7 @@
 // mutation-script grammar.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -269,11 +270,10 @@ void ExpectInstancesBitEqual(const Instance& patched, const Instance& fresh) {
   // The instance-owned topic rankings (Algorithm 1's sorted lists): the
   // same reviewer order on every topic.
   for (int t = 0; t < T; ++t) {
-    const int* a = patched.TopicRanking(t);
-    const int* b = fresh.TopicRanking(t);
-    for (int i = 0; i < R; ++i) {
-      EXPECT_EQ(a[i], b[i]) << "ranking topic " << t << " rank " << i;
-    }
+    const Instance::RankedList a = patched.TopicRanking(t);
+    const Instance::RankedList b = fresh.TopicRanking(t);
+    EXPECT_TRUE(std::equal(a.ids, a.ids + a.size, b.ids, b.ids + b.size))
+        << "ranking topic " << t;
   }
   if (patched.has_sparse_topics()) {
     for (int r = 0; r < R; ++r) {

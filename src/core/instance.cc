@@ -39,9 +39,11 @@ std::vector<int> BuildTopicRanking(const sparse::TopicIndex& index) {
     for (int e = 0; e < column.nnz; ++e) {
       entries.emplace_back(column.values[e], column.ids[e]);
     }
-    std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-      return a.first != b.first ? a.first > b.first : a.second < b.second;
-    });
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) {
+                if (a.first != b.first) return a.first > b.first;
+                return a.second < b.second;
+              });
     int* out = ranking.data() + index.ColumnBegin(t);
     for (int e = 0; e < column.nnz; ++e) out[e] = entries[e].second;
   }

@@ -216,9 +216,8 @@ class Instance {
 
   /// Sets the dispatch to `csr` and replaces views_, re-deriving from the
   /// dense matrices the reviewer side (index, rankings, and CSR rows when
-  /// csr) if
-  /// `reviewers_moved`, the paper CSR rows if `papers_moved`, and any
-  /// part the current views lack; the rest is carried over.
+  /// csr) if `reviewers_moved`, the paper CSR rows if `papers_moved`, and
+  /// any part the current views lack; the rest is carried over.
   void ResetViews(bool csr, bool reviewers_moved, bool papers_moved);
   /// After InstanceUpdater moved one side of the dense matrices:
   /// re-derives the views that side feeds, keeping the dispatch. False

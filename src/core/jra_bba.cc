@@ -15,15 +15,16 @@
 // per-query work: a query only blocks its COI reviewers, which the cursors
 // then skip like visited ones. The instance keeps each list's nonzero
 // part; a cursor that runs past it walks the zero tail (every reviewer
-// with value 0 on the topic, in id order) straight off the dense matrix. The per-node pass evaluates up to T
-// Definition 8 gains, each O(T) dense or O(nnz(r)) on CSR views (Instance::
-// MarginalGain, bit-identical either way). A cursor reviewer's gain depends
-// only on the stage's prefix vector, which stays fixed from the descent
-// into the stage until the backtrack out of it, so gains are memoized per
-// (stage, reviewer) under a stage epoch: a stage re-evaluates a reviewer
-// only after its prefix changed. The Eq. 3 cursor bound stays dense: its
-// ub vector is assembled from one cursor per topic, so it has no useful
-// sparsity to exploit.
+// with value 0 on the topic, in id order) straight off the dense matrix.
+//
+// The per-node pass evaluates up to T Definition 8 gains, each O(T) dense
+// or O(nnz(r)) on CSR views (Instance::MarginalGain, bit-identical either
+// way). A cursor reviewer's gain depends only on the stage's prefix
+// vector, which stays fixed from the descent into the stage until the
+// backtrack out of it, so gains are memoized per (stage, reviewer) under a
+// stage epoch: a stage re-evaluates a reviewer only after its prefix
+// changed. The Eq. 3 cursor bound stays dense: its ub vector is assembled
+// from one cursor per topic, so it has no useful sparsity to exploit.
 #include <algorithm>
 #include <queue>
 #include <vector>

@@ -20,11 +20,14 @@ namespace {
 Instance PoolInstance(int num_reviewers, int group_size, uint64_t seed,
                       ScoringFunction scoring =
                           ScoringFunction::kWeightedCoverage,
-                      int num_topics = 8) {
+                      int num_topics = 8, double topic_density = 0.0,
+                      int num_papers = 3) {
   data::SyntheticDblpConfig config;
   config.num_topics = num_topics;
+  config.topic_density = topic_density;
   config.seed = seed;
-  auto dataset = data::GenerateReviewerPool(num_reviewers, 3, config);
+  auto dataset =
+      data::GenerateReviewerPool(num_reviewers, num_papers, config);
   EXPECT_TRUE(dataset.ok());
   InstanceParams params;
   params.group_size = group_size;
@@ -312,25 +315,6 @@ void ExpectBbaGolden(const Instance& instance, const BbaOptions& options,
   }
 }
 
-Instance GoldenPool(int num_reviewers, int num_papers, int group_size,
-                    int num_topics, double density, uint64_t seed,
-                    ScoringFunction scoring) {
-  data::SyntheticDblpConfig config;
-  config.num_topics = num_topics;
-  config.topic_density = density;
-  config.seed = seed;
-  auto dataset =
-      data::GenerateReviewerPool(num_reviewers, num_papers, config);
-  EXPECT_TRUE(dataset.ok());
-  InstanceParams params;
-  params.group_size = group_size;
-  params.reviewer_workload = num_papers;  // irrelevant for JRA
-  params.scoring = scoring;
-  auto instance = Instance::FromDataset(*dataset, params);
-  EXPECT_TRUE(instance.ok());
-  return std::move(instance).value();
-}
-
 // Six profiles repeated over 24 reviewers (ids i and i + 6k share one), so
 // most sorted lists hold runs of equal values broken only by reviewer id;
 // topic 5 is zero for every reviewer and the others carry zero tails.
@@ -358,19 +342,19 @@ Instance TieHeavyPool() {
 
 TEST(BbaGoldenTest, DensePool) {
   ExpectBbaGolden(
-      GoldenPool(80, 5, 3, 30, 0.0, 501, ScoringFunction::kWeightedCoverage),
+      PoolInstance(80, 3, 501, ScoringFunction::kWeightedCoverage, 30, 0.0, 5),
       BbaOptions{}, {"dense R80 T30", 1165, 10777454636326401486ULL});
 }
 
 TEST(BbaGoldenTest, SparsePool) {
   ExpectBbaGolden(
-      GoldenPool(150, 5, 3, 30, 0.1, 502, ScoringFunction::kWeightedCoverage),
+      PoolInstance(150, 3, 502, ScoringFunction::kWeightedCoverage, 30, 0.1, 5),
       BbaOptions{}, {"sparse R150 T30", 70, 5067966398391116793ULL});
 }
 
 TEST(BbaGoldenTest, PoolWithConflicts) {
-  Instance instance = GoldenPool(40, 4, 4, 20, 0.2, 503,
-                                 ScoringFunction::kPaperCoverage);
+  Instance instance =
+      PoolInstance(40, 4, 503, ScoringFunction::kPaperCoverage, 20, 0.2, 4);
   // Conflicts on three of the four papers, including low, high and
   // adjacent reviewer ids.
   for (int r : {0, 1, 7, 22, 39}) instance.AddConflict(r, 0);
@@ -393,17 +377,17 @@ TEST(BbaGoldenTest, AblationsPinned) {
   BbaOptions no_bounding;
   no_bounding.use_bounding = false;
   ExpectBbaGolden(
-      GoldenPool(30, 4, 3, 8, 0.0, 501, ScoringFunction::kWeightedCoverage),
+      PoolInstance(30, 3, 501, ScoringFunction::kWeightedCoverage, 8, 0.0, 4),
       no_bounding,
       {"dense R30 T8 no bounding", 39928, 10775362908103517337ULL});
   BbaOptions no_gain_branching;
   no_gain_branching.use_gain_branching = false;
   ExpectBbaGolden(
-      GoldenPool(60, 4, 3, 30, 0.1, 502, ScoringFunction::kWeightedCoverage),
+      PoolInstance(60, 3, 502, ScoringFunction::kWeightedCoverage, 30, 0.1, 4),
       no_gain_branching,
       {"sparse R60 T30 no gain branching", 15546, 15883350543537792077ULL});
   ExpectBbaGolden(
-      GoldenPool(25, 3, 2, 12, 0.0, 504, ScoringFunction::kDotProduct),
+      PoolInstance(25, 2, 504, ScoringFunction::kDotProduct, 12, 0.0, 3),
       no_gain_branching,
       {"cD R25 T12 no gain branching", 655, 2688459661675806863ULL});
 }

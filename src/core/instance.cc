@@ -171,6 +171,7 @@ Status Instance::SetBids(Matrix bids, double weight) {
   }
   bids_ = std::move(bids);
   bid_weight_ = weight;
+  ResetIdealMemo();
   return Status::OK();
 }
 
@@ -179,6 +180,24 @@ void Instance::AddConflict(int reviewer, int paper) {
   WGRAP_CHECK(paper >= 0 && paper < num_papers());
   const size_t bit = static_cast<size_t>(paper) * num_reviewers() + reviewer;
   conflicts_[bit >> 6] |= uint64_t{1} << (bit & 63);
+  MarkIdealStale(paper);
+}
+
+void Instance::MarkIdealStale(int paper) {
+  if (ideal_.use_count() != 1) {
+    // Another copy still reads this memo: clone it under its lock.
+    auto own = std::make_shared<IdealMemo>();
+    if (ideal_ != nullptr) {
+      std::lock_guard<std::mutex> lock(ideal_->mutex);
+      own->rows = ideal_->rows;
+      own->gains = ideal_->gains;
+    }
+    ideal_ = std::move(own);
+  }
+  // Unshared now, but a copy dropped on another thread may have been the
+  // last to write the rows; the lock orders this write after that one.
+  std::lock_guard<std::mutex> lock(ideal_->mutex);
+  if (!ideal_->rows.empty()) ideal_->rows[paper] = IdealMemo::Row::kStale;
 }
 
 Result<bool> ParseTopicsMode(const std::string& text) {

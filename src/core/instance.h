@@ -7,6 +7,17 @@
 // instance in place to the exact state FromDataset would build from the
 // mutated inputs.
 //
+// The c(AI) memo is the one thing a const Instance fills. The Sec. 5.2
+// ideal assignment AI is a per-paper greedy, so its per-paper picks are a
+// function of the instance alone; core::IdealScore (core/metrics.h)
+// derives the rows it lacks on first use and keeps them here. It is
+// thread-safe (its own mutex), shared by every copy at the same state
+// (copies share one memo object, as they share the topic views), and
+// detached on mutation: each mutator (InstanceUpdater ops, AddConflict,
+// SetBids) first clones a memo another copy still holds, then marks only
+// the papers it moved stale, or starts an empty memo. FromDataset starts
+// it empty and derives nothing.
+//
 // The representation contract: the Instance alone decides how topic
 // vectors are read. The dense matrices are always present; the CSC
 // reviewer index (ReviewerTopicIndex) and the per-topic reviewer ranking
@@ -22,6 +33,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -155,7 +168,8 @@ class Instance {
   }
 
   /// Registers a conflict of interest; (r, p) then never appears in any
-  /// solver's output (Sec. 4.3 "Supporting COIs").
+  /// solver's output (Sec. 4.3 "Supporting COIs"). Marks the paper's c(AI)
+  /// memo row stale.
   void AddConflict(int reviewer, int paper);
 
   /// Installs reviewer bids (the paper's Sec. 6 future-work extension).
@@ -164,7 +178,8 @@ class Instance {
   ///   Σ_p [ c(g→, p→) + weight · Σ_{r∈A[p]} bid(p, r) / δp ],
   /// whose bid term is modular, so it stays submodular and every CRA
   /// guarantee (Theorems 1-2) carries over. CRA solvers honour bids via
-  /// Assignment scoring; JRA solvers optimize pure coverage.
+  /// Assignment scoring; JRA solvers optimize pure coverage. Starts an
+  /// empty c(AI) memo.
   Status SetBids(Matrix bids, double weight);
 
   bool has_bids() const { return bid_weight_ > 0.0; }
@@ -200,8 +215,26 @@ class Instance {
   /// to a FromDataset rebuild from the mutated ground truth
   /// (tests/update_equivalence_test.cc).
   friend class InstanceUpdater;
+  friend std::optional<double> IdealScore(const Instance& instance);
 
   Instance() = default;
+
+  /// The c(AI) memo: per paper, the gains of AI's δp picks and the row's
+  /// state. Rows and gains are empty until IdealScore sizes them (every
+  /// row stale), then P and P×δp long; gains are valid on kFeasible rows.
+  struct IdealMemo {
+    enum class Row : uint8_t { kStale, kFeasible, kInfeasible };
+    std::mutex mutex;  // guards the rows and gains
+    std::vector<Row> rows;
+    std::vector<double> gains;
+  };
+
+  /// The memo's rows for `paper` go stale (AddConflict, set_coi, set_bid,
+  /// set_paper_topics). A memo another copy shares is cloned first.
+  void MarkIdealStale(int paper);
+  /// An empty memo in place of the current one, in O(1): every other
+  /// mutation, which may move any paper's picks or shift paper ids.
+  void ResetIdealMemo() { ideal_ = std::make_shared<IdealMemo>(); }
 
   /// Derived read-only views of the topic matrices: the CSC reviewer
   /// index and the topic rankings always, the CSR rows of both matrices
@@ -243,6 +276,9 @@ class Instance {
   int group_size_ = 0;
   int reviewer_workload_ = 0;
   ScoringFunction scoring_ = ScoringFunction::kWeightedCoverage;
+  /// Shared by copies at the same state; never written while shared
+  /// except by IdealScore, under the memo's mutex.
+  std::shared_ptr<IdealMemo> ideal_ = std::make_shared<IdealMemo>();
 };
 
 /// A Definition 2 group vector folded from scratch (ScoreGroup, an

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <vector>
 
 #include "common/check.h"
+#include "obs/metrics.h"
 
 namespace wgrap::core {
 
@@ -40,6 +42,41 @@ Status AddIdealPicks(int paper, Assignment* ideal, double* gains) {
     gains[pick] = best_gain;
   }
   return Status::OK();
+}
+
+std::optional<double> IdealScore(const Instance& instance) {
+  static obs::Counter* const refreshed = obs::Registry::Global().GetCounter(
+      "wgrap_ideal_papers_refreshed_total");
+  using Row = Instance::IdealMemo::Row;
+  Instance::IdealMemo& memo = *instance.ideal_;
+  const int P = instance.num_papers();
+  const int dp = instance.group_size();
+  std::lock_guard<std::mutex> lock(memo.mutex);
+  if (memo.rows.empty()) {
+    memo.rows.assign(P, Row::kStale);
+    memo.gains.assign(static_cast<size_t>(P) * dp, 0.0);
+  }
+  // One scratch AI, built on the first stale row: each paper's picks read
+  // only its own group, so the rows can be re-derived in any subset.
+  std::optional<Assignment> scratch;
+  int64_t stale = 0;
+  for (int p = 0; p < P; ++p) {
+    if (memo.rows[p] != Row::kStale) continue;
+    if (!scratch.has_value()) scratch.emplace(&instance);
+    const Status picked = AddIdealPicks(
+        p, &*scratch, &memo.gains[static_cast<size_t>(p) * dp]);
+    memo.rows[p] = picked.ok() ? Row::kFeasible : Row::kInfeasible;
+    ++stale;
+  }
+  if (refreshed != nullptr) refreshed->Add(stale);
+  double total = 0.0;
+  for (int p = 0; p < P; ++p) {
+    if (memo.rows[p] == Row::kInfeasible) return std::nullopt;
+    for (int k = 0; k < dp; ++k) {
+      total += memo.gains[static_cast<size_t>(p) * dp + k];
+    }
+  }
+  return total;
 }
 
 double OptimalityRatio(const Assignment& assignment, const Assignment& ideal) {

@@ -4,6 +4,8 @@
 #ifndef WGRAP_CORE_METRICS_H_
 #define WGRAP_CORE_METRICS_H_
 
+#include <optional>
+
 #include "common/status.h"
 #include "core/assignment.h"
 #include "core/instance.h"
@@ -31,6 +33,18 @@ Result<Assignment> BuildIdealAssignment(const Instance& instance);
 /// right from 0.0 in (paper, pick) order gives
 /// BuildIdealAssignment(instance)->TotalScore() bit for bit.
 Status AddIdealPicks(int paper, Assignment* ideal, double* gains);
+
+/// c(AI), or nullopt when AI is infeasible (some paper has fewer than δp
+/// eligible reviewers) — bit-identical to
+/// BuildIdealAssignment(instance)->TotalScore(), or to its failure. Reads
+/// the instance's c(AI) memo (core/instance.h): under the memo's mutex it
+/// re-derives, with AddIdealPicks, only the papers whose rows are stale
+/// (every paper on first use, the papers a mutation touched after it),
+/// then folds all P×δp pick gains left to right from 0.0 in (paper, pick)
+/// order. Safe to call concurrently on one instance and on copies sharing
+/// its memo. Counts the re-derived papers into
+/// wgrap_ideal_papers_refreshed_total.
+std::optional<double> IdealScore(const Instance& instance);
 
 /// c(A) / c(AI). `ideal` must come from BuildIdealAssignment on the same
 /// instance.

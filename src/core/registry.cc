@@ -616,8 +616,8 @@ std::string SolverRegistry::KeysCsv(SolverFamily family) const {
   return csv;
 }
 
-Result<SolverResponse> SolverRegistry::Run(const SolverRequest& request,
-                                           const Instance& instance) const {
+Result<SolverRegistry::Validated> SolverRegistry::Validate(
+    const SolverRequest& request, const Instance& instance) const {
   using Kind = SolverRequest::Kind;
   const bool wants_jra =
       request.kind == Kind::kSolveJra || request.kind == Kind::kSolveJraTopK;
@@ -677,31 +677,41 @@ Result<SolverResponse> SolverRegistry::Run(const SolverRequest& request,
   auto options = DecodeKnobs(descriptor->name, descriptor->knobs,
                              request.options, instance);
   WGRAP_RETURN_IF_ERROR(options.status());
+  return Validated{descriptor, *std::move(options)};
+}
+
+Result<SolverResponse> SolverRegistry::Run(const SolverRequest& request,
+                                           const Instance& instance) const {
+  using Kind = SolverRequest::Kind;
+  auto validated = Validate(request, instance);
+  WGRAP_RETURN_IF_ERROR(validated.status());
+  const SolverDescriptor* descriptor = validated->descriptor;
+  const TypedOptions& options = validated->options;
 
   Stopwatch timer;
   SolverResponse response;
   switch (request.kind) {
     case Kind::kSolveCra: {
-      auto result = descriptor->cra(instance, *options);
+      auto result = descriptor->cra(instance, options);
       WGRAP_RETURN_IF_ERROR(result.status());
       response.assignment = std::move(result).value();
       break;
     }
     case Kind::kRefineCra: {
-      auto result = descriptor->refine(instance, *request.initial, *options);
+      auto result = descriptor->refine(instance, *request.initial, options);
       WGRAP_RETURN_IF_ERROR(result.status());
       response.assignment = std::move(result).value();
       break;
     }
     case Kind::kSolveJra: {
-      auto result = descriptor->jra(instance, request.paper, *options);
+      auto result = descriptor->jra(instance, request.paper, options);
       WGRAP_RETURN_IF_ERROR(result.status());
       response.jra.push_back(std::move(result).value());
       break;
     }
     case Kind::kSolveJraTopK: {
       auto result =
-          descriptor->jra_topk(instance, request.paper, request.k, *options);
+          descriptor->jra_topk(instance, request.paper, request.k, options);
       WGRAP_RETURN_IF_ERROR(result.status());
       response.jra = std::move(result).value();
       break;

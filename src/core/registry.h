@@ -249,11 +249,23 @@ class SolverRegistry {
   std::vector<const SolverDescriptor*> List() const;
   std::vector<const SolverDescriptor*> List(SolverFamily family) const;
 
-  /// Validates and dispatches `request` against the named solver:
-  /// kNotFound for unknown names (listing the family's keys), then the
-  /// family/kind/argument checks the legacy wrappers document, then
-  /// DecodeKnobs. On success the response carries the assignment or
-  /// JRA results plus the elapsed wall-clock.
+  /// A request that passed Validate: its solver and decoded knobs.
+  struct Validated {
+    const SolverDescriptor* descriptor = nullptr;
+    TypedOptions options;
+  };
+
+  /// Every check Run makes before a solver runs: kNotFound for unknown
+  /// names (listing the family's keys), then the family/kind match, the
+  /// refine hook plus an initial assignment, top-k k in [1, kMaxJraTopK],
+  /// then DecodeKnobs against `instance`. The service calls it at submit
+  /// time, so a request that would fail these checks never gets a job id.
+  Result<Validated> Validate(const SolverRequest& request,
+                             const Instance& instance) const;
+
+  /// Validate, then dispatches `request` to the named solver. On success
+  /// the response carries the assignment or JRA results plus the elapsed
+  /// wall-clock.
   Result<SolverResponse> Run(const SolverRequest& request,
                              const Instance& instance) const;
 

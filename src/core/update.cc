@@ -505,9 +505,22 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
   return Status::Internal("unhandled update kind");
 }
 
+void InstanceUpdater::MarkIdealStale(const InstanceUpdate& u) {
+  switch (u.kind) {
+    case InstanceUpdate::Kind::kSetCoi:
+    case InstanceUpdate::Kind::kSetBid:
+    case InstanceUpdate::Kind::kSetPaperTopics:
+      instance_->MarkIdealStale(u.paper);
+      return;
+    default:
+      instance_->ResetIdealMemo();
+  }
+}
+
 Result<UpdateReport> InstanceUpdater::Apply(const InstanceUpdate& update) {
   UpdateReport report;
   WGRAP_RETURN_IF_ERROR(ApplyOne(update, &report));
+  MarkIdealStale(update);
   report.applied = 1;
   return report;
 }
@@ -517,6 +530,7 @@ Result<UpdateReport> InstanceUpdater::ApplyAll(
   UpdateReport report;
   for (const InstanceUpdate& u : updates) {
     WGRAP_RETURN_IF_ERROR(ApplyOne(u, &report));
+    MarkIdealStale(u);
     ++report.applied;
   }
   static obs::Counter* const batches = obs::Registry::Global().GetCounter(

@@ -24,6 +24,17 @@
 // Id semantics are positional, like the CSV formats: removing paper p
 // shifts every paper id above p down by one (same for reviewers). Batch
 // scripts must account for that, exactly as with row deletion anywhere.
+//
+// Staleness rules of the instance's c(AI) memo (core/instance.h). Paper
+// p's ideal picks depend only on p's topics, COIs and bids and on the
+// reviewer matrix, so each applied op marks exactly what it may move:
+//   - set_coi, set_bid, set_paper_topics: their one paper's row;
+//   - add/remove_paper, add/remove_reviewer, set_reviewer_topics: every
+//     row (they move the reviewer matrix or shift paper ids), by starting
+//     an empty memo in O(1).
+// A memo that a copy of the instance still shares is cloned first, so the
+// copy keeps its own answer. Nothing is re-derived here: core::IdealScore
+// does that lazily, for the stale rows only. A rejected op marks nothing.
 #ifndef WGRAP_CORE_UPDATE_H_
 #define WGRAP_CORE_UPDATE_H_
 
@@ -115,6 +126,9 @@ class InstanceUpdater {
 
  private:
   Status ApplyOne(const InstanceUpdate& update, UpdateReport* report);
+  /// Marks the c(AI) memo rows an applied op may have moved (the
+  /// staleness rules above).
+  void MarkIdealStale(const InstanceUpdate& update);
   Status ValidateTopics(const std::vector<double>& topics,
                         const char* what) const;
   /// Recomputes the dynamic δr after a shape change; on a decrease, evicts

@@ -165,19 +165,18 @@ Result<TextResponse> ServiceApi::GetAssignment(
   return response;
 }
 
-Result<TextResponse> ServiceApi::Evaluate(const std::string& session) {
+Result<TextResponse> ServiceApi::Evaluate(const std::string& session) const {
   static obs::Histogram* const latency =
       obs::Registry::Global().GetHistogram("wgrap_service_evaluate_seconds");
   ScopedEndpointTimer timer(latency);
-  auto view = store_.GetEvaluationView(session);
-  if (!view.ok()) return view.status();
-  if (view->snapshot.assignment == nullptr) {
+  auto snapshot = store_.Get(session);
+  if (!snapshot.ok()) return snapshot.status();
+  if (snapshot->assignment == nullptr) {
     return Status::FailedPrecondition("session '" + session +
                                       "' has no assignment");
   }
   TextResponse response;
-  response.text =
-      EvaluationReport(*view->snapshot.assignment, view->ideal_score);
+  response.text = EvaluationReport(*snapshot->instance, *snapshot->assignment);
   return response;
 }
 
@@ -193,54 +192,48 @@ Result<SubmitResponse> ServiceApi::Submit(const SubmitRequest& request) {
   static obs::Histogram* const latency =
       obs::Registry::Global().GetHistogram("wgrap_service_submit_seconds");
   ScopedEndpointTimer timer(latency);
-  // Fail fast at submit time: unknown solvers and bad knobs are caught
-  // here (with the schema in the message), before a job id is handed out.
-  const core::SolverDescriptor* descriptor =
-      core::SolverRegistry::Default().Find(request.solver);
-  if (descriptor == nullptr) {
-    return Status::NotFound("unknown solver '" + request.solver + "'");
-  }
   auto snapshot = store_.Get(request.session);
   if (!snapshot.ok()) return snapshot.status();
-  core::SolverRunOptions options = RunOptions(request);
-  // The job's Run repeats this decode on the same snapshot; here it only
-  // decides whether a job id is handed out.
-  WGRAP_RETURN_IF_ERROR(core::DecodeKnobs(descriptor->name, descriptor->knobs,
-                                          options, *snapshot->instance)
-                            .status());
-  const bool is_refine =
-      request.kind == core::SolverRequest::Kind::kRefineCra;
-  if (is_refine && snapshot->assignment == nullptr) {
+  if (request.kind == core::SolverRequest::Kind::kRefineCra &&
+      snapshot->assignment == nullptr) {
     return Status::FailedPrecondition("session '" + request.session +
                                       "' has no assignment to refine");
   }
-
-  SubmitRequest job_request = request;
   SessionSnapshot snap = *std::move(snapshot);
+  core::SolverRequest solver_request;
+  solver_request.kind = request.kind;
+  solver_request.solver = request.solver;
+  solver_request.paper = request.paper;
+  solver_request.k = request.k;
+  solver_request.initial = snap.assignment.get();
+  solver_request.options = RunOptions(request);
+  // Fail fast: whatever the job's Run would reject before solving (an
+  // unknown solver, a family or top-k mismatch, a bad knob) fails here,
+  // before a job id is handed out. The job repeats the checks on the same
+  // snapshot.
+  WGRAP_RETURN_IF_ERROR(core::SolverRegistry::Default()
+                            .Validate(solver_request, *snap.instance)
+                            .status());
+
   const Result<int64_t> id = jobs_.Submit(
       std::string(KindLabel(request.kind)) + ":" + request.solver,
-      [this, job_request = std::move(job_request), snap = std::move(snap),
-       options = std::move(options)](const JobContext& context) {
+      [this, solver_request = std::move(solver_request),
+       install = request.install,
+       snap = std::move(snap)](const JobContext& context) {
         JobResult result;
-        core::SolverRequest solver_request;
-        solver_request.kind = job_request.kind;
-        solver_request.solver = job_request.solver;
-        solver_request.paper = job_request.paper;
-        solver_request.k = job_request.k;
-        solver_request.initial = snap.assignment.get();
-        solver_request.options = WithJobContext(options, context);
-        auto response =
-            core::SolverRegistry::Default().Run(solver_request,
-                                                *snap.instance);
+        core::SolverRequest run = solver_request;
+        run.options = WithJobContext(run.options, context);
+        auto response = core::SolverRegistry::Default().Run(run,
+                                                            *snap.instance);
         if (!response.ok()) {
           result.status = response.status();
           return result;
         }
         if (response->assignment.has_value()) {
-          result.report = SolveReportLine(job_request.solver, *snap.instance,
+          result.report = SolveReportLine(run.solver, *snap.instance,
                                           *response->assignment, "");
           result.assignment_csv = AssignmentCsv(*response->assignment);
-          if (job_request.install) {
+          if (install) {
             // CAS install: only when no mutation superseded the snapshot
             // this solve ran on. A lost race is not a job failure — the
             // result stays fetchable either way (but it is counted).

@@ -65,10 +65,10 @@ struct SubmitRequest {
   int k = 1;      // kSolveJraTopK
   double time_limit_seconds = 0.0;
   uint64_t seed = 20150531;
-  /// Solver knobs; decoded against the solver's KnobSpec schema at
-  /// submit time (core::DecodeKnobs: a bad knob, a broken cross-knob rule
-  /// or topics=sparse without sparse views fails the Submit call itself —
-  /// the job is never created).
+  /// Solver knobs. Submit runs core::SolverRegistry::Validate on the whole
+  /// request (solver, kind, k, knobs against the solver's KnobSpec
+  /// schema): a request the job's Run would reject fails the Submit call
+  /// itself, and the job is never created.
   std::map<std::string, std::string> knobs;
   /// CRA kinds: install the solved assignment into the session when it is
   /// still at the snapshot's version (compare-and-set; a concurrent
@@ -120,9 +120,10 @@ class ServiceApi {
   /// The session's current assignment as CSV; kFailedPrecondition when
   /// none is installed.
   Result<TextResponse> GetAssignment(const std::string& session) const;
-  /// The `wgrap_cli evaluate` block for the current assignment, from the
-  /// store's per-paper c(AI) (InstanceStore::GetEvaluationView).
-  Result<TextResponse> Evaluate(const std::string& session);
+  /// The `wgrap_cli evaluate` block for the current assignment. c(AI)
+  /// comes from the snapshot instance's memo (core::IdealScore), which
+  /// re-derives only the papers mutated since it was last filled.
+  Result<TextResponse> Evaluate(const std::string& session) const;
 
   // --- capability discovery ---------------------------------------------
   /// The `wgrap_cli solvers [--verbose]` text: the solver table, plus the

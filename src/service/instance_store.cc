@@ -4,8 +4,6 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
-#include "core/metrics.h"
-#include "obs/metrics.h"
 
 namespace wgrap::service {
 
@@ -58,7 +56,6 @@ Result<SessionSnapshot> InstanceStore::Insert(
   session.snapshot.name = name;
   session.snapshot.params = params;
   Publish(&session);
-  MarkIdealStale(&session, {});
   return session.snapshot;
 }
 
@@ -69,19 +66,6 @@ Result<SessionSnapshot> InstanceStore::Get(const std::string& name) const {
     return Status::NotFound("no session '" + name + "'");
   }
   return it->second.snapshot;
-}
-
-Result<EvaluationView> InstanceStore::GetEvaluationView(
-    const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = sessions_.find(name);
-  if (it == sessions_.end()) {
-    return Status::NotFound("no session '" + name + "'");
-  }
-  EvaluationView view;
-  view.snapshot = it->second.snapshot;
-  view.ideal_score = RefreshIdealScore(&it->second);
-  return view;
 }
 
 std::vector<SessionInfo> InstanceStore::List() const {
@@ -181,9 +165,6 @@ Result<MutateOutcome> InstanceStore::Mutate(
     return publish;
   }
   Publish(&session);
-  // Only now: a rolled-back batch (either return above) must leave every
-  // row valid for the snapshot that stays published.
-  MarkIdealStale(&session, updates);
   MutateOutcome outcome;
   outcome.snapshot = session.snapshot;
   outcome.report = *std::move(report);
@@ -230,63 +211,6 @@ void InstanceStore::RestoreFromSnapshot(Session* session) {
     // InstallLocked published a fresh snapshot (version bump) — that is
     // fine: versions only ever move forward, even on rollback.
   }
-}
-
-void InstanceStore::MarkIdealStale(
-    Session* session, const std::vector<core::InstanceUpdate>& updates) {
-  const int P = session->instance->num_papers();
-  // A new paper count (or a fresh session) resets every row; so does any
-  // op that can move other papers' picks or shift paper ids.
-  bool every_paper = static_cast<int>(session->ideal_rows.size()) != P;
-  for (const core::InstanceUpdate& u : updates) {
-    switch (u.kind) {
-      case core::InstanceUpdate::Kind::kSetCoi:
-      case core::InstanceUpdate::Kind::kSetBid:
-      case core::InstanceUpdate::Kind::kSetPaperTopics:
-        break;
-      default:
-        every_paper = true;
-    }
-  }
-  if (every_paper) {
-    session->ideal_gains.assign(
-        static_cast<size_t>(P) * session->instance->group_size(), 0.0);
-    session->ideal_rows.assign(P, IdealRow::kStale);
-    return;
-  }
-  // No op in the batch shifted ids, so each op's paper is still its id.
-  for (const core::InstanceUpdate& u : updates) {
-    session->ideal_rows[u.paper] = IdealRow::kStale;
-  }
-}
-
-std::optional<double> InstanceStore::RefreshIdealScore(Session* session) {
-  static obs::Counter* const refreshed = obs::Registry::Global().GetCounter(
-      "wgrap_service_ideal_papers_refreshed_total");
-  const core::Instance& instance = *session->snapshot.instance;
-  const int P = instance.num_papers();
-  const int dp = instance.group_size();
-  // Built on the first stale row, over the published (immutable) instance.
-  std::optional<core::Assignment> scratch;
-  int64_t stale = 0;
-  for (int p = 0; p < P; ++p) {
-    if (session->ideal_rows[p] != IdealRow::kStale) continue;
-    if (!scratch.has_value()) scratch.emplace(&instance);
-    const Status picked = core::AddIdealPicks(
-        p, &*scratch, &session->ideal_gains[static_cast<size_t>(p) * dp]);
-    session->ideal_rows[p] =
-        picked.ok() ? IdealRow::kFeasible : IdealRow::kInfeasible;
-    ++stale;
-  }
-  if (refreshed != nullptr) refreshed->Add(stale);
-  double total = 0.0;
-  for (int p = 0; p < P; ++p) {
-    if (session->ideal_rows[p] == IdealRow::kInfeasible) return std::nullopt;
-    for (int k = 0; k < dp; ++k) {
-      total += session->ideal_gains[static_cast<size_t>(p) * dp + k];
-    }
-  }
-  return total;
 }
 
 }  // namespace wgrap::service

@@ -19,15 +19,10 @@
 //     snapshot that a mutation has since superseded is kept as a job
 //     result but not installed over newer state.
 //
-// Per-paper c(AI) — the store pays only for what changed. `evaluate`
-// reports c(A)/c(AI), where AI (core/metrics.h) is a per-paper greedy that
-// ignores workloads: paper p's δp picks depend only on p's topics, COIs
-// and bids and on the reviewer matrix. Each session keeps the P×δp pick
-// gains; c(AI) is their left fold in (paper, pick) order, bit-identical to
-// BuildIdealAssignment(instance)->TotalScore(). A published mutation marks
-// the papers it touched stale (set_coi, set_bid, set_paper_topics: their
-// one paper; any other op: every paper), and GetEvaluationView re-derives
-// only the stale ones, lazily, so `open` and `mutate` pay nothing for it.
+// c(AI) is not store state: a snapshot's instance shares its c(AI) memo
+// with the master it was copied from (core/instance.h), and a mutation of
+// the master detaches it, so `evaluate` on a snapshot re-derives only the
+// papers mutated since the memo was last filled.
 #ifndef WGRAP_SERVICE_INSTANCE_STORE_H_
 #define WGRAP_SERVICE_INSTANCE_STORE_H_
 
@@ -35,7 +30,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,14 +70,6 @@ struct MutateOutcome {
   core::UpdateReport report;
 };
 
-/// A snapshot plus c(AI) of its instance — what `evaluate` renders.
-struct EvaluationView {
-  SessionSnapshot snapshot;
-  /// c(AI); nullopt when some paper has fewer than δp eligible reviewers
-  /// (BuildIdealAssignment would fail).
-  std::optional<double> ideal_score;
-};
-
 /// Thread-safe session store. All methods may be called concurrently.
 class InstanceStore {
  public:
@@ -109,12 +95,6 @@ class InstanceStore {
   /// Current snapshot. kNotFound for unknown sessions.
   Result<SessionSnapshot> Get(const std::string& name) const;
 
-  /// Current snapshot plus its c(AI). Re-derives the stale papers' AI
-  /// picks in the same critical section that takes the snapshot, so the
-  /// two always match; counts them into
-  /// wgrap_service_ideal_papers_refreshed_total.
-  Result<EvaluationView> GetEvaluationView(const std::string& name);
-
   std::vector<SessionInfo> List() const;
 
   Status Close(const std::string& name);
@@ -137,19 +117,15 @@ class InstanceStore {
       const std::vector<std::pair<int, int>>& pairs);
 
   /// Applies the updates to the master lineage (assignment evictions
-  /// included, via InstanceUpdater), publishes a new snapshot, and only
-  /// then marks the papers whose AI picks the batch may have moved stale.
-  /// Atomic at the snapshot level: on a mid-batch failure the
-  /// already-applied prefix is rolled back by rebuilding the master from
-  /// the last published snapshot, so readers and the master never see a
-  /// half-applied batch (and the per-paper c(AI) stays valid).
+  /// included, via InstanceUpdater) and publishes a new snapshot. Atomic
+  /// at the snapshot level: on a mid-batch failure the already-applied
+  /// prefix is rolled back by rebuilding the master from the last
+  /// published snapshot, so readers and the master never see a
+  /// half-applied batch.
   Result<MutateOutcome> Mutate(const std::string& name,
                                const std::vector<core::InstanceUpdate>& updates);
 
  private:
-  /// The state of one paper's row of AI picks.
-  enum class IdealRow : uint8_t { kStale, kFeasible, kInfeasible };
-
   struct Session {
     core::InstanceParams params;
     // Master lineage — mutable, guarded by mutex_.
@@ -159,10 +135,6 @@ class InstanceStore {
     int64_t version = 0;
     // Published copy (readers take shared_ptr copies of this).
     SessionSnapshot snapshot;
-    // Per-paper AI over the published instance, guarded by mutex_:
-    // P×δp pick gains, row-major, and each row's state.
-    std::vector<double> ideal_gains;
-    std::vector<IdealRow> ideal_rows;
   };
 
   /// Registers a new session over `instance` and publishes v1.
@@ -179,13 +151,6 @@ class InstanceStore {
   /// Rebuilds the master lineage from the published snapshot (mutation
   /// rollback path).
   void RestoreFromSnapshot(Session* session);
-  /// Marks the AI rows a published batch may have moved stale, resizing
-  /// them to the new paper count when the shape changed.
-  static void MarkIdealStale(Session* session,
-                             const std::vector<core::InstanceUpdate>& updates);
-  /// Re-derives the stale AI rows against the published instance and
-  /// folds c(AI).
-  static std::optional<double> RefreshIdealScore(Session* session);
 
   mutable std::mutex mutex_;
   std::map<std::string, Session> sessions_;

@@ -22,13 +22,6 @@ std::string Sprintf(const char* format, Args... args) {
   return out;
 }
 
-// c(AI) built from scratch; nullopt when AI is infeasible.
-std::optional<double> IdealScore(const core::Instance& instance) {
-  auto ideal = core::BuildIdealAssignment(instance);
-  if (!ideal.ok()) return std::nullopt;
-  return ideal->TotalScore();
-}
-
 // The optimality ratio in percent; nullopt when there is no usable
 // denominator — AI infeasible, or c(AI) = 0 (no paper can be covered).
 std::optional<double> OptimalityPercent(const core::Assignment& assignment,
@@ -46,21 +39,16 @@ std::string SolveReportLine(const std::string& algo,
   return Sprintf(
       "%s: coverage %.3f (optimality %.1f%%), lowest paper %.3f%s\n",
       algo.c_str(), assignment.TotalScore(),
-      OptimalityPercent(assignment, IdealScore(instance)).value_or(0.0),
+      OptimalityPercent(assignment, core::IdealScore(instance)).value_or(0.0),
       core::LowestCoverage(assignment),
       wrote_path.empty() ? "" : (", wrote " + wrote_path).c_str());
 }
 
 std::string EvaluationReport(const core::Instance& instance,
                              const core::Assignment& assignment) {
-  return EvaluationReport(assignment, IdealScore(instance));
-}
-
-std::string EvaluationReport(const core::Assignment& assignment,
-                             std::optional<double> ideal_score) {
   const Status valid = assignment.ValidateComplete();
   const std::optional<double> optimality =
-      OptimalityPercent(assignment, ideal_score);
+      OptimalityPercent(assignment, core::IdealScore(instance));
   std::string out;
   out += Sprintf("pairs: %lld\n", static_cast<long long>(assignment.size()));
   out += Sprintf("feasible: %s\n",

@@ -11,7 +11,6 @@
 #ifndef WGRAP_SERVICE_REPORTS_H_
 #define WGRAP_SERVICE_REPORTS_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,8 @@ namespace wgrap::service {
 ///   "<algo>: coverage %.3f (optimality %.1f%%), lowest paper %.3f[, wrote
 ///   <path>]\n"
 /// Pass an empty `wrote_path` (the service does) to omit the suffix. The
-/// optimality reads 0.0 when c(AI) is unusable (AI infeasible or c(AI) = 0).
+/// optimality reads 0.0 when c(AI) is unusable (AI infeasible or c(AI) = 0);
+/// c(AI) comes from core::IdealScore.
 std::string SolveReportLine(const std::string& algo,
                             const core::Instance& instance,
                             const core::Assignment& assignment,
@@ -35,16 +35,10 @@ std::string SolveReportLine(const std::string& algo,
 
 /// The `wgrap_cli evaluate` block: pairs, feasibility, coverage score,
 /// optimality ratio (when c(AI) is usable: AI feasible and c(AI) > 0),
-/// lowest paper coverage. Builds AI from scratch.
+/// lowest paper coverage. c(AI) comes from core::IdealScore, so only the
+/// papers the instance's memo lacks are re-derived.
 std::string EvaluationReport(const core::Instance& instance,
                              const core::Assignment& assignment);
-
-/// Same block from a c(AI) the caller already holds (nullopt = AI is
-/// infeasible) — the service's evaluate, whose store keeps c(AI) per
-/// paper. Byte-identical to the overload above when `ideal_score` is
-/// BuildIdealAssignment(instance)->TotalScore().
-std::string EvaluationReport(const core::Assignment& assignment,
-                             std::optional<double> ideal_score);
 
 /// The first half of the `wgrap_cli update` output — what applying the
 /// mutation script did:

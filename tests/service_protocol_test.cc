@@ -254,18 +254,18 @@ TEST(ProtocolTest, NonFiniteBudgetIsRejected) {
 // Regression: BBA top-k prunes nothing until it holds k groups, so
 // topk=1000000000 used to enumerate and store every C(R, dp) group (209 MB
 // and a 1.1M-line reply on a 189-reviewer pool). The registry caps k at
-// kMaxJraTopK, and the job fails with that message instead.
+// kMaxJraTopK, and submit runs the registry's checks, so a k outside
+// [1, kMaxJraTopK] fails the submit itself: no job id is handed out.
 TEST(ProtocolTest, HugeTopKIsRejected) {
   auto dataset = core::MakeFuzzDataset(Config());
   ASSERT_TRUE(dataset.ok());
   std::string script;
   Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
+  script += "submit conf jra bba topk=0 paper=0\n";
   script += "submit conf jra bba topk=1000000000 paper=0\n";
-  script += "wait 1\n";
   script += "submit conf jra bba topk=1001 paper=1\n";
-  script += "wait 2\n";
   script += "submit conf jra bba topk=1000 paper=2\n";
-  script += "wait 3\n";
+  script += "wait 1\n";
   script += "ping\n";
 
   ServiceApi api;
@@ -274,9 +274,10 @@ TEST(ProtocolTest, HugeTopKIsRejected) {
   ServeStream(in, out, api);
   const std::string rejected =
       Err(StatusCode::kInvalidArgument, "top-k requires k <= 1000");
-  const std::string head = Ok("session conf v1 P=8 R=12 T=10 unassigned\n") +
-                           Ok("job 1\n") + rejected + Ok("job 2\n") +
-                           rejected + Ok("job 3\n");
+  const std::string head =
+      Ok("session conf v1 P=8 R=12 T=10 unassigned\n") +
+      Err(StatusCode::kInvalidArgument, "top-k requires k >= 1") + rejected +
+      rejected + Ok("job 1\n");
   const std::string reply = out.str();
   ASSERT_EQ(reply.substr(0, head.size()), head);
   // k = 1000 is allowed; the 12-reviewer pool has C(12, 3) = 220 groups,

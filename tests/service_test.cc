@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -192,15 +193,62 @@ TEST(InstanceStoreTest, FailedMutationRollsBackTheBatch) {
 
 // --- Per-paper c(AI) --------------------------------------------------------
 
-// Papers evaluate has re-derived so far; -1 when telemetry is off.
+// Papers core::IdealScore has re-derived so far; -1 when telemetry is off.
 int64_t IdealPapersRefreshed() {
   obs::Counter* counter = obs::Registry::Global().GetCounter(
-      "wgrap_service_ideal_papers_refreshed_total");
+      "wgrap_ideal_papers_refreshed_total");
   return counter != nullptr ? counter->Value() : -1;
 }
 
-// Evaluates `session` and checks the reply, and the c(AI) the store keeps,
-// against from-scratch rebuilds of the same snapshot; `refreshed` is the
+// A from-scratch twin of a snapshot instance without bids: the
+// FromDataset rebuild of its topics plus its COIs, with an empty c(AI)
+// memo (core/update.h's contract makes it bitwise equal).
+core::Instance FreshTwin(const core::Instance& instance,
+                         const core::InstanceParams& params) {
+  auto fresh =
+      core::Instance::FromDataset(core::SnapshotDataset(instance), params);
+  EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
+  for (int p = 0; p < instance.num_papers(); ++p) {
+    for (int r = 0; r < instance.num_reviewers(); ++r) {
+      if (instance.IsConflict(r, p)) fresh->AddConflict(r, p);
+    }
+  }
+  return *std::move(fresh);
+}
+
+// The evaluate block of `assignment`'s groups over a fresh twin of its
+// instance, the pairs replayed as Publish does — what a cold evaluate of
+// the same snapshot prints.
+std::string ScratchEvaluation(const core::Assignment& assignment,
+                              const core::InstanceParams& params) {
+  const core::Instance fresh = FreshTwin(assignment.instance(), params);
+  core::Assignment rebound(&fresh);
+  for (int p = 0; p < fresh.num_papers(); ++p) {
+    for (int r : assignment.GroupFor(p)) {
+      EXPECT_TRUE(rebound.AddUnchecked(p, r).ok());
+    }
+  }
+  rebound.RecomputeAll();
+  return EvaluationReport(fresh, rebound);
+}
+
+// c(AI) from the instance's memo memcmp-equals a from-scratch AI build,
+// or both are infeasible.
+void ExpectIdealScoreMatchesScratch(const core::Instance& instance,
+                                    const std::string& where) {
+  const std::optional<double> cached = core::IdealScore(instance);
+  auto ideal = core::BuildIdealAssignment(instance);
+  ASSERT_EQ(cached.has_value(), ideal.ok()) << where;
+  if (ideal.ok()) {
+    const double scratch = ideal->TotalScore();
+    EXPECT_EQ(std::memcmp(&*cached, &scratch, sizeof(double)), 0)
+        << where << ": " << *cached << " vs " << scratch;
+  }
+}
+
+// Evaluates `session`, checks that the reply is the snapshot's evaluate
+// block and that the c(AI) behind it memcmp-equals a from-scratch AI build
+// (the block reads c(AI) only through those bits); `refreshed` is the
 // number of papers the evaluate must have re-derived.
 void ExpectEvaluateMatchesScratch(ServiceApi& api, const std::string& session,
                                   int64_t refreshed, const std::string& where) {
@@ -210,23 +258,15 @@ void ExpectEvaluateMatchesScratch(ServiceApi& api, const std::string& session,
   if (before >= 0) {
     EXPECT_EQ(IdealPapersRefreshed() - before, refreshed) << where;
   }
-  auto view = api.store().GetEvaluationView(session);
-  ASSERT_TRUE(view.ok()) << where;
+  auto snap = api.store().Get(session);
+  ASSERT_TRUE(snap.ok()) << where;
+  ExpectIdealScoreMatchesScratch(*snap->instance, where);
   if (before >= 0) {  // nothing changed since the evaluate: no re-derivation
     EXPECT_EQ(IdealPapersRefreshed() - before, refreshed) << where;
   }
-  const SessionSnapshot& snap = view->snapshot;
-  ASSERT_NE(snap.assignment, nullptr) << where;
-  EXPECT_EQ(reply->text, EvaluationReport(*snap.instance, *snap.assignment))
+  ASSERT_NE(snap->assignment, nullptr) << where;
+  EXPECT_EQ(reply->text, EvaluationReport(*snap->instance, *snap->assignment))
       << where;
-  auto ideal = core::BuildIdealAssignment(*snap.instance);
-  ASSERT_EQ(view->ideal_score.has_value(), ideal.ok()) << where;
-  if (ideal.ok()) {
-    const double cached = *view->ideal_score;
-    const double scratch = ideal->TotalScore();
-    EXPECT_EQ(std::memcmp(&cached, &scratch, sizeof(double)), 0)
-        << where << ": " << cached << " vs " << scratch;
-  }
 }
 
 TEST(IdealScoreCacheTest, SeededMutationsKeepEvaluateByteExact) {
@@ -402,6 +442,70 @@ TEST(IdealScoreCacheTest, InfeasibleIdealDropsTheRatioUntilLifted) {
   EXPECT_EQ(reply->text.find("optimality"), std::string::npos);
   ASSERT_TRUE(api.store().Mutate("conf", off).ok());
   ExpectEvaluateMatchesScratch(api, "conf", 1, "all COIs off");
+}
+
+// Readers evaluate one shared snapshot on several threads while the master
+// lineage takes mutations, which detach its c(AI) memo from the readers'.
+// Every reply must equal a cold evaluate of the snapshot it was rendered
+// from. Run under TSan in CI.
+TEST(IdealScoreCacheTest, ConcurrentEvaluatesMatchTheirSnapshots) {
+  core::FuzzInstanceConfig config = SmallConfig();
+  config.reviewers = 20;
+  config.papers = 16;
+  ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/4});
+  auto dataset = core::MakeFuzzDataset(config);
+  ASSERT_TRUE(dataset.ok());
+  const core::InstanceParams params = core::MakeFuzzParams(config);
+  ASSERT_TRUE(api.store().Open("conf", *dataset, params).ok());
+  ASSERT_TRUE(api.store()
+                  .InstallAssignment(
+                      "conf", SolvePairs(*api.store().Get("conf")->instance))
+                  .ok());
+
+  constexpr int kReaders = 3;
+  constexpr int kRounds = 12;
+  for (int round = 0; round < kRounds; ++round) {
+    // All readers share this one snapshot and start on it together with
+    // the round's mutation.
+    const SessionSnapshot shared = *api.store().Get("conf");
+    std::vector<std::string> replies(kReaders);
+    std::vector<std::thread> readers;
+    for (int i = 0; i < kReaders; ++i) {
+      readers.emplace_back([&shared, &replies, i] {
+        replies[i] = EvaluationReport(*shared.instance, *shared.assignment);
+      });
+    }
+    Rng rng(round + 1);
+    const int P = shared.instance->num_papers();
+    const int R = shared.instance->num_reviewers();
+    std::vector<core::InstanceUpdate> batch;
+    if (round % 4 == 3) {
+      batch = {core::InstanceUpdate::SetReviewerTopics(
+          rng.NextInt(0, R - 1), core::RandomTopics(&rng, config.num_topics))};
+    } else {
+      const int p = rng.NextInt(0, P - 1);
+      batch = {core::InstanceUpdate::SetCoi(rng.NextInt(0, R - 1), p,
+                                            round % 2 == 0),
+               core::InstanceUpdate::SetPaperTopics(
+                   p, core::RandomTopics(&rng, config.num_topics))};
+    }
+    ASSERT_TRUE(api.store().Mutate("conf", batch).ok());
+    // The next snapshot's evaluate races the readers of this one.
+    auto next = api.Evaluate("conf");
+    for (std::thread& reader : readers) reader.join();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+
+    const std::string expected =
+        ScratchEvaluation(*shared.assignment, shared.params);
+    for (int i = 0; i < kReaders; ++i) {
+      EXPECT_EQ(replies[i], expected) << "round " << round << " reader " << i;
+    }
+    const SessionSnapshot now = *api.store().Get("conf");
+    EXPECT_EQ(next->text, ScratchEvaluation(*now.assignment, now.params))
+        << "round " << round;
+    ExpectIdealScoreMatchesScratch(*shared.instance,
+                                   "round " + std::to_string(round));
+  }
 }
 
 // --- JobQueue ----------------------------------------------------------------

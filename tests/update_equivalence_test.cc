@@ -9,20 +9,26 @@
 // 1|8 resolve threads across multiple seeds; dedicated cases pin the
 // pure-removal sequence the ROADMAP calls out and each op kind alone, and
 // smaller tests cover validation failures, eviction reporting and the
-// mutation-script grammar.
+// mutation-script grammar. After every fuzzed op the instance's c(AI)
+// memo (core::IdealScore) must memcmp-equal a from-scratch AI build, on
+// the patched instance and on a copy evaluated before the op.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "core/metrics.h"
 #include "core/update.h"
 #include "data/dataset.h"
 #include "fuzz_util.h"
+#include "obs/metrics.h"
 
 namespace wgrap::core {
 namespace {
@@ -288,6 +294,61 @@ void ExpectInstancesBitEqual(const Instance& patched, const Instance& fresh) {
   }
 }
 
+// Papers core::IdealScore has re-derived so far; -1 when telemetry is off.
+int64_t IdealPapersRefreshed() {
+  obs::Counter* counter = obs::Registry::Global().GetCounter(
+      "wgrap_ideal_papers_refreshed_total");
+  return counter != nullptr ? counter->Value() : -1;
+}
+
+// Expects `want` papers re-derived since *mark, then moves the mark to
+// now; checks nothing when telemetry is off.
+void ExpectRefreshed(int64_t* mark, int64_t want, const std::string& where) {
+  const int64_t now = IdealPapersRefreshed();
+  if (now >= 0) {
+    EXPECT_EQ(now - *mark, want) << where;
+  }
+  *mark = now;
+}
+
+// c(AI) from the instance's memo memcmp-equals a from-scratch AI build, or
+// both are infeasible. Returns the memo's answer.
+std::optional<double> ExpectIdealScoreMatchesBuild(const Instance& instance,
+                                                   const std::string& where) {
+  const std::optional<double> cached = IdealScore(instance);
+  auto ideal = BuildIdealAssignment(instance);
+  EXPECT_EQ(cached.has_value(), ideal.ok()) << where;
+  if (cached.has_value() && ideal.ok()) {
+    const double scratch = ideal->TotalScore();
+    EXPECT_EQ(std::memcmp(&*cached, &scratch, sizeof(double)), 0)
+        << where << ": " << *cached << " vs " << scratch;
+  }
+  return cached;
+}
+
+// Both answers are infeasible, or both are the same double bit for bit.
+void ExpectSameBits(std::optional<double> a, std::optional<double> b,
+                    const std::string& where) {
+  ASSERT_EQ(a.has_value(), b.has_value()) << where;
+  if (a.has_value()) {
+    EXPECT_EQ(std::memcmp(&*a, &*b, sizeof(double)), 0)
+        << where << ": " << *a << " vs " << *b;
+  }
+}
+
+// How many papers an applied op leaves stale in the c(AI) memo (the
+// staleness rules in core/update.h).
+int StaleAfter(const InstanceUpdate& u, const Instance& instance) {
+  switch (u.kind) {
+    case InstanceUpdate::Kind::kSetCoi:
+    case InstanceUpdate::Kind::kSetBid:
+    case InstanceUpdate::Kind::kSetPaperTopics:
+      return 1;
+    default:
+      return instance.num_papers();
+  }
+}
+
 // Clones the tracked groups onto the fresh instance (AddUnchecked in group
 // order — this also proves every surviving pair is COI-free and in range).
 Assignment CloneOnto(const Assignment& tracked, const Instance& fresh) {
@@ -378,10 +439,21 @@ TEST_P(UpdateEquivalenceTest, PatchedStateMatchesFreshBuild) {
   double last_resolved_score = 0.0;
   for (int op = 1; op <= kNumOps; ++op) {
     const InstanceUpdate update = RandomOp(&rng, gt, config);
+    // A copy evaluated before the op shares the memo until the op
+    // detaches it, and must keep its own answer.
+    const Instance before = instance;
+    const std::optional<double> before_score = IdealScore(before);
     auto report = updater.Apply(update);
     ASSERT_TRUE(report.ok()) << update.ToString() << ": "
                              << report.status().ToString();
     ApplyToGroundTruth(&gt, update);
+
+    const std::string where = update.ToString();
+    int64_t refreshed = IdealPapersRefreshed();
+    ExpectIdealScoreMatchesBuild(instance, where);
+    ExpectRefreshed(&refreshed, StaleAfter(update, instance), where);
+    ExpectSameBits(ExpectIdealScoreMatchesBuild(before, where + " (copy)"),
+                   before_score, where + " (copy)");
 
     // The tracked assignment must stay a feasible partial one after every
     // single op, not just at checkpoints.
@@ -522,13 +594,65 @@ TEST(UpdateEquivalenceOpKinds, EveryOpKeepsTheTopicViewsCurrent) {
           InstanceUpdate::SetPaperTopics(4, RandomTopics(&rng, T)),
           InstanceUpdate::SetReviewerTopics(6, RandomTopics(&rng, T))};
       ASSERT_EQ(static_cast<int>(ops[kind].kind), kind);
+      // `before` shares the evaluated memo until the op detaches it.
+      const std::optional<double> before_score = IdealScore(before);
       InstanceUpdater updater(&instance, params);
       auto report = updater.Apply(ops[kind]);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       ApplyToGroundTruth(&gt, ops[kind]);
       ExpectInstancesBitEqual(instance, BuildFresh(gt, params));
       ExpectInstancesBitEqual(before, BuildFresh(gt_before, params));
+      int64_t refreshed = IdealPapersRefreshed();
+      ExpectIdealScoreMatchesBuild(instance, "patched");
+      ExpectRefreshed(&refreshed, StaleAfter(ops[kind], instance), "patched");
+      ExpectSameBits(ExpectIdealScoreMatchesBuild(before, "copy"),
+                     before_score, "copy");
     }
+  }
+}
+
+// The two setup-time mutators outside InstanceUpdater, on an instance
+// whose memo is already filled: AddConflict re-derives its one paper,
+// SetBids every paper, and a copy taken before keeps its answer. The last
+// clear reviewer of a paper going COI makes AI infeasible.
+TEST(IdealScoreMemo, AddConflictAndSetBidsOnAnEvaluatedInstance) {
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    FuzzInstanceConfig config = BaseConfig(/*seed=*/77, sparse);
+    config.with_bids = false;
+    auto built = MakeFuzzInstance(config);
+    ASSERT_TRUE(built.ok());
+    Instance instance = *std::move(built);
+    const int P = instance.num_papers();
+    const int R = instance.num_reviewers();
+    int64_t refreshed = IdealPapersRefreshed();
+    const std::optional<double> cold =
+        ExpectIdealScoreMatchesBuild(instance, "cold");
+    ASSERT_TRUE(cold.has_value());
+    ExpectRefreshed(&refreshed, P, "cold");
+    ExpectIdealScoreMatchesBuild(instance, "warm");
+    ExpectRefreshed(&refreshed, 0, "warm");
+
+    const Instance before_coi = instance;
+    instance.AddConflict(R - 1, 4);
+    ExpectIdealScoreMatchesBuild(instance, "AddConflict");
+    ExpectRefreshed(&refreshed, 1, "AddConflict");
+    ExpectSameBits(IdealScore(before_coi), cold, "copy before AddConflict");
+
+    Matrix bids(P, R);
+    for (int p = 0; p < P; ++p) {
+      for (int r = 0; r < R; ++r) bids(p, r) = ((p * 7 + r * 3) % 11) / 10.0;
+    }
+    const Instance before_bids = instance;
+    const std::optional<double> coi_score = IdealScore(before_bids);
+    ASSERT_TRUE(instance.SetBids(std::move(bids), 0.5).ok());
+    ExpectIdealScoreMatchesBuild(instance, "SetBids");
+    ExpectRefreshed(&refreshed, P, "SetBids");
+    ExpectSameBits(IdealScore(before_bids), coi_score, "copy before SetBids");
+
+    for (int r = 0; r < R; ++r) instance.AddConflict(r, 2);
+    EXPECT_FALSE(ExpectIdealScoreMatchesBuild(instance, "all COI").has_value());
+    ExpectRefreshed(&refreshed, 1, "all COI");
   }
 }
 

@@ -139,27 +139,6 @@ BENCHMARK(BM_SparseVsDenseMarginalGain)
 // wall-clock gap between them is the kernel-level speedup that
 // bench/BASELINES.md records.
 
-void BM_KernelMaxFold(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool dispatched = state.range(1) != 0;
-  Rng rng(8);
-  std::vector<double> acc(n), v(n);
-  for (int i = 0; i < n; ++i) {
-    acc[i] = rng.NextDouble();
-    v[i] = rng.NextDouble();
-  }
-  for (auto _ : state) {
-    if (dispatched) {
-      simd::MaxFold(acc.data(), v.data(), n);
-    } else {
-      simd::scalar::MaxFold(acc.data(), v.data(), n);
-    }
-    benchmark::DoNotOptimize(acc.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_KernelMaxFold)->ArgsProduct({{30, 300, 3000}, {0, 1}});
-
 void BM_KernelScoreSum(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const bool dispatched = state.range(1) != 0;

@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace wgrap::failpoint {
@@ -211,13 +212,12 @@ Result<Armed> ParseSpec(const std::string& spec) {
       armed.code = *code;
     } else if (action.rfind("delay:", 0) == 0) {
       const std::string ms = action.substr(6);
-      char* end = nullptr;
-      const long value = std::strtol(ms.c_str(), &end, 10);
-      if (ms.empty() || *end != '\0' || value < 0 || value > 60'000) {
+      int value = 0;
+      if (!ParseInt(ms, &value) || value < 0 || value > 60'000) {
         return Status::InvalidArgument(
             "bad delay '" + ms + "' in failpoint spec (0..60000 ms)");
       }
-      armed.delay_ms = static_cast<int>(value);
+      armed.delay_ms = value;
     } else if (action == "oneshot") {
       armed.oneshot = true;
     } else {

@@ -16,8 +16,9 @@
 //                  (la::SolveCapacitatedAssignment), sequential.
 //   kMinCostFlow — dense transportation network, sequential; the
 //                  reference engine the equivalence tests compare against.
-// The ε-scaling auction is ILP-ARAP's engine only (cra_ilp_arap.cc); a
-// stage asked to run it fails with kInvalidArgument.
+// No solver runs the ε-scaling auction (ILP-ARAP runs the same JV with
+// demand δp); it stays in la/ only as a perfbench probe, and a stage asked
+// to run it fails with kInvalidArgument.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -112,8 +113,8 @@ Status CheckStageBackend(LapBackend backend) {
     return Status::OK();
   }
   return Status::InvalidArgument(
-      "SDGA/SRA stages run on lap=hungarian or lap=mcf; the auction is "
-      "ILP-ARAP's engine only");
+      "SDGA/SRA stages run on lap=hungarian or lap=mcf; no solver runs the "
+      "auction");
 }
 
 // Exposed for cra_sra.cc (declared there): completes an assignment where

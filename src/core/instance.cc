@@ -243,8 +243,10 @@ void GroupFold::Add(const Saved& saved) {
         saved.ids.data(), saved.values.data(),
         static_cast<int>(saved.ids.size()), instance_.num_topics()});
   } else {
-    simd::MaxFold(dense_->data(), saved.values.data(),
-                  instance_.num_topics());
+    std::vector<double>& group = *dense_;
+    for (size_t t = 0; t < group.size(); ++t) {
+      group[t] = std::max(group[t], saved.values[t]);
+    }
   }
 }
 

@@ -31,6 +31,7 @@
 #ifndef WGRAP_CORE_INSTANCE_H_
 #define WGRAP_CORE_INSTANCE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -42,7 +43,6 @@
 #include "common/status.h"
 #include "core/scoring.h"
 #include "data/dataset.h"
-#include "simd/kernels.h"
 #include "sparse/sparse_matrix.h"
 #include "sparse/sparse_scoring.h"
 #include "sparse/topic_index.h"
@@ -163,7 +163,10 @@ class Instance {
     if (has_sparse_topics()) {
       sparse::MaxInto(ReviewerSparse(r), group);
     } else {
-      simd::MaxFold(group, ReviewerVector(r), num_topics());
+      const double* v = ReviewerVector(r);
+      for (int t = 0; t < num_topics(); ++t) {
+        group[t] = std::max(group[t], v[t]);
+      }
     }
   }
 

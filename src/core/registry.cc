@@ -1,12 +1,8 @@
 #include "core/registry.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
-#include <limits>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -122,6 +118,13 @@ std::string FormatKnobSpec(const KnobSpec& spec) {
   return out;
 }
 
+bool ParseTimeLimit(std::string_view text, double* out) {
+  double seconds = 0.0;
+  if (!ParseDouble(text, &seconds) || seconds < 0.0) return false;
+  *out = seconds;
+  return true;
+}
+
 Result<KnobValue> ParseKnobValue(const KnobSpec& spec,
                                  const std::string& text) {
   const std::string quoted = "option '" + spec.name + "': '" + text + "'";
@@ -133,41 +136,29 @@ Result<KnobValue> ParseKnobValue(const KnobSpec& spec,
       "option '" + spec.name + "' must be" + RangeSuffix(spec));
   switch (spec.type) {
     case KnobType::kInt: {
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(text.c_str(), &end, 10);
-      if (errno != 0 || end == text.c_str() || *end != '\0' ||
-          v < std::numeric_limits<int>::min() ||
-          v > std::numeric_limits<int>::max()) {
+      int v = 0;
+      if (!ParseInt(text, &v)) {
         return Status::InvalidArgument(quoted + " is not an integer in range");
       }
-      if (!in_range(static_cast<double>(v))) return out_of_range;
-      return KnobValue(static_cast<int>(v));
+      if (!in_range(v)) return out_of_range;
+      return KnobValue(v);
     }
     case KnobType::kDouble: {
-      errno = 0;
-      char* end = nullptr;
-      const double v = std::strtod(text.c_str(), &end);
-      if (errno != 0 || end == text.c_str() || *end != '\0') {
-        return Status::InvalidArgument(quoted + " is not a number");
-      }
-      // strtod accepts "nan" and "inf"; NaN would slip past every range
-      // check, and no knob has a use for either.
-      if (!std::isfinite(v)) {
+      double v = 0.0;
+      if (!ParseDouble(text, &v)) {
         return Status::InvalidArgument(quoted + " is not a finite number");
       }
       if (!in_range(v)) return out_of_range;
       return KnobValue(v);
     }
-    case KnobType::kBool:
-      if (text == "true" || text == "1" || text == "on") {
-        return KnobValue(true);
+    case KnobType::kBool: {
+      bool v = false;
+      if (!ParseBool(text, &v)) {
+        return Status::InvalidArgument(
+            quoted + " is not a boolean (use true/false, 1/0 or on/off)");
       }
-      if (text == "false" || text == "0" || text == "off") {
-        return KnobValue(false);
-      }
-      return Status::InvalidArgument(
-          quoted + " is not a boolean (use true/false, 1/0 or on/off)");
+      return KnobValue(v);
+    }
     case KnobType::kEnum:
       if (std::find(spec.enum_values.begin(), spec.enum_values.end(), text) ==
           spec.enum_values.end()) {

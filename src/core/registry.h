@@ -22,12 +22,12 @@
 // struct's own default member value, so the schema cannot drift from the
 // solver. Every entry point — Run, the service's Submit/Resolve and
 // IncrementalResolve — decodes `extra` with the same DecodeKnobs step:
-// unknown keys, ill-typed values (ParseKnobValue), the cross-knob rule and
-// the topics/instance check fail with kInvalidArgument naming the key, and
-// on success the factory receives the filled TypedOptions. Clients,
-// remote ones included, discover the schema from DescribeSolvers /
-// `wgrap_cli solvers --verbose`; wgrap_cli derives its flags from it
-// (knob `a_b` is flag `--a-b`).
+// unknown keys, ill-typed values (ParseKnobValue, on the number grammar of
+// common/string_util.h) and the topics/instance check fail with
+// kInvalidArgument naming the key, and on success the factory receives the
+// filled TypedOptions. Clients, remote ones included, discover the schema
+// from DescribeSolvers / `wgrap_cli solvers --verbose`; wgrap_cli derives
+// its flags from it (knob `a_b` is flag `--a-b`).
 //
 // Usage:
 //   const auto& registry = core::SolverRegistry::Default();
@@ -40,6 +40,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -96,6 +97,11 @@ struct SolverRunOptions {
   /// Solver-specific knobs; decoded against the solver's KnobSpec list.
   std::map<std::string, std::string> extra;
 };
+
+/// The one spelling of a time limit (`--budget`, `budget=`): finite seconds
+/// >= 0 in the number grammar of common/string_util.h, 0 = unlimited. A
+/// negative value is refused like "nan", never read as unlimited.
+bool ParseTimeLimit(std::string_view text, double* out);
 
 /// What DecodeKnobs produces: every solver's options struct, filled from
 /// the run parameters and the `extra` knobs in one place. A knob that

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
@@ -591,41 +592,34 @@ Result<ResolveReport> IncrementalResolve(const Instance& instance,
 Result<std::vector<InstanceUpdate>> ParseMutationScript(
     const std::string& text) {
   std::vector<InstanceUpdate> updates;
-  std::istringstream stream(text);
-  std::string line;
   int lineno = 0;
-  while (std::getline(stream, line)) {
+  for (std::string_view line : StrSplit(text, '\n')) {
     ++lineno;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream in(line);
-    std::string op;
-    if (!(in >> op)) continue;  // blank / comment-only line
-
-    auto bad = [&](const std::string& why) {
+    line = line.substr(0, line.find('#'));
+    const std::vector<std::string> tokens = SplitTokens(line);
+    if (tokens.empty()) continue;  // blank / comment-only line
+    const std::string& op = tokens[0];
+    const auto bad = [&](const std::string& why) {
       return Status::InvalidArgument(
           StrFormat("mutation script line %d: %s", lineno, why.c_str()));
     };
-    auto read_int = [&](int* out) {
-      return static_cast<bool>(in >> *out);
+    // Every field is one whole token (common/string_util.h), and a line
+    // holds exactly its op's fields; a topic vector is the rest of the line.
+    const auto id_at = [&](size_t i, int* out) {
+      return i < tokens.size() && ParseInt(tokens[i], out);
     };
-    // A topic vector is the rest of the line: a token that is not a number
-    // fails it instead of ending the vector early.
-    auto read_topics = [&](std::vector<double>* out) {
-      double w;
-      while (in >> w) out->push_back(w);
-      return !out->empty() && in.eof();
-    };
-    // Whatever a field read left behind ("3abc" reads as 3) or a token
-    // after the last field makes the line malformed.
-    auto at_end = [&] {
-      std::string rest;
-      return !(in >> rest);
+    const auto topics_from = [&](size_t first, std::vector<double>* out) {
+      if (first >= tokens.size()) return false;
+      out->resize(tokens.size() - first);
+      for (size_t i = first; i < tokens.size(); ++i) {
+        if (!ParseDouble(tokens[i], &(*out)[i - first])) return false;
+      }
+      return true;
     };
 
     if (op == "add_paper" || op == "add_reviewer") {
       std::vector<double> topics;
-      if (!read_topics(&topics)) {
+      if (!topics_from(1, &topics)) {
         return bad(op + " needs a topic vector");
       }
       updates.push_back(op == "add_paper"
@@ -633,35 +627,35 @@ Result<std::vector<InstanceUpdate>> ParseMutationScript(
                             : InstanceUpdate::AddReviewer(std::move(topics)));
     } else if (op == "remove_paper") {
       int p;
-      if (!read_int(&p) || !at_end()) {
+      if (tokens.size() != 2 || !id_at(1, &p)) {
         return bad("remove_paper needs a paper id");
       }
       updates.push_back(InstanceUpdate::RemovePaper(p));
     } else if (op == "remove_reviewer") {
       int r;
-      if (!read_int(&r) || !at_end()) {
+      if (tokens.size() != 2 || !id_at(1, &r)) {
         return bad("remove_reviewer needs a reviewer id");
       }
       updates.push_back(InstanceUpdate::RemoveReviewer(r));
     } else if (op == "set_coi") {
       int r, p;
-      std::string state;
-      if (!read_int(&r) || !read_int(&p) || !(in >> state) ||
-          (state != "on" && state != "off") || !at_end()) {
+      if (tokens.size() != 4 || !id_at(1, &r) || !id_at(2, &p) ||
+          (tokens[3] != "on" && tokens[3] != "off")) {
         return bad("set_coi needs <reviewer> <paper> on|off");
       }
-      updates.push_back(InstanceUpdate::SetCoi(r, p, state == "on"));
+      updates.push_back(InstanceUpdate::SetCoi(r, p, tokens[3] == "on"));
     } else if (op == "set_bid") {
       int p, r;
       double bid;
-      if (!read_int(&p) || !read_int(&r) || !(in >> bid) || !at_end()) {
+      if (tokens.size() != 4 || !id_at(1, &p) || !id_at(2, &r) ||
+          !ParseDouble(tokens[3], &bid)) {
         return bad("set_bid needs <paper> <reviewer> <bid>");
       }
       updates.push_back(InstanceUpdate::SetBid(p, r, bid));
     } else if (op == "set_paper_topics" || op == "set_reviewer_topics") {
       int id;
       std::vector<double> topics;
-      if (!read_int(&id) || !read_topics(&topics)) {
+      if (!id_at(1, &id) || !topics_from(2, &topics)) {
         return bad(op + " needs <id> and a topic vector");
       }
       updates.push_back(

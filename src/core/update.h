@@ -194,10 +194,11 @@ Result<ResolveReport> IncrementalResolve(const Instance& instance,
 ///   set_bid <p> <r> <bid>
 ///   set_paper_topics <p> <w0> ... <wT-1>
 ///   set_reviewer_topics <r> <w0> ... <wT-1>
-/// Each field must be a whole token and the line must end after the op's
-/// fields; a topic vector runs to the end of the line. Anything else
-/// ("3abc", "0.5x", a trailing token, a non-numeric weight) fails the
-/// line with kInvalidArgument naming its number.
+/// A line splits on blanks; each field is one token in the number grammar
+/// of common/string_util.h, and the line must end after the op's fields
+/// (a topic vector runs to the end of the line). Anything else ("3abc",
+/// "+3", "0x1", "nan", a trailing token) fails the line with
+/// kInvalidArgument naming its number.
 Result<std::vector<InstanceUpdate>> ParseMutationScript(
     const std::string& text);
 

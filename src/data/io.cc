@@ -1,6 +1,5 @@
 #include "data/io.h"
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -60,28 +59,16 @@ Result<std::vector<std::string>> SplitCsvLine(const std::string& line,
   return fields;
 }
 
-Result<double> ParseDouble(const std::string& field, size_t row) {
-  char* end = nullptr;
-  const double v = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument(
-        StrFormat("row %zu: '%s' is not a number", row, field.c_str()));
-  }
-  return v;
+// Topic weights are finite numbers; ids and h-indexes are whole-field
+// integers in int range ("0.9", "1e10" and "nan" are errors, never a
+// truncated or out-of-range conversion). Both on the number grammar of
+// common/string_util.h.
+Status BadField(size_t row, const std::string& field, const char* is_not) {
+  return Status::InvalidArgument(
+      StrFormat("row %zu: '%s' is %s", row, field.c_str(), is_not));
 }
 
-// Ids and h-indexes are whole-field integers in int range: "0.9", "1e10"
-// and "nan" are errors, never a truncated or out-of-range conversion.
-Result<int> ParseInt(const std::string& field, size_t row) {
-  int v = 0;
-  const char* end = field.data() + field.size();
-  const auto [ptr, ec] = std::from_chars(field.data(), end, v);
-  if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument(StrFormat(
-        "row %zu: '%s' is not an integer in int range", row, field.c_str()));
-  }
-  return v;
-}
+constexpr char kNotAnInt[] = "not an integer in int range";
 
 }  // namespace
 
@@ -138,15 +125,17 @@ Result<RapDataset> DatasetFromCsv(const std::string& csv) {
     WGRAP_RETURN_IF_ERROR(WGRAP_INJECT_FAULT("io.alloc"));
     std::vector<double> topics(num_topics);
     for (int t = 0; t < num_topics; ++t) {
-      auto v = ParseDouble((*fields)[4 + t], row);
-      if (!v.ok()) return v.status();
-      topics[t] = *v;
+      if (!ParseDouble((*fields)[4 + t], &topics[t])) {
+        return BadField(row, (*fields)[4 + t], "not a number");
+      }
     }
     const std::string& kind = (*fields)[0];
     if (kind == "reviewer") {
-      auto h = ParseInt((*fields)[3], row);
-      if (!h.ok()) return h.status();
-      dataset.reviewers.push_back({(*fields)[1], std::move(topics), *h});
+      int h = 0;
+      if (!ParseInt((*fields)[3], &h)) {
+        return BadField(row, (*fields)[3], kNotAnInt);
+      }
+      dataset.reviewers.push_back({(*fields)[1], std::move(topics), h});
     } else if (kind == "paper") {
       dataset.papers.push_back({(*fields)[1], std::move(topics),
                                 (*fields)[2]});
@@ -208,11 +197,15 @@ Result<std::vector<std::pair<int, int>>> AssignmentPairsFromCsv(
       return Status::InvalidArgument(
           StrFormat("row %zu: expected 2 fields", row));
     }
-    auto p = ParseInt((*fields)[0], row);
-    auto r = ParseInt((*fields)[1], row);
-    if (!p.ok()) return p.status();
-    if (!r.ok()) return r.status();
-    pairs.emplace_back(*p, *r);
+    int p = 0;
+    int r = 0;
+    if (!ParseInt((*fields)[0], &p)) {
+      return BadField(row, (*fields)[0], kNotAnInt);
+    }
+    if (!ParseInt((*fields)[1], &r)) {
+      return BadField(row, (*fields)[1], kNotAnInt);
+    }
+    pairs.emplace_back(p, r);
   }
   return pairs;
 }

@@ -1,29 +1,21 @@
 #include "service/protocol.h"
 
-#include <cmath>
 #include <cstdint>
 #include <istream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace wgrap::service {
 
 namespace {
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream stream(line);
-  std::string token;
-  while (stream >> token) tokens.push_back(token);
-  return tokens;
-}
 
 Reply Ok(std::string payload) {
   Reply reply;
@@ -39,37 +31,6 @@ Reply Err(Status status) {
 
 Reply BadArgs(const std::string& message) {
   return Err(Status::InvalidArgument(message));
-}
-
-bool ParseInt64(const std::string& text, int64_t* out) {
-  if (text.empty()) return false;
-  std::size_t pos = 0;
-  try {
-    *out = std::stoll(text, &pos);
-  } catch (...) {
-    return false;
-  }
-  return pos == text.size();
-}
-
-bool ParseInt(const std::string& text, int* out) {
-  int64_t wide = 0;
-  if (!ParseInt64(text, &wide)) return false;
-  *out = static_cast<int>(wide);
-  return *out == wide;
-}
-
-// Finite only: stod accepts "nan" and "inf", which no numeric key (like
-// no registry knob) has a use for — "budget=nan" is not "unlimited".
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  std::size_t pos = 0;
-  try {
-    *out = std::stod(text, &pos);
-  } catch (...) {
-    return false;
-  }
-  return pos == text.size() && std::isfinite(*out);
 }
 
 /// Splits "key=value" tokens (everything after the fixed positional args)
@@ -89,71 +50,37 @@ Status ParseKeyValues(const std::vector<std::string>& tokens,
   return Status::OK();
 }
 
-/// Pops `key` from `kv` into the typed slot; absent keys leave the
-/// default. Type errors surface with the key name.
-Status TakeInt(std::map<std::string, std::string>* kv, const std::string& key,
-               int* out) {
+/// Pops `key` from `kv` through `parse` (common/string_util.h) into the
+/// typed slot; absent keys leave the default. A refused value fails naming
+/// the key and what it must be.
+template <typename T>
+Status Take(std::map<std::string, std::string>* kv, const std::string& key,
+            bool (*parse)(std::string_view, T*), const char* must_be,
+            T* out) {
   auto it = kv->find(key);
   if (it == kv->end()) return Status::OK();
-  if (!ParseInt(it->second, out)) {
-    return Status::InvalidArgument("'" + key + "' must be an integer, got '" +
-                                   it->second + "'");
+  if (!parse(it->second, out)) {
+    return Status::InvalidArgument("'" + key + "' must be " + must_be +
+                                   ", got '" + it->second + "'");
   }
   kv->erase(it);
   return Status::OK();
 }
 
-Status TakeDouble(std::map<std::string, std::string>* kv,
-                  const std::string& key, double* out) {
-  auto it = kv->find(key);
-  if (it == kv->end()) return Status::OK();
-  if (!ParseDouble(it->second, out)) {
-    return Status::InvalidArgument("'" + key +
-                                   "' must be a finite number, got '" +
-                                   it->second + "'");
-  }
-  kv->erase(it);
-  return Status::OK();
+// The keys submit and resolve share; the first refused one wins.
+Status TakeBudgetAndSeed(std::map<std::string, std::string>* kv,
+                         double* budget, uint64_t* seed) {
+  WGRAP_RETURN_IF_ERROR(
+      Take(kv, "budget", core::ParseTimeLimit, "a finite number", budget));
+  return Take(kv, "seed", ParseUint64, "a non-negative integer", seed);
 }
 
-Status TakeUint64(std::map<std::string, std::string>* kv,
-                  const std::string& key, uint64_t* out) {
+void TakeString(std::map<std::string, std::string>* kv, const std::string& key,
+                std::string* out) {
   auto it = kv->find(key);
-  if (it == kv->end()) return Status::OK();
-  int64_t value = 0;
-  if (!ParseInt64(it->second, &value) || value < 0) {
-    return Status::InvalidArgument("'" + key +
-                                   "' must be a non-negative integer, got '" +
-                                   it->second + "'");
-  }
-  *out = static_cast<uint64_t>(value);
-  kv->erase(it);
-  return Status::OK();
-}
-
-Status TakeBool(std::map<std::string, std::string>* kv, const std::string& key,
-                bool* out) {
-  auto it = kv->find(key);
-  if (it == kv->end()) return Status::OK();
-  if (it->second == "true") {
-    *out = true;
-  } else if (it->second == "false") {
-    *out = false;
-  } else {
-    return Status::InvalidArgument("'" + key + "' must be true or false, got '" +
-                                   it->second + "'");
-  }
-  kv->erase(it);
-  return Status::OK();
-}
-
-Status TakeString(std::map<std::string, std::string>* kv,
-                  const std::string& key, std::string* out) {
-  auto it = kv->find(key);
-  if (it == kv->end()) return Status::OK();
+  if (it == kv->end()) return;
   *out = it->second;
   kv->erase(it);
-  return Status::OK();
 }
 
 std::string SessionLine(const SessionInfo& info) {
@@ -181,25 +108,19 @@ Reply HandleOpen(ServiceApi& api, const std::vector<std::string>& tokens,
   if (Status parsed = ParseKeyValues(tokens, 2, &kv); !parsed.ok()) {
     return Err(parsed);
   }
-  if (Status taken = TakeInt(&kv, "dp", &request.params.group_size);
-      !taken.ok()) {
-    return Err(taken);
-  }
-  if (Status taken = TakeInt(&kv, "dr", &request.params.reviewer_workload);
-      !taken.ok()) {
-    return Err(taken);
+  for (const Status& taken :
+       {Take(&kv, "dp", ParseInt, "an integer", &request.params.group_size),
+        Take(&kv, "dr", ParseInt, "an integer",
+             &request.params.reviewer_workload)}) {
+    if (!taken.ok()) return Err(taken);
   }
   std::string scoring = "c";
-  if (Status taken = TakeString(&kv, "scoring", &scoring); !taken.ok()) {
-    return Err(taken);
-  }
+  TakeString(&kv, "scoring", &scoring);
   auto parsed_scoring = core::ParseScoringFunction(scoring);
   if (!parsed_scoring.ok()) return Err(parsed_scoring.status());
   request.params.scoring = *parsed_scoring;
   std::string topics = "dense";
-  if (Status taken = TakeString(&kv, "topics", &topics); !taken.ok()) {
-    return Err(taken);
-  }
+  TakeString(&kv, "topics", &topics);
   auto sparse_topics = core::ParseTopicsMode(topics);
   if (!sparse_topics.ok()) return Err(sparse_topics.status());
   request.params.sparse_topics = *sparse_topics;
@@ -224,33 +145,25 @@ Reply HandleSubmit(ServiceApi& api, const std::vector<std::string>& tokens) {
   if (Status parsed = ParseKeyValues(tokens, 4, &kv); !parsed.ok()) {
     return Err(parsed);
   }
-  if (Status taken = TakeDouble(&kv, "budget", &request.time_limit_seconds);
-      !taken.ok()) {
-    return Err(taken);
-  }
-  if (Status taken = TakeUint64(&kv, "seed", &request.seed); !taken.ok()) {
-    return Err(taken);
-  }
-  if (Status taken = TakeBool(&kv, "install", &request.install); !taken.ok()) {
-    return Err(taken);
+  for (const Status& taken :
+       {TakeBudgetAndSeed(&kv, &request.time_limit_seconds, &request.seed),
+        Take(&kv, "install", ParseBool, "true/false, 1/0 or on/off",
+             &request.install)}) {
+    if (!taken.ok()) return Err(taken);
   }
   if (kind == "solve") {
     request.kind = core::SolverRequest::Kind::kSolveCra;
   } else if (kind == "refine") {
     request.kind = core::SolverRequest::Kind::kRefineCra;
   } else if (kind == "jra") {
-    bool has_paper = kv.count("paper") != 0;
-    if (!has_paper) return BadArgs("jra requires paper=<id>");
-    if (Status taken = TakeInt(&kv, "paper", &request.paper); !taken.ok()) {
-      return Err(taken);
-    }
-    if (kv.count("topk") != 0) {
-      request.kind = core::SolverRequest::Kind::kSolveJraTopK;
-      if (Status taken = TakeInt(&kv, "topk", &request.k); !taken.ok()) {
-        return Err(taken);
-      }
-    } else {
-      request.kind = core::SolverRequest::Kind::kSolveJra;
+    if (kv.count("paper") == 0) return BadArgs("jra requires paper=<id>");
+    request.kind = kv.count("topk") != 0
+                       ? core::SolverRequest::Kind::kSolveJraTopK
+                       : core::SolverRequest::Kind::kSolveJra;
+    for (const Status& taken :
+         {Take(&kv, "paper", ParseInt, "an integer", &request.paper),
+          Take(&kv, "topk", ParseInt, "an integer", &request.k)}) {
+      if (!taken.ok()) return Err(taken);
     }
   } else {
     return BadArgs("unknown submit kind '" + kind +
@@ -272,11 +185,9 @@ Reply HandleResolve(ServiceApi& api, const std::vector<std::string>& tokens) {
   if (Status parsed = ParseKeyValues(tokens, 2, &kv); !parsed.ok()) {
     return Err(parsed);
   }
-  if (Status taken = TakeDouble(&kv, "budget", &request.time_limit_seconds);
+  if (Status taken =
+          TakeBudgetAndSeed(&kv, &request.time_limit_seconds, &request.seed);
       !taken.ok()) {
-    return Err(taken);
-  }
-  if (Status taken = TakeUint64(&kv, "seed", &request.seed); !taken.ok()) {
     return Err(taken);
   }
   // Protocol sugar: `refine=sra` reads better on the wire than the
@@ -498,7 +409,7 @@ void ServeStream(std::istream& in, std::ostream& out, ServiceApi& api,
             std::string::npos &&
         marker + 3 < line.size()) {
       int64_t size = 0;
-      if (!ParseInt64(line.substr(marker + 3), &size) || size < 0) {
+      if (!ParseInt64(std::string_view(line).substr(marker + 3), &size)) {
         reply = BadArgs("bad payload size in '" + line + "'");
         framed_ok = false;
       } else if (size > options.max_payload_bytes) {

@@ -42,6 +42,10 @@
 //   failpoints clear
 //   quit
 //
+// Every number key (dp, dr, paper, topk, budget, seed, install, knobs)
+// reads the one grammar of common/string_util.h: budget=S is seconds >= 0
+// (0 = unlimited), seed=N any uint64, install=true|1|on|false|0|off.
+//
 // Degradation: a `<<N` payload larger than ServeOptions::max_payload_bytes
 // is refused with `err InvalidArgument` *without reading the N bytes* —
 // the connection survives, but any payload bytes a client sends anyway

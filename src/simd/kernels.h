@@ -22,8 +22,7 @@
 //    NaN and signed-zero behavior: min lanes use VMINPD, whose
 //    (a < b) ? a : b semantics equal TopicContribution's kWeightedCoverage
 //    ternary; predicated lanes use the exact predicate complement
-//    (_CMP_NLE_UQ for `!(a <= b)`, _CMP_GE_OQ for `a >= b`); max folds use
-//    compare+blend, NOT VMAXPD (which differs from std::max on ±0.0/NaN).
+//    (_CMP_NLE_UQ for `!(a <= b)`, _CMP_GE_OQ for `a >= b`).
 //  * Integer kernels (top-two scans, filters, the JV relax and min) are
 //    exact by nature; selections tie to the lowest index, matching the
 //    scalar scan order. JvRelax's int64 sum wraps (two's complement) in
@@ -71,7 +70,6 @@ inline constexpr int64_t kJvParked = std::numeric_limits<int64_t>::min();
 // (WGRAP_SIMD_HAVE_AVX2). Call the dispatched wrappers below unless you
 // are the equivalence test.
 namespace scalar {
-void MaxFold(double* acc, const double* v, int n);
 double ScoreSum(core::ScoringFunction f, const double* expertise,
                 const double* paper, int n);
 double MarginalGainSum(core::ScoringFunction f, const double* group,
@@ -88,7 +86,6 @@ int64_t JvMinDist(const int64_t* dist, int n);
 
 #if defined(WGRAP_SIMD_HAVE_AVX2)
 namespace avx2 {
-void MaxFold(double* acc, const double* v, int n);
 double ScoreSum(core::ScoringFunction f, const double* expertise,
                 const double* paper, int n);
 double MarginalGainSum(core::ScoringFunction f, const double* group,
@@ -103,15 +100,6 @@ void JvRelax(const int64_t* row, const int64_t* v, int64_t* dist, int* pred,
 int64_t JvMinDist(const int64_t* dist, int n);
 }  // namespace avx2
 #endif  // WGRAP_SIMD_HAVE_AVX2
-
-/// acc[t] = std::max(acc[t], v[t]) for t in [0, n) — the Definition 2
-/// group max fold over dense rows (core::Assignment, GainCache).
-inline void MaxFold(double* acc, const double* v, int n) {
-#if defined(WGRAP_SIMD_HAVE_AVX2)
-  if (UseAvx2()) return avx2::MaxFold(acc, v, n);
-#endif
-  scalar::MaxFold(acc, v, n);
-}
 
 /// Σ_t TopicContribution(f, expertise[t], paper[t]), summed strictly in
 /// ascending t — the un-normalized core of core::ScoreVectors (the caller

@@ -14,33 +14,6 @@
 namespace wgrap::simd {
 namespace avx2 {
 
-namespace {
-
-// Lane-wise std::max(acc, v) = (acc < v) ? v : acc. VMAXPD is NOT this
-// function (it returns the second operand on ±0.0 ties and propagates
-// NaN differently), so build it from the exact predicate + blend.
-inline __m256d LaneStdMax(__m256d acc, __m256d v) {
-  const __m256d lt = _mm256_cmp_pd(acc, v, _CMP_LT_OQ);
-  return _mm256_blendv_pd(acc, v, lt);
-}
-
-}  // namespace
-
-void MaxFold(double* acc, const double* v, int n) {
-  int t = 0;
-  for (; t + 8 <= n; t += 8) {
-    _mm256_storeu_pd(
-        acc + t, LaneStdMax(_mm256_loadu_pd(acc + t), _mm256_loadu_pd(v + t)));
-    _mm256_storeu_pd(acc + t + 4, LaneStdMax(_mm256_loadu_pd(acc + t + 4),
-                                             _mm256_loadu_pd(v + t + 4)));
-  }
-  for (; t + 4 <= n; t += 4) {
-    _mm256_storeu_pd(
-        acc + t, LaneStdMax(_mm256_loadu_pd(acc + t), _mm256_loadu_pd(v + t)));
-  }
-  for (; t < n; ++t) acc[t] = std::max(acc[t], v[t]);
-}
-
 double ScoreSum(core::ScoringFunction f, const double* expertise,
                 const double* paper, int n) {
   using core::ScoringFunction;

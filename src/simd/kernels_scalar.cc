@@ -12,10 +12,6 @@ namespace wgrap::simd {
 
 namespace scalar {
 
-void MaxFold(double* acc, const double* v, int n) {
-  for (int t = 0; t < n; ++t) acc[t] = std::max(acc[t], v[t]);
-}
-
 double ScoreSum(core::ScoringFunction f, const double* expertise,
                 const double* paper, int n) {
   using core::ScoringFunction;

@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/matrix.h"
 #include "common/rng.h"
@@ -204,6 +211,116 @@ TEST(StringUtilTest, HumanSeconds) {
   EXPECT_EQ(HumanSeconds(2.2), "2.20 s");
   EXPECT_EQ(HumanSeconds(45.6 * 60), "45.6 min");
   EXPECT_EQ(HumanSeconds(5.1 * 3600), "5.1 h");
+}
+
+TEST(StringUtilTest, SplitTokensDropsEveryRunOfBlanks) {
+  EXPECT_EQ(SplitTokens("  submit s\tsolve  sdga\r\n"),
+            (std::vector<std::string>{"submit", "s", "solve", "sdga"}));
+  EXPECT_TRUE(SplitTokens("").empty());
+  EXPECT_TRUE(SplitTokens(" \t\v\f ").empty());
+}
+
+// The one number grammar (std::from_chars rules): each table lists the
+// spellings a parser takes and the ones it refuses, and a refusal leaves
+// the output untouched.
+template <typename T>
+void ExpectGrammar(bool (*parse)(std::string_view, T*),
+                   const std::vector<std::pair<std::string, T>>& accepted,
+                   const std::vector<std::string>& rejected) {
+  for (const auto& [text, want] : accepted) {
+    T got{};
+    EXPECT_TRUE(parse(text, &got)) << "'" << text << "'";
+    EXPECT_EQ(got, want) << "'" << text << "'";
+  }
+  for (const std::string& text : rejected) {
+    T got = accepted.front().second;
+    EXPECT_FALSE(parse(text, &got)) << "'" << text << "'";
+    EXPECT_EQ(got, accepted.front().second) << "'" << text << "'";
+  }
+}
+
+// Refused by every number parser: empty, blanks, '+', hex, trailing junk.
+const std::vector<std::string> kNeverANumber = {
+    "", " ", " 1", "1 ", "\t1", "+1", "0x10", "1x", "1,5", "abc", "-", "--1"};
+
+std::vector<std::string> With(std::vector<std::string> more) {
+  more.insert(more.end(), kNeverANumber.begin(), kNeverANumber.end());
+  return more;
+}
+
+TEST(StringUtilTest, ParseIntTable) {
+  ExpectGrammar<int>(ParseInt,
+                     {{"42", 42},
+                      {"0", 0},
+                      {"-0", 0},
+                      {"007", 7},
+                      {"-17", -17},
+                      {"2147483647", 2147483647},
+                      {"-2147483648", -2147483647 - 1}},
+                     With({"2147483648", "-2147483649", "99999999999", "1.5",
+                           "1e3", "nan", "inf"}));
+}
+
+TEST(StringUtilTest, ParseInt64Table) {
+  ExpectGrammar<int64_t>(
+      ParseInt64,
+      {{"42", 42},
+       {"-5", -5},
+       {"9223372036854775807", INT64_MAX},
+       {"-9223372036854775808", INT64_MIN}},
+      With({"9223372036854775808", "-9223372036854775809", "1.0", "nan"}));
+}
+
+TEST(StringUtilTest, ParseUint64Table) {
+  ExpectGrammar<uint64_t>(
+      ParseUint64,
+      {{"42", 42},
+       {"0", 0},
+       {"18446744073709551615", UINT64_MAX}},
+      With({"-1", "-0", "18446744073709551616", "1.0", "1e3", "nan"}));
+}
+
+TEST(StringUtilTest, ParseDoubleTable) {
+  ExpectGrammar<double>(
+      ParseDouble,
+      {{"2.25", 2.25},
+       {"-0.5", -0.5},
+       {"1e-05", 1e-05},
+       {"1E3", 1000.0},
+       {".5", 0.5},
+       {"1.", 1.0},
+       {"0.10000000000000001", 0.1},
+       {"1.7976931348623157e+308", 1.7976931348623157e+308}},
+      With({"nan", "-nan", "NAN", "inf", "-inf", "infinity", "1e400",
+            "-1e400", "1e-400", "1e", "1e+", "0x1p3", ".", "1..2"}));
+}
+
+TEST(StringUtilTest, ParseBoolTable) {
+  ExpectGrammar<bool>(ParseBool,
+                      {{"true", true},
+                       {"1", true},
+                       {"on", true},
+                       {"false", false},
+                       {"0", false},
+                       {"off", false}},
+                      {"", "yes", "no", "TRUE", "On", " 1", "1 ", "2", "-1",
+                       "+1", "0x1", "truefalse"});
+}
+
+// Every spelling the repo's writers emit (%.17g in DatasetToCsv, ostream
+// precision 17 in InstanceUpdate::ToString) reads back to the same bits.
+TEST(StringUtilTest, ParseDoubleRoundTripsSeventeenDigits) {
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    const double v = i < 1000 ? rng.NextDouble()
+                              : std::ldexp(rng.NextDouble(), i % 600 - 300);
+    double back = -1.0;
+    ASSERT_TRUE(ParseDouble(StrFormat("%.17g", v), &back)) << v;
+    ASSERT_EQ(std::memcmp(&back, &v, sizeof(v)), 0) << StrFormat("%.17g", v);
+  }
+  double subnormal = 0.0;
+  ASSERT_TRUE(ParseDouble("4.9406564584124654e-324", &subnormal));
+  EXPECT_EQ(subnormal, std::numeric_limits<double>::denorm_min());
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

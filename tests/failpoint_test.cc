@@ -120,6 +120,10 @@ TEST_F(FailpointTest, MalformedSpecsAreRejected) {
   EXPECT_EQ(Arm("s", "delay:abc").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Arm("s", "delay:-1").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Arm("s", "delay:999999").code(), StatusCode::kInvalidArgument);
+  // The delay is a whole base-10 token: no sign, blank or hex.
+  for (const char* spec : {"delay:+5", "delay: 5", "delay:0x5", "delay:"}) {
+    EXPECT_EQ(Arm("s", spec).code(), StatusCode::kInvalidArgument) << spec;
+  }
   EXPECT_EQ(Arm("", "error").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(ArmList("noequals").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(ArmList("=error").code(), StatusCode::kInvalidArgument);

@@ -1,6 +1,9 @@
 #include "fuzz_util.h"
 
+#include <iterator>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/matrix.h"
 #include "common/rng.h"
@@ -69,6 +72,60 @@ std::vector<double> RandomTopics(Rng* rng, int T) {
   }
   v[rng->NextInt(0, T - 1)] += 0.25;
   return v;
+}
+
+std::string Mangle(const std::string& text, Rng* rng) {
+  static const char kChars[] = "0123456789+-.eExX ,#=\tn";
+  static const char* const kTokens[] = {
+      "",    "+1",   " 1",  "1 ",   "0x10",   "1e400", "-1e400", "1e-400",
+      "nan", "-inf", "-1",  "-0",   "007",    "1.5",   "1e",     "on",
+      "2147483648", "9223372036854775808", "18446744073709551616"};
+  const auto pick = [rng](size_t n) {
+    return static_cast<size_t>(rng->NextBounded(n));
+  };
+  std::string out = text;
+  const int edit = rng->NextInt(0, 5);
+  switch (edit) {
+    case 0:  // replace a character
+      if (!out.empty()) {
+        out[pick(out.size())] = kChars[pick(sizeof(kChars) - 1)];
+      }
+      break;
+    case 1:  // insert a character
+      out.insert(out.begin() + pick(out.size() + 1),
+                 kChars[pick(sizeof(kChars) - 1)]);
+      break;
+    case 2:  // delete a character
+      if (!out.empty()) out.erase(pick(out.size()), 1);
+      break;
+    case 3:    // swap a token for a hostile spelling
+    case 4: {  // or double it
+      std::vector<std::pair<size_t, size_t>> tokens;  // [begin, end)
+      for (size_t i = 0; i < out.size();) {
+        if (out[i] == ' ' || out[i] == ',' || out[i] == '=') {
+          ++i;
+          continue;
+        }
+        const size_t begin = i;
+        while (i < out.size() && out[i] != ' ' && out[i] != ',' &&
+               out[i] != '=') {
+          ++i;
+        }
+        tokens.emplace_back(begin, i);
+      }
+      if (tokens.empty()) break;
+      const auto [begin, end] = tokens[pick(tokens.size())];
+      const std::string token = out.substr(begin, end - begin);
+      out.replace(begin, end - begin,
+                  edit == 3 ? std::string(kTokens[pick(std::size(kTokens))])
+                            : token + " " + token);
+      break;
+    }
+    default:  // cut the line short
+      out.resize(pick(out.size() + 1));
+      break;
+  }
+  return out;
 }
 
 }  // namespace wgrap::core

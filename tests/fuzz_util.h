@@ -6,10 +6,12 @@
 // are drawn from Rng(seed ^ 0xc01), papers outer / reviewers inner, and a
 // zero conflict_rate (or with_bids=false) consumes no draws at all —
 // changing any of that silently reshuffles every case of both suites.
+// Mangle is the text-side twin for the parser fuzzer (parser_fuzz_test.cc).
 #ifndef WGRAP_TESTS_FUZZ_UTIL_H_
 #define WGRAP_TESTS_FUZZ_UTIL_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -56,6 +58,13 @@ Result<Instance> MakeFuzzInstance(const FuzzInstanceConfig& config);
 /// (each topic nonzero with probability 0.4, plus 0.25 on one topic), so
 /// its mass is always positive and it is valid for every topic update.
 std::vector<double> RandomTopics(Rng* rng, int T);
+
+/// One seeded edit of a valid input line: a character replaced, inserted
+/// or deleted, a blank-separated token swapped for a hostile spelling
+/// ("+1", " 1", "0x10", "1e400", "nan", "-1", "18446744073709551616", ...)
+/// or doubled, or the line cut short. Never calls the rng with an empty
+/// range, so any text (the empty line included) is a valid input.
+std::string Mangle(const std::string& text, Rng* rng);
 
 }  // namespace wgrap::core
 

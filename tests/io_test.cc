@@ -142,5 +142,28 @@ TEST(DatasetCsvTest, RejectsNonIntegerHIndex) {
                   .ok());
 }
 
+// Topic weights and h-indexes follow the one number grammar
+// (common/string_util.h): a leading blank, a '+', hex or a non-finite
+// value fails the row that holds it.
+TEST(DatasetCsvTest, NumberFieldsAreWholeBaseTenTokens) {
+  const std::string header = "kind,name,venue,h_index,t0,t1\n";
+  for (const char* bad : {" 0.5", "0.5 ", "+0.5", "0x1", "nan", "inf",
+                          "1e400"}) {
+    const auto parsed = DatasetFromCsv(header + "reviewer,x,,1,0.5," + bad +
+                                       "\npaper,y,v,0,0.5,0.5\n");
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().message(),
+              std::string("row 2: '") + bad + "' is not a number");
+  }
+  for (const char* bad : {"+1", " 1", "0x1"}) {
+    const auto parsed = DatasetFromCsv(header + "reviewer,x,," + bad +
+                                       ",0.5,0.5\npaper,y,v,0,0.5,0.5\n");
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().message(),
+              std::string("row 2: '") + bad +
+                  "' is not an integer in int range");
+  }
+}
+
 }  // namespace
 }  // namespace wgrap::data

@@ -457,15 +457,20 @@ TEST(KnobSchemaTest, ParseKnobValueAcceptsExactlyTheTypedSpellings) {
   EXPECT_EQ(std::get<int>(*core::ParseKnobValue(count, "42")), 42);
   EXPECT_EQ(core::ParseKnobValue(count, "text").status().code(),
             StatusCode::kInvalidArgument);
-  // Values outside int range are rejected, not truncated.
-  EXPECT_EQ(core::ParseKnobValue(count, "4294967297").status().code(),
-            StatusCode::kInvalidArgument);
+  // Values outside int range are rejected, not truncated, and so is any
+  // spelling outside the one number grammar (sign, blank, hex).
+  for (const char* bad : {"4294967297", "+42", " 42", "42 ", "0x2a"}) {
+    EXPECT_EQ(core::ParseKnobValue(count, bad).status().message(),
+              std::string("option 'count': '") + bad +
+                  "' is not an integer in range");
+  }
 
   core::KnobSpec rate;
   rate.name = "rate";
   rate.type = core::KnobType::kDouble;
   EXPECT_EQ(std::get<double>(*core::ParseKnobValue(rate, "2.25")), 2.25);
-  for (const char* bad : {"text", "nan", "inf", "-inf"}) {
+  for (const char* bad : {"text", "nan", "inf", "-inf", "+2.25", " 2.25",
+                          "0x1p3", "1e400"}) {
     auto value = core::ParseKnobValue(rate, bad);
     EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument) << bad;
     EXPECT_NE(value.status().message().find("'rate'"), std::string::npos);

@@ -251,6 +251,114 @@ TEST(ProtocolTest, NonFiniteBudgetIsRejected) {
                 Ok("pong\n"));
 }
 
+// A negative budget is as invalid as a non-finite one (0 stays
+// "unlimited"), on submit and resolve alike, and every number key takes
+// one whole base-10 token.
+TEST(ProtocolTest, NegativeBudgetAndSignedSpellingsAreRejected) {
+  auto dataset = core::MakeFuzzDataset(Config());
+  ASSERT_TRUE(dataset.ok());
+  const std::string csv = data::DatasetToCsv(*dataset);
+  std::string script;
+  Send(&script, "open conf dp=+3", csv);
+  Send(&script, "open conf dp=3", csv);
+  script += "submit conf solve greedy budget=-5\n";
+  script += "resolve conf budget=-0.5\n";
+  script += "submit conf jra bba paper=0x1\n";
+  script += "submit conf solve greedy budget=0\n";
+  script += "ping\n";
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  api.jobs().Drain();
+  EXPECT_EQ(out.str(),
+            Err(StatusCode::kInvalidArgument,
+                "'dp' must be an integer, got '+3'") +
+                Ok("session conf v1 P=8 R=12 T=10 unassigned\n") +
+                Err(StatusCode::kInvalidArgument,
+                    "'budget' must be a finite number, got '-5'") +
+                Err(StatusCode::kInvalidArgument,
+                    "'budget' must be a finite number, got '-0.5'") +
+                Err(StatusCode::kInvalidArgument,
+                    "'paper' must be an integer, got '0x1'") +
+                Ok("job 1\n") + Ok("pong\n"));
+}
+
+// Seeds are unsigned over the whole uint64 range, like the CLI's --seed, so
+// any CLI run replays through serve; a sign or a wrap is refused.
+TEST(ProtocolTest, SeedsTakeTheFullUnsignedRange) {
+  auto dataset = core::MakeFuzzDataset(Config());
+  ASSERT_TRUE(dataset.ok());
+  auto instance =
+      core::Instance::FromDataset(*dataset, core::MakeFuzzParams(Config()));
+  ASSERT_TRUE(instance.ok());
+  core::SolverRunOptions options;
+  options.seed = UINT64_MAX;
+  auto solved =
+      core::SolverRegistry::Default().SolveCra("sdga-sra", *instance, options);
+  ASSERT_TRUE(solved.ok());
+
+  std::string script;
+  Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
+  script += "submit conf solve sdga-sra seed=18446744073709551615\n";
+  script += "wait 1\n";
+  script += "submit conf solve sdga-sra seed=-1\n";
+  script += "resolve conf seed=+1\n";
+  script += "submit conf solve sdga-sra seed=18446744073709551616\n";
+  script += "ping\n";
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  const auto refused = [](const std::string& seed) {
+    return Err(StatusCode::kInvalidArgument,
+               "'seed' must be a non-negative integer, got '" + seed + "'");
+  };
+  EXPECT_EQ(out.str(),
+            Ok("session conf v1 P=8 R=12 T=10 unassigned\n") +
+                Ok("job 1\n") +
+                Ok(SolveReportLine("sdga-sra", *instance, *solved, "")) +
+                refused("-1") + refused("+1") +
+                refused("18446744073709551616") + Ok("pong\n"));
+}
+
+// install takes the bool spellings every bool knob takes.
+TEST(ProtocolTest, InstallTakesTheKnobBoolSpellings) {
+  auto dataset = core::MakeFuzzDataset(Config());
+  ASSERT_TRUE(dataset.ok());
+  std::string script;
+  Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
+  script += "submit conf solve greedy install=0\n";
+  script += "wait 1\n";
+  script += "sessions\n";
+  script += "submit conf solve greedy install=on\n";
+  script += "wait 2\n";
+  script += "sessions\n";
+  script += "submit conf solve greedy install=yes\n";
+  script += "ping\n";
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  const std::string reply = out.str();
+  const size_t kept = reply.find("session conf v1 P=8 R=12 T=10 unassigned\n",
+                                 reply.find("job 1\n"));
+  const size_t installed =
+      reply.find("session conf v2 P=8 R=12 T=10 assigned\n");
+  EXPECT_NE(kept, std::string::npos) << reply;
+  EXPECT_NE(installed, std::string::npos) << reply;
+  EXPECT_LT(kept, installed) << reply;
+  EXPECT_NE(reply.find(Err(StatusCode::kInvalidArgument,
+                           "'install' must be true/false, 1/0 or on/off, "
+                           "got 'yes'") +
+                       Ok("pong\n")),
+            std::string::npos)
+      << reply;
+}
+
 // Regression: BBA top-k prunes nothing until it holds k groups, so
 // topk=1000000000 used to enumerate and store every C(R, dp) group (209 MB
 // and a 1.1M-line reply on a 189-reviewer pool). The registry caps k at

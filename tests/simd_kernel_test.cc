@@ -97,25 +97,6 @@ constexpr int kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17,
 
 #if defined(WGRAP_SIMD_HAVE_AVX2)
 
-TEST(SimdKernelTest, MaxFoldBackendsAreByteIdentical) {
-  Rng rng(1);
-  for (const int n : kLengths) {
-    for (int rep = 0; rep < 20; ++rep) {
-      const std::vector<double> acc0 = NastyVector(n, &rng);
-      const std::vector<double> v = NastyVector(n, &rng);
-      std::vector<double> a = acc0;
-      std::vector<double> b = acc0;
-      scalar::MaxFold(a.data(), v.data(), n);
-      avx2::MaxFold(b.data(), v.data(), n);
-      for (int t = 0; t < n; ++t) {
-        ASSERT_EQ(Bits(a[t]), Bits(b[t]))
-            << "n=" << n << " rep=" << rep << " t=" << t << " acc=" << acc0[t]
-            << " v=" << v[t];
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, ScoreSumBackendsAreByteIdentical) {
   Rng rng(2);
   for (const auto f : kAllFunctions) {

@@ -844,7 +844,10 @@ TEST(ParseMutationScriptTest, DiagnosesBadLinesByNumber) {
   for (const char* line :
        {"remove_paper 3abc", "set_coi 1 2 on off", "set_bid 1 2 0.5x",
         "remove_reviewer 4 5", "add_paper 0.1 0.2 junk 0.3",
-        "set_paper_topics 1 0.5 0.5x"}) {
+        "set_paper_topics 1 0.5 0.5x",
+        // Fields follow the one number grammar: no '+', hex or nan.
+        "remove_paper +3", "set_bid 1 2 +0.5", "set_coi 0x1 2 on",
+        "add_paper 0.5 nan", "set_reviewer_topics 1 0.5 1e400"}) {
     SCOPED_TRACE(line);
     auto parsed =
         ParseMutationScript(std::string("remove_paper 1\n") + line + "\n");

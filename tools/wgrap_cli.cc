@@ -73,6 +73,10 @@
 //      and already-printed ones are skipped, so the output stream stays
 //      identical to an uninterrupted watch. err replies are not retried.)
 //
+// Numeric flags read the one grammar of common/string_util.h (whole
+// base-10 tokens; --seed and --max-payload unsigned; --budget seconds >= 0,
+// 0 = unlimited); a bad value exits 2 naming the flag.
+//
 // Note: `--topics` means the scoring-kernel selector (dense or CSR-sparse,
 // bit-identical output) on solve/jra/update, but the topic *count* T on
 // generate.
@@ -82,9 +86,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -95,9 +97,11 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/api.h"
@@ -137,33 +141,33 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  // The numeric getters are strict: a malformed value exits 2 naming the
-  // flag instead of silently meaning 0 ("--budget abc" is not "unlimited").
+  // The numeric getters are strict (common/string_util.h): a malformed
+  // value exits 2 naming the flag instead of silently meaning 0
+  // ("--budget abc" is not "unlimited").
   int GetInt(const std::string& name, int fallback) const {
-    const long long v = Strict<long long>(
-        name, fallback, "integer",
-        [](const char* s, char** end) { return std::strtoll(s, end, 10); });
-    if (v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max()) {
-      Invalid(name, "integer");
-    }
-    return static_cast<int>(v);
+    return Get(name, fallback, ParseInt, "integer");
   }
 
   double GetDouble(const std::string& name, double fallback) const {
-    const double v = Strict<double>(
-        name, fallback, "number",
-        [](const char* s, char** end) { return std::strtod(s, end); });
-    // strtod accepts "nan" and "inf"; like the registry's numeric knobs,
-    // no flag has a use for either ("--budget nan" is not "unlimited").
-    if (!std::isfinite(v)) Invalid(name, "finite number");
-    return v;
+    return Get(name, fallback, ParseDouble, "number");
   }
 
   uint64_t GetUint64(const std::string& name, uint64_t fallback) const {
-    return Strict<uint64_t>(
-        name, fallback, "unsigned integer",
-        [](const char* s, char** end) { return std::strtoull(s, end, 10); });
+    return Get(name, fallback, ParseUint64, "unsigned integer");
+  }
+
+  double GetBudget() const {
+    return Get("budget", 0.0, core::ParseTimeLimit, "number");
+  }
+
+  // Unsigned, and at most int64's max, the type that holds a byte count.
+  int64_t GetByteCount(const std::string& name, int64_t fallback) const {
+    const uint64_t bytes = Get(name, static_cast<uint64_t>(fallback),
+                               ParseUint64, "byte count");
+    if (bytes > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+      Invalid(name, "byte count");
+    }
+    return static_cast<int64_t>(bytes);
   }
 
   std::string Require(const std::string& name) const {
@@ -176,18 +180,14 @@ class Flags {
   }
 
  private:
-  template <typename T, typename Parse>
-  T Strict(const std::string& name, T fallback, const char* what,
-           Parse parse) const {
+  template <typename T>
+  T Get(const std::string& name, T fallback,
+        bool (*parse)(std::string_view, T*), const char* what) const {
     auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    errno = 0;
-    char* end = nullptr;
-    const T v = parse(it->second.c_str(), &end);
-    if (errno != 0 || end == it->second.c_str() || *end != '\0') {
-      Invalid(name, what);
-    }
-    return v;
+    T value = fallback;
+    if (!parse(it->second, &value)) Invalid(name, what);
+    return value;
   }
 
   [[noreturn]] void Invalid(const std::string& name, const char* what) const {
@@ -298,7 +298,7 @@ core::Assignment LoadAssignmentOrDie(const core::Instance& instance,
 
 int CmdGenerate(const Flags& flags) {
   data::SyntheticDblpConfig config;
-  config.seed = flags.GetInt("seed", 42);
+  config.seed = flags.GetUint64("seed", config.seed);
   config.num_topics = flags.GetInt("topics", 30);
   config.topic_density = flags.GetDouble("density", config.topic_density);
   Result<data::RapDataset> dataset = Status::Internal("unset");
@@ -360,7 +360,7 @@ int CmdSolve(const Flags& flags) {
   // turn slow-but-finishing runs into failures. sdga-sra/sdga-ls terminate
   // on their own convergence criteria; --budget caps their refinement.
   core::SolverRunOptions options;
-  options.time_limit_seconds = flags.GetDouble("budget", 0.0);
+  options.time_limit_seconds = flags.GetBudget();
   options.seed = flags.GetUint64("seed", 20150531);
   // Results are bit-identical for any --threads value at a fixed --seed.
   options.extra = KnobFlags(flags);
@@ -514,7 +514,7 @@ int CmdUpdate(const Flags& flags) {
   std::printf("%s", service::MutationReport(*report, instance).c_str());
 
   core::SolverRunOptions options;
-  options.time_limit_seconds = flags.GetDouble("budget", 0.0);
+  options.time_limit_seconds = flags.GetBudget();
   options.seed = flags.GetUint64("seed", 20150531);
   options.extra = KnobFlags(flags);
   // --refine is the one alias, like the protocol's `resolve refine=`.
@@ -595,9 +595,8 @@ int CmdServe(const Flags& flags) {
   options.max_results = flags.GetInt("results", 64);
   options.max_queue_depth = flags.GetInt("max-queue", 0);
   service::ServeOptions serve_options;
-  serve_options.max_payload_bytes = static_cast<int64_t>(flags.GetUint64(
-      "max-payload",
-      static_cast<uint64_t>(serve_options.max_payload_bytes)));
+  serve_options.max_payload_bytes =
+      flags.GetByteCount("max-payload", serve_options.max_payload_bytes);
   service::ServiceApi api(options);
   const int port = flags.GetInt("port", -1);
   if (port >= 0) {
@@ -709,16 +708,16 @@ int CmdWatch(const Flags& flags) {
           }
           const bool ok = header.rfind("ok ", 0) == 0;
           const std::size_t size_at = header.rfind(' ');
-          if (size_at == std::string::npos) {
+          uint64_t size = 0;
+          if (size_at == std::string::npos ||
+              !ParseUint64(std::string_view(header).substr(size_at + 1),
+                           &size)) {
             std::fprintf(stderr, "watch: malformed reply header '%s'\n",
                          header.c_str());
             ::close(fd);
             return 1;
           }
-          const long long size =
-              std::atoll(header.c_str() + size_at + 1);
-          std::string payload(static_cast<std::size_t>(size < 0 ? 0 : size),
-                              '\0');
+          std::string payload(size, '\0');
           if (size > 0 && !ReadExactly(fd, payload.data(), payload.size())) {
             transient = true;
             break;

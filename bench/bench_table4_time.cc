@@ -1,12 +1,7 @@
 // Table 4 of the paper: response time (s) of the approximate CRA methods on
 // the Databases and Data Mining 2008 conferences, for δ = 3 and δ = 5.
 // Pass "--threads N" to fan the BRGG/SDGA/SDGA-SRA hot paths across N
-// workers (identical output, per the determinism contract),
-// "--lap hungarian|mcf" to pick the stage engine of SDGA/SDGA-SRA
-// (hungarian by default; ILP runs its own default), and "--gains
-// rebuild|incremental" to pick the stage-profit maintenance mode
-// (identical output; incremental delta-patches instead of rebuilding P×R
-// per stage) — the comparisons are recorded in bench/BASELINES.md.
+// workers (identical output, per the determinism contract).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,43 +13,17 @@
 int main(int argc, char** argv) {
   using namespace wgrap;
   int num_threads = 1;
-  core::LapBackend stage_lap = core::LapBackend::kHungarian;
-  const char* lap_name = "hungarian";
-  core::GainMode gains = core::GainMode::kIncremental;
-  const char* gains_name = "incremental";
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0) {
       num_threads = std::atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--gains") == 0) {
-      gains_name = argv[i + 1];
-      if (std::strcmp(gains_name, "rebuild") == 0) {
-        gains = core::GainMode::kRebuild;
-      } else if (std::strcmp(gains_name, "incremental") == 0) {
-        gains = core::GainMode::kIncremental;
-      } else {
-        std::fprintf(stderr, "unknown --gains '%s'\n", gains_name);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--lap") == 0) {
-      lap_name = argv[i + 1];
-      if (std::strcmp(lap_name, "mcf") == 0) {
-        stage_lap = core::LapBackend::kMinCostFlow;
-      } else if (std::strcmp(lap_name, "hungarian") == 0) {
-        stage_lap = core::LapBackend::kHungarian;
-      } else {
-        std::fprintf(stderr, "unknown --lap '%s'\n", lap_name);
-        return 2;
-      }
     }
   }
   // The SRA refinement is anytime; the paper lets it converge (ω = 10),
   // reaching ~46 s. We bound it so the whole harness stays interactive.
   const double kSraBudgetSeconds = 20.0;
   std::printf("=== Table 4: response time (s) of approximate methods "
-              "(SDGA-SRA budget %.0fs, %d thread%s, stage lap=%s, "
-              "gains=%s) ===\n\n",
-              kSraBudgetSeconds, num_threads, num_threads == 1 ? "" : "s",
-              lap_name, gains_name);
+              "(SDGA-SRA budget %.0fs, %d thread%s) ===\n\n",
+              kSraBudgetSeconds, num_threads, num_threads == 1 ? "" : "s");
 
   TablePrinter table({"dataset", "SM", "ILP", "BRGG", "Greedy", "SDGA",
                       "SDGA-SRA"});
@@ -71,8 +40,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {
         bench::DatasetLabel(config.area, 2008) +
         " (d=" + std::to_string(config.dp) + ")"};
-    for (const auto& method :
-         bench::PaperCraMethods(num_threads, stage_lap, gains)) {
+    for (const auto& method : bench::PaperCraMethods(num_threads)) {
       Stopwatch watch;
       auto assignment = method.run(setup.instance, kSraBudgetSeconds);
       bench::DieOnError(assignment.status(), method.name);

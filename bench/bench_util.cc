@@ -44,9 +44,7 @@ core::Instance MakeJraPool(int num_reviewers, int group_size, uint64_t seed) {
   return std::move(instance).value();
 }
 
-std::vector<CraMethod> PaperCraMethods(int num_threads,
-                                       core::LapBackend stage_lap,
-                                       core::GainMode gains) {
+std::vector<CraMethod> PaperCraMethods(int num_threads) {
   return {
       {"SM",
        [](const core::Instance& instance, double) {
@@ -67,26 +65,19 @@ std::vector<CraMethod> PaperCraMethods(int num_threads,
          return core::SolveCraGreedy(instance);
        }},
       {"SDGA",
-       [num_threads, stage_lap, gains](const core::Instance& instance,
-                                       double) {
+       [num_threads](const core::Instance& instance, double) {
          core::SdgaOptions sdga;
          sdga.num_threads = num_threads;
-         sdga.backend = stage_lap;
-         sdga.gains = gains;
          return core::SolveCraSdga(instance, sdga);
        }},
       {"SDGA-SRA",
-       [num_threads, stage_lap, gains](const core::Instance& instance,
-                                       double budget_seconds) {
+       [num_threads](const core::Instance& instance,
+                     double budget_seconds) {
          core::SdgaOptions sdga;
          sdga.num_threads = num_threads;
-         sdga.backend = stage_lap;
-         sdga.gains = gains;
          core::SraOptions sra;
          sra.time_limit_seconds = budget_seconds;
          sra.num_threads = num_threads;
-         sra.backend = stage_lap;
-         sra.gains = gains;
          return core::SolveCraSdgaSra(instance, sdga, sra);
        }},
   };

@@ -39,14 +39,7 @@ struct CraMethod {
 /// The Sec. 5.2 line-up: SM, ILP, BRGG, Greedy, SDGA, SDGA-SRA.
 /// `num_threads` feeds the parallel hot paths of BRGG/SDGA/SDGA-SRA
 /// (results are bit-identical for any value; see CraOptions::num_threads).
-/// `stage_lap` selects the stage engine of SDGA/SDGA-SRA (hungarian, the
-/// library default, or mcf); ILP runs its library default. `gains` picks
-/// the stage-profit maintenance mode of SDGA/SDGA-SRA (rebuild vs the
-/// delta-maintained GainCache — identical output, different wall-clock).
-std::vector<CraMethod> PaperCraMethods(
-    int num_threads = 1,
-    core::LapBackend stage_lap = core::LapBackend::kHungarian,
-    core::GainMode gains = core::GainMode::kIncremental);
+std::vector<CraMethod> PaperCraMethods(int num_threads = 1);
 
 /// Aborts with a message when a Result-carrying expression failed.
 void DieOnError(const Status& status, const std::string& what);

@@ -7,9 +7,9 @@
 //                            best (group, paper) pair is committed whole.
 //   SolveCraSdga           — Stage Deepening Greedy (Algorithm 2): δp
 //                            linear-assignment stages, each solved by the
-//                            Hungarian algorithm (JV, default) or
-//                            min-cost flow; 1/2-approx (≥1-1/e when
-//                            δp | δr).
+//                            capacity-aware Jonker–Volgenant (the paper's
+//                            "Hungarian algorithm"); 1/2-approx (≥1-1/e
+//                            when δp | δr).
 //   RefineSra              — Stochastic Refinement (Algorithm 3) on top of
 //                            any feasible assignment.
 //   RefineLocalSearch      — plain hill-climbing refinement (Fig. 12's LS).
@@ -70,37 +70,19 @@ struct CraOptions {
   ProgressFn progress;
 };
 
-/// How the per-stage profit matrix (SDGA stages, the SRA completion step)
-/// and the local-search replacement scores are produced. Both modes give
-/// bit-identical scores and assignments (tests/gain_cache_test.cc).
-enum class GainMode {
-  /// Recompute every P×R marginal gain from scratch each stage, one
-  /// per-pair kernel call each (the reference).
-  kRebuild,
-  /// Keep the stage profits across stages, re-scoring the row of each
-  /// paper whose group moved in one topic-major pass over a topic-inverted
-  /// index (core/gain_cache.h), and cache local-search group folds.
-  kIncremental,
-};
-
-/// Stage LAP engine. The SDGA stages and the SRA completion step run the
-/// two engines of Sec. 4.2, kHungarian (the default) and kMinCostFlow;
-/// SolveCraSdga and RefineSra reject kAuction with kInvalidArgument.
-enum class LapBackend {
-  kMinCostFlow,  // transportation network (la/transportation.h)
-  kHungarian,    // capacity-aware Jonker–Volgenant shortest augmenting
-                 // paths, one dual per reviewer
-                 // (la::SolveCapacitatedAssignment in la/hungarian.h)
-  kAuction,      // no solver accepts it: the ε-scaling auction
-                 // (la/auction.h) is a benchmark probe only
-};
+/// Vestiges of the retired stage alternatives, kept only because the
+/// benchmark harness (perfbench/) names every value; they go with the
+/// auction (ROADMAP item 1). The stages run one pipeline: the GainCache's
+/// row-maintained profits (core/gain_cache.h) solved by the capacity-aware
+/// Jonker–Volgenant (la::SolveCapacitatedAssignment). RefineSra accepts
+/// only kIncremental and kHungarian and rejects the rest with
+/// kInvalidArgument. The per-pair rebuild (Assignment::MarginalGain) and
+/// min-cost flow (la::SolveTransportation) live on as test oracles
+/// (tests/gain_cache_test.cc).
+enum class GainMode { kRebuild, kIncremental };
+enum class LapBackend { kMinCostFlow, kHungarian, kAuction };
 
 struct SdgaOptions : CraOptions {
-  LapBackend backend = LapBackend::kHungarian;
-  /// Stage-profit maintenance mode; kIncremental is the default because it
-  /// is bit-identical to kRebuild and faster (one row pass per paper whose
-  /// group moved instead of R per-pair gain calls per paper).
-  GainMode gains = GainMode::kIncremental;
   /// Per-stage reviewer cap ⌈δr/δp⌉ (Definition 9). Turning this off
   /// forfeits the approximation guarantee — ablation knob (DESIGN.md §5).
   bool confine_stage_workload = true;
@@ -111,12 +93,9 @@ struct SdgaOptions : CraOptions {
 using RefineTrace = std::function<void(double, double)>;
 
 struct SraOptions : CraOptions {
-  /// LAP engine for the per-round completion step (same machinery and
-  /// same two engines as the SDGA stages).
+  /// Vestiges (see LapBackend): the only accepted values. The completion
+  /// step runs the SDGA stage pipeline, one GainCache across all rounds.
   LapBackend backend = LapBackend::kHungarian;
-  /// Completion-step profit maintenance (see SdgaOptions::gains). With
-  /// kIncremental one GainCache lives across all refinement rounds: each
-  /// round re-scores only the rows whose group vector moved.
   GainMode gains = GainMode::kIncremental;
   /// ω — stop after this many rounds without improvement (Sec. 4.4; the
   /// paper's default is 10).
@@ -134,10 +113,6 @@ struct SraOptions : CraOptions {
 struct LocalSearchOptions : CraOptions {
   /// Stop after this many consecutive non-improving proposals.
   int max_stall_proposals = 20000;
-  /// kIncremental scores proposals from cached leave-one-out group folds
-  /// (core/gain_cache.h) instead of re-folding the whole group per
-  /// proposal; trajectories are bit-identical either way.
-  GainMode gains = GainMode::kIncremental;
   uint64_t seed = 20150531;
   RefineTrace trace;
 };
@@ -159,9 +134,8 @@ Result<Assignment> SolveCraBrgg(const Instance& instance,
 /// Stage Deepening Greedy (Algorithm 2, Sec. 4.2-4.3): δp stages, each a
 /// linear assignment over the marginal gains, with the per-stage workload
 /// cap ⌈δr/δp⌉ (Definition 9). Approximation ratio 1/2, rising to ≥ 1-1/e
-/// when δp | δr (Theorems 1-2). Cost: δp LAP solves — O(δp · LAP(P, R))
-/// plus O(P·R·T) gain evaluations per stage; the LAP engine is
-/// options.backend (kInvalidArgument for kAuction). Same feasibility
+/// when δp | δr (Theorems 1-2). Cost: δp JV solves — O(δp · LAP(P, R))
+/// plus one gain-row pass per paper whose group moved. Same feasibility
 /// contract as SolveCraGreedy.
 Result<Assignment> SolveCraSdga(const Instance& instance,
                                 const SdgaOptions& options = {});
@@ -172,6 +146,8 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
 /// result is never worse than `initial`. Anytime: stops on the ω-round
 /// convergence window, max_iterations, or the time limit, whichever comes
 /// first. Each round is O(δp·T) expected. Deterministic given `seed`.
+/// kInvalidArgument, naming the knob, for any backend but kHungarian or
+/// any gain mode but kIncremental.
 Result<Assignment> RefineSra(const Instance& instance,
                              const Assignment& initial,
                              const SraOptions& options = {});

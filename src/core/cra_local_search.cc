@@ -5,28 +5,21 @@
 // budget. As the paper observes, this gets stuck in local maxima that the
 // stochastic refinement escapes.
 //
-// Parallelism: proposals are generated and scored in fixed-size batches
-// against the frozen assignment — proposal j of round k draws from the
-// (k·B + j) Rng stream and its gain is evaluated read-only, so the batch
-// fans out across threads. The first improving proposal (by index) is then
+// Parallelism: proposals are drawn in fixed-size batches against the
+// frozen assignment — proposal j of round k draws from the (k·B + j) Rng
+// stream — and scored read-only from a ReplacementFoldCache of
+// leave-one-out group folds (core/gain_cache.h), which is bit-identical to
+// Assignment::ScoreWithReplacement. Each round draws the batch (RNG only),
+// freshens the folds of the papers it touches in parallel, and scores the
+// batch in parallel. The first improving proposal (by index) is then
 // applied with the usual mutate-verify-rollback step, which preserves both
 // the hill-climbing contract and bit-identical trajectories at any thread
-// count.
+// count; papers touched by an applied move (kept or rolled back) are
+// invalidated.
 //
-// Sparse topics: gain estimation runs through
-// Assignment::ScoreWithReplacement, which folds the candidate group with
-// the sparse dense-accumulator kernel when the instance carries sparse
-// views (O(δp·nnz) per proposal instead of O(δp·T)); the apply step uses
-// the same dispatch inside Add/Remove, so estimate and apply still never
-// diverge.
-//
-// Incremental gains (options.gains == GainMode::kIncremental, default):
-// replacement scores come from a ReplacementFoldCache of leave-one-out
-// group folds (core/gain_cache.h) — bit-identical to
-// ScoreWithReplacement, so the knob never changes a trajectory. The batch
-// is then drawn first (RNG only), the folds of the touched papers are
-// freshened in parallel, and scoring reads the frozen cache; papers
-// touched by an applied move (kept or rolled back) are invalidated.
+// Sparse topics: the folds and the apply step both go through the
+// instance's scoring primitives, which run the CSR kernels when the
+// instance carries sparse views, so estimate and apply never diverge.
 #include <algorithm>
 #include <vector>
 
@@ -55,9 +48,8 @@ struct Proposal {
 };
 
 // Draws proposal j of round `round` from its own stream: RNG choices and
-// validity checks only, no scoring — so the stream is identical whichever
-// gain mode later scores it. Mirrors the draw sequence of the original
-// sequential sampler.
+// validity checks only, no scoring. Mirrors the draw sequence of the
+// original sequential sampler.
 Proposal DrawProposal(const Assignment& assignment, uint64_t seed,
                       int64_t round, int64_t j) {
   const Instance& instance = assignment.instance();
@@ -102,22 +94,16 @@ Proposal DrawProposal(const Assignment& assignment, uint64_t seed,
   return proposal;
 }
 
-// Scores a valid proposal against the frozen assignment: through the fold
-// cache when given, else directly through ScoreWithReplacement — the same
-// doubles either way (the cache's bit-identity contract).
+// Scores a valid proposal against the frozen assignment from the folds.
 double ScoreProposal(const Assignment& assignment, const Proposal& proposal,
-                     const ReplacementFoldCache* folds) {
-  const auto replaced = [&](int paper, int drop, int add) {
-    return folds != nullptr ? folds->Score(paper, drop, add)
-                            : assignment.ScoreWithReplacement(paper, drop, add);
-  };
+                     const ReplacementFoldCache& folds) {
   if (proposal.is_swap) {
-    return replaced(proposal.p1, proposal.r1, proposal.r2) +
-           replaced(proposal.p2, proposal.r2, proposal.r1) -
+    return folds.Score(proposal.p1, proposal.r1, proposal.r2) +
+           folds.Score(proposal.p2, proposal.r2, proposal.r1) -
            assignment.PaperScore(proposal.p1) -
            assignment.PaperScore(proposal.p2);
   }
-  return replaced(proposal.p1, proposal.r1, proposal.r2) -
+  return folds.Score(proposal.p1, proposal.r1, proposal.r2) -
          assignment.PaperScore(proposal.p1);
 }
 
@@ -180,63 +166,36 @@ Result<Assignment> RefineLocalSearch(const Instance& instance,
   }
   int64_t stall = 0;
   std::vector<Proposal> batch(kProposalBatch);
-  const bool use_folds = options.gains == GainMode::kIncremental;
   ReplacementFoldCache folds(&initial.instance());
   std::vector<int> touched;  // papers a batch's valid proposals read
-  // With workers available, a whole batch is generated and scored up
-  // front in parallel; at one thread, proposals are generated lazily
-  // inside the accept loop so nothing past the first improving index is
-  // ever scored (fold mode scores the batch up front at any thread count
-  // — each score is cheap once the folds exist). All variants walk the
-  // same per-index streams and produce the same doubles, so the
-  // trajectory is identical across thread counts and gain modes.
-  const bool parallel = pool.num_threads() > 1;
   for (int64_t round = 0;
        stall < options.max_stall_proposals && !deadline.Expired(); ++round) {
     // Deadline expiry returns the best assignment so far (anytime contract);
     // cancellation means the caller no longer wants any result.
     WGRAP_RETURN_IF_ERROR(CheckNotCancelled(options.cancel, "local search"));
-    if (use_folds) {
-      // Draw first (RNG only), freshen the folds the batch needs, then
-      // score against the frozen cache.
-      touched.clear();
-      for (int j = 0; j < kProposalBatch; ++j) {
-        batch[j] = DrawProposal(current, options.seed, round, j);
-        if (!batch[j].valid) continue;
-        touched.push_back(batch[j].p1);
-        if (batch[j].is_swap) touched.push_back(batch[j].p2);
-      }
-      std::sort(touched.begin(), touched.end());
-      touched.erase(std::unique(touched.begin(), touched.end()),
-                    touched.end());
-      folds.Prepare(current, touched, &pool);
-      pool.ParallelFor(0, kProposalBatch, /*grain=*/8, [&](int64_t j) {
-        if (batch[j].valid) {
-          batch[j].gain = ScoreProposal(current, batch[j], &folds);
-        }
-      });
-    } else if (parallel) {
-      pool.ParallelFor(0, kProposalBatch, /*grain=*/8, [&](int64_t j) {
-        batch[j] = DrawProposal(current, options.seed, round, j);
-        if (batch[j].valid) {
-          batch[j].gain = ScoreProposal(current, batch[j], nullptr);
-        }
-      });
+    // Draw first (RNG only), freshen the folds the batch needs, then score
+    // against the frozen cache.
+    touched.clear();
+    for (int j = 0; j < kProposalBatch; ++j) {
+      batch[j] = DrawProposal(current, options.seed, round, j);
+      if (!batch[j].valid) continue;
+      touched.push_back(batch[j].p1);
+      if (batch[j].is_swap) touched.push_back(batch[j].p2);
     }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    folds.Prepare(current, touched, &pool);
+    pool.ParallelFor(0, kProposalBatch, /*grain=*/8, [&](int64_t j) {
+      if (batch[j].valid) {
+        batch[j].gain = ScoreProposal(current, batch[j], folds);
+      }
+    });
     // Accept the first improving proposal by index — the same trajectory a
     // sequential walker over this proposal stream would take.
     bool improved = false;
     for (int j = 0;
          j < kProposalBatch && stall < options.max_stall_proposals; ++j) {
-      Proposal proposal;
-      if (use_folds || parallel) {
-        proposal = batch[j];
-      } else {
-        proposal = DrawProposal(current, options.seed, round, j);
-        if (proposal.valid) {
-          proposal.gain = ScoreProposal(current, proposal, nullptr);
-        }
-      }
+      const Proposal& proposal = batch[j];
       if (!proposal.valid || proposal.gain <= 1e-12) {
         ++stall;
         continue;

@@ -15,11 +15,10 @@
 // Sparse topics: the O(PR) suitability model below scores every pair via
 // Instance::PairUtility, which dispatches to the bit-identical sparse
 // kernels when the instance carries sparse views, and the completion step
-// re-scores marginal gains via Assignment::MarginalGain or its row kernel,
-// bit-identical either way — so SRA needs no sparse code of its own.
+// re-scores marginal gains through the instance's row kernel — so SRA needs
+// no sparse code of its own.
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -33,14 +32,12 @@
 
 namespace wgrap::core {
 
-// Defined in cra_sdga.cc. CheckStageBackend rejects an engine the stages
-// do not run; `cache` (null for gains=rebuild) persists the
-// delta-maintained profits across rounds.
-Status CheckStageBackend(LapBackend backend);
+// Defined in cra_sdga.cc: the SDGA stage pipeline, here completing the
+// freed slots; `cache` persists the row-maintained profits across rounds.
 Status SolveStageAssignment(const Instance& instance,
                             const std::vector<int>& capacity,
-                            LapBackend backend, ThreadPool* pool,
-                            GainCache* cache, Assignment* assignment);
+                            ThreadPool* pool, GainCache* cache,
+                            Assignment* assignment);
 
 Result<Assignment> RefineSra(const Instance& instance,
                              const Assignment& initial,
@@ -49,7 +46,16 @@ Result<Assignment> RefineSra(const Instance& instance,
   if (options.convergence_window <= 0) {
     return Status::InvalidArgument("convergence_window must be > 0");
   }
-  WGRAP_RETURN_IF_ERROR(CheckStageBackend(options.backend));
+  // The vestigial engine and gain-mode fields (core/cra.h) accept one
+  // value each.
+  if (options.backend != LapBackend::kHungarian) {
+    return Status::InvalidArgument(
+        "option 'lap': SDGA/SRA stages run on 'hungarian' only");
+  }
+  if (options.gains != GainMode::kIncremental) {
+    return Status::InvalidArgument(
+        "option 'gains': SDGA/SRA stages run on 'incremental' only");
+  }
   WGRAP_RETURN_IF_ERROR(initial.ValidateComplete());
 
   const int P = instance.num_papers();
@@ -57,13 +63,10 @@ Result<Assignment> RefineSra(const Instance& instance,
   Stopwatch watch;
   Deadline deadline(options.time_limit_seconds);
   ThreadPool pool(options.num_threads);
-  // gains=incremental: one cache across all refinement rounds. The next
-  // completion step re-scores, one row pass each, only the papers whose
-  // group vector the round's removal (and the last re-add) moved.
-  std::unique_ptr<GainCache> gain_cache;
-  if (options.gains == GainMode::kIncremental) {
-    gain_cache = std::make_unique<GainCache>(&instance);
-  }
+  // One cache across all refinement rounds. The next completion step
+  // re-scores, one row pass each, only the papers whose group vector the
+  // round's removal (and the last re-add) moved.
+  GainCache gain_cache(&instance);
 
   // Pair scores c(r→, p→) and per-reviewer totals Σ_p' c(r→, p'→) (the
   // TF-IDF-style denominator of Eq. 9). O(PR) precomputation: rows filled
@@ -141,7 +144,7 @@ Result<Assignment> RefineSra(const Instance& instance,
         });
     for (int p = 0; p < P; ++p) {
       WGRAP_RETURN_IF_ERROR(current.Remove(p, victims[p]));
-      if (gain_cache != nullptr) gain_cache->NoteRemove(p, victims[p]);
+      gain_cache.NoteRemove(p, victims[p]);
     }
     // Completion phase: one Stage-WGRAP linear assignment over the freed
     // slots (capacity = remaining workload, always feasible because every
@@ -150,9 +153,8 @@ Result<Assignment> RefineSra(const Instance& instance,
     for (int r = 0; r < R; ++r) {
       capacity[r] = instance.reviewer_workload() - current.LoadOf(r);
     }
-    WGRAP_RETURN_IF_ERROR(SolveStageAssignment(instance, capacity,
-                                               options.backend, &pool,
-                                               gain_cache.get(), &current));
+    WGRAP_RETURN_IF_ERROR(
+        SolveStageAssignment(instance, capacity, &pool, &gain_cache, &current));
     if (current.TotalScore() > best.TotalScore() + 1e-12) {
       best = current;
       rounds_without_improvement = 0;
@@ -173,14 +175,7 @@ Result<Assignment> RefineSra(const Instance& instance,
   static obs::Counter* const rounds_total =
       obs::Registry::Global().GetCounter("wgrap_sra_rounds_total");
   if (rounds_total && rounds_run > 0) rounds_total->Add(rounds_run);
-  if (gain_cache != nullptr) {
-    static obs::Counter* const patched = obs::Registry::Global().GetCounter(
-        "wgrap_gain_cache_patched_cells_total");
-    if (patched) patched->Add(gain_cache->patched_entries());
-    static obs::Counter* const builds = obs::Registry::Global().GetCounter(
-        "wgrap_gain_cache_full_builds_total");
-    if (builds) builds->Add(gain_cache->full_builds());
-  }
+  gain_cache.ReportCounters();
   WGRAP_RETURN_IF_ERROR(best.ValidateComplete());
   return best;
 }

@@ -5,14 +5,13 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "la/transportation.h"
+#include "obs/metrics.h"
 
 namespace wgrap::core {
 
 namespace {
 
-// Parallel-for grain for per-paper row work — matches the stage scoring
-// loops in cra_sdga.cc so the chunking (and thus determinism reasoning)
-// is the same.
+// Parallel-for grain for per-paper row work.
 constexpr int64_t kPaperGrain = 8;
 
 }  // namespace
@@ -88,7 +87,7 @@ void GainCache::AssembleStageProfit(const std::vector<int>& papers,
   if (stage_profit->rows() != rows || stage_profit->cols() != R) {
     *stage_profit = Matrix(rows, R);
   }
-  // Same mask as the rebuild loop in cra_sdga.cc, restated as a bulk row
+  // The per-pair mask (capacity, COI, membership) restated as a bulk row
   // copy plus sparse overwrites: conflicts already hold the forbidden
   // marker in storage, the (typically few) exhausted reviewers are listed
   // once, and the δp already-assigned reviewers are masked per row — no
@@ -113,6 +112,15 @@ int64_t GainCache::ScaledGain(int paper, int reviewer) const {
   const double gain = Gain(paper, reviewer);
   if (gain <= la::kTransportForbidden / 2) return kConflictSentinel;
   return la::ScaleTransportProfit(gain);
+}
+
+void GainCache::ReportCounters() const {
+  static obs::Counter* const patched = obs::Registry::Global().GetCounter(
+      "wgrap_gain_cache_patched_cells_total");
+  if (patched) patched->Add(patched_entries_);
+  static obs::Counter* const builds = obs::Registry::Global().GetCounter(
+      "wgrap_gain_cache_full_builds_total");
+  if (builds) builds->Add(full_builds_);
 }
 
 ReplacementFoldCache::ReplacementFoldCache(const Instance* instance)

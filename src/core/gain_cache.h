@@ -1,47 +1,43 @@
 // Incremental marginal-gain engine: keeps the SDGA/SRA stage profit matrix
 // (gain(A[p], r, p) of Definition 8 for every pair) alive across stage
 // commits instead of rebuilding all P×R entries per stage, and caches the
-// local-search group folds behind ScoreWithReplacement. Selected by
-// GainMode (core/cra.h) / the registry knob `gains=rebuild|incremental`.
+// local-search group folds behind ScoreWithReplacement. It is the only
+// profit source of the stage pipeline (cra_sdga.cc) and of local search
+// (cra_local_search.cc).
 //
 // Why whole-row recompute is exact (the contract everything here rests
 // on): gain(A[p], r, p) reads the assignment only through paper p's group
 // vector g→. So a row whose g→ equals its snapshot holds exactly the
-// doubles a full rebuild would compute, and a row whose g→ moved is
+// doubles a per-pair rebuild would compute, and a row whose g→ moved is
 // re-scored in one topic-major pass by Assignment::MarginalGainRow, which
 // reproduces MarginalGain bit for bit for every reviewer: it walks the
 // columns of the instance's CSC reviewer index (Instance::
 // ReviewerTopicIndex; the cache owns no index of its own) for the topics
 // core::TopicCanGain admits, in ascending order, and adds each reviewer's
 // term into its slot — the per-pair kernels' operations in the same
-// order, minus terms that are exactly +0.0. That is why
-// `gains=incremental` equals `gains=rebuild` exactly — same scores, same
-// assignments, at any thread count (tests/gain_cache_test.cc;
-// tests/assignment_test.cc pins the row kernel against MarginalGain with
-// memcmp).
+// order, minus terms that are exactly +0.0. So every assembled cell is the
+// masked per-pair Assignment::MarginalGain, at any thread count; the test
+// oracle in tests/gain_cache_test.cc runs SDGA on per-pair profits and
+// compares with memcmp, and tests/assignment_test.cc pins the row kernel
+// against MarginalGain.
 //
 // The int64 domain: what the cache maintains exactly is the stage integer
-// program — the 1e9-scaled int64 profits (la::ScaleTransportProfit) both
-// stage engines optimize (min-cost flow scales its inputs; the stage
-// Hungarian quantizes to the same grid — cra_sdga.cc — so there is
-// exactly one integer program per stage in both gain modes).
-// Maintenance in the rounded domain cannot be arithmetic (llround is not
-// additive — llround(a+b) ≠ llround(a)+llround(b)), so the cache keeps
-// the pre-quantization doubles, whose bit-exactness (above) makes the
-// derived integers exact: an entry is stored as the identical double the
-// rebuild would produce, hence scales to the identical int64. Storing the
-// doubles rather than the integers also keeps assembly a straight masked
-// copy (no per-entry division back out of the fixed point) — the int64
-// view is exposed through ScaledGain() and pinned by the equivalence
-// tests.
+// program — the 1e9-scaled int64 profits (la::ScaleTransportProfit) the
+// stage JV optimizes. Maintenance in the rounded domain cannot be
+// arithmetic (llround is not additive — llround(a+b) ≠
+// llround(a)+llround(b)), so the cache keeps the pre-quantization
+// doubles, whose bit-exactness (above) makes the derived integers exact.
+// Storing the doubles rather than the integers also keeps assembly a
+// straight masked copy — the int64 view is exposed through ScaledGain()
+// and pinned by the equivalence tests.
 //
 // Cost: a Refresh costs O(T) per noted paper to diff its group vector,
 // plus one row pass, O(T + Σ_{admitted t} degree(t) + R), per paper whose
 // vector moved — fanned over the ThreadPool, papers independent — plus an
-// O(rows × R) assembly copy. The rebuild pays R per-pair kernels of
+// O(rows × R) assembly copy. A per-pair rebuild would pay R kernels of
 // O(T) (or O(nnz(r))) per row instead. SDGA stages and SRA rounds change
-// nearly every paper's group, so what the cache still saves is the rows
-// of papers whose group did not move, and the row pass's skip of covered
+// nearly every paper's group, so what the cache saves is the rows of
+// papers whose group did not move, and the row pass's skip of covered
 // topics (g_t ≥ p_t under c and cP), which the per-pair kernels re-test
 // for every reviewer.
 #ifndef WGRAP_CORE_GAIN_CACHE_H_
@@ -91,8 +87,6 @@ class GainCache {
   /// No gains are computed until the first Refresh.
   explicit GainCache(const Instance* instance);
 
-  bool initialized() const { return initialized_; }
-
   /// Records a committed Add/Remove on the tracked assignment. O(1); the
   /// work happens at the next Refresh.
   ///
@@ -107,18 +101,17 @@ class GainCache {
   void NoteRemove(int paper, int /*reviewer*/) { Note(paper); }
 
   /// First call: full gain build against `assignment`, one row pass per
-  /// paper (exactly the entries a stage rebuild would compute). Later
+  /// paper. Later
   /// calls: diffs the group vectors of noted papers against the snapshot
   /// and re-scores the whole row of each paper whose vector moved — all
   /// on `pool`, bit-identical at any thread count. Out-of-range or
-  /// non-finite gains are stored as-is and rejected later by the LAP,
-  /// exactly like the rebuild path.
+  /// non-finite gains are stored as-is and rejected later by the LAP.
   void Refresh(const Assignment& assignment, ThreadPool* pool);
 
   /// Emits the LAP profit matrix for `papers` (one row per paper, in
   /// order): kTransportForbidden where capacity[r] <= 0, (r, p) is a COI,
-  /// or r already reviews p — the same mask the rebuild path applies —
-  /// and the cached gain (the rebuild's exact double) elsewhere.
+  /// or r already reviews p, and the cached gain (the per-pair
+  /// MarginalGain's exact double) elsewhere.
   /// `stage_profit` is resized to papers.size() × R. Requires a Refresh
   /// with no notes pending.
   void AssembleStageProfit(const std::vector<int>& papers,
@@ -127,14 +120,14 @@ class GainCache {
                            Matrix* stage_profit) const;
 
   /// The cached gain double for (paper, reviewer); kTransportForbidden on
-  /// COI pairs. Requires initialized().
+  /// COI pairs. Requires a Refresh.
   double Gain(int paper, int reviewer) const {
     return gains_[static_cast<size_t>(paper) * num_reviewers_ + reviewer];
   }
 
   /// The entry's value in the stage integer program — the 1e9-scaled
-  /// int64 every LAP backend optimizes — or kConflictSentinel on COI
-  /// pairs. Test and diagnostics hook; requires initialized().
+  /// int64 the stage JV optimizes — or kConflictSentinel on COI pairs.
+  /// Test and diagnostics hook; requires a Refresh.
   int64_t ScaledGain(int paper, int reviewer) const;
 
   /// Entries re-scored by Refresh patches (excludes the initial build):
@@ -143,6 +136,9 @@ class GainCache {
   int64_t patched_entries() const { return patched_entries_; }
   /// Completed full builds (1 after the first Refresh).
   int64_t full_builds() const { return full_builds_; }
+  /// Adds patched_entries() and full_builds() to the solve telemetry
+  /// counters wgrap_gain_cache_{patched_cells,full_builds}_total.
+  void ReportCounters() const;
 
  private:
   void Note(int paper) { pending_.push_back(paper); }
@@ -168,8 +164,7 @@ class GainCache {
 /// re-folding all δp members. Score() is bit-identical to Assignment::
 /// ScoreWithReplacement — max-folding is exact and order-independent, the
 /// cached bid partial sums keep the group's summation order, and both
-/// score through the same GroupFold — so the `gains` knob never
-/// changes a local-search trajectory (asserted in tests/gain_cache_test.cc).
+/// score through the same GroupFold (asserted in tests/gain_cache_test.cc).
 ///
 /// Protocol (cra_local_search.cc): Prepare() the papers a proposal batch
 /// touches (parallel, builds only stale entries), Score() read-only from

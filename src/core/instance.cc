@@ -59,6 +59,26 @@ int Instance::MinimalWorkload(int num_papers, int num_reviewers,
   return static_cast<int>((demand + num_reviewers - 1) / num_reviewers);
 }
 
+Result<int> Instance::Workload(int num_papers, int num_reviewers,
+                               const InstanceParams& params) {
+  if (params.group_size > num_reviewers) {
+    return Status::InvalidArgument("group_size exceeds reviewer count");
+  }
+  const int dr = params.reviewer_workload > 0
+                     ? params.reviewer_workload
+                     : MinimalWorkload(num_papers, num_reviewers,
+                                       params.group_size);
+  const int64_t capacity = static_cast<int64_t>(num_reviewers) * dr;
+  const int64_t demand = static_cast<int64_t>(num_papers) * params.group_size;
+  if (capacity < demand) {
+    return Status::InvalidArgument(
+        StrFormat("R*dr = %lld < P*dp = %lld: not enough review capacity",
+                  static_cast<long long>(capacity),
+                  static_cast<long long>(demand)));
+  }
+  return dr;
+}
+
 Result<Instance> Instance::FromDataset(const data::RapDataset& dataset,
                                        const InstanceParams& params) {
   WGRAP_RETURN_IF_ERROR(dataset.Validate());
@@ -79,29 +99,16 @@ Result<Instance> Instance::FromDataset(const data::RapDataset& dataset,
   if (dataset.papers.empty()) {
     return Status::InvalidArgument("no papers");
   }
-  if (params.group_size > dataset.num_reviewers()) {
-    return Status::InvalidArgument("group_size exceeds reviewer count");
-  }
+  const int R = dataset.num_reviewers();
+  const int P = dataset.num_papers();
+  const int T = dataset.num_topics;
+  auto workload = Workload(P, R, params);
+  if (!workload.ok()) return workload.status();
 
   Instance instance;
   instance.group_size_ = params.group_size;
   instance.scoring_ = params.scoring;
-  const int R = dataset.num_reviewers();
-  const int P = dataset.num_papers();
-  const int T = dataset.num_topics;
-  instance.reviewer_workload_ =
-      params.reviewer_workload > 0
-          ? params.reviewer_workload
-          : MinimalWorkload(P, R, params.group_size);
-  const int64_t capacity =
-      static_cast<int64_t>(R) * instance.reviewer_workload_;
-  const int64_t demand = static_cast<int64_t>(P) * params.group_size;
-  if (capacity < demand) {
-    return Status::InvalidArgument(
-        StrFormat("R*dr = %lld < P*dp = %lld: not enough review capacity",
-                  static_cast<long long>(capacity),
-                  static_cast<long long>(demand)));
-  }
+  instance.reviewer_workload_ = *workload;
 
   instance.reviewers_ = Matrix(R, T);
   for (int r = 0; r < R; ++r) {

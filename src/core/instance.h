@@ -212,6 +212,14 @@ class Instance {
   static int MinimalWorkload(int num_papers, int num_reviewers,
                              int group_size);
 
+  /// The workload rule of one instance shape, applied by FromDataset and
+  /// by every InstanceUpdater op that changes P or R: δr is
+  /// params.reviewer_workload when > 0, else MinimalWorkload. Returns δr,
+  /// or kInvalidArgument when δp > R ("group_size exceeds reviewer
+  /// count") or R·δr < P·δp ("not enough review capacity").
+  static Result<int> Workload(int num_papers, int num_reviewers,
+                              const InstanceParams& params);
+
  private:
   /// The online-update subsystem (core/update.h) patches the private state
   /// directly; its contract is that the patched instance is bitwise equal

@@ -105,8 +105,8 @@ bool ParseTimeLimit(std::string_view text, double* out);
 
 /// What DecodeKnobs produces: every solver's options struct, filled from
 /// the run parameters and the `extra` knobs in one place. A knob that
-/// several structs carry (threads, lap, gains, ...) is written to all of
-/// them; each factory hands its own struct to the solver.
+/// several structs carry (threads) is written to all of them; each factory
+/// hands its own struct to the solver.
 struct TypedOptions {
   CraOptions cra;          // greedy, brgg, sm, ilp, rrap
   SdgaOptions sdga;        // sdga, and the SDGA stage of sdga-sra / sdga-ls

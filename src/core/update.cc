@@ -254,12 +254,13 @@ void InstanceUpdater::EvictPair(int paper, int reviewer,
 }
 
 void InstanceUpdater::RefreshWorkload(UpdateReport* report) {
-  const int dr =
-      params_.reviewer_workload > 0
-          ? params_.reviewer_workload
-          : Instance::MinimalWorkload(instance_->num_papers(),
-                                      instance_->num_reviewers(),
-                                      params_.group_size);
+  // Every op that reaches here either pre-checked the rule at its new
+  // shape (add_paper, remove_reviewer) or cannot break it (fewer papers,
+  // more reviewers).
+  const Result<int> workload = Instance::Workload(
+      instance_->num_papers(), instance_->num_reviewers(), params_);
+  WGRAP_CHECK_MSG(workload.ok(), "a mutated instance broke the workload rule");
+  const int dr = *workload;
   instance_->reviewer_workload_ = dr;
   if (assignment_ == nullptr) return;
   // A dynamic-δr decrease can leave reviewers overloaded; shed pairs
@@ -298,22 +299,9 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
   switch (u.kind) {
     case InstanceUpdate::Kind::kAddPaper: {
       WGRAP_RETURN_IF_ERROR(ValidateTopics(u.topics, "new paper"));
-      // Capacity check under the post-op workload, same message as
-      // FromDataset: with a fixed δr a late submission can genuinely not
-      // fit (dynamic δr grows to absorb it).
-      const int dr = params_.reviewer_workload > 0
-                         ? params_.reviewer_workload
-                         : Instance::MinimalWorkload(P + 1, R,
-                                                     params_.group_size);
-      const int64_t capacity = static_cast<int64_t>(R) * dr;
-      const int64_t demand =
-          static_cast<int64_t>(P + 1) * params_.group_size;
-      if (capacity < demand) {
-        return Status::InvalidArgument(
-            StrFormat("R*dr = %lld < P*dp = %lld: not enough review capacity",
-                      static_cast<long long>(capacity),
-                      static_cast<long long>(demand)));
-      }
+      // The workload rule at the post-op shape: with a fixed δr a late
+      // submission can genuinely not fit (dynamic δr grows to absorb it).
+      WGRAP_RETURN_IF_ERROR(Instance::Workload(P + 1, R, params_).status());
       instance_->papers_ = WithRowAppended(instance_->papers_, u.topics);
       double mass = 0.0;
       for (double w : u.topics) mass += w;
@@ -385,21 +373,7 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       if (u.reviewer < 0 || u.reviewer >= R) {
         return Status::OutOfRange("reviewer id out of range");
       }
-      if (params_.group_size > R - 1) {
-        return Status::InvalidArgument("group_size exceeds reviewer count");
-      }
-      const int dr = params_.reviewer_workload > 0
-                         ? params_.reviewer_workload
-                         : Instance::MinimalWorkload(P, R - 1,
-                                                     params_.group_size);
-      const int64_t capacity = static_cast<int64_t>(R - 1) * dr;
-      const int64_t demand = static_cast<int64_t>(P) * params_.group_size;
-      if (capacity < demand) {
-        return Status::InvalidArgument(
-            StrFormat("R*dr = %lld < P*dp = %lld: not enough review capacity",
-                      static_cast<long long>(capacity),
-                      static_cast<long long>(demand)));
-      }
+      WGRAP_RETURN_IF_ERROR(Instance::Workload(P, R - 1, params_).status());
       const int removed = u.reviewer;
       if (assignment_ != nullptr) {
         for (int p = 0; p < P; ++p) {

@@ -130,11 +130,14 @@ Result<RapDataset> DatasetFromCsv(const std::string& csv) {
       }
     }
     const std::string& kind = (*fields)[0];
+    // Every row carries an int h_index; a paper's is unused (the writer
+    // emits 0) but held to the same grammar.
+    int h = 0;
+    if ((kind == "reviewer" || kind == "paper") &&
+        !ParseInt((*fields)[3], &h)) {
+      return BadField(row, (*fields)[3], kNotAnInt);
+    }
     if (kind == "reviewer") {
-      int h = 0;
-      if (!ParseInt((*fields)[3], &h)) {
-        return BadField(row, (*fields)[3], kNotAnInt);
-      }
       dataset.reviewers.push_back({(*fields)[1], std::move(topics), h});
     } else if (kind == "paper") {
       dataset.papers.push_back({(*fields)[1], std::move(topics),

@@ -1,6 +1,7 @@
 // Hungarian algorithm (Kuhn–Munkres with Jonker–Volgenant style shortest
-// augmenting paths and dual potentials). The paper's SDGA may use it or
-// min-cost flow for every stage (Sec. 4.2 treats them as interchangeable):
+// augmenting paths and dual potentials). Sec. 4.2 treats it and min-cost
+// flow as interchangeable stage engines; every SDGA stage and SRA
+// completion runs it, and min-cost flow (transportation.h) is its oracle:
 //
 //   SolveCapacitatedAssignment — the exact int64 JV over reviewer columns
 //                                with slot capacities: the SDGA/SRA stage

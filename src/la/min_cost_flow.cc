@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "common/check.h"
-#include "common/failpoint.h"
 
 namespace wgrap::la {
 
@@ -70,9 +69,6 @@ Result<FlowResult> MinCostFlow::Solve(int source, int sink, int64_t max_flow) {
   std::vector<int> prev_node(n), prev_edge(n);
 
   while (result.flow < max_flow) {
-    // One augmenting path per iteration: the solver poll fault site, so
-    // the chaos suite can fail an `lap=mcf` stage mid-solve.
-    WGRAP_RETURN_IF_ERROR(WGRAP_INJECT_FAULT("solver.poll"));
     // Dijkstra on reduced costs.
     using QItem = std::pair<int64_t, int>;
     std::priority_queue<QItem, std::vector<QItem>, std::greater<>> queue;

@@ -4,8 +4,8 @@
 // per-stage subproblem of SDGA (Definition 9, Stage-WGRAP); with demand δp
 // it is ILP-ARAP, solved exactly because the constraint matrix is totally
 // unimodular. The solvers run la::SolveCapacitatedAssignment (hungarian.h)
-// on the same scaled program; the min-cost-flow forms here are the
-// `lap=mcf` stage engine and the test oracle.
+// on the same scaled program; the min-cost-flow forms here are its test
+// oracle and a benchmark probe.
 #ifndef WGRAP_LA_TRANSPORTATION_H_
 #define WGRAP_LA_TRANSPORTATION_H_
 

@@ -119,12 +119,7 @@ Result<SessionResponse> ServiceApi::Open(const OpenRequest& request) {
   auto snapshot = store_.Open(request.session, *dataset, request.params);
   if (!snapshot.ok()) return snapshot.status();
   SessionResponse response;
-  response.info.name = snapshot->name;
-  response.info.version = snapshot->version;
-  response.info.papers = snapshot->instance->num_papers();
-  response.info.reviewers = snapshot->instance->num_reviewers();
-  response.info.topics = snapshot->instance->num_topics();
-  response.info.has_assignment = snapshot->assignment != nullptr;
+  response.info = InfoOf(*snapshot);
   return response;
 }
 
@@ -143,12 +138,7 @@ Result<SessionResponse> ServiceApi::PutAssignment(const std::string& session,
   auto snapshot = store_.InstallAssignment(session, *pairs);
   if (!snapshot.ok()) return snapshot.status();
   SessionResponse response;
-  response.info.name = snapshot->name;
-  response.info.version = snapshot->version;
-  response.info.papers = snapshot->instance->num_papers();
-  response.info.reviewers = snapshot->instance->num_reviewers();
-  response.info.topics = snapshot->instance->num_topics();
-  response.info.has_assignment = snapshot->assignment != nullptr;
+  response.info = InfoOf(*snapshot);
   return response;
 }
 
@@ -261,12 +251,7 @@ Result<MutateResponse> ServiceApi::Mutate(const MutateRequest& request) {
   auto outcome = store_.Mutate(request.session, *updates);
   if (!outcome.ok()) return outcome.status();
   MutateResponse response;
-  response.info.name = outcome->snapshot.name;
-  response.info.version = outcome->snapshot.version;
-  response.info.papers = outcome->snapshot.instance->num_papers();
-  response.info.reviewers = outcome->snapshot.instance->num_reviewers();
-  response.info.topics = outcome->snapshot.instance->num_topics();
-  response.info.has_assignment = outcome->snapshot.assignment != nullptr;
+  response.info = InfoOf(outcome->snapshot);
   response.text =
       MutationReport(outcome->report, *outcome->snapshot.instance);
   return response;

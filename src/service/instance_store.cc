@@ -68,18 +68,24 @@ Result<SessionSnapshot> InstanceStore::Get(const std::string& name) const {
   return it->second.snapshot;
 }
 
+SessionInfo InfoOf(const SessionSnapshot& snapshot) {
+  SessionInfo info;
+  info.name = snapshot.name;
+  info.version = snapshot.version;
+  info.papers = snapshot.instance->num_papers();
+  info.reviewers = snapshot.instance->num_reviewers();
+  info.topics = snapshot.instance->num_topics();
+  info.has_assignment = snapshot.assignment != nullptr;
+  return info;
+}
+
 std::vector<SessionInfo> InstanceStore::List() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<SessionInfo> out;
+  // The published snapshot equals the master lineage whenever the lock is
+  // free, so its row is the session's.
   for (const auto& [name, session] : sessions_) {
-    SessionInfo info;
-    info.name = name;
-    info.version = session.version;
-    info.papers = session.instance->num_papers();
-    info.reviewers = session.instance->num_reviewers();
-    info.topics = session.instance->num_topics();
-    info.has_assignment = session.assignment != nullptr;
-    out.push_back(std::move(info));
+    out.push_back(InfoOf(session.snapshot));
   }
   return out;
 }

@@ -63,6 +63,10 @@ struct SessionInfo {
   bool has_assignment = false;
 };
 
+/// The listing row of one snapshot: every reply that names a session
+/// (open, install, mutate, `sessions`) renders from this.
+SessionInfo InfoOf(const SessionSnapshot& snapshot);
+
 /// What a Mutate did: the new snapshot plus the update report (applied op
 /// count, evicted pairs) the response text is rendered from.
 struct MutateOutcome {

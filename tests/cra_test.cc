@@ -189,75 +189,27 @@ TEST(CraSdgaTest, CapRelaxRetryIsCounted) {
   EXPECT_EQ(retries->Value() - before, 1);
 }
 
-TEST(CraSdgaTest, BackendsAgreeOnObjective) {
-  for (uint64_t seed : {61, 62, 63}) {
-    Instance instance = SmallInstance(9, 7, 3, seed);
-    SdgaOptions flow_options;
-    flow_options.backend = LapBackend::kMinCostFlow;
-    SdgaOptions hungarian_options;
-    hungarian_options.backend = LapBackend::kHungarian;
-    auto flow = SolveCraSdga(instance, flow_options);
-    auto hungarian = SolveCraSdga(instance, hungarian_options);
-    ASSERT_TRUE(flow.ok() && hungarian.ok());
-    // Both stages solve the same LAP optimally; per-stage objectives match
-    // (the chosen argmax may differ on ties, so compare stage-wise totals).
-    EXPECT_NEAR(flow->TotalScore(), hungarian->TotalScore(), 1e-6)
-        << "seed " << seed;
-  }
-}
-
-// δp = 3 ∤ δr = 4, so the per-stage cap is ⌈4/3⌉ = 2. Paper i conflicts
-// with strong reviewer i, so its group must be the other two strong
-// reviewers plus the weak r4. Stages 1–2 place the strong reviewers and
-// leave stage 3 needing r4 on all three papers — above the cap, which
-// makes the capped stage infeasible on every backend. SDGA completes only
-// through the retry with the full remaining workload.
-TEST(CraSdgaTest, CapRelaxationRetryRunsOnEveryBackend) {
-  data::RapDataset dataset;
-  dataset.num_topics = 3;
-  dataset.reviewers.push_back({"r1", {1.0, 0.0, 0.0}, 1});
-  dataset.reviewers.push_back({"r2", {0.0, 1.0, 0.0}, 1});
-  dataset.reviewers.push_back({"r3", {0.0, 0.0, 1.0}, 1});
-  dataset.reviewers.push_back({"r4", {0.05, 0.05, 0.05}, 1});
-  for (const char* title : {"p1", "p2", "p3"}) {
-    dataset.papers.push_back({title, {1.0, 1.0, 1.0}, "V"});
-  }
-  InstanceParams params;
-  params.group_size = 3;
-  params.reviewer_workload = 4;
-  auto instance = Instance::FromDataset(dataset, params);
-  ASSERT_TRUE(instance.ok());
-  for (int p = 0; p < 3; ++p) instance->AddConflict(p, p);
-
-  double reference = -1.0;
-  for (const LapBackend backend :
-       {LapBackend::kMinCostFlow, LapBackend::kHungarian}) {
-    SCOPED_TRACE(static_cast<int>(backend));
-    SdgaOptions options;
-    options.backend = backend;
-    auto sdga = SolveCraSdga(*instance, options);
-    ASSERT_TRUE(sdga.ok()) << sdga.status().ToString();
-    EXPECT_TRUE(sdga->ValidateComplete().ok());
-    EXPECT_EQ(sdga->LoadOf(3), 3);
-    if (reference < 0.0) reference = sdga->TotalScore();
-    EXPECT_NEAR(sdga->TotalScore(), reference, 1e-9);
-  }
-}
-
-// The stages run the two engines of Sec. 4.2; the auction is ILP-ARAP's
-// only, and a direct library caller asking for it gets kInvalidArgument.
-TEST(CraSdgaTest, AuctionIsNotAStageEngine) {
+// The stages run one engine and one profit source; the vestigial SraOptions
+// fields (core/cra.h) accept their one value each, and a library caller
+// asking for anything else gets kInvalidArgument naming the knob. The
+// per-pair and min-cost-flow oracles live in tests/gain_cache_test.cc.
+TEST(CraSraTest, RetiredStageEnginesAndGainModesAreRejected) {
   Instance instance = SmallInstance(9, 7, 3, 64);
-  SdgaOptions sdga;
-  sdga.backend = LapBackend::kAuction;
-  EXPECT_EQ(SolveCraSdga(instance, sdga).status().code(),
-            StatusCode::kInvalidArgument);
   auto initial = SolveCraSdga(instance);
   ASSERT_TRUE(initial.ok());
+  for (const LapBackend backend :
+       {LapBackend::kMinCostFlow, LapBackend::kAuction}) {
+    SraOptions sra;
+    sra.backend = backend;
+    const Status status = RefineSra(instance, *initial, sra).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("'lap'"), std::string::npos);
+  }
   SraOptions sra;
-  sra.backend = LapBackend::kAuction;
-  EXPECT_EQ(RefineSra(instance, *initial, sra).status().code(),
-            StatusCode::kInvalidArgument);
+  sra.gains = GainMode::kRebuild;
+  const Status status = RefineSra(instance, *initial, sra).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("'gains'"), std::string::npos);
 }
 
 TEST(CraIlpArapTest, MaximizesPairwiseObjective) {

@@ -1,13 +1,22 @@
-// Tests for the incremental marginal-gain engine (core/gain_cache.h):
-// solver-level equivalence of gains=incremental vs gains=rebuild — scores
-// AND assignments, compared with EXPECT_EQ on purpose, because the
-// contract is bit-identical, not approximately equal — across solvers,
-// topic representations and thread counts, plus row-granular invalidation
-// units (COI pairs, exhausted reviewers, add/removal epochs) against a
-// freshly built cache.
+// Tests for the stage pipeline's profit source (core/gain_cache.h) and
+// its oracles. The solvers run one stage configuration — GainCache rows
+// solved by the capacity-aware JV — so the alternatives live here:
+//   ReferenceSdga — Algorithm 2 on per-pair Assignment::MarginalGain
+//     profits, with the stage engine passed in. With the JV it must equal
+//     SolveCraSdga bit for bit (memcmp); with min-cost flow
+//     (la::SolveTransportation) every stage's scaled objective must equal
+//     the JV's on the same matrix.
+//   The epoch fuzz — after every Refresh + AssembleStageProfit of an
+//     SRA-like remove/complete trajectory, each assembled cell must be the
+//     masked per-pair value, bit for bit.
+// Plus row-granular invalidation units (COI pairs, exhausted reviewers,
+// add/removal epochs) against a freshly built cache, and the local-search
+// fold cache against ScoreWithReplacement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,6 +27,7 @@
 #include "core/gain_cache.h"
 #include "core/registry.h"
 #include "data/synthetic_dblp.h"
+#include "la/hungarian.h"
 #include "la/transportation.h"
 
 namespace wgrap::core {
@@ -29,7 +39,9 @@ namespace {
 // that force WGRAP_SPARSE_TOPICS=1.
 Instance PoolInstance(int reviewers, int papers, int group_size,
                       uint64_t seed, double topic_density = 1.0,
-                      int workload = 0) {
+                      int workload = 0,
+                      ScoringFunction scoring =
+                          ScoringFunction::kWeightedCoverage) {
   data::SyntheticDblpConfig config;
   config.num_topics = 12;
   config.seed = seed;
@@ -39,6 +51,7 @@ Instance PoolInstance(int reviewers, int papers, int group_size,
   InstanceParams params;
   params.group_size = group_size;
   params.reviewer_workload = workload;
+  params.scoring = scoring;
   params.sparse_topics = topic_density < 1.0;
   auto instance = Instance::FromDataset(*dataset, params);
   WGRAP_CHECK(instance.ok());
@@ -46,82 +59,309 @@ Instance PoolInstance(int reviewers, int papers, int group_size,
   return std::move(instance).value();
 }
 
-void ExpectSameAssignment(const Assignment& a, const Assignment& b) {
-  EXPECT_EQ(a.TotalScore(), b.TotalScore());
+void SetRandomBids(Instance* instance, uint64_t seed, double weight) {
+  Matrix bids(instance->num_papers(), instance->num_reviewers());
+  Rng rng(seed);
+  for (int p = 0; p < bids.rows(); ++p) {
+    for (int r = 0; r < bids.cols(); ++r) bids(p, r) = rng.NextDouble();
+  }
+  WGRAP_CHECK(instance->SetBids(std::move(bids), weight).ok());
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Same groups in the same order, and the same score bits per paper and in
+// total.
+void ExpectBitIdentical(const Assignment& a, const Assignment& b) {
+  EXPECT_TRUE(SameBits(a.TotalScore(), b.TotalScore()))
+      << a.TotalScore() << " vs " << b.TotalScore();
   for (int p = 0; p < a.instance().num_papers(); ++p) {
     EXPECT_EQ(a.GroupFor(p), b.GroupFor(p)) << "paper " << p;
+    EXPECT_TRUE(SameBits(a.PaperScore(p), b.PaperScore(p))) << "paper " << p;
   }
 }
 
-// The headline contract: for every solver that builds stage profits or
-// replacement scores, `gains=incremental` reproduces `gains=rebuild`
-// exactly — dense and sparse topics, 1 and 8 threads.
-TEST(GainCacheTest, SolversAreBitIdenticalAcrossGainModes) {
-  const auto& registry = SolverRegistry::Default();
-  for (double density : {1.0, 0.25}) {
-    Instance instance = PoolInstance(14, 10, 3, 401, density);
-    for (const char* algo : {"sdga", "sdga-sra", "sdga-ls"}) {
-      for (const char* threads : {"1", "8"}) {
-        SCOPED_TRACE(std::string(algo) + " density=" +
-                     std::to_string(density) + " threads=" + threads);
-        SolverRunOptions rebuild;
-        rebuild.seed = 77;
-        rebuild.extra["threads"] = threads;
-        rebuild.extra["gains"] = "rebuild";
-        SolverRunOptions incremental = rebuild;
-        incremental.extra["gains"] = "incremental";
-        auto a = registry.SolveCra(algo, instance, rebuild);
-        auto b = registry.SolveCra(algo, instance, incremental);
-        ASSERT_TRUE(a.ok()) << a.status().ToString();
-        ASSERT_TRUE(b.ok()) << b.status().ToString();
-        ExpectSameAssignment(*a, *b);
+// --- The per-pair reference -------------------------------------------------
+
+// A stage engine: the agent (reviewer) chosen for each task (row).
+using StageEngine = std::function<Result<std::vector<int>>(
+    const Matrix& profit, const std::vector<int>& capacity)>;
+
+Result<std::vector<int>> JvEngine(const Matrix& profit,
+                                  const std::vector<int>& capacity) {
+  auto solved = la::SolveCapacitatedAssignment(profit, capacity);
+  if (!solved.ok()) return solved.status();
+  return solved->task_to_agent;
+}
+
+Result<std::vector<int>> FlowEngine(const Matrix& profit,
+                                    const std::vector<int>& capacity) {
+  auto solved = la::SolveTransportation(profit, capacity);
+  if (!solved.ok()) return solved.status();
+  return solved->task_to_agent;
+}
+
+// The value of an agent choice in the stage integer program.
+int64_t ScaledObjective(const Matrix& profit, const std::vector<int>& agent) {
+  int64_t total = 0;
+  for (int i = 0; i < profit.rows(); ++i) {
+    total += la::ScaleTransportProfit(profit(i, agent[i]));
+  }
+  return total;
+}
+
+// The papers still missing a reviewer, in id order.
+std::vector<int> PapersNeeding(const Assignment& assignment) {
+  std::vector<int> papers;
+  for (int p = 0; p < assignment.instance().num_papers(); ++p) {
+    if (static_cast<int>(assignment.GroupFor(p).size()) <
+        assignment.instance().group_size()) {
+      papers.push_back(p);
+    }
+  }
+  return papers;
+}
+
+// The per-pair stage profits: MarginalGain for every pair, forbidden
+// where the reviewer has no capacity left, conflicts with the paper or
+// already reviews it.
+Matrix PerPairProfit(const Assignment& assignment,
+                     const std::vector<int>& papers,
+                     const std::vector<int>& capacity) {
+  const Instance& instance = assignment.instance();
+  const int R = instance.num_reviewers();
+  Matrix profit(static_cast<int>(papers.size()), R, la::kTransportForbidden);
+  for (size_t i = 0; i < papers.size(); ++i) {
+    const int p = papers[i];
+    for (int r = 0; r < R; ++r) {
+      if (capacity[r] <= 0 || instance.IsConflict(r, p) ||
+          assignment.Contains(p, r)) {
+        continue;
       }
+      profit(static_cast<int>(i), r) = assignment.MarginalGain(p, r);
+    }
+  }
+  return profit;
+}
+
+// Algorithm 2 as SolveCraSdga runs it — the ⌈δr/δp⌉ stage cap, relaxed to
+// the full remaining workload when a capped stage is infeasible — but on
+// per-pair profits and with `engine` for every stage. Appends each
+// committed stage's scaled objective to `stage_objectives` when given.
+Result<Assignment> ReferenceSdga(const Instance& instance,
+                                 const StageEngine& engine,
+                                 std::vector<int64_t>* stage_objectives =
+                                     nullptr) {
+  Assignment assignment(&instance);
+  const int R = instance.num_reviewers();
+  const int dp = instance.group_size();
+  const int dr = instance.reviewer_workload();
+  const int stage_cap = (dr + dp - 1) / dp;
+  for (int stage = 0; stage < dp; ++stage) {
+    const std::vector<int> papers = PapersNeeding(assignment);
+    std::vector<int> capacity(R);
+    for (int r = 0; r < R; ++r) {
+      capacity[r] = std::min(stage_cap, dr - assignment.LoadOf(r));
+    }
+    Matrix profit = PerPairProfit(assignment, papers, capacity);
+    auto chosen = engine(profit, capacity);
+    if (!chosen.ok() && chosen.status().code() == StatusCode::kInfeasible) {
+      for (int r = 0; r < R; ++r) capacity[r] = dr - assignment.LoadOf(r);
+      profit = PerPairProfit(assignment, papers, capacity);
+      chosen = engine(profit, capacity);
+    }
+    if (!chosen.ok()) return chosen.status();
+    if (stage_objectives != nullptr) {
+      stage_objectives->push_back(ScaledObjective(profit, *chosen));
+    }
+    for (size_t i = 0; i < papers.size(); ++i) {
+      WGRAP_RETURN_IF_ERROR(assignment.Add(papers[i], (*chosen)[i]));
+    }
+  }
+  WGRAP_RETURN_IF_ERROR(assignment.ValidateComplete());
+  return assignment;
+}
+
+// δp = 3 ∤ δr = 4, so the per-stage cap is ⌈4/3⌉ = 2. Paper i conflicts
+// with strong reviewer i, so its group must be the other two strong
+// reviewers plus the weak r4. Stages 1–2 place the strong reviewers and
+// leave stage 3 needing r4 on all three papers — above the cap, which
+// makes the capped stage infeasible on either engine. SDGA completes only
+// through the retry with the full remaining workload.
+Instance CapRelaxInstance() {
+  data::RapDataset dataset;
+  dataset.num_topics = 3;
+  dataset.reviewers.push_back({"r1", {1.0, 0.0, 0.0}, 1});
+  dataset.reviewers.push_back({"r2", {0.0, 1.0, 0.0}, 1});
+  dataset.reviewers.push_back({"r3", {0.0, 0.0, 1.0}, 1});
+  dataset.reviewers.push_back({"r4", {0.05, 0.05, 0.05}, 1});
+  for (const char* title : {"p1", "p2", "p3"}) {
+    dataset.papers.push_back({title, {1.0, 1.0, 1.0}, "V"});
+  }
+  InstanceParams params;
+  params.group_size = 3;
+  params.reviewer_workload = 4;
+  auto instance = Instance::FromDataset(dataset, params);
+  WGRAP_CHECK(instance.ok());
+  for (int p = 0; p < 3; ++p) instance->AddConflict(p, p);
+  return std::move(instance).value();
+}
+
+// The shapes the oracle tests walk: dense and sparse topics, COIs with
+// δp ∤ δr, bids, and the cap-relax retry.
+std::vector<std::pair<std::string, Instance>> OracleInstances() {
+  std::vector<std::pair<std::string, Instance>> out;
+  out.emplace_back("dense", PoolInstance(14, 10, 3, 401));
+  out.emplace_back("sparse", PoolInstance(14, 10, 3, 401, 0.25));
+  Instance coi = PoolInstance(8, 10, 3, 402, 1.0, /*workload=*/4);
+  for (int r = 0; r < 4; ++r) coi.AddConflict(r, 0);
+  coi.AddConflict(5, 3);
+  out.emplace_back("coi dr=4", std::move(coi));
+  Instance bids = PoolInstance(12, 8, 3, 403, 0.3);
+  SetRandomBids(&bids, 9, 0.5);
+  out.emplace_back("bids", std::move(bids));
+  out.emplace_back("cap relax", CapRelaxInstance());
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    out.emplace_back("seed " + std::to_string(seed),
+                     PoolInstance(18, 14, 3, seed));
+  }
+  return out;
+}
+
+// The headline contract: SolveCraSdga — GainCache rows, JV stages — is the
+// per-pair reference on the same engine, bit for bit, at 1 and 8 threads.
+TEST(GainCacheTest, SdgaIsThePerPairReferenceBitForBit) {
+  for (const auto& [name, instance] : OracleInstances()) {
+    SCOPED_TRACE(name);
+    auto reference = ReferenceSdga(instance, JvEngine);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      SdgaOptions options;
+      options.num_threads = threads;
+      auto solved = SolveCraSdga(instance, options);
+      ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+      ExpectBitIdentical(*reference, *solved);
     }
   }
 }
 
-// δp ∤ δr exercises the relaxed-capacity retry inside the stage loop, and
-// conflicts exercise the COI masking, in both modes.
-TEST(GainCacheTest, ModesAgreeWithConflictsAndUnevenWorkload) {
-  Instance instance = PoolInstance(8, 10, 3, 402, /*topic_density=*/1.0,
-                                   /*workload=*/4);
-  for (int r = 0; r < 4; ++r) instance.AddConflict(r, 0);
-  instance.AddConflict(5, 3);
-  SdgaOptions rebuild;
-  rebuild.gains = GainMode::kRebuild;
-  SdgaOptions incremental;
-  incremental.gains = GainMode::kIncremental;
-  auto a = SolveCraSdga(instance, rebuild);
-  auto b = SolveCraSdga(instance, incremental);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  ExpectSameAssignment(*a, *b);
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(std::count(b->GroupFor(0).begin(), b->GroupFor(0).end(), r), 0)
-        << "conflicted reviewer " << r << " assigned";
+// Min-cost flow is the JV's oracle at the stage level: driving the
+// reference with flow, every stage's profit matrix has the same scaled
+// optimum under both engines (a tie may pick another argmax, so the flow
+// trajectory is compared stage by stage, not by its groups).
+TEST(GainCacheTest, FlowStagesReachTheJvOptimum) {
+  for (const auto& [name, instance] : OracleInstances()) {
+    SCOPED_TRACE(name);
+    std::vector<int64_t> flow_objectives;
+    std::vector<int64_t> jv_objectives;
+    auto checked = [&](const Matrix& profit, const std::vector<int>& capacity)
+        -> Result<std::vector<int>> {
+      auto flow = FlowEngine(profit, capacity);
+      auto jv = JvEngine(profit, capacity);
+      EXPECT_EQ(flow.ok(), jv.ok());
+      if (flow.ok() && jv.ok()) {
+        flow_objectives.push_back(ScaledObjective(profit, *flow));
+        jv_objectives.push_back(ScaledObjective(profit, *jv));
+      }
+      return flow;
+    };
+    auto flow = ReferenceSdga(instance, checked);
+    ASSERT_TRUE(flow.ok()) << flow.status().ToString();
+    EXPECT_EQ(flow_objectives, jv_objectives);
+    EXPECT_GE(flow_objectives.size(),
+              static_cast<size_t>(instance.group_size()));
   }
 }
 
-// Bids add a modular per-pair term to every gain; both modes must carry it.
-TEST(GainCacheTest, ModesAgreeWithBids) {
-  Instance instance = PoolInstance(12, 8, 3, 403);
-  Matrix bids(instance.num_papers(), instance.num_reviewers());
-  Rng rng(9);
-  for (int p = 0; p < bids.rows(); ++p) {
-    for (int r = 0; r < bids.cols(); ++r) bids(p, r) = rng.NextDouble();
+// The cap-relax instance reaches its groups only through the retry, on
+// either engine: r4 takes all three third slots.
+TEST(GainCacheTest, CapRelaxRetryCompletesOnBothEngines) {
+  const Instance instance = CapRelaxInstance();
+  for (const StageEngine& engine : {StageEngine(JvEngine),
+                                    StageEngine(FlowEngine)}) {
+    auto sdga = ReferenceSdga(instance, engine);
+    ASSERT_TRUE(sdga.ok()) << sdga.status().ToString();
+    EXPECT_EQ(sdga->LoadOf(3), 3);
   }
-  ASSERT_TRUE(instance.SetBids(std::move(bids), 0.5).ok());
-  for (const char* algo : {"sdga", "sdga-ls"}) {
-    SCOPED_TRACE(algo);
-    SolverRunOptions rebuild;
-    rebuild.extra["gains"] = "rebuild";
-    SolverRunOptions incremental;
-    incremental.extra["gains"] = "incremental";
-    const auto& registry = SolverRegistry::Default();
-    auto a = registry.SolveCra(algo, instance, rebuild);
-    auto b = registry.SolveCra(algo, instance, incremental);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ExpectSameAssignment(*a, *b);
+}
+
+// SRA-like epochs: each round removes one reviewer from a random subset
+// of papers and completes them with one JV stage on the assembled matrix.
+// After every Refresh + AssembleStageProfit, every cell — masked or not —
+// must be the per-pair value bit for bit, under all four scorings, dense
+// and sparse topics, with and without bids.
+TEST(GainCacheTest, EpochFuzzAssemblesThePerPairMask) {
+  uint64_t seed = 500;
+  for (ScoringFunction scoring :
+       {ScoringFunction::kWeightedCoverage, ScoringFunction::kReviewerCoverage,
+        ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct}) {
+    for (double density : {1.0, 0.25}) {
+      for (bool bids : {false, true}) {
+        ++seed;
+        SCOPED_TRACE("scoring=" + std::to_string(static_cast<int>(scoring)) +
+                     " density=" + std::to_string(density) +
+                     " bids=" + std::to_string(bids));
+        Instance instance =
+            PoolInstance(14, 12, 3, seed, density, /*workload=*/0, scoring);
+        if (bids) SetRandomBids(&instance, seed, 0.3);
+        auto solved = SolveCraSdga(instance);
+        ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+        Assignment assignment = *solved;
+        const int R = instance.num_reviewers();
+        ThreadPool pool(3);
+        GainCache cache(&instance);
+        Rng rng(seed);
+        Matrix profit;
+        for (int round = 0; round < 8; ++round) {
+          for (int p = 0; p < instance.num_papers(); ++p) {
+            if (rng.NextDouble() < 0.4) continue;
+            const std::vector<int>& group = assignment.GroupFor(p);
+            const int victim = group[rng.NextBounded(group.size())];
+            ASSERT_TRUE(assignment.Remove(p, victim).ok());
+            cache.NoteRemove(p, victim);
+          }
+          // Assemble every paper (full ones included) and then the ones
+          // the completion needs, each against the per-pair mask.
+          std::vector<int> capacity(R);
+          for (int r = 0; r < R; ++r) {
+            capacity[r] = instance.reviewer_workload() - assignment.LoadOf(r);
+          }
+          std::vector<int> all(instance.num_papers());
+          for (int p = 0; p < instance.num_papers(); ++p) all[p] = p;
+          const std::vector<int> needing = PapersNeeding(assignment);
+          for (const std::vector<int>* papers :
+               std::initializer_list<const std::vector<int>*>{&all,
+                                                              &needing}) {
+            cache.Refresh(assignment, &pool);
+            cache.AssembleStageProfit(*papers, capacity, assignment, &pool,
+                                      &profit);
+            const Matrix expected =
+                PerPairProfit(assignment, *papers, capacity);
+            ASSERT_EQ(profit.rows(), expected.rows());
+            ASSERT_EQ(profit.cols(), expected.cols());
+            for (int i = 0; i < profit.rows(); ++i) {
+              for (int r = 0; r < R; ++r) {
+                ASSERT_TRUE(SameBits(profit(i, r), expected(i, r)))
+                    << "round " << round << " paper " << (*papers)[i]
+                    << " reviewer " << r << ": " << profit(i, r) << " vs "
+                    << expected(i, r);
+              }
+            }
+          }
+          if (needing.empty()) continue;
+          auto chosen = JvEngine(profit, capacity);
+          ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
+          for (size_t i = 0; i < needing.size(); ++i) {
+            ASSERT_TRUE(assignment.Add(needing[i], (*chosen)[i]).ok());
+            cache.NoteAdd(needing[i], (*chosen)[i]);
+          }
+        }
+        EXPECT_TRUE(assignment.ValidateComplete().ok());
+      }
+    }
   }
 }
 
@@ -237,7 +477,7 @@ TEST(GainCacheTest, NoteDirectionIsIrrelevant) {
 
 // COI pairs carry the sentinel and assemble as forbidden; an exhausted
 // reviewer's whole column assembles as forbidden; live entries round-trip
-// the exact scaled integer the rebuild path would hand the LAP.
+// the exact scaled integer the per-pair gain would hand the LAP.
 TEST(GainCacheTest, ConflictAndExhaustedReviewerMasking) {
   Instance instance = PoolInstance(6, 4, 2, 406);
   instance.AddConflict(/*reviewer=*/2, /*paper=*/1);
@@ -267,7 +507,7 @@ TEST(GainCacheTest, ConflictAndExhaustedReviewerMasking) {
     for (int r = 0; r < instance.num_reviewers(); ++r) {
       if (profit(p, r) == la::kTransportForbidden) continue;
       // What the LAP re-quantizes must be the stored integer, and that
-      // integer must be what a rebuild's fresh gain would scale to.
+      // integer must be what a fresh per-pair gain would scale to.
       EXPECT_EQ(la::ScaleTransportProfit(profit(p, r)),
                 cache.ScaledGain(p, r));
       EXPECT_EQ(cache.ScaledGain(p, r),
@@ -283,12 +523,7 @@ TEST(GainCacheTest, ReplacementFoldCacheMatchesScoreWithReplacement) {
   for (double density : {1.0, 0.3}) {
     SCOPED_TRACE("density=" + std::to_string(density));
     Instance instance = PoolInstance(10, 6, 3, 407, density);
-    Matrix bids(instance.num_papers(), instance.num_reviewers());
-    Rng rng(21);
-    for (int p = 0; p < bids.rows(); ++p) {
-      for (int r = 0; r < bids.cols(); ++r) bids(p, r) = rng.NextDouble();
-    }
-    ASSERT_TRUE(instance.SetBids(std::move(bids), 0.25).ok());
+    SetRandomBids(&instance, 21, 0.25);
     auto solved = SolveCraSdga(instance);
     ASSERT_TRUE(solved.ok());
     const Assignment& assignment = *solved;
@@ -310,24 +545,22 @@ TEST(GainCacheTest, ReplacementFoldCacheMatchesScoreWithReplacement) {
   }
 }
 
-// The incremental path is itself thread-count invariant (the rebuild
-// equivalence above pins it to the rebuild path at each thread count; this
-// pins incremental-1 to incremental-8 directly on a sparse instance).
+// Every stage-pipeline solver is thread-count invariant on a sparse
+// instance: 1 and 8 workers give the same groups and score bits.
 TEST(GainCacheTest, IncrementalModeIsThreadCountInvariant) {
   Instance instance = PoolInstance(16, 12, 3, 408, /*topic_density=*/0.25);
   const auto& registry = SolverRegistry::Default();
-  for (const char* algo : {"sdga", "sdga-sra"}) {
+  for (const char* algo : {"sdga", "sdga-sra", "sdga-ls"}) {
     SCOPED_TRACE(algo);
     SolverRunOptions one;
     one.seed = 5;
-    one.extra["gains"] = "incremental";
     one.extra["threads"] = "1";
     SolverRunOptions eight = one;
     eight.extra["threads"] = "8";
     auto a = registry.SolveCra(algo, instance, one);
     auto b = registry.SolveCra(algo, instance, eight);
     ASSERT_TRUE(a.ok() && b.ok());
-    ExpectSameAssignment(*a, *b);
+    ExpectBitIdentical(*a, *b);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/instance.h"
+#include "core/update.h"
 #include "data/synthetic_dblp.h"
 
 namespace wgrap::core {
@@ -29,6 +30,50 @@ TEST(InstanceTest, MinimalWorkloadFormula) {
   EXPECT_EQ(Instance::MinimalWorkload(545, 203, 3), 9);   // ceil(1635/203)
   EXPECT_EQ(Instance::MinimalWorkload(10, 10, 1), 1);
   EXPECT_EQ(Instance::MinimalWorkload(0, 5, 3), 0);
+}
+
+// One workload rule for every instance shape: FromDataset and the
+// updater's add_paper / remove_reviewer refuse the shapes
+// Instance::Workload refuses, with its messages, and leave the instance
+// untouched.
+TEST(InstanceTest, WorkloadRuleIsSharedByBuildAndUpdates) {
+  InstanceParams params;
+  params.group_size = 2;
+  EXPECT_EQ(*Instance::Workload(3, 3, params), 2);  // ceil(3*2/3)
+  params.group_size = 4;
+  const std::string too_few = "group_size exceeds reviewer count";
+  EXPECT_EQ(Instance::Workload(3, 3, params).status().message(), too_few);
+  EXPECT_EQ(Instance::FromDataset(TinyDataset(), params).status().message(),
+            too_few);
+
+  params.group_size = 2;
+  params.reviewer_workload = 2;  // fixed: R*dr = 6 = P*dp, no headroom
+  auto built = Instance::FromDataset(TinyDataset(), params);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Instance instance = *built;
+  InstanceUpdater updater(&instance, params);
+  const auto refused = [&updater](const InstanceUpdate& update) {
+    return updater.Apply(update).status().message();
+  };
+  EXPECT_EQ(refused(InstanceUpdate::AddPaper({0.2, 0.3, 0.5})),
+            "R*dr = 6 < P*dp = 8: not enough review capacity");
+  EXPECT_EQ(refused(InstanceUpdate::RemoveReviewer(0)),
+            "R*dr = 4 < P*dp = 6: not enough review capacity");
+  EXPECT_EQ(instance.num_papers(), 3);
+  EXPECT_EQ(instance.num_reviewers(), 3);
+
+  params.group_size = 3;
+  params.reviewer_workload = 0;  // dynamic: δr = P*dp/R = 3
+  built = Instance::FromDataset(TinyDataset(), params);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  instance = *built;
+  InstanceUpdater dynamic(&instance, params);
+  EXPECT_EQ(dynamic.Apply(InstanceUpdate::RemoveReviewer(1))
+                .status()
+                .message(),
+            too_few);
+  ASSERT_TRUE(dynamic.Apply(InstanceUpdate::AddPaper({0.2, 0.3, 0.5})).ok());
+  EXPECT_EQ(instance.reviewer_workload(), 4);  // ceil(4*3/3)
 }
 
 TEST(InstanceTest, DefaultWorkloadIsMinimal) {

@@ -142,6 +142,25 @@ TEST(DatasetCsvTest, RejectsNonIntegerHIndex) {
                   .ok());
 }
 
+// A paper row's h_index is unused but held to the reviewer rows' grammar:
+// `paper,p,V,garbage,...` is a malformed row, not a silently dropped field.
+TEST(DatasetCsvTest, PaperRowsRejectNonIntegerHIndex) {
+  const std::string header = "kind,name,venue,h_index,t0,t1\n";
+  const std::string reviewer = "reviewer,x,,1,0.5,0.5\n";
+  for (const char* bad : {"garbage", "", "1.5", "+0", "99999999999"}) {
+    const auto parsed = DatasetFromCsv(header + reviewer + "paper,p,V," +
+                                       bad + ",0.5,0.5\n");
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().message(),
+              std::string("row 3: '") + bad +
+                  "' is not an integer in int range");
+  }
+  const auto parsed =
+      DatasetFromCsv(header + reviewer + "paper,p,V,0,0.5,0.5\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->papers.size(), 1u);
+}
+
 // Topic weights and h-indexes follow the one number grammar
 // (common/string_util.h): a leading blank, a '+', hex or a non-finite
 // value fails the row that holds it.

@@ -323,8 +323,10 @@ TEST(SolverRegistryTest, MalformedExtraValuesAreRejected) {
         {"sra_lambda", "nan"},  // would slip past every range check
         {"sra_lambda", "-1"},   // Eq. 10 needs a decay, not a growth
         {"lap", "auction"},  // the auction is not a stage engine
+        {"lap", "mcf"},      // min-cost flow is a test oracle only
         {"topics", "csr"},
-        {"gains", "cached"}}) {
+        {"gains", "cached"},
+        {"gains", "rebuild"}}) {  // so is the per-pair rebuild
     core::SolverRunOptions options;
     options.extra[key] = value;
     auto result = registry.SolveCra("sdga-sra", instance, options);
@@ -487,12 +489,12 @@ TEST(KnobSchemaTest, ParseKnobValueAcceptsExactlyTheTypedSpellings) {
 auto PlainFields(const core::TypedOptions& o) {
   return std::tie(
       o.cra.time_limit_seconds, o.cra.num_threads, o.sdga.time_limit_seconds,
-      o.sdga.num_threads, o.sdga.backend, o.sdga.gains,
-      o.sdga.confine_stage_workload, o.sra.time_limit_seconds,
-      o.sra.num_threads, o.sra.backend, o.sra.gains,
-      o.sra.convergence_window, o.sra.decay_lambda, o.sra.max_iterations,
-      o.sra.uniform_probability, o.sra.seed, o.ls.time_limit_seconds,
-      o.ls.num_threads, o.ls.max_stall_proposals, o.ls.gains, o.ls.seed,
+      o.sdga.num_threads, o.sdga.confine_stage_workload,
+      o.sra.time_limit_seconds, o.sra.num_threads, o.sra.backend,
+      o.sra.gains, o.sra.convergence_window, o.sra.decay_lambda,
+      o.sra.max_iterations, o.sra.uniform_probability, o.sra.seed,
+      o.ls.time_limit_seconds, o.ls.num_threads, o.ls.max_stall_proposals,
+      o.ls.seed,
       o.jra.time_limit_seconds, o.jra.max_nodes,
       o.bba.time_limit_seconds, o.bba.max_nodes, o.bba.use_bounding,
       o.bba.use_gain_branching, o.sparse_topics, o.update_refine);
@@ -532,8 +534,10 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
   core::SolverRunOptions options;
   options.time_limit_seconds = 3.0;
   options.seed = 5;
-  options.extra = {{"threads", "4"},   {"lap", "mcf"},
-                   {"gains", "rebuild"}, {"sra_omega", "3"},
+  options.extra = {{"threads", "4"},
+                   {"lap", "hungarian"},
+                   {"gains", "incremental"},
+                   {"sra_omega", "3"},
                    {"sra_lambda", "0.2"}};
   auto typed = core::DecodeKnobs("sdga-sra",
                                  core::SolverRegistry::Default()
@@ -547,20 +551,21 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
     EXPECT_EQ(cra->num_threads, 4);
     EXPECT_EQ(cra->time_limit_seconds, 3.0);
   }
-  EXPECT_EQ(typed->sdga.backend, core::LapBackend::kMinCostFlow);
-  EXPECT_EQ(typed->sra.backend, core::LapBackend::kMinCostFlow);
-  EXPECT_EQ(typed->sdga.gains, core::GainMode::kRebuild);
-  EXPECT_EQ(typed->ls.gains, core::GainMode::kRebuild);
+  EXPECT_EQ(typed->sra.backend, core::LapBackend::kHungarian);
+  EXPECT_EQ(typed->sra.gains, core::GainMode::kIncremental);
   EXPECT_EQ(typed->sra.convergence_window, 3);
   EXPECT_EQ(typed->sra.decay_lambda, 0.2);
   EXPECT_EQ(typed->sra.seed, 5u);
   EXPECT_EQ(typed->ls.seed, 5u);
 
-  // The stage pipelines run hungarian or mcf only: lap=auction and the
-  // retired lap_topk are rejected, naming the knob.
-  for (const char* solver : {"sdga", "sdga-sra", "sdga-ls", "sra"}) {
+  // The stage pipelines run one engine and one gain mode: lap=auction,
+  // lap=mcf, gains=rebuild and the retired lap_topk are rejected, naming
+  // the knob (ls declares only gains, so lap is unknown there).
+  for (const char* solver : {"sdga", "sdga-sra", "sdga-ls", "sra", "ls"}) {
     for (const auto& [key, value] :
          {std::pair<const char*, const char*>{"lap", "auction"},
+          {"lap", "mcf"},
+          {"gains", "rebuild"},
           {"lap_topk", "8"},
           {"lap_epsilon", "0.5"}}) {
       SCOPED_TRACE(std::string(solver) + " " + key);

@@ -430,14 +430,14 @@ TEST(ProtocolTest, KnobErrorsFailTheSubmitWithoutAJobId) {
   ASSERT_TRUE(dataset.ok());
   std::string script;
   Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
-  // The auction is not a stage engine, and ilp takes no lap_epsilon;
-  // submit and resolve check both before handing out a job id, and the
-  // session keeps serving.
-  script += "submit conf solve sdga lap=auction\n";
+  // Min-cost flow is no longer a stage engine, and ilp takes no
+  // lap_epsilon; submit and resolve check both before handing out a job
+  // id, and the session keeps serving.
+  script += "submit conf solve sdga lap=mcf\n";
   script += "submit conf solve ilp lap_epsilon=0.5\n";
   script += "submit conf solve greedy\n";
   script += "wait 1\n";
-  script += "resolve conf lap=auction\n";
+  script += "resolve conf lap=mcf\n";
   script += "resolve conf refine=none\n";
   script += "quit\n";
 
@@ -447,7 +447,7 @@ TEST(ProtocolTest, KnobErrorsFailTheSubmitWithoutAJobId) {
   ServeStream(in, out, api);
   const std::string stage_engine =
       Err(StatusCode::kInvalidArgument,
-          "option 'lap': 'auction' (use mcf or hungarian)");
+          "option 'lap': 'mcf' (use hungarian)");
   const std::string rule =
       Err(StatusCode::kInvalidArgument,
           "'ilp' does not take option 'lap_epsilon' (declared knobs: "

@@ -307,14 +307,12 @@ TEST(SparseEquivalenceTest, SolversMatchDensePathExactly) {
           EXPECT_EQ((*a)[i].group, (*b)[i].group) << "rank " << i;
         }
       }
-      for (const char* gains : {"incremental", "rebuild"}) {
-        // sdga-ls scores its moves through the ReplacementFoldCache under
-        // gains=incremental and through ScoreWithReplacement under
-        // gains=rebuild; both twins must walk the same trajectory.
-        SCOPED_TRACE(std::string("sdga-ls gains=") + gains);
+      {
+        // sdga-ls scores its moves through the ReplacementFoldCache; both
+        // twins must walk the same trajectory.
+        SCOPED_TRACE("sdga-ls");
         core::SolverRunOptions dense_options;
         dense_options.seed = 17;
-        dense_options.extra["gains"] = gains;
         dense_options.extra["threads"] = "4";
         core::SolverRunOptions sparse_options = dense_options;
         sparse_options.extra["topics"] = "sparse";

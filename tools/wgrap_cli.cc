@@ -19,10 +19,8 @@
 //   wgrap_cli generate  --pool 300 --papers 50 --out pool.csv
 //   wgrap_cli solve     --dataset d.csv --dp 3 [--dr N] [--algo sdga-sra]
 //                       [--scoring c|cR|cP|cD] [--budget secs] [--seed S]
-//                       [--threads N] [--lap hungarian|mcf]
-//                       [--sra-omega W] [--sra-lambda L]
+//                       [--threads N] [--sra-omega W] [--sra-lambda L]
 //                       [--topics dense|sparse]
-//                       [--gains incremental|rebuild]
 //                       [--trace spans.json] [--verbose]
 //                       [--refine initial.csv] --out a.csv
 //     (--trace records the solver's span tree to a chrome://tracing JSON
@@ -32,7 +30,10 @@
 //     (--refine runs the algo's refine-from-initial hook — sra or ls —
 //      on an existing assignment instead of solving from scratch)
 //     (--algo ilp takes only --topics: one sequential demand-dp JV
-//      solve, no --threads or --lap)
+//      solve, no --threads)
+//     (--lap and --gains take only hungarian and incremental, the one
+//      stage pipeline every SDGA/SRA solve runs; any other value, like a
+//      knob the solver does not take, exits 2 naming the knob)
 //   wgrap_cli jra       --dataset d.csv --paper 0 --dp 3 [--topk 5]
 //                       [--algo bba] [--topics dense|sparse]
 //                       [--bba-bounding on|off] [--bba-gain-branching on|off]
@@ -170,6 +171,16 @@ class Flags {
     return static_cast<int64_t>(bytes);
   }
 
+  // --port, when given, must be in [min_port, 65535]: any other value
+  // exits 2 naming the flag instead of wrapping through uint16_t.
+  int GetPort(int fallback, int min_port) const {
+    const int port = GetInt("port", fallback);
+    if (values_.count("port") != 0 && (port < min_port || port > 65535)) {
+      Invalid("port", "port");
+    }
+    return port;
+  }
+
   std::string Require(const std::string& name) const {
     auto it = values_.find(name);
     if (it == values_.end()) {
@@ -235,6 +246,19 @@ T ParamOrDie(Result<T> value) {
     std::exit(2);
   }
   return *value;
+}
+
+// Decodes the knob flags against `algo`'s schema the way the solve will,
+// so a knob it rejects (`--lap mcf`) exits 2 naming the knob. An unknown
+// `algo` is left to the registry's own error.
+void CheckKnobsOrDie(const std::string& algo,
+                     const core::SolverRunOptions& options,
+                     const core::Instance& instance) {
+  const core::SolverDescriptor* solver =
+      core::SolverRegistry::Default().Find(algo);
+  if (solver != nullptr) {
+    ParamOrDie(core::DecodeKnobs(algo, solver->knobs, options, instance));
+  }
 }
 
 core::ScoringFunction ParseScoring(const Flags& flags) {
@@ -365,6 +389,7 @@ int CmdSolve(const Flags& flags) {
   // Results are bit-identical for any --threads value at a fixed --seed.
   options.extra = KnobFlags(flags);
   const auto& registry = core::SolverRegistry::Default();
+  CheckKnobsOrDie(algo, options, instance);
   Result<core::Assignment> assignment = Status::Internal("unset");
   const std::string trace_path = flags.GetString("trace", "");
   obs::Tracer tracer;
@@ -401,7 +426,6 @@ int CmdSolve(const Flags& flags) {
       obs::Registry& metrics = obs::Registry::Global();
       for (const char* name :
            {"wgrap_gain_cache_patched_cells_total",
-            "wgrap_gain_cache_rebuilt_cells_total",
             "wgrap_gain_cache_full_builds_total", "wgrap_sra_rounds_total",
             "wgrap_lap_jv_agents_settled_total",
             "wgrap_lap_jv_full_agents_expanded_total",
@@ -447,6 +471,7 @@ int CmdJra(const Flags& flags) {
   const std::string algo = flags.GetString("algo", "bba");
   core::SolverRunOptions options;
   options.extra = KnobFlags(flags);
+  CheckKnobsOrDie(algo, options, *instance);
   Result<std::vector<core::JraResult>> results = Status::Internal("unset");
   if (topk != 1) {
     // Top-k enumeration dispatches through the registry's top-k hook like
@@ -503,6 +528,16 @@ int CmdUpdate(const Flags& flags) {
   auto updates = core::ParseMutationScript(script);
   if (!updates.ok()) Die(updates.status(), "parse mutations");
 
+  core::SolverRunOptions options;
+  options.time_limit_seconds = flags.GetBudget();
+  options.seed = flags.GetUint64("seed", 20150531);
+  options.extra = KnobFlags(flags);
+  // --refine is the one alias, like the protocol's `resolve refine=`.
+  const std::string refine = flags.GetString("refine", "");
+  if (!refine.empty()) options.extra["update_refine"] = refine;
+  ParamOrDie(core::DecodeKnobs("update", core::IncrementalResolveKnobSpecs(),
+                               options, instance));
+
   core::InstanceParams params;
   params.group_size = flags.GetInt("dp", 3);
   params.reviewer_workload = flags.GetInt("dr", 0);
@@ -512,14 +547,6 @@ int CmdUpdate(const Flags& flags) {
   auto report = updater.ApplyAll(*updates);
   if (!report.ok()) Die(report.status(), "apply mutations");
   std::printf("%s", service::MutationReport(*report, instance).c_str());
-
-  core::SolverRunOptions options;
-  options.time_limit_seconds = flags.GetBudget();
-  options.seed = flags.GetUint64("seed", 20150531);
-  options.extra = KnobFlags(flags);
-  // --refine is the one alias, like the protocol's `resolve refine=`.
-  const std::string refine = flags.GetString("refine", "");
-  if (!refine.empty()) options.extra["update_refine"] = refine;
 
   // --mode rebuild cross-checks the patch path: export the patched
   // instance back to a dataset, rebuild it from scratch, replay COIs and
@@ -598,7 +625,7 @@ int CmdServe(const Flags& flags) {
   serve_options.max_payload_bytes =
       flags.GetByteCount("max-payload", serve_options.max_payload_bytes);
   service::ServiceApi api(options);
-  const int port = flags.GetInt("port", -1);
+  const int port = flags.GetPort(-1, 0);
   if (port >= 0) {
     service::TcpServer::Options tcp_options;
     tcp_options.max_connections = flags.GetInt("max-conns", 64);
@@ -663,7 +690,7 @@ int ConnectLoopback(int port) {
 }
 
 int CmdWatch(const Flags& flags) {
-  const int port = flags.GetInt("port", 0);
+  const int port = flags.GetPort(0, 1);
   if (port <= 0) {
     std::fprintf(stderr, "watch requires --port (a `serve --port` process)\n");
     return 2;

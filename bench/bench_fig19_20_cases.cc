@@ -49,8 +49,9 @@ int main() {
       bench::DieOnError(assignment.status(), method.name);
       const auto report = core::BuildCaseStudy(setup.instance, *assignment,
                                                setup.dataset, paper, 5);
+      bench::DieOnError(report.status(), "case study");
       std::printf("%s",
-                  core::FormatCaseStudy(report, method.name).c_str());
+                  core::FormatCaseStudy(*report, method.name).c_str());
       std::printf("\n");
     }
   }

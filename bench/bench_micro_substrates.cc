@@ -2,7 +2,7 @@
 // stand on: weighted-coverage scoring, marginal gain, Hungarian, min-cost
 // transportation, BBA, one SDGA stage, the dense-vs-CSR scoring-kernel
 // density sweeps (BM_SparseVsDense*), the rebuild-vs-incremental
-// stage-profit maintenance sweep (BM_GainCacheVsRebuild), and the
+// stage maintenance-and-solve sweep (BM_GainCacheVsRebuild), and the
 // thread-count sweeps of the two parallel hot paths (SDGA stage scoring,
 // ATM Gibbs sweeps) that bench/BASELINES.md tracks, plus the per-kernel
 // scalar-vs-dispatched tracks for the simd/kernels.h layer (BM_Kernel*).
@@ -293,23 +293,24 @@ BENCHMARK(BM_LapAuctionThreads)
     ->Unit(benchmark::kMillisecond)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Per-stage profit maintenance head-to-head: rebuild every P×R marginal
-// gain per pair vs. the GainCache (core/gain_cache.h), which re-scores
-// each moved paper's row in one topic-major pass, on a 400-paper
-// reviewer-pool instance at the given topic density. Args:
-// {density%, epoch, mode} with mode 0 = rebuild, 1 = incremental (notes
-// + Refresh + AssembleStageProfit; the cache copy that resets state is
-// excluded from timing), over the two epochs the solvers actually
-// maintain:
+// Per-stage maintenance head-to-head, through the stage solve: rebuild
+// every P×R marginal gain per pair into a profit matrix and solve it with
+// the Matrix JV, vs. the GainCache (core/gain_cache.h), which re-scores
+// each moved paper's row in one topic-major pass into its int64 cost rows,
+// which the JV reads in place (la::SolveCapacitatedRows). On a 400-paper
+// reviewer-pool instance at the given topic density. Args: {density%,
+// epoch, mode} with mode 0 = rebuild, 1 = incremental (notes + Refresh +
+// in-place JV; the cache copy that resets state is excluded from timing),
+// over the two epochs the solvers actually maintain:
 //   epoch 0 — SDGA stage: "stage 2 just committed one reviewer per
-//     paper; produce stage 3's LAP matrix". Young groups cover few
-//     topics, so the row pass skips few of them.
+//     paper; solve stage 3". Young groups cover few topics, so the row
+//     pass skips few of them.
 //   epoch 1 — SRA completion round: "one victim removed per complete
-//     group; produce the completion LAP matrix". The dominant workload
-//     in sdga-sra (rounds outnumber stages ~100:1). A paper whose victim
-//     held no max keeps its row; the others are re-scored whole.
-// Both modes produce the identical integer program; only wall-clock
-// differs.
+//     group; solve the completion". The dominant workload in sdga-sra
+//     (rounds outnumber stages ~100:1). A paper whose victim held no max
+//     keeps its row; the others are re-scored whole.
+// Both modes solve the identical integer program and pick the same
+// reviewers; only wall-clock differs.
 void BM_GainCacheVsRebuild(benchmark::State& state) {
   const double density = static_cast<int>(state.range(0)) / 100.0;
   const bool sra_round = state.range(1) != 0;
@@ -357,7 +358,6 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
     capacity[r] = instance->reviewer_workload() - after.LoadOf(r);
   }
   ThreadPool pool(1);
-  Matrix profit(P, R, la::kTransportForbidden);
   if (incremental) {
     core::GainCache base(&*instance);
     base.Refresh(before, &pool);
@@ -368,12 +368,20 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
       state.ResumeTiming();
       for (const auto& [p, r] : deltas) cache.NoteRemove(p, r);
       cache.Refresh(after, &pool);
-      cache.AssembleStageProfit(papers, capacity, after, &pool, &profit);
-      benchmark::DoNotOptimize(profit);
+      la::JvCostRows rows;
+      rows.agents = R;
+      for (int p : papers) {
+        rows.cost.push_back(cache.CostRow(p));
+        rows.excluded.push_back(&after.GroupFor(p));
+      }
+      auto solved = la::SolveCapacitatedRows(rows, capacity, 1);
+      bench::DieOnError(solved.status(), "SolveCapacitatedRows");
+      benchmark::DoNotOptimize(solved);
       patched = cache.patched_entries();
     }
     state.counters["patched"] = static_cast<double>(patched);
   } else {
+    Matrix profit(P, R, la::kTransportForbidden);
     for (auto _ : state) {
       for (int p = 0; p < P; ++p) {
         for (int r = 0; r < R; ++r) {
@@ -384,7 +392,9 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
                              : after.MarginalGain(p, r);
         }
       }
-      benchmark::DoNotOptimize(profit);
+      auto solved = la::SolveCapacitatedAssignment(profit, capacity);
+      bench::DieOnError(solved.status(), "SolveCapacitatedAssignment");
+      benchmark::DoNotOptimize(solved);
     }
     state.counters["patched"] = static_cast<double>(P) * R;
   }

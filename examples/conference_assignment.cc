@@ -75,7 +75,12 @@ int main() {
   // Case study on the first submission, as in Figs. 19-20.
   auto report = core::BuildCaseStudy(*instance, *champion, *dataset,
                                      /*paper=*/0, /*top_k=*/5);
+  if (!report.ok()) {
+    std::fprintf(stderr, "case study: %s\n",
+                 report.status().ToString().c_str());
+    return 1;
+  }
   std::printf("\n%s",
-              core::FormatCaseStudy(report, "SDGA-SRA case study").c_str());
+              core::FormatCaseStudy(*report, "SDGA-SRA case study").c_str());
   return 0;
 }

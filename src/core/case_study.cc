@@ -22,10 +22,16 @@ std::vector<int> TopTopics(const Instance& instance, int paper, int k) {
   return order;
 }
 
-CaseStudyReport BuildCaseStudy(const Instance& instance,
-                               const Assignment& assignment,
-                               const data::RapDataset& dataset, int paper,
-                               int top_k) {
+Result<CaseStudyReport> BuildCaseStudy(const Instance& instance,
+                                       const Assignment& assignment,
+                                       const data::RapDataset& dataset,
+                                       int paper, int top_k) {
+  if (paper < 0 || paper >= instance.num_papers()) {
+    return Status::OutOfRange("paper id out of range");
+  }
+  if (top_k < 1) {
+    return Status::InvalidArgument("case study requires top-k topics >= 1");
+  }
   CaseStudyReport report;
   report.top_topics = TopTopics(instance, paper, top_k);
   report.group_score = assignment.PaperScore(paper);

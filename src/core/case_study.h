@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "core/assignment.h"
 #include "core/instance.h"
 #include "data/dataset.h"
@@ -30,10 +31,12 @@ std::vector<int> TopTopics(const Instance& instance, int paper, int k);
 
 /// Builds the report for `paper` under `assignment`, labelling reviewers
 /// with names from `dataset` (which must be the instance's source).
-CaseStudyReport BuildCaseStudy(const Instance& instance,
-                               const Assignment& assignment,
-                               const data::RapDataset& dataset, int paper,
-                               int top_k = 5);
+/// kOutOfRange for a paper id outside [0, P), as the JRA solvers answer;
+/// kInvalidArgument for top_k < 1.
+Result<CaseStudyReport> BuildCaseStudy(const Instance& instance,
+                                       const Assignment& assignment,
+                                       const data::RapDataset& dataset,
+                                       int paper, int top_k = 5);
 
 /// Renders rows of the report as an aligned text table with a score line.
 std::string FormatCaseStudy(const CaseStudyReport& report,

@@ -7,6 +7,9 @@
 // (la/hungarian.h) with demand δp per paper. Like SM, it ignores group
 // diversity; an interdisciplinary paper can end up with δp copies of the
 // same narrow expertise.
+#include <cstdint>
+#include <vector>
+
 #include "common/stopwatch.h"
 #include "core/cra.h"
 #include "la/hungarian.h"
@@ -21,29 +24,38 @@ Result<Assignment> SolveCraIlpArap(const Instance& instance,
   const int R = instance.num_reviewers();
   const Deadline deadline(options.time_limit_seconds);
 
-  Matrix profit(P, R);
+  // The JV's rows, written directly as costs: the pair utilities' program.
+  std::vector<int64_t> cost(static_cast<size_t>(P) * R);
+  la::JvCostRows rows;
+  rows.agents = R;
+  rows.cost.resize(P);
   for (int p = 0; p < P; ++p) {
-    // Per-paper-row poll: the profit build is O(P·R) and can dominate on
+    // Per-paper-row poll: the cost build is O(P·R) and can dominate on
     // wide instances, so the budget must cover it, not just the JV solve.
     if (deadline.Expired()) {
       return Status::ResourceExhausted("ILP-ARAP time limit exceeded");
     }
     WGRAP_RETURN_IF_ERROR(CheckNotCancelled(options.cancel, "ILP-ARAP"));
+    int64_t* row = &cost[static_cast<size_t>(p) * R];
     for (int r = 0; r < R; ++r) {
-      profit(p, r) = instance.IsConflict(r, p) ? la::kTransportForbidden
-                                               : instance.PairUtility(r, p);
+      row[r] = instance.IsConflict(r, p)
+                   ? la::kJvNoEdge
+                   : la::JvCost(instance.PairUtility(r, p));
     }
+    rows.cost[p] = row;
   }
   std::vector<int> capacity(R, instance.reviewer_workload());
+  const int dp = instance.group_size();
 
-  auto solved = la::SolveCapacitatedAssignment(
-      profit, capacity, instance.group_size(), &deadline, options.cancel);
+  auto solved = la::SolveCapacitatedRows(rows, capacity, dp, &deadline,
+                                         options.cancel);
   if (!solved.ok()) return solved.status();
 
   Assignment assignment(&instance);
   for (int p = 0; p < P; ++p) {
-    for (int r : solved->task_to_agents[p]) {
-      WGRAP_RETURN_IF_ERROR(assignment.Add(p, r));
+    for (int k = 0; k < dp; ++k) {
+      WGRAP_RETURN_IF_ERROR(
+          assignment.Add(p, (*solved)[static_cast<size_t>(p) * dp + k]));
     }
   }
   WGRAP_RETURN_IF_ERROR(assignment.ValidateComplete());

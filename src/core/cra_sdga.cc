@@ -11,9 +11,9 @@
 // Sec. 4.2 solves each stage with "the Hungarian algorithm or minimum-cost
 // flow"; both find the same optimum of the same scaled integer program, so
 // one engine is enough. Every stage (and every SRA completion) runs one
-// pipeline: the GainCache's row-maintained profits, assembled and masked,
-// solved by the capacity-aware Jonker–Volgenant with one dual per reviewer
-// (la::SolveCapacitatedAssignment). The per-pair MarginalGain loop and
+// pipeline: the capacity-aware Jonker–Volgenant with one dual per reviewer
+// (la::SolveCapacitatedRows), reading the GainCache's row-maintained int64
+// costs in place. The per-pair MarginalGain loop and
 // min-cost flow are test oracles (tests/gain_cache_test.cc).
 #include <algorithm>
 #include <vector>
@@ -30,12 +30,13 @@
 namespace wgrap::core {
 
 // One SDGA stage: assigns one reviewer to every paper, maximizing summed
-// marginal gain, respecting per-stage capacities. The profit matrix is the
-// GainCache's rows, refreshed for the papers whose group moved and masked
-// for this stage; both steps fan out over `pool` (a 1-thread pool runs
-// inline) and are deterministic because each row is an independent
-// function of the frozen assignment. Also the SRA completion step
-// (declared in cra_sra.cc), where `cache` lives across the rounds.
+// marginal gain, respecting per-stage capacities. The JV reads the
+// GainCache's cost rows in place, refreshed for the papers whose group
+// moved; each paper's current reviewers are its excluded agents. The
+// refresh fans out over `pool` (a 1-thread pool runs inline) and is
+// deterministic because each row is an independent function of the frozen
+// assignment. Also the SRA completion step (declared in cra_sra.cc), where
+// `cache` lives across the rounds.
 Status SolveStageAssignment(const Instance& instance,
                             const std::vector<int>& capacity,
                             ThreadPool* pool, GainCache* cache,
@@ -49,19 +50,26 @@ Status SolveStageAssignment(const Instance& instance,
   }
   if (papers_needing.empty()) return Status::OK();
 
-  // Allocated and filled ahead of the refresh, though the assembly
-  // overwrites every cell: a zero-filled matrix allocated after the
-  // refresh measured up to 18% slower on perfbench sparse_p400 (4-vCPU
-  // Xeon, gcc 12).
-  Matrix stage_profit(static_cast<int>(papers_needing.size()),
-                      instance.num_reviewers(), la::kTransportForbidden);
-  cache->Refresh(*assignment, pool);
-  cache->AssembleStageProfit(papers_needing, capacity, *assignment, pool,
-                             &stage_profit);
-  auto solved = la::SolveCapacitatedAssignment(stage_profit, capacity);
+  {
+    obs::ScopedSpan refresh_span("profit_refresh");
+    cache->Refresh(*assignment, pool);
+  }
+  Result<std::vector<int>> solved = Status::Internal("unsolved");
+  {
+    obs::ScopedSpan lap_span("lap_solve");
+    la::JvCostRows rows;
+    rows.agents = instance.num_reviewers();
+    rows.cost.reserve(papers_needing.size());
+    rows.excluded.reserve(papers_needing.size());
+    for (int p : papers_needing) {
+      rows.cost.push_back(cache->CostRow(p));
+      rows.excluded.push_back(&assignment->GroupFor(p));
+    }
+    solved = la::SolveCapacitatedRows(rows, capacity, /*demand=*/1);
+  }
   if (!solved.ok()) return solved.status();
   for (size_t i = 0; i < papers_needing.size(); ++i) {
-    const int reviewer = solved->task_to_agent[i];
+    const int reviewer = (*solved)[i];
     WGRAP_RETURN_IF_ERROR(assignment->Add(papers_needing[i], reviewer));
     cache->NoteAdd(papers_needing[i], reviewer);
   }
@@ -107,6 +115,7 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
       // stage's contribution, so relaxing the cap to the full remaining
       // workload keeps the 1/2 guarantee intact. (The infeasible attempt
       // committed nothing, so the gain cache needs no rollback.)
+      obs::ScopedSpan retry_span("cap_relax_retry");
       static obs::Counter* const retries = obs::Registry::Global().GetCounter(
           "wgrap_sdga_cap_relax_retries_total");
       if (retries) retries->Add();

@@ -1,10 +1,11 @@
 #include "core/gain_cache.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "la/transportation.h"
+#include "la/hungarian.h"
 #include "obs/metrics.h"
 
 namespace wgrap::core {
@@ -20,18 +21,22 @@ GainCache::GainCache(const Instance* instance)
     : instance_(instance), num_reviewers_(instance->num_reviewers()) {}
 
 void GainCache::ScoreRow(const Assignment& assignment, int paper) {
-  double* row = &gains_[static_cast<size_t>(paper) * num_reviewers_];
-  assignment.MarginalGainRow(paper, row);
-  // Conflicts hold the forbidden marker permanently.
+  // The bit-exact doubles go to a per-thread scratch row; only their JV
+  // costs are stored. Conflicts hold the no-edge marker permanently.
+  thread_local std::vector<double> gains;
+  gains.resize(num_reviewers_);
+  assignment.MarginalGainRow(paper, gains.data());
+  int64_t* row = &costs_[static_cast<size_t>(paper) * num_reviewers_];
   for (int r = 0; r < num_reviewers_; ++r) {
-    if (instance_->IsConflict(r, paper)) row[r] = la::kTransportForbidden;
+    row[r] = instance_->IsConflict(r, paper) ? la::kJvNoEdge
+                                             : la::JvCost(gains[r]);
   }
 }
 
 void GainCache::Initialize(const Assignment& assignment, ThreadPool* pool) {
   const int P = instance_->num_papers();
   const int T = instance_->num_topics();
-  gains_.assign(static_cast<size_t>(P) * num_reviewers_, 0.0);
+  costs_.assign(static_cast<size_t>(P) * num_reviewers_, 0);
   group_snapshot_ = Matrix(P, T);
   pool->ParallelFor(0, P, kPaperGrain, [&](int64_t p64) {
     const int p = static_cast<int>(p64);
@@ -79,29 +84,24 @@ void GainCache::AssembleStageProfit(const std::vector<int>& papers,
                                     const Assignment& assignment,
                                     ThreadPool* pool,
                                     Matrix* stage_profit) const {
-  WGRAP_CHECK_MSG(initialized_ && pending_.empty(),
-                  "AssembleStageProfit requires a Refresh with no notes "
-                  "pending");
   const int R = num_reviewers_;
   const int rows = static_cast<int>(papers.size());
   if (stage_profit->rows() != rows || stage_profit->cols() != R) {
     *stage_profit = Matrix(rows, R);
   }
-  // The per-pair mask (capacity, COI, membership) restated as a bulk row
-  // copy plus sparse overwrites: conflicts already hold the forbidden
-  // marker in storage, the (typically few) exhausted reviewers are listed
-  // once, and the δp already-assigned reviewers are masked per row — no
-  // per-entry branch or Contains lookup on the O(rows × R) path.
-  std::vector<int> exhausted;
-  for (int r = 0; r < R; ++r) {
-    if (capacity[r] <= 0) exhausted.push_back(r);
-  }
   pool->ParallelFor(0, rows, kPaperGrain, [&](int64_t i) {
     const int p = papers[i];
     double* out = stage_profit->Row(static_cast<int>(i));
-    const double* row = &gains_[static_cast<size_t>(p) * R];
-    std::copy(row, row + R, out);
-    for (int r : exhausted) out[r] = la::kTransportForbidden;
+    const int64_t* row = CostRow(p);
+    for (int r = 0; r < R; ++r) {
+      const int64_t c = row[r];
+      out[r] = capacity[r] <= 0 || c == la::kJvNoEdge
+                   ? la::kTransportForbidden
+               : c == la::kJvBadProfit
+                   ? std::numeric_limits<double>::infinity()
+                   : static_cast<double>(la::kJvCostOrigin - c) /
+                         la::kTransportProfitScale;
+    }
     for (int member : assignment.GroupFor(p)) {
       out[member] = la::kTransportForbidden;
     }
@@ -109,9 +109,10 @@ void GainCache::AssembleStageProfit(const std::vector<int>& papers,
 }
 
 int64_t GainCache::ScaledGain(int paper, int reviewer) const {
-  const double gain = Gain(paper, reviewer);
-  if (gain <= la::kTransportForbidden / 2) return kConflictSentinel;
-  return la::ScaleTransportProfit(gain);
+  const int64_t c = CostRow(paper)[reviewer];
+  if (c == la::kJvNoEdge) return kConflictSentinel;
+  if (c == la::kJvBadProfit) return kOutOfRangeSentinel;
+  return la::kJvCostOrigin - c;
 }
 
 void GainCache::ReportCounters() const {

@@ -1,45 +1,45 @@
-// Incremental marginal-gain engine: keeps the SDGA/SRA stage profit matrix
-// (gain(A[p], r, p) of Definition 8 for every pair) alive across stage
-// commits instead of rebuilding all P×R entries per stage, and caches the
-// local-search group folds behind ScoreWithReplacement. It is the only
-// profit source of the stage pipeline (cra_sdga.cc) and of local search
-// (cra_local_search.cc).
+// Incremental marginal-gain engine: keeps the SDGA/SRA stage program
+// (gain(A[p], r, p) of Definition 8 for every pair, as the JV's int64
+// cost) alive across stage commits instead of rebuilding all P×R entries
+// per stage, and caches the local-search group folds behind
+// ScoreWithReplacement. It is the only profit source of the stage pipeline
+// (cra_sdga.cc) and of local search (cra_local_search.cc).
 //
 // Why whole-row recompute is exact (the contract everything here rests
 // on): gain(A[p], r, p) reads the assignment only through paper p's group
 // vector g→. So a row whose g→ equals its snapshot holds exactly the
-// doubles a per-pair rebuild would compute, and a row whose g→ moved is
+// values a per-pair rebuild would compute, and a row whose g→ moved is
 // re-scored in one topic-major pass by Assignment::MarginalGainRow, which
 // reproduces MarginalGain bit for bit for every reviewer: it walks the
 // columns of the instance's CSC reviewer index (Instance::
 // ReviewerTopicIndex; the cache owns no index of its own) for the topics
 // core::TopicCanGain admits, in ascending order, and adds each reviewer's
 // term into its slot — the per-pair kernels' operations in the same
-// order, minus terms that are exactly +0.0. So every assembled cell is the
-// masked per-pair Assignment::MarginalGain, at any thread count; the test
-// oracle in tests/gain_cache_test.cc runs SDGA on per-pair profits and
-// compares with memcmp, and tests/assignment_test.cc pins the row kernel
-// against MarginalGain.
+// order, minus terms that are exactly +0.0. The tests/gain_cache_test.cc
+// oracle runs SDGA on per-pair profits and compares with memcmp, and
+// tests/assignment_test.cc pins the row kernel against MarginalGain.
 //
-// The int64 domain: what the cache maintains exactly is the stage integer
-// program — the 1e9-scaled int64 profits (la::ScaleTransportProfit) the
-// stage JV optimizes. Maintenance in the rounded domain cannot be
-// arithmetic (llround is not additive — llround(a+b) ≠
-// llround(a)+llround(b)), so the cache keeps the pre-quantization
-// doubles, whose bit-exactness (above) makes the derived integers exact.
-// Storing the doubles rather than the integers also keeps assembly a
-// straight masked copy — the int64 view is exposed through ScaledGain()
-// and pinned by the equivalence tests.
+// The storage is the stage integer program itself. A row pass computes
+// the bit-exact doubles into a per-thread scratch row and stores each cell
+// as la::JvCost(gain) = kJvCostOrigin - ScaleTransportProfit(gain), the
+// form the stage JV reads in place (la::SolveCapacitatedRows): a COI is
+// la::kJvNoEdge, folded into the same loop, and an out-of-range gain
+// la::kJvBadProfit, which the JV rejects if a stage could use it. The
+// rounding happens once per pass, from the exact doubles, so the integers
+// are exact too; maintenance in the rounded domain could not be arithmetic
+// (llround is not additive), which is why a moved row is re-scored whole.
+// No stage copies, masks or scales a cell: it passes CostRow(p) and the
+// paper's current reviewers (the excluded agents) to the JV.
 //
 // Cost: a Refresh costs O(T) per noted paper to diff its group vector,
 // plus one row pass, O(T + Σ_{admitted t} degree(t) + R), per paper whose
-// vector moved — fanned over the ThreadPool, papers independent — plus an
-// O(rows × R) assembly copy. A per-pair rebuild would pay R kernels of
-// O(T) (or O(nnz(r))) per row instead. SDGA stages and SRA rounds change
-// nearly every paper's group, so what the cache saves is the rows of
-// papers whose group did not move, and the row pass's skip of covered
-// topics (g_t ≥ p_t under c and cP), which the per-pair kernels re-test
-// for every reviewer.
+// vector moved — fanned over the ThreadPool, papers independent. A
+// per-pair rebuild would pay R kernels of O(T) (or O(nnz(r))) per row
+// instead. SDGA stages and SRA rounds change nearly every paper's group,
+// so what the cache saves is the rows of papers whose group did not move,
+// and the row pass's skip of covered topics (g_t ≥ p_t under c and cP),
+// which the per-pair kernels re-test for every reviewer. Memory: P×R
+// int64 plus the P×T group snapshot.
 #ifndef WGRAP_CORE_GAIN_CACHE_H_
 #define WGRAP_CORE_GAIN_CACHE_H_
 
@@ -47,6 +47,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/check.h"
 #include "common/matrix.h"
 #include "common/status.h"
 #include "core/assignment.h"
@@ -58,15 +59,14 @@ class ThreadPool;
 
 namespace wgrap::core {
 
-/// Delta-maintained stage profit matrix, re-scored row by row over the
+/// Delta-maintained stage cost rows, re-scored row by row over the
 /// instance's topic-inverted reviewer index.
 ///
 /// Usage protocol (cra_sdga.cc / cra_sra.cc):
 ///   GainCache cache(&instance);
 ///   loop {
 ///     cache.Refresh(assignment, pool);     // first call = full build
-///     cache.AssembleStageProfit(...);      // mask + emit LAP matrix
-///     ... solve stage, then for every commit:
+///     ... solve the stage on CostRow(p) rows, then for every commit:
 ///     assignment.Add(p, r);  cache.NoteAdd(p, r);      // or
 ///     assignment.Remove(p, r); cache.NoteRemove(p, r);
 ///   }
@@ -79,10 +79,11 @@ namespace wgrap::core {
 /// disjoint).
 class GainCache {
  public:
-  /// ScaledGain's value for conflict-of-interest pairs (stored as the
-  /// forbidden profit marker, which has no scaled representation).
+  /// ScaledGain's value for conflict-of-interest pairs, and for gains
+  /// outside the scalable range: neither has a scaled representation.
   static constexpr int64_t kConflictSentinel =
       std::numeric_limits<int64_t>::min();
+  static constexpr int64_t kOutOfRangeSentinel = kConflictSentinel + 1;
 
   /// No gains are computed until the first Refresh.
   explicit GainCache(const Instance* instance);
@@ -101,34 +102,42 @@ class GainCache {
   void NoteRemove(int paper, int /*reviewer*/) { Note(paper); }
 
   /// First call: full gain build against `assignment`, one row pass per
-  /// paper. Later
-  /// calls: diffs the group vectors of noted papers against the snapshot
-  /// and re-scores the whole row of each paper whose vector moved — all
-  /// on `pool`, bit-identical at any thread count. Out-of-range or
-  /// non-finite gains are stored as-is and rejected later by the LAP.
+  /// paper. Later calls: diffs the group vectors of noted papers against
+  /// the snapshot and re-scores the whole row of each paper whose vector
+  /// moved — all on `pool`, bit-identical at any thread count.
+  /// Out-of-range or non-finite gains are stored as la::kJvBadProfit and
+  /// rejected later by the JV, if a stage can use them.
   void Refresh(const Assignment& assignment, ThreadPool* pool);
 
-  /// Emits the LAP profit matrix for `papers` (one row per paper, in
-  /// order): kTransportForbidden where capacity[r] <= 0, (r, p) is a COI,
-  /// or r already reviews p, and the cached gain (the per-pair
-  /// MarginalGain's exact double) elsewhere.
-  /// `stage_profit` is resized to papers.size() × R. Requires a Refresh
-  /// with no notes pending.
+  /// Paper `paper`'s row of R la::JvCost cells, read in place by the stage
+  /// JV: la::kJvNoEdge on COI pairs. Members and exhausted reviewers are
+  /// not masked here; the JV excludes them. Valid until the next Refresh;
+  /// requires a Refresh with no notes pending.
+  const int64_t* CostRow(int paper) const {
+    WGRAP_CHECK_MSG(initialized_ && pending_.empty(),
+                    "CostRow requires a Refresh with no notes pending");
+    return &costs_[static_cast<size_t>(paper) * num_reviewers_];
+  }
+
+  /// The entry's value in the stage integer program — the 1e9-scaled
+  /// int64 profit, kJvCostOrigin - the stored cost — or kConflictSentinel
+  /// on COI pairs (kOutOfRangeSentinel on out-of-range gains). Test and
+  /// diagnostics hook; requires a Refresh.
+  int64_t ScaledGain(int paper, int reviewer) const;
+
+  /// A probe and test helper, not a solver step: emits the masked stage
+  /// profit matrix for `papers` (one row per paper, in order) as doubles —
+  /// kTransportForbidden where capacity[r] <= 0, (r, p) is a COI, or r
+  /// already reviews p, and ScaledGain / 1e9 elsewhere (+inf for an
+  /// out-of-range gain). ScaleTransportProfit maps each emitted value back
+  /// to ScaledGain exactly (|s| <= 1e15), so a profit-matrix engine solves
+  /// the stage's integer program. `stage_profit` is resized to
+  /// papers.size() × R. Requires a Refresh with no notes pending. Leaves
+  /// once the benchmark's stage probe reads CostRow instead.
   void AssembleStageProfit(const std::vector<int>& papers,
                            const std::vector<int>& capacity,
                            const Assignment& assignment, ThreadPool* pool,
                            Matrix* stage_profit) const;
-
-  /// The cached gain double for (paper, reviewer); kTransportForbidden on
-  /// COI pairs. Requires a Refresh.
-  double Gain(int paper, int reviewer) const {
-    return gains_[static_cast<size_t>(paper) * num_reviewers_ + reviewer];
-  }
-
-  /// The entry's value in the stage integer program — the 1e9-scaled
-  /// int64 the stage JV optimizes — or kConflictSentinel on COI pairs.
-  /// Test and diagnostics hook; requires a Refresh.
-  int64_t ScaledGain(int paper, int reviewer) const;
 
   /// Entries re-scored by Refresh patches (excludes the initial build):
   /// R per re-scored row, COI entries included — the invalidation tests
@@ -143,14 +152,14 @@ class GainCache {
  private:
   void Note(int paper) { pending_.push_back(paper); }
   void Initialize(const Assignment& assignment, ThreadPool* pool);
-  /// Re-scores gains_ row `paper` against `assignment`.
+  /// Re-scores costs_ row `paper` against `assignment`.
   void ScoreRow(const Assignment& assignment, int paper);
 
   const Instance* instance_;
   const int num_reviewers_;
-  /// P×R gain doubles; the snapshot holds the group vectors they were
+  /// P×R la::JvCost cells; the snapshot holds the group vectors they were
   /// last scored against (the diff base for moved rows).
-  std::vector<double> gains_;
+  std::vector<int64_t> costs_;
   Matrix group_snapshot_;  // P×T
   std::vector<int> pending_;  // noted papers
   bool initialized_ = false;

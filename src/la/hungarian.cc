@@ -14,7 +14,6 @@ namespace wgrap::la {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr int64_t kNoEdge = -1;  // forbidden cell or zero-capacity agent
 constexpr int64_t kUnreached = std::numeric_limits<int64_t>::max();
 
 // JV work of one solve, counted in locals and added to the process
@@ -40,14 +39,14 @@ struct JvWork {
   }
 };
 
-// The JV behind both public overloads. Returns the agents of task t at
-// [t·demand, (t+1)·demand), ascending.
-//
-// Costs are c = s_max - s >= 0 on the scaled profits s. Invariants between
-// unit insertions: reduced costs rc = c - u[t] - v[a] are >= 0 on every
-// edge a task does not hold and <= 0 on every held edge (a held edge is at
-// its unit capacity, so its own bound dual absorbs the rest); v[a] <= 0,
-// and v[a] < 0 only for a full agent. At demand 1 a task is reached only
+}  // namespace
+
+// Costs are c = c' - c'_min >= 0 on the usable cells, which equals
+// s_max - s on the scaled profits s. Invariants between unit insertions:
+// reduced costs rc = c - u[t] - v[a] are >= 0 on every edge a task does
+// not hold and <= 0 on every held edge (a held edge is at its unit
+// capacity, so its own bound dual absorbs the rest); v[a] <= 0, and
+// v[a] < 0 only for a full agent. At demand 1 a task is reached only
 // through its one agent, so held edges stay tight.
 //
 // A unit of task t0 is inserted by a Dijkstra over agents and tasks. A
@@ -67,9 +66,10 @@ struct JvWork {
 // The two O(R) loops, the relax of a scanned task and the search for the
 // nearest agent, are the whole cost at demand 1. They carry no per-agent
 // branch: a settled agent's distance moves to `settled` and its dist
-// entry is parked at simd::kJvParked, as are a scanning task's own agents
-// while it scans, so simd::JvRelax needs only the edge test and
-// simd::JvMinDist only the parked test.
+// entry is parked at simd::kJvParked, as are the zero-capacity agents and
+// a scanning task's own and excluded agents, so simd::JvRelax needs only
+// the edge test (c' >= 0) and simd::JvMinDist only the parked test. The
+// relax reads the row as stored and folds c'_min into its base.
 //
 // Overflow: write D(x) for the true cost of x's tree path (forward edges
 // +c, backward edges -c). A simple path has at most units edges each way,
@@ -77,14 +77,19 @@ struct JvWork {
 // u[t] = D(end) - D(t) >= 0 and a settled agent v[a] = D(a) - D(end) >=
 // -2·units·Δ, so a tentative distance D(t) - u[t0] + c - v[a] stays below
 // (3·units + 1)·Δ, which the entry check keeps inside int64.
-Result<std::vector<int>> SolveJv(const Matrix& profit,
-                                 const std::vector<int>& capacity, int demand,
-                                 const Deadline* deadline,
-                                 const CancelToken* cancel) {
-  const int rows = profit.rows();
-  const int cols = profit.cols();
+Result<std::vector<int>> SolveCapacitatedRows(const JvCostRows& rows_in,
+                                              const std::vector<int>& capacity,
+                                              int demand,
+                                              const Deadline* deadline,
+                                              const CancelToken& cancel) {
+  const int rows = static_cast<int>(rows_in.cost.size());
+  const int cols = rows_in.agents;
   if (static_cast<int>(capacity.size()) != cols) {
     return Status::InvalidArgument("capacity size != number of agents");
+  }
+  if (!rows_in.excluded.empty() &&
+      static_cast<int>(rows_in.excluded.size()) != rows) {
+    return Status::InvalidArgument("excluded lists != number of tasks");
   }
   if (demand < 0) return Status::InvalidArgument("negative demand");
   int64_t total_capacity = 0;
@@ -96,30 +101,41 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
   if (total_capacity < units) {
     return Status::Infeasible("agent capacity below total task demand");
   }
-  std::vector<int64_t> cost(static_cast<size_t>(rows) * cols, kNoEdge);
-  int64_t s_min = std::numeric_limits<int64_t>::max();
-  int64_t s_max = std::numeric_limits<int64_t>::min();
-  for (int t = 0; t < rows; ++t) {
-    const double* prow = profit.Row(t);
-    int64_t* crow = &cost[static_cast<size_t>(t) * cols];
-    for (int a = 0; a < cols; ++a) {
-      const double p = prow[a];
-      if (p <= kTransportForbidden / 2) continue;
-      if (!TransportProfitInRange(p)) return ValidateTransportProfit(p);
-      const int64_t s = ScaleTransportProfit(p);
-      s_min = std::min(s_min, s);
-      s_max = std::max(s_max, s);
-      if (capacity[a] > 0) crow[a] = s;
-    }
+  static const std::vector<int> kNone;
+  const auto excluded = [&](int t) -> const std::vector<int>& {
+    return rows_in.excluded.empty() ? kNone : *rows_in.excluded[t];
+  };
+  // The one read of every cell: the range check and c'_min / c'_max over
+  // the usable cells, with a task's excluded agents switched off in `live`
+  // for its row only.
+  std::vector<char> live(cols);
+  std::vector<int> exhausted;  // zero-capacity agents, parked throughout
+  for (int a = 0; a < cols; ++a) {
+    live[a] = capacity[a] > 0;
+    if (!live[a]) exhausted.push_back(a);
   }
-  if (s_min <= s_max &&
-      static_cast<__int128>(3 * units + 2) * (s_max - s_min) >
+  int64_t c_min = std::numeric_limits<int64_t>::max();
+  int64_t c_max = std::numeric_limits<int64_t>::min();
+  for (int t = 0; t < rows; ++t) {
+    const int64_t* row = rows_in.cost[t];
+    for (int a : excluded(t)) live[a] = 0;
+    bool bad = false;
+    for (int a = 0; a < cols; ++a) {
+      const int64_t c = row[a];
+      if (!live[a] || c == kJvNoEdge) continue;
+      bad |= c < 0;
+      c_min = std::min(c_min, c);
+      c_max = std::max(c_max, c);
+    }
+    for (int a : excluded(t)) live[a] = capacity[a] > 0;
+    // A usable kJvBadProfit cell: ValidateTransportProfit's range error.
+    if (bad) return ValidateTransportProfit(2 * kMaxTransportProfit);
+  }
+  if (c_min <= c_max &&
+      static_cast<__int128>(3 * units + 2) * (c_max - c_min) >
           std::numeric_limits<int64_t>::max()) {
     return Status::InvalidArgument(
         "profit spread x unit count exceeds the int64 dual domain");
-  }
-  for (int64_t& c : cost) {
-    if (c != kNoEdge) c = s_max - c;
   }
 
   std::vector<int64_t> u(rows, 0), v(cols, 0);
@@ -129,7 +145,7 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
   std::vector<int64_t> dist(cols);
   std::vector<int> pred(cols);  // task the agent's shortest path enters from
   std::vector<std::pair<int, int64_t>> settled;  // (agent, distance)
-  std::vector<int64_t> unparked(demand);  // a scanning task's agents' dist
+  std::vector<int64_t> unparked;  // a scanning task's parked agents' dist
   std::vector<int64_t> task_dist(rows, kUnreached);
   std::vector<int> via(rows);  // agent a task's path leaves; -1 at the root
   std::vector<char> task_scanned(rows, 0);
@@ -144,14 +160,24 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
     ++work.tasks_scanned;
     scanned.emplace_back(t, d);
     task_scanned[t] = 1;
+    // Park the task's held agents, then its excluded ones; unpark in
+    // reverse, so an agent parked twice gets its own distance back.
     const int* const own = agents_of.data() + static_cast<size_t>(t) * demand;
+    const std::vector<int>& skip = excluded(t);
+    unparked.clear();
     for (int k = 0; k < held_count[t]; ++k) {
-      unparked[k] = dist[own[k]];
+      unparked.push_back(dist[own[k]]);
       dist[own[k]] = simd::kJvParked;
     }
-    simd::JvRelax(&cost[static_cast<size_t>(t) * cols], v.data(),
-                  dist.data(), pred.data(), cols, d - u[t], t);
-    for (int k = 0; k < held_count[t]; ++k) dist[own[k]] = unparked[k];
+    for (int a : skip) {
+      unparked.push_back(dist[a]);
+      dist[a] = simd::kJvParked;
+    }
+    simd::JvRelax(rows_in.cost[t], v.data(), dist.data(), pred.data(), cols,
+                  d - u[t] - c_min, t);
+    size_t k = unparked.size();
+    for (size_t i = skip.size(); i-- > 0;) dist[skip[i]] = unparked[--k];
+    for (int i = held_count[t]; i-- > 0;) dist[own[i]] = unparked[--k];
   };
 
   for (int t0 = 0; t0 < rows; ++t0) {
@@ -162,9 +188,10 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
       }
       if (cancel != nullptr) {
         WGRAP_RETURN_IF_ERROR(
-            CheckNotCancelled(*cancel, "capacitated assignment"));
+            CheckNotCancelled(cancel, "capacitated assignment"));
       }
       std::fill(dist.begin(), dist.end(), kUnreached);
+      for (int a : exhausted) dist[a] = simd::kJvParked;
       settled.clear();
       scanned.clear();
       via[t0] = -1;
@@ -220,7 +247,7 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
         for (int t : held[next]) {
           if (task_scanned[t]) continue;
           const int64_t rc =
-              cost[static_cast<size_t>(t) * cols + next] - u[t] - v[next];
+              rows_in.cost[t][next] - c_min - u[t] - v[next];
           const int64_t d = d_next - rc;
           if (rc == 0) {
             via[t] = next;
@@ -268,12 +295,35 @@ Result<std::vector<int>> SolveJv(const Matrix& profit,
   return agents_of;
 }
 
+namespace {
+
+// The Matrix adapters' solve: each cell's JvCost in rows of one buffer.
+Result<std::vector<int>> SolveProfitMatrix(const Matrix& profit,
+                                           const std::vector<int>& capacity,
+                                           int demand,
+                                           const Deadline* deadline,
+                                           const CancelToken& cancel) {
+  const int rows = profit.rows();
+  const int cols = profit.cols();
+  std::vector<int64_t> cost(static_cast<size_t>(rows) * cols);
+  JvCostRows source;
+  source.agents = cols;
+  source.cost.resize(rows);
+  for (int t = 0; t < rows; ++t) {
+    int64_t* row = &cost[static_cast<size_t>(t) * cols];
+    const double* prow = profit.Row(t);
+    for (int a = 0; a < cols; ++a) row[a] = JvCost(prow[a]);
+    source.cost[t] = row;
+  }
+  return SolveCapacitatedRows(source, capacity, demand, deadline, cancel);
+}
+
 }  // namespace
 
 Result<TransportationResult> SolveCapacitatedAssignment(
     const Matrix& profit, const std::vector<int>& capacity) {
-  auto solved = SolveJv(profit, capacity, 1, /*deadline=*/nullptr,
-                        /*cancel=*/nullptr);
+  auto solved = SolveProfitMatrix(profit, capacity, 1, /*deadline=*/nullptr,
+                                  /*cancel=*/nullptr);
   if (!solved.ok()) return solved.status();
   TransportationResult result;
   result.task_to_agent = std::move(solved).value();
@@ -286,7 +336,7 @@ Result<TransportationResult> SolveCapacitatedAssignment(
 Result<MultiTransportationResult> SolveCapacitatedAssignment(
     const Matrix& profit, const std::vector<int>& capacity, int demand,
     const Deadline* deadline, const CancelToken& cancel) {
-  auto solved = SolveJv(profit, capacity, demand, deadline, &cancel);
+  auto solved = SolveProfitMatrix(profit, capacity, demand, deadline, cancel);
   if (!solved.ok()) return solved.status();
   MultiTransportationResult result;
   result.task_to_agents.resize(profit.rows());

@@ -6,9 +6,10 @@
 //     SolveCraSdga bit for bit (memcmp); with min-cost flow
 //     (la::SolveTransportation) every stage's scaled objective must equal
 //     the JV's on the same matrix.
-//   The epoch fuzz — after every Refresh + AssembleStageProfit of an
-//     SRA-like remove/complete trajectory, each assembled cell must be the
-//     masked per-pair value, bit for bit.
+//   The epoch fuzz — after every Refresh of an SRA-like remove/complete
+//     trajectory, each int64 cell the JV reads must be the scaled masked
+//     per-pair value (no edge where masked), and the in-place completion
+//     must pick the Matrix JV's agents on the per-pair profits.
 // Plus row-granular invalidation units (COI pairs, exhausted reviewers,
 // add/removal epochs) against a freshly built cache, and the local-search
 // fold cache against ScoreWithReplacement.
@@ -289,10 +290,14 @@ TEST(GainCacheTest, CapRelaxRetryCompletesOnBothEngines) {
 }
 
 // SRA-like epochs: each round removes one reviewer from a random subset
-// of papers and completes them with one JV stage on the assembled matrix.
-// After every Refresh + AssembleStageProfit, every cell — masked or not —
-// must be the per-pair value bit for bit, under all four scorings, dense
-// and sparse topics, with and without bids.
+// of papers and completes them with one JV stage on the cache's rows, read
+// in place as SolveStageAssignment reads them. After every Refresh, every
+// cell is checked in the int64 domain the JV reads, under all four
+// scorings, dense and sparse topics, with and without bids: a cell the
+// per-pair mask keeps must hold ScaleTransportProfit of the per-pair
+// MarginalGain, and a masked one (COI, member, exhausted reviewer) must be
+// no edge to the JV. The in-place completion must pick the agents the
+// Matrix JV picks on the per-pair profits.
 TEST(GainCacheTest, EpochFuzzAssemblesThePerPairMask) {
   uint64_t seed = 500;
   for (ScoringFunction scoring :
@@ -307,6 +312,10 @@ TEST(GainCacheTest, EpochFuzzAssemblesThePerPairMask) {
         Instance instance =
             PoolInstance(14, 12, 3, seed, density, /*workload=*/0, scoring);
         if (bids) SetRandomBids(&instance, seed, 0.3);
+        for (int k = 0; k < 4; ++k) {
+          instance.AddConflict(static_cast<int>((seed + 3 * k) % 14),
+                               static_cast<int>((seed + 5 * k) % 12));
+        }
         auto solved = SolveCraSdga(instance);
         ASSERT_TRUE(solved.ok()) << solved.status().ToString();
         Assignment assignment = *solved;
@@ -314,7 +323,6 @@ TEST(GainCacheTest, EpochFuzzAssemblesThePerPairMask) {
         ThreadPool pool(3);
         GainCache cache(&instance);
         Rng rng(seed);
-        Matrix profit;
         for (int round = 0; round < 8; ++round) {
           for (int p = 0; p < instance.num_papers(); ++p) {
             if (rng.NextDouble() < 0.4) continue;
@@ -323,37 +331,56 @@ TEST(GainCacheTest, EpochFuzzAssemblesThePerPairMask) {
             ASSERT_TRUE(assignment.Remove(p, victim).ok());
             cache.NoteRemove(p, victim);
           }
-          // Assemble every paper (full ones included) and then the ones
-          // the completion needs, each against the per-pair mask.
           std::vector<int> capacity(R);
           for (int r = 0; r < R; ++r) {
             capacity[r] = instance.reviewer_workload() - assignment.LoadOf(r);
           }
           std::vector<int> all(instance.num_papers());
           for (int p = 0; p < instance.num_papers(); ++p) all[p] = p;
-          const std::vector<int> needing = PapersNeeding(assignment);
-          for (const std::vector<int>* papers :
-               std::initializer_list<const std::vector<int>*>{&all,
-                                                              &needing}) {
-            cache.Refresh(assignment, &pool);
-            cache.AssembleStageProfit(*papers, capacity, assignment, &pool,
-                                      &profit);
-            const Matrix expected =
-                PerPairProfit(assignment, *papers, capacity);
-            ASSERT_EQ(profit.rows(), expected.rows());
-            ASSERT_EQ(profit.cols(), expected.cols());
-            for (int i = 0; i < profit.rows(); ++i) {
-              for (int r = 0; r < R; ++r) {
-                ASSERT_TRUE(SameBits(profit(i, r), expected(i, r)))
-                    << "round " << round << " paper " << (*papers)[i]
-                    << " reviewer " << r << ": " << profit(i, r) << " vs "
-                    << expected(i, r);
+          cache.Refresh(assignment, &pool);
+          const Matrix expected = PerPairProfit(assignment, all, capacity);
+          for (int p = 0; p < instance.num_papers(); ++p) {
+            const int64_t* row = cache.CostRow(p);
+            const std::vector<int>& members = assignment.GroupFor(p);
+            for (int r = 0; r < R; ++r) {
+              // What the JV reads for (p, r): no edge when the cell is,
+              // the reviewer is excluded or has no capacity left.
+              const bool no_edge =
+                  row[r] == la::kJvNoEdge || capacity[r] <= 0 ||
+                  std::find(members.begin(), members.end(), r) !=
+                      members.end();
+              SCOPED_TRACE("round " + std::to_string(round) + " paper " +
+                           std::to_string(p) + " reviewer " +
+                           std::to_string(r));
+              if (expected(p, r) == la::kTransportForbidden) {
+                ASSERT_TRUE(no_edge) << row[r];
+                if (instance.IsConflict(r, p)) {
+                  ASSERT_EQ(row[r], la::kJvNoEdge);
+                  ASSERT_EQ(cache.ScaledGain(p, r),
+                            GainCache::kConflictSentinel);
+                }
+              } else {
+                ASSERT_FALSE(no_edge);
+                ASSERT_EQ(cache.ScaledGain(p, r),
+                          la::ScaleTransportProfit(expected(p, r)));
+                ASSERT_EQ(row[r], la::JvCost(expected(p, r)));
               }
             }
           }
+          const std::vector<int> needing = PapersNeeding(assignment);
           if (needing.empty()) continue;
-          auto chosen = JvEngine(profit, capacity);
+          la::JvCostRows rows;
+          rows.agents = R;
+          for (int p : needing) {
+            rows.cost.push_back(cache.CostRow(p));
+            rows.excluded.push_back(&assignment.GroupFor(p));
+          }
+          auto chosen = la::SolveCapacitatedRows(rows, capacity, 1);
           ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
+          auto reference =
+              JvEngine(PerPairProfit(assignment, needing, capacity), capacity);
+          ASSERT_TRUE(reference.ok());
+          ASSERT_EQ(*chosen, *reference);
           for (size_t i = 0; i < needing.size(); ++i) {
             ASSERT_TRUE(assignment.Add(needing[i], (*chosen)[i]).ok());
             cache.NoteAdd(needing[i], (*chosen)[i]);

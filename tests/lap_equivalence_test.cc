@@ -557,6 +557,148 @@ TEST(LapEquivalenceTest, JvPathAgentsCountFlippedPaths) {
   EXPECT_EQ(JvCounter("wgrap_lap_jv_tasks_scanned_total") - scanned, 3);
 }
 
+struct JvCounts {
+  int64_t settled, expanded, scanned, path;
+  bool operator==(const JvCounts&) const = default;
+};
+
+JvCounts ReadJvCounts() {
+  if (!obs::Enabled()) return {0, 0, 0, 0};
+  return {JvCounter("wgrap_lap_jv_agents_settled_total"),
+          JvCounter("wgrap_lap_jv_full_agents_expanded_total"),
+          JvCounter("wgrap_lap_jv_tasks_scanned_total"),
+          JvCounter("wgrap_lap_jv_path_agents_total")};
+}
+
+JvCounts Delta(const JvCounts& after, const JvCounts& before) {
+  return {after.settled - before.settled, after.expanded - before.expanded,
+          after.scanned - before.scanned, after.path - before.path};
+}
+
+// The row-source JV (SolveCapacitatedRows, what the SDGA stages and
+// ILP-ARAP call) against the Matrix adapter on the same program written
+// out as masked profits. The rows carry every cell; each task excludes a
+// random list of agents (duplicates included) instead of forbidding them,
+// and the zero-capacity columns hold out-of-range profits that no solve
+// can use. Tie-heavy and continuous profits, forbidden cells (the COIs),
+// demand 1 and 2–3. Same agents, same Status (code and text) and the same
+// wgrap_lap_jv_* deltas.
+TEST(LapEquivalenceTest, RowSourceMatchesMatrixFuzz) {
+  int solved = 0;
+  int infeasible = 0;
+  int excluded_cells = 0;
+  for (uint64_t seed = 0; seed < 1200; ++seed) {
+    Rng rng(150000 + seed);
+    const int demand = seed % 3 == 0 ? 1 + static_cast<int>(seed / 3 % 3) : 1;
+    const FuzzInstance instance = DrawFuzzInstance(seed, &rng, 12, 9, demand);
+    const int tasks = instance.profit.rows();
+    const int agents = instance.profit.cols();
+    SCOPED_TRACE("seed " + std::to_string(seed) + " demand " +
+                 std::to_string(demand));
+    std::vector<std::vector<int>> excluded(tasks);
+    std::vector<int64_t> cost(static_cast<size_t>(tasks) * agents);
+    Matrix masked = instance.profit;
+    JvCostRows rows;
+    rows.agents = agents;
+    for (int t = 0; t < tasks; ++t) {
+      const int count = rng.NextInt(0, 2);
+      for (int k = 0; k < count; ++k) {
+        excluded[t].push_back(rng.NextInt(0, agents - 1));
+      }
+      int64_t* row = &cost[static_cast<size_t>(t) * agents];
+      for (int a = 0; a < agents; ++a) {
+        row[a] = JvCost(instance.profit.At(t, a));
+        if (instance.capacity[a] == 0) {
+          row[a] = JvCost(rng.NextInt(0, 1) == 0 ? 2e6 : -1e6);
+          masked.At(t, a) = kTransportForbidden;
+        }
+      }
+      for (int a : excluded[t]) {
+        masked.At(t, a) = kTransportForbidden;
+        if (rng.NextInt(0, 1) == 0) row[a] = kJvBadProfit;
+        ++excluded_cells;
+      }
+      rows.cost.push_back(row);
+      rows.excluded.push_back(&excluded[t]);
+    }
+    const JvCounts before_rows = ReadJvCounts();
+    auto in_place = SolveCapacitatedRows(rows, instance.capacity, demand);
+    const JvCounts rows_work = Delta(ReadJvCounts(), before_rows);
+    const JvCounts before_matrix = ReadJvCounts();
+    auto matrix = SolveCapacitatedAssignment(masked, instance.capacity, demand);
+    const JvCounts matrix_work = Delta(ReadJvCounts(), before_matrix);
+    EXPECT_TRUE(rows_work == matrix_work);
+    ASSERT_EQ(in_place.ok(), matrix.ok());
+    if (!matrix.ok()) {
+      EXPECT_EQ(in_place.status().ToString(), matrix.status().ToString());
+      ++infeasible;
+      continue;
+    }
+    std::vector<int> flat;
+    for (const std::vector<int>& agents_of : matrix->task_to_agents) {
+      flat.insert(flat.end(), agents_of.begin(), agents_of.end());
+    }
+    EXPECT_EQ(*in_place, flat);
+    ++solved;
+  }
+  EXPECT_GT(solved, 300);
+  EXPECT_GT(infeasible, 100);
+  EXPECT_GT(excluded_cells, 1000);
+}
+
+// The one boundary the row source moved (hungarian.h): a zero-capacity
+// column is not read, so an out-of-range profit there no longer fails the
+// Matrix adapter, and a column that widens the spread changes nothing.
+// Both answers, and the work, equal those with the column forbidden.
+TEST(LapEquivalenceTest, ZeroCapacityColumnIsNeverRead) {
+  Matrix profit(4, 3, 0.5);
+  profit.At(1, 0) = 0.25;
+  profit.At(2, 2) = 0.75;
+  Matrix forbidden = profit;
+  for (int t = 0; t < 4; ++t) forbidden.At(t, 1) = kTransportForbidden;
+  const std::vector<int> capacity = {2, 0, 2};
+  const JvCounts before = ReadJvCounts();
+  auto reference = SolveCapacitatedAssignment(forbidden, capacity);
+  const JvCounts reference_work = Delta(ReadJvCounts(), before);
+  ASSERT_TRUE(reference.ok());
+  for (const double column : {2e6, std::numeric_limits<double>::quiet_NaN(),
+                              -1e6, 1e6}) {
+    SCOPED_TRACE(column);
+    Matrix wide = profit;
+    for (int t = 0; t < 4; ++t) wide.At(t, 1) = column;
+    const JvCounts start = ReadJvCounts();
+    auto solved = SolveCapacitatedAssignment(wide, capacity);
+    ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    EXPECT_EQ(solved->task_to_agent, reference->task_to_agent);
+    EXPECT_TRUE(Delta(ReadJvCounts(), start) == reference_work);
+  }
+  // With capacity the same cell is read, and fails.
+  Matrix bad = profit;
+  bad.At(3, 1) = 2e6;
+  auto failed = SolveCapacitatedAssignment(bad, {2, 1, 2});
+  EXPECT_EQ(failed.status().ToString(),
+            ValidateTransportProfit(2e6).ToString());
+}
+
+// The cost form keeps the scaled program: JvCost is kJvCostOrigin minus
+// the scaled profit, kJvCostOrigin is the largest scaled profit, and the
+// markers cover the forbidden and out-of-range cells.
+TEST(LapEquivalenceTest, JvCostIsTheScaledProgram) {
+  EXPECT_EQ(kJvCostOrigin, ScaleTransportProfit(kMaxTransportProfit));
+  EXPECT_EQ(JvCost(kMaxTransportProfit), 0);
+  EXPECT_EQ(JvCost(-kMaxTransportProfit), 2 * kJvCostOrigin);
+  EXPECT_EQ(JvCost(kTransportForbidden), kJvNoEdge);
+  EXPECT_EQ(JvCost(kTransportForbidden / 2), kJvNoEdge);
+  EXPECT_EQ(JvCost(2e6), kJvBadProfit);
+  EXPECT_EQ(JvCost(std::numeric_limits<double>::quiet_NaN()), kJvBadProfit);
+  EXPECT_EQ(JvCost(std::numeric_limits<double>::infinity()), kJvBadProfit);
+  Rng rng(12);
+  for (int i = 0; i < 1000; ++i) {
+    const double p = (2.0 * rng.NextDouble() - 1.0) * 3.0;
+    EXPECT_EQ(kJvCostOrigin - JvCost(p), ScaleTransportProfit(p)) << p;
+  }
+}
+
 // The demand form polls its deadline and cancel token before every unit
 // insertion. Both instances are feasible, so only the poll can fail them.
 TEST(LapEquivalenceTest, CapacitatedAssignmentHonorsDeadlineAndCancel) {

@@ -320,13 +320,35 @@ TEST(CaseStudyTest, ReportContainsPaperAndGroupRows) {
   auto sdga = SolveCraSdga(f.instance);
   ASSERT_TRUE(sdga.ok());
   const auto report = BuildCaseStudy(f.instance, *sdga, f.dataset, 0, 5);
-  ASSERT_EQ(report.rows.size(), 1u + 2u);  // paper + δp reviewers
-  EXPECT_EQ(report.rows[0].label, "Paper");
-  EXPECT_EQ(report.rows[0].weights.size(), 5u);
-  EXPECT_NEAR(report.group_score, sdga->PaperScore(0), 1e-12);
-  const std::string text = FormatCaseStudy(report, "SDGA");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->rows.size(), 1u + 2u);  // paper + δp reviewers
+  EXPECT_EQ(report->rows[0].label, "Paper");
+  EXPECT_EQ(report->rows[0].weights.size(), 5u);
+  EXPECT_NEAR(report->group_score, sdga->PaperScore(0), 1e-12);
+  const std::string text = FormatCaseStudy(*report, "SDGA");
   EXPECT_NE(text.find("SDGA (Score ="), std::string::npos);
   EXPECT_NE(text.find("Paper"), std::string::npos);
+}
+
+// A paper id outside [0, P) is an OutOfRange answer, not an abort, and a
+// top-k below 1 is InvalidArgument.
+TEST(CaseStudyTest, RejectsOutOfRangePaperAndTopK) {
+  Fixture f = MakeFixture(6, 4, 2, 98);
+  auto sdga = SolveCraSdga(f.instance);
+  ASSERT_TRUE(sdga.ok());
+  for (int paper : {-1, 4, 999}) {
+    EXPECT_EQ(BuildCaseStudy(f.instance, *sdga, f.dataset, paper, 5)
+                  .status()
+                  .code(),
+              StatusCode::kOutOfRange)
+        << paper;
+  }
+  for (int k : {0, -3}) {
+    EXPECT_EQ(
+        BuildCaseStudy(f.instance, *sdga, f.dataset, 0, k).status().code(),
+        StatusCode::kInvalidArgument)
+        << k;
+  }
 }
 
 }  // namespace

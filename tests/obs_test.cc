@@ -1,8 +1,8 @@
 // Telemetry subsystem tests: sharded counter/histogram correctness under
 // concurrent writers (the merge-at-scrape contract), histogram bucket and
 // quantile math, Prometheus rendering, the kill switch's zero-registration
-// guarantee, the tracer's deterministic span-tree shape, and BBA's
-// per-query work counters.
+// guarantee, the tracer's deterministic span-tree shape, the stage
+// pipeline's child spans, and BBA's per-query work counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/cra.h"
 #include "core/jra.h"
 #include "data/synthetic_dblp.h"
 #include "obs/metrics.h"
@@ -200,6 +201,95 @@ TEST(ObsTraceTest, ChromeJsonIsWellFormed) {
   EXPECT_EQ(json.substr(json.size() - 3), "]}\n");
   EXPECT_NE(json.find("\"name\":\"solve\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+}
+
+// SDGA's stages and SRA's rounds explain their time with child spans:
+// `profit_refresh` (the GainCache refresh) and `lap_solve` (the in-place
+// JV) under every `sdga_stage` and under `sra`, and `cap_relax_retry`
+// around a stage's retry with the relaxed cap. δp = 3 ∤ δr = 4 and paper i
+// conflicts with strong reviewer i, so the capped third stage is
+// infeasible and only the retry completes it. No name has a dot, so the
+// benchmark books them to core.
+TEST(ObsTraceTest, StageSpansNestUnderSdgaStageAndSra) {
+  data::RapDataset dataset;
+  dataset.num_topics = 3;
+  dataset.reviewers.push_back({"r1", {1.0, 0.0, 0.0}, 1});
+  dataset.reviewers.push_back({"r2", {0.0, 1.0, 0.0}, 1});
+  dataset.reviewers.push_back({"r3", {0.0, 0.0, 1.0}, 1});
+  dataset.reviewers.push_back({"r4", {0.05, 0.05, 0.05}, 1});
+  dataset.reviewers.push_back({"r5", {0.5, 0.5, 0.5}, 1});
+  for (const char* title : {"p1", "p2", "p3"}) {
+    dataset.papers.push_back({title, {1.0, 1.0, 1.0}, "V"});
+  }
+  core::InstanceParams params;
+  params.group_size = 3;
+  params.reviewer_workload = 4;
+  auto instance = core::Instance::FromDataset(dataset, params);
+  ASSERT_TRUE(instance.ok());
+  // Reviewer r5 conflicts with every paper, so it only widens the rows.
+  for (int p = 0; p < 3; ++p) {
+    instance->AddConflict(p, p);
+    instance->AddConflict(4, p);
+  }
+  Tracer tracer;
+  {
+    ScopedTracerAttach attach(&tracer);
+    auto sdga = core::SolveCraSdga(*instance);
+    ASSERT_TRUE(sdga.ok()) << sdga.status().ToString();
+    core::SraOptions sra;
+    sra.convergence_window = 2;
+    ASSERT_TRUE(core::RefineSra(*instance, *sdga, sra).ok());
+  }
+  if (!Enabled()) {
+    EXPECT_TRUE(tracer.spans().empty());
+    return;
+  }
+  const std::vector<std::string> stage = {
+      "sdga_stage/0/1", "profit_refresh/-/2", "lap_solve/-/2"};
+  std::vector<std::string> expected = {"sdga/-1/0"};
+  for (int k = 0; k < 3; ++k) {
+    expected.insert(expected.end(), stage.begin(), stage.end());
+  }
+  expected.insert(expected.end(), {"cap_relax_retry/-/2",
+                                   "profit_refresh/-/3", "lap_solve/-/3"});
+  std::vector<std::string> shape;
+  const std::vector<SpanRecord>& spans = tracer.spans();
+  int sra_root = -1;
+  int sra_children = 0;
+  for (int i = 0; i < static_cast<int>(spans.size()); ++i) {
+    const SpanRecord& span = spans[i];
+    if (span.name == "sra") {
+      sra_root = i;
+      EXPECT_EQ(span.depth, 0);
+      continue;
+    }
+    if (sra_root >= 0) {
+      // Every SRA completion is one refresh and one solve, right under sra.
+      EXPECT_EQ(span.parent, sra_root) << span.name;
+      EXPECT_EQ(span.name, sra_children % 2 == 0 ? "profit_refresh"
+                                                 : "lap_solve");
+      ++sra_children;
+      continue;
+    }
+    // Parents of the children are checked by name, depth by number.
+    const std::string parent =
+        span.parent < 0 ? "-1"
+        : span.depth == 1 ? std::to_string(span.parent)
+                          : "-";
+    shape.push_back(span.name + "/" + parent + "/" +
+                    std::to_string(span.depth));
+    if (span.depth >= 2) {
+      EXPECT_EQ(spans[span.parent].name,
+                span.depth == 3 ? "cap_relax_retry" : "sdga_stage");
+    }
+  }
+  EXPECT_EQ(shape, expected);
+  ASSERT_GE(sra_root, 0);
+  EXPECT_GT(sra_children, 0);
+  EXPECT_EQ(sra_children % 2, 0);
+  for (const SpanRecord& span : spans) {
+    EXPECT_EQ(span.name.find('.'), std::string::npos) << span.name;
+  }
 }
 
 // BBA adds its node and Definition 8 gain-evaluation counts once per

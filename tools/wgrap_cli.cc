@@ -39,6 +39,10 @@
 //                       [--bba-bounding on|off] [--bba-gain-branching on|off]
 //   wgrap_cli evaluate  --dataset d.csv --assignment a.csv --dp 3 [--dr N]
 //   wgrap_cli casestudy --dataset d.csv --assignment a.csv --paper 0 --dp 3
+//                       [--top-topics 5] [--topics dense|sparse]
+//     (--top-topics is how many of the paper's topics the table shows;
+//      --topics picks the kernels, as in solve. A paper id outside the
+//      dataset exits 1 with OutOfRange, as jra does)
 //   wgrap_cli update    --dataset d.csv --assignment a.csv --mutations m.txt
 //                       --dp 3 [--dr N] [--scoring c|cR|cP|cD]
 //                       [--topics dense|sparse] [--refine sra|ls|none]
@@ -790,9 +794,15 @@ int CmdCaseStudy(const Flags& flags) {
   core::Assignment assignment =
       LoadAssignmentOrDie(instance, flags.Require("assignment"));
   const int paper = flags.GetInt("paper", 0);
+  const int top_topics = flags.GetInt("top-topics", 5);
+  if (top_topics < 1) {
+    std::fprintf(stderr, "--top-topics: must be >= 1, got %d\n", top_topics);
+    return 2;
+  }
   const auto report = core::BuildCaseStudy(instance, assignment, dataset,
-                                           paper, flags.GetInt("topics", 5));
-  std::printf("%s", core::FormatCaseStudy(report, "assignment").c_str());
+                                           paper, top_topics);
+  if (!report.ok()) Die(report.status(), "casestudy");
+  std::printf("%s", core::FormatCaseStudy(*report, "assignment").c_str());
   return 0;
 }
 

@@ -5,8 +5,12 @@
 // stage maintenance-and-solve sweep (BM_GainCacheVsRebuild), and the
 // thread-count sweeps of the two parallel hot paths (SDGA stage scoring,
 // ATM Gibbs sweeps) that bench/BASELINES.md tracks, plus the per-kernel
-// scalar-vs-dispatched tracks for the simd/kernels.h layer (BM_Kernel*).
+// scalar-vs-dispatched tracks for the simd/kernels.h layer (BM_Kernel*),
+// and the column-density sweep of the gain row pass (BM_GainColumnPass).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
@@ -156,6 +160,50 @@ void BM_KernelScoreSum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelScoreSum)->ArgsProduct({{30, 300, 3000}, {0, 1}});
+
+// One topic of the gain row pass over a column whose degree is
+// range(1) percent of R = range(0) rows (ids random, values uniform in
+// (0, 1), group max 0.5 so about half the carriers gain): range(2) = 0 is
+// the CSC id walk MarginalGainRow runs on light columns, 1 the dispatched
+// dense kernel it runs on heavy ones. The crossover in degree sets
+// sparse::TopicIndex::kHeavyColumnDivisor (bench/BASELINES.md).
+void BM_GainColumnPass(benchmark::State& state) {
+  const int R = static_cast<int>(state.range(0));
+  const int degree = std::max(1, static_cast<int>(R * state.range(1) / 100));
+  const bool dense = state.range(2) != 0;
+  Rng rng(11);
+  std::vector<int> ids(R);
+  for (int i = 0; i < R; ++i) ids[i] = i;
+  for (int i = 0; i < degree; ++i) std::swap(ids[i], ids[rng.NextInt(i, R - 1)]);
+  ids.resize(degree);
+  std::sort(ids.begin(), ids.end());
+  std::vector<double> values(degree);
+  std::vector<double> column(R, 0.0);
+  for (int k = 0; k < degree; ++k) {
+    values[k] = 1.0 - rng.NextDouble();
+    column[ids[k]] = values[k];
+  }
+  std::vector<double> out(R, 0.0);
+  constexpr auto kF = core::ScoringFunction::kWeightedCoverage;
+  const double g = 0.5;
+  const double p = 0.75;
+  for (auto _ : state) {
+    if (dense) {
+      simd::AddColumnGainTerms(kF, column.data(), R, g, p, out.data());
+    } else {
+      const double base = core::TopicContribution(kF, g, p);
+      for (int k = 0; k < degree; ++k) {
+        const double r = values[k];
+        if (r <= g) continue;
+        out[ids[k]] += core::TopicContribution(kF, r, p) - base;
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GainColumnPass)
+    ->ArgsProduct({{105, 1500}, {5, 10, 15, 20, 25, 35, 50, 100}, {0, 1}});
 
 // The auction's real-unit bid scan over a candidate row: ~1/8 of the
 // candidate agents are slotless (price == no_price), like a mid-phase row.

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "simd/kernels.h"
 
 namespace wgrap::core {
 
@@ -26,10 +27,14 @@ double Assignment::MarginalGain(int paper, int reviewer) const {
 
 namespace {
 
-// The column scatter of MarginalGainRow with f fixed at compile time, so
+// The column pass of MarginalGainRow with f fixed at compile time, so
 // the TopicContribution switch folds out of the inner loop. For reviewer
 // r the sum runs over the admitted topics t ascending with r[t] > g[t] —
 // the per-pair gate — and the topics TopicCanGain rejects add +0.0 there.
+// A heavy topic goes through its dense column in one vector kernel, which
+// adds +0.0 for the reviewers the id walk would skip: the sums start at
+// +0.0 and only gain non-negative terms, so they are never -0.0 and the
+// +0.0 changes no bit.
 template <ScoringFunction F>
 void ScatterGainTerms(const double* group, const double* paper, int topics,
                       const sparse::TopicIndex& by_topic, double* out) {
@@ -37,6 +42,10 @@ void ScatterGainTerms(const double* group, const double* paper, int topics,
     const double g = group[t];
     const double p = paper[t];
     if (!TopicCanGain(F, g, p)) continue;
+    if (const double* dense = by_topic.DenseColumn(t)) {
+      simd::AddColumnGainTerms(F, dense, by_topic.num_rows(), g, p, out);
+      continue;
+    }
     const double base = TopicContribution(F, g, p);
     const sparse::SparseVector column = by_topic.Column(t);
     for (int k = 0; k < column.nnz; ++k) {

@@ -49,12 +49,16 @@ class Assignment {
 
   /// Writes MarginalGain(paper, r) into out[r] for every reviewer r (COI
   /// pairs included), bit for bit, in one topic-major pass: for each topic
-  /// that TopicCanGain admits, in ascending order, it walks that topic's
-  /// column of the instance's ReviewerTopicIndex and adds each reviewer's
-  /// term into its slot, then divides by PaperMass and adds BidBonus. Per
+  /// that TopicCanGain admits, in ascending order, it adds each reviewer's
+  /// term into its slot, then divides by PaperMass and adds BidBonus. A
+  /// light topic walks its column of the instance's ReviewerTopicIndex; a
+  /// heavy one (TopicIndex::DenseColumn) runs simd::AddColumnGainTerms
+  /// over all R reviewers, adding +0.0 where the walk would skip. Per
   /// reviewer these are the per-pair kernels' operations in the same
-  /// order, minus terms that are exactly +0.0.
-  /// O(T + Σ_{admitted t} degree(t) + R) against MarginalGain's R calls.
+  /// order, plus or minus terms that are exactly +0.0.
+  /// O(T + Σ_{admitted light t} degree(t) + R·#{admitted heavy t} + R)
+  /// against MarginalGain's R calls; the heavy terms are 4-wide vector
+  /// steps over contiguous memory.
   void MarginalGainRow(int paper, double* out) const;
 
   /// Score of `paper` with `drop` replaced by `add` in its group, computed

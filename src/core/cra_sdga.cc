@@ -68,6 +68,7 @@ Status SolveStageAssignment(const Instance& instance,
     solved = la::SolveCapacitatedRows(rows, capacity, /*demand=*/1);
   }
   if (!solved.ok()) return solved.status();
+  obs::ScopedSpan commit_span("commit");
   for (size_t i = 0; i < papers_needing.size(); ++i) {
     const int reviewer = (*solved)[i];
     WGRAP_RETURN_IF_ERROR(assignment->Add(papers_needing[i], reviewer));

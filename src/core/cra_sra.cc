@@ -107,44 +107,47 @@ Result<Assignment> RefineSra(const Instance& instance,
     // Removal phase: drop one reviewer per paper, favouring low P(r|p).
     // Victim choice per paper reads only the frozen `current`, so papers
     // run in parallel, each on its own (iteration, paper) stream.
-    pool.ParallelForChunks(
-        0, P, /*grain=*/16, [&](int64_t chunk_begin, int64_t chunk_end) {
-          std::vector<double> removal_weight;
-          for (int64_t pi = chunk_begin; pi < chunk_end; ++pi) {
-            const int p = static_cast<int>(pi);
-            Rng rng = Rng::ForStream(
-                options.seed, static_cast<uint64_t>(iteration) * P + p);
-            const std::vector<int>& group = current.GroupFor(p);
-            removal_weight.resize(group.size());
-            double total = 0.0;
-            for (size_t i = 0; i < group.size(); ++i) {
-              const int r = group[i];
-              double suitability;
-              if (options.uniform_probability) {
-                suitability = 1.0 / R;
-              } else {
-                const double data_term =
-                    reviewer_total[r] > 0.0
-                        ? decay * pair_score(p, r) / reviewer_total[r]
-                        : 0.0;
-                suitability = std::max(1.0 / R, data_term);  // Eq. 10
+    {
+      obs::ScopedSpan sample_span("sra_sample");
+      pool.ParallelForChunks(
+          0, P, /*grain=*/16, [&](int64_t chunk_begin, int64_t chunk_end) {
+            std::vector<double> removal_weight;
+            for (int64_t pi = chunk_begin; pi < chunk_end; ++pi) {
+              const int p = static_cast<int>(pi);
+              Rng rng = Rng::ForStream(
+                  options.seed, static_cast<uint64_t>(iteration) * P + p);
+              const std::vector<int>& group = current.GroupFor(p);
+              removal_weight.resize(group.size());
+              double total = 0.0;
+              for (size_t i = 0; i < group.size(); ++i) {
+                const int r = group[i];
+                double suitability;
+                if (options.uniform_probability) {
+                  suitability = 1.0 / R;
+                } else {
+                  const double data_term =
+                      reviewer_total[r] > 0.0
+                          ? decay * pair_score(p, r) / reviewer_total[r]
+                          : 0.0;
+                  suitability = std::max(1.0 / R, data_term);  // Eq. 10
+                }
+                removal_weight[i] = std::max(0.0, 1.0 - suitability);
+                total += removal_weight[i];
               }
-              removal_weight[i] = std::max(0.0, 1.0 - suitability);
-              total += removal_weight[i];
+              int victim;
+              if (total <= 0.0) {
+                victim = static_cast<int>(rng.NextBounded(group.size()));
+              } else {
+                victim = rng.SampleDiscrete(removal_weight);
+                WGRAP_CHECK(victim >= 0);
+              }
+              victims[p] = group[victim];
             }
-            int victim;
-            if (total <= 0.0) {
-              victim = static_cast<int>(rng.NextBounded(group.size()));
-            } else {
-              victim = rng.SampleDiscrete(removal_weight);
-              WGRAP_CHECK(victim >= 0);
-            }
-            victims[p] = group[victim];
-          }
-        });
-    for (int p = 0; p < P; ++p) {
-      WGRAP_RETURN_IF_ERROR(current.Remove(p, victims[p]));
-      gain_cache.NoteRemove(p, victims[p]);
+          });
+      for (int p = 0; p < P; ++p) {
+        WGRAP_RETURN_IF_ERROR(current.Remove(p, victims[p]));
+        gain_cache.NoteRemove(p, victims[p]);
+      }
     }
     // Completion phase: one Stage-WGRAP linear assignment over the freed
     // slots (capacity = remaining workload, always feasible because every

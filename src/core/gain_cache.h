@@ -10,12 +10,13 @@
 // vector g→. So a row whose g→ equals its snapshot holds exactly the
 // values a per-pair rebuild would compute, and a row whose g→ moved is
 // re-scored in one topic-major pass by Assignment::MarginalGainRow, which
-// reproduces MarginalGain bit for bit for every reviewer: it walks the
-// columns of the instance's CSC reviewer index (Instance::
-// ReviewerTopicIndex; the cache owns no index of its own) for the topics
-// core::TopicCanGain admits, in ascending order, and adds each reviewer's
+// reproduces MarginalGain bit for bit for every reviewer: for the topics
+// core::TopicCanGain admits, in ascending order, it adds each reviewer's
 // term into its slot — the per-pair kernels' operations in the same
-// order, minus terms that are exactly +0.0. The tests/gain_cache_test.cc
+// order, give or take terms that are exactly +0.0. It reads the
+// instance's reviewer index (Instance::ReviewerTopicIndex; the cache owns
+// no index of its own): a light topic by walking its CSC column, a heavy
+// one by a vector kernel over its dense column. The tests/gain_cache_test.cc
 // oracle runs SDGA on per-pair profits and compares with memcmp, and
 // tests/assignment_test.cc pins the row kernel against MarginalGain.
 //
@@ -32,13 +33,18 @@
 // paper's current reviewers (the excluded agents) to the JV.
 //
 // Cost: a Refresh costs O(T) per noted paper to diff its group vector,
-// plus one row pass, O(T + Σ_{admitted t} degree(t) + R), per paper whose
-// vector moved — fanned over the ThreadPool, papers independent. A
-// per-pair rebuild would pay R kernels of O(T) (or O(nnz(r))) per row
-// instead. SDGA stages and SRA rounds change nearly every paper's group,
-// so what the cache saves is the rows of papers whose group did not move,
-// and the row pass's skip of covered topics (g_t ≥ p_t under c and cP),
-// which the per-pair kernels re-test for every reviewer. Memory: P×R
+// plus one row pass per paper whose vector moved — fanned over the
+// ThreadPool, papers independent. A row pass is O(T + R) plus, per
+// admitted topic, degree(t) scattered adds for a light column or R/4
+// contiguous vector steps (AVX2; R scalar adds on the scalar backend) for
+// a heavy one. A column is heavy from a quarter of the reviewers up
+// (sparse::TopicIndex::kHeavyColumnDivisor), where the contiguous pass
+// beats the id walk; every DB08 column is heavy, no sparse_p400 column
+// is. A per-pair rebuild would pay R kernels of O(T) (or O(nnz(r))) per
+// row instead. SDGA stages and SRA rounds change nearly every paper's
+// group, so what the cache saves is the rows of papers whose group did not
+// move, and the row pass's skip of covered topics (g_t ≥ p_t under c and
+// cP), which the per-pair kernels re-test for every reviewer. Memory: P×R
 // int64 plus the P×T group snapshot.
 #ifndef WGRAP_CORE_GAIN_CACHE_H_
 #define WGRAP_CORE_GAIN_CACHE_H_

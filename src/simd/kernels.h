@@ -17,7 +17,9 @@
 //    MarginalGainSum add contributions strictly left-to-right, exactly
 //    like the dense loops in core/scoring.cc; the AVX2 backend vectorizes
 //    only the per-lane contribution values (min/cmp/mul — IEEE-exact per
-//    lane) and then sums the lanes in index order.
+//    lane) and then sums the lanes in index order. AddColumnGainTerms
+//    vectorizes across independent sums instead: lane i adds one term to
+//    out[i] and nothing else, so every sum keeps its own order.
 //  * Comparison semantics mirror the scalar source expression, including
 //    NaN and signed-zero behavior: min lanes use VMINPD, whose
 //    (a < b) ? a : b semantics equal TopicContribution's kWeightedCoverage
@@ -74,6 +76,8 @@ double ScoreSum(core::ScoringFunction f, const double* expertise,
                 const double* paper, int n);
 double MarginalGainSum(core::ScoringFunction f, const double* group,
                        const double* reviewer, const double* paper, int n);
+void AddColumnGainTerms(core::ScoringFunction f, const double* column, int n,
+                        double g, double p, double* out);
 int FilterGreaterThan(const double* values, int n, double threshold,
                       int* out_indices);
 TopTwo TopTwoReduced(const int64_t* values, const int* agent_ids, int n,
@@ -90,6 +94,8 @@ double ScoreSum(core::ScoringFunction f, const double* expertise,
                 const double* paper, int n);
 double MarginalGainSum(core::ScoringFunction f, const double* group,
                        const double* reviewer, const double* paper, int n);
+void AddColumnGainTerms(core::ScoringFunction f, const double* column, int n,
+                        double g, double p, double* out);
 int FilterGreaterThan(const double* values, int n, double threshold,
                       int* out_indices);
 TopTwo TopTwoReduced(const int64_t* values, const int* agent_ids, int n,
@@ -124,6 +130,24 @@ inline double MarginalGainSum(core::ScoringFunction f, const double* group,
   if (UseAvx2()) return avx2::MarginalGainSum(f, group, reviewer, paper, n);
 #endif
   return scalar::MarginalGainSum(f, group, reviewer, paper, n);
+}
+
+/// One topic of the gain row pass (core::Assignment::MarginalGainRow) for
+/// every row i in [0, n): out[i] += !(column[i] <= g) ? f(column[i], p) -
+/// f(g, p) : +0.0, with f = core::TopicContribution. `column` is a heavy
+/// topic's dense column (sparse::TopicIndex::DenseColumn), g the group max
+/// and p the paper weight at that topic. A masked lane adds +0.0, which
+/// leaves any running sum that is not -0.0 unchanged, so on the row pass
+/// (sums start at +0.0 and add only non-negative terms) it is the CSC
+/// walk's skipped entry to the bit. AVX2 does 4 rows per step: VMINPD for
+/// c, _CMP_GE_OQ masks for cR and cP, VMULPD for cD, and the _CMP_NLE_UQ
+/// gate; no FMA.
+inline void AddColumnGainTerms(core::ScoringFunction f, const double* column,
+                               int n, double g, double p, double* out) {
+#if defined(WGRAP_SIMD_HAVE_AVX2)
+  if (UseAvx2()) return avx2::AddColumnGainTerms(f, column, n, g, p, out);
+#endif
+  scalar::AddColumnGainTerms(f, column, n, g, p, out);
 }
 
 /// Writes the indices i with values[i] > threshold (exactly

@@ -124,6 +124,71 @@ double MarginalGainSum(core::ScoringFunction f, const double* group,
   return gain;
 }
 
+namespace {
+
+// f(r, p) for four rows, lane for lane the bits of core::TopicContribution:
+//  * c:      r < p ? r : p is VMINPD(r, p), NaN and ±0.0 included (the
+//            second operand wins both);
+//  * cR, cP: r >= p is _CMP_GE_OQ (false on NaN), and the 0.0 arm is the
+//            AND with a clear mask;
+//  * cD:     VMULPD is IEEE-exact per lane.
+template <core::ScoringFunction F>
+inline __m256d Contribution(__m256d r, __m256d p) {
+  using core::ScoringFunction;
+  if constexpr (F == ScoringFunction::kWeightedCoverage) {
+    return _mm256_min_pd(r, p);
+  } else if constexpr (F == ScoringFunction::kReviewerCoverage) {
+    return _mm256_and_pd(_mm256_cmp_pd(r, p, _CMP_GE_OQ), r);
+  } else if constexpr (F == ScoringFunction::kPaperCoverage) {
+    return _mm256_and_pd(_mm256_cmp_pd(r, p, _CMP_GE_OQ), p);
+  } else {
+    return _mm256_mul_pd(r, p);
+  }
+}
+
+template <core::ScoringFunction F>
+void AddColumnGainTermsFor(const double* column, int n, double g, double p,
+                           double* out) {
+  // Each lane is one row's own sum, so vectorizing across rows reorders no
+  // addition. The gate _CMP_NLE_UQ is the exact `!(r <= g)` (NaN passes,
+  // like scalar); a gated-out lane ANDs its term, whatever it computed, to
+  // +0.0 and adds that, as the scalar ternary does.
+  const double base = core::TopicContribution(F, g, p);
+  const __m256d vg = _mm256_set1_pd(g);
+  const __m256d vp = _mm256_set1_pd(p);
+  const __m256d vbase = _mm256_set1_pd(base);
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d r = _mm256_loadu_pd(column + i);
+    const __m256d keep = _mm256_cmp_pd(r, vg, _CMP_NLE_UQ);
+    const __m256d term =
+        _mm256_and_pd(keep, _mm256_sub_pd(Contribution<F>(r, vp), vbase));
+    _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(out + i), term));
+  }
+  scalar::AddColumnGainTerms(F, column + i, n - i, g, p, out + i);
+}
+
+}  // namespace
+
+void AddColumnGainTerms(core::ScoringFunction f, const double* column, int n,
+                        double g, double p, double* out) {
+  using core::ScoringFunction;
+  switch (f) {
+    case ScoringFunction::kWeightedCoverage:
+      return AddColumnGainTermsFor<ScoringFunction::kWeightedCoverage>(
+          column, n, g, p, out);
+    case ScoringFunction::kReviewerCoverage:
+      return AddColumnGainTermsFor<ScoringFunction::kReviewerCoverage>(
+          column, n, g, p, out);
+    case ScoringFunction::kPaperCoverage:
+      return AddColumnGainTermsFor<ScoringFunction::kPaperCoverage>(
+          column, n, g, p, out);
+    case ScoringFunction::kDotProduct:
+      return AddColumnGainTermsFor<ScoringFunction::kDotProduct>(
+          column, n, g, p, out);
+  }
+}
+
 int FilterGreaterThan(const double* values, int n, double threshold,
                       int* out_indices) {
   // `values[i] > threshold` as the exact complement of the scalar

@@ -52,6 +52,39 @@ double MarginalGainSum(core::ScoringFunction f, const double* group,
   return gain;
 }
 
+namespace {
+
+template <core::ScoringFunction F>
+void AddColumnGainTermsFor(const double* column, int n, double g, double p,
+                           double* out) {
+  const double base = core::TopicContribution(F, g, p);
+  for (int i = 0; i < n; ++i) {
+    const double r = column[i];
+    out[i] += !(r <= g) ? core::TopicContribution(F, r, p) - base : 0.0;
+  }
+}
+
+}  // namespace
+
+void AddColumnGainTerms(core::ScoringFunction f, const double* column, int n,
+                        double g, double p, double* out) {
+  using core::ScoringFunction;
+  switch (f) {  // one loop per scoring, as in ScoreSum
+    case ScoringFunction::kWeightedCoverage:
+      return AddColumnGainTermsFor<ScoringFunction::kWeightedCoverage>(
+          column, n, g, p, out);
+    case ScoringFunction::kReviewerCoverage:
+      return AddColumnGainTermsFor<ScoringFunction::kReviewerCoverage>(
+          column, n, g, p, out);
+    case ScoringFunction::kPaperCoverage:
+      return AddColumnGainTermsFor<ScoringFunction::kPaperCoverage>(
+          column, n, g, p, out);
+    case ScoringFunction::kDotProduct:
+      return AddColumnGainTermsFor<ScoringFunction::kDotProduct>(
+          column, n, g, p, out);
+  }
+}
+
 int FilterGreaterThan(const double* values, int n, double threshold,
                       int* out_indices) {
   int count = 0;

@@ -50,6 +50,31 @@ CscArrays BuildCsc(int rows, int topics, VisitRow visit) {
 
 }  // namespace
 
+TopicIndex::TopicIndex(int rows, int topics, std::vector<int64_t> col_offsets,
+                       std::vector<int> ids, std::vector<double> values)
+    : rows_(rows),
+      topics_(topics),
+      col_offsets_(std::move(col_offsets)),
+      ids_(std::move(ids)),
+      values_(std::move(values)),
+      dense_slot_(topics, -1) {
+  int64_t heavy = 0;
+  for (int t = 0; t < topics_; ++t) {
+    const int64_t degree = ColumnNnz(t);
+    if (degree > 0 && kHeavyColumnDivisor * degree >= rows_) {
+      dense_slot_[t] = heavy++;
+    }
+  }
+  dense_values_.assign(static_cast<size_t>(heavy) * rows_, 0.0);
+  for (int t = 0; t < topics_; ++t) {
+    if (dense_slot_[t] < 0) continue;
+    double* dense = dense_values_.data() + dense_slot_[t] * rows_;
+    for (int64_t k = col_offsets_[t]; k < col_offsets_[t + 1]; ++k) {
+      dense[ids_[k]] = values_[k];
+    }
+  }
+}
+
 TopicIndex TopicIndex::FromMatrix(const Matrix& dense) {
   const int topics = dense.cols();
   CscArrays csc = BuildCsc(dense.rows(), topics, [&](int r, auto emit) {

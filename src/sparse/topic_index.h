@@ -12,8 +12,18 @@
 // is the consumer; core::Instance owns the reviewer index, keeps it
 // current across online updates, and derives BBA's sorted lists from it).
 //
-// A TopicIndex is immutable after construction; Column() views are cheap
-// pointer views into it, valid as long as the index lives.
+// Heavy columns are also kept dense. A column is heavy when at least a
+// kHeavyColumnDivisor-th of the rows carry the topic (every DB08 column
+// holds 100 to 105 of the 105 reviewers). For those the row pass
+// reads DenseColumn(t), num_rows() contiguous values with the zeros in
+// place, and adds the topic for every reviewer in one vector kernel
+// (simd::AddColumnGainTerms): no ids, no gather, no data-dependent branch.
+// A zero entry never beats a group max, so it adds exactly +0.0. Light
+// columns keep the id walk. The dense copy costs at most rows * topics
+// doubles, and only for the topics that need it.
+//
+// A TopicIndex is immutable after construction; Column() and DenseColumn()
+// views are cheap pointer views into it, valid as long as the index lives.
 #ifndef WGRAP_SPARSE_TOPIC_INDEX_H_
 #define WGRAP_SPARSE_TOPIC_INDEX_H_
 
@@ -27,9 +37,17 @@ namespace wgrap::sparse {
 
 /// Immutable CSC index over nonnegative topic weights: per topic, the
 /// sorted row ids carrying it and their values. Exact zeros are dropped,
-/// so `Column(t).nnz` is the true degree of topic t.
+/// so `Column(t).nnz` is the true degree of topic t. Heavy columns are
+/// also stored dense (DenseColumn).
 class TopicIndex {
  public:
+  /// A column is heavy when kHeavyColumnDivisor * degree >= num_rows()
+  /// (and degree > 0). Picked from the row-pass microbenchmark over column
+  /// density (bench_micro_substrates BM_GainColumnPass, bench/BASELINES.md):
+  /// the dense kernel reads all rows, the id walk only the degree, and the
+  /// dense pass wins from about a quarter of the rows up.
+  static constexpr int kHeavyColumnDivisor = 4;
+
   TopicIndex() = default;
 
   /// Inverts a dense rows×topics matrix. Entries must be finite and >= 0;
@@ -55,20 +73,29 @@ class TopicIndex {
                         ColumnNnz(t), rows_};
   }
 
+  /// Heavy column t as num_rows() values, row i at [i]: Column(t)'s values
+  /// at their ids and +0.0 elsewhere. nullptr when t is light.
+  const double* DenseColumn(int t) const {
+    const int64_t slot = dense_slot_[t];
+    return slot < 0 ? nullptr : dense_values_.data() + slot * rows_;
+  }
+  /// Number of heavy columns (those with a DenseColumn).
+  int num_dense_columns() const {
+    return rows_ == 0 ? 0
+                      : static_cast<int>(dense_values_.size() / rows_);
+  }
+
  private:
   TopicIndex(int rows, int topics, std::vector<int64_t> col_offsets,
-             std::vector<int> ids, std::vector<double> values)
-      : rows_(rows),
-        topics_(topics),
-        col_offsets_(std::move(col_offsets)),
-        ids_(std::move(ids)),
-        values_(std::move(values)) {}
+             std::vector<int> ids, std::vector<double> values);
 
   int rows_ = 0;
   int topics_ = 0;
   std::vector<int64_t> col_offsets_;  // size topics_ + 1
   std::vector<int> ids_;              // sorted ascending within each column
   std::vector<double> values_;        // parallel to ids_, all > 0
+  std::vector<int64_t> dense_slot_;   // per topic: dense row slot, or -1
+  std::vector<double> dense_values_;  // rows_ values per heavy column
 };
 
 }  // namespace wgrap::sparse

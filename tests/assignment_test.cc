@@ -2,12 +2,14 @@
 // maintenance, add/remove invariants, capacity and COI enforcement, a
 // randomized consistency property against recomputation from scratch, and
 // the bitwise identity of the MarginalGainRow row kernel with the
-// per-pair MarginalGain.
+// per-pair MarginalGain, on light (CSC walk) and heavy (dense kernel)
+// topic columns alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
@@ -15,6 +17,7 @@
 #include "core/assignment.h"
 #include "core/jra.h"
 #include "data/synthetic_dblp.h"
+#include "fuzz_util.h"
 
 namespace wgrap::core {
 namespace {
@@ -207,7 +210,12 @@ constexpr ScoringFunction kAllScorings[] = {
 
 TEST(MarginalGainRowTest, MatchesPerPairGainBitwise) {
   // Dense and sparse views, all four scorings, bids on and off, COIs, and
-  // every group size 0..δp (the rows are checked before each fill step).
+  // every group size 0..δp (the rows are checked before each fill step),
+  // on generated pools and on one whose topic columns straddle the heavy
+  // threshold: heavy topics take the dense kernel, light ones the CSC id
+  // walk. The suite runs once more under WGRAP_SIMD=0
+  // (tests/CMakeLists.txt), so both kernel backends are pinned.
+  std::vector<std::pair<std::string, data::RapDataset>> datasets;
   for (const double density : {1.0, 0.3}) {
     data::SyntheticDblpConfig config;
     config.num_topics = 12;
@@ -215,18 +223,33 @@ TEST(MarginalGainRowTest, MatchesPerPairGainBitwise) {
     config.topic_density = density;
     auto dataset = data::GenerateReviewerPool(14, 9, config);
     ASSERT_TRUE(dataset.ok());
+    datasets.emplace_back("density " + std::to_string(density), *dataset);
+  }
+  datasets.emplace_back("straddling", MakeStraddlingDataset(
+                                          /*reviewers=*/16, /*papers=*/10,
+                                          /*seed=*/41));
+  for (const auto& [name, dataset] : datasets) {
     for (const ScoringFunction f : kAllScorings) {
       for (const bool sparse_views : {false, true}) {
         for (const bool bids : {false, true}) {
           InstanceParams params;
           params.group_size = 3;
           params.scoring = f;
-          auto instance = Instance::FromDataset(*dataset, params);
+          auto instance = Instance::FromDataset(dataset, params);
           ASSERT_TRUE(instance.ok());
           if (sparse_views) {
             instance->BuildSparseTopics();
           } else {
             instance->DropSparseTopics();
+          }
+          const sparse::TopicIndex& index = instance->ReviewerTopicIndex();
+          ASSERT_EQ(DenseColumnMismatch(index), "");
+          if (name == "straddling") {
+            ASSERT_EQ(index.ColumnNnz(1) *
+                          sparse::TopicIndex::kHeavyColumnDivisor,
+                      index.num_rows());
+            ASSERT_NE(index.DenseColumn(1), nullptr);  // exactly at it
+            ASSERT_EQ(index.DenseColumn(2), nullptr);  // one carrier short
           }
           Rng rng(5);
           const int P = instance->num_papers();
@@ -243,10 +266,9 @@ TEST(MarginalGainRowTest, MatchesPerPairGainBitwise) {
             }
             ASSERT_TRUE(instance->SetBids(std::move(bid), 0.4).ok());
           }
-          const std::string what =
-              ScoringFunctionName(f) + " density " + std::to_string(density) +
-              (sparse_views ? " sparse" : " dense") +
-              (bids ? " bids" : "");
+          const std::string what = ScoringFunctionName(f) + " " + name +
+                                   (sparse_views ? " sparse" : " dense") +
+                                   (bids ? " bids" : "");
           Assignment assignment(&*instance);
           for (int size = 0; size <= params.group_size; ++size) {
             for (int p = 0; p < P; ++p) {

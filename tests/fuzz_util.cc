@@ -1,12 +1,15 @@
 #include "fuzz_util.h"
 
+#include <cstring>
 #include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "data/synthetic_dblp.h"
 
 namespace wgrap::core {
@@ -72,6 +75,63 @@ std::vector<double> RandomTopics(Rng* rng, int T) {
   }
   v[rng->NextInt(0, T - 1)] += 0.25;
   return v;
+}
+
+data::RapDataset MakeStraddlingDataset(int reviewers, int papers,
+                                       uint64_t seed) {
+  const int divisor = sparse::TopicIndex::kHeavyColumnDivisor;
+  WGRAP_CHECK(reviewers >= 2 * divisor && reviewers % divisor == 0);
+  const int d = reviewers / divisor;
+  const std::vector<int> degrees = {reviewers, d, d - 1,    d + 1,
+                                    1,         reviewers / 2, 2, reviewers - d};
+  const int T = static_cast<int>(degrees.size());
+  data::RapDataset dataset;
+  dataset.num_topics = T;
+  for (int r = 0; r < reviewers; ++r) {
+    dataset.reviewers.push_back(
+        {"r" + std::to_string(r), std::vector<double>(T, 0.0), 1});
+  }
+  Rng rng(seed);
+  std::vector<int> ids(reviewers);
+  for (int t = 0; t < T; ++t) {
+    for (int r = 0; r < reviewers; ++r) ids[r] = r;
+    for (int k = 0; k < degrees[t]; ++k) {
+      std::swap(ids[k], ids[rng.NextInt(k, reviewers - 1)]);
+      dataset.reviewers[ids[k]].topics[t] =
+          rng.NextInt(0, 3) == 0 ? 0.5 : 1.0 - rng.NextDouble();
+    }
+  }
+  for (int p = 0; p < papers; ++p) {
+    dataset.papers.push_back(
+        {"p" + std::to_string(p), RandomTopics(&rng, T), "V"});
+  }
+  return dataset;
+}
+
+std::string DenseColumnMismatch(const sparse::TopicIndex& index) {
+  const int rows = index.num_rows();
+  for (int t = 0; t < index.num_topics(); ++t) {
+    const sparse::SparseVector column = index.Column(t);
+    const bool heavy =
+        column.nnz > 0 &&
+        sparse::TopicIndex::kHeavyColumnDivisor * column.nnz >= rows;
+    const double* dense = index.DenseColumn(t);
+    if (heavy != (dense != nullptr)) {
+      return StrFormat("topic %d (degree %d of %d) is %s but has %s", t,
+                       column.nnz, rows, heavy ? "heavy" : "light",
+                       dense != nullptr ? "a dense column" : "none");
+    }
+    if (dense == nullptr) continue;
+    std::vector<double> expected(rows, 0.0);
+    for (int k = 0; k < column.nnz; ++k) {
+      expected[column.ids[k]] = column.values[k];
+    }
+    if (std::memcmp(expected.data(), dense, rows * sizeof(double)) != 0) {
+      return StrFormat("topic %d: dense column differs from the CSC column",
+                       t);
+    }
+  }
+  return "";
 }
 
 std::string Mangle(const std::string& text, Rng* rng) {

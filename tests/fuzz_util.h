@@ -18,6 +18,7 @@
 #include "common/status.h"
 #include "core/instance.h"
 #include "data/dataset.h"
+#include "sparse/topic_index.h"
 
 namespace wgrap::core {
 
@@ -58,6 +59,21 @@ Result<Instance> MakeFuzzInstance(const FuzzInstanceConfig& config);
 /// (each topic nonzero with probability 0.4, plus 0.25 on one topic), so
 /// its mass is always positive and it is valid for every topic update.
 std::vector<double> RandomTopics(Rng* rng, int T);
+
+/// A reviewer pool whose topic columns straddle the heavy-column threshold
+/// of sparse::TopicIndex, the point where the gain row pass switches from
+/// the CSC id walk to the dense kernel. `reviewers` must be a multiple of
+/// kHeavyColumnDivisor, at least twice it; with d = reviewers / divisor,
+/// the smallest heavy degree, the 8 columns have degrees R, d (exactly at
+/// the threshold), d - 1, d + 1, 1, R / 2, 2 and R - d. Every reviewer
+/// carries topic 0, values include exact ties, and papers are RandomTopics.
+data::RapDataset MakeStraddlingDataset(int reviewers, int papers,
+                                       uint64_t seed);
+
+/// "" when every column of `index` has a DenseColumn exactly when it is
+/// heavy, and that column holds Column(t)'s values at their ids and +0.0
+/// elsewhere (compared by bits); otherwise the first mismatch, in words.
+std::string DenseColumnMismatch(const sparse::TopicIndex& index);
 
 /// One seeded edit of a valid input line: a character replaced, inserted
 /// or deleted, a blank-separated token swapped for a hostile spelling

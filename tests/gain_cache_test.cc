@@ -28,6 +28,7 @@
 #include "core/gain_cache.h"
 #include "core/registry.h"
 #include "data/synthetic_dblp.h"
+#include "fuzz_util.h"
 #include "la/hungarian.h"
 #include "la/transportation.h"
 
@@ -211,7 +212,8 @@ Instance CapRelaxInstance() {
 }
 
 // The shapes the oracle tests walk: dense and sparse topics, COIs with
-// δp ∤ δr, bids, and the cap-relax retry.
+// δp ∤ δr, bids, the cap-relax retry, and topic columns straddling the
+// row pass's heavy-column threshold.
 std::vector<std::pair<std::string, Instance>> OracleInstances() {
   std::vector<std::pair<std::string, Instance>> out;
   out.emplace_back("dense", PoolInstance(14, 10, 3, 401));
@@ -224,6 +226,22 @@ std::vector<std::pair<std::string, Instance>> OracleInstances() {
   SetRandomBids(&bids, 9, 0.5);
   out.emplace_back("bids", std::move(bids));
   out.emplace_back("cap relax", CapRelaxInstance());
+  // Topic columns on both sides of the heavy threshold (one exactly at
+  // it): the row pass mixes the dense kernel and the CSC walk.
+  for (const bool csr : {false, true}) {
+    InstanceParams params;
+    params.group_size = 3;
+    params.sparse_topics = csr;
+    auto straddling = Instance::FromDataset(
+        MakeStraddlingDataset(/*reviewers=*/16, /*papers=*/12, /*seed=*/404),
+        params);
+    WGRAP_CHECK(straddling.ok());
+    if (!csr) straddling->DropSparseTopics();
+    straddling->AddConflict(3, 0);
+    straddling->AddConflict(7, 5);
+    out.emplace_back(csr ? "straddling csr" : "straddling",
+                     *std::move(straddling));
+  }
   for (uint64_t seed : {11u, 12u, 13u}) {
     out.emplace_back("seed " + std::to_string(seed),
                      PoolInstance(18, 14, 3, seed));

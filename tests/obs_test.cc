@@ -204,9 +204,10 @@ TEST(ObsTraceTest, ChromeJsonIsWellFormed) {
 }
 
 // SDGA's stages and SRA's rounds explain their time with child spans:
-// `profit_refresh` (the GainCache refresh) and `lap_solve` (the in-place
-// JV) under every `sdga_stage` and under `sra`, and `cap_relax_retry`
-// around a stage's retry with the relaxed cap. δp = 3 ∤ δr = 4 and paper i
+// `profit_refresh` (the GainCache refresh), `lap_solve` (the in-place JV)
+// and `commit` (the Add/NoteAdd loop) under every `sdga_stage` and under
+// `sra`, `sra_sample` (an SRA round's removal phase) under `sra`, and
+// `cap_relax_retry` around a stage's retry with the relaxed cap. δp = 3 ∤ δr = 4 and paper i
 // conflicts with strong reviewer i, so the capped third stage is
 // infeasible and only the retry completes it. No name has a dot, so the
 // benchmark books them to core.
@@ -244,14 +245,23 @@ TEST(ObsTraceTest, StageSpansNestUnderSdgaStageAndSra) {
     EXPECT_TRUE(tracer.spans().empty());
     return;
   }
-  const std::vector<std::string> stage = {
-      "sdga_stage/0/1", "profit_refresh/-/2", "lap_solve/-/2"};
+  // Stages 1-2 commit; stage 3's capped attempt is infeasible, so it
+  // commits nothing and the relaxed retry commits under cap_relax_retry.
+  const std::vector<std::string> stage = {"sdga_stage/0/1",
+                                          "profit_refresh/-/2",
+                                          "lap_solve/-/2", "commit/-/2"};
   std::vector<std::string> expected = {"sdga/-1/0"};
   for (int k = 0; k < 3; ++k) {
     expected.insert(expected.end(), stage.begin(), stage.end());
   }
-  expected.insert(expected.end(), {"cap_relax_retry/-/2",
-                                   "profit_refresh/-/3", "lap_solve/-/3"});
+  expected.pop_back();  // the infeasible attempt's commit
+  expected.insert(expected.end(),
+                  {"cap_relax_retry/-/2", "profit_refresh/-/3",
+                   "lap_solve/-/3", "commit/-/3"});
+  // Every SRA round samples its removals, then completes the freed slots:
+  // one refresh, one solve and one commit, all right under sra.
+  const std::vector<std::string> round = {"sra_sample", "profit_refresh",
+                                          "lap_solve", "commit"};
   std::vector<std::string> shape;
   const std::vector<SpanRecord>& spans = tracer.spans();
   int sra_root = -1;
@@ -264,10 +274,8 @@ TEST(ObsTraceTest, StageSpansNestUnderSdgaStageAndSra) {
       continue;
     }
     if (sra_root >= 0) {
-      // Every SRA completion is one refresh and one solve, right under sra.
       EXPECT_EQ(span.parent, sra_root) << span.name;
-      EXPECT_EQ(span.name, sra_children % 2 == 0 ? "profit_refresh"
-                                                 : "lap_solve");
+      EXPECT_EQ(span.name, round[sra_children % round.size()]);
       ++sra_children;
       continue;
     }
@@ -286,7 +294,7 @@ TEST(ObsTraceTest, StageSpansNestUnderSdgaStageAndSra) {
   EXPECT_EQ(shape, expected);
   ASSERT_GE(sra_root, 0);
   EXPECT_GT(sra_children, 0);
-  EXPECT_EQ(sra_children % 2, 0);
+  EXPECT_EQ(sra_children % round.size(), 0u);
   for (const SpanRecord& span : spans) {
     EXPECT_EQ(span.name.find('.'), std::string::npos) << span.name;
   }

@@ -83,6 +83,67 @@ std::vector<double> FiniteNastyVector(int n, Rng* rng) {
   return v;
 }
 
+// The AddColumnGainTerms streams. A group max g: 0 (nothing assigned at
+// the topic), an exact tie value, a denormal or a random weight.
+double ColumnGroupMax(Rng* rng) {
+  switch (rng->NextInt(0, 3)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return 0.5;
+    case 2:
+      return std::numeric_limits<double>::denorm_min();
+    default:
+      return rng->NextDouble();
+  }
+}
+
+// A paper weight: 0 (cD's rejected topic), g itself (the c/cP boundary),
+// or a random weight.
+double ColumnPaperWeight(double g, Rng* rng) {
+  switch (rng->NextInt(0, 3)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return g;
+    default:
+      return rng->NextDouble();
+  }
+}
+
+// One lane of a dense column: exactly g (gated out), the next double above
+// g (gated in), exactly p (the r >= p boundary of c, cR and cP), 0, -0.0,
+// ±inf and NaN (unless `finite`), or a random weight. A finite lane is a
+// valid reviewer weight except for -0.0.
+double ColumnLane(double g, double p, bool finite, Rng* rng) {
+  switch (rng->NextInt(0, finite ? 6 : 9)) {
+    case 0:
+      return g;
+    case 1:
+      return std::nextafter(g, std::numeric_limits<double>::infinity());
+    case 2:
+      return p;
+    case 3:
+      return 0.0;
+    case 4:
+      return -0.0;
+    case 5:
+    case 6:
+      return rng->NextDouble();
+    case 7:
+      return std::numeric_limits<double>::infinity();
+    case 8:
+      return -std::numeric_limits<double>::infinity();
+    default:
+      return std::numeric_limits<double>::quiet_NaN();
+  }
+}
+
+// A row-pass running sum: +0.0 or a finite positive gain, never -0.0.
+double RunningGain(Rng* rng) {
+  return rng->NextInt(0, 2) == 0 ? 0.0 : rng->NextDouble();
+}
+
 constexpr core::ScoringFunction kAllFunctions[] = {
     core::ScoringFunction::kWeightedCoverage,
     core::ScoringFunction::kReviewerCoverage,
@@ -127,6 +188,30 @@ TEST(SimdKernelTest, MarginalGainSumBackendsAreByteIdentical) {
             avx2::MarginalGainSum(f, g.data(), r.data(), p.data(), n);
         ASSERT_EQ(Bits(s), Bits(v))
             << "f=" << static_cast<int>(f) << " n=" << n << " rep=" << rep;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, AddColumnGainTermsBackendsAreByteIdentical) {
+  Rng rng(12);
+  for (const auto f : kAllFunctions) {
+    for (int n = 0; n <= 67; ++n) {
+      for (int rep = 0; rep < 12; ++rep) {
+        const double g = ColumnGroupMax(&rng);
+        const double p = ColumnPaperWeight(g, &rng);
+        std::vector<double> column(n);
+        for (double& x : column) x = ColumnLane(g, p, /*finite=*/false, &rng);
+        std::vector<double> out_s(n);
+        for (double& x : out_s) x = RunningGain(&rng);
+        std::vector<double> out_v = out_s;
+        scalar::AddColumnGainTerms(f, column.data(), n, g, p, out_s.data());
+        avx2::AddColumnGainTerms(f, column.data(), n, g, p, out_v.data());
+        for (int i = 0; i < n; ++i) {
+          ASSERT_EQ(Bits(out_s[i]), Bits(out_v[i]))
+              << "f=" << static_cast<int>(f) << " n=" << n << " rep=" << rep
+              << " lane=" << i;
+        }
       }
     }
   }
@@ -283,6 +368,47 @@ TEST(SimdKernelTest, JvMinDistBackendsAreIdentical) {
 }
 
 #endif  // WGRAP_SIMD_HAVE_AVX2
+
+// The row pass's contract for heavy columns: the dense kernel over a
+// column with its zeros in place leaves every running sum with the bits
+// the CSC id walk (MarginalGainRow's light-column loop) gives.
+TEST(SimdKernelTest, AddColumnGainTermsMatchesTheIdWalk) {
+  Rng rng(13);
+  for (const auto f : kAllFunctions) {
+    for (int n = 0; n <= 67; ++n) {
+      for (int rep = 0; rep < 12; ++rep) {
+        const double g = ColumnGroupMax(&rng);
+        const double p = ColumnPaperWeight(g, &rng);
+        std::vector<double> column(n);
+        std::vector<int> ids;
+        for (int i = 0; i < n; ++i) {
+          const double x = ColumnLane(g, p, /*finite=*/true, &rng);
+          if (x > 0.0) {
+            column[i] = x;  // zero lanes stay +0.0, as in DenseColumn
+            ids.push_back(i);
+          }
+        }
+        std::vector<double> walk(n);
+        for (double& x : walk) x = RunningGain(&rng);
+        std::vector<double> dense = walk;
+        std::vector<double> dispatched = walk;
+        const double base = core::TopicContribution(f, g, p);
+        for (const int i : ids) {
+          if (column[i] <= g) continue;
+          walk[i] += core::TopicContribution(f, column[i], p) - base;
+        }
+        scalar::AddColumnGainTerms(f, column.data(), n, g, p, dense.data());
+        AddColumnGainTerms(f, column.data(), n, g, p, dispatched.data());
+        for (int i = 0; i < n; ++i) {
+          ASSERT_EQ(Bits(walk[i]), Bits(dense[i]))
+              << "f=" << static_cast<int>(f) << " n=" << n << " lane=" << i;
+          ASSERT_EQ(Bits(walk[i]), Bits(dispatched[i]))
+              << "f=" << static_cast<int>(f) << " n=" << n << " lane=" << i;
+        }
+      }
+    }
+  }
+}
 
 // The scalar JV kernels are the reference every backend must match.
 TEST(SimdKernelTest, JvScalarKernelsSkipParkedAndNoEdgeLanes) {

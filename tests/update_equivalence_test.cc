@@ -7,7 +7,9 @@
 // patched state must follow the bit-identical trajectory of a resolve on
 // the freshly built state. The grid covers dense|sparse topic kernels and
 // 1|8 resolve threads across multiple seeds; dedicated cases pin the
-// pure-removal sequence the ROADMAP calls out and each op kind alone, and
+// pure-removal sequence the ROADMAP calls out, each op kind alone, and
+// reviewer ops that move topic columns across the heavy-column threshold
+// (dense copies and the gain row pass checked after each), and
 // smaller tests cover validation failures, eviction reporting and the
 // mutation-script grammar. After every fuzzed op the instance's c(AI)
 // memo (core::IdealScore) must memcmp-equal a from-scratch AI build, on
@@ -17,13 +19,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "core/assignment.h"
 #include "core/metrics.h"
 #include "core/update.h"
 #include "data/dataset.h"
@@ -273,6 +278,10 @@ void ExpectInstancesBitEqual(const Instance& patched, const Instance& fresh) {
     ExpectSparseVectorsEqual(index.Column(t), fresh_index.Column(t),
                              "csc topic " + std::to_string(t));
   }
+  // Its dense copies of the heavy columns: the CSC columns with their
+  // zeros in place, on the same topics as a fresh build.
+  EXPECT_EQ(DenseColumnMismatch(index), "");
+  EXPECT_EQ(index.num_dense_columns(), fresh_index.num_dense_columns());
   // The instance-owned topic rankings (Algorithm 1's sorted lists): the
   // same reviewer order on every topic.
   for (int t = 0; t < T; ++t) {
@@ -607,6 +616,117 @@ TEST(UpdateEquivalenceOpKinds, EveryOpKeepsTheTopicViewsCurrent) {
       ExpectRefreshed(&refreshed, StaleAfter(ops[kind], instance), "patched");
       ExpectSameBits(ExpectIdealScoreMatchesBuild(before, "copy"),
                      before_score, "copy");
+    }
+  }
+}
+
+// Which topic columns of the reviewer index are heavy (kept dense).
+std::vector<bool> HeavyColumns(const Instance& instance) {
+  const sparse::TopicIndex& index = instance.ReviewerTopicIndex();
+  std::vector<bool> heavy(index.num_topics());
+  for (int t = 0; t < index.num_topics(); ++t) {
+    heavy[t] = index.DenseColumn(t) != nullptr;
+  }
+  return heavy;
+}
+
+// The first topic whose degree times the heavy divisor is R + `offset`
+// (offset 0: exactly at the threshold); the straddling pool always has one.
+int TopicAtThreshold(const Instance& instance, int offset) {
+  const sparse::TopicIndex& index = instance.ReviewerTopicIndex();
+  int t = 0;
+  while (index.ColumnNnz(t) * sparse::TopicIndex::kHeavyColumnDivisor !=
+         index.num_rows() + offset) {
+    ++t;
+    WGRAP_CHECK_MSG(t < index.num_topics(), "no column at that degree");
+  }
+  return t;
+}
+
+// Reviewer ops that move columns across the heavy-column threshold of the
+// reviewer index: set_reviewer_topics taking a column at it below it and
+// lifting a column back to it, add_reviewer raising the threshold above a
+// column, remove_reviewer lowering it again and dropping a carrier of a
+// column at it. After each op the heavy set must have changed, the patched
+// index (dense columns included) must equal a fresh build and match its
+// own CSC columns, and the row pass must equal the per-pair gains.
+TEST(UpdateEquivalenceOpKinds, ColumnsCrossTheHeavyThreshold) {
+  constexpr int kDivisor = sparse::TopicIndex::kHeavyColumnDivisor;
+  for (const ScoringFunction f :
+       {ScoringFunction::kWeightedCoverage, ScoringFunction::kReviewerCoverage,
+        ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct}) {
+    for (const bool sparse : {false, true}) {
+      SCOPED_TRACE(ScoringFunctionName(f) + (sparse ? " sparse" : " dense"));
+      GroundTruth gt;
+      gt.dataset = MakeStraddlingDataset(/*reviewers=*/4 * kDivisor,
+                                         /*papers=*/12, /*seed=*/77);
+      gt.coi.assign(gt.P(), std::vector<char>(gt.R(), 0));
+      gt.bids.assign(gt.P(), std::vector<double>(gt.R(), 0.0));
+      gt.coi[2][5] = 1;
+      InstanceParams params;
+      params.group_size = 3;
+      params.scoring = f;
+      params.sparse_topics = sparse;
+      Instance instance = BuildFresh(gt, params);
+      InstanceUpdater updater(&instance, params);
+      // Each op is drawn against the state the previous ones left.
+      const std::vector<std::function<InstanceUpdate()>> ops = {
+          [&] {  // a column at the threshold loses a carrier
+            const int t = TopicAtThreshold(instance, 0);
+            const int r = instance.ReviewerTopicIndex().Column(t).ids[0];
+            std::vector<double> topics = gt.dataset.reviewers[r].topics;
+            topics[t] = 0.0;  // topic 0 keeps the mass positive
+            return InstanceUpdate::SetReviewerTopics(r, topics);
+          },
+          [&] {  // a column one carrier short gains one
+            const int t = TopicAtThreshold(instance, -kDivisor);
+            int r = 0;
+            while (instance.ReviewerVector(r)[t] > 0.0) ++r;
+            std::vector<double> topics = gt.dataset.reviewers[r].topics;
+            topics[t] = 0.5;
+            return InstanceUpdate::SetReviewerTopics(r, topics);
+          },
+          [&] {  // R + 1 lifts the threshold above the columns at it
+            std::vector<double> topics(gt.dataset.num_topics, 0.0);
+            topics[0] = 0.4;
+            return InstanceUpdate::AddReviewer(topics);
+          },
+          [&] {  // and removing it brings them back
+            return InstanceUpdate::RemoveReviewer(gt.R() - 1);
+          },
+          [&] {  // R - 1 with a carrier of a column at the threshold gone
+            const int t = TopicAtThreshold(instance, 0);
+            return InstanceUpdate::RemoveReviewer(
+                instance.ReviewerTopicIndex().Column(t).ids[0]);
+          },
+      };
+      for (size_t i = 0; i < ops.size(); ++i) {
+        SCOPED_TRACE("op " + std::to_string(i));
+        const std::vector<bool> heavy_before = HeavyColumns(instance);
+        const InstanceUpdate op = ops[i]();
+        auto report = updater.Apply(op);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        ApplyToGroundTruth(&gt, op);
+        EXPECT_NE(HeavyColumns(instance), heavy_before);
+        ExpectInstancesBitEqual(instance, BuildFresh(gt, params));
+        Assignment assignment(&instance);
+        const int P = instance.num_papers();
+        const int R = instance.num_reviewers();
+        for (int p = 0; p < P; ++p) {
+          for (int k = 0; k < 2; ++k) {
+            (void)assignment.AddUnchecked(p, (p * 5 + k * 3) % R);
+          }
+        }
+        std::vector<double> row(R);
+        for (int p = 0; p < P; ++p) {
+          assignment.MarginalGainRow(p, row.data());
+          for (int r = 0; r < R; ++r) {
+            const double expected = assignment.MarginalGain(p, r);
+            EXPECT_EQ(std::memcmp(&row[r], &expected, sizeof(double)), 0)
+                << "paper " << p << " reviewer " << r;
+          }
+        }
+      }
     }
   }
 }

@@ -24,8 +24,9 @@
 //                       [--trace spans.json] [--verbose]
 //                       [--refine initial.csv] --out a.csv
 //     (--trace records the solver's span tree to a chrome://tracing JSON
-//      file; --verbose prints the dispatched kernel backend (avx2/scalar)
-//      and solver telemetry counters to stderr — both leave stdout
+//      file; --verbose prints the dispatched kernel backend (avx2/scalar),
+//      the number of heavy (dense-kernel) topic columns and solver
+//      telemetry counters to stderr — both leave stdout
 //      byte-identical to an uninstrumented run, which CI asserts)
 //     (--refine runs the algo's refine-from-initial hook — sra or ls —
 //      on an existing assignment instead of solving from scratch)
@@ -424,6 +425,11 @@ int CmdSolve(const Flags& flags) {
     // hardware they ran on (also exported as the wgrap_simd_backend_avx2
     // gauge).
     std::fprintf(stderr, "kernel backend: %s\n", simd::ActiveBackendName());
+    // The topics whose gain terms the row pass adds with the dense column
+    // kernel rather than the CSC id walk.
+    std::fprintf(stderr, "heavy topic columns: %d of %d\n",
+                 instance.ReviewerTopicIndex().num_dense_columns(),
+                 instance.num_topics());
     if (!obs::Enabled()) {
       std::fprintf(stderr, "telemetry disabled (WGRAP_OBS=0)\n");
     } else {

@@ -6,7 +6,9 @@
 // thread-count sweeps of the two parallel hot paths (SDGA stage scoring,
 // ATM Gibbs sweeps) that bench/BASELINES.md tracks, plus the per-kernel
 // scalar-vs-dispatched tracks for the simd/kernels.h layer (BM_Kernel*),
-// and the column-density sweep of the gain row pass (BM_GainColumnPass).
+// the column-density sweep of the gain row pass (BM_GainColumnPass), the
+// dataset CSV reader (BM_DatasetFromCsv) and one service-session write
+// with its snapshot publish (BM_StorePublish).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,9 +17,13 @@
 #include "bench_util.h"
 #include "common/thread_pool.h"
 #include "core/gain_cache.h"
+#include "core/registry.h"
+#include "data/io.h"
+#include "data/synthetic_dblp.h"
 #include "la/auction.h"
 #include "la/hungarian.h"
 #include "la/transportation.h"
+#include "service/instance_store.h"
 #include "simd/kernels.h"
 #include "sparse/sparse_matrix.h"
 #include "sparse/sparse_scoring.h"
@@ -516,5 +522,57 @@ void BM_AtmGibbs(benchmark::State& state) {
 }
 BENCHMARK(BM_AtmGibbs)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+void BM_DatasetFromCsv(benchmark::State& state) {
+  // The CSV bytes of a set-up to a validated dataset: Arg 0 is DB08 (722
+  // rows x 30 dense topics), Arg 1 the sparse 400 x 150 pool (100 topics,
+  // 5 nonzero per row), the two perfbench conference shapes.
+  data::SyntheticDblpConfig sparse;
+  sparse.num_topics = 100;
+  sparse.topic_density = 0.05;
+  auto dataset = state.range(0) == 0
+                     ? data::GenerateConferenceDataset(data::Area::kDatabases,
+                                                       2008, {})
+                     : data::GenerateReviewerPool(150, 400, sparse);
+  bench::DieOnError(dataset.status(), "generate dataset");
+  const std::string csv = data::DatasetToCsv(*dataset);
+  for (auto _ : state) {
+    auto parsed = data::DatasetFromCsv(csv);
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(csv.size()));
+}
+BENCHMARK(BM_DatasetFromCsv)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_StorePublish(benchmark::State& state) {
+  // One `set_coi` mutate of a 189 x 146 session (T = 30) holding an SDGA
+  // assignment, as perfbench service_mix sends them: the COI toggles on an
+  // unassigned pair, so every iteration applies one op and publishes one
+  // snapshot (instance copy plus the assignment copy).
+  auto dataset = data::GenerateReviewerPool(189, 146, {});
+  bench::DieOnError(dataset.status(), "GenerateReviewerPool");
+  core::InstanceParams params;
+  params.group_size = 3;
+  service::InstanceStore store;
+  auto opened = store.Open("s", *dataset, params);
+  bench::DieOnError(opened.status(), "open");
+  auto solved =
+      core::SolverRegistry::Default().SolveCra("sdga", *opened->instance, {});
+  bench::DieOnError(solved.status(), "sdga");
+  auto installed = store.InstallAssignment("s", solved->Pairs());
+  bench::DieOnError(installed.status(), "install");
+  int reviewer = 0;
+  while (solved->Contains(0, reviewer)) ++reviewer;
+  bool on = true;
+  for (auto _ : state) {
+    auto mutated = store.Mutate(
+        "s", {core::InstanceUpdate::SetCoi(reviewer, 0, on)});
+    bench::DieOnError(mutated.status(), "mutate");
+    benchmark::DoNotOptimize(mutated);
+    on = !on;
+  }
+}
+BENCHMARK(BM_StorePublish)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

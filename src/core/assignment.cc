@@ -20,6 +20,15 @@ bool Assignment::Contains(int paper, int reviewer) const {
   return std::find(group.begin(), group.end(), reviewer) != group.end();
 }
 
+std::vector<std::pair<int, int>> Assignment::Pairs() const {
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(static_cast<size_t>(size_));
+  for (int p = 0; p < instance_->num_papers(); ++p) {
+    for (int r : groups_[p]) pairs.emplace_back(p, r);
+  }
+  return pairs;
+}
+
 double Assignment::MarginalGain(int paper, int reviewer) const {
   return instance_->MarginalGain(group_vec_.Row(paper), reviewer, paper) +
          instance_->BidBonus(reviewer, paper);
@@ -90,7 +99,7 @@ void Assignment::MarginalGainRow(int paper, double* out) const {
   }
 }
 
-Status Assignment::AddUnchecked(int paper, int reviewer) {
+Status Assignment::CheckAddable(int paper, int reviewer) const {
   if (paper < 0 || paper >= instance_->num_papers() || reviewer < 0 ||
       reviewer >= instance_->num_reviewers()) {
     return Status::OutOfRange("paper or reviewer id out of range");
@@ -101,14 +110,43 @@ Status Assignment::AddUnchecked(int paper, int reviewer) {
   if (instance_->IsConflict(reviewer, paper)) {
     return Status::FailedPrecondition("conflict of interest");
   }
-  const double gain = MarginalGain(paper, reviewer);
+  return Status::OK();
+}
+
+void Assignment::Place(int paper, int reviewer) {
   groups_[paper].push_back(reviewer);
   ++load_[reviewer];
   ++size_;
+}
+
+Status Assignment::AddUnchecked(int paper, int reviewer) {
+  WGRAP_RETURN_IF_ERROR(CheckAddable(paper, reviewer));
+  const double gain = MarginalGain(paper, reviewer);
+  Place(paper, reviewer);
   instance_->FoldReviewer(reviewer, group_vec_.Row(paper));
   paper_score_[paper] += gain;
   total_score_ += gain;
   return Status::OK();
+}
+
+Result<Assignment> Assignment::FromPairs(
+    const Instance* instance, const std::vector<std::pair<int, int>>& pairs) {
+  Assignment assignment(instance);
+  // Size every group once: growing them a push at a time would cost more
+  // allocations than the rest of the build.
+  std::vector<int> group_sizes(instance->num_papers(), 0);
+  for (const auto& [paper, reviewer] : pairs) {
+    if (paper >= 0 && paper < instance->num_papers()) ++group_sizes[paper];
+  }
+  for (int p = 0; p < instance->num_papers(); ++p) {
+    assignment.groups_[p].reserve(group_sizes[p]);
+  }
+  for (const auto& [paper, reviewer] : pairs) {
+    WGRAP_RETURN_IF_ERROR(assignment.CheckAddable(paper, reviewer));
+    assignment.Place(paper, reviewer);
+  }
+  assignment.RecomputeAll();
+  return assignment;
 }
 
 Status Assignment::Add(int paper, int reviewer) {

@@ -7,6 +7,7 @@
 #ifndef WGRAP_CORE_ASSIGNMENT_H_
 #define WGRAP_CORE_ASSIGNMENT_H_
 
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
@@ -20,6 +21,19 @@ class Assignment {
  public:
   explicit Assignment(const Instance* instance);
 
+  /// Builds the assignment holding `pairs` (paper, reviewer) on `instance`.
+  /// Each pair gets AddUnchecked's checks in pair order — range, then
+  /// duplicate, then COI — and the first failure is returned with
+  /// AddUnchecked's code and message. Groups are placed in pair order, so
+  /// GroupFor(p) lists p's reviewers as they appear in `pairs`. No gain is
+  /// summed and no reviewer is folded per pair: one RecomputeAll derives
+  /// every group vector, paper score and the total at the end, so the
+  /// result is bitwise identical to AddUnchecked on each pair followed by
+  /// RecomputeAll. O(|pairs|·δp) checks plus one RecomputeAll, against
+  /// the replay's extra |pairs| marginal gains and folds.
+  static Result<Assignment> FromPairs(
+      const Instance* instance, const std::vector<std::pair<int, int>>& pairs);
+
   const Instance& instance() const { return *instance_; }
 
   /// Reviewers currently assigned to paper p (unordered).
@@ -32,6 +46,10 @@ class Assignment {
 
   /// Total number of (r, p) pairs in A.
   int64_t size() const { return size_; }
+
+  /// Every (paper, reviewer) pair, papers ascending and each group in
+  /// order: FromPairs(&instance(), Pairs()) rebuilds this assignment.
+  std::vector<std::pair<int, int>> Pairs() const;
 
   /// Group expertise vector g→ of paper p (element-wise max, Definition 2).
   const double* GroupVector(int paper) const { return group_vec_.Row(paper); }
@@ -99,6 +117,10 @@ class Assignment {
   /// removed from the bound instance.
   friend class InstanceUpdater;
 
+  /// AddUnchecked's checks: range, duplicate, COI, in that order.
+  Status CheckAddable(int paper, int reviewer) const;
+  /// Appends (r, p) to the group, load and size; no score is touched.
+  void Place(int paper, int reviewer);
   void RecomputePaper(int paper);
 
   const Instance* instance_;

@@ -9,23 +9,26 @@ namespace wgrap::data {
 
 namespace {
 
+// `kind` and `index` name the vector ("reviewer 3") in an error; the label
+// is formatted only when a check fails.
 Status ValidateVector(const std::vector<double>& v, int num_topics,
-                      const std::string& what) {
+                      const char* kind, size_t index) {
   if (static_cast<int>(v.size()) != num_topics) {
     return Status::InvalidArgument(
-        StrFormat("%s has %zu topics, expected %d", what.c_str(), v.size(),
+        StrFormat("%s %zu has %zu topics, expected %d", kind, index, v.size(),
                   num_topics));
   }
   double total = 0.0;
   for (double x : v) {
     if (x < 0.0 || !std::isfinite(x)) {
-      return Status::InvalidArgument(
-          StrFormat("%s has a negative or non-finite weight", what.c_str()));
+      return Status::InvalidArgument(StrFormat(
+          "%s %zu has a negative or non-finite weight", kind, index));
     }
     total += x;
   }
   if (total <= 0.0) {
-    return Status::InvalidArgument(StrFormat("%s has zero mass", what.c_str()));
+    return Status::InvalidArgument(
+        StrFormat("%s %zu has zero mass", kind, index));
   }
   return Status::OK();
 }
@@ -35,12 +38,12 @@ Status ValidateVector(const std::vector<double>& v, int num_topics,
 Status RapDataset::Validate() const {
   if (num_topics <= 0) return Status::InvalidArgument("num_topics must be > 0");
   for (size_t i = 0; i < reviewers.size(); ++i) {
-    WGRAP_RETURN_IF_ERROR(ValidateVector(reviewers[i].topics, num_topics,
-                                         StrFormat("reviewer %zu", i)));
+    WGRAP_RETURN_IF_ERROR(
+        ValidateVector(reviewers[i].topics, num_topics, "reviewer", i));
   }
   for (size_t i = 0; i < papers.size(); ++i) {
     WGRAP_RETURN_IF_ERROR(
-        ValidateVector(papers[i].topics, num_topics, StrFormat("paper %zu", i)));
+        ValidateVector(papers[i].topics, num_topics, "paper", i));
   }
   return Status::OK();
 }

@@ -21,15 +21,6 @@ JobQueue::Options QueueOptions(const ServiceOptions& options) {
   return queue;
 }
 
-std::vector<std::pair<int, int>> PairsOf(const core::Assignment& assignment) {
-  std::vector<std::pair<int, int>> pairs;
-  const core::Instance& instance = assignment.instance();
-  for (int p = 0; p < instance.num_papers(); ++p) {
-    for (int r : assignment.GroupFor(p)) pairs.emplace_back(p, r);
-  }
-  return pairs;
-}
-
 const char* KindLabel(core::SolverRequest::Kind kind) {
   switch (kind) {
     case core::SolverRequest::Kind::kSolveCra:
@@ -228,7 +219,7 @@ Result<SubmitResponse> ServiceApi::Submit(const SubmitRequest& request) {
             // this solve ran on. A lost race is not a job failure — the
             // result stays fetchable either way (but it is counted).
             auto installed = store_.InstallAssignmentIfCurrent(
-                snap.name, snap.version, PairsOf(*response->assignment));
+                snap.name, snap.version, response->assignment->Pairs());
             CountCasConflict(installed.status());
           }
         } else {
@@ -279,16 +270,11 @@ Result<SubmitResponse> ServiceApi::Resolve(const ResolveRequest& request) {
       [this, snap = std::move(snap),
        options = std::move(options)](const JobContext& context) {
         JobResult result;
-        // Work on a private rebind of the snapshot's assignment — the
-        // snapshot itself stays immutable for other readers.
-        core::Assignment working(snap.instance.get());
-        for (const auto& [p, r] : PairsOf(*snap.assignment)) {
-          const Status added = working.AddUnchecked(p, r);
-          if (!added.ok()) {
-            result.status = added;
-            return result;
-          }
-        }
+        // Work on a private copy of the snapshot's assignment (bound to
+        // the same snapshot instance) — the snapshot itself stays
+        // immutable for other readers. IncrementalResolve normalizes it
+        // with RecomputeAll before it reads a score.
+        core::Assignment working = *snap.assignment;
         auto report = core::IncrementalResolve(
             *snap.instance, &working, WithJobContext(options, context));
         if (!report.ok()) {
@@ -298,7 +284,7 @@ Result<SubmitResponse> ServiceApi::Resolve(const ResolveRequest& request) {
         result.report = ResolveReport(*report, working);
         result.assignment_csv = AssignmentCsv(working);
         auto installed = store_.InstallAssignmentIfCurrent(
-            snap.name, snap.version, PairsOf(working));
+            snap.name, snap.version, working.Pairs());
         CountCasConflict(installed.status());
         return result;
       });

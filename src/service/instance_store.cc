@@ -104,11 +104,10 @@ Status InstanceStore::InstallLocked(
     Session* session, const std::vector<std::pair<int, int>>& pairs) {
   // Build the candidate first; the session is only touched on success.
   auto assignment =
-      std::make_unique<core::Assignment>(session->instance.get());
-  for (const auto& [p, r] : pairs) {
-    WGRAP_RETURN_IF_ERROR(assignment->AddUnchecked(p, r));
-  }
-  session->assignment = std::move(assignment);
+      core::Assignment::FromPairs(session->instance.get(), pairs);
+  if (!assignment.ok()) return assignment.status();
+  session->assignment =
+      std::make_unique<core::Assignment>(*std::move(assignment));
   session->updater->TrackAssignment(session->assignment.get());
   Publish(session);
   return Status::OK();
@@ -121,8 +120,8 @@ Result<SessionSnapshot> InstanceStore::InstallAssignment(
   if (it == sessions_.end()) {
     return Status::NotFound("no session '" + name + "'");
   }
-  // Before InstallLocked, never inside it: RestoreFromSnapshot replays
-  // through InstallLocked and (correctly) asserts that replay cannot fail.
+  // Before InstallLocked, never inside it: RestoreFromSnapshot re-installs
+  // through InstallLocked and (correctly) asserts that it cannot fail.
   WGRAP_RETURN_IF_ERROR(WGRAP_INJECT_FAULT("store.install"));
   WGRAP_RETURN_IF_ERROR(InstallLocked(&it->second, pairs));
   return it->second.snapshot;
@@ -164,7 +163,7 @@ Result<MutateOutcome> InstanceStore::Mutate(
     return report.status();
   }
   // A publish fault lands after the whole batch applied cleanly — the
-  // hardest rollback case, exercising RestoreFromSnapshot's full replay.
+  // hardest rollback case, exercising RestoreFromSnapshot's full rebuild.
   if (const Status publish = WGRAP_INJECT_FAULT("store.publish");
       !publish.ok()) {
     RestoreFromSnapshot(&session);
@@ -183,18 +182,12 @@ void InstanceStore::Publish(Session* session) {
   auto instance = std::make_shared<core::Instance>(*session->instance);
   session->snapshot.instance = instance;
   if (session->assignment != nullptr) {
-    auto copy = std::make_shared<core::Assignment>(instance.get());
-    for (int p = 0; p < instance->num_papers(); ++p) {
-      for (int r : session->assignment->GroupFor(p)) {
-        const Status added = copy->AddUnchecked(p, r);
-        WGRAP_CHECK_MSG(added.ok(), "snapshot replay must accept the "
-                                    "master's own pairs");
-      }
-    }
-    // Normalize so snapshot scores are independent of the master's
-    // accumulation history (same move core/update.h documents).
-    copy->RecomputeAll();
-    session->snapshot.assignment = std::move(copy);
+    auto copy = core::Assignment::FromPairs(instance.get(),
+                                            session->assignment->Pairs());
+    WGRAP_CHECK_MSG(copy.ok(), "the snapshot copy must accept the master's "
+                               "own pairs");
+    session->snapshot.assignment =
+        std::make_shared<core::Assignment>(*std::move(copy));
   } else {
     session->snapshot.assignment.reset();
   }
@@ -207,11 +200,7 @@ void InstanceStore::RestoreFromSnapshot(Session* session) {
       session->instance.get(), session->params);
   session->assignment.reset();
   if (snap.assignment != nullptr) {
-    std::vector<std::pair<int, int>> pairs;
-    for (int p = 0; p < snap.instance->num_papers(); ++p) {
-      for (int r : snap.assignment->GroupFor(p)) pairs.emplace_back(p, r);
-    }
-    const Status restored = InstallLocked(session, pairs);
+    const Status restored = InstallLocked(session, snap.assignment->Pairs());
     WGRAP_CHECK_MSG(restored.ok(),
                     "restoring the published snapshot cannot fail");
     // InstallLocked published a fresh snapshot (version bump) — that is

@@ -104,10 +104,11 @@ class InstanceStore {
   Status Close(const std::string& name);
 
   /// Installs (replacing any previous) the tracked assignment from
-  /// (paper, reviewer) pairs and publishes a new snapshot. Pairs are
-  /// applied AddUnchecked in the given order; invalid pairs (COI,
-  /// duplicate, out of range) reject the whole install and leave the
-  /// session unchanged.
+  /// (paper, reviewer) pairs and publishes a new snapshot. The master is
+  /// built by core::Assignment::FromPairs: AddUnchecked's checks in pair
+  /// order, groups in pair order, one RecomputeAll. The first invalid pair
+  /// (out of range, duplicate, COI) rejects the whole install with
+  /// AddUnchecked's Status and leaves the session unchanged.
   Result<SessionSnapshot> InstallAssignment(
       const std::string& name, const std::vector<std::pair<int, int>>& pairs);
 
@@ -146,9 +147,11 @@ class InstanceStore {
                                  core::Instance instance,
                                  const core::InstanceParams& params);
   /// Copies the master into session.snapshot (bumping the version). The
-  /// assignment copy replays pairs in (paper asc, group order) onto the
-  /// copied instance and normalizes with RecomputeAll, so snapshot scores
-  /// are bitwise equal to any other assignment with the same groups.
+  /// assignment copy is FromPairs of the master's Pairs() on the copied
+  /// instance, so snapshot scores are bitwise equal to any other
+  /// assignment with the same groups. Cost: one Instance copy plus
+  /// O(P·δp²) pair checks and one RecomputeAll (O(P·δp·T) folds and P
+  /// scores); no marginal gain is summed per pair.
   void Publish(Session* session);
   Status InstallLocked(Session* session,
                        const std::vector<std::pair<int, int>>& pairs);

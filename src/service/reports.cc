@@ -88,12 +88,7 @@ std::string ResolveReport(const core::ResolveReport& report,
 }
 
 std::string AssignmentCsv(const core::Assignment& assignment) {
-  std::vector<std::pair<int, int>> pairs;
-  const core::Instance& instance = assignment.instance();
-  for (int p = 0; p < instance.num_papers(); ++p) {
-    for (int r : assignment.GroupFor(p)) pairs.emplace_back(p, r);
-  }
-  return data::AssignmentPairsToCsv(pairs);
+  return data::AssignmentPairsToCsv(assignment.Pairs());
 }
 
 std::string JraReport(const std::vector<core::JraResult>& results) {

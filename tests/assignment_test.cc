@@ -3,7 +3,8 @@
 // randomized consistency property against recomputation from scratch, and
 // the bitwise identity of the MarginalGainRow row kernel with the
 // per-pair MarginalGain, on light (CSC walk) and heavy (dense kernel)
-// topic columns alike.
+// topic columns alike; FromPairs against the AddUnchecked replay it
+// replaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -331,6 +332,87 @@ TEST(MarginalGainRowTest, HandMadeEdgeRows) {
       if (f == ScoringFunction::kReviewerCoverage) {
         // The zero-weight topic is cR's whole gain for "zero_p".
         EXPECT_GT(assignment.MarginalGain(0, 3), 0.0);
+      }
+    }
+  }
+}
+
+// FromPairs must be the replay it replaces, bit for bit: on valid lists
+// the same groups, vectors, scores and total as AddUnchecked per pair plus
+// RecomputeAll; on a bad list (out of range, duplicate, COI, anywhere in
+// the list) the replay's first error, code and message.
+TEST(FromPairsTest, MatchesTheAddUncheckedReplay) {
+  for (const bool sparse : {false, true}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      FuzzInstanceConfig config;
+      config.reviewers = 14;
+      config.papers = 9;
+      config.num_topics = 11;
+      config.group_size = 3;
+      config.conflict_rate = 0.15;
+      config.with_bids = seed % 2 == 0;
+      config.sparse_topics = sparse;
+      config.seed = seed;
+      auto instance = MakeFuzzInstance(config);
+      ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+      const int P = instance->num_papers();
+      const int R = instance->num_reviewers();
+      Rng rng(seed * 131 + (sparse ? 1 : 0));
+      for (int trial = 0; trial < 60; ++trial) {
+        // Random pairs, mostly valid; a third of the lists get one bad
+        // pair at a random spot.
+        std::vector<std::pair<int, int>> pairs;
+        const int count = rng.NextInt(0, P * 4);
+        for (int k = 0; k < count; ++k) {
+          const int p = rng.NextInt(0, P - 1);
+          const int r = rng.NextInt(0, R - 1);
+          const bool taken =
+              std::find(pairs.begin(), pairs.end(), std::make_pair(p, r)) !=
+              pairs.end();
+          if (!taken && !instance->IsConflict(r, p)) pairs.emplace_back(p, r);
+        }
+        if (trial % 3 == 2) {
+          const size_t at = rng.NextBounded(pairs.size() + 1);
+          std::pair<int, int> bad;
+          switch (rng.NextInt(0, 3)) {
+            case 0:
+              bad = {P, 0};
+              break;
+            case 1:
+              bad = {0, -1};
+              break;
+            case 2:
+              bad = pairs.empty() ? std::make_pair(-1, 0)
+                                  : pairs[rng.NextBounded(pairs.size())];
+              break;
+            default: {
+              bad = {-1, R};
+              for (int p = 0; p < P; ++p) {
+                for (int r = 0; r < R; ++r) {
+                  if (instance->IsConflict(r, p)) bad = {p, r};
+                }
+              }
+            }
+          }
+          pairs.insert(pairs.begin() + static_cast<std::ptrdiff_t>(at), bad);
+        }
+        const std::string where = std::string(sparse ? "sparse" : "dense") +
+                                  " seed " + std::to_string(seed) +
+                                  " trial " + std::to_string(trial);
+        auto built = Assignment::FromPairs(&*instance, pairs);
+        auto replayed = ReplayPairs(&*instance, pairs);
+        ASSERT_EQ(built.ok(), replayed.ok()) << where;
+        if (!replayed.ok()) {
+          EXPECT_EQ(built.status().code(), replayed.status().code()) << where;
+          EXPECT_EQ(built.status().message(), replayed.status().message())
+              << where;
+          continue;
+        }
+        EXPECT_EQ(AssignmentMismatch(*built, *replayed), "") << where;
+        // Pairs() lists the groups back; FromPairs of that is the same.
+        auto again = Assignment::FromPairs(&*instance, built->Pairs());
+        ASSERT_TRUE(again.ok()) << where;
+        EXPECT_EQ(AssignmentMismatch(*again, *built), "") << where;
       }
     }
   }

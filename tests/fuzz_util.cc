@@ -188,4 +188,68 @@ std::string Mangle(const std::string& text, Rng* rng) {
   return out;
 }
 
+std::string MangleOneLine(std::vector<std::string> lines, Rng* rng) {
+  std::string& line = lines[rng->NextBounded(lines.size())];
+  for (int edits = rng->NextInt(1, 3); edits > 0; --edits) {
+    line = Mangle(line, rng);
+  }
+  return StrJoin(lines, "\n") + "\n";
+}
+
+std::vector<std::string> TextLines(const std::string& text) {
+  std::vector<std::string> lines = StrSplit(text, '\n');
+  if (!lines.empty() && lines.back().empty()) lines.pop_back();
+  return lines;
+}
+
+Result<Assignment> ReplayPairs(const Instance* instance,
+                               const std::vector<std::pair<int, int>>& pairs) {
+  Assignment replayed(instance);
+  for (const auto& [p, r] : pairs) {
+    WGRAP_RETURN_IF_ERROR(replayed.AddUnchecked(p, r));
+  }
+  replayed.RecomputeAll();
+  return replayed;
+}
+
+std::string AssignmentMismatch(const Assignment& got, const Assignment& want) {
+  const Instance& instance = want.instance();
+  if (got.instance().num_papers() != instance.num_papers() ||
+      got.instance().num_reviewers() != instance.num_reviewers() ||
+      got.instance().num_topics() != instance.num_topics()) {
+    return "instance shapes differ";
+  }
+  if (got.size() != want.size()) {
+    return StrFormat("size %lld vs %lld", static_cast<long long>(got.size()),
+                     static_cast<long long>(want.size()));
+  }
+  const size_t row_bytes = sizeof(double) * instance.num_topics();
+  for (int p = 0; p < instance.num_papers(); ++p) {
+    if (got.GroupFor(p) != want.GroupFor(p)) {
+      return StrFormat("paper %d: groups differ", p);
+    }
+    if (std::memcmp(got.GroupVector(p), want.GroupVector(p), row_bytes) != 0) {
+      return StrFormat("paper %d: group vectors differ", p);
+    }
+    const double got_score = got.PaperScore(p);
+    const double want_score = want.PaperScore(p);
+    if (std::memcmp(&got_score, &want_score, sizeof(double)) != 0) {
+      return StrFormat("paper %d: score %.17g vs %.17g", p, got_score,
+                       want_score);
+    }
+  }
+  for (int r = 0; r < instance.num_reviewers(); ++r) {
+    if (got.LoadOf(r) != want.LoadOf(r)) {
+      return StrFormat("reviewer %d: load %d vs %d", r, got.LoadOf(r),
+                       want.LoadOf(r));
+    }
+  }
+  const double got_total = got.TotalScore();
+  const double want_total = want.TotalScore();
+  if (std::memcmp(&got_total, &want_total, sizeof(double)) != 0) {
+    return StrFormat("total %.17g vs %.17g", got_total, want_total);
+  }
+  return "";
+}
+
 }  // namespace wgrap::core

@@ -7,15 +7,19 @@
 // zero conflict_rate (or with_bids=false) consumes no draws at all —
 // changing any of that silently reshuffles every case of both suites.
 // Mangle is the text-side twin for the parser fuzzer (parser_fuzz_test.cc).
+// ReplayPairs and AssignmentMismatch are the assignment-side oracle for
+// Assignment::FromPairs and the session store's publish.
 #ifndef WGRAP_TESTS_FUZZ_UTIL_H_
 #define WGRAP_TESTS_FUZZ_UTIL_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/assignment.h"
 #include "core/instance.h"
 #include "data/dataset.h"
 #include "sparse/topic_index.h"
@@ -81,6 +85,24 @@ std::string DenseColumnMismatch(const sparse::TopicIndex& index);
 /// or doubled, or the line cut short. Never calls the rng with an empty
 /// range, so any text (the empty line included) is a valid input.
 std::string Mangle(const std::string& text, Rng* rng);
+
+/// Mangles one line of `lines` 1-3 times and joins them back, each line
+/// ending in '\n'.
+std::string MangleOneLine(std::vector<std::string> lines, Rng* rng);
+
+/// The lines of a text, without the empty one after its last newline.
+std::vector<std::string> TextLines(const std::string& text);
+
+/// How assignments were built before Assignment::FromPairs: AddUnchecked
+/// on each pair in order — a marginal gain and a fold per pair — then
+/// RecomputeAll. Returns the first AddUnchecked error.
+Result<Assignment> ReplayPairs(const Instance* instance,
+                               const std::vector<std::pair<int, int>>& pairs);
+
+/// "" when `got` and `want` hold the same groups (per paper, in order),
+/// loads and size, and memcmp-equal group-vector rows, paper scores and
+/// total; otherwise the first difference, in words.
+std::string AssignmentMismatch(const Assignment& got, const Assignment& want);
 
 }  // namespace wgrap::core
 

@@ -37,15 +37,6 @@ FuzzInstanceConfig Config() {
   return config;
 }
 
-// Mangles one line of `lines` 1-3 times and joins them back.
-std::string MangleOneLine(std::vector<std::string> lines, Rng* rng) {
-  std::string& line = lines[rng->NextBounded(lines.size())];
-  for (int edits = rng->NextInt(1, 3); edits > 0; --edits) {
-    line = Mangle(line, rng);
-  }
-  return StrJoin(lines, "\n") + "\n";
-}
-
 void ExpectParsedOrRefused(const Status& status, const std::string& input) {
   EXPECT_TRUE(status.ok() || status.code() == StatusCode::kInvalidArgument ||
               status.code() == StatusCode::kOutOfRange)
@@ -53,17 +44,11 @@ void ExpectParsedOrRefused(const Status& status, const std::string& input) {
       << input;
 }
 
-// The lines of a text, without the empty one after its last newline.
-std::vector<std::string> Lines(const std::string& text) {
-  std::vector<std::string> lines = StrSplit(text, '\n');
-  if (!lines.empty() && lines.back().empty()) lines.pop_back();
-  return lines;
-}
-
 TEST(ParserFuzzTest, CsvRowsParseOrFailCleanly) {
   auto dataset = MakeFuzzDataset(Config());
   ASSERT_TRUE(dataset.ok());
-  const std::vector<std::string> rows = Lines(data::DatasetToCsv(*dataset));
+  const std::vector<std::string> rows =
+      TextLines(data::DatasetToCsv(*dataset));
   const std::vector<std::string> pairs = {"paper_id,reviewer_id", "0,3",
                                           "1,5", "2,0", "3,1"};
   for (uint64_t seed = 0; seed < 300; ++seed) {

@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -191,6 +192,239 @@ TEST(InstanceStoreTest, FailedMutationRollsBackTheBatch) {
   EXPECT_FALSE(after->instance->IsConflict(0, 0));
 }
 
+// --- Publish by FromPairs against the replay -------------------------------
+
+// The store's master lineage as it was before Assignment::FromPairs:
+// installs replay every pair through AddUnchecked, a failed batch or
+// publish restores the last committed instance and replays its pairs. It
+// takes the same installs and mutations as the store under test, so its
+// groups are the ones every published snapshot must carry.
+class ReplayLineage {
+ public:
+  ReplayLineage(const core::Instance& instance,
+                const core::InstanceParams& params)
+      : params_(params), committed_(instance) {
+    Restore();
+  }
+
+  Status Install(const std::vector<std::pair<int, int>>& pairs) {
+    auto replayed = std::make_unique<core::Assignment>(instance_.get());
+    for (const auto& [p, r] : pairs) {
+      WGRAP_RETURN_IF_ERROR(replayed->AddUnchecked(p, r));
+    }
+    assignment_ = std::move(replayed);
+    updater_->TrackAssignment(assignment_.get());
+    Commit();
+    return Status::OK();
+  }
+
+  // Applies the batch; a rejected op or `publish_fails` rolls it back.
+  Status Mutate(const std::vector<core::InstanceUpdate>& updates,
+                bool publish_fails) {
+    auto report = updater_->ApplyAll(updates);
+    if (!report.ok() || publish_fails) {
+      Restore();
+      return report.ok() ? Status::Internal("publish fault") : report.status();
+    }
+    Commit();
+    return Status::OK();
+  }
+
+  std::vector<std::pair<int, int>> Pairs() const {
+    return assignment_->Pairs();
+  }
+
+ private:
+  void Commit() {
+    committed_ = *instance_;
+    committed_pairs_ = Pairs();
+  }
+
+  void Restore() {
+    instance_ = std::make_unique<core::Instance>(committed_);
+    updater_ = std::make_unique<core::InstanceUpdater>(instance_.get(),
+                                                       params_);
+    assignment_ = std::make_unique<core::Assignment>(instance_.get());
+    for (const auto& [p, r] : committed_pairs_) {
+      EXPECT_TRUE(assignment_->AddUnchecked(p, r).ok());
+    }
+    updater_->TrackAssignment(assignment_.get());
+  }
+
+  core::InstanceParams params_;
+  core::Instance committed_;
+  std::vector<std::pair<int, int>> committed_pairs_;
+  std::unique_ptr<core::Instance> instance_;
+  std::unique_ptr<core::Assignment> assignment_;
+  std::unique_ptr<core::InstanceUpdater> updater_;
+};
+
+// Seeded sequences of installs (good and bad), mutations, resolves, a
+// rejected batch and an armed store.publish fault. After every step the
+// published assignment must memcmp-equal the replay oracle — the replay
+// lineage's pairs through AddUnchecked onto the snapshot's own instance,
+// then RecomputeAll — and a bad install must answer the replay's Status
+// and leave the version where it was. A resolve's report and CSV must be
+// the ones IncrementalResolve gives on a replayed copy of its snapshot.
+TEST(StorePublishTest, FromPairsPublishesMatchTheReplayOracle) {
+  using core::InstanceUpdate;
+  failpoint::DisarmAll();
+  for (const bool sparse : {false, true}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      core::FuzzInstanceConfig config;
+      config.reviewers = 13;
+      config.papers = 9;
+      config.num_topics = 10;
+      config.group_size = 3;
+      config.conflict_rate = 0.1;
+      config.with_bids = seed != 2;
+      config.sparse_topics = sparse;
+      config.seed = seed;
+      const int T = config.num_topics;
+      const core::InstanceParams params = core::MakeFuzzParams(config);
+      auto built = core::MakeFuzzInstance(config);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/4});
+      InstanceStore& store = api.store();
+      ASSERT_TRUE(store.Open("conf", *built, params).ok());
+      ReplayLineage oracle(*built, params);
+      const auto first = SolvePairs(*built);
+      ASSERT_TRUE(store.InstallAssignment("conf", first).ok());
+      ASSERT_TRUE(oracle.Install(first).ok());
+      const std::string tag = std::string(sparse ? "sparse" : "dense") +
+                              " seed " + std::to_string(seed);
+
+      Rng rng(seed * 4099 + (sparse ? 7 : 0));
+      for (int step = 0; step < 40; ++step) {
+        const SessionSnapshot snap = *store.Get("conf");
+        const core::Instance& instance = *snap.instance;
+        const int P = instance.num_papers();
+        const int R = instance.num_reviewers();
+        std::string where = tag + " step " + std::to_string(step);
+        std::vector<std::pair<int, int>> pairs = snap.assignment->Pairs();
+        switch (rng.NextInt(0, 7)) {
+          case 0: {  // reinstall the groups in a shuffled pair order
+            for (size_t i = pairs.size(); i > 1; --i) {
+              std::swap(pairs[i - 1], pairs[rng.NextBounded(i)]);
+            }
+            where += " shuffled install";
+            ASSERT_TRUE(store.InstallAssignment("conf", pairs).ok()) << where;
+            ASSERT_TRUE(oracle.Install(pairs).ok()) << where;
+            break;
+          }
+          case 1: {  // a bad pair somewhere in the list
+            std::pair<int, int> bad = {P, 0};
+            switch (rng.NextInt(0, 2)) {
+              case 0:
+                bad = {rng.NextInt(0, P - 1), R};
+                break;
+              case 1:
+                if (!pairs.empty()) bad = pairs[rng.NextBounded(pairs.size())];
+                break;
+              default:
+                for (int p = 0; p < P; ++p) {
+                  for (int r = 0; r < R; ++r) {
+                    if (instance.IsConflict(r, p)) bad = {p, r};
+                  }
+                }
+            }
+            pairs.insert(pairs.begin() + static_cast<std::ptrdiff_t>(
+                                             rng.NextBounded(pairs.size() + 1)),
+                         bad);
+            where += " bad install";
+            auto refused = store.InstallAssignment("conf", pairs);
+            const Status replayed = oracle.Install(pairs);
+            ASSERT_FALSE(refused.ok()) << where;
+            ASSERT_FALSE(replayed.ok()) << where;
+            EXPECT_EQ(refused.status().code(), replayed.code()) << where;
+            EXPECT_EQ(refused.status().message(), replayed.message()) << where;
+            EXPECT_EQ(store.Get("conf")->version, snap.version) << where;
+            break;
+          }
+          case 2:
+          case 3: {  // a COI on an assigned pair evicts it
+            const int p = rng.NextInt(0, P - 1);
+            const std::vector<int>& group = snap.assignment->GroupFor(p);
+            if (group.empty()) continue;
+            const std::vector<InstanceUpdate> batch = {InstanceUpdate::SetCoi(
+                group[rng.NextBounded(group.size())], p, true)};
+            where += " set_coi";
+            ASSERT_TRUE(store.Mutate("conf", batch).ok()) << where;
+            ASSERT_TRUE(oracle.Mutate(batch, false).ok()) << where;
+            break;
+          }
+          case 4: {  // topic and roster edits
+            std::vector<InstanceUpdate> batch = {
+                InstanceUpdate::SetPaperTopics(rng.NextInt(0, P - 1),
+                                               core::RandomTopics(&rng, T)),
+                InstanceUpdate::AddReviewer(core::RandomTopics(&rng, T))};
+            if (R > config.group_size + 6) {
+              batch.push_back(InstanceUpdate::RemoveReviewer(
+                  rng.NextInt(0, R - 1)));
+            }
+            where += " topics and roster";
+            ASSERT_TRUE(store.Mutate("conf", batch).ok()) << where;
+            ASSERT_TRUE(oracle.Mutate(batch, false).ok()) << where;
+            break;
+          }
+          case 5: {  // rejected mid-batch, or a publish fault after it
+            const bool publish_fault = rng.NextDouble() < 0.5;
+            std::vector<InstanceUpdate> batch = {InstanceUpdate::SetCoi(
+                rng.NextInt(0, R - 1), rng.NextInt(0, P - 1), true)};
+            if (publish_fault) {
+              ASSERT_TRUE(failpoint::Arm("store.publish", "error").ok());
+              where += " store.publish fault";
+            } else {
+              batch.push_back(InstanceUpdate::RemovePaper(P + 3));
+              where += " rejected batch";
+            }
+            auto outcome = store.Mutate("conf", batch);
+            failpoint::DisarmAll();
+            ASSERT_FALSE(outcome.ok()) << where;
+            ASSERT_FALSE(oracle.Mutate(batch, publish_fault).ok()) << where;
+            break;
+          }
+          default: {  // repair-only or LS resolve, installed by CAS
+            ResolveRequest resolve;
+            resolve.session = "conf";
+            resolve.knobs["update_refine"] = rng.NextDouble() < 0.5 ? "none"
+                                                                    : "ls";
+            where += " resolve " + resolve.knobs["update_refine"];
+            auto job = api.Resolve(resolve);
+            ASSERT_TRUE(job.ok()) << where << ": " << job.status().ToString();
+            auto result = api.WaitJob(job->job);
+            ASSERT_TRUE(result.ok()) << where;
+            auto working = core::ReplayPairs(&instance, pairs);
+            ASSERT_TRUE(working.ok()) << where;
+            core::SolverRunOptions options;
+            options.seed = resolve.seed;
+            options.extra = resolve.knobs;
+            auto report =
+                core::IncrementalResolve(instance, &*working, options);
+            ASSERT_EQ(result->status.ok(), report.ok()) << where;
+            if (!report.ok()) {
+              EXPECT_EQ(result->status.message(), report.status().message())
+                  << where;
+              break;
+            }
+            EXPECT_EQ(result->report, ResolveReport(*report, *working))
+                << where;
+            EXPECT_EQ(result->assignment_csv, AssignmentCsv(*working))
+                << where;
+            ASSERT_TRUE(oracle.Install(working->Pairs()).ok()) << where;
+          }
+        }
+        const SessionSnapshot now = *store.Get("conf");
+        auto expected = core::ReplayPairs(now.instance.get(), oracle.Pairs());
+        ASSERT_TRUE(expected.ok())
+            << where << ": " << expected.status().ToString();
+        ASSERT_EQ(core::AssignmentMismatch(*now.assignment, *expected), "")
+            << where;
+      }
+    }
+  }
+}
+
 // --- Per-paper c(AI) --------------------------------------------------------
 
 // Papers core::IdealScore has re-derived so far; -1 when telemetry is off.
@@ -217,19 +451,14 @@ core::Instance FreshTwin(const core::Instance& instance,
 }
 
 // The evaluate block of `assignment`'s groups over a fresh twin of its
-// instance, the pairs replayed as Publish does — what a cold evaluate of
-// the same snapshot prints.
+// instance, the pairs replayed and normalized (bitwise what Publish's
+// FromPairs gives) — what a cold evaluate of the same snapshot prints.
 std::string ScratchEvaluation(const core::Assignment& assignment,
                               const core::InstanceParams& params) {
   const core::Instance fresh = FreshTwin(assignment.instance(), params);
-  core::Assignment rebound(&fresh);
-  for (int p = 0; p < fresh.num_papers(); ++p) {
-    for (int r : assignment.GroupFor(p)) {
-      EXPECT_TRUE(rebound.AddUnchecked(p, r).ok());
-    }
-  }
-  rebound.RecomputeAll();
-  return EvaluationReport(fresh, rebound);
+  auto rebound = core::ReplayPairs(&fresh, assignment.Pairs());
+  EXPECT_TRUE(rebound.ok()) << rebound.status().ToString();
+  return EvaluationReport(fresh, *rebound);
 }
 
 // c(AI) from the instance's memo memcmp-equals a from-scratch AI build,

@@ -457,20 +457,45 @@ BENCHMARK(BM_GainCacheVsRebuild)
     ->Unit(benchmark::kMillisecond)
     ->ArgsProduct({{1, 3, 10, 33}, {0, 1}, {0, 1}});
 
+// A BM_JraBba pool by its reviewer count: 189 is the perfbench
+// service_mix shape (146 papers), 105 is DB08 (617 papers), any other
+// count a 20-paper MakeJraPool pool.
+core::Instance JraBbaPool(int reviewers) {
+  if (reviewers == 105) {
+    return bench::MakeConference(data::Area::kDatabases, 2008, 3).instance;
+  }
+  if (reviewers != 189) return bench::MakeJraPool(reviewers, 3);
+  auto dataset =
+      data::GenerateReviewerPool(189, 146, data::SyntheticDblpConfig{});
+  bench::DieOnError(dataset.status(), "GenerateReviewerPool");
+  core::InstanceParams params;
+  params.group_size = 3;
+  auto instance = core::Instance::FromDataset(*dataset, params);
+  bench::DieOnError(instance.status(), "Instance::FromDataset");
+  return std::move(instance).value();
+}
+
 void BM_JraBba(benchmark::State& state) {
   // BBA top-3 over every paper of one pool, as the service's queries run
   // it, so the number tracks the per-query cost end to end; the reported
-  // time is for all 20 papers.
-  const int reviewers = static_cast<int>(state.range(0));
-  core::Instance instance = bench::MakeJraPool(reviewers, 3);
+  // time is for all papers, and `query_s` is the mean per query.
+  core::Instance instance = JraBbaPool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     for (int p = 0; p < instance.num_papers(); ++p) {
       auto result = core::SolveJraBbaTopK(instance, p, 3);
       benchmark::DoNotOptimize(result);
     }
   }
+  state.counters["query_s"] = benchmark::Counter(
+      instance.num_papers(), benchmark::Counter::kIsIterationInvariantRate |
+                                 benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_JraBba)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_JraBba)
+    ->Arg(100)
+    ->Arg(300)
+    ->Arg(189)
+    ->Arg(105)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SdgaStage(benchmark::State& state) {
   // Full SDGA on the smallest conference dataset, dominated by stage LAPs.

@@ -149,6 +149,15 @@ Result<Assignment> Assignment::FromPairs(
   return assignment;
 }
 
+Assignment Assignment::ReboundTo(const Instance* instance) const {
+  WGRAP_CHECK(instance->num_papers() == instance_->num_papers() &&
+              instance->num_reviewers() == instance_->num_reviewers() &&
+              instance->num_topics() == instance_->num_topics());
+  Assignment copy = *this;
+  copy.instance_ = instance;
+  return copy;
+}
+
 Status Assignment::Add(int paper, int reviewer) {
   if (paper < 0 || paper >= instance_->num_papers() || reviewer < 0 ||
       reviewer >= instance_->num_reviewers()) {

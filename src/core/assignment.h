@@ -34,6 +34,13 @@ class Assignment {
   static Result<Assignment> FromPairs(
       const Instance* instance, const std::vector<std::pair<int, int>>& pairs);
 
+  /// A copy of this assignment bound to `instance`, which must be a copy
+  /// of instance() at the same state (same shape, topics and COIs): the
+  /// groups, loads, group vectors and scores are copied, not re-derived,
+  /// so the result is bitwise this assignment. O(P·(δp + T)) copies, no
+  /// fold or score. Checks the shape only.
+  Assignment ReboundTo(const Instance* instance) const;
+
   const Instance& instance() const { return *instance_; }
 
   /// Reviewers currently assigned to paper p (unordered).

@@ -61,11 +61,13 @@ Result<JraResult> SolveJraBruteForce(const Instance& instance, int paper,
 /// Eq. 3 coverage upper bound. Exact; worst case exponential but orders of
 /// magnitude faster than BFS in practice (Fig. 9). Costs: the T sorted
 /// lists are instance state (Instance::TopicRanking), so a query pays
-/// O(R) set-up (blocking its COI reviewers) and no sort. A node advances T
-/// cursors and scores the Eq. 3 bound in O(T); its branching pass needs up
-/// to T Definition 8 gains of O(T) each (O(nnz(r)) on CSR views), but a
-/// gain is memoized per (stage, reviewer) while the stage's prefix group
-/// is unchanged, so most cursor reviewers cost a lookup.
+/// O(R) set-up (blocking its COI reviewers) and no sort. A node takes the
+/// argmax over its stage's cached cursor gains and scores the Eq. 3 bound
+/// in O(T). It refills only the cursors that moved: all T when the stage
+/// was just entered, otherwise the ones that pointed at the stage's last
+/// branch. A refill advances the cursor and needs a Definition 8 gain of
+/// O(T) (O(nnz(r)) on CSR views), memoized per (stage, reviewer) while
+/// the stage's prefix group is unchanged.
 Result<JraResult> SolveJraBba(const Instance& instance, int paper,
                               const BbaOptions& options = {});
 

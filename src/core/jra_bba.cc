@@ -17,15 +17,29 @@
 // part; a cursor that runs past it walks the zero tail (every reviewer
 // with value 0 on the topic, in id order) straight off the dense matrix.
 //
-// The per-node pass evaluates up to T Definition 8 gains, each O(T) dense
-// or O(nnz(r)) on CSR views (Instance::MarginalGain, bit-identical either
-// way). A cursor reviewer's gain depends only on the stage's prefix
-// vector, which stays fixed from the descent into the stage until the
-// backtrack out of it, so gains are memoized per (stage, reviewer) under a
-// stage epoch: a stage re-evaluates a reviewer only after its prefix
-// changed. The Eq. 3 cursor bound stays dense: its ub vector is assembled
-// from one cursor per topic, so it has no useful sparsity to exploit.
+// Each stage keeps three T-wide rows as of its last node: the cursor
+// reviewer per topic, the Eq. 3 ub entry max(prefix[t], that reviewer's
+// value on t), and that reviewer's Definition 8 gain. A stage entered by
+// descent refills all T. A revisited stage (after a Report there, or a
+// backtrack from the stage below) has the same prefix and a blocked set
+// that differs only by its last branch, since deeper marks are cleared on
+// the way back up, so only the cursors that pointed at that branch move
+// and only those are refilled. The argmax then runs over the cached gains
+// in topic order (strict >, so the first maximum in topic order wins) and
+// the bound scores the whole ub row, so nodes, groups and score bits do
+// not depend on which cursors were refilled.
+//
+// A gain is O(T) dense or O(nnz(r)) on CSR views (Instance::MarginalGain,
+// bit-identical either way). It depends only on the stage's prefix vector,
+// which stays fixed from the descent into the stage until the backtrack
+// out of it, so gains are also memoized per (stage, reviewer) under a
+// stage epoch: a refill re-evaluates a reviewer only after the prefix
+// changed. A node thus costs O(T) for the argmax and the bound plus the
+// refills, each an amortized cursor step and at most one gain. The Eq. 3
+// bound stays dense: its ub row is assembled from one cursor per topic,
+// so it has no useful sparsity to exploit.
 #include <algorithm>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -41,6 +55,10 @@ namespace {
 // Shared search engine for best-1 and top-k.
 class BbaSearch {
  public:
+  // The gain a nil cursor holds: below the argmax's -1.0 start, so a nil
+  // cursor is never taken.
+  static constexpr double kNoGain = -std::numeric_limits<double>::infinity();
+
   BbaSearch(const Instance& instance, int paper, int k_best,
             const BbaOptions& options)
       : instance_(instance), paper_(paper), k_best_(k_best),
@@ -67,6 +85,9 @@ class BbaSearch {
     for (int t = 0; t < T_; ++t) lists_[t] = instance_.TopicRanking(t);
     marked_.assign(k_, {});
     cursors_.assign(static_cast<size_t>(k_) * T_, 0);
+    cursor_reviewer_.assign(static_cast<size_t>(k_) * T_, -1);
+    cursor_ub_.assign(static_cast<size_t>(k_) * T_, 0.0);
+    cursor_gain_.assign(static_cast<size_t>(k_) * T_, kNoGain);
     stage_vec_ = Matrix(k_ + 1, T_, 0.0);
     memo_gain_.assign(static_cast<size_t>(k_) * R_, 0.0);
     memo_epoch_.assign(static_cast<size_t>(k_) * R_, 0);
@@ -75,9 +96,9 @@ class BbaSearch {
 
     const double* pv = instance_.PaperVector(paper_);
     const double mass = instance_.PaperMass(paper_);
-    std::vector<double> ub(T_);
 
     int s = 0;  // 0-based stage: the group currently has s members
+    bool descended = true;  // stage s was just entered from s - 1 (or start)
     while (s >= 0) {
       const Status polled = CheckNotCancelled(options_.cancel, "BBA");
       if (!polled.ok()) {
@@ -90,34 +111,43 @@ class BbaSearch {
         break;
       }
       ++nodes_;
-      // Locate the branching reviewer among the stage's cursor reviewers
-      // and compute the cursor upper bound in the same pass.
-      int branch = -1;
-      double branch_gain = -1.0;
+      // Bring the stage's cursor rows up to date. Entered by descent, every
+      // cursor is new. Revisited (after a Report here or a backtrack from
+      // s + 1), the only change since the stage's last node is that its
+      // last branch is now blocked — deeper marks were cleared and the
+      // prefix is the same — so only the cursors on that reviewer move.
       const double* prefix = stage_vec_.Row(s);
-      for (int t = 0; t < T_; ++t) ub[t] = prefix[t];
-      for (int t = 0; t < T_; ++t) {
-        const int r = CursorAdvance(s, t);
-        if (r < 0) continue;
-        const double v = instance_.ReviewerVector(r)[t];
-        if (v > ub[t]) ub[t] = v;
-        if (!options_.use_gain_branching) {
-          if (branch < 0) {  // ablation: first non-nil cursor wins
-            branch = r;
-            branch_gain = 0.0;
+      const size_t row = static_cast<size_t>(s) * T_;
+      int* reviewer = &cursor_reviewer_[row];
+      if (descended) {
+        for (int t = 0; t < T_; ++t) Refill(s, t, prefix);
+        descended = false;
+      } else {
+        const int moved = marked_[s].back();
+        for (int t = 0; t < T_; ++t) {
+          if (reviewer[t] == moved) Refill(s, t, prefix);
+        }
+      }
+      // Branch on the first maximum gain in topic order (a nil cursor
+      // holds kNoGain, which never wins), or on the first non-nil cursor
+      // in the ablation.
+      int branch = -1;
+      if (options_.use_gain_branching) {
+        const double* gain = &cursor_gain_[row];
+        double branch_gain = -1.0;
+        for (int t = 0; t < T_; ++t) {
+          if (gain[t] > branch_gain) {
+            branch_gain = gain[t];
+            branch = reviewer[t];
           }
-          continue;
         }
-        const double gain = StageGain(s, prefix, r);
-        if (gain > branch_gain) {
-          branch_gain = gain;
-          branch = r;
-        }
+      } else {
+        for (int t = 0; t < T_ && branch < 0; ++t) branch = reviewer[t];
       }
       bool prune = branch < 0;
       if (!prune && options_.use_bounding) {
-        const double bound =
-            ScoreVectors(instance_.scoring(), ub.data(), pv, T_, mass);
+        const double bound = ScoreVectors(instance_.scoring(),
+                                          &cursor_ub_[row], pv, T_, mass);
         prune = bound <= Threshold();
       }
       if (prune) {
@@ -145,9 +175,9 @@ class BbaSearch {
         Report(score);
       } else {
         // Descend: clone cursors (line 19) and move to the next stage.
-        std::copy_n(&cursors_[static_cast<size_t>(s) * T_], T_,
-                    &cursors_[static_cast<size_t>(s + 1) * T_]);
+        std::copy_n(&cursors_[row], T_, &cursors_[row + T_]);
         ++s;
+        descended = true;
       }
     }
     RecordWork();
@@ -199,6 +229,26 @@ class BbaSearch {
     return r < R_ ? r : -1;
   }
 
+  // Re-advances cursor (stage, t) and re-derives its row entries: the
+  // reviewer, ub = max(prefix[t], that reviewer's value on t) as the Eq. 3
+  // bound takes it, and the reviewer's memoized stage gain (kNoGain on a
+  // nil cursor, or when gain branching is off).
+  void Refill(int stage, int t, const double* prefix) {
+    ++cursor_moves_;
+    const size_t i = static_cast<size_t>(stage) * T_ + t;
+    const int r = CursorAdvance(stage, t);
+    cursor_reviewer_[i] = r;
+    if (r < 0) {
+      cursor_ub_[i] = prefix[t];
+      cursor_gain_[i] = kNoGain;
+      return;
+    }
+    const double v = instance_.ReviewerVector(r)[t];
+    cursor_ub_[i] = v > prefix[t] ? v : prefix[t];
+    cursor_gain_[i] =
+        options_.use_gain_branching ? StageGain(stage, prefix, r) : kNoGain;
+  }
+
   // gain(stage prefix, r, p) of Definition 8, evaluated once per stage
   // epoch: the same double the kernel returns, so branching is unchanged.
   double StageGain(int stage, const double* prefix, int r) {
@@ -217,8 +267,11 @@ class BbaSearch {
         obs::Registry::Global().GetCounter("wgrap_jra_bba_nodes_total");
     static obs::Counter* const gain_evals =
         obs::Registry::Global().GetCounter("wgrap_jra_bba_gain_evals_total");
+    static obs::Counter* const cursor_moves =
+        obs::Registry::Global().GetCounter("wgrap_jra_bba_cursor_moves_total");
     if (nodes) nodes->Add(nodes_);
     if (gain_evals) gain_evals->Add(gain_evals_);
+    if (cursor_moves) cursor_moves->Add(cursor_moves_);
   }
 
   double Threshold() const {
@@ -252,6 +305,11 @@ class BbaSearch {
   std::vector<int> blocked_;             // visited (or COI) count per reviewer
   std::vector<std::vector<int>> marked_; // per-stage visited lists
   std::vector<int> cursors_;             // k x T positions into SL_t
+  // Per stage, per topic, as of the stage's last node: the cursor
+  // reviewer (-1 = nil), the Eq. 3 ub entry and the reviewer's gain.
+  std::vector<int> cursor_reviewer_;     // k x T
+  std::vector<double> cursor_ub_;        // k x T
+  std::vector<double> cursor_gain_;      // k x T
   Matrix stage_vec_;                     // (k+1) x T prefix group maxima
   std::vector<double> memo_gain_;        // k x R memoized stage gains
   std::vector<uint64_t> memo_epoch_;     // k x R epoch each gain belongs to
@@ -261,6 +319,7 @@ class BbaSearch {
   std::priority_queue<JraResult, std::vector<JraResult>, ByScoreDesc> results_;
   int64_t nodes_ = 0;
   int64_t gain_evals_ = 0;
+  int64_t cursor_moves_ = 0;
   bool aborted_ = false;
 };
 

@@ -55,7 +55,7 @@ Result<SessionSnapshot> InstanceStore::Insert(
       session.instance.get(), params);
   session.snapshot.name = name;
   session.snapshot.params = params;
-  Publish(&session);
+  Publish(&session, /*normalized=*/false);
   return session.snapshot;
 }
 
@@ -109,7 +109,7 @@ Status InstanceStore::InstallLocked(
   session->assignment =
       std::make_unique<core::Assignment>(*std::move(assignment));
   session->updater->TrackAssignment(session->assignment.get());
-  Publish(session);
+  Publish(session, /*normalized=*/true);
   return Status::OK();
 }
 
@@ -169,27 +169,30 @@ Result<MutateOutcome> InstanceStore::Mutate(
     RestoreFromSnapshot(&session);
     return publish;
   }
-  Publish(&session);
+  Publish(&session, /*normalized=*/false);
   MutateOutcome outcome;
   outcome.snapshot = session.snapshot;
   outcome.report = *std::move(report);
   return outcome;
 }
 
-void InstanceStore::Publish(Session* session) {
+void InstanceStore::Publish(Session* session, bool normalized) {
   ++session->version;
   session->snapshot.version = session->version;
   auto instance = std::make_shared<core::Instance>(*session->instance);
   session->snapshot.instance = instance;
-  if (session->assignment != nullptr) {
+  if (session->assignment == nullptr) {
+    session->snapshot.assignment.reset();
+  } else if (normalized) {
+    session->snapshot.assignment = std::make_shared<core::Assignment>(
+        session->assignment->ReboundTo(instance.get()));
+  } else {
     auto copy = core::Assignment::FromPairs(instance.get(),
                                             session->assignment->Pairs());
     WGRAP_CHECK_MSG(copy.ok(), "the snapshot copy must accept the master's "
                                "own pairs");
     session->snapshot.assignment =
         std::make_shared<core::Assignment>(*std::move(copy));
-  } else {
-    session->snapshot.assignment.reset();
   }
 }
 

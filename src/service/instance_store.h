@@ -146,13 +146,16 @@ class InstanceStore {
   Result<SessionSnapshot> Insert(const std::string& name,
                                  core::Instance instance,
                                  const core::InstanceParams& params);
-  /// Copies the master into session.snapshot (bumping the version). The
-  /// assignment copy is FromPairs of the master's Pairs() on the copied
-  /// instance, so snapshot scores are bitwise equal to any other
-  /// assignment with the same groups. Cost: one Instance copy plus
-  /// O(P·δp²) pair checks and one RecomputeAll (O(P·δp·T) folds and P
-  /// scores); no marginal gain is summed per pair.
-  void Publish(Session* session);
+  /// Copies the master into session.snapshot (bumping the version). A
+  /// `normalized` master assignment (InstallLocked just built it with
+  /// FromPairs) is copied, rebound to the copied instance
+  /// (Assignment::ReboundTo: O(P·(δp + T)) copies). A master the updater
+  /// patched is rebuilt as FromPairs of its Pairs() on the copied instance
+  /// (O(P·δp²) pair checks and one RecomputeAll: O(P·δp·T) folds and P
+  /// scores). Either way the snapshot is bitwise the FromPairs build of
+  /// its groups, so its scores equal any other assignment's with the same
+  /// groups; no marginal gain is summed per pair.
+  void Publish(Session* session, bool normalized);
   Status InstallLocked(Session* session,
                        const std::vector<std::pair<int, int>>& pairs);
   /// Rebuilds the master lineage from the published snapshot (mutation

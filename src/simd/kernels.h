@@ -121,8 +121,11 @@ inline double ScoreSum(core::ScoringFunction f, const double* expertise,
 /// The un-normalized core of core::MarginalGainVectors: for every t with
 /// reviewer[t] > group[t] (exactly `!(reviewer[t] <= group[t])`, NaN
 /// included), accumulates the contribution delta in ascending t. The AVX2
-/// backend vectorizes only the skip test — surviving lanes run the exact
-/// scalar arithmetic in order.
+/// backend is templated on f (one switch per call) and skips a 4-topic
+/// block whose gate is empty; otherwise it computes the four deltas with
+/// per-lane scalar bits, ANDs gated-out lanes to +0.0 and adds the four
+/// lanes left to right. Adding +0.0 is the identity on the running gain,
+/// which starts at +0.0 and so is never -0.0; no FMA.
 inline double MarginalGainSum(core::ScoringFunction f, const double* group,
                               const double* reviewer, const double* paper,
                               int n) {

@@ -93,40 +93,10 @@ double ScoreSum(core::ScoringFunction f, const double* expertise,
   return total;
 }
 
-double MarginalGainSum(core::ScoringFunction f, const double* group,
-                       const double* reviewer, const double* paper, int n) {
-  // Only the skip test is vectorized: _CMP_NLE_UQ is the exact complement
-  // of the scalar gate `reviewer[t] <= group[t]` (unordered → process,
-  // like scalar). Lanes that survive run the unmodified scalar arithmetic
-  // in ascending order, so the sum sequence is identical; blocks whose
-  // mask is empty — the common case once a group is established — cost one
-  // compare instead of four gated loads.
-  double gain = 0.0;
-  int t = 0;
-  for (; t + 4 <= n; t += 4) {
-    const __m256d r = _mm256_loadu_pd(reviewer + t);
-    const __m256d g = _mm256_loadu_pd(group + t);
-    const int mask =
-        _mm256_movemask_pd(_mm256_cmp_pd(r, g, _CMP_NLE_UQ));
-    if (mask == 0) continue;
-    for (int l = 0; l < 4; ++l) {
-      if (((mask >> l) & 1) == 0) continue;
-      const int tt = t + l;
-      gain += core::TopicContribution(f, reviewer[tt], paper[tt]) -
-              core::TopicContribution(f, group[tt], paper[tt]);
-    }
-  }
-  for (; t < n; ++t) {
-    if (reviewer[t] <= group[t]) continue;
-    gain += core::TopicContribution(f, reviewer[t], paper[t]) -
-            core::TopicContribution(f, group[t], paper[t]);
-  }
-  return gain;
-}
-
 namespace {
 
-// f(r, p) for four rows, lane for lane the bits of core::TopicContribution:
+// f(r, p) for four lanes (four rows of a column, or four topics of a gain),
+// lane for lane the bits of core::TopicContribution:
 //  * c:      r < p ? r : p is VMINPD(r, p), NaN and ±0.0 included (the
 //            second operand wins both);
 //  * cR, cP: r >= p is _CMP_GE_OQ (false on NaN), and the 0.0 arm is the
@@ -144,6 +114,44 @@ inline __m256d Contribution(__m256d r, __m256d p) {
   } else {
     return _mm256_mul_pd(r, p);
   }
+}
+
+template <core::ScoringFunction F>
+double MarginalGainSumFor(const double* group, const double* reviewer,
+                          const double* paper, int n) {
+  // Blocks whose gate _CMP_NLE_UQ (the exact `!(r <= g)`, NaN passes, like
+  // the scalar skip) is empty for all four lanes — the common case once a
+  // group is established — cost one compare. Otherwise every lane computes
+  // f(r, p) − f(g, p) with Contribution's per-lane scalar bits, a
+  // gated-out lane is ANDed to +0.0, and the four lanes are added left to
+  // right. The gated-in lanes run the scalar operations in the scalar
+  // order; a +0.0 added in place of a skipped topic is the identity
+  // because the running gain starts at +0.0 and so is never -0.0 (the
+  // argument AddColumnGainTerms makes). No FMA: the file builds with
+  // -ffp-contract=off, so the cD arm's two VMULPDs and VSUBPD stay apart.
+  alignas(32) double lane[4];
+  double gain = 0.0;
+  int t = 0;
+  for (; t + 4 <= n; t += 4) {
+    const __m256d r = _mm256_loadu_pd(reviewer + t);
+    const __m256d g = _mm256_loadu_pd(group + t);
+    const __m256d keep = _mm256_cmp_pd(r, g, _CMP_NLE_UQ);
+    if (_mm256_movemask_pd(keep) == 0) continue;
+    const __m256d p = _mm256_loadu_pd(paper + t);
+    _mm256_store_pd(lane, _mm256_and_pd(keep,
+                                        _mm256_sub_pd(Contribution<F>(r, p),
+                                                      Contribution<F>(g, p))));
+    gain += lane[0];
+    gain += lane[1];
+    gain += lane[2];
+    gain += lane[3];
+  }
+  for (; t < n; ++t) {
+    if (reviewer[t] <= group[t]) continue;
+    gain += core::TopicContribution(F, reviewer[t], paper[t]) -
+            core::TopicContribution(F, group[t], paper[t]);
+  }
+  return gain;
 }
 
 template <core::ScoringFunction F>
@@ -169,6 +177,26 @@ void AddColumnGainTermsFor(const double* column, int n, double g, double p,
 }
 
 }  // namespace
+
+double MarginalGainSum(core::ScoringFunction f, const double* group,
+                       const double* reviewer, const double* paper, int n) {
+  using core::ScoringFunction;
+  switch (f) {  // one switch per call, not one per term
+    case ScoringFunction::kWeightedCoverage:
+      return MarginalGainSumFor<ScoringFunction::kWeightedCoverage>(
+          group, reviewer, paper, n);
+    case ScoringFunction::kReviewerCoverage:
+      return MarginalGainSumFor<ScoringFunction::kReviewerCoverage>(
+          group, reviewer, paper, n);
+    case ScoringFunction::kPaperCoverage:
+      return MarginalGainSumFor<ScoringFunction::kPaperCoverage>(
+          group, reviewer, paper, n);
+    case ScoringFunction::kDotProduct:
+      return MarginalGainSumFor<ScoringFunction::kDotProduct>(
+          group, reviewer, paper, n);
+  }
+  return 0.0;
+}
 
 void AddColumnGainTerms(core::ScoringFunction f, const double* column, int n,
                         double g, double p, double* out) {

@@ -13,6 +13,7 @@
 
 #include "core/jra.h"
 #include "data/synthetic_dblp.h"
+#include "obs/metrics.h"
 
 namespace wgrap::core {
 namespace {
@@ -250,15 +251,17 @@ TEST(JraTest, BbaTimeLimitReportsAbort) {
 // --- BBA goldens ------------------------------------------------------------
 // Algorithm 1's exact trajectory, pinned: for every paper of each pool, the
 // node count, the groups and the score bits of BBA top-1 and top-3 are
-// folded into one digest. Recorded once and unchanged since, so any change
-// to the cursor order, the Definition 8 branching or the Eq. 3 pruning
-// shows here even when the optimum stays the same. Every pool runs as a
-// dense instance and as its CSR twin against the same golden.
+// folded into one digest, and the Definition 8 gains the runs evaluated
+// are counted. Recorded once and unchanged since, so any change to the
+// cursor order, the Definition 8 branching, the Eq. 3 pruning or the gain
+// memo shows here even when the optimum stays the same. Every pool runs
+// as a dense instance and as its CSR twin against the same golden.
 
 struct BbaGolden {
   const char* name;
-  int64_t nodes;    // summed over papers, top-1 and top-3 runs
-  uint64_t digest;  // FNV-1a over nodes, group ids and score bits
+  int64_t nodes;       // summed over papers, top-1 and top-3 runs
+  uint64_t digest;     // FNV-1a over nodes, group ids and score bits
+  int64_t gain_evals;  // wgrap_jra_bba_gain_evals_total added by the runs
 };
 
 void Fnv(uint64_t value, uint64_t* digest) {
@@ -276,42 +279,62 @@ void FoldResult(const JraResult& result, uint64_t* digest) {
   Fnv(bits, digest);
 }
 
-// Runs top-1 and top-3 on every paper; returns {summed nodes, digest}.
-std::pair<int64_t, uint64_t> BbaTrajectory(const Instance& instance,
-                                           const BbaOptions& options) {
+// The process-wide gain evaluation count; -1 when telemetry is off.
+int64_t GainEvalsTotal() {
+  const obs::Counter* counter = obs::Registry::Global().GetCounter(
+      "wgrap_jra_bba_gain_evals_total");
+  return counter != nullptr ? counter->Value() : -1;
+}
+
+struct Trajectory {
   int64_t nodes = 0;
   uint64_t digest = 0xcbf29ce484222325ULL;
-  for (int p = 0; p < instance.num_papers(); ++p) {
+  int64_t gain_evals = -1;  // -1 when telemetry is off
+};
+
+// Runs top-1 and top-3 on the first `papers` papers (0 = all).
+Trajectory BbaTrajectory(const Instance& instance, const BbaOptions& options,
+                         int papers) {
+  Trajectory out;
+  const int64_t evals_before = GainEvalsTotal();
+  const int P = papers > 0 ? papers : instance.num_papers();
+  for (int p = 0; p < P; ++p) {
     auto best = SolveJraBba(instance, p, options);
     EXPECT_TRUE(best.ok()) << "paper " << p << ": "
                            << best.status().ToString();
     if (!best.ok()) continue;
-    nodes += best->nodes_explored;
-    FoldResult(*best, &digest);
+    out.nodes += best->nodes_explored;
+    FoldResult(*best, &out.digest);
     auto top3 = SolveJraBbaTopK(instance, p, 3, options);
     EXPECT_TRUE(top3.ok()) << "paper " << p;
     if (!top3.ok()) continue;
-    nodes += (*top3)[0].nodes_explored;
-    for (const JraResult& result : *top3) FoldResult(result, &digest);
+    out.nodes += (*top3)[0].nodes_explored;
+    for (const JraResult& result : *top3) FoldResult(result, &out.digest);
   }
-  return {nodes, digest};
+  if (evals_before >= 0) out.gain_evals = GainEvalsTotal() - evals_before;
+  return out;
 }
 
-// Checks the golden on the dense instance and on its CSR twin.
+// Checks the golden on the dense instance and on its CSR twin; the gain
+// count only when telemetry is on.
 void ExpectBbaGolden(const Instance& instance, const BbaOptions& options,
-                     const BbaGolden& golden) {
+                     const BbaGolden& golden, int papers = 0) {
   SCOPED_TRACE(golden.name);
   Instance dense = instance;
   dense.DropSparseTopics();
   Instance csr = instance;
   csr.BuildSparseTopics();
   for (const Instance* twin : {&dense, &csr}) {
-    const auto [nodes, digest] = BbaTrajectory(*twin, options);
-    const std::string got = std::string(twin == &csr ? "csr" : "dense") +
-                            " nodes " + std::to_string(nodes) + " digest " +
-                            std::to_string(digest);
-    EXPECT_EQ(nodes, golden.nodes) << got;
-    EXPECT_EQ(digest, golden.digest) << got;
+    const Trajectory got = BbaTrajectory(*twin, options, papers);
+    const std::string line = std::string(twin == &csr ? "csr" : "dense") +
+                             " nodes " + std::to_string(got.nodes) +
+                             " digest " + std::to_string(got.digest) +
+                             " gain evals " + std::to_string(got.gain_evals);
+    EXPECT_EQ(got.nodes, golden.nodes) << line;
+    EXPECT_EQ(got.digest, golden.digest) << line;
+    if (got.gain_evals >= 0) {
+      EXPECT_EQ(got.gain_evals, golden.gain_evals) << line;
+    }
   }
 }
 
@@ -343,13 +366,13 @@ Instance TieHeavyPool() {
 TEST(BbaGoldenTest, DensePool) {
   ExpectBbaGolden(
       PoolInstance(80, 3, 501, ScoringFunction::kWeightedCoverage, 30, 0.0, 5),
-      BbaOptions{}, {"dense R80 T30", 1165, 10777454636326401486ULL});
+      BbaOptions{}, {"dense R80 T30", 1165, 10777454636326401486ULL, 3746});
 }
 
 TEST(BbaGoldenTest, SparsePool) {
   ExpectBbaGolden(
       PoolInstance(150, 3, 502, ScoringFunction::kWeightedCoverage, 30, 0.1, 5),
-      BbaOptions{}, {"sparse R150 T30", 70, 5067966398391116793ULL});
+      BbaOptions{}, {"sparse R150 T30", 70, 5067966398391116793ULL, 940});
 }
 
 TEST(BbaGoldenTest, PoolWithConflicts) {
@@ -361,16 +384,16 @@ TEST(BbaGoldenTest, PoolWithConflicts) {
   for (int r : {3, 4, 5, 6, 30}) instance.AddConflict(r, 1);
   for (int r : {12, 38}) instance.AddConflict(r, 3);
   ExpectBbaGolden(instance, BbaOptions{},
-                  {"cP R40 T20 coi", 72, 13463674118134834240ULL});
+                  {"cP R40 T20 coi", 72, 13463674118134834240ULL, 664});
 }
 
 TEST(BbaGoldenTest, TieHeavyPool) {
   ExpectBbaGolden(TieHeavyPool(), BbaOptions{},
-                  {"ties", 42, 11071850748879188115ULL});
+                  {"ties", 42, 11071850748879188115ULL, 100});
   Instance instance = TieHeavyPool();
   for (int r : {0, 6, 13}) instance.AddConflict(r, 1);
   ExpectBbaGolden(instance, BbaOptions{},
-                  {"ties coi", 42, 11532467560445248749ULL});
+                  {"ties coi", 42, 11532467560445248749ULL, 100});
 }
 
 TEST(BbaGoldenTest, AblationsPinned) {
@@ -379,17 +402,102 @@ TEST(BbaGoldenTest, AblationsPinned) {
   ExpectBbaGolden(
       PoolInstance(30, 3, 501, ScoringFunction::kWeightedCoverage, 8, 0.0, 4),
       no_bounding,
-      {"dense R30 T8 no bounding", 39928, 10775362908103517337ULL});
+      {"dense R30 T8 no bounding", 39928, 10775362908103517337ULL, 36200});
   BbaOptions no_gain_branching;
   no_gain_branching.use_gain_branching = false;
   ExpectBbaGolden(
       PoolInstance(60, 3, 502, ScoringFunction::kWeightedCoverage, 30, 0.1, 4),
       no_gain_branching,
-      {"sparse R60 T30 no gain branching", 15546, 15883350543537792077ULL});
+      {"sparse R60 T30 no gain branching", 15546, 15883350543537792077ULL,
+       0});
   ExpectBbaGolden(
       PoolInstance(25, 2, 504, ScoringFunction::kDotProduct, 12, 0.0, 3),
       no_gain_branching,
-      {"cD R25 T12 no gain branching", 655, 2688459661675806863ULL});
+      {"cD R25 T12 no gain branching", 655, 2688459661675806863ULL, 0});
+}
+
+// The three perfbench shapes, each run over every paper. service_mix: 189
+// reviewers × 146 papers at T = 30, with COIs on adjacent and spread-out
+// reviewer ids. DB08: the Table 3 Databases 2008 conference (T = 30, every
+// topic column heavy). p400: 150 reviewers × 400 papers at T = 100 with 5
+// nonzeros per row, the shape the CSR kernels win.
+Instance ServiceMixPool() {
+  auto dataset =
+      data::GenerateReviewerPool(189, 146, data::SyntheticDblpConfig{});
+  EXPECT_TRUE(dataset.ok());
+  InstanceParams params;
+  params.group_size = 3;
+  auto instance = Instance::FromDataset(*dataset, params);
+  EXPECT_TRUE(instance.ok());
+  for (int p = 0; p < instance->num_papers(); ++p) {
+    const int r = (7 * p) % instance->num_reviewers();
+    instance->AddConflict(r, p);
+    instance->AddConflict((r + 1) % instance->num_reviewers(), p);
+    if (p % 3 == 0) {
+      instance->AddConflict((r + 94) % instance->num_reviewers(), p);
+    }
+  }
+  return std::move(instance).value();
+}
+
+Instance Db08() {
+  auto dataset = data::GenerateConferenceDataset(
+      data::Area::kDatabases, 2008, data::SyntheticDblpConfig{});
+  EXPECT_TRUE(dataset.ok());
+  InstanceParams params;
+  params.group_size = 3;
+  auto instance = Instance::FromDataset(*dataset, params);
+  EXPECT_TRUE(instance.ok());
+  return std::move(instance).value();
+}
+
+Instance SparseP400() {
+  data::SyntheticDblpConfig config;
+  config.num_topics = 100;
+  config.topic_density = 0.05;
+  auto dataset = data::GenerateReviewerPool(150, 400, config);
+  EXPECT_TRUE(dataset.ok());
+  InstanceParams params;
+  params.group_size = 3;
+  auto instance = Instance::FromDataset(*dataset, params);
+  EXPECT_TRUE(instance.ok());
+  return std::move(instance).value();
+}
+
+TEST(BbaGoldenTest, ServiceMixShapeWithConflicts) {
+  ExpectBbaGolden(ServiceMixPool(), BbaOptions{},
+                  {"service_mix R189 P146 coi", 126175,
+                   15770213194848979013ULL, 304622});
+}
+
+TEST(BbaGoldenTest, Db08) {
+  ExpectBbaGolden(Db08(), BbaOptions{},
+                  {"DB08", 265147, 8838837991238602385ULL, 879284});
+}
+
+TEST(BbaGoldenTest, SparseP400) {
+  ExpectBbaGolden(SparseP400(), BbaOptions{},
+                  {"p400", 15350, 8414240498563787219ULL, 342632});
+}
+
+// Without the bound the search walks every group, C(150, 3) leaves per
+// query, so that run stops each query after 10000 nodes (a deterministic
+// budget: the best groups found by then are still pinned). Without gain
+// branching a query takes up to tens of thousands of nodes. Both run on the
+// first four papers.
+TEST(BbaGoldenTest, AblationsOnTheP400Shape) {
+  BbaOptions no_bounding;
+  no_bounding.use_bounding = false;
+  no_bounding.max_nodes = 10000;
+  ExpectBbaGolden(SparseP400(), no_bounding,
+                  {"p400 no bounding", 80000, 3203088096248156909ULL, 80286},
+                  /*papers=*/4);
+  BbaOptions no_gain_branching;
+  no_gain_branching.use_gain_branching = false;
+  ExpectBbaGolden(SparseP400(), no_gain_branching,
+                  {"p400 no gain branching", 109308, 11046865654177986112ULL,
+                   0},
+                  /*papers=*/4);
 }
 
 }  // namespace

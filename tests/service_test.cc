@@ -4,6 +4,7 @@
 // importantly that a solve racing a mutation produces byte-for-byte the
 // result of a sequential solve on the snapshot it started from. The CI
 // sanitizer jobs run this suite under TSan.
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -422,6 +423,77 @@ TEST(StorePublishTest, FromPairsPublishesMatchTheReplayOracle) {
             << where;
       }
     }
+  }
+}
+
+// A snapshot must carry its own instance's assignment, memcmp-equal to the
+// replay oracle on that instance.
+void ExpectSnapshotIsTheReplay(const SessionSnapshot& snap,
+                               const std::string& where) {
+  ASSERT_NE(snap.assignment, nullptr) << where;
+  EXPECT_EQ(&snap.assignment->instance(), snap.instance.get()) << where;
+  auto expected =
+      core::ReplayPairs(snap.instance.get(), snap.assignment->Pairs());
+  ASSERT_TRUE(expected.ok()) << where << ": " << expected.status().ToString();
+  EXPECT_EQ(core::AssignmentMismatch(*snap.assignment, *expected), "")
+      << where;
+}
+
+// Installs, CAS installs by resolve and a rollback's re-install publish the
+// master's FromPairs build rebound to the snapshot's instance instead of
+// building it twice. Each such snapshot, and an older one after the master
+// moved on, must be bound to its own instance and equal the replay oracle.
+TEST(StorePublishTest, InstallAndResolveSnapshotsEqualTheReplayOracle) {
+  failpoint::DisarmAll();
+  for (const bool sparse : {false, true}) {
+    core::FuzzInstanceConfig config;
+    config.reviewers = 14;
+    config.papers = 9;
+    config.num_topics = 10;
+    config.group_size = 3;
+    config.conflict_rate = 0.05;
+    config.sparse_topics = sparse;
+    config.seed = 17;
+    auto built = core::MakeFuzzInstance(config);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/4});
+    InstanceStore& store = api.store();
+    ASSERT_TRUE(store.Open("conf", *built, core::MakeFuzzParams(config)).ok());
+    const std::string tag = sparse ? "sparse" : "dense";
+
+    std::vector<std::pair<int, int>> pairs = SolvePairs(*built);
+    std::reverse(pairs.begin(), pairs.end());
+    auto installed = store.InstallAssignment("conf", pairs);
+    ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+    ExpectSnapshotIsTheReplay(*installed, tag + " install");
+
+    const int evicted = installed->assignment->GroupFor(0)[0];
+    ASSERT_TRUE(
+        store.Mutate("conf", {core::InstanceUpdate::SetCoi(evicted, 0, true)})
+            .ok());
+    ExpectSnapshotIsTheReplay(*installed, tag + " install, master moved on");
+    ResolveRequest resolve;
+    resolve.session = "conf";
+    resolve.knobs["update_refine"] = "none";
+    auto job = api.Resolve(resolve);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    auto result = api.WaitJob(job->job);
+    ASSERT_TRUE(result.ok() && result->status.ok()) << tag;
+    const SessionSnapshot resolved = *store.Get("conf");
+    EXPECT_FALSE(resolved.assignment->Contains(0, evicted)) << tag;
+    ExpectSnapshotIsTheReplay(resolved, tag + " resolve");
+
+    ASSERT_TRUE(failpoint::Arm("store.publish", "error").ok());
+    EXPECT_FALSE(
+        store.Mutate("conf", {core::InstanceUpdate::SetCoi(0, 1, true)}).ok());
+    failpoint::DisarmAll();
+    const SessionSnapshot restored = *store.Get("conf");
+    EXPECT_GT(restored.version, resolved.version) << tag;
+    ExpectSnapshotIsTheReplay(restored, tag + " rollback");
+    EXPECT_EQ(core::AssignmentMismatch(*restored.assignment,
+                                       *resolved.assignment),
+              "")
+        << tag;
   }
 }
 

@@ -174,6 +174,69 @@ TEST(SimdKernelTest, ScoreSumBackendsAreByteIdentical) {
   }
 }
 
+// One Definition 8 topic (group max g, reviewer r, paper p) of a
+// MarginalGainSum block. Gated out: an r == g tie, r below g, or a ±0.0
+// pair (-0.0 <= +0.0 and +0.0 <= -0.0 both hold). Gated in: the next
+// double above g, g plus a weight, a denormal over ±0.0, or a NaN r (the
+// gate lets NaN through). p is 0 on about a quarter of the lanes, else
+// r, g (the c/cR/cP boundaries) or a weight.
+struct GainLane {
+  double g, r, p;
+};
+
+GainLane MakeGainLane(bool gated_in, Rng* rng) {
+  GainLane lane;
+  lane.g = rng->NextInt(0, 2) == 0 ? 0.5 : rng->NextDouble();
+  if (gated_in) {
+    switch (rng->NextInt(0, 4)) {
+      case 0:
+        lane.r = std::nextafter(lane.g, 2.0);
+        break;
+      case 1:
+        lane.g = rng->NextInt(0, 1) == 0 ? 0.0 : -0.0;
+        lane.r = std::numeric_limits<double>::denorm_min();
+        break;
+      case 2:
+        lane.r = std::numeric_limits<double>::quiet_NaN();
+        break;
+      default:
+        lane.r = lane.g + rng->NextDouble();
+    }
+  } else {
+    switch (rng->NextInt(0, 3)) {
+      case 0:
+        lane.r = lane.g;
+        break;
+      case 1:
+        lane.g = 0.0;
+        lane.r = -0.0;
+        break;
+      case 2:
+        lane.g = -0.0;
+        lane.r = 0.0;
+        break;
+      default:
+        lane.r = lane.g * rng->NextDouble();
+    }
+  }
+  switch (rng->NextInt(0, 3)) {
+    case 0:
+      lane.p = 0.0;
+      break;
+    case 1:
+      lane.p = rng->NextInt(0, 1) == 0 ? lane.r : lane.g;
+      break;
+    default:
+      lane.p = rng->NextDouble();
+  }
+  return lane;
+}
+
+// FiniteNastyDouble streams at kLengths, then every length 0..67 (each
+// tail, one to sixteen blocks) under all four scorings with each 4-lane
+// block holding all, none or some lanes gated in, or FiniteNastyDouble
+// lanes. A sum starts at +0.0, so a gated-out block at the start adds
+// +0.0 to +0.0.
 TEST(SimdKernelTest, MarginalGainSumBackendsAreByteIdentical) {
   Rng rng(3);
   for (const auto f : kAllFunctions) {
@@ -182,6 +245,35 @@ TEST(SimdKernelTest, MarginalGainSumBackendsAreByteIdentical) {
         const std::vector<double> g = FiniteNastyVector(n, &rng);
         const std::vector<double> r = FiniteNastyVector(n, &rng);
         const std::vector<double> p = FiniteNastyVector(n, &rng);
+        const double s =
+            scalar::MarginalGainSum(f, g.data(), r.data(), p.data(), n);
+        const double v =
+            avx2::MarginalGainSum(f, g.data(), r.data(), p.data(), n);
+        ASSERT_EQ(Bits(s), Bits(v))
+            << "f=" << static_cast<int>(f) << " n=" << n << " rep=" << rep;
+      }
+    }
+  }
+  for (const auto f : kAllFunctions) {
+    for (int n = 0; n <= 67; ++n) {
+      for (int rep = 0; rep < 16; ++rep) {
+        std::vector<double> g(n), r(n), p(n);
+        int block_mode = 0;
+        for (int t = 0; t < n; ++t) {
+          if (t % 4 == 0) block_mode = rng.NextInt(0, 3);
+          if (block_mode == 3) {
+            g[t] = FiniteNastyDouble(&rng);
+            r[t] = FiniteNastyDouble(&rng);
+            p[t] = FiniteNastyDouble(&rng);
+            continue;
+          }
+          const bool gated_in =
+              block_mode == 1 || (block_mode == 2 && rng.NextInt(0, 1) == 0);
+          const GainLane lane = MakeGainLane(gated_in, &rng);
+          g[t] = lane.g;
+          r[t] = lane.r;
+          p[t] = lane.p;
+        }
         const double s =
             scalar::MarginalGainSum(f, g.data(), r.data(), p.data(), n);
         const double v =

@@ -420,7 +420,7 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
       state.PauseTiming();
       core::GainCache cache = base;  // rewind to the pre-delta epoch
       state.ResumeTiming();
-      for (const auto& [p, r] : deltas) cache.NoteRemove(p, r);
+      for (const auto& delta : deltas) cache.Note(delta.first);
       cache.Refresh(after, &pool);
       la::JvCostRows rows;
       rows.agents = R;

@@ -18,8 +18,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
@@ -39,11 +37,6 @@ class Deadline {
 
   bool Expired() const {
     return HasLimit() && watch_.ElapsedSeconds() >= limit_seconds_;
-  }
-
-  double RemainingSeconds() const {
-    if (!HasLimit()) return 1e18;
-    return limit_seconds_ - watch_.ElapsedSeconds();
   }
 
  private:

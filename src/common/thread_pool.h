@@ -1,7 +1,6 @@
 // Fixed-size thread pool with a deterministic parallel-for: the shared
 // concurrency substrate under the parallel SDGA stages, SRA refinement
-// rounds, local-search neighbourhood evaluation and the ATM/LDA Gibbs
-// sweeps.
+// rounds, local-search neighbourhood evaluation and the ATM Gibbs sweeps.
 //
 // Determinism contract: ParallelFor splits [begin, end) into fixed chunks
 // of `grain` indices — chunk boundaries depend only on (begin, end, grain),

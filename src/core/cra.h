@@ -145,7 +145,9 @@ Result<Assignment> SolveCraSdga(const Instance& instance,
 /// Contract: `initial` must be complete and feasible on `instance`; the
 /// result is never worse than `initial`. Anytime: stops on the ω-round
 /// convergence window, max_iterations, or the time limit, whichever comes
-/// first. Each round is O(δp·T) expected. Deterministic given `seed`.
+/// first. Setup is one O(P·R) pass for the per-reviewer Eq. 9 totals; each
+/// round then samples from P·δp pair utilities and runs one completion
+/// stage. Deterministic given `seed`, at any num_threads.
 /// kInvalidArgument, naming the knob, for any backend but kHungarian or
 /// any gain mode but kIncremental.
 Result<Assignment> RefineSra(const Instance& instance,

@@ -72,7 +72,7 @@ Status SolveStageAssignment(const Instance& instance,
   for (size_t i = 0; i < papers_needing.size(); ++i) {
     const int reviewer = (*solved)[i];
     WGRAP_RETURN_IF_ERROR(assignment->Add(papers_needing[i], reviewer));
-    cache->NoteAdd(papers_needing[i], reviewer);
+    cache->Note(papers_needing[i]);
   }
   return Status::OK();
 }

@@ -12,11 +12,13 @@
 // papers are processed in parallel; removals are then applied in paper
 // order. Results are bit-identical for any num_threads.
 //
-// Sparse topics: the O(PR) suitability model below scores every pair via
-// Instance::PairUtility, which dispatches to the bit-identical sparse
-// kernels when the instance carries sparse views, and the completion step
-// re-scores marginal gains through the instance's row kernel — so SRA needs
-// no sparse code of its own.
+// Suitability model: the Eq. 9 denominators (one total per reviewer, an
+// O(PR) pass once per refinement) are kept; the numerators are recomputed
+// for each paper's δp members when the round samples, so no P×R matrix
+// lives across rounds. Both go through Instance::PairUtility, which
+// dispatches to the bit-identical sparse kernels when the instance carries
+// sparse views, and the completion step re-scores marginal gains through
+// the instance's row kernel — so SRA needs no sparse code of its own.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -68,20 +70,14 @@ Result<Assignment> RefineSra(const Instance& instance,
   // round's removal (and the last re-add) moved.
   GainCache gain_cache(&instance);
 
-  // Pair scores c(r→, p→) and per-reviewer totals Σ_p' c(r→, p'→) (the
-  // TF-IDF-style denominator of Eq. 9). O(PR) precomputation: rows filled
-  // in parallel, then each reviewer's total summed in fixed paper order.
-  Matrix pair_score(P, R);
+  // Per-reviewer totals Σ_p' c(r→, p'→), the TF-IDF-style denominator of
+  // Eq. 9, each summed in ascending paper order.
   std::vector<double> reviewer_total(R, 0.0);
-  pool.ParallelFor(0, P, /*grain=*/8, [&](int64_t p) {
-    for (int r = 0; r < R; ++r) {
-      pair_score(static_cast<int>(p), r) =
-          instance.PairUtility(r, static_cast<int>(p));
-    }
-  });
   pool.ParallelFor(0, R, /*grain=*/16, [&](int64_t r) {
     double total = 0.0;
-    for (int p = 0; p < P; ++p) total += pair_score(p, static_cast<int>(r));
+    for (int p = 0; p < P; ++p) {
+      total += instance.PairUtility(static_cast<int>(r), p);
+    }
     reviewer_total[r] = total;
   });
 
@@ -127,7 +123,8 @@ Result<Assignment> RefineSra(const Instance& instance,
                 } else {
                   const double data_term =
                       reviewer_total[r] > 0.0
-                          ? decay * pair_score(p, r) / reviewer_total[r]
+                          ? decay * instance.PairUtility(r, p) /
+                                reviewer_total[r]
                           : 0.0;
                   suitability = std::max(1.0 / R, data_term);  // Eq. 10
                 }
@@ -146,7 +143,7 @@ Result<Assignment> RefineSra(const Instance& instance,
           });
       for (int p = 0; p < P; ++p) {
         WGRAP_RETURN_IF_ERROR(current.Remove(p, victims[p]));
-        gain_cache.NoteRemove(p, victims[p]);
+        gain_cache.Note(p);
       }
     }
     // Completion phase: one Stage-WGRAP linear assignment over the freed

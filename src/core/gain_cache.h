@@ -73,8 +73,8 @@ namespace wgrap::core {
 ///   loop {
 ///     cache.Refresh(assignment, pool);     // first call = full build
 ///     ... solve the stage on CostRow(p) rows, then for every commit:
-///     assignment.Add(p, r);  cache.NoteAdd(p, r);      // or
-///     assignment.Remove(p, r); cache.NoteRemove(p, r);
+///     assignment.Add(p, r);  cache.Note(p);      // or
+///     assignment.Remove(p, r); cache.Note(p);
 ///   }
 /// Every mutation of the tracked assignment between Refresh calls must be
 /// noted — an unnoted change makes cached entries silently stale. The
@@ -94,18 +94,16 @@ class GainCache {
   /// No gains are computed until the first Refresh.
   explicit GainCache(const Instance* instance);
 
-  /// Records a committed Add/Remove on the tracked assignment. O(1); the
-  /// work happens at the next Refresh.
+  /// Records a committed Add or Remove at `paper` on the tracked
+  /// assignment. O(1); the work happens at the next Refresh.
   ///
-  /// Both directions deliberately funnel into the same note, which keeps
-  /// only the paper: Refresh never replays the operation, it diffs the
-  /// paper's group vector against the snapshot. Neither the direction nor
-  /// the reviewer adds information, so a remove-then-re-add epoch
-  /// refreshes back to the bit-identical cache without re-scoring the row
-  /// (regression test: tests/gain_cache_test.cc
+  /// The note keeps only the paper: Refresh never replays the operation,
+  /// it diffs the paper's group vector against the snapshot. Neither the
+  /// direction nor the reviewer adds information, so a remove-then-re-add
+  /// epoch refreshes back to the bit-identical cache without re-scoring
+  /// the row (regression test: tests/gain_cache_test.cc
   /// NoteDirectionIsIrrelevant).
-  void NoteAdd(int paper, int /*reviewer*/) { Note(paper); }
-  void NoteRemove(int paper, int /*reviewer*/) { Note(paper); }
+  void Note(int paper) { pending_.push_back(paper); }
 
   /// First call: full gain build against `assignment`, one row pass per
   /// paper. Later calls: diffs the group vectors of noted papers against
@@ -156,7 +154,6 @@ class GainCache {
   void ReportCounters() const;
 
  private:
-  void Note(int paper) { pending_.push_back(paper); }
   void Initialize(const Assignment& assignment, ThreadPool* pool);
   /// Re-scores costs_ row `paper` against `assignment`.
   void ScoreRow(const Assignment& assignment, int paper);

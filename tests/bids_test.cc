@@ -6,24 +6,10 @@
 #include "common/rng.h"
 #include "core/cra.h"
 #include "core/metrics.h"
-#include "data/synthetic_dblp.h"
+#include "fuzz_util.h"
 
 namespace wgrap::core {
 namespace {
-
-Instance PoolInstance(int reviewers, int papers, int group_size,
-                      uint64_t seed) {
-  data::SyntheticDblpConfig config;
-  config.num_topics = 8;
-  config.seed = seed;
-  auto dataset = data::GenerateReviewerPool(reviewers, papers, config);
-  EXPECT_TRUE(dataset.ok());
-  InstanceParams params;
-  params.group_size = group_size;
-  auto instance = Instance::FromDataset(*dataset, params);
-  EXPECT_TRUE(instance.ok());
-  return std::move(instance).value();
-}
 
 Matrix RandomBids(int papers, int reviewers, uint64_t seed) {
   Rng rng(seed);
@@ -35,7 +21,7 @@ Matrix RandomBids(int papers, int reviewers, uint64_t seed) {
 }
 
 TEST(BidsTest, ValidationRejectsBadInput) {
-  Instance instance = PoolInstance(6, 4, 2, 1);
+  Instance instance = SeededPool(6, 4, 2, 1);
   EXPECT_FALSE(instance.SetBids(Matrix(3, 6), 0.5).ok());   // wrong shape
   EXPECT_FALSE(instance.SetBids(Matrix(4, 6), -0.1).ok());  // negative w
   Matrix bad(4, 6, 1.5);                                    // out of [0,1]
@@ -45,7 +31,7 @@ TEST(BidsTest, ValidationRejectsBadInput) {
 }
 
 TEST(BidsTest, ZeroWeightBehavesAsNoBids) {
-  Instance instance = PoolInstance(8, 6, 2, 2);
+  Instance instance = SeededPool(8, 6, 2, 2);
   auto baseline = SolveCraSdga(instance);
   ASSERT_TRUE(baseline.ok());
   ASSERT_TRUE(instance.SetBids(RandomBids(6, 8, 3), 0.0).ok());
@@ -56,7 +42,7 @@ TEST(BidsTest, ZeroWeightBehavesAsNoBids) {
 }
 
 TEST(BidsTest, BidBonusShapesPairUtility) {
-  Instance instance = PoolInstance(5, 3, 2, 4);
+  Instance instance = SeededPool(5, 3, 2, 4);
   Matrix bids(3, 5, 0.0);
   bids(0, 2) = 1.0;
   ASSERT_TRUE(instance.SetBids(std::move(bids), 0.4).ok());
@@ -67,7 +53,7 @@ TEST(BidsTest, BidBonusShapesPairUtility) {
 }
 
 TEST(BidsTest, MarginalGainIncludesBonus) {
-  Instance instance = PoolInstance(5, 3, 2, 5);
+  Instance instance = SeededPool(5, 3, 2, 5);
   Matrix bids(3, 5, 0.0);
   bids(1, 0) = 1.0;
   ASSERT_TRUE(instance.SetBids(std::move(bids), 1.0).ok());
@@ -106,7 +92,7 @@ TEST(BidsTest, TieBrokenTowardsBidder) {
 
 TEST(BidsTest, ObjectiveStaysSubmodularUnderBids) {
   // Diminishing returns must survive the modular bid term.
-  Instance instance = PoolInstance(8, 5, 3, 6);
+  Instance instance = SeededPool(8, 5, 3, 6);
   ASSERT_TRUE(instance.SetBids(RandomBids(5, 8, 7), 0.5).ok());
   Assignment small(&instance);
   Assignment large(&instance);
@@ -119,7 +105,7 @@ TEST(BidsTest, ObjectiveStaysSubmodularUnderBids) {
 }
 
 TEST(BidsTest, AllSolversFeasibleWithBids) {
-  Instance instance = PoolInstance(10, 8, 3, 8);
+  Instance instance = SeededPool(10, 8, 3, 8);
   ASSERT_TRUE(instance.SetBids(RandomBids(8, 10, 9), 0.5).ok());
   auto sm = SolveCraStableMatching(instance);
   auto ilp = SolveCraIlpArap(instance);
@@ -135,7 +121,7 @@ TEST(BidsTest, AllSolversFeasibleWithBids) {
 }
 
 TEST(BidsTest, HigherWeightShiftsAssignmentTowardsBids) {
-  Instance instance = PoolInstance(10, 8, 2, 10);
+  Instance instance = SeededPool(10, 8, 2, 10);
   const Matrix bids = RandomBids(8, 10, 11);
   auto bid_mass = [&](const Assignment& assignment) {
     double total = 0.0;

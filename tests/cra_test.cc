@@ -5,31 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/cra.h"
 #include "core/jra.h"
 #include "core/metrics.h"
 #include "data/synthetic_dblp.h"
+#include "fuzz_util.h"
 #include "obs/metrics.h"
 
 namespace wgrap::core {
 namespace {
-
-Instance SmallInstance(int reviewers, int papers, int group_size,
-                       uint64_t seed, int workload = 0) {
-  data::SyntheticDblpConfig config;
-  config.num_topics = 8;
-  config.seed = seed;
-  auto dataset = data::GenerateReviewerPool(reviewers, papers, config);
-  EXPECT_TRUE(dataset.ok());
-  InstanceParams params;
-  params.group_size = group_size;
-  params.reviewer_workload = workload;
-  auto instance = Instance::FromDataset(*dataset, params);
-  EXPECT_TRUE(instance.ok()) << instance.status().ToString();
-  return std::move(instance).value();
-}
 
 // Exhaustive optimal WGRAP objective for tiny instances: recursively assign
 // groups to papers under workload constraints.
@@ -86,7 +73,7 @@ std::vector<std::pair<std::string, SolverFn>> AllSolvers() {
 }
 
 TEST(CraFeasibilityTest, AllSolversProduceCompleteAssignments) {
-  Instance instance = SmallInstance(10, 8, 3, 31);
+  Instance instance = SeededPool(10, 8, 3, 31);
   for (const auto& [name, solve] : AllSolvers()) {
     auto assignment = solve(instance);
     ASSERT_TRUE(assignment.ok()) << name << ": "
@@ -98,7 +85,7 @@ TEST(CraFeasibilityTest, AllSolversProduceCompleteAssignments) {
 
 TEST(CraFeasibilityTest, MinimalWorkloadInstanceStillFeasible) {
   // δr = ⌈P·δp/R⌉ forces every reviewer into play (Sec. 5.2 setting).
-  Instance instance = SmallInstance(7, 9, 3, 32);
+  Instance instance = SeededPool(7, 9, 3, 32);
   EXPECT_EQ(instance.reviewer_workload(), 4);  // ceil(27/7)
   for (const auto& [name, solve] : AllSolvers()) {
     auto assignment = solve(instance);
@@ -109,7 +96,8 @@ TEST(CraFeasibilityTest, MinimalWorkloadInstanceStillFeasible) {
 
 TEST(CraApproximationTest, SdgaMeetsTheoremBoundOnTinyInstances) {
   for (uint64_t seed : {41, 42, 43, 44, 45}) {
-    Instance instance = SmallInstance(5, 3, 2, seed, /*workload=*/2);
+    Instance instance =
+        SeededPool(5, 3, 2, seed, /*num_topics=*/8, /*workload=*/2);
     const double optimal = ExactOptimal(instance);
     ASSERT_GT(optimal, 0.0);
     auto sdga = SolveCraSdga(instance);
@@ -122,7 +110,8 @@ TEST(CraApproximationTest, SdgaMeetsTheoremBoundOnTinyInstances) {
 
 TEST(CraApproximationTest, GreedyMeetsOneThirdOnTinyInstances) {
   for (uint64_t seed : {51, 52, 53}) {
-    Instance instance = SmallInstance(5, 3, 2, seed, /*workload=*/2);
+    Instance instance =
+        SeededPool(5, 3, 2, seed, /*num_topics=*/8, /*workload=*/2);
     const double optimal = ExactOptimal(instance);
     auto greedy = SolveCraGreedy(instance);
     ASSERT_TRUE(greedy.ok());
@@ -194,7 +183,7 @@ TEST(CraSdgaTest, CapRelaxRetryIsCounted) {
 // asking for anything else gets kInvalidArgument naming the knob. The
 // per-pair and min-cost-flow oracles live in tests/gain_cache_test.cc.
 TEST(CraSraTest, RetiredStageEnginesAndGainModesAreRejected) {
-  Instance instance = SmallInstance(9, 7, 3, 64);
+  Instance instance = SeededPool(9, 7, 3, 64);
   auto initial = SolveCraSdga(instance);
   ASSERT_TRUE(initial.ok());
   for (const LapBackend backend :
@@ -215,7 +204,8 @@ TEST(CraSraTest, RetiredStageEnginesAndGainModesAreRejected) {
 TEST(CraIlpArapTest, MaximizesPairwiseObjective) {
   // ARAP maximizes Σ c(r,p); compare against exhaustive search on the
   // pairwise objective (not the group objective).
-  Instance instance = SmallInstance(4, 3, 2, 71, /*workload=*/2);
+  Instance instance =
+      SeededPool(4, 3, 2, 71, /*num_topics=*/8, /*workload=*/2);
   auto ilp = SolveCraIlpArap(instance);
   ASSERT_TRUE(ilp.ok());
   double ilp_pairwise = 0.0;
@@ -251,7 +241,7 @@ TEST(CraIlpArapTest, MaximizesPairwiseObjective) {
 
 TEST(CraRefinementTest, SraNeverWorseThanInitial) {
   for (uint64_t seed : {81, 82, 83}) {
-    Instance instance = SmallInstance(10, 8, 3, seed);
+    Instance instance = SeededPool(10, 8, 3, seed);
     auto sdga = SolveCraSdga(instance);
     ASSERT_TRUE(sdga.ok());
     SraOptions options;
@@ -264,20 +254,8 @@ TEST(CraRefinementTest, SraNeverWorseThanInitial) {
   }
 }
 
-TEST(CraRefinementTest, SraUniformAblationStillFeasible) {
-  Instance instance = SmallInstance(8, 6, 2, 84);
-  auto sdga = SolveCraSdga(instance);
-  ASSERT_TRUE(sdga.ok());
-  SraOptions options;
-  options.uniform_probability = true;
-  options.max_iterations = 15;
-  auto refined = RefineSra(instance, *sdga, options);
-  ASSERT_TRUE(refined.ok());
-  EXPECT_GE(refined->TotalScore(), sdga->TotalScore() - 1e-12);
-}
-
 TEST(CraRefinementTest, SraTraceIsMonotoneNonDecreasing) {
-  Instance instance = SmallInstance(9, 7, 3, 85);
+  Instance instance = SeededPool(9, 7, 3, 85);
   auto sdga = SolveCraSdga(instance);
   ASSERT_TRUE(sdga.ok());
   std::vector<double> scores;
@@ -294,7 +272,7 @@ TEST(CraRefinementTest, SraTraceIsMonotoneNonDecreasing) {
 }
 
 TEST(CraRefinementTest, LocalSearchNeverWorseThanInitial) {
-  Instance instance = SmallInstance(10, 8, 3, 86);
+  Instance instance = SeededPool(10, 8, 3, 86);
   auto sdga = SolveCraSdga(instance);
   ASSERT_TRUE(sdga.ok());
   LocalSearchOptions options;
@@ -306,7 +284,7 @@ TEST(CraRefinementTest, LocalSearchNeverWorseThanInitial) {
 }
 
 TEST(CraRefinementTest, RejectsIncompleteInitial) {
-  Instance instance = SmallInstance(6, 4, 2, 87);
+  Instance instance = SeededPool(6, 4, 2, 87);
   Assignment incomplete(&instance);
   SraOptions sra;
   EXPECT_FALSE(RefineSra(instance, incomplete, sra).ok());
@@ -315,7 +293,7 @@ TEST(CraRefinementTest, RejectsIncompleteInitial) {
 }
 
 TEST(CraConflictTest, AllSolversRespectConflicts) {
-  Instance instance = SmallInstance(9, 6, 2, 88);
+  Instance instance = SeededPool(9, 6, 2, 88);
   // Conflict the strongest reviewer of every paper.
   for (int p = 0; p < instance.num_papers(); ++p) {
     int best = 0;
@@ -332,7 +310,7 @@ TEST(CraConflictTest, AllSolversRespectConflicts) {
 }
 
 TEST(CraDeterminismTest, SolversAreDeterministic) {
-  Instance instance = SmallInstance(10, 8, 3, 89);
+  Instance instance = SeededPool(10, 8, 3, 89);
   for (const auto& [name, solve] : AllSolvers()) {
     auto a = solve(instance);
     auto b = solve(instance);
@@ -364,6 +342,82 @@ TEST(CraQualityTest, SdgaSraBeatsOrMatchesBaselinesAtScale) {
   EXPECT_GE(sdga_sra->TotalScore(), sm->TotalScore() - 1e-9);
   EXPECT_GE(sdga_sra->TotalScore(), ilp->TotalScore() - 1e-9);
   EXPECT_GE(sdga_sra->TotalScore(), greedy->TotalScore() * 0.98);
+}
+
+// SRA goldens: RefineSra's output on a fixed round count with no wall-clock
+// budget, recorded once and unchanged since. Each case refines one SDGA
+// start at 1 and 4 threads, on the dense instance and on its CSR twin,
+// checks it is never worse than the start (the uniform ablation included),
+// and pins an FNV-1a digest of Pairs() and the bits of TotalScore(). A change
+// to the Eq. 9/10 removal weights (which reviewer or paper a term reads,
+// the bid bonus, the decay), the per-(round, paper) streams or the
+// completion shows here; a last-bit change in a weight may not.
+void ExpectSraGolden(const Instance& instance, int rounds, bool uniform,
+                     uint64_t digest, uint64_t score_bits) {
+  SraOptions options;
+  options.max_iterations = rounds;
+  options.convergence_window = rounds;
+  options.uniform_probability = uniform;
+  options.seed = 1;
+  Instance dense = instance;
+  dense.DropSparseTopics();
+  Instance csr = instance;
+  csr.BuildSparseTopics();
+  for (const Instance* twin : {&dense, &csr}) {
+    auto start = SolveCraSdga(*twin);
+    ASSERT_TRUE(start.ok()) << start.status().ToString();
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(twin == &csr ? "csr" : "dense") +
+                   " threads " + std::to_string(threads));
+      options.num_threads = threads;
+      auto refined = RefineSra(*twin, *start, options);
+      ASSERT_TRUE(refined.ok()) << refined.status().ToString();
+      EXPECT_GE(refined->TotalScore(), start->TotalScore());
+      uint64_t got = kFnvOffsetBasis;
+      for (const auto& [p, r] : refined->Pairs()) {
+        FnvFold(static_cast<uint64_t>(p), &got);
+        FnvFold(static_cast<uint64_t>(r), &got);
+      }
+      EXPECT_EQ(got, digest);
+      EXPECT_EQ(DoubleBits(refined->TotalScore()), score_bits);
+    }
+  }
+}
+
+TEST(SraGoldenTest, Db08PerScoring) {
+  ExpectSraGolden(Db08Instance(), 12, false, 8673324873606609417ULL,
+                  4647479417212046218ULL);
+  ExpectSraGolden(Db08Instance(ScoringFunction::kReviewerCoverage), 8, false,
+                  1921299173121438421ULL, 4655082061510246928ULL);
+  ExpectSraGolden(Db08Instance(ScoringFunction::kPaperCoverage), 8, false,
+                  2869582142925163012ULL, 4644526891943054992ULL);
+  ExpectSraGolden(Db08Instance(ScoringFunction::kDotProduct), 8, false,
+                  9248442344179710316ULL, 4643402914458410256ULL);
+}
+
+TEST(SraGoldenTest, Db08UniformProbability) {
+  ExpectSraGolden(Db08Instance(), 12, true, 1002250048631941900ULL,
+                  4647479417213698946ULL);
+}
+
+TEST(SraGoldenTest, SparseP400) {
+  ExpectSraGolden(SparseP400Instance(), 12, false, 3902645432548119353ULL,
+                  4643988635135740159ULL);
+}
+
+// Bids move PairUtility away from PairScore, in the Eq. 9 terms and in the
+// reviewer totals.
+TEST(SraGoldenTest, PoolWithBids) {
+  FuzzInstanceConfig config;
+  config.reviewers = 60;
+  config.papers = 80;
+  config.num_topics = 20;
+  config.with_bids = true;
+  config.seed = 91;
+  auto instance = MakeFuzzInstance(config);
+  ASSERT_TRUE(instance.ok());
+  ExpectSraGolden(*instance, 16, false, 8035213308965134053ULL,
+                  4636389479940587496ULL);
 }
 
 }  // namespace

@@ -8,29 +8,15 @@
 #include "core/jra.h"
 #include "core/registry.h"
 #include "data/synthetic_dblp.h"
+#include "fuzz_util.h"
 #include "topic/atm.h"
 #include "topic/synthetic.h"
 
 namespace wgrap::core {
 namespace {
 
-Instance PoolInstance(int reviewers, int papers, int group_size,
-                      uint64_t seed) {
-  data::SyntheticDblpConfig config;
-  config.num_topics = 8;
-  config.seed = seed;
-  auto dataset = data::GenerateReviewerPool(reviewers, papers, config);
-  EXPECT_TRUE(dataset.ok());
-  InstanceParams params;
-  params.group_size = group_size;
-  params.reviewer_workload = papers >= 1 ? 0 : 1;
-  auto instance = Instance::FromDataset(*dataset, params);
-  EXPECT_TRUE(instance.ok());
-  return std::move(instance).value();
-}
-
 TEST(DeterminismTest, SraSameSeedSameResult) {
-  Instance instance = PoolInstance(10, 8, 3, 301);
+  Instance instance = SeededPool(10, 8, 3, 301);
   auto sdga = SolveCraSdga(instance);
   ASSERT_TRUE(sdga.ok());
   SraOptions options;
@@ -46,7 +32,7 @@ TEST(DeterminismTest, SraSameSeedSameResult) {
 }
 
 TEST(DeterminismTest, LocalSearchSameSeedSameResult) {
-  Instance instance = PoolInstance(10, 8, 3, 302);
+  Instance instance = SeededPool(10, 8, 3, 302);
   auto sdga = SolveCraSdga(instance);
   ASSERT_TRUE(sdga.ok());
   LocalSearchOptions options;
@@ -80,7 +66,7 @@ TEST(DeterminismTest, DatasetGenerationIsPure) {
 // parallel work is keyed by item index and reduced in index order, never
 // by arrival.
 TEST(DeterminismTest, SolversAreThreadCountInvariant) {
-  Instance instance = PoolInstance(14, 10, 3, 305);
+  Instance instance = SeededPool(14, 10, 3, 305);
   const auto& registry = SolverRegistry::Default();
   for (const char* algo : {"sdga", "sdga-sra", "sdga-ls", "brgg"}) {
     SCOPED_TRACE(algo);
@@ -207,7 +193,7 @@ TEST(DeterminismTest, AtmHandlesDuplicateAuthorListings) {
 }
 
 TEST(JraConflictAgreementTest, IlpAndCpHonourConflicts) {
-  Instance instance = PoolInstance(9, 2, 3, 303);
+  Instance instance = SeededPool(9, 2, 3, 303);
   instance.AddConflict(0, 0);
   instance.AddConflict(3, 0);
   instance.AddConflict(7, 0);
@@ -227,7 +213,7 @@ TEST(JraConflictAgreementTest, IlpAndCpHonourConflicts) {
 }
 
 TEST(JraConflictAgreementTest, ConflictOnlyAffectsItsPaper) {
-  Instance instance = PoolInstance(9, 2, 2, 304);
+  Instance instance = SeededPool(9, 2, 2, 304);
   auto before = SolveJraBba(instance, 1);
   ASSERT_TRUE(before.ok());
   // Conflict the optimum of paper 0; paper 1's optimum is untouched.

@@ -68,6 +68,62 @@ Result<Instance> MakeFuzzInstance(const FuzzInstanceConfig& config) {
   return instance;
 }
 
+namespace {
+
+Instance BuildOrDie(const Result<data::RapDataset>& dataset,
+                    const InstanceParams& params) {
+  WGRAP_CHECK(dataset.ok());
+  auto instance = Instance::FromDataset(*dataset, params);
+  WGRAP_CHECK(instance.ok());
+  return std::move(instance).value();
+}
+
+}  // namespace
+
+Instance SeededPool(int reviewers, int papers, int group_size, uint64_t seed,
+                    int num_topics, int workload) {
+  data::SyntheticDblpConfig config;
+  config.num_topics = num_topics;
+  config.seed = seed;
+  InstanceParams params;
+  params.group_size = group_size;
+  params.reviewer_workload = workload;
+  return BuildOrDie(data::GenerateReviewerPool(reviewers, papers, config),
+                    params);
+}
+
+Instance Db08Instance(ScoringFunction scoring) {
+  InstanceParams params;
+  params.group_size = 3;
+  params.scoring = scoring;
+  return BuildOrDie(
+      data::GenerateConferenceDataset(data::Area::kDatabases, 2008,
+                                      data::SyntheticDblpConfig{}),
+      params);
+}
+
+Instance SparseP400Instance() {
+  data::SyntheticDblpConfig config;
+  config.num_topics = 100;
+  config.topic_density = 0.05;
+  InstanceParams params;
+  params.group_size = 3;
+  return BuildOrDie(data::GenerateReviewerPool(150, 400, config), params);
+}
+
+void FnvFold(uint64_t value, uint64_t* digest) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *digest ^= (value >> (8 * byte)) & 0xff;
+    *digest *= 0x100000001b3ULL;
+  }
+}
+
+uint64_t DoubleBits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
 std::vector<double> RandomTopics(Rng* rng, int T) {
   std::vector<double> v(T, 0.0);
   for (int t = 0; t < T; ++t) {

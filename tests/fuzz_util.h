@@ -8,7 +8,9 @@
 // changing any of that silently reshuffles every case of both suites.
 // Mangle is the text-side twin for the parser fuzzer (parser_fuzz_test.cc).
 // ReplayPairs and AssignmentMismatch are the assignment-side oracle for
-// Assignment::FromPairs and the session store's publish.
+// Assignment::FromPairs and the session store's publish. Db08Instance,
+// SparseP400Instance and FnvFold serve the golden suites (jra_test's BBA
+// goldens, cra_test's SRA goldens).
 #ifndef WGRAP_TESTS_FUZZ_UTIL_H_
 #define WGRAP_TESTS_FUZZ_UTIL_H_
 
@@ -58,6 +60,30 @@ Status PerturbInstance(const FuzzInstanceConfig& config, Instance* instance);
 
 /// MakeFuzzDataset + FromDataset(MakeFuzzParams) + PerturbInstance.
 Result<Instance> MakeFuzzInstance(const FuzzInstanceConfig& config);
+
+/// A plain seeded reviewer pool (GenerateReviewerPool, no COIs or bids):
+/// δp = group_size, δr = `workload` (0 = the minimal ⌈P·δp/R⌉). Dies on a
+/// generator or instance error.
+Instance SeededPool(int reviewers, int papers, int group_size, uint64_t seed,
+                    int num_topics = 8, int workload = 0);
+
+/// The benchmark's conference shape at δp = 3: DB08, the Table 3 Databases
+/// 2008 conference (617 papers × 105 reviewers, T = 30, every topic column
+/// heavy), generated with the default SyntheticDblpConfig.
+Instance Db08Instance(
+    ScoringFunction scoring = ScoringFunction::kWeightedCoverage);
+
+/// The benchmark's sparse shape at δp = 3: 150 reviewers × 400 papers at
+/// T = 100 with 5 nonzeros per row, the shape the CSR kernels win.
+Instance SparseP400Instance();
+
+/// The FNV-1a offset basis, and one fold of `value`'s 8 bytes, low byte
+/// first, into `digest`.
+inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+void FnvFold(uint64_t value, uint64_t* digest);
+
+/// The raw IEEE-754 bits of `value`.
+uint64_t DoubleBits(double value);
 
 /// A random T-topic vector with the sparse-ish support real profiles have
 /// (each topic nonzero with probability 0.4, plus 0.25 on one topic), so

@@ -347,7 +347,7 @@ TEST(GainCacheTest, EpochFuzzAssemblesThePerPairMask) {
             const std::vector<int>& group = assignment.GroupFor(p);
             const int victim = group[rng.NextBounded(group.size())];
             ASSERT_TRUE(assignment.Remove(p, victim).ok());
-            cache.NoteRemove(p, victim);
+            cache.Note(p);
           }
           std::vector<int> capacity(R);
           for (int r = 0; r < R; ++r) {
@@ -401,7 +401,7 @@ TEST(GainCacheTest, EpochFuzzAssemblesThePerPairMask) {
           ASSERT_EQ(*chosen, *reference);
           for (size_t i = 0; i < needing.size(); ++i) {
             ASSERT_TRUE(assignment.Add(needing[i], (*chosen)[i]).ok());
-            cache.NoteAdd(needing[i], (*chosen)[i]);
+            cache.Note(needing[i]);
           }
         }
         EXPECT_TRUE(assignment.ValidateComplete().ok());
@@ -422,7 +422,7 @@ TEST(GainCacheTest, AddEpochPatchesMatchFreshBuild) {
   for (int p = 0; p < instance.num_papers(); ++p) {
     const int r = p % instance.num_reviewers();
     ASSERT_TRUE(assignment.Add(p, r).ok());
-    cache.NoteAdd(p, r);
+    cache.Note(p);
   }
   cache.Refresh(assignment, &pool);
   EXPECT_EQ(cache.full_builds(), 1);  // patched, not rebuilt
@@ -455,7 +455,7 @@ TEST(GainCacheTest, RemovalEpochPatchesMatchFreshBuild) {
   for (int p = 0; p < instance.num_papers(); ++p) {
     const int victim = assignment.GroupFor(p).front();
     ASSERT_TRUE(assignment.Remove(p, victim).ok());
-    cache.NoteRemove(p, victim);
+    cache.Note(p);
   }
   cache.Refresh(assignment, &pool);
 
@@ -469,12 +469,12 @@ TEST(GainCacheTest, RemovalEpochPatchesMatchFreshBuild) {
   }
 }
 
-// The Note(paper, reviewer) funnel is direction-less by design (see the
-// header doc at NoteAdd/NoteRemove): Refresh diffs the group vector
-// against its snapshot, so a remove-then-re-add epoch — whose net group
-// vectors are unchanged at some papers and changed at others — must
-// refresh back to the bit-identical cache a from-scratch build produces,
-// without a full rebuild.
+// A note carries only the paper, by design (see the header doc at Note):
+// Refresh diffs the group vector against its snapshot, so a
+// remove-then-re-add epoch — whose net group vectors are unchanged at some
+// papers and changed at others — must refresh back to the bit-identical
+// cache a from-scratch build produces, without a full rebuild, and
+// re-score no row whose vector came back.
 TEST(GainCacheTest, NoteDirectionIsIrrelevant) {
   Instance instance = PoolInstance(12, 8, 3, 409, /*topic_density=*/0.3);
   auto solved = SolveCraSdga(instance);
@@ -491,13 +491,13 @@ TEST(GainCacheTest, NoteDirectionIsIrrelevant) {
                                      assignment.GroupVector(p) + T);
     const int victim = assignment.GroupFor(p).front();
     ASSERT_TRUE(assignment.Remove(p, victim).ok());
-    cache.NoteRemove(p, victim);
+    cache.Note(p);
     if (p % 2 == 0) {
       // Re-add the same reviewer: the group vector lands back exactly
       // where it was, and the second note adds no information the first
       // did not already carry.
       ASSERT_TRUE(assignment.Add(p, victim).ok());
-      cache.NoteAdd(p, victim);
+      cache.Note(p);
     }
     if (!std::equal(before.begin(), before.end(), assignment.GroupVector(p))) {
       ++moved;
@@ -530,7 +530,7 @@ TEST(GainCacheTest, ConflictAndExhaustedReviewerMasking) {
   Assignment assignment(&instance);
   ASSERT_TRUE(assignment.Add(0, 3).ok());
   GainCache cache(&instance);
-  cache.NoteAdd(0, 3);
+  cache.Note(0);
   cache.Refresh(assignment, &pool);
   EXPECT_EQ(cache.ScaledGain(1, 2), GainCache::kConflictSentinel);
 

@@ -6,13 +6,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/jra.h"
 #include "data/synthetic_dblp.h"
+#include "fuzz_util.h"
 #include "obs/metrics.h"
 
 namespace wgrap::core {
@@ -264,19 +264,10 @@ struct BbaGolden {
   int64_t gain_evals;  // wgrap_jra_bba_gain_evals_total added by the runs
 };
 
-void Fnv(uint64_t value, uint64_t* digest) {
-  for (int byte = 0; byte < 8; ++byte) {
-    *digest ^= (value >> (8 * byte)) & 0xff;
-    *digest *= 0x100000001b3ULL;
-  }
-}
-
 void FoldResult(const JraResult& result, uint64_t* digest) {
-  Fnv(static_cast<uint64_t>(result.nodes_explored), digest);
-  for (int r : result.group) Fnv(static_cast<uint64_t>(r), digest);
-  uint64_t bits = 0;
-  std::memcpy(&bits, &result.score, sizeof(bits));
-  Fnv(bits, digest);
+  FnvFold(static_cast<uint64_t>(result.nodes_explored), digest);
+  for (int r : result.group) FnvFold(static_cast<uint64_t>(r), digest);
+  FnvFold(DoubleBits(result.score), digest);
 }
 
 // The process-wide gain evaluation count; -1 when telemetry is off.
@@ -288,7 +279,7 @@ int64_t GainEvalsTotal() {
 
 struct Trajectory {
   int64_t nodes = 0;
-  uint64_t digest = 0xcbf29ce484222325ULL;
+  uint64_t digest = kFnvOffsetBasis;
   int64_t gain_evals = -1;  // -1 when telemetry is off
 };
 
@@ -440,30 +431,6 @@ Instance ServiceMixPool() {
   return std::move(instance).value();
 }
 
-Instance Db08() {
-  auto dataset = data::GenerateConferenceDataset(
-      data::Area::kDatabases, 2008, data::SyntheticDblpConfig{});
-  EXPECT_TRUE(dataset.ok());
-  InstanceParams params;
-  params.group_size = 3;
-  auto instance = Instance::FromDataset(*dataset, params);
-  EXPECT_TRUE(instance.ok());
-  return std::move(instance).value();
-}
-
-Instance SparseP400() {
-  data::SyntheticDblpConfig config;
-  config.num_topics = 100;
-  config.topic_density = 0.05;
-  auto dataset = data::GenerateReviewerPool(150, 400, config);
-  EXPECT_TRUE(dataset.ok());
-  InstanceParams params;
-  params.group_size = 3;
-  auto instance = Instance::FromDataset(*dataset, params);
-  EXPECT_TRUE(instance.ok());
-  return std::move(instance).value();
-}
-
 TEST(BbaGoldenTest, ServiceMixShapeWithConflicts) {
   ExpectBbaGolden(ServiceMixPool(), BbaOptions{},
                   {"service_mix R189 P146 coi", 126175,
@@ -471,12 +438,12 @@ TEST(BbaGoldenTest, ServiceMixShapeWithConflicts) {
 }
 
 TEST(BbaGoldenTest, Db08) {
-  ExpectBbaGolden(Db08(), BbaOptions{},
+  ExpectBbaGolden(Db08Instance(), BbaOptions{},
                   {"DB08", 265147, 8838837991238602385ULL, 879284});
 }
 
 TEST(BbaGoldenTest, SparseP400) {
-  ExpectBbaGolden(SparseP400(), BbaOptions{},
+  ExpectBbaGolden(SparseP400Instance(), BbaOptions{},
                   {"p400", 15350, 8414240498563787219ULL, 342632});
 }
 
@@ -489,12 +456,12 @@ TEST(BbaGoldenTest, AblationsOnTheP400Shape) {
   BbaOptions no_bounding;
   no_bounding.use_bounding = false;
   no_bounding.max_nodes = 10000;
-  ExpectBbaGolden(SparseP400(), no_bounding,
+  ExpectBbaGolden(SparseP400Instance(), no_bounding,
                   {"p400 no bounding", 80000, 3203088096248156909ULL, 80286},
                   /*papers=*/4);
   BbaOptions no_gain_branching;
   no_gain_branching.use_gain_branching = false;
-  ExpectBbaGolden(SparseP400(), no_gain_branching,
+  ExpectBbaGolden(SparseP400Instance(), no_gain_branching,
                   {"p400 no gain branching", 109308, 11046865654177986112ULL,
                    0},
                   /*papers=*/4);

@@ -22,7 +22,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/cra.h"
-#include "data/synthetic_dblp.h"
+#include "fuzz_util.h"
 #include "la/auction.h"
 #include "la/hungarian.h"
 #include "la/transportation.h"
@@ -726,26 +726,12 @@ TEST(LapEquivalenceTest, CapacitatedAssignmentHonorsDeadlineAndCancel) {
 namespace wgrap::core {
 namespace {
 
-Instance PoolInstance(int reviewers, int papers, int group_size,
-                      uint64_t seed, int topics = 12) {
-  data::SyntheticDblpConfig config;
-  config.num_topics = topics;
-  config.seed = seed;
-  auto dataset = data::GenerateReviewerPool(reviewers, papers, config);
-  EXPECT_TRUE(dataset.ok());
-  InstanceParams params;
-  params.group_size = group_size;
-  auto instance = Instance::FromDataset(*dataset, params);
-  EXPECT_TRUE(instance.ok()) << instance.status().ToString();
-  return std::move(instance).value();
-}
-
 // ILP-ARAP runs the JV with demand δp; the min-cost-flow oracle on the
 // same profits must reach the same scaled optimum. This pool contains an
 // exact score tie (reviewers 1 and 2 score paper 1 identically), so the
 // groups themselves may differ.
 TEST(LapEquivalenceTest, IlpArapMatchesFlowOracle) {
-  Instance instance = PoolInstance(12, 9, 3, 41);
+  Instance instance = SeededPool(12, 9, 3, 41, /*num_topics=*/12);
   auto ilp = SolveCraIlpArap(instance);
   ASSERT_TRUE(ilp.ok()) << ilp.status().ToString();
   EXPECT_TRUE(ilp->ValidateComplete().ok());

@@ -205,7 +205,7 @@ TEST(ObsTraceTest, ChromeJsonIsWellFormed) {
 
 // SDGA's stages and SRA's rounds explain their time with child spans:
 // `profit_refresh` (the GainCache refresh), `lap_solve` (the in-place JV)
-// and `commit` (the Add/NoteAdd loop) under every `sdga_stage` and under
+// and `commit` (the Add/Note loop) under every `sdga_stage` and under
 // `sra`, `sra_sample` (an SRA round's removal phase) under `sra`, and
 // `cap_relax_retry` around a stage's retry with the relaxed cap. δp = 3 ∤ δr = 4 and paper i
 // conflicts with strong reviewer i, so the capped third stage is

@@ -23,6 +23,7 @@
 #include "la/auction.h"
 #include "la/hungarian.h"
 #include "la/transportation.h"
+#include "obs/metrics.h"
 #include "service/instance_store.h"
 #include "simd/kernels.h"
 #include "sparse/sparse_matrix.h"
@@ -170,7 +171,7 @@ BENCHMARK(BM_KernelScoreSum)->ArgsProduct({{30, 300, 3000}, {0, 1}});
 // One topic of the gain row pass over a column whose degree is
 // range(1) percent of R = range(0) rows (ids random, values uniform in
 // (0, 1), group max 0.5 so about half the carriers gain): range(2) = 0 is
-// the CSC id walk MarginalGainRow runs on light columns, 1 the dispatched
+// the CSC id walk Instance::GainRow runs on light columns, 1 the dispatched
 // dense kernel it runs on heavy ones. The crossover in degree sets
 // sparse::TopicIndex::kHeavyColumnDivisor (bench/BASELINES.md).
 void BM_GainColumnPass(benchmark::State& state) {
@@ -478,17 +479,30 @@ core::Instance JraBbaPool(int reviewers) {
 void BM_JraBba(benchmark::State& state) {
   // BBA top-3 over every paper of one pool, as the service's queries run
   // it, so the number tracks the per-query cost end to end; the reported
-  // time is for all papers, and `query_s` is the mean per query.
+  // time is for all papers, and `query_s` is the mean per query. `nodes`
+  // and `rows` are the search nodes and the stage gain rows per query
+  // (`rows` reads wgrap_jra_bba_gain_rows_total: 0 with WGRAP_OBS=0).
   core::Instance instance = JraBbaPool(static_cast<int>(state.range(0)));
+  const obs::Counter* rows_counter =
+      obs::Registry::Global().GetCounter("wgrap_jra_bba_gain_rows_total");
+  const int64_t rows_before = rows_counter ? rows_counter->Value() : 0;
+  int64_t nodes = 0;
+  int64_t queries = 0;
   for (auto _ : state) {
     for (int p = 0; p < instance.num_papers(); ++p) {
       auto result = core::SolveJraBbaTopK(instance, p, 3);
+      if (result.ok()) nodes += result->front().nodes_explored;
+      ++queries;
       benchmark::DoNotOptimize(result);
     }
   }
   state.counters["query_s"] = benchmark::Counter(
       instance.num_papers(), benchmark::Counter::kIsIterationInvariantRate |
                                  benchmark::Counter::kInvert);
+  const double per_query = queries > 0 ? 1.0 / queries : 0.0;
+  state.counters["nodes"] = nodes * per_query;
+  state.counters["rows"] =
+      rows_counter ? (rows_counter->Value() - rows_before) * per_query : 0.0;
 }
 BENCHMARK(BM_JraBba)
     ->Arg(100)

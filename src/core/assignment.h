@@ -73,17 +73,12 @@ class Assignment {
   double MarginalGain(int paper, int reviewer) const;
 
   /// Writes MarginalGain(paper, r) into out[r] for every reviewer r (COI
-  /// pairs included), bit for bit, in one topic-major pass: for each topic
-  /// that TopicCanGain admits, in ascending order, it adds each reviewer's
-  /// term into its slot, then divides by PaperMass and adds BidBonus. A
-  /// light topic walks its column of the instance's ReviewerTopicIndex; a
-  /// heavy one (TopicIndex::DenseColumn) runs simd::AddColumnGainTerms
-  /// over all R reviewers, adding +0.0 where the walk would skip. Per
-  /// reviewer these are the per-pair kernels' operations in the same
-  /// order, plus or minus terms that are exactly +0.0.
-  /// O(T + Σ_{admitted light t} degree(t) + R·#{admitted heavy t} + R)
-  /// against MarginalGain's R calls; the heavy terms are 4-wide vector
-  /// steps over contiguous memory.
+  /// pairs included), bit for bit: Instance::GainRow against the paper's
+  /// group vector (one topic-major pass, the same bits as the per-pair
+  /// kernel), then BidBonus added per reviewer when bids are set. Without
+  /// bids the bonus is 0.0 and adding it would change no bit (a gain is
+  /// never -0.0), so that pass is skipped. O(T + Σ_{admitted light t}
+  /// degree(t) + R·#{admitted heavy t} + R) against MarginalGain's R calls.
   void MarginalGainRow(int paper, double* out) const;
 
   /// Score of `paper` with `drop` replaced by `add` in its group, computed

@@ -9,6 +9,7 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "simd/kernels.h"
 
 namespace wgrap::core {
 
@@ -26,6 +27,35 @@ bool EnvForcesSparseTopics() {
   std::string v = value;
   for (char& c : v) c = static_cast<char>(std::tolower(c));
   return !(v.empty() || v == "0" || v == "off" || v == "false" || v == "no");
+}
+
+// The column pass of Instance::GainRow with f fixed at compile time, so
+// the TopicContribution switch folds out of the inner loop. For reviewer
+// r the sum runs over the admitted topics t ascending with r[t] > g[t] —
+// the per-pair gate — and the topics TopicCanGain rejects add +0.0 there.
+// A heavy topic goes through its dense column in one vector kernel, which
+// adds +0.0 for the reviewers the id walk would skip: the sums start at
+// +0.0 and only gain non-negative terms, so they are never -0.0 and the
+// +0.0 changes no bit.
+template <ScoringFunction F>
+void ScatterGainTerms(const double* group, const double* paper, int topics,
+                      const sparse::TopicIndex& by_topic, double* out) {
+  for (int t = 0; t < topics; ++t) {
+    const double g = group[t];
+    const double p = paper[t];
+    if (!TopicCanGain(F, g, p)) continue;
+    if (const double* dense = by_topic.DenseColumn(t)) {
+      simd::AddColumnGainTerms(F, dense, by_topic.num_rows(), g, p, out);
+      continue;
+    }
+    const double base = TopicContribution(F, g, p);
+    const sparse::SparseVector column = by_topic.Column(t);
+    for (int k = 0; k < column.nnz; ++k) {
+      const double r = column.values[k];
+      if (r <= g) continue;  // max unchanged at this topic
+      out[column.ids[k]] += TopicContribution(F, r, p) - base;
+    }
+  }
 }
 
 // Algorithm 1's sorted lists, nonzero part: each column of the CSC index
@@ -180,6 +210,35 @@ Status Instance::SetBids(Matrix bids, double weight) {
   bid_weight_ = weight;
   ResetIdealMemo();
   return Status::OK();
+}
+
+void Instance::GainRow(const double* group, int paper, double* out) const {
+  const int R = num_reviewers();
+  const int T = num_topics();
+  const sparse::TopicIndex& by_topic = ReviewerTopicIndex();
+  const double mass = PaperMass(paper);
+  WGRAP_CHECK(mass > 0.0);
+  const double* paper_vec = PaperVector(paper);
+  std::fill(out, out + R, 0.0);
+  switch (scoring_) {
+    case ScoringFunction::kWeightedCoverage:
+      ScatterGainTerms<ScoringFunction::kWeightedCoverage>(
+          group, paper_vec, T, by_topic, out);
+      break;
+    case ScoringFunction::kReviewerCoverage:
+      ScatterGainTerms<ScoringFunction::kReviewerCoverage>(
+          group, paper_vec, T, by_topic, out);
+      break;
+    case ScoringFunction::kPaperCoverage:
+      ScatterGainTerms<ScoringFunction::kPaperCoverage>(
+          group, paper_vec, T, by_topic, out);
+      break;
+    case ScoringFunction::kDotProduct:
+      ScatterGainTerms<ScoringFunction::kDotProduct>(group, paper_vec, T,
+                                                     by_topic, out);
+      break;
+  }
+  for (int r = 0; r < R; ++r) out[r] /= mass;
 }
 
 void Instance::AddConflict(int reviewer, int paper) {

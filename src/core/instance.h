@@ -87,7 +87,7 @@ class Instance {
 
   const double* ReviewerVector(int r) const { return reviewers_.Row(r); }
   const double* PaperVector(int p) const { return papers_.Row(p); }
-  /// The CSC topic → reviewers index that Assignment::MarginalGainRow
+  /// The CSC topic → reviewers index that GainRow (the gain row pass)
   /// walks. Instance state: FromDataset builds it from the dense reviewer
   /// matrix and InstanceUpdater rebuilds it on every reviewer-side op, so
   /// it always matches ReviewerVector.
@@ -156,6 +156,21 @@ class Instance {
     return MarginalGainVectors(scoring_, group, ReviewerVector(r),
                                PaperVector(p), num_topics(), paper_mass_[p]);
   }
+
+  /// Writes MarginalGain(group, r, paper) into out[r] for every reviewer
+  /// r (COI pairs included), bit for bit, in one topic-major pass: for
+  /// each topic that TopicCanGain admits, in ascending order, it adds each
+  /// reviewer's term into its slot, then divides by PaperMass. A light
+  /// topic walks its column of ReviewerTopicIndex; a heavy one
+  /// (TopicIndex::DenseColumn) runs simd::AddColumnGainTerms over all R
+  /// reviewers, adding +0.0 where the walk would skip. Per reviewer these
+  /// are the per-pair kernels' operations in the same order, plus or minus
+  /// terms that are exactly +0.0. O(T + Σ_{admitted light t} degree(t) +
+  /// R·#{admitted heavy t} + R) against MarginalGain's R calls; the heavy
+  /// terms are 4-wide vector steps over contiguous memory. The one gain
+  /// row kernel: Assignment::MarginalGainRow (the GainCache refresh, the
+  /// ideal assignment) and BBA's per-stage rows call it.
+  void GainRow(const double* group, int paper, double* out) const;
 
   /// group[t] = max(group[t], r[t]) for every topic — the Definition 2
   /// running max. With CSR views only r's support is visited.

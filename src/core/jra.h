@@ -35,15 +35,22 @@ struct JraResult {
   double seconds = 0.0;
 };
 
-/// BBA-specific switches (for the ablation study; both on reproduces
-/// Algorithm 1 exactly).
+/// BBA-specific switches (for the ablation study). Every combination
+/// finds an optimal group; use_completion_bound changes no answer at all
+/// (groups and score bits), only how many nodes a query visits.
 struct BbaOptions : JraOptions {
   /// Use the cursor upper bound (Eq. 3) to prune. Off = exhaustive
-  /// backtracking in cursor order.
+  /// backtracking in cursor order (the completion bound is off too).
   bool use_bounding = true;
   /// Pick the max-marginal-gain cursor reviewer when branching
   /// (Definition 8). Off = first non-nil cursor.
   bool use_gain_branching = true;
+  /// With use_bounding, also prune with the submodular completion bound
+  /// c(S) + the δp − |S| largest Δ(r | S) over unblocked r, once the
+  /// result heap is full. Off (with the other two on) = Algorithm 1
+  /// exactly, node for node. A library field only, for the ablation
+  /// bench; no registry knob sets it.
+  bool use_completion_bound = true;
 };
 
 /// Exhaustive enumeration of all C(R, δp) groups — O(C(R, δp) · T), only
@@ -58,16 +65,21 @@ Result<JraResult> SolveJraBruteForce(const Instance& instance, int paper,
 
 /// The paper's Branch-and-Bound Algorithm (Algorithm 1, Sec. 3): cursor
 /// branching in max-marginal-gain order (Definition 8), pruned by the
-/// Eq. 3 coverage upper bound. Exact; worst case exponential but orders of
-/// magnitude faster than BFS in practice (Fig. 9). Costs: the T sorted
-/// lists are instance state (Instance::TopicRanking), so a query pays
-/// O(R) set-up (blocking its COI reviewers) and no sort. A node takes the
-/// argmax over its stage's cached cursor gains and scores the Eq. 3 bound
-/// in O(T). It refills only the cursors that moved: all T when the stage
-/// was just entered, otherwise the ones that pointed at the stage's last
-/// branch. A refill advances the cursor and needs a Definition 8 gain of
-/// O(T) (O(nnz(r)) on CSR views), memoized per (stage, reviewer) while
-/// the stage's prefix group is unchanged.
+/// smaller of the Eq. 3 coverage upper bound and the submodular
+/// completion bound (BbaOptions::use_completion_bound). Exact; worst case
+/// exponential but orders of magnitude faster than BFS in practice
+/// (Fig. 9). Costs: the T sorted lists are instance state
+/// (Instance::TopicRanking), so a query pays O(R) set-up (blocking its
+/// COI reviewers) and no sort. Each descent into a stage computes the
+/// stage's Definition 8 gain row over all R reviewers in one topic-major
+/// pass (Instance::GainRow). A node takes the argmax over its stage's
+/// cached cursor gains and scores the Eq. 3 bound in O(T). It refills
+/// only the cursors that moved: all T when the stage was just entered,
+/// otherwise the ones that pointed at the stage's last branch; a refill
+/// advances the cursor and reads its gain off the row. The completion
+/// bound, tried once the heap is full and Eq. 3 did not prune, costs O(δp)
+/// plus an O(R) rescan of the row on its first use after the descent and
+/// whenever one of the stage's top δp − s gains was blocked since.
 Result<JraResult> SolveJraBba(const Instance& instance, int paper,
                               const BbaOptions& options = {});
 

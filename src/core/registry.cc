@@ -341,7 +341,9 @@ KnobSpec TopicsKnob() {
 
 KnobSpec BbaBoundingKnob() {
   return ScalarKnob(
-      "bba_bounding", "prune with the Eq. 3 cursor upper bound (ablation knob)",
+      "bba_bounding",
+      "prune with the Eq. 3 cursor bound and the completion bound (off: "
+      "exhaustive search; ablation knob)",
       [](TypedOptions& o) { return std::tie(o.bba.use_bounding); });
 }
 
@@ -490,9 +492,9 @@ SolverRegistry BuildDefaultRegistry() {
   // --- JRA: single-paper solvers (Sec. 3 / Sec. 5.1 line-up) -------------
   SolverDescriptor& bba =
       add(kJra, "bba", "BBA (Algorithm 1)",
-          "branch-and-bound with the Eq. 3 upper bound and max-gain "
-          "branching (bba_bounding / bba_gain_branching knobs; top-k via "
-          "SolveJraTopK)",
+          "branch-and-bound pruned by min(Eq. 3, completion bound), with "
+          "max-gain branching (bba_bounding / bba_gain_branching knobs; "
+          "top-k via SolveJraTopK)",
           {TopicsKnob(), BbaBoundingKnob(), BbaGainBranchingKnob()});
   bba.jra = [](const Instance& instance, int paper,
                const TypedOptions& options) {

@@ -135,7 +135,7 @@ inline double MarginalGainSum(core::ScoringFunction f, const double* group,
   return scalar::MarginalGainSum(f, group, reviewer, paper, n);
 }
 
-/// One topic of the gain row pass (core::Assignment::MarginalGainRow) for
+/// One topic of the gain row pass (core::Instance::GainRow) for
 /// every row i in [0, n): out[i] += !(column[i] <= g) ? f(column[i], p) -
 /// f(g, p) : +0.0, with f = core::TopicContribution. `column` is a heavy
 /// topic's dense column (sparse::TopicIndex::DenseColumn), g the group max

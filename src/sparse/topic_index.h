@@ -8,7 +8,7 @@
 // topic-major pass: a marginal gain (Definition 8) adds a term at topic t
 // only for reviewers with r[t] > g[t], i.e. reviewers in Column(t), so
 // walking the columns in ascending topic order scatters every reviewer's
-// terms in the per-pair kernel's order (core::Assignment::MarginalGainRow
+// terms in the per-pair kernel's order (core::Instance::GainRow
 // is the consumer; core::Instance owns the reviewer index, keeps it
 // current across online updates, and derives BBA's sorted lists from it).
 //

@@ -161,37 +161,110 @@ TEST(JraBbaTest, BoundingReducesExploredNodes) {
   EXPECT_LT(bounded->nodes_explored, unbounded->nodes_explored);
 }
 
-TEST(JraTopKTest, MatchesEnumerationOrder) {
-  Instance instance = PoolInstance(9, 3, 23);
-  const int k = 10;
-  auto topk = SolveJraBbaTopK(instance, 0, k);
-  ASSERT_TRUE(topk.ok());
-  ASSERT_EQ(topk->size(), static_cast<size_t>(k));
+struct ScoredGroup {
+  std::vector<int> group;
+  double score;
+};
 
-  // Enumerate all 3-groups, sort scores descending.
-  std::vector<double> all_scores;
-  for (int a = 0; a < 9; ++a) {
-    for (int b = a + 1; b < 9; ++b) {
-      for (int c = b + 1; c < 9; ++c) {
-        all_scores.push_back(ScoreGroup(instance, 0, {a, b, c}));
+void EnumerateFrom(const Instance& instance, int paper, int next,
+                   std::vector<int>* group, std::vector<ScoredGroup>* out) {
+  if (static_cast<int>(group->size()) == instance.group_size()) {
+    out->push_back({*group, ScoreGroup(instance, paper, *group)});
+    return;
+  }
+  for (int r = next; r < instance.num_reviewers(); ++r) {
+    if (instance.IsConflict(r, paper)) continue;
+    group->push_back(r);
+    EnumerateFrom(instance, paper, r + 1, group, out);
+    group->pop_back();
+  }
+}
+
+// Every eligible group, best score first.
+std::vector<ScoredGroup> EnumerateGroups(const Instance& instance,
+                                         int paper) {
+  std::vector<ScoredGroup> all;
+  std::vector<int> group;
+  EnumerateFrom(instance, paper, 0, &group, &all);
+  std::stable_sort(all.begin(), all.end(),
+                   [](const ScoredGroup& a, const ScoredGroup& b) {
+                     return a.score > b.score;
+                   });
+  return all;
+}
+
+// One top-k run against the enumeration `all` of paper p: rank by rank
+// the enumeration's score bits; each group a distinct eligible group that
+// scores exactly its reported bits; every group strictly better than the
+// last one returned among them (ties at the cut may resolve either way).
+// Returns the groups, best first.
+std::vector<std::vector<int>> CheckTopK(const Instance& instance, int p,
+                                        int k,
+                                        const std::vector<ScoredGroup>& all,
+                                        const BbaOptions& options) {
+  std::vector<std::vector<int>> groups;
+  auto topk = SolveJraBbaTopK(instance, p, k, options);
+  EXPECT_TRUE(topk.ok()) << topk.status().ToString();
+  if (!topk.ok()) return groups;
+  const size_t expected = std::min(all.size(), static_cast<size_t>(k));
+  EXPECT_EQ(topk->size(), expected);
+  if (topk->size() != expected) return groups;
+  std::set<std::vector<int>> returned;
+  for (size_t i = 0; i < expected; ++i) {
+    const JraResult& got = (*topk)[i];
+    EXPECT_EQ(DoubleBits(got.score), DoubleBits(all[i].score)) << "rank " << i;
+    EXPECT_EQ(DoubleBits(ScoreGroup(instance, p, got.group)),
+              DoubleBits(got.score))
+        << "rank " << i;
+    EXPECT_EQ(static_cast<int>(got.group.size()), instance.group_size());
+    for (int r : got.group) EXPECT_FALSE(instance.IsConflict(r, p));
+    EXPECT_TRUE(returned.insert(got.group).second) << "rank " << i;
+    EXPECT_TRUE(got.proven_optimal);
+    groups.push_back(got.group);
+  }
+  for (const ScoredGroup& better : all) {
+    if (!(better.score > topk->back().score)) break;
+    EXPECT_TRUE(returned.count(better.group)) << "missing a group";
+  }
+  return groups;
+}
+
+// CheckTopK on every paper, on the dense instance and its CSR twin, with
+// and without the completion bound; all four runs must also return the
+// same groups.
+void ExpectTopKMatchesEnumeration(const Instance& instance, int k) {
+  Instance dense = instance;
+  dense.DropSparseTopics();
+  Instance csr = instance;
+  csr.BuildSparseTopics();
+  for (int p = 0; p < instance.num_papers(); ++p) {
+    const std::vector<ScoredGroup> all = EnumerateGroups(instance, p);
+    std::vector<std::vector<int>> first;
+    for (const Instance* twin : {&dense, &csr}) {
+      for (bool completion : {false, true}) {
+        SCOPED_TRACE(std::string(twin == &csr ? "csr" : "dense") +
+                     " paper " + std::to_string(p) + " k " +
+                     std::to_string(k) + (completion ? " with" : " without") +
+                     " the completion bound");
+        BbaOptions options;
+        options.use_completion_bound = completion;
+        const auto groups = CheckTopK(*twin, p, k, all, options);
+        if (twin == &dense && !completion) {
+          first = groups;
+        } else {
+          EXPECT_EQ(groups, first);
+        }
       }
     }
   }
-  std::sort(all_scores.rbegin(), all_scores.rend());
-  for (int i = 0; i < k; ++i) {
-    EXPECT_NEAR((*topk)[i].score, all_scores[i], 1e-9) << "rank " << i;
-  }
-  // Results are distinct groups.
-  std::set<std::vector<int>> unique;
-  for (const auto& r : *topk) unique.insert(r.group);
-  EXPECT_EQ(unique.size(), static_cast<size_t>(k));
+}
+
+TEST(JraTopKTest, MatchesEnumerationOrder) {
+  ExpectTopKMatchesEnumeration(PoolInstance(9, 3, 23), 10);
 }
 
 TEST(JraTopKTest, KLargerThanSpaceReturnsAll) {
-  Instance instance = PoolInstance(5, 2, 24);
-  auto topk = SolveJraBbaTopK(instance, 0, 100);
-  ASSERT_TRUE(topk.ok());
-  EXPECT_EQ(topk->size(), 10u);  // C(5,2)
+  ExpectTopKMatchesEnumeration(PoolInstance(5, 2, 24), 100);  // C(5,2) = 10
 }
 
 TEST(JraTest, ConflictsExcluded) {
@@ -249,45 +322,59 @@ TEST(JraTest, BbaTimeLimitReportsAbort) {
 }
 
 // --- BBA goldens ------------------------------------------------------------
-// Algorithm 1's exact trajectory, pinned: for every paper of each pool, the
-// node count, the groups and the score bits of BBA top-1 and top-3 are
-// folded into one digest, and the Definition 8 gains the runs evaluated
-// are counted. Recorded once and unchanged since, so any change to the
-// cursor order, the Definition 8 branching, the Eq. 3 pruning or the gain
-// memo shows here even when the optimum stays the same. Every pool runs
-// as a dense instance and as its CSR twin against the same golden.
+// For every paper of each pool, BBA top-1 and top-3 run and their answers —
+// the groups and the score bits — are folded into one digest. That digest
+// pins what the search returns: a pruning rule may change how many nodes a
+// query takes, never its answers. A second digest also folds in each run's
+// node count, and the golden records the summed nodes, the gain rows the
+// runs computed and the nodes the completion bound pruned, so any change to
+// the cursor order, the branching or the pruning shows there even when the
+// answers stay the same. Every pool runs as a dense instance and as its CSR
+// twin against the same golden.
 
 struct BbaGolden {
   const char* name;
-  int64_t nodes;       // summed over papers, top-1 and top-3 runs
-  uint64_t digest;     // FNV-1a over nodes, group ids and score bits
-  int64_t gain_evals;  // wgrap_jra_bba_gain_evals_total added by the runs
+  int64_t nodes;        // summed over papers, top-1 and top-3 runs
+  uint64_t answers;     // FNV-1a over group ids and score bits
+  uint64_t digest;      // the same, each run's node count folded in first
+  int64_t gain_rows;    // wgrap_jra_bba_gain_rows_total added by the runs
+  int64_t completion_prunes;  // wgrap_jra_bba_completion_prunes_total
 };
 
-void FoldResult(const JraResult& result, uint64_t* digest) {
-  FnvFold(static_cast<uint64_t>(result.nodes_explored), digest);
+void FoldAnswer(const JraResult& result, uint64_t* digest) {
   for (int r : result.group) FnvFold(static_cast<uint64_t>(r), digest);
   FnvFold(DoubleBits(result.score), digest);
 }
 
-// The process-wide gain evaluation count; -1 when telemetry is off.
-int64_t GainEvalsTotal() {
-  const obs::Counter* counter = obs::Registry::Global().GetCounter(
-      "wgrap_jra_bba_gain_evals_total");
+void FoldResult(const JraResult& result, uint64_t* digest) {
+  FnvFold(static_cast<uint64_t>(result.nodes_explored), digest);
+  FoldAnswer(result, digest);
+}
+
+// A process-wide BBA counter; -1 when telemetry is off.
+int64_t CounterTotal(const char* name) {
+  const obs::Counter* counter = obs::Registry::Global().GetCounter(name);
   return counter != nullptr ? counter->Value() : -1;
 }
 
+constexpr const char* kGainRows = "wgrap_jra_bba_gain_rows_total";
+constexpr const char* kCompletionPrunes =
+    "wgrap_jra_bba_completion_prunes_total";
+
 struct Trajectory {
   int64_t nodes = 0;
+  uint64_t answers = kFnvOffsetBasis;
   uint64_t digest = kFnvOffsetBasis;
-  int64_t gain_evals = -1;  // -1 when telemetry is off
+  int64_t gain_rows = -1;  // both -1 when telemetry is off
+  int64_t completion_prunes = -1;
 };
 
 // Runs top-1 and top-3 on the first `papers` papers (0 = all).
 Trajectory BbaTrajectory(const Instance& instance, const BbaOptions& options,
                          int papers) {
   Trajectory out;
-  const int64_t evals_before = GainEvalsTotal();
+  const int64_t rows_before = CounterTotal(kGainRows);
+  const int64_t prunes_before = CounterTotal(kCompletionPrunes);
   const int P = papers > 0 ? papers : instance.num_papers();
   for (int p = 0; p < P; ++p) {
     auto best = SolveJraBba(instance, p, options);
@@ -295,19 +382,26 @@ Trajectory BbaTrajectory(const Instance& instance, const BbaOptions& options,
                            << best.status().ToString();
     if (!best.ok()) continue;
     out.nodes += best->nodes_explored;
+    FoldAnswer(*best, &out.answers);
     FoldResult(*best, &out.digest);
     auto top3 = SolveJraBbaTopK(instance, p, 3, options);
     EXPECT_TRUE(top3.ok()) << "paper " << p;
     if (!top3.ok()) continue;
     out.nodes += (*top3)[0].nodes_explored;
-    for (const JraResult& result : *top3) FoldResult(result, &out.digest);
+    for (const JraResult& result : *top3) {
+      FoldAnswer(result, &out.answers);
+      FoldResult(result, &out.digest);
+    }
   }
-  if (evals_before >= 0) out.gain_evals = GainEvalsTotal() - evals_before;
+  if (rows_before >= 0) {
+    out.gain_rows = CounterTotal(kGainRows) - rows_before;
+    out.completion_prunes = CounterTotal(kCompletionPrunes) - prunes_before;
+  }
   return out;
 }
 
-// Checks the golden on the dense instance and on its CSR twin; the gain
-// count only when telemetry is on.
+// Checks the golden on the dense instance and on its CSR twin; the work
+// counts only when telemetry is on.
 void ExpectBbaGolden(const Instance& instance, const BbaOptions& options,
                      const BbaGolden& golden, int papers = 0) {
   SCOPED_TRACE(golden.name);
@@ -319,12 +413,17 @@ void ExpectBbaGolden(const Instance& instance, const BbaOptions& options,
     const Trajectory got = BbaTrajectory(*twin, options, papers);
     const std::string line = std::string(twin == &csr ? "csr" : "dense") +
                              " nodes " + std::to_string(got.nodes) +
+                             " answers " + std::to_string(got.answers) +
                              " digest " + std::to_string(got.digest) +
-                             " gain evals " + std::to_string(got.gain_evals);
+                             " gain rows " + std::to_string(got.gain_rows) +
+                             " completion prunes " +
+                             std::to_string(got.completion_prunes);
     EXPECT_EQ(got.nodes, golden.nodes) << line;
+    EXPECT_EQ(got.answers, golden.answers) << line;
     EXPECT_EQ(got.digest, golden.digest) << line;
-    if (got.gain_evals >= 0) {
-      EXPECT_EQ(got.gain_evals, golden.gain_evals) << line;
+    if (got.gain_rows >= 0) {
+      EXPECT_EQ(got.gain_rows, golden.gain_rows) << line;
+      EXPECT_EQ(got.completion_prunes, golden.completion_prunes) << line;
     }
   }
 }
@@ -332,7 +431,8 @@ void ExpectBbaGolden(const Instance& instance, const BbaOptions& options,
 // Six profiles repeated over 24 reviewers (ids i and i + 6k share one), so
 // most sorted lists hold runs of equal values broken only by reviewer id;
 // topic 5 is zero for every reviewer and the others carry zero tails.
-Instance TieHeavyPool() {
+Instance TieHeavyPool(
+    ScoringFunction scoring = ScoringFunction::kWeightedCoverage) {
   const std::vector<std::vector<double>> profiles = {
       {0.5, 0.5, 0.0, 0.0, 0.0, 0.0},     {0.25, 0.25, 0.5, 0.0, 0.0, 0.0},
       {0.0, 0.0, 0.0, 1.0, 0.0, 0.0},     {0.5, 0.0, 0.0, 0.0, 0.5, 0.0},
@@ -349,6 +449,7 @@ Instance TieHeavyPool() {
   InstanceParams params;
   params.group_size = 3;
   params.reviewer_workload = 3;
+  params.scoring = scoring;
   auto instance = Instance::FromDataset(dataset, params);
   EXPECT_TRUE(instance.ok());
   return std::move(instance).value();
@@ -357,13 +458,17 @@ Instance TieHeavyPool() {
 TEST(BbaGoldenTest, DensePool) {
   ExpectBbaGolden(
       PoolInstance(80, 3, 501, ScoringFunction::kWeightedCoverage, 30, 0.0, 5),
-      BbaOptions{}, {"dense R80 T30", 1165, 10777454636326401486ULL, 3746});
+      BbaOptions{},
+      {"dense R80 T30", 441, 5200600608695104018ULL,
+       15150023952979713135ULL, 100, 75});
 }
 
 TEST(BbaGoldenTest, SparsePool) {
   ExpectBbaGolden(
       PoolInstance(150, 3, 502, ScoringFunction::kWeightedCoverage, 30, 0.1, 5),
-      BbaOptions{}, {"sparse R150 T30", 70, 5067966398391116793ULL, 940});
+      BbaOptions{},
+      {"sparse R150 T30", 70, 7653826716276236951ULL,
+       5067966398391116793ULL, 30, 0});
 }
 
 TEST(BbaGoldenTest, PoolWithConflicts) {
@@ -375,16 +480,19 @@ TEST(BbaGoldenTest, PoolWithConflicts) {
   for (int r : {3, 4, 5, 6, 30}) instance.AddConflict(r, 1);
   for (int r : {12, 38}) instance.AddConflict(r, 3);
   ExpectBbaGolden(instance, BbaOptions{},
-                  {"cP R40 T20 coi", 72, 13463674118134834240ULL, 664});
+                  {"cP R40 T20 coi", 72, 16299865159505790384ULL,
+                   13463674118134834240ULL, 32, 0});
 }
 
 TEST(BbaGoldenTest, TieHeavyPool) {
   ExpectBbaGolden(TieHeavyPool(), BbaOptions{},
-                  {"ties", 42, 11071850748879188115ULL, 100});
+                  {"ties", 42, 9518448078300898389ULL,
+                   11071850748879188115ULL, 18, 0});
   Instance instance = TieHeavyPool();
   for (int r : {0, 6, 13}) instance.AddConflict(r, 1);
   ExpectBbaGolden(instance, BbaOptions{},
-                  {"ties coi", 42, 11532467560445248749ULL, 100});
+                  {"ties coi", 42, 14606705134981133995ULL,
+                   11532467560445248749ULL, 18, 0});
 }
 
 TEST(BbaGoldenTest, AblationsPinned) {
@@ -393,18 +501,20 @@ TEST(BbaGoldenTest, AblationsPinned) {
   ExpectBbaGolden(
       PoolInstance(30, 3, 501, ScoringFunction::kWeightedCoverage, 8, 0.0, 4),
       no_bounding,
-      {"dense R30 T8 no bounding", 39928, 10775362908103517337ULL, 36200});
+      {"dense R30 T8 no bounding", 39928, 6081268982871392553ULL,
+       10775362908103517337ULL, 3728, 0});
   BbaOptions no_gain_branching;
   no_gain_branching.use_gain_branching = false;
   ExpectBbaGolden(
       PoolInstance(60, 3, 502, ScoringFunction::kWeightedCoverage, 30, 0.1, 4),
       no_gain_branching,
-      {"sparse R60 T30 no gain branching", 15546, 15883350543537792077ULL,
-       0});
+      {"sparse R60 T30 no gain branching", 5479, 5873194953057177913ULL,
+       17600814351069282697ULL, 754, 564});
   ExpectBbaGolden(
       PoolInstance(25, 2, 504, ScoringFunction::kDotProduct, 12, 0.0, 3),
       no_gain_branching,
-      {"cD R25 T12 no gain branching", 655, 2688459661675806863ULL, 0});
+      {"cD R25 T12 no gain branching", 392, 3969276282490187913ULL,
+       1527117491569721215ULL, 53, 28});
 }
 
 // The three perfbench shapes, each run over every paper. service_mix: 189
@@ -433,38 +543,150 @@ Instance ServiceMixPool() {
 
 TEST(BbaGoldenTest, ServiceMixShapeWithConflicts) {
   ExpectBbaGolden(ServiceMixPool(), BbaOptions{},
-                  {"service_mix R189 P146 coi", 126175,
-                   15770213194848979013ULL, 304622});
+                  {"service_mix R189 P146 coi", 26518, 2254294539783986120ULL,
+                   5206662217889168517ULL, 5537, 4475});
 }
 
 TEST(BbaGoldenTest, Db08) {
   ExpectBbaGolden(Db08Instance(), BbaOptions{},
-                  {"DB08", 265147, 8838837991238602385ULL, 879284});
+                  {"DB08", 73970, 15883389840775724005ULL,
+                   8997838015770236766ULL, 24432, 19618});
+}
+
+// Without the completion bound the search is Algorithm 1 as it stood
+// before that bound: the nodes and both digests here are the goldens
+// Algorithm 1 recorded on these two shapes, unchanged.
+TEST(BbaGoldenTest, Algorithm1AloneOnTheServiceShapes) {
+  BbaOptions eq3_only;
+  eq3_only.use_completion_bound = false;
+  ExpectBbaGolden(ServiceMixPool(), eq3_only,
+                  {"service_mix R189 P146 coi, Eq. 3 only", 126175,
+                   2254294539783986120ULL, 15770213194848979013ULL, 6214, 0});
+  ExpectBbaGolden(Db08Instance(), eq3_only,
+                  {"DB08, Eq. 3 only", 265147, 15883389840775724005ULL,
+                   8838837991238602385ULL, 26140, 0});
+}
+
+// DB08's answers under the other three scorings, on its first four
+// papers: the pruning bounds are argued per scoring.
+TEST(BbaGoldenTest, Db08OtherScorings) {
+  ExpectBbaGolden(Db08Instance(ScoringFunction::kReviewerCoverage),
+                  BbaOptions{},
+                  {"DB08 cR", 5142, 13334021381053583337ULL,
+                   15821605475855168673ULL, 2140, 2140},
+                  /*papers=*/4);
+  ExpectBbaGolden(Db08Instance(ScoringFunction::kPaperCoverage),
+                  BbaOptions{},
+                  {"DB08 cP", 601, 7968829707982286756ULL,
+                   5926193621461957401ULL, 195, 174},
+                  /*papers=*/4);
+  ExpectBbaGolden(Db08Instance(ScoringFunction::kDotProduct), BbaOptions{},
+                  {"DB08 cD", 187, 14925461223899421904ULL,
+                   1566534699153164167ULL, 89, 68}, /*papers=*/4);
 }
 
 TEST(BbaGoldenTest, SparseP400) {
   ExpectBbaGolden(SparseP400Instance(), BbaOptions{},
-                  {"p400", 15350, 8414240498563787219ULL, 342632});
+                  {"p400", 14688, 12099951677348277063ULL,
+                   264164814612837731ULL, 3676, 178});
 }
 
 // Without the bound the search walks every group, C(150, 3) leaves per
 // query, so that run stops each query after 10000 nodes (a deterministic
 // budget: the best groups found by then are still pinned). Without gain
-// branching a query takes up to tens of thousands of nodes. Both run on the
+// branching a query still takes thousands of nodes. Both run on the
 // first four papers.
 TEST(BbaGoldenTest, AblationsOnTheP400Shape) {
   BbaOptions no_bounding;
   no_bounding.use_bounding = false;
   no_bounding.max_nodes = 10000;
   ExpectBbaGolden(SparseP400Instance(), no_bounding,
-                  {"p400 no bounding", 80000, 3203088096248156909ULL, 80286},
+                  {"p400 no bounding", 80000, 12788472596037798169ULL,
+                   3203088096248156909ULL, 808, 0},
                   /*papers=*/4);
   BbaOptions no_gain_branching;
   no_gain_branching.use_gain_branching = false;
   ExpectBbaGolden(SparseP400Instance(), no_gain_branching,
-                  {"p400 no gain branching", 109308, 11046865654177986112ULL,
-                   0},
+                  {"p400 no gain branching", 35649, 4447662439934867467ULL,
+                   3362965910846954537ULL, 2434, 1946},
                   /*papers=*/4);
+}
+
+// --- Top-k edge cases against enumeration -----------------------------------
+// The shapes where a pruning rule is easiest to get wrong: the last stage is
+// the first (δp = 1), no slack in the pool, every group tied, and a heap
+// that never fills; each against the enumeration oracle above.
+
+const ScoringFunction kAllScorings[] = {
+    ScoringFunction::kWeightedCoverage, ScoringFunction::kReviewerCoverage,
+    ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct};
+
+TEST(JraTopKEdgeTest, SingleReviewerGroups) {
+  for (ScoringFunction scoring : kAllScorings) {
+    SCOPED_TRACE(ScoringFunctionName(scoring));
+    Instance instance = PoolInstance(12, 1, 601, scoring, 8, 0.0, 3);
+    ExpectTopKMatchesEnumeration(instance, 1);
+    ExpectTopKMatchesEnumeration(instance, 3);
+  }
+}
+
+TEST(JraTopKEdgeTest, ConflictsLeaveExactlyOneGroup) {
+  for (ScoringFunction scoring : kAllScorings) {
+    SCOPED_TRACE(ScoringFunctionName(scoring));
+    Instance instance = PoolInstance(10, 3, 602, scoring, 8, 0.0, 2);
+    for (int r : {0, 2, 3, 5, 6, 8, 9}) instance.AddConflict(r, 0);
+    for (int r : {1, 2, 3, 4, 5, 6, 7}) instance.AddConflict(r, 1);
+    ExpectTopKMatchesEnumeration(instance, 1);
+    ExpectTopKMatchesEnumeration(instance, 3);
+  }
+}
+
+// The paper weighs only topic 3, which no reviewer carries: every gain is
+// 0 and every group scores 0.
+TEST(JraTopKEdgeTest, PaperSharingNoTopicTiesEveryGroup) {
+  data::RapDataset dataset;
+  dataset.num_topics = 4;
+  const std::vector<std::vector<double>> profiles = {
+      {0.6, 0.4, 0.0, 0.0}, {0.0, 0.5, 0.5, 0.0}, {0.2, 0.2, 0.6, 0.0},
+      {1.0, 0.0, 0.0, 0.0}, {0.3, 0.3, 0.4, 0.0}, {0.0, 0.0, 1.0, 0.0},
+      {0.5, 0.0, 0.5, 0.0}};
+  for (size_t r = 0; r < profiles.size(); ++r) {
+    dataset.reviewers.push_back({std::to_string(r), profiles[r], 1});
+  }
+  dataset.papers.push_back({"p", {0.0, 0.0, 0.0, 1.0}, "V"});
+  for (ScoringFunction scoring : kAllScorings) {
+    SCOPED_TRACE(ScoringFunctionName(scoring));
+    InstanceParams params;
+    params.group_size = 3;
+    params.scoring = scoring;
+    auto instance = Instance::FromDataset(dataset, params);
+    ASSERT_TRUE(instance.ok());
+    ExpectTopKMatchesEnumeration(*instance, 1);
+    ExpectTopKMatchesEnumeration(*instance, 4);
+    ExpectTopKMatchesEnumeration(*instance, 100);  // C(7, 3) = 35 groups
+  }
+}
+
+TEST(JraTopKEdgeTest, HeapThatNeverFills) {
+  for (ScoringFunction scoring : kAllScorings) {
+    SCOPED_TRACE(ScoringFunctionName(scoring));
+    Instance instance = PoolInstance(7, 3, 603, scoring, 8, 0.0, 2);
+    instance.AddConflict(4, 1);
+    // Paper 0 has C(7, 3) = 35 groups, paper 1 C(6, 3) = 20.
+    ExpectTopKMatchesEnumeration(instance, 35);
+    ExpectTopKMatchesEnumeration(instance, 50);
+  }
+}
+
+TEST(JraTopKEdgeTest, TieHeavyPoolUnderEveryScoring) {
+  for (ScoringFunction scoring : kAllScorings) {
+    SCOPED_TRACE(ScoringFunctionName(scoring));
+    Instance instance = TieHeavyPool(scoring);
+    for (int r : {0, 6, 13}) instance.AddConflict(r, 1);
+    ExpectTopKMatchesEnumeration(instance, 1);
+    ExpectTopKMatchesEnumeration(instance, 3);
+    ExpectTopKMatchesEnumeration(instance, 10);
+  }
 }
 
 }  // namespace

@@ -300,16 +300,17 @@ TEST(ObsTraceTest, StageSpansNestUnderSdgaStageAndSra) {
   }
 }
 
-// BBA adds its node, Definition 8 gain-evaluation and cursor-move counts
+// BBA adds its node, gain-row, cursor-move and completion-prune counts
 // once per query. The node counter matches the nodes the results report.
-// A query refills all T cursors at least once (its first node) and at
-// most T per node; since a revisited stage refills only the cursors that
-// pointed at its last branch, it stays well under T per node. Gains are
-// evaluated only on a refill, and the per-stage memo answers some of
-// those. CI reruns this test under WGRAP_OBS=0, where the counters do not
-// exist and the results must hash to the same pinned digest: telemetry
-// never changes an answer.
-TEST(ObsBbaCountersTest, CountNodesGainEvaluationsAndCursorMovesPerQuery) {
+// A query computes one Definition 8 gain row per descent into a stage, so
+// at least one (stage 0) and at most one per node. It refills all T
+// cursors at least once (its first node) and at most T per node; since a
+// revisited stage refills only the cursors that pointed at its last
+// branch, it stays well under T per node. The completion bound prunes at
+// most once per node. CI reruns this test under WGRAP_OBS=0, where the
+// counters do not exist and the results must hash to the same pinned
+// digest: telemetry never changes an answer.
+TEST(ObsBbaCountersTest, CountNodesGainRowsCursorMovesAndPrunesPerQuery) {
   data::SyntheticDblpConfig config;
   config.seed = 7;
   auto dataset = data::GenerateReviewerPool(60, 6, config);
@@ -322,11 +323,14 @@ TEST(ObsBbaCountersTest, CountNodesGainEvaluationsAndCursorMovesPerQuery) {
 
   Registry& registry = Registry::Global();
   Counter* nodes = registry.GetCounter("wgrap_jra_bba_nodes_total");
-  Counter* gain_evals = registry.GetCounter("wgrap_jra_bba_gain_evals_total");
+  Counter* gain_rows = registry.GetCounter("wgrap_jra_bba_gain_rows_total");
   Counter* moves = registry.GetCounter("wgrap_jra_bba_cursor_moves_total");
+  Counter* prunes =
+      registry.GetCounter("wgrap_jra_bba_completion_prunes_total");
   const int64_t nodes_before = nodes ? nodes->Value() : 0;
-  const int64_t evals_before = gain_evals ? gain_evals->Value() : 0;
+  const int64_t rows_before = gain_rows ? gain_rows->Value() : 0;
   const int64_t moves_before = moves ? moves->Value() : 0;
+  const int64_t prunes_before = prunes ? prunes->Value() : 0;
   int64_t reported_nodes = 0;
   uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a
   auto fold = [&digest](uint64_t value) {
@@ -347,19 +351,24 @@ TEST(ObsBbaCountersTest, CountNodesGainEvaluationsAndCursorMovesPerQuery) {
   EXPECT_GT(reported_nodes, 0);
   if (!registry.enabled()) {
     EXPECT_EQ(nodes, nullptr);
-    EXPECT_EQ(gain_evals, nullptr);
+    EXPECT_EQ(gain_rows, nullptr);
     EXPECT_EQ(moves, nullptr);
+    EXPECT_EQ(prunes, nullptr);
     return;
   }
   ASSERT_NE(nodes, nullptr);
-  ASSERT_NE(gain_evals, nullptr);
+  ASSERT_NE(gain_rows, nullptr);
   ASSERT_NE(moves, nullptr);
+  ASSERT_NE(prunes, nullptr);
   EXPECT_EQ(nodes->Value() - nodes_before, reported_nodes);
   const int64_t T = instance->num_topics();
-  const int64_t evals = gain_evals->Value() - evals_before;
+  const int64_t rows = gain_rows->Value() - rows_before;
   const int64_t cursor_moves = moves->Value() - moves_before;
-  EXPECT_GT(evals, 0);
-  EXPECT_LE(evals, cursor_moves);
+  const int64_t completion_prunes = prunes->Value() - prunes_before;
+  EXPECT_GE(rows, instance->num_papers());
+  EXPECT_LT(rows, reported_nodes);
+  EXPECT_GT(completion_prunes, 0);
+  EXPECT_LT(completion_prunes, reported_nodes);
   EXPECT_GE(cursor_moves, T * instance->num_papers());
   EXPECT_LT(2 * cursor_moves, T * reported_nodes)
       << cursor_moves << " moves over " << reported_nodes << " nodes";

@@ -463,7 +463,7 @@ TEST(SimdKernelTest, JvMinDistBackendsAreIdentical) {
 
 // The row pass's contract for heavy columns: the dense kernel over a
 // column with its zeros in place leaves every running sum with the bits
-// the CSC id walk (MarginalGainRow's light-column loop) gives.
+// the CSC id walk (Instance::GainRow's light-column loop) gives.
 TEST(SimdKernelTest, AddColumnGainTermsMatchesTheIdWalk) {
   Rng rng(13);
   for (const auto f : kAllFunctions) {

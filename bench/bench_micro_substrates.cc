@@ -7,11 +7,14 @@
 // ATM Gibbs sweeps) that bench/BASELINES.md tracks, plus the per-kernel
 // scalar-vs-dispatched tracks for the simd/kernels.h layer (BM_Kernel*),
 // the column-density sweep of the gain row pass (BM_GainColumnPass), the
-// dataset CSV reader (BM_DatasetFromCsv) and one service-session write
-// with its snapshot publish (BM_StorePublish).
+// dataset CSV reader (BM_DatasetFromCsv) and two service-session writes
+// with their snapshot publish: a one-op mutate (BM_StorePublish) and a
+// repair-only resolve job's body (BM_StoreResolve).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -25,6 +28,7 @@
 #include "la/transportation.h"
 #include "obs/metrics.h"
 #include "service/instance_store.h"
+#include "service/reports.h"
 #include "simd/kernels.h"
 #include "sparse/sparse_matrix.h"
 #include "sparse/sparse_scoring.h"
@@ -613,5 +617,50 @@ void BM_StorePublish(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StorePublish)->Unit(benchmark::kMicrosecond);
+
+void BM_StoreResolve(benchmark::State& state) {
+  // The body of a `resolve update_refine=none` job on the BM_StorePublish
+  // session after one `set_coi` evicted an assigned pair: copy the
+  // snapshot's assignment, IncrementalResolve, render the report, keep the
+  // pairs and install by compare-and-set. Each iteration first (untimed)
+  // re-installs the evicted state, so every resolve repairs one paper.
+  auto dataset = data::GenerateReviewerPool(189, 146, {});
+  bench::DieOnError(dataset.status(), "GenerateReviewerPool");
+  core::InstanceParams params;
+  params.group_size = 3;
+  service::InstanceStore store;
+  auto opened = store.Open("s", *dataset, params);
+  bench::DieOnError(opened.status(), "open");
+  auto solved =
+      core::SolverRegistry::Default().SolveCra("sdga", *opened->instance, {});
+  bench::DieOnError(solved.status(), "sdga");
+  bench::DieOnError(store.InstallAssignment("s", solved->Pairs()).status(),
+                    "install");
+  const int evicted = solved->GroupFor(0)[0];
+  auto mutated =
+      store.Mutate("s", {core::InstanceUpdate::SetCoi(evicted, 0, true)});
+  bench::DieOnError(mutated.status(), "mutate");
+  const std::vector<std::pair<int, int>> broken =
+      mutated->snapshot.assignment->Pairs();
+  core::SolverRunOptions options;
+  options.extra["update_refine"] = "none";
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto snap = store.InstallAssignment("s", broken);
+    bench::DieOnError(snap.status(), "reinstall");
+    state.ResumeTiming();
+    core::Assignment working = *snap->assignment;
+    auto report = core::IncrementalResolve(*snap->instance, &working, options);
+    bench::DieOnError(report.status(), "resolve");
+    std::string text = service::ResolveReport(*report, working);
+    std::vector<std::pair<int, int>> pairs = working.Pairs();
+    auto installed = store.InstallAssignmentIfCurrent("s", snap->version,
+                                                      std::move(working));
+    bench::DieOnError(installed.status(), "CAS install");
+    benchmark::DoNotOptimize(text);
+    benchmark::DoNotOptimize(pairs);
+  }
+}
+BENCHMARK(BM_StoreResolve)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

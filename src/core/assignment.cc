@@ -172,6 +172,10 @@ void Assignment::RecomputeAll() {
   for (int p = 0; p < instance_->num_papers(); ++p) RecomputePaper(p);
   // RecomputePaper maintains the total by delta; re-sum in paper order so
   // the result is independent of the mutation history's accumulation order.
+  RecomputeTotal();
+}
+
+void Assignment::RecomputeTotal() {
   total_score_ = 0.0;
   for (double s : paper_score_) total_score_ += s;
 }

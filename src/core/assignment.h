@@ -113,6 +113,15 @@ class Assignment {
   /// on for its patched-vs-fresh mechanism equivalence.
   void RecomputeAll();
 
+  /// Re-sums the total from the cached paper scores in paper order:
+  /// RecomputeAll's last step, without re-deriving any paper. Remove and
+  /// the online updater's per-paper recomputes leave every paper's group
+  /// vector and score exactly as RecomputeAll would derive them and only
+  /// the total history-dependent, so on an assignment built by FromPairs
+  /// and then changed only that way this call alone makes it bitwise its
+  /// FromPairs build (the session store's publish relies on it). O(P).
+  void RecomputeTotal();
+
  private:
   /// The online-update subsystem (core/update.h) performs id-remapping
   /// surgery on groups_/load_ when papers or reviewers are inserted or

@@ -1,5 +1,6 @@
 #include "data/io.h"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -225,10 +226,20 @@ Result<RapDataset> LoadDataset(const std::string& path) {
 
 std::string AssignmentPairsToCsv(
     const std::vector<std::pair<int, int>>& pairs) {
-  std::string out = "paper_id,reviewer_id\n";
+  constexpr std::string_view kHeader = "paper_id,reviewer_id\n";
+  // The longest row: two 11-character ints ("-2147483648"), ',' and '\n'.
+  constexpr size_t kMaxRowBytes = 24;
+  std::string out(kHeader.size() + pairs.size() * kMaxRowBytes, '\0');
+  std::memcpy(out.data(), kHeader.data(), kHeader.size());
+  char* cursor = out.data() + kHeader.size();
+  char* const end = out.data() + out.size();
   for (const auto& [p, r] : pairs) {
-    out += StrFormat("%d,%d\n", p, r);
+    cursor = std::to_chars(cursor, end, p).ptr;
+    *cursor++ = ',';
+    cursor = std::to_chars(cursor, end, r).ptr;
+    *cursor++ = '\n';
   }
+  out.resize(static_cast<size_t>(cursor - out.data()));
   return out;
 }
 

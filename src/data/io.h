@@ -48,7 +48,9 @@ Status SaveDataset(const RapDataset& dataset, const std::string& path);
 /// DatasetFromCsv on a view of it (no copy).
 Result<RapDataset> LoadDataset(const std::string& path);
 
-/// Serializes "paper_id,reviewer_id" rows (with header).
+/// Serializes "paper_id,reviewer_id" rows (with header): each row is
+/// printf's "%d,%d\n", written by std::to_chars into one buffer sized for
+/// the longest rows up front.
 std::string AssignmentPairsToCsv(
     const std::vector<std::pair<int, int>>& pairs);
 

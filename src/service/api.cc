@@ -213,13 +213,13 @@ Result<SubmitResponse> ServiceApi::Submit(const SubmitRequest& request) {
         if (response->assignment.has_value()) {
           result.report = SolveReportLine(run.solver, *snap.instance,
                                           *response->assignment, "");
-          result.assignment_csv = AssignmentCsv(*response->assignment);
+          result.pairs = response->assignment->Pairs();
           if (install) {
             // CAS install: only when no mutation superseded the snapshot
             // this solve ran on. A lost race is not a job failure — the
             // result stays fetchable either way (but it is counted).
             auto installed = store_.InstallAssignmentIfCurrent(
-                snap.name, snap.version, response->assignment->Pairs());
+                snap.name, snap.version, *std::move(response->assignment));
             CountCasConflict(installed.status());
           }
         } else {
@@ -282,9 +282,9 @@ Result<SubmitResponse> ServiceApi::Resolve(const ResolveRequest& request) {
           return result;
         }
         result.report = ResolveReport(*report, working);
-        result.assignment_csv = AssignmentCsv(working);
+        result.pairs = working.Pairs();
         auto installed = store_.InstallAssignmentIfCurrent(
-            snap.name, snap.version, working.Pairs());
+            snap.name, snap.version, std::move(working));
         CountCasConflict(installed.status());
         return result;
       });

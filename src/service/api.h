@@ -138,6 +138,10 @@ class ServiceApi {
   Result<SubmitResponse> Resolve(const ResolveRequest& request);
 
   Result<JobStatus> GetJobStatus(int64_t job) const;
+  /// A finished job's JobResult: the `report` the protocol's `wait` and
+  /// `result` print and, for a CRA solve or a resolve, its assignment's
+  /// `pairs`, kept unformatted (no job renders a CSV; the `assignment`
+  /// verb formats the session's current one on demand).
   Result<JobResult> GetJobResult(int64_t job) const;
   Result<JobResult> WaitJob(int64_t job);
   /// One page of the job's progress stream (see JobQueue::WaitProgress);

@@ -55,7 +55,7 @@ Result<SessionSnapshot> InstanceStore::Insert(
       session.instance.get(), params);
   session.snapshot.name = name;
   session.snapshot.params = params;
-  Publish(&session, /*normalized=*/false);
+  PublishCopy(&session);
   return session.snapshot;
 }
 
@@ -100,19 +100,6 @@ Status InstanceStore::Close(const std::string& name) {
   return Status::OK();
 }
 
-Status InstanceStore::InstallLocked(
-    Session* session, const std::vector<std::pair<int, int>>& pairs) {
-  // Build the candidate first; the session is only touched on success.
-  auto assignment =
-      core::Assignment::FromPairs(session->instance.get(), pairs);
-  if (!assignment.ok()) return assignment.status();
-  session->assignment =
-      std::make_unique<core::Assignment>(*std::move(assignment));
-  session->updater->TrackAssignment(session->assignment.get());
-  Publish(session, /*normalized=*/true);
-  return Status::OK();
-}
-
 Result<SessionSnapshot> InstanceStore::InstallAssignment(
     const std::string& name, const std::vector<std::pair<int, int>>& pairs) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -120,16 +107,22 @@ Result<SessionSnapshot> InstanceStore::InstallAssignment(
   if (it == sessions_.end()) {
     return Status::NotFound("no session '" + name + "'");
   }
-  // Before InstallLocked, never inside it: RestoreFromSnapshot re-installs
-  // through InstallLocked and (correctly) asserts that it cannot fail.
   WGRAP_RETURN_IF_ERROR(WGRAP_INJECT_FAULT("store.install"));
-  WGRAP_RETURN_IF_ERROR(InstallLocked(&it->second, pairs));
-  return it->second.snapshot;
+  Session& session = it->second;
+  // Build the candidate first; the session is only touched on success.
+  auto assignment =
+      core::Assignment::FromPairs(session.snapshot.instance.get(), pairs);
+  if (!assignment.ok()) return assignment.status();
+  InstallLocked(&session, *std::move(assignment));
+  return session.snapshot;
 }
 
 Result<SessionSnapshot> InstanceStore::InstallAssignmentIfCurrent(
     const std::string& name, int64_t expected_version,
-    const std::vector<std::pair<int, int>>& pairs) {
+    core::Assignment result) {
+  // The result and the snapshot instance it is bound to are immutable to
+  // everyone else, so it is normalized before the lock is taken.
+  result.RecomputeAll();
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = sessions_.find(name);
   if (it == sessions_.end()) {
@@ -142,7 +135,7 @@ Result<SessionSnapshot> InstanceStore::InstallAssignmentIfCurrent(
         std::to_string(expected_version) + ")");
   }
   WGRAP_RETURN_IF_ERROR(WGRAP_INJECT_FAULT("store.cas"));
-  WGRAP_RETURN_IF_ERROR(InstallLocked(&it->second, pairs));
+  InstallLocked(&it->second, std::move(result));
   return it->second.snapshot;
 }
 
@@ -169,31 +162,42 @@ Result<MutateOutcome> InstanceStore::Mutate(
     RestoreFromSnapshot(&session);
     return publish;
   }
-  Publish(&session, /*normalized=*/false);
+  PublishCopy(&session);
   MutateOutcome outcome;
   outcome.snapshot = session.snapshot;
   outcome.report = *std::move(report);
   return outcome;
 }
 
-void InstanceStore::Publish(Session* session, bool normalized) {
-  ++session->version;
-  session->snapshot.version = session->version;
-  auto instance = std::make_shared<core::Instance>(*session->instance);
-  session->snapshot.instance = instance;
-  if (session->assignment == nullptr) {
-    session->snapshot.assignment.reset();
-  } else if (normalized) {
-    session->snapshot.assignment = std::make_shared<core::Assignment>(
+void InstanceStore::Publish(Session* session,
+                            std::shared_ptr<const core::Instance> instance,
+                            std::shared_ptr<const core::Assignment> assignment) {
+  session->snapshot.version = ++session->version;
+  session->snapshot.instance = std::move(instance);
+  session->snapshot.assignment = std::move(assignment);
+}
+
+void InstanceStore::PublishCopy(Session* session) {
+  auto instance = std::make_shared<const core::Instance>(*session->instance);
+  std::shared_ptr<const core::Assignment> assignment;
+  if (session->assignment != nullptr) {
+    session->assignment->RecomputeTotal();
+    assignment = std::make_shared<const core::Assignment>(
         session->assignment->ReboundTo(instance.get()));
-  } else {
-    auto copy = core::Assignment::FromPairs(instance.get(),
-                                            session->assignment->Pairs());
-    WGRAP_CHECK_MSG(copy.ok(), "the snapshot copy must accept the master's "
-                               "own pairs");
-    session->snapshot.assignment =
-        std::make_shared<core::Assignment>(*std::move(copy));
   }
+  Publish(session, std::move(instance), std::move(assignment));
+}
+
+void InstanceStore::InstallLocked(Session* session,
+                                  core::Assignment assignment) {
+  WGRAP_CHECK_MSG(&assignment.instance() == session->snapshot.instance.get(),
+                  "an installed assignment must be bound to the published "
+                  "instance");
+  session->assignment = std::make_unique<core::Assignment>(
+      assignment.ReboundTo(session->instance.get()));
+  session->updater->TrackAssignment(session->assignment.get());
+  Publish(session, session->snapshot.instance,
+          std::make_shared<const core::Assignment>(std::move(assignment)));
 }
 
 void InstanceStore::RestoreFromSnapshot(Session* session) {
@@ -203,11 +207,13 @@ void InstanceStore::RestoreFromSnapshot(Session* session) {
       session->instance.get(), session->params);
   session->assignment.reset();
   if (snap.assignment != nullptr) {
-    const Status restored = InstallLocked(session, snap.assignment->Pairs());
-    WGRAP_CHECK_MSG(restored.ok(),
-                    "restoring the published snapshot cannot fail");
-    // InstallLocked published a fresh snapshot (version bump) — that is
-    // fine: versions only ever move forward, even on rollback.
+    session->assignment = std::make_unique<core::Assignment>(
+        snap.assignment->ReboundTo(session->instance.get()));
+    session->updater->TrackAssignment(session->assignment.get());
+    // The restored state is republished under the next version: versions
+    // only move forward, even on rollback, so a job that started before
+    // the failed batch does not install.
+    Publish(session, snap.instance, snap.assignment);
   }
 }
 

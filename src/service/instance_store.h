@@ -19,6 +19,28 @@
 //     snapshot that a mutation has since superseded is kept as a job
 //     result but not installed over newer state.
 //
+// What a write publishes — each from state it already holds, and each
+// snapshot bitwise the Assignment::FromPairs build of its pairs on its own
+// instance:
+//   - An install (PutAssignment's pairs, or a job's finished result at a
+//     matched version) leaves the instance as it was, so the new snapshot
+//     shares the published shared_ptr<const Instance>. The installed
+//     assignment is normalized (FromPairs, or RecomputeAll on the job's
+//     result), becomes the snapshot's assignment as is, and the master
+//     gets an Assignment::ReboundTo copy of it.
+//   - A mutate changed the master instance, so the snapshot gets a copy of
+//     it. The master assignment needs no rebuild: FromPairs built it, and
+//     the updater changes it only through Remove and per-paper recomputes,
+//     which keep every paper's group vector and score exact. Only its
+//     total depends on the mutation history, so Assignment::RecomputeTotal
+//     re-sums it in paper order, and the snapshot gets the master
+//     ReboundTo the instance copy: O(instance + P·(δp + T)) copies, no
+//     fold and no score.
+//   - A rolled-back batch restores the master from the published snapshot
+//     (an instance copy and a ReboundTo copy of its assignment). A session
+//     holding an assignment then republishes that snapshot's state under
+//     the next version, so versions only move forward.
+//
 // c(AI) is not store state: a snapshot's instance shares its c(AI) memo
 // with the master it was copied from (core/instance.h), and a mutation of
 // the master detaches it, so `evaluate` on a snapshot re-derives only the
@@ -104,22 +126,26 @@ class InstanceStore {
   Status Close(const std::string& name);
 
   /// Installs (replacing any previous) the tracked assignment from
-  /// (paper, reviewer) pairs and publishes a new snapshot. The master is
-  /// built by core::Assignment::FromPairs: AddUnchecked's checks in pair
-  /// order, groups in pair order, one RecomputeAll. The first invalid pair
-  /// (out of range, duplicate, COI) rejects the whole install with
-  /// AddUnchecked's Status and leaves the session unchanged.
+  /// (paper, reviewer) pairs and publishes a new snapshot over the same
+  /// instance. The assignment is built by core::Assignment::FromPairs on
+  /// the published instance: AddUnchecked's checks in pair order, groups
+  /// in pair order, one RecomputeAll. The first invalid pair (out of
+  /// range, duplicate, COI) rejects the whole install with AddUnchecked's
+  /// Status and leaves the session unchanged.
   Result<SessionSnapshot> InstallAssignment(
       const std::string& name, const std::vector<std::pair<int, int>>& pairs);
 
-  /// Compare-and-set variant for async solve results: installs only when
-  /// the session is still at `expected_version` (i.e. no mutation landed
-  /// while the solve ran). Returns kFailedPrecondition with the current
-  /// version otherwise; the caller keeps its result, the session keeps
-  /// newer state.
+  /// Compare-and-set install of a job's finished result: installs only
+  /// when the session is still at `expected_version` (i.e. no mutation
+  /// landed while the job ran). `result` must be bound to the instance of
+  /// the snapshot at that version (WGRAP_CHECKed); its cached scores may
+  /// carry any accumulation history, since one RecomputeAll normalizes it
+  /// before it is published as is over the same instance. Returns
+  /// kFailedPrecondition with the current version otherwise; the caller
+  /// keeps its result, the session keeps newer state.
   Result<SessionSnapshot> InstallAssignmentIfCurrent(
       const std::string& name, int64_t expected_version,
-      const std::vector<std::pair<int, int>>& pairs);
+      core::Assignment result);
 
   /// Applies the updates to the master lineage (assignment evictions
   /// included, via InstanceUpdater) and publishes a new snapshot. Atomic
@@ -146,18 +172,18 @@ class InstanceStore {
   Result<SessionSnapshot> Insert(const std::string& name,
                                  core::Instance instance,
                                  const core::InstanceParams& params);
-  /// Copies the master into session.snapshot (bumping the version). A
-  /// `normalized` master assignment (InstallLocked just built it with
-  /// FromPairs) is copied, rebound to the copied instance
-  /// (Assignment::ReboundTo: O(P·(δp + T)) copies). A master the updater
-  /// patched is rebuilt as FromPairs of its Pairs() on the copied instance
-  /// (O(P·δp²) pair checks and one RecomputeAll: O(P·δp·T) folds and P
-  /// scores). Either way the snapshot is bitwise the FromPairs build of
-  /// its groups, so its scores equal any other assignment's with the same
-  /// groups; no marginal gain is summed per pair.
-  void Publish(Session* session, bool normalized);
-  Status InstallLocked(Session* session,
-                       const std::vector<std::pair<int, int>>& pairs);
+  /// Bumps the version and publishes `instance` and `assignment` (null,
+  /// or bound to `instance`) as the session's snapshot.
+  void Publish(Session* session,
+               std::shared_ptr<const core::Instance> instance,
+               std::shared_ptr<const core::Assignment> assignment);
+  /// Publishes the master after its instance changed (open, mutate): an
+  /// instance copy, and the master assignment with its total re-summed in
+  /// paper order, ReboundTo that copy.
+  void PublishCopy(Session* session);
+  /// Makes `assignment` (normalized, bound to the published instance) the
+  /// master's, by a ReboundTo copy, and publishes it over that instance.
+  void InstallLocked(Session* session, core::Assignment assignment);
   /// Rebuilds the master lineage from the published snapshot (mutation
   /// rollback path).
   void RestoreFromSnapshot(Session* session);

@@ -186,7 +186,8 @@ void JobQueue::WorkerLoop() {
         done_order_.pop_front();
         victim.evicted = true;
         victim.result.report.clear();
-        victim.result.assignment_csv.clear();
+        victim.result.pairs.clear();
+        victim.result.pairs.shrink_to_fit();
         victim.progress.clear();
         victim.progress.shrink_to_fit();
         if (evicted) evicted->Add();

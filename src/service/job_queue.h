@@ -29,6 +29,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -42,12 +43,16 @@ enum class JobState { kQueued, kRunning, kDone };
 const char* JobStateToString(JobState state);
 
 /// What a job produced. `status` is the solver outcome (kCancelled for a
-/// cancelled job, kResourceExhausted for a blown budget, ...); `report`
-/// and `assignment_csv` are the response payloads when ok.
+/// cancelled job, kResourceExhausted for a blown budget, ...). When ok,
+/// `report` is the rendered reply (`wait`/`result` print it) and `pairs`
+/// the (paper, reviewer) pairs of a CRA solve's or a resolve's assignment
+/// in Assignment::Pairs() order (empty for JRA jobs), kept for library
+/// callers unformatted: data::AssignmentPairsToCsv renders them as
+/// `wgrap_cli solve --out` would.
 struct JobResult {
   Status status = Status::OK();
   std::string report;
-  std::string assignment_csv;
+  std::vector<std::pair<int, int>> pairs;
   /// Wall-clock of the job body (accounting only — never rendered into
   /// `report`, which must stay byte-deterministic).
   double seconds = 0.0;

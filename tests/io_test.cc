@@ -2,8 +2,15 @@
 // save/load, and assignment pair serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "data/io.h"
 #include "data/synthetic_dblp.h"
 
@@ -102,6 +109,48 @@ TEST(AssignmentCsvTest, RoundTrip) {
   auto parsed = AssignmentPairsFromCsv(AssignmentPairsToCsv(pairs));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, pairs);
+}
+
+// The writer's bytes are printf's: the header, then "%d,%d\n" per pair,
+// on an empty list, a single pair, the extreme ids (INT_MIN's row is the
+// longest the buffer is sized for) and 10k seeded pairs.
+TEST(AssignmentCsvTest, BytesMatchThePrintfReference) {
+  const auto reference = [](const std::vector<std::pair<int, int>>& pairs) {
+    std::string out = "paper_id,reviewer_id\n";
+    char row[64];
+    for (const auto& [p, r] : pairs) {
+      std::snprintf(row, sizeof(row), "%d,%d\n", p, r);
+      out += row;
+    }
+    return out;
+  };
+  constexpr int kMax = std::numeric_limits<int>::max();
+  constexpr int kMin = std::numeric_limits<int>::min();
+  std::vector<std::vector<std::pair<int, int>>> lists = {
+      {},
+      {{7, 42}},
+      {{0, 0}, {0, kMax}, {kMax, 0}, {kMax, kMax}},
+      {{kMin, kMin}, {kMin, kMax}, {-1, 9}, {10, -100}},
+  };
+  Rng rng(31);
+  std::vector<std::pair<int, int>> many;
+  for (int i = 0; i < 10'000; ++i) {
+    const auto id = [&rng] {
+      // Mixed widths: 1 to 10 digits.
+      const int digits = rng.NextInt(1, 10);
+      int64_t bound = 1;
+      for (int d = 0; d < digits; ++d) bound *= 10;
+      return static_cast<int>(rng.NextBounded(
+          static_cast<uint64_t>(std::min<int64_t>(bound, kMax))));
+    };
+    const int p = id();
+    many.emplace_back(p, id());
+  }
+  lists.push_back(std::move(many));
+  for (const auto& pairs : lists) {
+    EXPECT_EQ(AssignmentPairsToCsv(pairs), reference(pairs))
+        << pairs.size() << " pairs";
+  }
 }
 
 TEST(AssignmentCsvTest, RejectsMalformed) {

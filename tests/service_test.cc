@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -161,16 +162,24 @@ TEST(InstanceStoreTest, CompareAndSetInstallRespectsVersions) {
   ASSERT_TRUE(store.Open("conf", *dataset, SmallParams()).ok());
   auto snap = store.Get("conf");
   ASSERT_TRUE(snap.ok());
-  const auto pairs = SolvePairs(*snap->instance);
+  // A job's result: solved on the snapshot's instance.
+  auto result = core::SolverRegistry::Default().SolveCra(
+      "greedy", *snap->instance, {});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // Same version: install lands.
-  auto installed = store.InstallAssignmentIfCurrent("conf", snap->version,
-                                                    pairs);
+  // Same version: install lands, over the same instance.
+  auto installed =
+      store.InstallAssignmentIfCurrent("conf", snap->version, *result);
   ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+  EXPECT_EQ(installed->version, snap->version + 1);
+  EXPECT_EQ(installed->instance, snap->instance);
+  EXPECT_EQ(installed->assignment->Pairs(), result->Pairs());
 
   // Stale version (the install itself moved it): install refused.
-  auto stale = store.InstallAssignmentIfCurrent("conf", snap->version, pairs);
+  auto stale =
+      store.InstallAssignmentIfCurrent("conf", snap->version, *result);
   EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(store.Get("conf")->version, installed->version);
 }
 
 TEST(InstanceStoreTest, FailedMutationRollsBackTheBatch) {
@@ -265,7 +274,7 @@ class ReplayLineage {
 // published assignment must memcmp-equal the replay oracle — the replay
 // lineage's pairs through AddUnchecked onto the snapshot's own instance,
 // then RecomputeAll — and a bad install must answer the replay's Status
-// and leave the version where it was. A resolve's report and CSV must be
+// and leave the version where it was. A resolve's report and pairs must be
 // the ones IncrementalResolve gives on a replayed copy of its snapshot.
 TEST(StorePublishTest, FromPairsPublishesMatchTheReplayOracle) {
   using core::InstanceUpdate;
@@ -410,8 +419,7 @@ TEST(StorePublishTest, FromPairsPublishesMatchTheReplayOracle) {
             }
             EXPECT_EQ(result->report, ResolveReport(*report, *working))
                 << where;
-            EXPECT_EQ(result->assignment_csv, AssignmentCsv(*working))
-                << where;
+            EXPECT_EQ(result->pairs, working->Pairs()) << where;
             ASSERT_TRUE(oracle.Install(working->Pairs()).ok()) << where;
           }
         }
@@ -439,11 +447,16 @@ void ExpectSnapshotIsTheReplay(const SessionSnapshot& snap,
       << where;
 }
 
-// Installs, CAS installs by resolve and a rollback's re-install publish the
-// master's FromPairs build rebound to the snapshot's instance instead of
-// building it twice. Each such snapshot, and an older one after the master
-// moved on, must be bound to its own instance and equal the replay oracle.
+// Every install publishes the installed assignment over the instance
+// already published, a mutate publishes an instance copy with the master's
+// assignment rebound to it, and a rollback republishes the restored state.
+// A solve-job install, an install=false result, a pair install, a CAS-lost
+// result, a mutate that evicts, a resolve-job install, a rollback and a
+// mutate after it must each leave a snapshot bound to its own instance and
+// memcmp-equal to the replay oracle (so must an older snapshot after the
+// master moved on), and each job's pairs must be the direct run's Pairs().
 TEST(StorePublishTest, InstallAndResolveSnapshotsEqualTheReplayOracle) {
+  using core::InstanceUpdate;
   failpoint::DisarmAll();
   for (const bool sparse : {false, true}) {
     core::FuzzInstanceConfig config;
@@ -452,40 +465,116 @@ TEST(StorePublishTest, InstallAndResolveSnapshotsEqualTheReplayOracle) {
     config.num_topics = 10;
     config.group_size = 3;
     config.conflict_rate = 0.05;
+    config.with_bids = true;
     config.sparse_topics = sparse;
     config.seed = 17;
     auto built = core::MakeFuzzInstance(config);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
-    ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/4});
+    ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/8});
     InstanceStore& store = api.store();
     ASSERT_TRUE(store.Open("conf", *built, core::MakeFuzzParams(config)).ok());
     const std::string tag = sparse ? "sparse" : "dense";
+    const SessionSnapshot opened = *store.Get("conf");
 
+    // A solve job installs its own result over the instance it ran on.
+    SubmitRequest solve;
+    solve.session = "conf";
+    solve.solver = "sdga-sra";
+    solve.seed = 5;
+    auto job = api.Submit(solve);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    auto result = api.WaitJob(job->job);
+    ASSERT_TRUE(result.ok() && result->status.ok()) << tag;
+    core::SolverRunOptions options;
+    options.seed = 5;
+    auto direct = core::SolverRegistry::Default().SolveCra(
+        "sdga-sra", *opened.instance, options);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(result->pairs, direct->Pairs()) << tag;
+    const SessionSnapshot solved = *store.Get("conf");
+    EXPECT_EQ(solved.version, opened.version + 1) << tag;
+    EXPECT_EQ(solved.instance, opened.instance) << tag;
+    EXPECT_EQ(solved.assignment->Pairs(), direct->Pairs()) << tag;
+    ExpectSnapshotIsTheReplay(solved, tag + " solve install");
+
+    // install=false: the job keeps its result, the session its state.
+    solve.solver = "greedy";
+    solve.install = false;
+    job = api.Submit(solve);
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    result = api.WaitJob(job->job);
+    ASSERT_TRUE(result.ok() && result->status.ok()) << tag;
+    auto greedy = core::SolverRegistry::Default().SolveCra(
+        "greedy", *solved.instance, options);
+    ASSERT_TRUE(greedy.ok()) << greedy.status().ToString();
+    EXPECT_EQ(result->pairs, greedy->Pairs()) << tag;
+    EXPECT_EQ(store.Get("conf")->version, solved.version) << tag;
+    EXPECT_EQ(store.Get("conf")->assignment, solved.assignment) << tag;
+
+    // A pair install, in an order other than Pairs().
     std::vector<std::pair<int, int>> pairs = SolvePairs(*built);
     std::reverse(pairs.begin(), pairs.end());
     auto installed = store.InstallAssignment("conf", pairs);
     ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+    EXPECT_EQ(installed->instance, opened.instance) << tag;
     ExpectSnapshotIsTheReplay(*installed, tag + " install");
 
+    // CAS lost: while a blocker holds the only worker, a solve is submitted
+    // on `installed` and a COI evicting one of its pairs lands before it
+    // runs.
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    auto blocker = api.jobs().Submit("block", [released](const JobContext&) {
+      released.wait();
+      return JobResult{};
+    });
+    solve.install = true;
+    auto lost = api.Submit(solve);
     const int evicted = installed->assignment->GroupFor(0)[0];
-    ASSERT_TRUE(
-        store.Mutate("conf", {core::InstanceUpdate::SetCoi(evicted, 0, true)})
-            .ok());
+    auto mutated =
+        store.Mutate("conf", {InstanceUpdate::SetCoi(evicted, 0, true)});
+    release.set_value();
+    ASSERT_TRUE(blocker.ok() && lost.ok()) << tag;
+    ASSERT_TRUE(mutated.ok()) << mutated.status().ToString();
+    EXPECT_EQ(mutated->report.evicted.size(), 1u) << tag;
+    result = api.WaitJob(lost->job);
+    ASSERT_TRUE(result.ok() && result->status.ok()) << tag;
+    EXPECT_EQ(result->pairs, greedy->Pairs()) << tag;
+    const SessionSnapshot after_mutate = *store.Get("conf");
+    EXPECT_EQ(after_mutate.version, mutated->snapshot.version) << tag;
+    EXPECT_NE(after_mutate.instance, installed->instance) << tag;
+    EXPECT_FALSE(after_mutate.assignment->Contains(0, evicted)) << tag;
+    ExpectSnapshotIsTheReplay(after_mutate, tag + " mutate that evicts");
     ExpectSnapshotIsTheReplay(*installed, tag + " install, master moved on");
+
+    // A resolve job installs its repaired copy over the same instance.
     ResolveRequest resolve;
     resolve.session = "conf";
     resolve.knobs["update_refine"] = "none";
-    auto job = api.Resolve(resolve);
+    job = api.Resolve(resolve);
     ASSERT_TRUE(job.ok()) << job.status().ToString();
-    auto result = api.WaitJob(job->job);
+    result = api.WaitJob(job->job);
     ASSERT_TRUE(result.ok() && result->status.ok()) << tag;
+    core::Assignment working = *after_mutate.assignment;
+    core::SolverRunOptions resolve_options;
+    resolve_options.seed = resolve.seed;
+    resolve_options.extra = resolve.knobs;
+    ASSERT_TRUE(core::IncrementalResolve(*after_mutate.instance, &working,
+                                         resolve_options)
+                    .ok());
+    EXPECT_EQ(result->pairs, working.Pairs()) << tag;
     const SessionSnapshot resolved = *store.Get("conf");
+    EXPECT_EQ(resolved.version, after_mutate.version + 1) << tag;
+    EXPECT_EQ(resolved.instance, after_mutate.instance) << tag;
+    EXPECT_EQ(resolved.assignment->Pairs(), working.Pairs()) << tag;
     EXPECT_FALSE(resolved.assignment->Contains(0, evicted)) << tag;
-    ExpectSnapshotIsTheReplay(resolved, tag + " resolve");
+    ExpectSnapshotIsTheReplay(resolved, tag + " resolve install");
 
+    // A rollback republishes the resolved state; the master it restored
+    // publishes the next mutate.
     ASSERT_TRUE(failpoint::Arm("store.publish", "error").ok());
     EXPECT_FALSE(
-        store.Mutate("conf", {core::InstanceUpdate::SetCoi(0, 1, true)}).ok());
+        store.Mutate("conf", {InstanceUpdate::SetCoi(0, 1, true)}).ok());
     failpoint::DisarmAll();
     const SessionSnapshot restored = *store.Get("conf");
     EXPECT_GT(restored.version, resolved.version) << tag;
@@ -494,6 +583,13 @@ TEST(StorePublishTest, InstallAndResolveSnapshotsEqualTheReplayOracle) {
                                        *resolved.assignment),
               "")
         << tag;
+    const int p = 1;
+    const int r = restored.assignment->GroupFor(p)[0];
+    ASSERT_TRUE(store.Mutate("conf", {InstanceUpdate::SetCoi(r, p, true)})
+                    .ok());
+    const SessionSnapshot remutated = *store.Get("conf");
+    EXPECT_FALSE(remutated.assignment->Contains(p, r)) << tag;
+    ExpectSnapshotIsTheReplay(remutated, tag + " mutate after rollback");
   }
 }
 
@@ -1174,7 +1270,7 @@ TEST(ServiceApiTest, SolveJobInstallsAndMatchesDirectRegistryRun) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(result->report,
             SolveReportLine("sdga-sra", *snap->instance, *direct, ""));
-  EXPECT_EQ(result->assignment_csv, AssignmentCsv(*direct));
+  EXPECT_EQ(result->pairs, direct->Pairs());
 
   // install=true: the session now holds that assignment.
   auto after = api.store().Get("conf");
@@ -1217,7 +1313,7 @@ TEST(ServiceApiTest, SolveRacingAMutationKeepsSnapshotSemantics) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(result->report,
             SolveReportLine("sdga-sra", *snap->instance, *direct, ""));
-  EXPECT_EQ(result->assignment_csv, AssignmentCsv(*direct));
+  EXPECT_EQ(result->pairs, direct->Pairs());
 }
 
 TEST(ServiceApiTest, StaleSolveResultIsNotInstalledOverNewerState) {
@@ -1239,9 +1335,10 @@ TEST(ServiceApiTest, StaleSolveResultIsNotInstalledOverNewerState) {
   // A second solve whose snapshot predates the next mutation: force the
   // stale path deterministically by mutating after the job drains but
   // before checking, using install-if-current directly.
+  core::Assignment stale_result(installed->instance.get());
+  ASSERT_TRUE(stale_result.AddUnchecked(0, 1).ok());
   auto stale = api.store().InstallAssignmentIfCurrent(
-      "conf", installed->version - 1,
-      {{0, 1}});
+      "conf", installed->version - 1, stale_result);
   EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
   auto after = api.store().Get("conf");
   ASSERT_TRUE(after.ok());

@@ -13,7 +13,10 @@
 // smaller tests cover validation failures, eviction reporting and the
 // mutation-script grammar. After every fuzzed op the instance's c(AI)
 // memo (core::IdealScore) must memcmp-equal a from-scratch AI build, on
-// the patched instance and on a copy evaluated before the op.
+// the patched instance and on a copy evaluated before the op, and the
+// tracked assignment (a FromPairs build, as the session store's master is)
+// must be memcmp-equal to FromPairs of its pairs once its total is
+// re-summed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -372,6 +375,19 @@ Assignment CloneOnto(const Assignment& tracked, const Instance& fresh) {
   return clone;
 }
 
+// What the session store's publish relies on: an assignment built by
+// FromPairs and then patched only by the updater keeps every group, load,
+// group vector and paper score bitwise what FromPairs of its pairs derives,
+// so re-summing its total (RecomputeTotal) makes it that build.
+void ExpectPublishableAsIs(const Assignment& tracked,
+                           const std::string& where) {
+  auto rebuilt = Assignment::FromPairs(&tracked.instance(), tracked.Pairs());
+  ASSERT_TRUE(rebuilt.ok()) << where << ": " << rebuilt.status().ToString();
+  Assignment resummed = tracked;
+  resummed.RecomputeTotal();
+  EXPECT_EQ(AssignmentMismatch(resummed, *rebuilt), "") << where;
+}
+
 SolverRunOptions ResolveOptions(int threads, const std::string& refine) {
   SolverRunOptions options;
   options.seed = 777;
@@ -434,10 +450,13 @@ TEST_P(UpdateEquivalenceTest, PatchedStateMatchesFreshBuild) {
   Instance instance = *std::move(built);
   GroundTruth gt = MakeGroundTruth(config);
 
-  // Start from a solved conference, the scenario the subsystem exists for.
+  // Start from a solved conference, the scenario the subsystem exists for,
+  // built by FromPairs as the session store's master is.
   auto solved = SolverRegistry::Default().SolveCra("sdga", instance);
   ASSERT_TRUE(solved.ok()) << solved.status().ToString();
-  Assignment assignment = *std::move(solved);
+  auto from_pairs = Assignment::FromPairs(&instance, solved->Pairs());
+  ASSERT_TRUE(from_pairs.ok()) << from_pairs.status().ToString();
+  Assignment assignment = *std::move(from_pairs);
 
   InstanceUpdater updater(&instance, params);
   updater.TrackAssignment(&assignment);
@@ -469,6 +488,7 @@ TEST_P(UpdateEquivalenceTest, PatchedStateMatchesFreshBuild) {
     for (int r = 0; r < instance.num_reviewers(); ++r) {
       ASSERT_LE(assignment.LoadOf(r), instance.reviewer_workload());
     }
+    ExpectPublishableAsIs(assignment, where);
 
     if (op % kCheckpointEvery != 0) continue;
     SCOPED_TRACE("op " + std::to_string(op));

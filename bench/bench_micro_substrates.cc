@@ -384,9 +384,9 @@ void BM_GainCacheVsRebuild(benchmark::State& state) {
   bench::DieOnError(dataset.status(), "GenerateReviewerPool");
   core::InstanceParams params;
   params.group_size = 3;
-  params.sparse_topics = density < 1.0;
   auto instance = core::Instance::FromDataset(*dataset, params);
   bench::DieOnError(instance.status(), "FromDataset");
+  instance->BuildSparseTopics();  // at every density, as recorded
   // Replay the epoch from a solved run. Groups list members in stage
   // order, so member k is the stage-(k+1) commit.
   auto solved = core::SolveCraSdga(*instance);

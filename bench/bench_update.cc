@@ -24,7 +24,6 @@ using namespace wgrap;
 core::InstanceParams OnlineParams() {
   core::InstanceParams params;
   params.group_size = 3;  // δr dynamic: ⌈400·3/200⌉ = 6
-  params.sparse_topics = true;
   return params;
 }
 

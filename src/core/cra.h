@@ -73,9 +73,9 @@ struct CraOptions {
 /// Vestiges of the retired stage alternatives, kept only because the
 /// benchmark harness (perfbench/) names every value; they go with the
 /// auction (ROADMAP item 1). The stages run one pipeline: the GainCache's
-/// row-maintained profits (core/gain_cache.h) solved by the capacity-aware
-/// Jonker–Volgenant (la::SolveCapacitatedAssignment). RefineSra accepts
-/// only kIncremental and kHungarian and rejects the rest with
+/// row-maintained profits (core/gain_cache.h) solved in place by the
+/// capacity-aware Jonker–Volgenant (la::SolveCapacitatedRows). RefineSra
+/// accepts only kIncremental and kHungarian and rejects the rest with
 /// kInvalidArgument. The per-pair rebuild (Assignment::MarginalGain) and
 /// min-cost flow (la::SolveTransportation) live on as test oracles
 /// (tests/gain_cache_test.cc).
@@ -171,7 +171,7 @@ Result<Assignment> SolveCraStableMatching(const Instance& instance,
 
 /// Exact solver for ARAP, the *per-pair* objective Σ c(r→, p→) (the
 /// paper's "ILP" baseline), via one transportation solve: the stage JV
-/// with demand δp (la::SolveCapacitatedAssignment), polling the budget
+/// with demand δp (la::SolveCapacitatedRows), polling the budget
 /// and the cancel token per inserted reviewer slot. Sequential. Optimal
 /// for ARAP but not for WGRAP — the group objective is what it
 /// deliberately ignores. O(P·δp · R · (R + P)) worst case.

@@ -15,18 +15,27 @@ namespace wgrap::core {
 
 namespace {
 
-// CI's sanitizer jobs force the sparse dispatch for the whole test suite
-// (the dense↔sparse contract is bit-identical output, so every test must
-// still pass); see .github/workflows/ci.yml. The falsy spellings are a
-// case-insensitive superset of ParseKnobValue's bool spellings (env-var
-// conventions vary more than knob values), so WGRAP_SPARSE_TOPICS=0,
-// =off, =False and =no all mean off.
-bool EnvForcesSparseTopics() {
+// The topic kernel the data picks: CSR when fewer than a quarter of the
+// topic columns of the reviewer index are heavy. Heavy columns go through
+// the dense column kernel in the gain row pass either way; what the CSR
+// kernels save is per-pair work (FoldReviewer, MarginalGain, PairScore)
+// on light topics, and what they cost is a sparse merge per call. The
+// density sweep in bench/BASELINES.md puts the crossover there: the CSR
+// kernels win repair-only resolves with up to 5 of 30 heavy columns, the
+// dense ones win BBA and resolves from 8 of 30 on.
+// WGRAP_SPARSE_TOPICS overrides the rule for the whole process: CI reruns
+// the suites under =0 and =1, whose output the dense↔CSR contract makes
+// bit-identical. Its falsy spellings are a case-insensitive superset of
+// ParseKnobValue's bool spellings (env-var conventions vary more than knob
+// values), so =0, =off, =False and =no all force the dense kernels.
+bool PicksCsrKernels(const sparse::TopicIndex& index) {
   const char* value = std::getenv("WGRAP_SPARSE_TOPICS");
-  if (value == nullptr) return false;
-  std::string v = value;
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  return !(v.empty() || v == "0" || v == "off" || v == "false" || v == "no");
+  if (value != nullptr && *value != '\0') {
+    std::string v = value;
+    for (char& c : v) c = static_cast<char>(std::tolower(c));
+    return !(v == "0" || v == "off" || v == "false" || v == "no");
+  }
+  return 4 * index.num_dense_columns() < index.num_topics();
 }
 
 // The column pass of Instance::GainRow with f fixed at compile time, so
@@ -157,23 +166,26 @@ Result<Instance> Instance::FromDataset(const data::RapDataset& dataset,
     instance.paper_mass_[p] = mass;
   }
   instance.conflicts_.assign((static_cast<size_t>(P) * R + 63) / 64, 0);
-  instance.ResetViews(params.sparse_topics || EnvForcesSparseTopics(),
-                      /*reviewers_moved=*/true, /*papers_moved=*/true);
+  instance.ResetViews(std::nullopt, /*reviewers_moved=*/true,
+                      /*papers_moved=*/true);
   return instance;
 }
 
-void Instance::ResetViews(bool csr, bool reviewers_moved, bool papers_moved) {
+void Instance::ResetViews(std::optional<bool> csr, bool reviewers_moved,
+                          bool papers_moved) {
   const TopicViews* old = views_.get();
   const bool had_csr = old != nullptr && csr_;
   auto views = std::make_shared<TopicViews>();
   if (reviewers_moved || old == nullptr) {
     views->reviewer_index = sparse::TopicIndex::FromMatrix(reviewers_);
     views->ranking = BuildTopicRanking(views->reviewer_index);
+    if (!csr) csr = PicksCsrKernels(views->reviewer_index);
   } else {
     views->reviewer_index = old->reviewer_index;
     views->ranking = old->ranking;
   }
-  if (csr) {
+  csr_ = csr.value_or(csr_);
+  if (csr_) {
     views->reviewers = reviewers_moved || !had_csr
                            ? sparse::SparseTopicMatrix::FromMatrix(reviewers_)
                            : old->reviewers;
@@ -182,7 +194,6 @@ void Instance::ResetViews(bool csr, bool reviewers_moved, bool papers_moved) {
                         : old->papers;
   }
   views_ = std::move(views);
-  csr_ = csr;
 }
 
 void Instance::BuildSparseTopics() {
@@ -264,13 +275,6 @@ void Instance::MarkIdealStale(int paper) {
   // last to write the rows; the lock orders this write after that one.
   std::lock_guard<std::mutex> lock(ideal_->mutex);
   if (!ideal_->rows.empty()) ideal_->rows[paper] = IdealMemo::Row::kStale;
-}
-
-Result<bool> ParseTopicsMode(const std::string& text) {
-  if (text == "dense") return false;
-  if (text == "sparse") return true;
-  return Status::InvalidArgument("unknown topics mode '" + text +
-                                 "' (use dense or sparse)");
 }
 
 namespace {

@@ -1,11 +1,10 @@
 // A WGRAP problem instance (Definition 3): reviewer and paper topic
 // matrices, the group-size constraint δp, the reviewer workload δr, the
 // scoring function, and conflicts of interest. Instances are immutable
-// after construction apart from COI registration and the optional CSR
-// topic views (BuildSparseTopics), both setup-time calls — and the typed
-// online-update path of core/update.h (InstanceUpdater), which patches an
-// instance in place to the exact state FromDataset would build from the
-// mutated inputs.
+// after construction apart from COI registration and bids, both setup-time
+// calls — and the typed online-update path of core/update.h
+// (InstanceUpdater), which patches an instance in place to the exact state
+// FromDataset would build from the mutated inputs, topic kernel included.
 //
 // The c(AI) memo is the one thing a const Instance fills. The Sec. 5.2
 // ideal assignment AI is a per-paper greedy, so its per-paper picks are a
@@ -22,12 +21,17 @@
 // vectors are read. The dense matrices are always present; the CSC
 // reviewer index (ReviewerTopicIndex) and the per-topic reviewer ranking
 // (TopicRanking, Algorithm 1's sorted lists) are always present and always
-// current; the CSR row views exist only when sparse topics were asked
-// for. Scoring code outside the Instance never branches on that choice:
-// it calls PairScore, MarginalGain, FoldReviewer and GroupFold, which
-// dispatch once to the dense kernels (core/scoring.h, simd/kernels.h) or
-// to their bit-identical CSR twins (src/sparse/). Every result is the
-// same double either way.
+// current; the CSR row views exist only when the instance runs the CSR
+// kernels. The instance picks those from its data: the CSR kernels when
+// fewer than a quarter of the reviewer index's topic columns are heavy
+// (sparse::TopicIndex::kHeavyColumnDivisor), the dense ones otherwise
+// (bench/BASELINES.md "Topic kernel density sweep" measures both sides).
+// FromDataset applies the rule, and so does every reviewer-side
+// InstanceUpdater op; paper-side ops cannot change it. Scoring code
+// outside the Instance never branches on that choice: it calls PairScore,
+// MarginalGain, FoldReviewer and GroupFold, which dispatch once to the
+// dense kernels (core/scoring.h, simd/kernels.h) or to their bit-identical
+// CSR twins (src/sparse/). Every result is the same double either way.
 #ifndef WGRAP_CORE_INSTANCE_H_
 #define WGRAP_CORE_INSTANCE_H_
 
@@ -36,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/matrix.h"
@@ -57,17 +60,11 @@ struct InstanceParams {
   /// rejected by FromDataset.
   int reviewer_workload = 0;
   ScoringFunction scoring = ScoringFunction::kWeightedCoverage;
-  /// Build CSR views of the topic matrices at construction, switching the
-  /// scoring hot paths to the sparse kernels (see Instance::
-  /// BuildSparseTopics). Scores and assignments are bit-identical either
-  /// way; sparse wins when profiles have nnz ≪ T.
+  /// Ignored: the instance picks its topic kernel from the data. A
+  /// vestige the benchmark harness still sets; ROADMAP item 4 deletes it
+  /// after item 1 mends the harness.
   bool sparse_topics = false;
 };
-
-/// "dense" → false, "sparse" → true: the spellings of
-/// InstanceParams::sparse_topics on every front end. kInvalidArgument
-/// otherwise.
-Result<bool> ParseTopicsMode(const std::string& text);
 
 /// Immutable WGRAP instance over dense topic matrices.
 class Instance {
@@ -112,18 +109,21 @@ class Instance {
   /// Σ_t p→[t], the normalization denominator of Eq. 1.
   double PaperMass(int p) const { return paper_mass_[p]; }
 
-  /// Builds immutable CSR views of the reviewer/paper topic matrices. Once
-  /// present, the scoring primitives below dispatch to the sparse kernels
-  /// (src/sparse/), which are bit-identical to the dense loops but O(nnz)
-  /// instead of O(T) per score. Like AddConflict, this is a setup call,
-  /// not per-solve state: do it before handing the instance to concurrent
-  /// solvers. Idempotent. Also forced on for every instance when the
-  /// WGRAP_SPARSE_TOPICS environment variable is set to anything but
-  /// ""/"0"/"off"/"false" (CI's sanitizer jobs use =1 to run the whole
-  /// suite on the sparse path).
+  /// Kernel overrides for tests and benches that compare the twins; no
+  /// product code calls them. BuildSparseTopics builds the CSR views and
+  /// switches the scoring primitives below to the sparse kernels
+  /// (src/sparse/), bit-identical to the dense loops but O(nnz) instead of
+  /// O(T) per score; DropSparseTopics returns to the dense kernels. Both
+  /// are idempotent setup calls: make them before handing the instance
+  /// to concurrent solvers. The next reviewer-side InstanceUpdater op
+  /// re-picks the kernel from the data. The process-wide override is the
+  /// WGRAP_SPARSE_TOPICS environment variable, read at every pick:
+  /// "0"/"off"/"false"/"no" forces the dense kernels, any other non-empty
+  /// value the CSR ones (CI reruns suites under both), unset or empty lets
+  /// the data decide.
   void BuildSparseTopics();
-  /// Returns to dense-only dispatch (drops the CSR views).
   void DropSparseTopics();
+  /// True when the instance runs the CSR kernels.
   bool has_sparse_topics() const { return csr_; }
 
   /// CSR row views; only valid when has_sparse_topics().
@@ -273,17 +273,22 @@ class Instance {
     sparse::SparseTopicMatrix papers;
   };
 
-  /// Sets the dispatch to `csr` and replaces views_, re-deriving from the
-  /// dense matrices the reviewer side (index, rankings, and CSR rows when
-  /// csr) if `reviewers_moved`, the paper CSR rows if `papers_moved`, and
-  /// any part the current views lack; the rest is carried over.
-  void ResetViews(bool csr, bool reviewers_moved, bool papers_moved);
+  /// Replaces views_, re-deriving from the dense matrices the reviewer
+  /// side (index, rankings, and CSR rows under the CSR kernels) if
+  /// `reviewers_moved`, the paper CSR rows if `papers_moved`, and any part
+  /// the current views lack; the rest is carried over. The dispatch
+  /// becomes `csr` when given; otherwise the kernel the data picks when
+  /// the reviewer side moved (the rule in the header comment), else it
+  /// stays.
+  void ResetViews(std::optional<bool> csr, bool reviewers_moved,
+                  bool papers_moved);
   /// After InstanceUpdater moved one side of the dense matrices:
-  /// re-derives the views that side feeds, keeping the dispatch. False
-  /// when there is none (the paper side of a dense-only instance).
+  /// re-derives the views that side feeds, and on the reviewer side
+  /// re-picks the kernel as FromDataset would. False when there is none
+  /// (the paper side of a dense-kernel instance).
   bool RefreshTopicViews(bool reviewer_side) {
     if (!reviewer_side && !has_sparse_topics()) return false;
-    ResetViews(has_sparse_topics(), reviewer_side, !reviewer_side);
+    ResetViews(std::nullopt, reviewer_side, !reviewer_side);
     return true;
   }
 

@@ -174,8 +174,7 @@ Result<KnobValue> ParseKnobValue(const KnobSpec& spec,
 
 Result<TypedOptions> DecodeKnobs(const std::string& owner,
                                  const std::vector<KnobSpec>& specs,
-                                 const SolverRunOptions& options,
-                                 const Instance& instance) {
+                                 const SolverRunOptions& options) {
   TypedOptions typed;
   for (CraOptions* cra : std::initializer_list<CraOptions*>{
            &typed.cra, &typed.sdga, &typed.sra, &typed.ls}) {
@@ -196,15 +195,6 @@ Result<TypedOptions> DecodeKnobs(const std::string& owner,
     auto value = ParseKnobValue(*spec, text);
     if (!value.ok()) return value.status();
     if (spec->apply) spec->apply(*value, &typed);
-  }
-  // Asking for the sparse kernels only makes sense on an instance that
-  // carries the CSR views (building them mutates the instance, which a
-  // decode taking const Instance& must not do behind the caller's back).
-  if (typed.sparse_topics && !instance.has_sparse_topics()) {
-    return Status::InvalidArgument(
-        "option 'topics': 'sparse' requires an instance with sparse topic "
-        "views — call Instance::BuildSparseTopics() (or pass --topics "
-        "sparse to wgrap_cli, which does)");
   }
   return typed;
 }
@@ -330,13 +320,18 @@ KnobSpec SraLambdaKnob() {
       [](TypedOptions& o) { return std::tie(o.sra.decay_lambda); }, 0.0);
 }
 
+// `topics` is a vestige on sdga alone, where the benchmark harness passes
+// it: the instance picks its topic kernel from the data, so the value is
+// checked and dropped. ROADMAP item 4 deletes it, with
+// InstanceParams::sparse_topics, after item 1 mends the harness.
 KnobSpec TopicsKnob() {
-  return EnumKnob(
-      "topics",
-      "scoring-kernel selector; 'sparse' requires an instance carrying CSR "
-      "topic views and is bit-identical to 'dense'",
-      {{"dense", false}, {"sparse", true}},
-      [](TypedOptions& o) { return std::tie(o.sparse_topics); });
+  KnobSpec spec;
+  spec.name = "topics";
+  spec.type = KnobType::kEnum;
+  spec.enum_values = {"dense", "sparse"};
+  spec.default_value = "dense";
+  spec.doc = "ignored: the instance picks its topic kernel from the data";
+  return spec;
 }
 
 KnobSpec BbaBoundingKnob() {
@@ -366,7 +361,7 @@ KnobSpec UpdateRefineKnob() {
 // Schema of the SDGA stage pipeline (shared by sdga / sdga-ls and, with
 // the SRA additions, sdga-sra / sra).
 std::vector<KnobSpec> SdgaKnobs() {
-  return {ThreadsKnob(), LapKnob(), GainsKnob(), TopicsKnob()};
+  return {ThreadsKnob(), LapKnob(), GainsKnob()};
 }
 
 std::vector<KnobSpec> SraKnobs() {
@@ -384,20 +379,19 @@ SdgaOptions Unbudgeted(SdgaOptions sdga) {
 }
 
 // Adapts RRAP's unconstrained per-paper lists into an Assignment via
-// AddUnchecked so it can flow through the same evaluation pipeline as the
-// feasible solvers. The result intentionally fails ValidateComplete —
-// that imbalance (Fig. 1(a)) is the point of the baseline.
+// FromPairs, which checks no group size or workload, so it can flow
+// through the same evaluation pipeline as the feasible solvers. The result
+// intentionally fails ValidateComplete — that imbalance (Fig. 1(a)) is the
+// point of the baseline.
 Result<Assignment> SolveRrapAsAssignment(const Instance& instance,
                                          const TypedOptions& options) {
   auto raw = SolveCraRrap(instance, options.cra);
   WGRAP_RETURN_IF_ERROR(raw.status());
-  Assignment assignment(&instance);
+  std::vector<std::pair<int, int>> pairs;
   for (int p = 0; p < instance.num_papers(); ++p) {
-    for (int r : raw->reviewers_of_paper[p]) {
-      WGRAP_RETURN_IF_ERROR(assignment.AddUnchecked(p, r));
-    }
+    for (int r : raw->reviewers_of_paper[p]) pairs.emplace_back(p, r);
   }
-  return assignment;
+  return Assignment::FromPairs(&instance, pairs);
 }
 
 SolverRegistry BuildDefaultRegistry() {
@@ -420,21 +414,23 @@ SolverRegistry BuildDefaultRegistry() {
 
   // --- CRA: whole-conference solvers (Sec. 4 / Sec. 5.2 line-up) ---------
   add(kCra, "greedy", "Greedy (Long et al. [22], Eq. 4)",
-      "pair-at-a-time lazy-heap greedy, 1/3-approximation", {TopicsKnob()})
+      "pair-at-a-time lazy-heap greedy, 1/3-approximation", {})
       .cra = [](const Instance& instance, const TypedOptions& options) {
     return SolveCraGreedy(instance, options.cra);
   };
   add(kCra, "brgg", "BRGG (best reviewer-group greedy)",
       "commits the best whole (group, paper) pair per round",
-      {ThreadsKnob(), TopicsKnob()})
+      {ThreadsKnob()})
       .cra = [](const Instance& instance, const TypedOptions& options) {
     return SolveCraBrgg(instance, options.cra);
   };
-  add(kCra, "sdga", "SDGA (Algorithm 2)",
-      "stage-deepening greedy: dp linear-assignment stages, "
-      "1/2-approximation",
-      SdgaKnobs())
-      .cra = [](const Instance& instance, const TypedOptions& options) {
+  SolverDescriptor& sdga =
+      add(kCra, "sdga", "SDGA (Algorithm 2)",
+          "stage-deepening greedy: dp linear-assignment stages, "
+          "1/2-approximation",
+          SdgaKnobs());
+  sdga.knobs.push_back(TopicsKnob());
+  sdga.cra = [](const Instance& instance, const TypedOptions& options) {
     return SolveCraSdga(instance, options.sdga);
   };
   add(kCra, "sdga-sra", "SDGA + SRA (Algorithms 2+3)",
@@ -452,14 +448,14 @@ SolverRegistry BuildDefaultRegistry() {
     return RefineLocalSearch(instance, *initial, options.ls);
   };
   add(kCra, "sm", "SM (stable matching)",
-      "Gale-Shapley college-admissions baseline", {TopicsKnob()})
+      "Gale-Shapley college-admissions baseline", {})
       .cra = [](const Instance& instance, const TypedOptions& options) {
     return SolveCraStableMatching(instance, options.cra);
   };
   add(kCra, "ilp", "ILP (exact ARAP)",
       "exact per-pair-objective assignment via one demand-dp "
       "transportation solve",
-      {TopicsKnob()})
+      {})
       .cra = [](const Instance& instance, const TypedOptions& options) {
     return SolveCraIlpArap(instance, options.cra);
   };
@@ -467,7 +463,7 @@ SolverRegistry BuildDefaultRegistry() {
       add(kCra, "rrap", "RRAP (Definition 4, retrieval baseline)",
           "each reviewer takes their top-dr papers; group sizes "
           "unconstrained (diagnostic baseline)",
-          {TopicsKnob()});
+          {});
   rrap.produces_feasible = false;
   rrap.cra = SolveRrapAsAssignment;
 
@@ -483,7 +479,7 @@ SolverRegistry BuildDefaultRegistry() {
   add(kCra, "ls", "LS (Fig. 12 baseline)",
       "hill-climbing refinement of an existing assignment (requires an "
       "initial assignment; use RefineCra / --refine)",
-      {ThreadsKnob(), GainsKnob(), TopicsKnob()})
+      {ThreadsKnob(), GainsKnob()})
       .refine = [](const Instance& instance, const Assignment& initial,
                    const TypedOptions& options) {
     return RefineLocalSearch(instance, initial, options.ls);
@@ -495,7 +491,7 @@ SolverRegistry BuildDefaultRegistry() {
           "branch-and-bound pruned by min(Eq. 3, completion bound), with "
           "max-gain branching (bba_bounding / bba_gain_branching knobs; "
           "top-k via SolveJraTopK)",
-          {TopicsKnob(), BbaBoundingKnob(), BbaGainBranchingKnob()});
+          {BbaBoundingKnob(), BbaGainBranchingKnob()});
   bba.jra = [](const Instance& instance, int paper,
                const TypedOptions& options) {
     return SolveJraBba(instance, paper, options.bba);
@@ -506,20 +502,19 @@ SolverRegistry BuildDefaultRegistry() {
     return SolveJraBbaTopK(instance, paper, k, options.bba);
   };
   add(kJra, "bfs", "BFS (brute force)",
-      "enumerates all C(R, dp) groups — exact but exponential", {TopicsKnob()})
+      "enumerates all C(R, dp) groups — exact but exponential", {})
       .jra = [](const Instance& instance, int paper,
                 const TypedOptions& options) {
     return SolveJraBruteForce(instance, paper, options.jra);
   };
   add(kJra, "jra-ilp", "ILP (MIP formulation)",
-      "mixed-integer formulation on the lp/ simplex + B&B solver",
-      {TopicsKnob()})
+      "mixed-integer formulation on the lp/ simplex + B&B solver", {})
       .jra = [](const Instance& instance, int paper,
                 const TypedOptions& options) {
     return SolveJraIlp(instance, paper, options.jra);
   };
   add(kJra, "jra-cp", "CP (constraint programming)",
-      "generic CP search over the cp/ select-k substrate", {TopicsKnob()})
+      "generic CP search over the cp/ select-k substrate", {})
       .jra = [](const Instance& instance, int paper,
                 const TypedOptions& options) {
     return SolveJraCp(instance, paper, options.jra);
@@ -607,7 +602,7 @@ std::string SolverRegistry::KeysCsv(SolverFamily family) const {
 }
 
 Result<SolverRegistry::Validated> SolverRegistry::Validate(
-    const SolverRequest& request, const Instance& instance) const {
+    const SolverRequest& request) const {
   using Kind = SolverRequest::Kind;
   const bool wants_jra =
       request.kind == Kind::kSolveJra || request.kind == Kind::kSolveJraTopK;
@@ -664,8 +659,8 @@ Result<SolverRegistry::Validated> SolverRegistry::Validate(
       break;
   }
   // Unknown or ill-typed knobs never reach a factory.
-  auto options = DecodeKnobs(descriptor->name, descriptor->knobs,
-                             request.options, instance);
+  auto options =
+      DecodeKnobs(descriptor->name, descriptor->knobs, request.options);
   WGRAP_RETURN_IF_ERROR(options.status());
   return Validated{descriptor, *std::move(options)};
 }
@@ -673,7 +668,7 @@ Result<SolverRegistry::Validated> SolverRegistry::Validate(
 Result<SolverResponse> SolverRegistry::Run(const SolverRequest& request,
                                            const Instance& instance) const {
   using Kind = SolverRequest::Kind;
-  auto validated = Validate(request, instance);
+  auto validated = Validate(request);
   WGRAP_RETURN_IF_ERROR(validated.status());
   const SolverDescriptor* descriptor = validated->descriptor;
   const TypedOptions& options = validated->options;

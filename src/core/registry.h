@@ -22,10 +22,10 @@
 // struct's own default member value, so the schema cannot drift from the
 // solver. Every entry point — Run, the service's Submit/Resolve and
 // IncrementalResolve — decodes `extra` with the same DecodeKnobs step:
-// unknown keys, ill-typed values (ParseKnobValue, on the number grammar of
-// common/string_util.h) and the topics/instance check fail with
-// kInvalidArgument naming the key, and on success the factory receives the
-// filled TypedOptions. Clients, remote ones included, discover the schema
+// unknown keys and ill-typed values (ParseKnobValue, on the number grammar
+// of common/string_util.h) fail with kInvalidArgument naming the key, and
+// on success the factory receives the filled TypedOptions. Decoding reads
+// only the schema, never the instance. Clients, remote ones included, discover the schema
 // from DescribeSolvers / `wgrap_cli solvers --verbose`; wgrap_cli derives
 // its flags from it (knob `a_b` is flag `--a-b`).
 //
@@ -114,8 +114,6 @@ struct TypedOptions {
   LocalSearchOptions ls;   // ls, and the refinement of sdga-ls
   JraOptions jra;          // bfs, jra-ilp, jra-cp
   BbaOptions bba;          // bba
-  /// The "topics" knob asked for the CSR-sparse kernels.
-  bool sparse_topics = false;
   /// IncrementalResolve's refiner: a registry refine key, or "none".
   std::string update_refine = "sra";
 };
@@ -158,12 +156,10 @@ Result<KnobValue> ParseKnobValue(const KnobSpec& spec, const std::string& text);
 /// parameters into every options struct, then parses each key of
 /// options.extra against `specs` and stores it. Fails with
 /// kInvalidArgument on an unknown key (listing the declared knobs; `owner`
-/// names the solver), an ill-typed value, or topics=sparse on an instance
-/// without sparse views.
+/// names the solver) or an ill-typed value.
 Result<TypedOptions> DecodeKnobs(const std::string& owner,
                                  const std::vector<KnobSpec>& specs,
-                                 const SolverRunOptions& options,
-                                 const Instance& instance);
+                                 const SolverRunOptions& options);
 
 // Solver factories receive the options DecodeKnobs filled.
 using CraSolverFn =
@@ -264,10 +260,9 @@ class SolverRegistry {
   /// Every check Run makes before a solver runs: kNotFound for unknown
   /// names (listing the family's keys), then the family/kind match, the
   /// refine hook plus an initial assignment, top-k k in [1, kMaxJraTopK],
-  /// then DecodeKnobs against `instance`. The service calls it at submit
-  /// time, so a request that would fail these checks never gets a job id.
-  Result<Validated> Validate(const SolverRequest& request,
-                             const Instance& instance) const;
+  /// then DecodeKnobs. The service calls it at submit time, so a request
+  /// that would fail these checks never gets a job id.
+  Result<Validated> Validate(const SolverRequest& request) const;
 
   /// Validate, then dispatches `request` to the named solver. On success
   /// the response carries the assignment or JRA results plus the elapsed

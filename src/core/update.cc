@@ -525,8 +525,7 @@ Result<ResolveReport> IncrementalResolve(const Instance& instance,
   // The resolve path declares its own schema (refiner pipeline knobs +
   // update_refine) and decodes eagerly — the same step as registry
   // dispatch, so a typo fails before any mutation-repair work.
-  auto typed = DecodeKnobs("update", IncrementalResolveKnobSpecs(), options,
-                           instance);
+  auto typed = DecodeKnobs("update", IncrementalResolveKnobSpecs(), options);
   WGRAP_RETURN_IF_ERROR(typed.status());
   ResolveReport report;
   // Normalize first: re-derive every cached score from the groups so the

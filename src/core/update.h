@@ -11,8 +11,8 @@
 //
 // The contract everything rests on: after Apply, the patched Instance —
 // topic matrices, paper masses, CSC reviewer index and topic rankings,
-// CSR sparse views, COI bitset, bids, and the recomputed default workload
-// δr — is bitwise equal to the one Instance::FromDataset would build from
+// topic kernel and CSR sparse views, COI bitset, bids, and the recomputed
+// default workload δr — is bitwise equal to the one Instance::FromDataset would build from
 // the mutated ground truth, and a tracked Assignment remains a feasible
 // partial assignment (no COI pairs, no overloaded reviewer) whose groups
 // mirror the survivors. An op whose result FromDataset would reject

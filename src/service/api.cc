@@ -192,9 +192,8 @@ Result<SubmitResponse> ServiceApi::Submit(const SubmitRequest& request) {
   // unknown solver, a family or top-k mismatch, a bad knob) fails here,
   // before a job id is handed out. The job repeats the checks on the same
   // snapshot.
-  WGRAP_RETURN_IF_ERROR(core::SolverRegistry::Default()
-                            .Validate(solver_request, *snap.instance)
-                            .status());
+  WGRAP_RETURN_IF_ERROR(
+      core::SolverRegistry::Default().Validate(solver_request).status());
 
   const Result<int64_t> id = jobs_.Submit(
       std::string(KindLabel(request.kind)) + ":" + request.solver,
@@ -255,10 +254,9 @@ Result<SubmitResponse> ServiceApi::Resolve(const ResolveRequest& request) {
   auto snapshot = store_.Get(request.session);
   if (!snapshot.ok()) return snapshot.status();
   core::SolverRunOptions options = RunOptions(request);
-  WGRAP_RETURN_IF_ERROR(core::DecodeKnobs("update",
-                                          core::IncrementalResolveKnobSpecs(),
-                                          options, *snapshot->instance)
-                            .status());
+  WGRAP_RETURN_IF_ERROR(
+      core::DecodeKnobs("update", core::IncrementalResolveKnobSpecs(), options)
+          .status());
   if (snapshot->assignment == nullptr) {
     return Status::FailedPrecondition("session '" + request.session +
                                       "' has no assignment to resolve");

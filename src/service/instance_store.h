@@ -1,5 +1,5 @@
 // Named-session store: the resident-state half of the service layer. Each
-// session owns a live Instance (with its CSR sparse views) and an optional
+// session owns a live Instance (with its topic views) and an optional
 // tracked Assignment, kept consistent through typed mutations by the
 // core/update.h machinery, so the server stays up and instances never get
 // re-parsed.

@@ -119,11 +119,6 @@ Reply HandleOpen(ServiceApi& api, const std::vector<std::string>& tokens,
   auto parsed_scoring = core::ParseScoringFunction(scoring);
   if (!parsed_scoring.ok()) return Err(parsed_scoring.status());
   request.params.scoring = *parsed_scoring;
-  std::string topics = "dense";
-  TakeString(&kv, "topics", &topics);
-  auto sparse_topics = core::ParseTopicsMode(topics);
-  if (!sparse_topics.ok()) return Err(sparse_topics.status());
-  request.params.sparse_topics = *sparse_topics;
   if (!kv.empty()) {
     return BadArgs("unknown open option '" + kv.begin()->first + "'");
   }

@@ -11,7 +11,9 @@
 // Commands (args in [] optional; key=value args order-free):
 //   ping
 //   solvers [verbose]                         solver table [+ knob schemas]
-//   open <session> [dp=3] [dr=0] [scoring=c] [topics=dense] <<N  dataset CSV
+//   open <session> [dp=3] [dr=0] [scoring=c] <<N  dataset CSV (the
+//                                             instance picks its topic
+//                                             kernel from the data)
 //   sessions                                  one line per open session
 //   close <session>
 //   put-assignment <session> <<N              assignment CSV

@@ -343,6 +343,7 @@ TEST(MarginalGainRowTest, HandMadeEdgeRows) {
 // the list) the replay's first error, code and message.
 TEST(FromPairsTest, MatchesTheAddUncheckedReplay) {
   for (const bool sparse : {false, true}) {
+    const ScopedTopicKernel kernel(sparse);
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       FuzzInstanceConfig config;
       config.reviewers = 14;
@@ -351,7 +352,6 @@ TEST(FromPairsTest, MatchesTheAddUncheckedReplay) {
       config.group_size = 3;
       config.conflict_rate = 0.15;
       config.with_bids = seed % 2 == 0;
-      config.sparse_topics = sparse;
       config.seed = seed;
       auto instance = MakeFuzzInstance(config);
       ASSERT_TRUE(instance.ok()) << instance.status().ToString();

@@ -86,11 +86,11 @@ TEST(DeterminismTest, SolversAreThreadCountInvariant) {
   }
 }
 
-// The sparse-topics contract (src/sparse/): `topics=sparse` on an instance
-// carrying CSR views is bit-identical to the dense path — same scores,
-// same groups — for every solver in the parallel line-up, at any thread
-// count. This is the test the CI smoke diff (`--topics dense` vs
-// `--topics sparse`) mirrors at the CLI layer.
+// The sparse-topics contract (src/sparse/): an instance on the CSR kernels
+// is bit-identical to its dense twin — same scores, same groups — for
+// every solver in the parallel line-up, at any thread count. This is the
+// test the CI smoke diff (WGRAP_SPARSE_TOPICS=0 vs =1) mirrors at the CLI
+// layer.
 TEST(DeterminismTest, SparseTopicsAreBitIdenticalToDense) {
   data::SyntheticDblpConfig config;
   config.num_topics = 8;
@@ -101,11 +101,9 @@ TEST(DeterminismTest, SparseTopicsAreBitIdenticalToDense) {
   params.group_size = 3;
   auto dense = Instance::FromDataset(*dataset, params);
   ASSERT_TRUE(dense.ok());
-  dense->DropSparseTopics();  // genuinely dense even under forced-sparse CI
-  params.sparse_topics = true;
-  auto sparse_twin = Instance::FromDataset(*dataset, params);
-  ASSERT_TRUE(sparse_twin.ok());
-  ASSERT_TRUE(sparse_twin->has_sparse_topics());
+  dense->DropSparseTopics();  // genuinely dense under any override
+  Instance sparse_twin = *dense;
+  sparse_twin.BuildSparseTopics();
 
   const auto& registry = SolverRegistry::Default();
   for (const char* algo : {"sdga", "sdga-sra", "sdga-ls", "brgg"}) {
@@ -114,10 +112,8 @@ TEST(DeterminismTest, SparseTopicsAreBitIdenticalToDense) {
       SolverRunOptions dense_options;
       dense_options.seed = 77;
       dense_options.extra["threads"] = threads;
-      SolverRunOptions sparse_options = dense_options;
-      sparse_options.extra["topics"] = "sparse";
       auto a = registry.SolveCra(algo, *dense, dense_options);
-      auto b = registry.SolveCra(algo, *sparse_twin, sparse_options);
+      auto b = registry.SolveCra(algo, sparse_twin, dense_options);
       ASSERT_TRUE(a.ok()) << a.status().ToString();
       ASSERT_TRUE(b.ok()) << b.status().ToString();
       EXPECT_EQ(a->TotalScore(), b->TotalScore());

@@ -1,5 +1,6 @@
 #include "fuzz_util.h"
 
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -31,8 +32,24 @@ InstanceParams MakeFuzzParams(const FuzzInstanceConfig& config) {
                                       config.group_size) +
                 config.extra_workload;
   params.scoring = config.scoring;
-  params.sparse_topics = config.sparse_topics;
   return params;
+}
+
+ScopedTopicKernel::ScopedTopicKernel(std::optional<bool> csr) {
+  if (const char* value = std::getenv("WGRAP_SPARSE_TOPICS")) saved_ = value;
+  if (csr.has_value()) {
+    setenv("WGRAP_SPARSE_TOPICS", *csr ? "1" : "0", /*overwrite=*/1);
+  } else {
+    unsetenv("WGRAP_SPARSE_TOPICS");
+  }
+}
+
+ScopedTopicKernel::~ScopedTopicKernel() {
+  if (saved_.has_value()) {
+    setenv("WGRAP_SPARSE_TOPICS", saved_->c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("WGRAP_SPARSE_TOPICS");
+  }
 }
 
 Status PerturbInstance(const FuzzInstanceConfig& config, Instance* instance) {

@@ -10,11 +10,13 @@
 // ReplayPairs and AssignmentMismatch are the assignment-side oracle for
 // Assignment::FromPairs and the session store's publish. Db08Instance,
 // SparseP400Instance and FnvFold serve the golden suites (jra_test's BBA
-// goldens, cra_test's SRA goldens).
+// goldens, cra_test's SRA goldens). ScopedTopicKernel pins the topic
+// kernel for suites that run both kernels across updates and rebuilds.
 #ifndef WGRAP_TESTS_FUZZ_UTIL_H_
 #define WGRAP_TESTS_FUZZ_UTIL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,9 +43,25 @@ struct FuzzInstanceConfig {
   double conflict_rate = 0.0;
   bool with_bids = false;
   double bid_weight = 0.4;
-  /// Build CSR topic views (the sparse scoring kernels).
-  bool sparse_topics = false;
   uint64_t seed = 1;
+};
+
+/// Forces the topic kernel of every instance built or patched while it
+/// lives — the CSR kernels (true), the dense ones (false), or the data's
+/// pick (nullopt) — by setting WGRAP_SPARSE_TOPICS, and restores the
+/// variable on destruction. Unlike Instance::BuildSparseTopics, the force
+/// survives reviewer-side updates and covers FromDataset rebuilds. No
+/// other thread may build or patch an instance while one is constructed
+/// or destroyed.
+class ScopedTopicKernel {
+ public:
+  explicit ScopedTopicKernel(std::optional<bool> csr);
+  ~ScopedTopicKernel();
+  ScopedTopicKernel(const ScopedTopicKernel&) = delete;
+  ScopedTopicKernel& operator=(const ScopedTopicKernel&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
 };
 
 /// The synthetic reviewer-pool dataset for a config (topics only; COIs and
@@ -51,7 +69,7 @@ struct FuzzInstanceConfig {
 Result<data::RapDataset> MakeFuzzDataset(const FuzzInstanceConfig& config);
 
 /// The InstanceParams a config implies (group size, workload regime,
-/// scoring, sparse views).
+/// scoring).
 InstanceParams MakeFuzzParams(const FuzzInstanceConfig& config);
 
 /// Applies the seeded COI/bid perturbations to an instance built from

@@ -35,10 +35,9 @@
 namespace wgrap::core {
 namespace {
 
-// `topic_density` < 1 generates genuinely sparse profiles (and the
-// instance carries CSR views); 1.0 keeps the legacy dense generator and
-// drops any views so the dense path is exercised even under the CI runs
-// that force WGRAP_SPARSE_TOPICS=1.
+// `topic_density` < 1 generates genuinely sparse profiles and runs the
+// CSR kernels; 1.0 keeps the legacy dense generator and the dense kernels,
+// whatever the data or WGRAP_SPARSE_TOPICS would pick.
 Instance PoolInstance(int reviewers, int papers, int group_size,
                       uint64_t seed, double topic_density = 1.0,
                       int workload = 0,
@@ -54,10 +53,13 @@ Instance PoolInstance(int reviewers, int papers, int group_size,
   params.group_size = group_size;
   params.reviewer_workload = workload;
   params.scoring = scoring;
-  params.sparse_topics = topic_density < 1.0;
   auto instance = Instance::FromDataset(*dataset, params);
   WGRAP_CHECK(instance.ok());
-  if (topic_density >= 1.0) instance->DropSparseTopics();
+  if (topic_density < 1.0) {
+    instance->BuildSparseTopics();
+  } else {
+    instance->DropSparseTopics();
+  }
   return std::move(instance).value();
 }
 
@@ -231,12 +233,15 @@ std::vector<std::pair<std::string, Instance>> OracleInstances() {
   for (const bool csr : {false, true}) {
     InstanceParams params;
     params.group_size = 3;
-    params.sparse_topics = csr;
     auto straddling = Instance::FromDataset(
         MakeStraddlingDataset(/*reviewers=*/16, /*papers=*/12, /*seed=*/404),
         params);
     WGRAP_CHECK(straddling.ok());
-    if (!csr) straddling->DropSparseTopics();
+    if (csr) {
+      straddling->BuildSparseTopics();
+    } else {
+      straddling->DropSparseTopics();
+    }
     straddling->AddConflict(3, 0);
     straddling->AddConflict(7, 5);
     out.emplace_back(csr ? "straddling csr" : "straddling",

@@ -1,14 +1,17 @@
 // Instance construction tests: validation, default workload (⌈P·δp/R⌉),
-// capacity feasibility, COI registration, pair scores.
+// capacity feasibility, COI registration, pair scores, the topic kernel pick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
 #include "core/update.h"
 #include "data/synthetic_dblp.h"
+#include "fuzz_util.h"
 
 namespace wgrap::core {
 namespace {
@@ -164,10 +167,37 @@ TEST(InstanceTest, ParsesParameterSpellings) {
   const auto bad = ParseScoringFunction("cX");
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(bad.status().message(), "unknown scoring 'cX' (use c, cR, cP, cD)");
-  EXPECT_FALSE(*ParseTopicsMode("dense"));
-  EXPECT_TRUE(*ParseTopicsMode("sparse"));
-  EXPECT_EQ(ParseTopicsMode("Sparse").status().message(),
-            "unknown topics mode 'Sparse' (use dense or sparse)");
+}
+
+// The instance picks its topic kernel from the data (core/instance.h):
+// dense on the benchmark's conf_db08 and service_mix shapes (every column
+// heavy), CSR on its sparse_p400 shape (no column heavy), so each
+// workload keeps the kernel it ran when the kernel was a user option.
+// WGRAP_SPARSE_TOPICS=0|1 forces either kernel on any shape.
+TEST(InstanceTest, PicksTheTopicKernelFromTheData) {
+  data::SyntheticDblpConfig sparse;
+  sparse.num_topics = 100;
+  sparse.topic_density = 0.05;
+  const std::vector<std::pair<std::string, Result<data::RapDataset>>> shapes =
+      {{"conf_db08", data::GenerateConferenceDataset(data::Area::kDatabases,
+                                                     2008, {})},
+       {"service_mix", data::GenerateReviewerPool(189, 146, {})},
+       {"sparse_p400", data::GenerateReviewerPool(150, 400, sparse)}};
+  InstanceParams params;
+  params.group_size = 3;
+  for (const auto& [name, dataset] : shapes) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(dataset.ok());
+    const bool csr = name == "sparse_p400";
+    for (const std::optional<bool> forced :
+         {std::optional<bool>(), std::optional<bool>(false),
+          std::optional<bool>(true)}) {
+      ScopedTopicKernel kernel(forced);
+      auto instance = Instance::FromDataset(*dataset, params);
+      ASSERT_TRUE(instance.ok());
+      EXPECT_EQ(instance->has_sparse_topics(), forced.value_or(csr));
+    }
+  }
 }
 
 TEST(InstanceTest, PairScoreMatchesDefinitionOne) {

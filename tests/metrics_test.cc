@@ -76,6 +76,7 @@ TEST(IdealAssignmentTest, PerPaperFoldMatchesTheWholeBuildBitForBit) {
   // BuildIdealAssignment's groups, and the (paper, pick) left fold of the
   // recorded gains its exact total bits.
   for (const bool sparse : {false, true}) {
+    const ScopedTopicKernel kernel(sparse);
     for (uint64_t seed = 1; seed <= 6; ++seed) {
       FuzzInstanceConfig config;
       config.reviewers = 14;
@@ -84,7 +85,6 @@ TEST(IdealAssignmentTest, PerPaperFoldMatchesTheWholeBuildBitForBit) {
       config.group_size = 1 + static_cast<int>(seed % 3);
       config.conflict_rate = 0.2;
       config.with_bids = seed % 2 == 0;
-      config.sparse_topics = sparse;
       config.seed = seed;
       auto instance = MakeFuzzInstance(config);
       ASSERT_TRUE(instance.ok()) << instance.status().ToString();
@@ -183,6 +183,7 @@ TEST(IdealAssignmentTest, RowKernelPicksMatchPerPairReference) {
       ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct};
   int infeasible = 0;
   for (const bool sparse : {false, true}) {
+    const ScopedTopicKernel kernel(sparse);
     for (const ScoringFunction f : kScorings) {
       for (uint64_t seed = 1; seed <= 4; ++seed) {
         FuzzInstanceConfig config;
@@ -193,7 +194,6 @@ TEST(IdealAssignmentTest, RowKernelPicksMatchPerPairReference) {
         config.scoring = f;
         config.conflict_rate = seed <= 2 ? 0.2 : 0.6;
         config.with_bids = seed % 2 == 0;
-        config.sparse_topics = sparse;
         config.seed = seed;
         // The tight COIs leave too little capacity for FromDataset's
         // workload check, so the instance takes them after the build.
@@ -202,7 +202,6 @@ TEST(IdealAssignmentTest, RowKernelPicksMatchPerPairReference) {
         auto instance = Instance::FromDataset(*dataset, MakeFuzzParams(config));
         ASSERT_TRUE(instance.ok()) << instance.status().ToString();
         ASSERT_TRUE(PerturbInstance(config, &*instance).ok());
-        if (!sparse) instance->DropSparseTopics();
         ExpectPicksMatchReference(
             *instance, ScoringFunctionName(f) +
                            (sparse ? " sparse" : " dense") + " seed " +
@@ -236,10 +235,13 @@ TEST(IdealAssignmentTest, TiedGainsPickTheLowestIndex) {
       params.group_size = 3;
       params.reviewer_workload = 2;
       params.scoring = f;
-      params.sparse_topics = sparse;
       auto instance = Instance::FromDataset(dataset, params);
       ASSERT_TRUE(instance.ok());
-      if (!sparse) instance->DropSparseTopics();
+      if (sparse) {
+        instance->BuildSparseTopics();
+      } else {
+        instance->DropSparseTopics();
+      }
       instance->AddConflict(/*reviewer=*/1, /*paper=*/1);
       const std::string what =
           ScoringFunctionName(f) + (sparse ? " sparse" : " dense");

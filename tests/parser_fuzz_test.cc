@@ -141,6 +141,7 @@ TEST(ParserFuzzTest, SessionSurvivesMangledCommandLines) {
       "submit s jra bba paper=1 topk=3 seed=18446744073709551615",
       "submit s refine sra seed=3 sra_omega=4 install=off",
       "resolve s refine=none budget=0 seed=9",
+      // The retired kernel option: refused as an unknown open option.
       "open t dp=2 dr=3 scoring=cR topics=sparse"};
   for (uint64_t seed = 0; seed < 150; ++seed) {
     Rng rng(seed);
@@ -248,6 +249,7 @@ TEST(ParserFuzzTest, PayloadFramingSurvivesMangling) {
       {"open t dp=2", csv},
       {"mutate s", script_text},
       {"put-assignment s", "paper_id,reviewer_id\n0,1\n0,2\n"},
+      // Refused (unknown open option) after its payload is read.
       {"open u dp=2 topics=sparse", csv}};
   for (uint64_t seed = 0; seed < 150; ++seed) {
     Rng rng(900 + seed);

@@ -220,28 +220,46 @@ TEST(SolverRegistryTest, ExtraKnobsAreThreadedThrough) {
   EXPECT_NE(wrong.status().message().find("threads"), std::string::npos);
 }
 
-TEST(SolverRegistryTest, TopicsKnobSelectsSparseKernels) {
+// The instance picks its topic kernel from the data, so `topics` survives
+// only as a vestige on sdga, where the benchmark harness passes it: sdga
+// accepts both spellings and nothing changes. Everywhere else it is an
+// unknown knob like any other.
+TEST(SolverRegistryTest, TopicsIsAnInertVestigeOnSdga) {
   const auto& registry = core::SolverRegistry::Default();
-  core::Instance instance = TinyInstance();
-  instance.DropSparseTopics();  // deterministic under forced-sparse CI
+  const core::Instance instance = TinyInstance();
+  auto plain = registry.SolveCra("sdga", instance);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  for (const char* value : {"dense", "sparse"}) {
+    SCOPED_TRACE(value);
+    core::SolverRunOptions options;
+    options.extra["topics"] = value;
+    auto result = registry.SolveCra("sdga", instance, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->Pairs(), plain->Pairs());
+    EXPECT_EQ(result->TotalScore(), plain->TotalScore());
+  }
+  core::SolverRunOptions csr;
+  csr.extra["topics"] = "csr";
+  EXPECT_EQ(registry.SolveCra("sdga", instance, csr).status().message(),
+            "option 'topics': 'csr' (use dense or sparse)");
 
-  // "sparse" without CSR views is rejected with a message naming the fix.
-  core::SolverRunOptions options;
-  options.extra["topics"] = "sparse";
-  auto rejected = registry.SolveCra("sdga", instance, options);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().message().find("BuildSparseTopics"),
+  core::SolverRunOptions sparse;
+  sparse.extra["topics"] = "sparse";
+  EXPECT_EQ(registry.SolveCra("greedy", instance, sparse).status().message(),
+            "'greedy' takes no options (got 'topics')");
+  for (const char* solver : {"sdga-sra", "sdga-ls", "brgg"}) {
+    auto rejected = registry.SolveCra(solver, instance, sparse);
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+        << solver;
+    EXPECT_NE(rejected.status().message().find(
+                  "does not take option 'topics'"),
+              std::string::npos)
+        << solver;
+  }
+  auto bba = registry.SolveJra("bba", instance, 0, sparse);
+  EXPECT_EQ(bba.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bba.status().message().find("does not take option 'topics'"),
             std::string::npos);
-  EXPECT_FALSE(registry.SolveJra("bba", instance, 0, options).ok());
-
-  // With views built, sparse output matches dense exactly.
-  auto dense = registry.SolveCra("sdga", instance);
-  ASSERT_TRUE(dense.ok());
-  instance.BuildSparseTopics();
-  auto sparse_result = registry.SolveCra("sdga", instance, options);
-  ASSERT_TRUE(sparse_result.ok()) << sparse_result.status().ToString();
-  EXPECT_EQ(dense->TotalScore(), sparse_result->TotalScore());
 }
 
 TEST(SolverRegistryTest, BbaKnobsAreThreadedThrough) {
@@ -324,7 +342,6 @@ TEST(SolverRegistryTest, MalformedExtraValuesAreRejected) {
         {"sra_lambda", "-1"},   // Eq. 10 needs a decay, not a growth
         {"lap", "auction"},  // the auction is not a stage engine
         {"lap", "mcf"},      // min-cost flow is a test oracle only
-        {"topics", "csr"},
         {"gains", "cached"},
         {"gains", "rebuild"}}) {  // so is the per-pair rebuild
     core::SolverRunOptions options;
@@ -351,11 +368,11 @@ TEST(SolverRegistryTest, MalformedExtraValuesAreRejected) {
 TEST(SolverRegistryTest, DescriptorsDeclareWellFormedKnobSchemas) {
   const auto& registry = core::SolverRegistry::Default();
   for (const auto* descriptor : registry.List()) {
-    // Every solver can pick its topic representation — the one knob that is
-    // cross-cutting by design (sparse_test exercises it on all of them).
-    const core::KnobSpec* topics = descriptor->FindKnob("topics");
-    ASSERT_NE(topics, nullptr) << descriptor->name;
-    EXPECT_EQ(topics->type, core::KnobType::kEnum) << descriptor->name;
+    // The instance picks its topic kernel; the `topics` vestige is
+    // declared on sdga alone.
+    EXPECT_EQ(descriptor->FindKnob("topics") != nullptr,
+              descriptor->name == "sdga")
+        << descriptor->name;
     EXPECT_EQ(descriptor->FindKnob("no_such_knob"), nullptr)
         << descriptor->name;
     for (const auto& knob : descriptor->knobs) {
@@ -378,13 +395,12 @@ TEST(SolverRegistryTest, DescriptorsDeclareWellFormedKnobSchemas) {
   bool has_refine = false;
   for (const auto& knob : update_knobs) {
     if (knob.name == "update_refine") has_refine = true;
+    EXPECT_NE(knob.name, "topics");
   }
   EXPECT_TRUE(has_refine);
   core::SolverRunOptions cold;
   cold.extra["update_refine"] = "cold";
-  EXPECT_EQ(core::DecodeKnobs("update", update_knobs, cold, TinyInstance())
-                .status()
-                .code(),
+  EXPECT_EQ(core::DecodeKnobs("update", update_knobs, cold).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -497,17 +513,16 @@ auto PlainFields(const core::TypedOptions& o) {
       o.ls.seed,
       o.jra.time_limit_seconds, o.jra.max_nodes,
       o.bba.time_limit_seconds, o.bba.max_nodes, o.bba.use_bounding,
-      o.bba.use_gain_branching, o.sparse_topics, o.update_refine);
+      o.bba.use_gain_branching, o.update_refine);
 }
 
 // The drift guard of the single schema: a knob's declared default is read
 // off one field, so naming it explicitly must change nothing — in that
 // field or in any other field the knob writes.
 TEST(KnobSchemaTest, DeclaredDefaultsDecodeLikeAbsentKnobs) {
-  const core::Instance instance = TinyInstance();
-  auto check = [&instance](const std::string& owner,
-                           const std::vector<core::KnobSpec>& specs) {
-    auto absent = core::DecodeKnobs(owner, specs, {}, instance);
+  auto check = [](const std::string& owner,
+                  const std::vector<core::KnobSpec>& specs) {
+    auto absent = core::DecodeKnobs(owner, specs, {});
     ASSERT_TRUE(absent.ok()) << absent.status().ToString();
     core::SolverRunOptions all;
     for (const core::KnobSpec& spec : specs) {
@@ -515,11 +530,11 @@ TEST(KnobSchemaTest, DeclaredDefaultsDecodeLikeAbsentKnobs) {
       core::SolverRunOptions one;
       one.extra[spec.name] = spec.default_value;
       all.extra[spec.name] = spec.default_value;
-      auto decoded = core::DecodeKnobs(owner, specs, one, instance);
+      auto decoded = core::DecodeKnobs(owner, specs, one);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       EXPECT_TRUE(PlainFields(*decoded) == PlainFields(*absent));
     }
-    auto decoded = core::DecodeKnobs(owner, specs, all, instance);
+    auto decoded = core::DecodeKnobs(owner, specs, all);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_TRUE(PlainFields(*decoded) == PlainFields(*absent)) << owner;
   };
@@ -530,7 +545,6 @@ TEST(KnobSchemaTest, DeclaredDefaultsDecodeLikeAbsentKnobs) {
 }
 
 TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
-  const core::Instance instance = TinyInstance();
   core::SolverRunOptions options;
   options.time_limit_seconds = 3.0;
   options.seed = 5;
@@ -543,7 +557,7 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
                                  core::SolverRegistry::Default()
                                      .Find("sdga-sra")
                                      ->knobs,
-                                 options, instance);
+                                 options);
   ASSERT_TRUE(typed.ok()) << typed.status().ToString();
   for (const core::CraOptions* cra :
        std::initializer_list<const core::CraOptions*>{
@@ -572,19 +586,17 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
       core::SolverRunOptions bad;
       bad.extra[key] = value;
       auto rejected = core::DecodeKnobs(
-          solver, core::SolverRegistry::Default().Find(solver)->knobs, bad,
-          instance);
+          solver, core::SolverRegistry::Default().Find(solver)->knobs, bad);
       EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
       EXPECT_NE(rejected.status().message().find(key), std::string::npos);
     }
   }
 
-  // ilp is one sequential JV solve with a single knob: the engine, its
-  // epsilon and the thread count are unknown options there.
+  // ilp is one sequential JV solve with no knobs: the engine, its epsilon
+  // and the thread count are unknown options there.
   const std::vector<core::KnobSpec>& ilp_knobs =
       core::SolverRegistry::Default().Find("ilp")->knobs;
-  ASSERT_EQ(ilp_knobs.size(), 1u);
-  EXPECT_EQ(ilp_knobs[0].name, "topics");
+  EXPECT_TRUE(ilp_knobs.empty());
   for (const auto& [key, value] :
        {std::pair<const char*, const char*>{"lap", "mcf"},
         {"lap_epsilon", "0.5"},
@@ -592,11 +604,10 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
     SCOPED_TRACE(std::string("ilp ") + key);
     core::SolverRunOptions bad;
     bad.extra[key] = value;
-    auto rejected = core::DecodeKnobs("ilp", ilp_knobs, bad, instance);
+    auto rejected = core::DecodeKnobs("ilp", ilp_knobs, bad);
     EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(rejected.status().message(),
-              std::string("'ilp' does not take option '") + key +
-                  "' (declared knobs: topics)");
+              std::string("'ilp' takes no options (got '") + key + "')");
   }
 }
 

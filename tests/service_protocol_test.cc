@@ -253,12 +253,14 @@ TEST(ProtocolTest, NonFiniteBudgetIsRejected) {
 
 // A negative budget is as invalid as a non-finite one (0 stays
 // "unlimited"), on submit and resolve alike, and every number key takes
-// one whole base-10 token.
+// one whole base-10 token. `open` refuses a key it does not know, the
+// retired topic kernel option included: the instance picks its kernel.
 TEST(ProtocolTest, NegativeBudgetAndSignedSpellingsAreRejected) {
   auto dataset = core::MakeFuzzDataset(Config());
   ASSERT_TRUE(dataset.ok());
   const std::string csv = data::DatasetToCsv(*dataset);
   std::string script;
+  Send(&script, "open conf dp=3 topics=sparse", csv);
   Send(&script, "open conf dp=+3", csv);
   Send(&script, "open conf dp=3", csv);
   script += "submit conf solve greedy budget=-5\n";
@@ -274,7 +276,9 @@ TEST(ProtocolTest, NegativeBudgetAndSignedSpellingsAreRejected) {
   api.jobs().Drain();
   EXPECT_EQ(out.str(),
             Err(StatusCode::kInvalidArgument,
-                "'dp' must be an integer, got '+3'") +
+                "unknown open option 'topics'") +
+                Err(StatusCode::kInvalidArgument,
+                    "'dp' must be an integer, got '+3'") +
                 Ok("session conf v1 P=8 R=12 T=10 unassigned\n") +
                 Err(StatusCode::kInvalidArgument,
                     "'budget' must be a finite number, got '-5'") +
@@ -450,8 +454,7 @@ TEST(ProtocolTest, KnobErrorsFailTheSubmitWithoutAJobId) {
           "option 'lap': 'mcf' (use hungarian)");
   const std::string rule =
       Err(StatusCode::kInvalidArgument,
-          "'ilp' does not take option 'lap_epsilon' (declared knobs: "
-          "topics)");
+          "'ilp' takes no options (got 'lap_epsilon')");
   const std::string session = Ok("session conf v1 P=8 R=12 T=10 unassigned\n");
   const std::string output = out.str();
   ASSERT_EQ(output.rfind(session + stage_engine + rule + Ok("job 1\n"), 0),

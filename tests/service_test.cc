@@ -280,6 +280,7 @@ TEST(StorePublishTest, FromPairsPublishesMatchTheReplayOracle) {
   using core::InstanceUpdate;
   failpoint::DisarmAll();
   for (const bool sparse : {false, true}) {
+    const core::ScopedTopicKernel kernel(sparse);
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       core::FuzzInstanceConfig config;
       config.reviewers = 13;
@@ -288,7 +289,6 @@ TEST(StorePublishTest, FromPairsPublishesMatchTheReplayOracle) {
       config.group_size = 3;
       config.conflict_rate = 0.1;
       config.with_bids = seed != 2;
-      config.sparse_topics = sparse;
       config.seed = seed;
       const int T = config.num_topics;
       const core::InstanceParams params = core::MakeFuzzParams(config);
@@ -459,6 +459,7 @@ TEST(StorePublishTest, InstallAndResolveSnapshotsEqualTheReplayOracle) {
   using core::InstanceUpdate;
   failpoint::DisarmAll();
   for (const bool sparse : {false, true}) {
+    const core::ScopedTopicKernel kernel(sparse);
     core::FuzzInstanceConfig config;
     config.reviewers = 14;
     config.papers = 9;
@@ -466,7 +467,6 @@ TEST(StorePublishTest, InstallAndResolveSnapshotsEqualTheReplayOracle) {
     config.group_size = 3;
     config.conflict_rate = 0.05;
     config.with_bids = true;
-    config.sparse_topics = sparse;
     config.seed = 17;
     auto built = core::MakeFuzzInstance(config);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -670,6 +670,7 @@ TEST(IdealScoreCacheTest, SeededMutationsKeepEvaluateByteExact) {
   using core::InstanceUpdate;
   failpoint::DisarmAll();
   for (const bool sparse : {false, true}) {
+    const core::ScopedTopicKernel kernel(sparse);
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       core::FuzzInstanceConfig config;
       config.reviewers = 12;
@@ -678,7 +679,6 @@ TEST(IdealScoreCacheTest, SeededMutationsKeepEvaluateByteExact) {
       config.group_size = 3;
       config.conflict_rate = 0.1;
       config.with_bids = true;
-      config.sparse_topics = sparse;
       config.seed = seed;
       const int T = config.num_topics;
       auto built = core::MakeFuzzInstance(config);

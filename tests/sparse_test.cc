@@ -236,12 +236,15 @@ core::Instance PoolInstance(int reviewers, int papers, ScoringFunction f,
   core::InstanceParams params;
   params.group_size = 3;
   params.scoring = f;
-  params.sparse_topics = sparse_views;
   auto instance = core::Instance::FromDataset(*dataset, params);
   WGRAP_CHECK(instance.ok());
-  // Make the dense twin dense even when CI forces WGRAP_SPARSE_TOPICS=1 —
-  // the comparison below needs one genuinely dense execution.
-  if (!sparse_views) instance->DropSparseTopics();
+  // Force each twin's kernel whatever the data or WGRAP_SPARSE_TOPICS
+  // picks: the comparison below needs one execution of each.
+  if (sparse_views) {
+    instance->BuildSparseTopics();
+  } else {
+    instance->DropSparseTopics();
+  }
   return std::move(instance).value();
 }
 
@@ -267,11 +270,8 @@ TEST(SparseEquivalenceTest, SolversMatchDensePathExactly) {
       for (const char* algo : {"greedy", "brgg", "sdga", "sdga-sra",
                                "sdga-ls", "sm", "ilp"}) {
         SCOPED_TRACE(algo);
-        core::SolverRunOptions dense_options;
-        core::SolverRunOptions sparse_options;
-        sparse_options.extra["topics"] = "sparse";
-        auto a = registry.SolveCra(algo, dense, dense_options);
-        auto b = registry.SolveCra(algo, sparse_twin, sparse_options);
+        auto a = registry.SolveCra(algo, dense);
+        auto b = registry.SolveCra(algo, sparse_twin);
         ASSERT_TRUE(a.ok()) << a.status().ToString();
         ASSERT_TRUE(b.ok()) << b.status().ToString();
         EXPECT_EQ(a->TotalScore(), b->TotalScore());
@@ -283,9 +283,7 @@ TEST(SparseEquivalenceTest, SolversMatchDensePathExactly) {
       for (const char* algo : {"bba", "bfs", "jra-cp"}) {
         SCOPED_TRACE(algo);
         auto a = registry.SolveJra(algo, dense, /*paper=*/2);
-        core::SolverRunOptions sparse_options;
-        sparse_options.extra["topics"] = "sparse";
-        auto b = registry.SolveJra(algo, sparse_twin, 2, sparse_options);
+        auto b = registry.SolveJra(algo, sparse_twin, 2);
         ASSERT_TRUE(a.ok()) << a.status().ToString();
         ASSERT_TRUE(b.ok()) << b.status().ToString();
         EXPECT_EQ(a->score, b->score);
@@ -294,11 +292,8 @@ TEST(SparseEquivalenceTest, SolversMatchDensePathExactly) {
       {
         // BBA top-3: the per-node gain and the prefix fold over the
         // instance's primitives, on both twins.
-        core::SolverRunOptions sparse_options;
-        sparse_options.extra["topics"] = "sparse";
         auto a = registry.SolveJraTopK("bba", dense, /*paper=*/2, 3);
-        auto b = registry.SolveJraTopK("bba", sparse_twin, 2, 3,
-                                       sparse_options);
+        auto b = registry.SolveJraTopK("bba", sparse_twin, 2, 3);
         ASSERT_TRUE(a.ok()) << a.status().ToString();
         ASSERT_TRUE(b.ok()) << b.status().ToString();
         ASSERT_EQ(a->size(), b->size());
@@ -314,10 +309,8 @@ TEST(SparseEquivalenceTest, SolversMatchDensePathExactly) {
         core::SolverRunOptions dense_options;
         dense_options.seed = 17;
         dense_options.extra["threads"] = "4";
-        core::SolverRunOptions sparse_options = dense_options;
-        sparse_options.extra["topics"] = "sparse";
         auto a = registry.SolveCra("sdga-ls", dense, dense_options);
-        auto b = registry.SolveCra("sdga-ls", sparse_twin, sparse_options);
+        auto b = registry.SolveCra("sdga-ls", sparse_twin, dense_options);
         ASSERT_TRUE(a.ok()) << a.status().ToString();
         ASSERT_TRUE(b.ok()) << b.status().ToString();
         EXPECT_EQ(a->TotalScore(), b->TotalScore());

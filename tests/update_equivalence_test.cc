@@ -7,9 +7,10 @@
 // patched state must follow the bit-identical trajectory of a resolve on
 // the freshly built state. The grid covers dense|sparse topic kernels and
 // 1|8 resolve threads across multiple seeds; dedicated cases pin the
-// pure-removal sequence the ROADMAP calls out, each op kind alone, and
+// pure-removal sequence the ROADMAP calls out, each op kind alone,
 // reviewer ops that move topic columns across the heavy-column threshold
-// (dense copies and the gain row pass checked after each), and
+// (dense copies and the gain row pass checked after each), reviewer ops
+// that move the instance across its topic kernel boundary, and
 // smaller tests cover validation failures, eviction reporting and the
 // mutation-script grammar. After every fuzzed op the instance's c(AI)
 // memo (core::IdealScore) must memcmp-equal a from-scratch AI build, on
@@ -43,8 +44,9 @@ namespace {
 
 // The shared shape of every fuzz case: tight dynamic workload (so
 // add/remove ops exercise the δr recompute + eviction path), a sprinkle
-// of COIs and live bids.
-FuzzInstanceConfig BaseConfig(uint64_t seed, bool sparse) {
+// of COIs and live bids. The topic kernel is the caller's
+// ScopedTopicKernel.
+FuzzInstanceConfig BaseConfig(uint64_t seed) {
   FuzzInstanceConfig config;
   config.reviewers = 24;
   config.papers = 30;
@@ -54,7 +56,6 @@ FuzzInstanceConfig BaseConfig(uint64_t seed, bool sparse) {
   config.conflict_rate = 0.05;
   config.with_bids = true;
   config.bid_weight = 0.4;
-  config.sparse_topics = sparse;
   config.seed = seed;
   return config;
 }
@@ -443,7 +444,8 @@ class UpdateEquivalenceTest : public ::testing::TestWithParam<UpdateFuzzCase> {
 
 TEST_P(UpdateEquivalenceTest, PatchedStateMatchesFreshBuild) {
   const UpdateFuzzCase& c = GetParam();
-  const FuzzInstanceConfig config = BaseConfig(c.seed, c.sparse);
+  const ScopedTopicKernel kernel(c.sparse);
+  const FuzzInstanceConfig config = BaseConfig(c.seed);
   const InstanceParams params = MakeFuzzParams(config);
   auto built = MakeFuzzInstance(config);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -558,7 +560,7 @@ INSTANTIATE_TEST_SUITE_P(
 // incremental resolve is bit-identical in mechanism to one run on a
 // cold-built instance.
 TEST(UpdateEquivalencePureRemoval, ResolveMatchesFreshBuildExactly) {
-  const FuzzInstanceConfig config = BaseConfig(/*seed=*/4242, false);
+  const FuzzInstanceConfig config = BaseConfig(/*seed=*/4242);
   const InstanceParams params = MakeFuzzParams(config);
   auto built = MakeFuzzInstance(config);
   ASSERT_TRUE(built.ok());
@@ -602,7 +604,8 @@ TEST(UpdateEquivalenceOpKinds, EveryOpKeepsTheTopicViewsCurrent) {
     for (int kind = 0; kind < 8; ++kind) {
       SCOPED_TRACE("sparse " + std::to_string(sparse) + " kind " +
                    std::to_string(kind));
-      FuzzInstanceConfig config = BaseConfig(/*seed=*/300 + kind, sparse);
+      const ScopedTopicKernel kernel(sparse);
+      FuzzInstanceConfig config = BaseConfig(/*seed=*/300 + kind);
       config.with_bids = kind == 5;
       const InstanceParams params = MakeFuzzParams(config);
       auto built = MakeFuzzInstance(config);
@@ -677,6 +680,7 @@ TEST(UpdateEquivalenceOpKinds, ColumnsCrossTheHeavyThreshold) {
         ScoringFunction::kPaperCoverage, ScoringFunction::kDotProduct}) {
     for (const bool sparse : {false, true}) {
       SCOPED_TRACE(ScoringFunctionName(f) + (sparse ? " sparse" : " dense"));
+      const ScopedTopicKernel kernel(sparse);
       GroundTruth gt;
       gt.dataset = MakeStraddlingDataset(/*reviewers=*/4 * kDivisor,
                                          /*papers=*/12, /*seed=*/77);
@@ -686,7 +690,6 @@ TEST(UpdateEquivalenceOpKinds, ColumnsCrossTheHeavyThreshold) {
       InstanceParams params;
       params.group_size = 3;
       params.scoring = f;
-      params.sparse_topics = sparse;
       Instance instance = BuildFresh(gt, params);
       InstanceUpdater updater(&instance, params);
       // Each op is drawn against the state the previous ones left.
@@ -751,6 +754,64 @@ TEST(UpdateEquivalenceOpKinds, ColumnsCrossTheHeavyThreshold) {
   }
 }
 
+// Reviewer ops that move the instance across its topic kernel boundary
+// (CSR while fewer than a quarter of the topic columns are heavy): after
+// each op the patched instance equals its FromDataset rebuild, kernel
+// included, and the kernel flipped; paper ops never flip it. 15 reviewers
+// over T = 8 carry one topic each (degree 2; topic 7 degree 1), and two
+// carry one more, so topics 2 and 3 sit at degree 3, one short of heavy
+// (4 · degree >= R). Two heavy columns make the dense kernels.
+TEST(UpdateEquivalenceOpKinds, TheTopicKernelFollowsTheReviewerSide) {
+  const ScopedTopicKernel kernel(std::nullopt);  // the data decides
+  constexpr int T = 8;
+  const auto topics = [](std::initializer_list<int> support) {
+    std::vector<double> v(T, 0.0);
+    for (int t : support) v[t] = 0.25 + 0.125 * t;
+    return v;
+  };
+  GroundTruth gt;
+  gt.dataset.num_topics = T;
+  for (int r = 0; r < 15; ++r) {
+    std::vector<double> v = topics({r % T});
+    if (r == 8) v[2] = 0.5;
+    if (r == 9) v[3] = 0.5;
+    gt.dataset.reviewers.push_back({"reviewer", v, 0});
+  }
+  Rng rng(91);
+  for (int p = 0; p < 6; ++p) {
+    gt.dataset.papers.push_back({"paper", RandomTopics(&rng, T), "V"});
+  }
+  gt.coi.assign(gt.P(), std::vector<char>(gt.R(), 0));
+  gt.bids.assign(gt.P(), std::vector<double>(gt.R(), 0.0));
+  InstanceParams params;
+  params.group_size = 2;
+  Instance instance = BuildFresh(gt, params);
+  ASSERT_TRUE(instance.has_sparse_topics());
+  InstanceUpdater updater(&instance, params);
+  const std::vector<std::pair<InstanceUpdate, bool>> ops = {
+      // topics 2 and 3 reach degree 4: dense
+      {InstanceUpdate::SetReviewerTopics(0, topics({0, 2, 3})), false},
+      {InstanceUpdate::SetReviewerTopics(0, topics({0})), true},
+      // R = 16 puts the threshold at 4, which the newcomer reaches
+      {InstanceUpdate::AddReviewer(topics({2, 3})), false},
+      {InstanceUpdate::RemoveReviewer(15), true},
+      {InstanceUpdate::SetReviewerTopics(1, topics({1, 2, 3})), false},
+      {InstanceUpdate::AddPaper(RandomTopics(&rng, T)), false},
+      {InstanceUpdate::SetPaperTopics(0, RandomTopics(&rng, T)), false},
+      {InstanceUpdate::RemoveReviewer(9), true},
+      {InstanceUpdate::SetPaperTopics(1, RandomTopics(&rng, T)), true},
+      {InstanceUpdate::RemovePaper(2), true},
+  };
+  for (const auto& [op, csr] : ops) {
+    SCOPED_TRACE(op.ToString());
+    auto report = updater.Apply(op);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ApplyToGroundTruth(&gt, op);
+    EXPECT_EQ(instance.has_sparse_topics(), csr);
+    ExpectInstancesBitEqual(instance, BuildFresh(gt, params));
+  }
+}
+
 // The two setup-time mutators outside InstanceUpdater, on an instance
 // whose memo is already filled: AddConflict re-derives its one paper,
 // SetBids every paper, and a copy taken before keeps its answer. The last
@@ -758,7 +819,8 @@ TEST(UpdateEquivalenceOpKinds, ColumnsCrossTheHeavyThreshold) {
 TEST(IdealScoreMemo, AddConflictAndSetBidsOnAnEvaluatedInstance) {
   for (const bool sparse : {false, true}) {
     SCOPED_TRACE(sparse ? "sparse" : "dense");
-    FuzzInstanceConfig config = BaseConfig(/*seed=*/77, sparse);
+    const ScopedTopicKernel kernel(sparse);
+    FuzzInstanceConfig config = BaseConfig(/*seed=*/77);
     config.with_bids = false;
     auto built = MakeFuzzInstance(config);
     ASSERT_TRUE(built.ok());
@@ -799,7 +861,7 @@ TEST(IdealScoreMemo, AddConflictAndSetBidsOnAnEvaluatedInstance) {
 // --- validation and reporting ---------------------------------------------
 
 TEST(InstanceUpdaterValidation, RejectedOpsLeaveTheInstanceUntouched) {
-  const FuzzInstanceConfig config = BaseConfig(/*seed=*/7, false);
+  const FuzzInstanceConfig config = BaseConfig(/*seed=*/7);
   const InstanceParams params = MakeFuzzParams(config);
   auto built = MakeFuzzInstance(config);
   ASSERT_TRUE(built.ok());
@@ -844,7 +906,7 @@ TEST(InstanceUpdaterValidation, RejectedOpsLeaveTheInstanceUntouched) {
 // FromDataset rejects a paperless instance, so the updater refuses to
 // produce one: removing the last paper fails and leaves it in place.
 TEST(InstanceUpdaterValidation, TheLastPaperCannotBeRemoved) {
-  FuzzInstanceConfig config = BaseConfig(/*seed=*/9, false);
+  FuzzInstanceConfig config = BaseConfig(/*seed=*/9);
   config.papers = 2;
   config.with_bids = false;
   config.conflict_rate = 0.0;
@@ -863,7 +925,7 @@ TEST(InstanceUpdaterValidation, TheLastPaperCannotBeRemoved) {
 }
 
 TEST(InstanceUpdaterValidation, SetBidNeedsABidMatrix) {
-  FuzzInstanceConfig config = BaseConfig(/*seed=*/8, false);
+  FuzzInstanceConfig config = BaseConfig(/*seed=*/8);
   config.with_bids = false;
   auto built = MakeFuzzInstance(config);
   ASSERT_TRUE(built.ok());
@@ -907,7 +969,7 @@ TEST(InstanceUpdaterValidation, FixedWorkloadCapacityIsEnforced) {
 }
 
 TEST(InstanceUpdaterReport, CoiOnAnAssignedPairEvictsExactlyThatPair) {
-  const FuzzInstanceConfig config = BaseConfig(/*seed=*/11, false);
+  const FuzzInstanceConfig config = BaseConfig(/*seed=*/11);
   auto built = MakeFuzzInstance(config);
   ASSERT_TRUE(built.ok());
   Instance instance = *std::move(built);
@@ -1004,7 +1066,7 @@ TEST(ParseMutationScriptTest, DiagnosesBadLinesByNumber) {
 }
 
 TEST(SnapshotDatasetTest, RoundTripsTheLiveInstance) {
-  const FuzzInstanceConfig config = BaseConfig(/*seed=*/31, false);
+  const FuzzInstanceConfig config = BaseConfig(/*seed=*/31);
   auto built = MakeFuzzInstance(config);
   ASSERT_TRUE(built.ok());
   const Instance& instance = *built;

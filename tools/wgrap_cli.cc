@@ -20,33 +20,32 @@
 //   wgrap_cli solve     --dataset d.csv --dp 3 [--dr N] [--algo sdga-sra]
 //                       [--scoring c|cR|cP|cD] [--budget secs] [--seed S]
 //                       [--threads N] [--sra-omega W] [--sra-lambda L]
-//                       [--topics dense|sparse]
 //                       [--trace spans.json] [--verbose]
 //                       [--refine initial.csv] --out a.csv
 //     (--trace records the solver's span tree to a chrome://tracing JSON
 //      file; --verbose prints the dispatched kernel backend (avx2/scalar),
-//      the number of heavy (dense-kernel) topic columns and solver
+//      the number of heavy (dense-kernel) topic columns, the topic kernel
+//      the instance picked from them (dense or csr) and solver
 //      telemetry counters to stderr — both leave stdout
 //      byte-identical to an uninstrumented run, which CI asserts)
 //     (--refine runs the algo's refine-from-initial hook — sra or ls —
 //      on an existing assignment instead of solving from scratch)
-//     (--algo ilp takes only --topics: one sequential demand-dp JV
-//      solve, no --threads)
+//     (--algo ilp takes no knobs: one sequential demand-dp JV solve, no
+//      --threads)
 //     (--lap and --gains take only hungarian and incremental, the one
 //      stage pipeline every SDGA/SRA solve runs; any other value, like a
 //      knob the solver does not take, exits 2 naming the knob)
 //   wgrap_cli jra       --dataset d.csv --paper 0 --dp 3 [--topk 5]
-//                       [--algo bba] [--topics dense|sparse]
+//                       [--algo bba]
 //                       [--bba-bounding on|off] [--bba-gain-branching on|off]
 //   wgrap_cli evaluate  --dataset d.csv --assignment a.csv --dp 3 [--dr N]
 //   wgrap_cli casestudy --dataset d.csv --assignment a.csv --paper 0 --dp 3
-//                       [--top-topics 5] [--topics dense|sparse]
-//     (--top-topics is how many of the paper's topics the table shows;
-//      --topics picks the kernels, as in solve. A paper id outside the
-//      dataset exits 1 with OutOfRange, as jra does)
+//                       [--top-topics 5]
+//     (--top-topics is how many of the paper's topics the table shows. A
+//      paper id outside the dataset exits 1 with OutOfRange, as jra does)
 //   wgrap_cli update    --dataset d.csv --assignment a.csv --mutations m.txt
 //                       --dp 3 [--dr N] [--scoring c|cR|cP|cD]
-//                       [--topics dense|sparse] [--refine sra|ls|none]
+//                       [--refine sra|ls|none]
 //                       [--seed S] [--budget secs] [--threads N]
 //                       [...any sdga-sra knob]
 //                       [--mode patch|rebuild] [--cold] [--out a2.csv]
@@ -83,9 +82,10 @@
 // base-10 tokens; --seed and --max-payload unsigned; --budget seconds >= 0,
 // 0 = unlimited); a bad value exits 2 naming the flag.
 //
-// Note: `--topics` means the scoring-kernel selector (dense or CSR-sparse,
-// bit-identical output) on solve/jra/update, but the topic *count* T on
-// generate.
+// Every instance picks its topic kernel (dense or CSR, bit-identical
+// output) from its data (core/instance.h); the environment variable
+// WGRAP_SPARSE_TOPICS=0|1 forces it for tests. `--topics` on generate is
+// the topic count T.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -257,12 +257,11 @@ T ParamOrDie(Result<T> value) {
 // so a knob it rejects (`--lap mcf`) exits 2 naming the knob. An unknown
 // `algo` is left to the registry's own error.
 void CheckKnobsOrDie(const std::string& algo,
-                     const core::SolverRunOptions& options,
-                     const core::Instance& instance) {
+                     const core::SolverRunOptions& options) {
   const core::SolverDescriptor* solver =
       core::SolverRegistry::Default().Find(algo);
   if (solver != nullptr) {
-    ParamOrDie(core::DecodeKnobs(algo, solver->knobs, options, instance));
+    ParamOrDie(core::DecodeKnobs(algo, solver->knobs, options));
   }
 }
 
@@ -277,19 +276,12 @@ data::RapDataset LoadDatasetOrDie(const std::string& path) {
   return std::move(dataset).value();
 }
 
-// Validates `--topics` and returns true when the sparse kernels were
-// requested (the caller builds the instance's CSR views).
-bool ParseTopicsMode(const Flags& flags) {
-  return ParamOrDie(core::ParseTopicsMode(flags.GetString("topics", "dense")));
-}
-
 core::Instance MakeInstanceOrDie(const data::RapDataset& dataset,
                                  const Flags& flags) {
   core::InstanceParams params;
   params.group_size = flags.GetInt("dp", 3);
   params.reviewer_workload = flags.GetInt("dr", 0);
   params.scoring = ParseScoring(flags);
-  params.sparse_topics = ParseTopicsMode(flags);
   auto instance = core::Instance::FromDataset(dataset, params);
   if (!instance.ok()) Die(instance.status(), "build instance");
   return std::move(instance).value();
@@ -315,12 +307,9 @@ core::Assignment LoadAssignmentOrDie(const core::Instance& instance,
                   std::istreambuf_iterator<char>());
   auto pairs = data::AssignmentPairsFromCsv(csv);
   if (!pairs.ok()) Die(pairs.status(), "parse assignment");
-  core::Assignment assignment(&instance);
-  for (const auto& [p, r] : *pairs) {
-    Status st = assignment.AddUnchecked(p, r);
-    if (!st.ok()) Die(st, "apply assignment pair");
-  }
-  return assignment;
+  auto assignment = core::Assignment::FromPairs(&instance, *pairs);
+  if (!assignment.ok()) Die(assignment.status(), "apply assignment pair");
+  return std::move(assignment).value();
 }
 
 // --- subcommands -----------------------------------------------------------
@@ -394,7 +383,7 @@ int CmdSolve(const Flags& flags) {
   // Results are bit-identical for any --threads value at a fixed --seed.
   options.extra = KnobFlags(flags);
   const auto& registry = core::SolverRegistry::Default();
-  CheckKnobsOrDie(algo, options, instance);
+  CheckKnobsOrDie(algo, options);
   Result<core::Assignment> assignment = Status::Internal("unset");
   const std::string trace_path = flags.GetString("trace", "");
   obs::Tracer tracer;
@@ -430,6 +419,9 @@ int CmdSolve(const Flags& flags) {
     std::fprintf(stderr, "heavy topic columns: %d of %d\n",
                  instance.ReviewerTopicIndex().num_dense_columns(),
                  instance.num_topics());
+    // The kernel the instance picked from that split (core/instance.h).
+    std::fprintf(stderr, "topic kernel: %s\n",
+                 instance.has_sparse_topics() ? "csr" : "dense");
     if (!obs::Enabled()) {
       std::fprintf(stderr, "telemetry disabled (WGRAP_OBS=0)\n");
     } else {
@@ -473,7 +465,6 @@ int CmdJra(const Flags& flags) {
   params.group_size = flags.GetInt("dp", 3);
   params.reviewer_workload = dataset.num_reviewers();
   params.scoring = ParseScoring(flags);
-  params.sparse_topics = ParseTopicsMode(flags);
   auto instance = core::Instance::FromDataset(dataset, params);
   if (!instance.ok()) Die(instance.status(), "build instance");
   const int paper = flags.GetInt("paper", 0);
@@ -481,7 +472,7 @@ int CmdJra(const Flags& flags) {
   const std::string algo = flags.GetString("algo", "bba");
   core::SolverRunOptions options;
   options.extra = KnobFlags(flags);
-  CheckKnobsOrDie(algo, options, *instance);
+  CheckKnobsOrDie(algo, options);
   Result<std::vector<core::JraResult>> results = Status::Internal("unset");
   if (topk != 1) {
     // Top-k enumeration dispatches through the registry's top-k hook like
@@ -546,7 +537,7 @@ int CmdUpdate(const Flags& flags) {
   const std::string refine = flags.GetString("refine", "");
   if (!refine.empty()) options.extra["update_refine"] = refine;
   ParamOrDie(core::DecodeKnobs("update", core::IncrementalResolveKnobSpecs(),
-                               options, instance));
+                               options));
 
   core::InstanceParams params;
   params.group_size = flags.GetInt("dp", 3);
@@ -574,10 +565,8 @@ int CmdUpdate(const Flags& flags) {
   std::optional<core::Instance> rebuilt;
   std::optional<core::Assignment> rebuilt_assignment;
   if (mode == "rebuild") {
-    core::InstanceParams rebuild_params = params;
-    rebuild_params.sparse_topics = ParseTopicsMode(flags);
     auto fresh = core::Instance::FromDataset(core::SnapshotDataset(instance),
-                                             rebuild_params);
+                                             params);
     if (!fresh.ok()) Die(fresh.status(), "rebuild instance");
     rebuilt = std::move(fresh).value();
     for (int p = 0; p < instance.num_papers(); ++p) {
@@ -585,13 +574,9 @@ int CmdUpdate(const Flags& flags) {
         if (instance.IsConflict(r, p)) rebuilt->AddConflict(r, p);
       }
     }
-    rebuilt_assignment.emplace(&*rebuilt);
-    for (int p = 0; p < instance.num_papers(); ++p) {
-      for (int r : assignment.GroupFor(p)) {
-        Status st = rebuilt_assignment->AddUnchecked(p, r);
-        if (!st.ok()) Die(st, "replay surviving pair");
-      }
-    }
+    auto replayed = core::Assignment::FromPairs(&*rebuilt, assignment.Pairs());
+    if (!replayed.ok()) Die(replayed.status(), "replay surviving pair");
+    rebuilt_assignment = std::move(replayed).value();
     live = &*rebuilt;
     survivors = &*rebuilt_assignment;
   }

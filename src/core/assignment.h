@@ -82,10 +82,10 @@ class Assignment {
   void MarginalGainRow(int paper, double* out) const;
 
   /// Score of `paper` with `drop` replaced by `add` in its group, computed
-  /// read-only with the same GroupFold the internal recompute uses — the
-  /// parallel local-search gain evaluation depends on the two never
-  /// diverging. Safe to call from several threads (GroupFold scratch is
-  /// per thread). O(δp·T) dense, O(δp·nnz) sparse.
+  /// read-only with the same GroupFold the internal recompute uses — local
+  /// search scores its proposals with it and applies them with Remove/Add,
+  /// so the two must never diverge. Safe to call from several threads
+  /// (GroupFold scratch is per thread). O(δp·T) dense, O(δp·nnz) sparse.
   double ScoreWithReplacement(int paper, int drop, int add) const;
 
   /// Adds (r, p). Fails on duplicates, COI, full group, or exhausted

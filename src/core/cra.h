@@ -53,12 +53,11 @@ using ProgressFn = std::function<void(const ProgressFrame&)>;
 struct CraOptions {
   double time_limit_seconds = 0.0;  // 0 = unlimited
   /// Worker threads for the parallelized hot paths (SDGA stage scoring,
-  /// SRA removal sampling + completion scoring, local-search neighbourhood
-  /// evaluation, BRGG group construction). Values < 1 are clamped to 1.
-  /// Output is bit-identical for any value — parallel work is keyed by
-  /// item index, random draws come from per-item Rng streams, and
-  /// reductions happen in index order. greedy/sm/ilp/rrap are sequential
-  /// and ignore it.
+  /// SRA removal sampling + completion scoring, BRGG group construction).
+  /// Values < 1 are clamped to 1. Output is bit-identical for any value —
+  /// parallel work is keyed by item index, random draws come from per-item
+  /// Rng streams, and reductions happen in index order. greedy/sm/ilp/rrap
+  /// and local search are sequential and ignore it.
   int num_threads = 1;
   /// Cooperative cancellation (common/cancel.h), polled at the same coarse
   /// boundaries as the time limit; solvers abort with kCancelled. Null =
@@ -156,7 +155,9 @@ Result<Assignment> RefineSra(const Instance& instance,
 
 /// Hill-climbing swap/replace refinement; the comparison baseline of
 /// Fig. 12 ("SDGA-LS"). Same contract as RefineSra (never worse than
-/// `initial`, anytime, deterministic given `seed`).
+/// `initial`, anytime, deterministic given `seed`). Sequential: each round
+/// scores a fixed batch of proposals with Assignment::ScoreWithReplacement
+/// and applies the first improving one; num_threads is ignored.
 Result<Assignment> RefineLocalSearch(const Instance& instance,
                                      const Assignment& initial,
                                      const LocalSearchOptions& options = {});

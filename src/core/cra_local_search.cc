@@ -5,36 +5,30 @@
 // budget. As the paper observes, this gets stuck in local maxima that the
 // stochastic refinement escapes.
 //
-// Parallelism: proposals are drawn in fixed-size batches against the
-// frozen assignment — proposal j of round k draws from the (k·B + j) Rng
-// stream — and scored read-only from a ReplacementFoldCache of
-// leave-one-out group folds (core/gain_cache.h), which is bit-identical to
-// Assignment::ScoreWithReplacement. Each round draws the batch (RNG only),
-// freshens the folds of the papers it touches in parallel, and scores the
-// batch in parallel. The first improving proposal (by index) is then
-// applied with the usual mutate-verify-rollback step, which preserves both
-// the hill-climbing contract and bit-identical trajectories at any thread
-// count; papers touched by an applied move (kept or rolled back) are
-// invalidated.
+// Trajectory: proposals are drawn in fixed-size batches against the
+// round-start assignment — proposal j of round k draws from the (k·B + j)
+// Rng stream — and every valid one is scored against that same state with
+// Assignment::ScoreWithReplacement before any is applied. The first
+// improving proposal (by index) is then applied with the usual
+// mutate-verify-rollback step; a rolled-back one counts as a stall and the
+// next is judged by its round-start score. The walk is sequential:
+// num_threads is ignored, and the output depends only on the seed.
 //
-// Sparse topics: the folds and the apply step both go through the
+// Sparse topics: the scores and the apply step both go through the
 // instance's scoring primitives, which run the CSR kernels when the
 // instance carries sparse views, so estimate and apply never diverge.
-#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/cra.h"
-#include "core/gain_cache.h"
 
 namespace wgrap::core {
 
 namespace {
 
-// Proposals evaluated per round. A fixed constant (never derived from the
-// thread count) so the proposal stream is identical on every machine.
+// Proposals drawn per round. A fixed constant, so the proposal stream is
+// identical on every machine.
 constexpr int kProposalBatch = 64;
 
 struct Proposal {
@@ -94,16 +88,18 @@ Proposal DrawProposal(const Assignment& assignment, uint64_t seed,
   return proposal;
 }
 
-// Scores a valid proposal against the frozen assignment from the folds.
-double ScoreProposal(const Assignment& assignment, const Proposal& proposal,
-                     const ReplacementFoldCache& folds) {
+// The score change a valid proposal would make to `assignment`.
+double ScoreProposal(const Assignment& assignment, const Proposal& proposal) {
   if (proposal.is_swap) {
-    return folds.Score(proposal.p1, proposal.r1, proposal.r2) +
-           folds.Score(proposal.p2, proposal.r2, proposal.r1) -
+    return assignment.ScoreWithReplacement(proposal.p1, proposal.r1,
+                                           proposal.r2) +
+           assignment.ScoreWithReplacement(proposal.p2, proposal.r2,
+                                           proposal.r1) -
            assignment.PaperScore(proposal.p1) -
            assignment.PaperScore(proposal.p2);
   }
-  return folds.Score(proposal.p1, proposal.r1, proposal.r2) -
+  return assignment.ScoreWithReplacement(proposal.p1, proposal.r1,
+                                         proposal.r2) -
          assignment.PaperScore(proposal.p1);
 }
 
@@ -155,7 +151,6 @@ Result<Assignment> RefineLocalSearch(const Instance& instance,
   WGRAP_RETURN_IF_ERROR(initial.ValidateComplete());
   Stopwatch watch;
   Deadline deadline(options.time_limit_seconds);
-  ThreadPool pool(options.num_threads);
 
   Assignment current = initial;
   if (options.trace) {
@@ -166,32 +161,20 @@ Result<Assignment> RefineLocalSearch(const Instance& instance,
   }
   int64_t stall = 0;
   std::vector<Proposal> batch(kProposalBatch);
-  ReplacementFoldCache folds(&initial.instance());
-  std::vector<int> touched;  // papers a batch's valid proposals read
   for (int64_t round = 0;
        stall < options.max_stall_proposals && !deadline.Expired(); ++round) {
     // Deadline expiry returns the best assignment so far (anytime contract);
     // cancellation means the caller no longer wants any result.
     WGRAP_RETURN_IF_ERROR(CheckNotCancelled(options.cancel, "local search"));
-    // Draw first (RNG only), freshen the folds the batch needs, then score
-    // against the frozen cache.
-    touched.clear();
+    // Draw and score the whole batch against the round-start state before
+    // any apply: a rollback can reorder a group, and with bids a group's
+    // score sums in group order, so a later proposal keeps the score it had
+    // at the start of the round.
     for (int j = 0; j < kProposalBatch; ++j) {
       batch[j] = DrawProposal(current, options.seed, round, j);
-      if (!batch[j].valid) continue;
-      touched.push_back(batch[j].p1);
-      if (batch[j].is_swap) touched.push_back(batch[j].p2);
+      if (batch[j].valid) batch[j].gain = ScoreProposal(current, batch[j]);
     }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    folds.Prepare(current, touched, &pool);
-    pool.ParallelFor(0, kProposalBatch, /*grain=*/8, [&](int64_t j) {
-      if (batch[j].valid) {
-        batch[j].gain = ScoreProposal(current, batch[j], folds);
-      }
-    });
-    // Accept the first improving proposal by index — the same trajectory a
-    // sequential walker over this proposal stream would take.
+    // Accept the first improving proposal by index.
     bool improved = false;
     for (int j = 0;
          j < kProposalBatch && stall < options.max_stall_proposals; ++j) {
@@ -204,17 +187,13 @@ Result<Assignment> RefineLocalSearch(const Instance& instance,
       WGRAP_RETURN_IF_ERROR(proposal.is_swap
                                 ? ApplySwap(&current, proposal, &kept)
                                 : ApplyReplace(&current, proposal, &kept));
-      // Even a rolled-back apply can permute a group, and with bids the
-      // per-paper score sums in group order — drop the folds either way.
-      folds.Invalidate(proposal.p1);
-      if (proposal.is_swap) folds.Invalidate(proposal.p2);
-      if (!kept) {  // read-only estimate disagreed at the tolerance edge
+      if (!kept) {  // the estimate cleared the tolerance, the apply did not
         ++stall;
         continue;
       }
       improved = true;
       stall = 0;
-      break;  // proposals after j were scored against a stale assignment
+      break;  // proposals after j were scored against the old assignment
     }
     if (improved && options.trace) {
       options.trace(watch.ElapsedSeconds(), current.TotalScore());

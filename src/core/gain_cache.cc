@@ -124,59 +124,4 @@ void GainCache::ReportCounters() const {
   if (builds) builds->Add(full_builds_);
 }
 
-ReplacementFoldCache::ReplacementFoldCache(const Instance* instance)
-    : instance_(instance), papers_(instance->num_papers()) {}
-
-void ReplacementFoldCache::Prepare(const Assignment& assignment,
-                                   const std::vector<int>& papers,
-                                   ThreadPool* pool) {
-  std::vector<int> stale;
-  for (int p : papers) {
-    if (!papers_[p].fresh) stale.push_back(p);
-  }
-  if (stale.empty()) return;
-  pool->ParallelFor(0, static_cast<int64_t>(stale.size()), /*grain=*/4,
-                    [&](int64_t i) {
-    const int p = stale[i];
-    PaperFolds& folds = papers_[p];
-    const std::vector<int>& group = assignment.GroupFor(p);
-    const int n = static_cast<int>(group.size());
-    folds.members = group;
-    folds.kept.assign(n, {});
-    folds.kept_bids.assign(n, 0.0);
-    for (int skip = 0; skip < n; ++skip) {
-      GroupFold fold(*instance_);
-      for (int j = 0; j < n; ++j) {
-        if (j == skip) continue;
-        fold.Add(group[j]);
-        folds.kept_bids[skip] += instance_->BidBonus(group[j], p);
-      }
-      folds.kept[skip] = fold.Save();
-    }
-    folds.fresh = true;
-  });
-}
-
-double ReplacementFoldCache::Score(int paper, int drop, int add) const {
-  const PaperFolds& folds = papers_[paper];
-  WGRAP_CHECK_MSG(folds.fresh, "Score requires a Prepare'd paper");
-  const auto it =
-      std::find(folds.members.begin(), folds.members.end(), drop);
-  WGRAP_CHECK_MSG(it != folds.members.end(), "drop is not a group member");
-  const int skip = static_cast<int>(it - folds.members.begin());
-  // Total the bids before adding them to the score: ScoreWithReplacement
-  // accumulates all bid bonuses into one term and adds it to the score
-  // once, and fp addition is not associative — (score + kept) + add_bid
-  // would differ in the low bits.
-  const double bids =
-      folds.kept_bids[skip] + instance_->BidBonus(add, paper);
-  // Folding the saved vector into an empty group reproduces it exactly
-  // (the running max of non-negative weights from +0.0), so this is the
-  // same fold ScoreWithReplacement makes.
-  GroupFold fold(*instance_);
-  fold.Add(folds.kept[skip]);
-  fold.Add(add);
-  return fold.Score(paper) + bids;
-}
-
 }  // namespace wgrap::core

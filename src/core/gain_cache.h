@@ -1,9 +1,8 @@
 // Incremental marginal-gain engine: keeps the SDGA/SRA stage program
 // (gain(A[p], r, p) of Definition 8 for every pair, as the JV's int64
 // cost) alive across stage commits instead of rebuilding all P×R entries
-// per stage, and caches the local-search group folds behind
-// ScoreWithReplacement. It is the only profit source of the stage pipeline
-// (cra_sdga.cc) and of local search (cra_local_search.cc).
+// per stage. It is the only profit source of the stage pipeline
+// (cra_sdga.cc, and the SRA completions of cra_sra.cc).
 //
 // Why whole-row recompute is exact (the contract everything here rests
 // on): gain(A[p], r, p) reads the assignment only through paper p's group
@@ -168,49 +167,6 @@ class GainCache {
   bool initialized_ = false;
   int64_t patched_entries_ = 0;
   int64_t full_builds_ = 0;
-};
-
-/// Local-search companion: caches, per paper, the δp "leave one member
-/// out" group folds (GroupFold::Saved and bid sum), so a replacement score
-/// folds one cached vector plus the incoming reviewer instead of
-/// re-folding all δp members. Score() is bit-identical to Assignment::
-/// ScoreWithReplacement — max-folding is exact and order-independent, the
-/// cached bid partial sums keep the group's summation order, and both
-/// score through the same GroupFold (asserted in tests/gain_cache_test.cc).
-///
-/// Protocol (cra_local_search.cc): Prepare() the papers a proposal batch
-/// touches (parallel, builds only stale entries), Score() read-only from
-/// any thread, Invalidate() the papers mutated by an applied move — kept
-/// or rolled back, since a rollback can reorder the group and with bids
-/// the per-paper score is summed in group order.
-class ReplacementFoldCache {
- public:
-  explicit ReplacementFoldCache(const Instance* instance);
-
-  /// Drops the cached folds of `paper`.
-  void Invalidate(int paper) { papers_[paper].fresh = false; }
-
-  /// (Re)builds folds for every stale paper in `papers`, in parallel.
-  void Prepare(const Assignment& assignment, const std::vector<int>& papers,
-               ThreadPool* pool);
-
-  /// Score of `paper` with member `drop` replaced by `add`; requires a
-  /// Prepare'd paper whose group still matches the build (drop must be a
-  /// member). Safe to call concurrently after Prepare.
-  double Score(int paper, int drop, int add) const;
-
- private:
-  struct PaperFolds {
-    bool fresh = false;
-    std::vector<int> members;  // group order at build time
-    // Per member i, the fold of the other members and their Σ bid bonus
-    // (summed in group order, matching ScoreWithReplacement).
-    std::vector<GroupFold::Saved> kept;
-    std::vector<double> kept_bids;
-  };
-
-  const Instance* instance_;
-  std::vector<PaperFolds> papers_;
 };
 
 }  // namespace wgrap::core

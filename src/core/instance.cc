@@ -307,31 +307,6 @@ void GroupFold::Add(int reviewer) {
   }
 }
 
-void GroupFold::Add(const Saved& saved) {
-  if (accumulator_ != nullptr) {
-    accumulator_->Fold(sparse::SparseVector{
-        saved.ids.data(), saved.values.data(),
-        static_cast<int>(saved.ids.size()), instance_.num_topics()});
-  } else {
-    std::vector<double>& group = *dense_;
-    for (size_t t = 0; t < group.size(); ++t) {
-      group[t] = std::max(group[t], saved.values[t]);
-    }
-  }
-}
-
-GroupFold::Saved GroupFold::Save() const {
-  Saved saved;
-  if (accumulator_ != nullptr) {
-    saved.ids = accumulator_->SortedTouched();
-    saved.values.reserve(saved.ids.size());
-    for (int t : saved.ids) saved.values.push_back(accumulator_->ValueAt(t));
-  } else {
-    saved.values = *dense_;
-  }
-  return saved;
-}
-
 double GroupFold::Score(int paper) const {
   if (accumulator_ != nullptr) {
     return accumulator_->Score(instance_.scoring(),

@@ -313,7 +313,7 @@ class Instance {
 };
 
 /// A Definition 2 group vector folded from scratch (ScoreGroup, an
-/// Assignment's replacement scores, the fold cache): the dense T-vector,
+/// Assignment's replacement scores): the dense T-vector,
 /// or the CSR accumulator when the instance carries CSR views — the
 /// caller never knows which. Score() is bit-identical to
 /// core::ScoreVectors on the dense group vector either way. A GroupFold
@@ -321,21 +321,11 @@ class Instance {
 /// only within a call.
 class GroupFold {
  public:
-  /// A folded group vector kept across calls (ReplacementFoldCache): all
-  /// T values on dense instances (ids empty), else the sorted support.
-  struct Saved {
-    std::vector<int> ids;
-    std::vector<double> values;
-  };
-
   /// Starts the empty group (all-zero vector).
   explicit GroupFold(const Instance& instance);
 
   /// Folds reviewer r's topic vector in.
   void Add(int reviewer);
-  /// Folds a saved group vector in.
-  void Add(const Saved& saved);
-  Saved Save() const;
   /// c(g→, p→) of the folded group against `paper`.
   double Score(int paper) const;
 

@@ -281,15 +281,16 @@ KnobSpec ThreadsKnob() {
       "at any value",
       [](TypedOptions& o) {
         return std::tie(o.cra.num_threads, o.sdga.num_threads,
-                        o.sra.num_threads, o.ls.num_threads);
+                        o.sra.num_threads);
       },
       1, 256);
 }
 
 // `lap` and `gains` are vestiges: one spelling each, the stage pipeline
-// every SDGA/SRA solve runs. They stay declared because the benchmark
-// harness reads their registry defaults, and go with the auction
-// (ROADMAP item 1).
+// every SDGA/SRA solve runs, and they write only SraOptions fields. They
+// stay declared only where the benchmark harness reads their registry
+// defaults (`lap` on sdga and sra, `gains` on sra), and go with the
+// auction (ROADMAP item 1).
 KnobSpec LapKnob() {
   return EnumKnob(
       "lap", "stage LAP engine (the capacity-aware Jonker-Volgenant)",
@@ -358,17 +359,10 @@ KnobSpec UpdateRefineKnob() {
       [](TypedOptions& o) { return std::tie(o.update_refine); });
 }
 
-// Schema of the SDGA stage pipeline (shared by sdga / sdga-ls and, with
-// the SRA additions, sdga-sra / sra).
-std::vector<KnobSpec> SdgaKnobs() {
-  return {ThreadsKnob(), LapKnob(), GainsKnob()};
-}
-
+// Schema of the SRA refinement (sdga-sra and the update resolve; sra adds
+// the two vestiges).
 std::vector<KnobSpec> SraKnobs() {
-  std::vector<KnobSpec> knobs = SdgaKnobs();
-  knobs.push_back(SraOmegaKnob());
-  knobs.push_back(SraLambdaKnob());
-  return knobs;
+  return {ThreadsKnob(), SraOmegaKnob(), SraLambdaKnob()};
 }
 
 // The anytime pipelines spend the budget on refinement only: their SDGA
@@ -428,8 +422,7 @@ SolverRegistry BuildDefaultRegistry() {
       add(kCra, "sdga", "SDGA (Algorithm 2)",
           "stage-deepening greedy: dp linear-assignment stages, "
           "1/2-approximation",
-          SdgaKnobs());
-  sdga.knobs.push_back(TopicsKnob());
+          {ThreadsKnob(), LapKnob(), TopicsKnob()});
   sdga.cra = [](const Instance& instance, const TypedOptions& options) {
     return SolveCraSdga(instance, options.sdga);
   };
@@ -440,7 +433,7 @@ SolverRegistry BuildDefaultRegistry() {
     return SolveCraSdgaSra(instance, Unbudgeted(options.sdga), options.sra);
   };
   add(kCra, "sdga-ls", "SDGA + LS (Fig. 12 baseline)",
-      "SDGA then plain hill-climbing local search", SdgaKnobs())
+      "SDGA then plain hill-climbing local search", {ThreadsKnob()})
       .cra = [](const Instance& instance,
                 const TypedOptions& options) -> Result<Assignment> {
     auto initial = SolveCraSdga(instance, Unbudgeted(options.sdga));
@@ -471,7 +464,8 @@ SolverRegistry BuildDefaultRegistry() {
   add(kCra, "sra", "SRA (Algorithm 3)",
       "stochastic refinement of an existing assignment (requires an initial "
       "assignment; use RefineCra / --refine)",
-      SraKnobs())
+      {ThreadsKnob(), LapKnob(), GainsKnob(), SraOmegaKnob(),
+       SraLambdaKnob()})
       .refine = [](const Instance& instance, const Assignment& initial,
                    const TypedOptions& options) {
     return RefineSra(instance, initial, options.sra);
@@ -479,7 +473,7 @@ SolverRegistry BuildDefaultRegistry() {
   add(kCra, "ls", "LS (Fig. 12 baseline)",
       "hill-climbing refinement of an existing assignment (requires an "
       "initial assignment; use RefineCra / --refine)",
-      {ThreadsKnob(), GainsKnob()})
+      {})
       .refine = [](const Instance& instance, const Assignment& initial,
                    const TypedOptions& options) {
     return RefineLocalSearch(instance, initial, options.ls);

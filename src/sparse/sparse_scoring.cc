@@ -170,14 +170,6 @@ double SparseGroupAccumulator::Score(core::ScoringFunction f,
   return total / paper_mass;
 }
 
-const std::vector<int>& SparseGroupAccumulator::SortedTouched() {
-  if (!sorted_) {
-    std::sort(touched_.begin(), touched_.end());
-    sorted_ = true;
-  }
-  return touched_;
-}
-
 SparseGroupAccumulator& ThreadLocalGroupAccumulator() {
   static thread_local SparseGroupAccumulator accumulator;
   return accumulator;

@@ -86,14 +86,6 @@ class SparseGroupAccumulator {
   double Score(core::ScoringFunction f, const SparseVector& paper,
                double paper_mass);
 
-  /// Value at topic t (0 when untouched).
-  double ValueAt(int t) const { return acc_[t]; }
-
-  /// The touched topic ids in ascending order (sorting lazily, like
-  /// Score). The reference is invalidated by Reset/Fold — callers that
-  /// persist the support (core::GroupFold::Save) must copy.
-  const std::vector<int>& SortedTouched();
-
  private:
   std::vector<double> acc_;  // dense, zeros outside touched_
   std::vector<int> touched_;  // unique touched ids; sorted lazily by Score

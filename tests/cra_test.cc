@@ -8,9 +8,14 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
+#include "common/matrix.h"
+#include "common/rng.h"
 #include "core/cra.h"
 #include "core/jra.h"
 #include "core/metrics.h"
+#include "core/registry.h"
+#include "core/update.h"
 #include "data/synthetic_dblp.h"
 #include "fuzz_util.h"
 #include "obs/metrics.h"
@@ -344,6 +349,16 @@ TEST(CraQualityTest, SdgaSraBeatsOrMatchesBaselinesAtScale) {
   EXPECT_GE(sdga_sra->TotalScore(), greedy->TotalScore() * 0.98);
 }
 
+// FNV-1a over Pairs(), the digest the SRA and LS goldens pin.
+uint64_t PairsDigest(const Assignment& assignment) {
+  uint64_t digest = kFnvOffsetBasis;
+  for (const auto& [p, r] : assignment.Pairs()) {
+    FnvFold(static_cast<uint64_t>(p), &digest);
+    FnvFold(static_cast<uint64_t>(r), &digest);
+  }
+  return digest;
+}
+
 // SRA goldens: RefineSra's output on a fixed round count with no wall-clock
 // budget, recorded once and unchanged since. Each case refines one SDGA
 // start at 1 and 4 threads, on the dense instance and on its CSR twin,
@@ -373,12 +388,7 @@ void ExpectSraGolden(const Instance& instance, int rounds, bool uniform,
       auto refined = RefineSra(*twin, *start, options);
       ASSERT_TRUE(refined.ok()) << refined.status().ToString();
       EXPECT_GE(refined->TotalScore(), start->TotalScore());
-      uint64_t got = kFnvOffsetBasis;
-      for (const auto& [p, r] : refined->Pairs()) {
-        FnvFold(static_cast<uint64_t>(p), &got);
-        FnvFold(static_cast<uint64_t>(r), &got);
-      }
-      EXPECT_EQ(got, digest);
+      EXPECT_EQ(PairsDigest(*refined), digest);
       EXPECT_EQ(DoubleBits(refined->TotalScore()), score_bits);
     }
   }
@@ -418,6 +428,110 @@ TEST(SraGoldenTest, PoolWithBids) {
   ASSERT_TRUE(instance.ok());
   ExpectSraGolden(*instance, 16, false, 8035213308965134053ULL,
                   4636389479940587496ULL);
+}
+
+// LS goldens, recorded before local search lost its batch-parallel scorer
+// and unchanged since: the Theory 2009 conference (222 × 226, T = 30)
+// with seeded COIs and bids. The sdga-ls solve and the resolve below each
+// roll back one move whose round-start estimate cleared the 1e-12
+// acceptance tolerance but whose apply did not, so the rollback path (and
+// its reordering of a group, which moves the bid sum's last bits) is part
+// of what they pin. Every case runs on the dense instance and its CSR twin.
+Instance LsGoldenInstance() {
+  data::SyntheticDblpConfig config;
+  config.seed = 44;
+  InstanceParams params;
+  params.group_size = 3;
+  auto dataset =
+      data::GenerateConferenceDataset(data::Area::kTheory, 2009, config);
+  WGRAP_CHECK(dataset.ok());
+  auto built = Instance::FromDataset(*dataset, params);
+  WGRAP_CHECK(built.ok());
+  Instance instance = *std::move(built);
+  const int P = instance.num_papers();
+  const int R = instance.num_reviewers();
+  Rng rng(309);
+  Matrix bids(P, R);
+  for (int p = 0; p < P; ++p) {
+    for (int r = 0; r < R; ++r) {
+      if (rng.NextDouble() < 0.03) {
+        instance.AddConflict(r, p);
+      } else if (rng.NextDouble() < 0.1) {
+        bids(p, r) = rng.NextDouble();
+      }
+    }
+  }
+  WGRAP_CHECK(instance.SetBids(std::move(bids), 0.2).ok());
+  return instance;
+}
+
+// Runs `solve` on the dense instance and its CSR twin and pins the groups'
+// digest and the score bits of each result.
+void ExpectLsGolden(
+    const std::function<Result<Assignment>(const Instance&)>& solve,
+    uint64_t digest, uint64_t score_bits) {
+  Instance dense = LsGoldenInstance();
+  dense.DropSparseTopics();
+  Instance csr = LsGoldenInstance();
+  csr.BuildSparseTopics();
+  for (const Instance* twin : {&dense, &csr}) {
+    SCOPED_TRACE(twin == &csr ? "csr" : "dense");
+    auto result = solve(*twin);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->ValidateComplete().ok());
+    EXPECT_EQ(PairsDigest(*result), digest);
+    EXPECT_EQ(DoubleBits(result->TotalScore()), score_bits);
+  }
+}
+
+TEST(LsGoldenTest, SdgaLsAtOneAndFourThreads) {
+  for (const char* threads : {"1", "4"}) {
+    SCOPED_TRACE(std::string("threads ") + threads);
+    ExpectLsGolden(
+        [threads](const Instance& instance) {
+          SolverRunOptions options;
+          options.seed = 3;
+          options.extra["threads"] = threads;
+          return SolverRegistry::Default().SolveCra("sdga-ls", instance,
+                                                    options);
+        },
+        3368674028804176663ULL, 4642133527881170080ULL);
+  }
+}
+
+TEST(LsGoldenTest, RefineFromGreedy) {
+  ExpectLsGolden(
+      [](const Instance& instance) -> Result<Assignment> {
+        auto start = SolveCraGreedy(instance);
+        WGRAP_RETURN_IF_ERROR(start.status());
+        SolverRunOptions options;
+        options.seed = 3;
+        return SolverRegistry::Default().RefineCra("ls", instance, *start,
+                                                   options);
+      },
+      4465538654799345733ULL, 4642120216092909964ULL);
+}
+
+// IncrementalResolve with update_refine=ls: every seventh paper of the SDGA
+// assignment loses its first reviewer, the repair refills it, and LS runs
+// on the repaired assignment.
+TEST(LsGoldenTest, IncrementalResolveRefinesWithLs) {
+  ExpectLsGolden(
+      [](const Instance& instance) -> Result<Assignment> {
+        auto assignment = SolveCraSdga(instance);
+        WGRAP_RETURN_IF_ERROR(assignment.status());
+        for (int p = 0; p < instance.num_papers(); p += 7) {
+          WGRAP_RETURN_IF_ERROR(
+              assignment->Remove(p, assignment->GroupFor(p).front()));
+        }
+        SolverRunOptions options;
+        options.seed = 3;
+        options.extra["update_refine"] = "ls";
+        auto report = IncrementalResolve(instance, &*assignment, options);
+        WGRAP_RETURN_IF_ERROR(report.status());
+        return *std::move(assignment);
+      },
+      12671409750408282482ULL, 4642154328628719975ULL);
 }
 
 }  // namespace

@@ -11,8 +11,7 @@
 //     per-pair value (no edge where masked), and the in-place completion
 //     must pick the Matrix JV's agents on the per-pair profits.
 // Plus row-granular invalidation units (COI pairs, exhausted reviewers,
-// add/removal epochs) against a freshly built cache, and the local-search
-// fold cache against ScoreWithReplacement.
+// add/removal epochs) against a freshly built cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -562,35 +561,6 @@ TEST(GainCacheTest, ConflictAndExhaustedReviewerMasking) {
                 cache.ScaledGain(p, r));
       EXPECT_EQ(cache.ScaledGain(p, r),
                 la::ScaleTransportProfit(assignment.MarginalGain(p, r)));
-    }
-  }
-}
-
-// ReplacementFoldCache unit: cached leave-one-out folds reproduce
-// Assignment::ScoreWithReplacement bit for bit — dense and sparse, with
-// bids in the mix.
-TEST(GainCacheTest, ReplacementFoldCacheMatchesScoreWithReplacement) {
-  for (double density : {1.0, 0.3}) {
-    SCOPED_TRACE("density=" + std::to_string(density));
-    Instance instance = PoolInstance(10, 6, 3, 407, density);
-    SetRandomBids(&instance, 21, 0.25);
-    auto solved = SolveCraSdga(instance);
-    ASSERT_TRUE(solved.ok());
-    const Assignment& assignment = *solved;
-    ThreadPool pool(4);
-    ReplacementFoldCache folds(&instance);
-    std::vector<int> papers;
-    for (int p = 0; p < instance.num_papers(); ++p) papers.push_back(p);
-    folds.Prepare(assignment, papers, &pool);
-    for (int p = 0; p < instance.num_papers(); ++p) {
-      for (int drop : assignment.GroupFor(p)) {
-        for (int add = 0; add < instance.num_reviewers(); ++add) {
-          if (add == drop || assignment.Contains(p, add)) continue;
-          EXPECT_EQ(folds.Score(p, drop, add),
-                    assignment.ScoreWithReplacement(p, drop, add))
-              << "p=" << p << " drop=" << drop << " add=" << add;
-        }
-      }
     }
   }
 }

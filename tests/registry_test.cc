@@ -195,7 +195,6 @@ TEST(SolverRegistryTest, ExtraKnobsAreThreadedThrough) {
   const core::Instance instance = TinyInstance();
   core::SolverRunOptions options;
   options.extra["threads"] = "4";
-  options.extra["lap"] = "hungarian";
   options.extra["sra_omega"] = "3";
   options.extra["sra_lambda"] = "0.1";
   auto assignment = registry.SolveCra("sdga-sra", instance, options);
@@ -335,15 +334,10 @@ TEST(SolverRegistryTest, MalformedExtraValuesAreRejected) {
        {std::pair<const char*, const char*>{"threads", "many"},
         {"threads", "0"},
         {"threads", "100000"},  // bounded: each worker is an OS thread
-        {"lap", "simplex"},
         {"sra_omega", "0"},
         {"sra_lambda", "fast"},
         {"sra_lambda", "nan"},  // would slip past every range check
-        {"sra_lambda", "-1"},   // Eq. 10 needs a decay, not a growth
-        {"lap", "auction"},  // the auction is not a stage engine
-        {"lap", "mcf"},      // min-cost flow is a test oracle only
-        {"gains", "cached"},
-        {"gains", "rebuild"}}) {  // so is the per-pair rebuild
+        {"sra_lambda", "-1"}}) {  // Eq. 10 needs a decay, not a growth
     core::SolverRunOptions options;
     options.extra[key] = value;
     auto result = registry.SolveCra("sdga-sra", instance, options);
@@ -351,6 +345,25 @@ TEST(SolverRegistryTest, MalformedExtraValuesAreRejected) {
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << key;
     // The error names the offending key.
     EXPECT_NE(result.status().message().find(key), std::string::npos) << key;
+  }
+  // The vestigial enums are declared on sra (and lap on sdga), where the
+  // benchmark harness reads their defaults; each takes one spelling.
+  for (const auto& [key, value] :
+       {std::pair<const char*, const char*>{"lap", "simplex"},
+        {"lap", "auction"},  // the auction is not a stage engine
+        {"lap", "mcf"},      // min-cost flow is a test oracle only
+        {"gains", "cached"},
+        {"gains", "rebuild"}}) {  // so is the per-pair rebuild
+    core::SolverRunOptions options;
+    options.extra[key] = value;
+    auto result = core::DecodeKnobs("sra", registry.Find("sra")->knobs,
+                                    options);
+    ASSERT_FALSE(result.ok()) << key;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(result.status().message().find(std::string("option '") + key +
+                                             "': '" + value + "'"),
+              std::string::npos)
+        << result.status().message();
   }
   // Bool knobs on the JRA side follow the same contract.
   for (const auto& [key, value] :
@@ -553,18 +566,21 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
                    {"gains", "incremental"},
                    {"sra_omega", "3"},
                    {"sra_lambda", "0.2"}};
-  auto typed = core::DecodeKnobs("sdga-sra",
-                                 core::SolverRegistry::Default()
-                                     .Find("sdga-sra")
-                                     ->knobs,
-                                 options);
+  auto typed = core::DecodeKnobs(
+      "sra", core::SolverRegistry::Default().Find("sra")->knobs, options);
   ASSERT_TRUE(typed.ok()) << typed.status().ToString();
   for (const core::CraOptions* cra :
        std::initializer_list<const core::CraOptions*>{
            &typed->cra, &typed->sdga, &typed->sra, &typed->ls}) {
-    EXPECT_EQ(cra->num_threads, 4);
     EXPECT_EQ(cra->time_limit_seconds, 3.0);
   }
+  // threads reaches every parallel solver; local search is sequential.
+  for (const core::CraOptions* cra :
+       std::initializer_list<const core::CraOptions*>{
+           &typed->cra, &typed->sdga, &typed->sra}) {
+    EXPECT_EQ(cra->num_threads, 4);
+  }
+  EXPECT_EQ(typed->ls.num_threads, 1);
   EXPECT_EQ(typed->sra.backend, core::LapBackend::kHungarian);
   EXPECT_EQ(typed->sra.gains, core::GainMode::kIncremental);
   EXPECT_EQ(typed->sra.convergence_window, 3);
@@ -574,7 +590,12 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
 
   // The stage pipelines run one engine and one gain mode: lap=auction,
   // lap=mcf, gains=rebuild and the retired lap_topk are rejected, naming
-  // the knob (ls declares only gains, so lap is unknown there).
+  // the knob. lap is declared on sdga and sra only and gains on sra only,
+  // so elsewhere they are unknown options like any other; ls takes none.
+  const auto declares = [](const std::string& solver, const std::string& key) {
+    return (key == "lap" && (solver == "sdga" || solver == "sra")) ||
+           (key == "gains" && solver == "sra");
+  };
   for (const char* solver : {"sdga", "sdga-sra", "sdga-ls", "sra", "ls"}) {
     for (const auto& [key, value] :
          {std::pair<const char*, const char*>{"lap", "auction"},
@@ -588,8 +609,27 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
       auto rejected = core::DecodeKnobs(
           solver, core::SolverRegistry::Default().Find(solver)->knobs, bad);
       EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_NE(rejected.status().message().find(key), std::string::npos);
+      const std::string& message = rejected.status().message();
+      const std::string expected =
+          declares(solver, key)
+              ? std::string("option '") + key + "': '" + value + "'"
+          : std::string(solver) == "ls"
+              ? std::string("'ls' takes no options (got '") + key + "')"
+              : "'" + std::string(solver) + "' does not take option '" +
+                    key + "'";
+      EXPECT_NE(message.find(expected), std::string::npos) << message;
     }
+  }
+  // The update resolve declares neither vestige either.
+  for (const char* key : {"lap", "gains"}) {
+    core::SolverRunOptions bad;
+    bad.extra[key] = "hungarian";
+    auto rejected = core::DecodeKnobs(
+        "update", core::IncrementalResolveKnobSpecs(), bad);
+    EXPECT_NE(rejected.status().message().find(
+                  std::string("'update' does not take option '") + key + "'"),
+              std::string::npos)
+        << rejected.status().message();
   }
 
   // ilp is one sequential JV solve with no knobs: the engine, its epsilon

@@ -434,9 +434,9 @@ TEST(ProtocolTest, KnobErrorsFailTheSubmitWithoutAJobId) {
   ASSERT_TRUE(dataset.ok());
   std::string script;
   Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
-  // Min-cost flow is no longer a stage engine, and ilp takes no
-  // lap_epsilon; submit and resolve check both before handing out a job
-  // id, and the session keeps serving.
+  // Min-cost flow is no longer a stage engine, ilp takes no lap_epsilon,
+  // and the resolve declares no lap at all; submit and resolve check their
+  // knobs before handing out a job id, and the session keeps serving.
   script += "submit conf solve sdga lap=mcf\n";
   script += "submit conf solve ilp lap_epsilon=0.5\n";
   script += "submit conf solve greedy\n";
@@ -460,7 +460,11 @@ TEST(ProtocolTest, KnobErrorsFailTheSubmitWithoutAJobId) {
   ASSERT_EQ(output.rfind(session + stage_engine + rule + Ok("job 1\n"), 0),
             0u)
       << output;
-  const std::size_t resolved = output.find(stage_engine + Ok("job 2\n"));
+  const std::string resolve_lap =
+      Err(StatusCode::kInvalidArgument,
+          "'update' does not take option 'lap' (declared knobs: threads, "
+          "sra_omega, sra_lambda, update_refine)");
+  const std::size_t resolved = output.find(resolve_lap + Ok("job 2\n"));
   EXPECT_NE(resolved, std::string::npos) << output;
 }
 

@@ -32,9 +32,10 @@
 //      on an existing assignment instead of solving from scratch)
 //     (--algo ilp takes no knobs: one sequential demand-dp JV solve, no
 //      --threads)
-//     (--lap and --gains take only hungarian and incremental, the one
-//      stage pipeline every SDGA/SRA solve runs; any other value, like a
-//      knob the solver does not take, exits 2 naming the knob)
+//     (--lap, on sdga and sra, and --gains, on sra, take only hungarian
+//      and incremental, the one stage pipeline every SDGA/SRA solve runs;
+//      any other value, like a knob the solver does not take, exits 2
+//      naming the knob. --algo ls takes no knobs)
 //   wgrap_cli jra       --dataset d.csv --paper 0 --dp 3 [--topk 5]
 //                       [--algo bba]
 //                       [--bba-bounding on|off] [--bba-gain-branching on|off]
@@ -78,7 +79,9 @@
 //      and already-printed ones are skipped, so the output stream stays
 //      identical to an uninterrupted watch. err replies are not retried.)
 //
-// Numeric flags read the one grammar of common/string_util.h (whole
+// Each subcommand takes only the flags shown for it (solve, jra and update
+// also every knob flag); any other flag exits 2 naming it, before any
+// work. Numeric flags read the one grammar of common/string_util.h (whole
 // base-10 tokens; --seed and --max-payload unsigned; --budget seconds >= 0,
 // 0 = unlimited); a bad value exits 2 naming the flag.
 //
@@ -105,6 +108,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -186,6 +190,19 @@ class Flags {
     return port;
   }
 
+  // Exits 2 naming the first flag outside `known`: a flag the subcommand
+  // does not read is a typo or a misplaced option, never silently ignored.
+  void RejectUnknown(const std::string& command,
+                     const std::vector<std::string>& known) const {
+    for (const auto& [name, value] : values_) {
+      if (std::find(known.begin(), known.end(), name) == known.end()) {
+        std::fprintf(stderr, "%s: unknown flag --%s\n", command.c_str(),
+                     name.c_str());
+        std::exit(2);
+      }
+    }
+  }
+
   std::string Require(const std::string& name) const {
     auto it = values_.find(name);
     if (it == values_.end()) {
@@ -215,17 +232,15 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
-// The solver knobs named on the command line, by the one naming rule:
-// knob `a_b` is flag `--a-b`, for every knob a registered solver or
-// IncrementalResolve declares. The registry rejects a knob the chosen
-// solver does not take, so no subcommand keeps its own list.
-std::map<std::string, std::string> KnobFlags(const Flags& flags) {
-  std::map<std::string, std::string> knobs;
+// Every knob flag, keyed by flag name, by the one naming rule: knob `a_b`
+// is flag `--a-b`, for every knob a registered solver or
+// IncrementalResolve declares.
+std::map<std::string, std::string> KnobFlagNames() {
+  std::map<std::string, std::string> names;
   auto take = [&](const core::KnobSpec& spec) {
     std::string flag = spec.name;
     std::replace(flag.begin(), flag.end(), '_', '-');
-    const std::string value = flags.GetString(flag, "");
-    if (!value.empty()) knobs[spec.name] = value;
+    names[flag] = spec.name;
   };
   for (const core::SolverDescriptor* solver :
        core::SolverRegistry::Default().List()) {
@@ -233,6 +248,17 @@ std::map<std::string, std::string> KnobFlags(const Flags& flags) {
   }
   for (const core::KnobSpec& spec : core::IncrementalResolveKnobSpecs()) {
     take(spec);
+  }
+  return names;
+}
+
+// The solver knobs named on the command line. The registry rejects a knob
+// the chosen solver does not take, so no subcommand keeps its own list.
+std::map<std::string, std::string> KnobFlags(const Flags& flags) {
+  std::map<std::string, std::string> knobs;
+  for (const auto& [flag, knob] : KnobFlagNames()) {
+    const std::string value = flags.GetString(flag, "");
+    if (!value.empty()) knobs[knob] = value;
   }
   return knobs;
 }
@@ -807,6 +833,55 @@ void Usage() {
       stderr);
 }
 
+struct Subcommand {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;  // every flag `run` reads
+  bool takes_knobs;                // and every knob flag (KnobFlagNames)
+};
+
+std::vector<Subcommand> Subcommands() {
+  // The flags MakeInstanceOrDie reads.
+  const std::vector<std::string> instance = {"dataset", "dp", "dr",
+                                             "scoring"};
+  auto with_instance = [&instance](std::vector<std::string> flags) {
+    flags.insert(flags.end(), instance.begin(), instance.end());
+    return flags;
+  };
+  return {
+      {"solvers", CmdSolvers, {"verbose"}, false},
+      {"generate",
+       CmdGenerate,
+       {"seed", "topics", "density", "pool", "papers", "area", "year", "out"},
+       false},
+      {"solve",
+       CmdSolve,
+       with_instance({"refine", "algo", "budget", "seed", "trace", "verbose",
+                      "out"}),
+       true},
+      {"jra",
+       CmdJra,
+       {"dataset", "dp", "scoring", "paper", "topk", "algo"},
+       true},
+      {"evaluate", CmdEvaluate, with_instance({"assignment"}), false},
+      {"casestudy",
+       CmdCaseStudy,
+       with_instance({"assignment", "paper", "top-topics"}),
+       false},
+      {"update",
+       CmdUpdate,
+       with_instance({"assignment", "mutations", "budget", "seed", "refine",
+                      "mode", "cold", "out"}),
+       true},
+      {"serve",
+       CmdServe,
+       {"jobs", "results", "max-queue", "max-payload", "port", "max-conns",
+        "read-timeout"},
+       false},
+      {"watch", CmdWatch, {"port", "job", "retries"}, false},
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -816,15 +891,15 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   Flags flags(argc, argv, 2);
-  if (command == "solvers") return CmdSolvers(flags);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "solve") return CmdSolve(flags);
-  if (command == "jra") return CmdJra(flags);
-  if (command == "evaluate") return CmdEvaluate(flags);
-  if (command == "casestudy") return CmdCaseStudy(flags);
-  if (command == "update") return CmdUpdate(flags);
-  if (command == "serve") return CmdServe(flags);
-  if (command == "watch") return CmdWatch(flags);
+  for (const Subcommand& subcommand : Subcommands()) {
+    if (command != subcommand.name) continue;
+    std::vector<std::string> known = subcommand.flags;
+    if (subcommand.takes_knobs) {
+      for (const auto& [flag, knob] : KnobFlagNames()) known.push_back(flag);
+    }
+    flags.RejectUnknown(command, known);
+    return subcommand.run(flags);
+  }
   Usage();
   return 2;
 }

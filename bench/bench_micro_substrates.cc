@@ -2,9 +2,9 @@
 // stand on: weighted-coverage scoring, marginal gain, Hungarian, min-cost
 // transportation, BBA, one SDGA stage, the dense-vs-CSR scoring-kernel
 // density sweeps (BM_SparseVsDense*), the rebuild-vs-incremental
-// stage maintenance-and-solve sweep (BM_GainCacheVsRebuild), and the
-// thread-count sweeps of the two parallel hot paths (SDGA stage scoring,
-// ATM Gibbs sweeps) that bench/BASELINES.md tracks, plus the per-kernel
+// stage maintenance-and-solve sweep (BM_GainCacheVsRebuild), the SDGA
+// thread-count sweep and the ATM Gibbs chain (BM_AtmGibbs) that
+// bench/BASELINES.md tracks, plus the per-kernel
 // scalar-vs-dispatched tracks for the simd/kernels.h layer (BM_Kernel*),
 // the column-density sweep of the gain row pass (BM_GainColumnPass), the
 // dataset CSV reader (BM_DatasetFromCsv) and two service-session writes
@@ -541,8 +541,8 @@ BENCHMARK(BM_SdgaThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_AtmGibbs(benchmark::State& state) {
-  // Thread sweep over the per-document Gibbs fan-out: a reviewer-pool-
-  // sized corpus, timed per sweep batch (fixed iteration count).
+  // The sequential collapsed Gibbs chain on a reviewer-pool-sized corpus,
+  // timed per sweep batch (fixed iteration count).
   topic::SyntheticCorpusConfig config;
   config.num_topics = 30;
   config.vocab_size = 800;
@@ -556,15 +556,13 @@ void BM_AtmGibbs(benchmark::State& state) {
   options.num_topics = config.num_topics;
   options.iterations = 10;
   options.burn_in = 5;
-  options.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Rng rng(17);
     auto model = topic::FitAtm(generated->corpus, options, &rng);
     benchmark::DoNotOptimize(model);
   }
 }
-BENCHMARK(BM_AtmGibbs)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AtmGibbs)->Unit(benchmark::kMillisecond);
 
 void BM_DatasetFromCsv(benchmark::State& state) {
   // The CSV bytes of a set-up to a validated dataset: Arg 0 is DB08 (722

@@ -16,11 +16,10 @@ int main() {
 
   // Full-fidelity dataset: corpus sampled from the ATM generative story,
   // reviewer vectors from a fitted Author-Topic Model, paper vectors from
-  // EM inference (scaled-down DB'08; fitting at full scale takes minutes).
+  // EM inference (DB'08 scaled down by 5 to keep the example quick).
   std::printf("fitting ATM on the reviewers' publication corpus...\n");
   data::SyntheticDblpConfig config;
   config.num_topics = 15;
-  config.atm_threads = ThreadPool::HardwareThreads();  // same result, faster
   auto dataset = data::GenerateDatasetViaAtm(data::Area::kDatabases, 2008,
                                              config, /*scale_divisor=*/5);
   if (!dataset.ok()) {
@@ -53,6 +52,7 @@ int main() {
   Result<core::Assignment> champion = Status::Internal("no solver ran");
   for (const auto* solver : registry.List(core::SolverFamily::kCra)) {
     if (!solver->produces_feasible) continue;  // skip the RRAP diagnostic
+    if (!solver->cra) continue;  // sra and ls only refine an assignment
     auto result = registry.SolveCra(solver->name, *instance, options);
     if (!result.ok()) {
       // A baseline blowing its budget shouldn't kill the comparison table.

@@ -1,7 +1,6 @@
 #include "common/matrix.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace wgrap {
 
@@ -34,21 +33,6 @@ void Matrix::NormalizeRows() {
       for (int c = 0; c < cols_; ++c) row[c] /= total;
     }
   }
-}
-
-std::string Matrix::ToString(int precision) const {
-  std::string out;
-  char buf[64];
-  for (int r = 0; r < rows_; ++r) {
-    out += "[";
-    for (int c = 0; c < cols_; ++c) {
-      std::snprintf(buf, sizeof(buf), "%s%.*f", c == 0 ? "" : ", ", precision,
-                    At(r, c));
-      out += buf;
-    }
-    out += "]\n";
-  }
-  return out;
 }
 
 }  // namespace wgrap

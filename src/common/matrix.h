@@ -4,7 +4,6 @@
 #define WGRAP_COMMON_MATRIX_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -50,8 +49,6 @@ class Matrix {
     return &data_[static_cast<size_t>(r) * cols_];
   }
 
-  void Fill(double v) { data_.assign(data_.size(), v); }
-
   /// Sum of all entries.
   double Sum() const;
 
@@ -63,9 +60,6 @@ class Matrix {
 
   /// Normalizes every row to sum to 1 (rows with zero mass become uniform).
   void NormalizeRows();
-
-  /// Multi-line debug string with fixed precision.
-  std::string ToString(int precision = 3) const;
 
  private:
   int rows_;

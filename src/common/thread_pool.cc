@@ -21,10 +21,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-int ThreadPool::HardwareThreads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 void ThreadPool::WorkOn(Job* job) {
   for (;;) {
     int64_t chunk_begin, chunk_end;

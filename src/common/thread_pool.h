@@ -1,6 +1,6 @@
 // Fixed-size thread pool with a deterministic parallel-for: the shared
 // concurrency substrate under the parallel SDGA stages, SRA refinement
-// rounds, BRGG group construction and the ATM Gibbs sweeps.
+// rounds and BRGG group construction.
 //
 // Determinism contract: ParallelFor splits [begin, end) into fixed chunks
 // of `grain` indices — chunk boundaries depend only on (begin, end, grain),
@@ -52,9 +52,6 @@ class ThreadPool {
   /// chunk. Same chunking and exception contract as ParallelFor.
   void ParallelForChunks(int64_t begin, int64_t end, int64_t grain,
                          const std::function<void(int64_t, int64_t)>& fn);
-
-  /// std::thread::hardware_concurrency with a floor of 1.
-  static int HardwareThreads();
 
  private:
   struct Job {

@@ -533,6 +533,20 @@ const std::vector<KnobSpec>& IncrementalResolveKnobSpecs() {
   return *specs;
 }
 
+Result<TypedOptions> DecodeIncrementalResolveKnobs(
+    const SolverRunOptions& options) {
+  auto typed = DecodeKnobs("update", IncrementalResolveKnobSpecs(), options);
+  if (!typed.ok() || typed->update_refine == "sra") return typed;
+  // ls takes no knobs and none runs no refiner: only the choice is read.
+  for (const auto& [key, text] : options.extra) {
+    if (key != "update_refine") {
+      return UnknownKnob("update refine=" + typed->update_refine,
+                         {UpdateRefineKnob()}, key);
+    }
+  }
+  return typed;
+}
+
 SolverRegistry& SolverRegistry::Default() {
   static SolverRegistry* registry = new SolverRegistry(BuildDefaultRegistry());
   return *registry;

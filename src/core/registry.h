@@ -311,11 +311,18 @@ class SolverRegistry {
 /// store. A fixed bound, not a knob.
 inline constexpr int kMaxJraTopK = 1000;
 
-/// The knob schema of the IncrementalResolve path (core/update.h): the
-/// refiner pipeline knobs plus "update_refine". Shared here so the CLI
-/// `update` subcommand and the service resolve endpoint decode against the
-/// same contract the registry solvers use.
+/// Every knob the IncrementalResolve path (core/update.h) can read: the SRA
+/// refiner's knobs plus "update_refine". The CLI derives its flag names
+/// from it.
 const std::vector<KnobSpec>& IncrementalResolveKnobSpecs();
+
+/// The decode step of the IncrementalResolve path, shared by the CLI
+/// `update` subcommand, the service resolve endpoint and IncrementalResolve
+/// itself: "update_refine" picks the refiner, and every other knob must be
+/// one that refiner reads (sra: threads, sra_omega, sra_lambda; ls and
+/// none: no other knob). kInvalidArgument naming the knob otherwise.
+Result<TypedOptions> DecodeIncrementalResolveKnobs(
+    const SolverRunOptions& options);
 
 }  // namespace wgrap::core
 

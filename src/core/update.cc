@@ -522,10 +522,10 @@ Result<ResolveReport> IncrementalResolve(const Instance& instance,
                                          const SolverRunOptions& options) {
   Stopwatch watch;
   obs::ScopedSpan resolve_span("incremental_resolve");
-  // The resolve path declares its own schema (refiner pipeline knobs +
+  // The resolve path declares its own schema (the chosen refiner's knobs +
   // update_refine) and decodes eagerly — the same step as registry
   // dispatch, so a typo fails before any mutation-repair work.
-  auto typed = DecodeKnobs("update", IncrementalResolveKnobSpecs(), options);
+  auto typed = DecodeIncrementalResolveKnobs(options);
   WGRAP_RETURN_IF_ERROR(typed.status());
   ResolveReport report;
   // Normalize first: re-derive every cached score from the groups so the
@@ -551,8 +551,7 @@ Result<ResolveReport> IncrementalResolve(const Instance& instance,
         SolverRegistry::Default().Find(typed->update_refine);
     WGRAP_CHECK_MSG(refiner != nullptr && refiner->refine,
                     "built-in refiner missing");
-    // The decoded options already hold the refiner's struct; knobs it does
-    // not read (sra_* when refine=ls) are simply not looked at.
+    // The decoded options already hold the refiner's struct.
     auto refined = refiner->refine(instance, *assignment, *typed);
     WGRAP_RETURN_IF_ERROR(refined.status());
     *assignment = *std::move(refined);

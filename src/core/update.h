@@ -170,9 +170,12 @@ struct ResolveReport {
 /// bit-identical trajectories), then swap-repair fills every under-δp
 /// group (core/repair.h), then the refiner selected by the registry knob
 /// `update_refine` ("sra" default, "ls", or "none") polishes the result,
-/// seeded from the survivors. All standard pipeline knobs (threads, lap,
-/// gains, sra_omega, ...) apply. Returns kInfeasible when a group cannot
-/// be filled (e.g. an all-COI paper); the assignment is left best-effort.
+/// seeded from the survivors. Knobs are decoded by
+/// DecodeIncrementalResolveKnobs (core/registry.h): threads, sra_omega and
+/// sra_lambda go with "sra" only, and naming one with "ls" or "none" fails
+/// with kInvalidArgument before any work. Returns kInfeasible when a group
+/// cannot be filled (e.g. an all-COI paper); the assignment is left
+/// best-effort.
 ///
 /// Documented quality bound: with refinement on, score_after lands within
 /// 15% of a cold SolveCra("sdga-sra") on the mutated instance —

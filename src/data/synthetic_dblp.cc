@@ -333,7 +333,6 @@ Result<RapDataset> GenerateDatasetViaAtm(Area area, int year,
   atm_options.num_topics = config.num_topics;
   atm_options.iterations = 120;
   atm_options.burn_in = 60;
-  atm_options.num_threads = config.atm_threads;
   auto model = topic::FitAtm(synthetic->corpus, atm_options, &rng);
   if (!model.ok()) return model.status();
 

@@ -11,7 +11,8 @@
 // or out-of-area), and papers mix 1-4 salient topics with a long tail —
 // matching the skewed, partially-overlapping profiles ATM produces on DBLP.
 // A corpus-faithful path (GenerateDatasetViaAtm) runs the full
-// corpus -> ATM -> EM pipeline instead.
+// corpus -> ATM -> EM pipeline instead, fitting ATM with one sequential
+// collapsed Gibbs chain seeded from the config's seed.
 #ifndef WGRAP_DATA_SYNTHETIC_DBLP_H_
 #define WGRAP_DATA_SYNTHETIC_DBLP_H_
 
@@ -57,10 +58,6 @@ struct SyntheticDblpConfig {
   /// inference, which is dense by construction).
   double topic_density = 0.0;
   uint64_t seed = 42;
-  /// Worker threads for the ATM fit inside GenerateDatasetViaAtm (the
-  /// vector-only generators ignore it). The generated dataset is
-  /// bit-identical for any value.
-  int atm_threads = 1;
 };
 
 /// Achieved sparsity of a generated dataset: average nonzero count per
@@ -84,10 +81,10 @@ Result<RapDataset> GenerateReviewerPool(int num_reviewers, int num_papers,
                                         const SyntheticDblpConfig& config);
 
 /// Full-fidelity path: samples an ATM-style corpus for the area, fits ATM on
-/// the reviewers' publications, infers paper vectors with EM, and assembles
-/// the dataset — exercising the entire Sec. 2.4 / Appendix A pipeline. Sizes
-/// are scaled down by `scale_divisor` (corpus fitting at full Table 3 scale
-/// is minutes, not seconds).
+/// the reviewers' publications (topic::FitAtm, one sequential Gibbs chain),
+/// infers paper vectors with EM, and assembles the dataset — exercising the
+/// entire Sec. 2.4 / Appendix A pipeline. Sizes are scaled down by
+/// `scale_divisor`; the fit's cost grows with the corpus's token count.
 Result<RapDataset> GenerateDatasetViaAtm(Area area, int year,
                                          const SyntheticDblpConfig& config,
                                          int scale_divisor = 4);

@@ -254,9 +254,7 @@ Result<SubmitResponse> ServiceApi::Resolve(const ResolveRequest& request) {
   auto snapshot = store_.Get(request.session);
   if (!snapshot.ok()) return snapshot.status();
   core::SolverRunOptions options = RunOptions(request);
-  WGRAP_RETURN_IF_ERROR(
-      core::DecodeKnobs("update", core::IncrementalResolveKnobSpecs(), options)
-          .status());
+  WGRAP_RETURN_IF_ERROR(core::DecodeIncrementalResolveKnobs(options).status());
   if (snapshot->assignment == nullptr) {
     return Status::FailedPrecondition("session '" + request.session +
                                       "' has no assignment to resolve");

@@ -93,8 +93,8 @@ struct MutateResponse {
 };
 
 /// Incremental re-solve of the session's (mutated) assignment — the
-/// IncrementalResolve pipeline as an async job. Knobs are decoded
-/// against core::IncrementalResolveKnobSpecs at submit time.
+/// IncrementalResolve pipeline as an async job. Knobs are decoded by
+/// core::DecodeIncrementalResolveKnobs at submit time.
 struct ResolveRequest {
   std::string session;
   double time_limit_seconds = 0.0;

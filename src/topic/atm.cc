@@ -1,11 +1,10 @@
 #include "topic/atm.h"
 
+#include <algorithm>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace wgrap::topic {
 
@@ -14,75 +13,38 @@ namespace {
 // Collapsed Gibbs state for ATM: every token has a latent (author, topic)
 // pair; counts are maintained incrementally.
 //
-// Sweeps are batch-synchronous so documents can be sampled in parallel
-// (the AD-LDA scheme of Newman et al., partitioned by document): each
-// sweep freezes a snapshot of the global counts, every document resamples
-// its tokens against the snapshot plus its own local deltas — exact
-// within-document collapsed Gibbs, one sweep stale across documents — and
-// the global counts are rebuilt from the token states afterwards in
-// document order. Every (sweep, document) pair draws from its own Rng
-// stream split off the caller's generator, so the fitted model is
-// bit-identical for any thread count, including 1.
+// A sweep visits the tokens in document order. Each token's pair is taken
+// out of the counts, redrawn from its full conditional given every other
+// token's current pair, and added back: the sequential chain of Rosen-Zvi
+// et al. Every draw comes from the caller's generator.
 class GibbsSampler {
  public:
   GibbsSampler(const Corpus& corpus, const AtmOptions& options, Rng* rng)
-      : corpus_(corpus), options_(options),
-        pool_(options.num_threads),
+      : corpus_(corpus), options_(options), rng_(rng),
         author_topic_(corpus.num_authors, options.num_topics),
-        topic_word_(options.num_topics, corpus.vocab_size),
+        word_topic_(corpus.vocab_size, options.num_topics),
         author_total_(corpus.num_authors, 0.0),
         topic_total_(options.num_topics, 0.0),
+        word_weights_(options.num_topics),
         theta_sum_(corpus.num_authors, options.num_topics),
         phi_sum_(options.num_topics, corpus.vocab_size) {
-    // Random initialization of token assignments (sequential, from the
-    // caller's generator — identical at any thread count).
-    std::vector<int> word_local(corpus.vocab_size, -1);
+    // Random initialization of token assignments.
     for (const Document& doc : corpus.documents) {
-      DocState state;
-      // Local count deltas must be keyed by *author*, not author slot, or
-      // a document listing the same author twice would leak the excluded
-      // token's count back in through the duplicate slot.
-      for (int ai = 0; ai < static_cast<int>(doc.authors.size()); ++ai) {
-        int unique = -1;
-        for (size_t u = 0; u < state.unique_authors.size(); ++u) {
-          if (state.unique_authors[u] == doc.authors[ai]) {
-            unique = static_cast<int>(u);
-            break;
-          }
-        }
-        if (unique < 0) {
-          unique = static_cast<int>(state.unique_authors.size());
-          state.unique_authors.push_back(doc.authors[ai]);
-        }
-        state.author_unique_of_slot.push_back(unique);
-      }
-      state.topics.reserve(doc.words.size());
-      state.author_slots.reserve(doc.words.size());
-      state.token_local_word.reserve(doc.words.size());
       for (int w : doc.words) {
         const int t = static_cast<int>(rng->NextBounded(options.num_topics));
         const int slot =
             static_cast<int>(rng->NextBounded(doc.authors.size()));
-        state.topics.push_back(t);
-        state.author_slots.push_back(slot);
+        token_topic_.push_back(t);
+        token_slot_.push_back(slot);
         AdjustCounts(doc.authors[slot], t, w, +1.0);
-        if (word_local[w] < 0) {
-          word_local[w] = static_cast<int>(state.unique_words.size());
-          state.unique_words.push_back(w);
-        }
-        state.token_local_word.push_back(word_local[w]);
       }
-      for (int w : state.unique_words) word_local[w] = -1;  // reset scratch
-      doc_states_.push_back(std::move(state));
     }
-    // All subsequent randomness comes from per-(sweep, document) streams.
-    stream_seed_ = rng->NextU64();
   }
 
   AtmModel Run() {
     int samples_taken = 0;
     for (int iter = 0; iter < options_.iterations; ++iter) {
-      Sweep(iter);
+      Sweep();
       const bool past_burn_in = iter >= options_.burn_in;
       const bool on_lag =
           options_.sample_lag <= 1 ||
@@ -94,136 +56,56 @@ class GibbsSampler {
     }
     if (samples_taken == 0) {  // degenerate config: take the final state
       AccumulatePosterior();
-      samples_taken = 1;
     }
     AtmModel model;
     model.theta = theta_sum_;
     model.phi = phi_sum_;
     model.theta.NormalizeRows();
     model.phi.NormalizeRows();
-    (void)samples_taken;
     return model;
   }
 
  private:
-  struct DocState {
-    std::vector<int> topics;
-    std::vector<int> author_slots;          // index into Document::authors
-    std::vector<int> token_local_word;      // index into unique_words
-    std::vector<int> unique_words;          // global ids, first-seen order
-    std::vector<int> unique_authors;        // global ids, first-seen order
-    std::vector<int> author_unique_of_slot; // author slot -> unique index
-  };
-
-  // Per-worker scratch for one document's local count deltas, sized to the
-  // largest document it has seen to amortize allocation across a chunk.
-  struct DocScratch {
-    std::vector<double> local_tw;       // unique_words x T
-    std::vector<double> local_t_total;  // T
-    std::vector<double> local_at;       // unique_authors x T
-    std::vector<double> local_a_total;  // unique_authors
-    std::vector<double> weights;        // doc_author_slots x T
-  };
-
   void AdjustCounts(int author, int topic, int word, double delta) {
     author_topic_(author, topic) += delta;
-    topic_word_(topic, word) += delta;
+    word_topic_(word, topic) += delta;
     author_total_[author] += delta;
     topic_total_[topic] += delta;
   }
 
-  void Sweep(int iter) {
-    const int D = corpus_.num_documents();
-    // Freeze the cross-document counts for this sweep.
-    at_snap_ = author_topic_;
-    tw_snap_ = topic_word_;
-    a_total_snap_ = author_total_;
-    t_total_snap_ = topic_total_;
-    pool_.ParallelForChunks(
-        0, D, /*grain=*/2, [&](int64_t chunk_begin, int64_t chunk_end) {
-          DocScratch scratch;
-          for (int64_t d = chunk_begin; d < chunk_end; ++d) {
-            SampleDocument(static_cast<int>(d), iter, &scratch);
-          }
-        });
-    RebuildCounts();
-  }
-
-  void SampleDocument(int d, int iter, DocScratch* scratch) {
+  void Sweep() {
     const int T = options_.num_topics;
     const double v_beta = corpus_.vocab_size * options_.beta;
     const double t_alpha = T * options_.alpha;
-    const Document& doc = corpus_.documents[d];
-    DocState& state = doc_states_[d];
-    const int num_doc_authors = static_cast<int>(doc.authors.size());
-    const int num_unique_authors =
-        static_cast<int>(state.unique_authors.size());
-    const int num_unique = static_cast<int>(state.unique_words.size());
-    Rng rng = Rng::ForStream(
-        stream_seed_,
-        static_cast<uint64_t>(iter) * corpus_.num_documents() + d);
-
-    scratch->local_tw.assign(static_cast<size_t>(num_unique) * T, 0.0);
-    scratch->local_t_total.assign(T, 0.0);
-    scratch->local_at.assign(static_cast<size_t>(num_unique_authors) * T,
-                             0.0);
-    scratch->local_a_total.assign(num_unique_authors, 0.0);
-    scratch->weights.resize(static_cast<size_t>(num_doc_authors) * T);
-
-    auto adjust_local = [&](int slot, int t, int w_local, double delta) {
-      const int au = state.author_unique_of_slot[slot];
-      scratch->local_at[static_cast<size_t>(au) * T + t] += delta;
-      scratch->local_a_total[au] += delta;
-      scratch->local_tw[static_cast<size_t>(w_local) * T + t] += delta;
-      scratch->local_t_total[t] += delta;
-    };
-
-    for (size_t i = 0; i < doc.words.size(); ++i) {
-      const int w = doc.words[i];
-      const int w_local = state.token_local_word[i];
-      adjust_local(state.author_slots[i], state.topics[i], w_local, -1.0);
-      // Joint draw of (author, topic) proportional to
-      // (C_at + alpha) / (C_a. + T alpha) * (C_tw + beta) / (C_t. + V beta)
-      for (int ai = 0; ai < num_doc_authors; ++ai) {
-        const int a = doc.authors[ai];
-        const int au = state.author_unique_of_slot[ai];
-        const double a_norm = a_total_snap_[a] +
-                              scratch->local_a_total[au] + t_alpha;
+    size_t token = 0;
+    for (const Document& doc : corpus_.documents) {
+      weights_.resize(doc.authors.size() * T);
+      for (int w : doc.words) {
+        int& topic = token_topic_[token];
+        int& slot = token_slot_[token];
+        ++token;
+        AdjustCounts(doc.authors[slot], topic, w, -1.0);
+        // Joint draw of (author slot, topic) proportional to
+        // (C_at + alpha) / (C_a. + T alpha) * (C_tw + beta) / (C_t. + V beta)
+        const double* c_w = word_topic_.Row(w);
         for (int t = 0; t < T; ++t) {
-          const double w_author =
-              (at_snap_(a, t) +
-               scratch->local_at[static_cast<size_t>(au) * T + t] +
-               options_.alpha) /
-              a_norm;
-          const double w_word =
-              (tw_snap_(t, w) +
-               scratch->local_tw[static_cast<size_t>(w_local) * T + t] +
-               options_.beta) /
-              (t_total_snap_[t] + scratch->local_t_total[t] + v_beta);
-          scratch->weights[static_cast<size_t>(ai) * T + t] =
-              w_author * w_word;
+          word_weights_[t] = (c_w[t] + options_.beta) /
+                             (topic_total_[t] + v_beta);
         }
-      }
-      const int pick = rng.SampleDiscrete(scratch->weights);
-      WGRAP_CHECK(pick >= 0);
-      state.author_slots[i] = pick / T;
-      state.topics[i] = pick % T;
-      adjust_local(state.author_slots[i], state.topics[i], w_local, +1.0);
-    }
-  }
-
-  // Re-derives the global counts from the token states, in document order.
-  void RebuildCounts() {
-    author_topic_.Fill(0.0);
-    topic_word_.Fill(0.0);
-    author_total_.assign(author_total_.size(), 0.0);
-    topic_total_.assign(topic_total_.size(), 0.0);
-    for (int d = 0; d < corpus_.num_documents(); ++d) {
-      const Document& doc = corpus_.documents[d];
-      const DocState& state = doc_states_[d];
-      for (size_t i = 0; i < doc.words.size(); ++i) {
-        AdjustCounts(doc.authors[state.author_slots[i]], state.topics[i],
-                     doc.words[i], +1.0);
+        for (size_t ai = 0; ai < doc.authors.size(); ++ai) {
+          const int a = doc.authors[ai];
+          const double a_norm = author_total_[a] + t_alpha;
+          const double* c_a = author_topic_.Row(a);
+          double* row = &weights_[ai * T];
+          for (int t = 0; t < T; ++t) {
+            row[t] = (c_a[t] + options_.alpha) / a_norm * word_weights_[t];
+          }
+        }
+        const int pick = rng_->SampleDiscrete(weights_);
+        WGRAP_CHECK(pick >= 0);
+        slot = pick / T;
+        topic = pick % T;
+        AdjustCounts(doc.authors[slot], topic, w, +1.0);
       }
     }
   }
@@ -238,7 +120,7 @@ class GibbsSampler {
     }
     for (int t = 0; t < options_.num_topics; ++t) {
       for (int w = 0; w < corpus_.vocab_size; ++w) {
-        phi_sum_(t, w) += (topic_word_(t, w) + options_.beta) /
+        phi_sum_(t, w) += (word_topic_(w, t) + options_.beta) /
                           (topic_total_[t] +
                            corpus_.vocab_size * options_.beta);
       }
@@ -247,19 +129,17 @@ class GibbsSampler {
 
   const Corpus& corpus_;
   const AtmOptions& options_;
-  ThreadPool pool_;
-  uint64_t stream_seed_ = 0;
+  Rng* rng_;
   Matrix author_topic_;  // C_at
-  Matrix topic_word_;    // C_tw
+  Matrix word_topic_;    // C_tw, stored word-major so a token reads one row
   std::vector<double> author_total_;
   std::vector<double> topic_total_;
-  Matrix at_snap_;       // per-sweep frozen copies
-  Matrix tw_snap_;
-  std::vector<double> a_total_snap_;
-  std::vector<double> t_total_snap_;
+  std::vector<double> word_weights_;  // per-token word factor, T entries
+  std::vector<double> weights_;       // per-token draw, authors x T
   Matrix theta_sum_;
   Matrix phi_sum_;
-  std::vector<DocState> doc_states_;
+  std::vector<int> token_topic_;  // per token, in document order
+  std::vector<int> token_slot_;   // index into the token's Document::authors
 };
 
 }  // namespace

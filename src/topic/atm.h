@@ -21,10 +21,6 @@ struct AtmOptions {
   int iterations = 200;    // Gibbs sweeps
   int burn_in = 100;       // sweeps before averaging posterior estimates
   int sample_lag = 10;     // average every `sample_lag` sweeps after burn-in
-  /// Worker threads for the per-document sampling fan-out. The fitted
-  /// model is bit-identical for any value (documents draw from per-
-  /// (sweep, document) Rng streams against batch-frozen counts).
-  int num_threads = 1;
 };
 
 /// Fitted model: theta rows are authors (num_authors x T, row-normalized),
@@ -37,8 +33,10 @@ struct AtmModel {
   int vocab_size() const { return phi.cols(); }
 };
 
-/// Runs collapsed Gibbs sampling on the corpus. Posterior estimates are
-/// averaged over post-burn-in samples for stability.
+/// Runs one sequential collapsed Gibbs chain on the corpus, every draw from
+/// `rng`: the same corpus, options and seed give the same model bit for
+/// bit. Posterior estimates are averaged over post-burn-in samples for
+/// stability.
 Result<AtmModel> FitAtm(const Corpus& corpus, const AtmOptions& options,
                         Rng* rng);
 

@@ -651,6 +651,47 @@ TEST(KnobSchemaTest, DecodeFillsEveryStructAKnobWrites) {
   }
 }
 
+// The resolve takes only the knobs its chosen refiner reads: sra takes
+// threads, sra_omega and sra_lambda; ls and none take none of them, and
+// a run that names one fails before any repair work instead of ignoring it.
+TEST(KnobSchemaTest, ResolveRejectsKnobsItsRefinerIgnores) {
+  const core::Instance instance = TinyInstance();
+  auto sdga = core::SolveCraSdga(instance);
+  ASSERT_TRUE(sdga.ok()) << sdga.status().ToString();
+  for (const char* refine : {"ls", "none"}) {
+    for (const auto& [key, value] :
+         {std::pair<const char*, const char*>{"threads", "4"},
+          {"sra_omega", "3"},
+          {"sra_lambda", "2"}}) {
+      SCOPED_TRACE(std::string(refine) + " " + key);
+      core::SolverRunOptions options;
+      options.extra["update_refine"] = refine;
+      options.extra[key] = value;
+      core::Assignment working = *sdga;
+      auto rejected = core::IncrementalResolve(instance, &working, options);
+      EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(rejected.status().message(),
+                std::string("'update refine=") + refine +
+                    "' does not take option '" + key +
+                    "' (declared knobs: update_refine)");
+      EXPECT_EQ(core::DecodeIncrementalResolveKnobs(options).status().message(),
+                rejected.status().message());
+    }
+    core::SolverRunOptions bare;
+    bare.extra["update_refine"] = refine;
+    core::Assignment working = *sdga;
+    EXPECT_TRUE(core::IncrementalResolve(instance, &working, bare).ok());
+  }
+  // refine=sra (the default) keeps the whole schema.
+  core::SolverRunOptions sra;
+  sra.extra = {{"threads", "4"}, {"sra_omega", "3"}, {"sra_lambda", "2"}};
+  EXPECT_TRUE(core::DecodeIncrementalResolveKnobs(sra).ok());
+  sra.extra["update_refine"] = "sra";
+  auto decoded = core::DecodeIncrementalResolveKnobs(sra);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->sra.num_threads, 4);
+}
+
 TEST(SolverRegistryTest, TimeLimitIsThreadedThrough) {
   const auto& registry = core::SolverRegistry::Default();
   const core::Instance instance = TinyInstance();

@@ -468,6 +468,41 @@ TEST(ProtocolTest, KnobErrorsFailTheSubmitWithoutAJobId) {
   EXPECT_NE(resolved, std::string::npos) << output;
 }
 
+TEST(ProtocolTest, ResolveRefusesKnobsItsRefinerIgnores) {
+  auto dataset = core::MakeFuzzDataset(Config());
+  ASSERT_TRUE(dataset.ok());
+  std::string script;
+  Send(&script, "open conf dp=3", data::DatasetToCsv(*dataset));
+  script += "submit conf solve greedy\n";
+  script += "wait 1\n";
+  // ls and none read no refiner knob, so naming one fails the resolve
+  // without a job id; refine=sra keeps threads and the sra_* knobs.
+  script += "resolve conf refine=ls threads=2\n";
+  script += "resolve conf refine=none threads=2\n";
+  script += "resolve conf refine=none sra_omega=3\n";
+  script += "resolve conf refine=sra threads=2\n";
+  script += "resolve conf refine=ls\n";
+  script += "quit\n";
+
+  ServiceApi api;
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(in, out, api);
+  const auto refused = [](const std::string& refine, const std::string& key) {
+    return Err(StatusCode::kInvalidArgument,
+               "'update refine=" + refine + "' does not take option '" + key +
+                   "' (declared knobs: update_refine)");
+  };
+  const std::string expected = refused("ls", "threads") +
+                               refused("none", "threads") +
+                               refused("none", "sra_omega") +
+                               Ok("job 2\n") + Ok("job 3\n") + Ok("bye\n");
+  const std::string output = out.str();
+  ASSERT_GE(output.size(), expected.size()) << output;
+  EXPECT_EQ(output.substr(output.size() - expected.size()), expected)
+      << output;
+}
+
 TEST(ProtocolTest, SolversVerboseRendersKnobSchemas) {
   ServiceApi api;
   std::istringstream in("solvers verbose\nquit\n");

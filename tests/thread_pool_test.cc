@@ -106,10 +106,6 @@ TEST(ThreadPoolTest, ManySmallLoopsStressJobLifecycle) {
   EXPECT_EQ(total, 200 * 15);
 }
 
-TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::HardwareThreads(), 1);
-}
-
 TEST(RngStreamTest, StreamsAreReproducibleAndDistinct) {
   Rng a = Rng::ForStream(42, 7);
   Rng b = Rng::ForStream(42, 7);

@@ -389,12 +389,16 @@ void ExpectPublishableAsIs(const Assignment& tracked,
   EXPECT_EQ(AssignmentMismatch(resummed, *rebuilt), "") << where;
 }
 
+// threads and sra_omega go on the sra leg only: the resolve refuses a knob
+// its refiner does not read.
 SolverRunOptions ResolveOptions(int threads, const std::string& refine) {
   SolverRunOptions options;
   options.seed = 777;
-  options.extra["threads"] = std::to_string(threads);
   options.extra["update_refine"] = refine;
-  options.extra["sra_omega"] = "6";  // keep the SRA leg of the grid fast
+  if (refine == "sra") {
+    options.extra["threads"] = std::to_string(threads);
+    options.extra["sra_omega"] = "6";  // keep the SRA leg of the grid fast
+  }
   return options;
 }
 

@@ -53,7 +53,8 @@
 //     (applies a mutation script — see core/update.h ParseMutationScript
 //      for the line grammar — to the instance and incrementally re-solves
 //      from the surviving assignment; --refine is the alias of knob
-//      update_refine; --cold also runs a cold solve for
+//      update_refine; the sdga-sra knobs go with --refine sra only, and
+//      with ls or none exit 2; --cold also runs a cold solve for
 //      comparison, --mode rebuild cross-checks the patch path by
 //      rebuilding the instance from scratch after the mutations)
 //   wgrap_cli serve     [--port P] [--jobs W] [--results M]
@@ -562,8 +563,7 @@ int CmdUpdate(const Flags& flags) {
   // --refine is the one alias, like the protocol's `resolve refine=`.
   const std::string refine = flags.GetString("refine", "");
   if (!refine.empty()) options.extra["update_refine"] = refine;
-  ParamOrDie(core::DecodeKnobs("update", core::IncrementalResolveKnobSpecs(),
-                               options));
+  ParamOrDie(core::DecodeIncrementalResolveKnobs(options));
 
   core::InstanceParams params;
   params.group_size = flags.GetInt("dp", 3);

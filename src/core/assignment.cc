@@ -4,12 +4,15 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "obs/metrics.h"
 
 namespace wgrap::core {
 
 Assignment::Assignment(const Instance* instance)
     : instance_(instance),
+      revision_(instance->revision()),
       groups_(instance->num_papers()),
+      stale_(instance->num_papers(), 0),
       load_(instance->num_reviewers(), 0),
       group_vec_(instance->num_papers(), instance->num_topics(), 0.0),
       paper_score_(instance->num_papers(), 0.0) {}
@@ -56,6 +59,7 @@ Status Assignment::CheckAddable(int paper, int reviewer) const {
 }
 
 void Assignment::Place(int paper, int reviewer) {
+  stale_[paper] = 1;
   groups_[paper].push_back(reviewer);
   ++load_[reviewer];
   ++size_;
@@ -165,17 +169,26 @@ void Assignment::RecomputePaper(int paper) {
     for (int r : groups_[paper]) score += instance_->BidBonus(r, paper);
   }
   paper_score_[paper] = score;
+  stale_[paper] = 0;
   total_score_ += paper_score_[paper] - old_score;
 }
 
 void Assignment::RecomputeAll() {
-  for (int p = 0; p < instance_->num_papers(); ++p) RecomputePaper(p);
+  static obs::Counter* const rederived = obs::Registry::Global().GetCounter(
+      "wgrap_assignment_rows_rederived_total");
+  // A row not marked stale is exact for the instance at revision_; if the
+  // instance has moved on without this assignment, none can be trusted.
+  const bool all = revision_ != instance_->revision();
+  int64_t rows = 0;
+  for (int p = 0; p < instance_->num_papers(); ++p) {
+    if (!all && !stale_[p]) continue;
+    RecomputePaper(p);
+    ++rows;
+  }
+  revision_ = instance_->revision();
+  if (rederived != nullptr) rederived->Add(rows);
   // RecomputePaper maintains the total by delta; re-sum in paper order so
   // the result is independent of the mutation history's accumulation order.
-  RecomputeTotal();
-}
-
-void Assignment::RecomputeTotal() {
   total_score_ = 0.0;
   for (double s : paper_score_) total_score_ += s;
 }

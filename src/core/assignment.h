@@ -7,6 +7,7 @@
 #ifndef WGRAP_CORE_ASSIGNMENT_H_
 #define WGRAP_CORE_ASSIGNMENT_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -27,18 +28,20 @@ class Assignment {
   /// AddUnchecked's code and message. Groups are placed in pair order, so
   /// GroupFor(p) lists p's reviewers as they appear in `pairs`. No gain is
   /// summed and no reviewer is folded per pair: one RecomputeAll derives
-  /// every group vector, paper score and the total at the end, so the
-  /// result is bitwise identical to AddUnchecked on each pair followed by
-  /// RecomputeAll. O(|pairs|·δp) checks plus one RecomputeAll, against
-  /// the replay's extra |pairs| marginal gains and folds.
+  /// the group vector and score of every paper with a pair, and the total,
+  /// at the end, so the result is bitwise identical to AddUnchecked on
+  /// each pair followed by RecomputeAll, with every row exact. O(|pairs|·δp)
+  /// checks plus one RecomputeAll, against the replay's extra |pairs|
+  /// marginal gains and folds.
   static Result<Assignment> FromPairs(
       const Instance* instance, const std::vector<std::pair<int, int>>& pairs);
 
   /// A copy of this assignment bound to `instance`, which must be a copy
   /// of instance() at the same state (same shape, topics and COIs): the
-  /// groups, loads, group vectors and scores are copied, not re-derived,
-  /// so the result is bitwise this assignment. O(P·(δp + T)) copies, no
-  /// fold or score. Checks the shape only.
+  /// groups, loads, group vectors, scores and stale-row flags are copied,
+  /// not re-derived, so the result is bitwise this assignment. O(P·(δp +
+  /// T)) copies, no fold or score. Checks the shape only; an `instance`
+  /// at another revision makes the copy's next RecomputeAll a full pass.
   Assignment ReboundTo(const Instance* instance) const;
 
   const Instance& instance() const { return *instance_; }
@@ -89,38 +92,47 @@ class Assignment {
   double ScoreWithReplacement(int paper, int drop, int add) const;
 
   /// Adds (r, p). Fails on duplicates, COI, full group, or exhausted
-  /// workload. O(T) on success.
+  /// workload. O(T) on success. Like AddUnchecked, it adds the pair's gain
+  /// to the paper's score, so the row goes stale: its score may differ in
+  /// the last bits from the one RecomputeAll derives.
   Status Add(int paper, int reviewer);
 
   /// Adds (r, p) without capacity checks (used to build the *ideal*
   /// assignment AI of Sec. 5.2, which deliberately ignores workloads).
-  /// Duplicate and COI checks still apply.
+  /// Duplicate and COI checks still apply. Marks the row stale.
   Status AddUnchecked(int paper, int reviewer);
 
-  /// Removes (r, p); recomputes p's group vector in O(δp·T).
+  /// Removes (r, p); re-derives p's group vector and score in O(δp·T),
+  /// which leaves the row exact.
   Status Remove(int paper, int reviewer);
 
   /// OK iff every group has exactly δp reviewers, loads respect δr, and no
   /// COI pair is used.
   Status ValidateComplete() const;
 
-  /// Re-derives every cached group vector, paper score and the total from
-  /// the current groups, discarding whatever accumulation history produced
-  /// them. Max-folding is order-independent and the total is re-summed in
-  /// paper order, so two assignments with equal groups (per paper, in
-  /// order) are bitwise identical after this call no matter how they were
-  /// built — the normalization the update subsystem (core/update.h) relies
-  /// on for its patched-vs-fresh mechanism equivalence.
+  /// Leaves every cached group vector and paper score as a fresh
+  /// derivation from the current groups would give, discarding whatever
+  /// accumulation history produced them, and re-sums the total in paper
+  /// order. Max-folding is order-independent, so two assignments with
+  /// equal groups (per paper, in order) are bitwise identical after this
+  /// call no matter how they were built — the normalization the update
+  /// subsystem (core/update.h) relies on for its patched-vs-fresh
+  /// mechanism equivalence.
+  ///
+  /// Only the stale rows are re-derived. A row goes stale when Add or
+  /// AddUnchecked touches it; Remove, this call and the online updater's
+  /// per-paper recomputes leave it exact, and the updater's paper surgery
+  /// carries the flags with the rows. The flags hold for the instance
+  /// revision the assignment last saw (Instance::revision()): construction,
+  /// this call, and an InstanceUpdater tracking the assignment keep it in
+  /// step. When the instance moved on without it (SetBids, AddConflict,
+  /// an updater tracking another assignment) every row is re-derived.
+  /// On an assignment built by FromPairs and then changed only by Remove
+  /// and its updater, no row is stale and the call is one paper-order
+  /// re-sum (the session store's publish relies on it).
+  /// O(P + stale rows·δp·T); counts the re-derived rows into
+  /// wgrap_assignment_rows_rederived_total (P on a full pass).
   void RecomputeAll();
-
-  /// Re-sums the total from the cached paper scores in paper order:
-  /// RecomputeAll's last step, without re-deriving any paper. Remove and
-  /// the online updater's per-paper recomputes leave every paper's group
-  /// vector and score exactly as RecomputeAll would derive them and only
-  /// the total history-dependent, so on an assignment built by FromPairs
-  /// and then changed only that way this call alone makes it bitwise its
-  /// FromPairs build (the session store's publish relies on it). O(P).
-  void RecomputeTotal();
 
  private:
   /// The online-update subsystem (core/update.h) performs id-remapping
@@ -130,12 +142,20 @@ class Assignment {
 
   /// AddUnchecked's checks: range, duplicate, COI, in that order.
   Status CheckAddable(int paper, int reviewer) const;
-  /// Appends (r, p) to the group, load and size; no score is touched.
+  /// Appends (r, p) to the group, load and size and marks the row
+  /// stale; no score is touched.
   void Place(int paper, int reviewer);
+  /// Re-derives p's group vector and score; the row is exact after.
   void RecomputePaper(int paper);
 
+  // revision_ and stale_ sit beside groups_, which every update reads, so
+  // keeping them costs an update no extra cache line of this object.
   const Instance* instance_;
+  /// The instance revision the exact rows were derived for.
+  uint64_t revision_ = 0;
   std::vector<std::vector<int>> groups_;
+  /// Per paper, 1 when the row may differ from a fresh derivation.
+  std::vector<uint8_t> stale_;
   std::vector<int> load_;
   Matrix group_vec_;  // P x T running max
   std::vector<double> paper_score_;

@@ -1,6 +1,7 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <string>
@@ -168,7 +169,22 @@ Result<Instance> Instance::FromDataset(const data::RapDataset& dataset,
   instance.conflicts_.assign((static_cast<size_t>(P) * R + 63) / 64, 0);
   instance.ResetViews(std::nullopt, /*reviewers_moved=*/true,
                       /*papers_moved=*/true);
+  instance.revision_ = NextRevision();
   return instance;
+}
+
+uint64_t Instance::NextRevision() {
+  // Each thread draws its revisions from its own block of the counter, so
+  // a mutation writes no cache line that another core last wrote.
+  constexpr uint64_t kBlock = 1024;
+  static std::atomic<uint64_t> counter{0};
+  thread_local uint64_t next = 0;
+  thread_local uint64_t end = 0;
+  if (next == end) {
+    next = counter.fetch_add(kBlock, std::memory_order_relaxed) + 1;
+    end = next + kBlock;
+  }
+  return next++;
 }
 
 void Instance::ResetViews(std::optional<bool> csr, bool reviewers_moved,
@@ -220,6 +236,7 @@ Status Instance::SetBids(Matrix bids, double weight) {
   bids_ = std::move(bids);
   bid_weight_ = weight;
   ResetIdealMemo();
+  revision_ = NextRevision();
   return Status::OK();
 }
 
@@ -257,24 +274,42 @@ void Instance::AddConflict(int reviewer, int paper) {
   WGRAP_CHECK(paper >= 0 && paper < num_papers());
   const size_t bit = static_cast<size_t>(paper) * num_reviewers() + reviewer;
   conflicts_[bit >> 6] |= uint64_t{1} << (bit & 63);
-  MarkIdealStale(paper);
+  MarkIdealStale(paper, reviewer);
+  revision_ = NextRevision();
 }
 
-void Instance::MarkIdealStale(int paper) {
-  if (ideal_.use_count() != 1) {
-    // Another copy still reads this memo: clone it under its lock.
-    auto own = std::make_shared<IdealMemo>();
-    if (ideal_ != nullptr) {
-      std::lock_guard<std::mutex> lock(ideal_->mutex);
-      own->rows = ideal_->rows;
-      own->gains = ideal_->gains;
+void Instance::MarkIdealStale(int paper, int new_conflict) {
+  IdealMemo& memo = *ideal_;
+  // Other copies may be filling this memo; a copy dropped on another
+  // thread may have been the last to write it. The lock orders both.
+  std::unique_lock<std::mutex> lock(memo.mutex);
+  if (memo.rows.empty()) {
+    if (ideal_.use_count() != 1) {
+      lock.unlock();
+      ResetIdealMemo();  // nothing derived: an empty memo is its clone
     }
-    ideal_ = std::move(own);
+    return;
   }
-  // Unshared now, but a copy dropped on another thread may have been the
-  // last to write the rows; the lock orders this write after that one.
-  std::lock_guard<std::mutex> lock(ideal_->mutex);
-  if (!ideal_->rows.empty()) ideal_->rows[paper] = IdealMemo::Row::kStale;
+  if (new_conflict >= 0 && memo.rows[paper] == IdealMemo::Row::kFeasible) {
+    const int* picks = memo.picks.data() +
+                       static_cast<size_t>(paper) * group_size_;
+    if (std::find(picks, picks + group_size_, new_conflict) ==
+        picks + group_size_) {
+      return;
+    }
+  }
+  if (ideal_.use_count() == 1) {
+    memo.rows[paper] = IdealMemo::Row::kStale;
+    return;
+  }
+  // Another copy still reads this memo: this instance takes a clone.
+  auto own = std::make_shared<IdealMemo>();
+  own->rows = memo.rows;
+  own->picks = memo.picks;
+  own->gains = memo.gains;
+  lock.unlock();
+  own->rows[paper] = IdealMemo::Row::kStale;
+  ideal_ = std::move(own);
 }
 
 namespace {

@@ -14,8 +14,9 @@
 // (copies share one memo object, as they share the topic views), and
 // detached on mutation: each mutator (InstanceUpdater ops, AddConflict,
 // SetBids) first clones a memo another copy still holds, then marks only
-// the papers it moved stale, or starts an empty memo. FromDataset starts
-// it empty and derives nothing.
+// the papers it moved stale, or starts an empty memo. A new COI that is
+// none of a feasible row's picks moves nothing, so it keeps the row and
+// the shared memo. FromDataset starts it empty and derives nothing.
 //
 // The representation contract: the Instance alone decides how topic
 // vectors are read. The dense matrices are always present; the CSC
@@ -109,6 +110,17 @@ class Instance {
   /// Σ_t p→[t], the normalization denominator of Eq. 1.
   double PaperMass(int p) const { return paper_mass_[p]; }
 
+  /// The state revision, drawn from one process-wide counter (each thread
+  /// takes blocks of it, so no two instances draw the same value and a
+  /// draw writes no cache line another thread shares). FromDataset takes
+  /// a fresh one, and so does every change of the instance's data
+  /// (AddConflict, SetBids, each applied InstanceUpdater op); the kernel
+  /// overrides below change no data and keep it. Copies keep it too, so
+  /// two instances with one revision are copies at the same state. An
+  /// Assignment records it to know whether the rows it holds exact still
+  /// are (Assignment::RecomputeAll).
+  uint64_t revision() const { return revision_; }
+
   /// Kernel overrides for tests and benches that compare the twins; no
   /// product code calls them. BuildSparseTopics builds the CSR views and
   /// switches the scoring primitives below to the sparse kernels
@@ -187,7 +199,7 @@ class Instance {
 
   /// Registers a conflict of interest; (r, p) then never appears in any
   /// solver's output (Sec. 4.3 "Supporting COIs"). Marks the paper's c(AI)
-  /// memo row stale.
+  /// memo row stale when r is one of its picks or the row is not feasible.
   void AddConflict(int reviewer, int paper);
 
   /// Installs reviewer bids (the paper's Sec. 6 future-work extension).
@@ -245,19 +257,26 @@ class Instance {
 
   Instance() = default;
 
-  /// The c(AI) memo: per paper, the gains of AI's δp picks and the row's
-  /// state. Rows and gains are empty until IdealScore sizes them (every
-  /// row stale), then P and P×δp long; gains are valid on kFeasible rows.
+  /// The c(AI) memo: per paper, AI's δp picks (reviewer ids in pick
+  /// order), their gains and the row's state. Rows, picks and gains are
+  /// empty until IdealScore sizes them (every row stale), then P, P×δp and
+  /// P×δp long; picks and gains are valid on kFeasible rows.
   struct IdealMemo {
     enum class Row : uint8_t { kStale, kFeasible, kInfeasible };
-    std::mutex mutex;  // guards the rows and gains
+    std::mutex mutex;  // guards the rows, picks and gains
     std::vector<Row> rows;
+    std::vector<int> picks;
     std::vector<double> gains;
   };
 
-  /// The memo's rows for `paper` go stale (AddConflict, set_coi, set_bid,
-  /// set_paper_topics). A memo another copy shares is cloned first.
-  void MarkIdealStale(int paper);
+  /// The memo's row for `paper` goes stale (AddConflict, set_coi, set_bid,
+  /// set_paper_topics); a memo another copy shares is cloned first. With
+  /// `new_conflict`, the reviewer that just became a COI of the paper, a
+  /// kFeasible row whose picks do not include it is kept and nothing is
+  /// cloned: each pick is the first maximum over the eligible reviewers,
+  /// so dropping one that no step chose moves no pick and no gain bit.
+  /// One memo lock either way.
+  void MarkIdealStale(int paper, int new_conflict = -1);
   /// An empty memo in place of the current one, in O(1): every other
   /// mutation, which may move any paper's picks or shift paper ids.
   void ResetIdealMemo() { ideal_ = std::make_shared<IdealMemo>(); }
@@ -307,9 +326,14 @@ class Instance {
   int group_size_ = 0;
   int reviewer_workload_ = 0;
   ScoringFunction scoring_ = ScoringFunction::kWeightedCoverage;
-  /// Shared by copies at the same state; never written while shared
-  /// except by IdealScore, under the memo's mutex.
+  /// Shared by copies on which every derived row holds and every stale
+  /// row derives alike (copies at one state, or apart only by COIs that
+  /// moved no pick); never written while shared except by IdealScore,
+  /// under the memo's mutex.
   std::shared_ptr<IdealMemo> ideal_ = std::make_shared<IdealMemo>();
+  /// See revision(); a fresh one from NextRevision on every data change.
+  uint64_t revision_ = 0;
+  static uint64_t NextRevision();
 };
 
 /// A Definition 2 group vector folded from scratch (ScoreGroup, an

@@ -10,6 +10,43 @@
 
 namespace wgrap::core {
 
+namespace {
+
+// The greedy of AddIdealPicks on a bare T-wide group vector (all zero on
+// entry) and an R-wide row buffer: writes up to δp picks and their gains
+// and returns how many it made, fewer than δp when the eligible reviewers
+// ran out. The row is Assignment::MarginalGainRow's, bit for bit: the
+// instance's gain row against the group vector, plus the bid bonus per
+// reviewer when bids are set. Folding a pick into the group is what
+// AddUnchecked does to an assignment's row.
+int PickIdeal(const Instance& instance, int paper, double* group,
+              double* row, int* picks, double* gains) {
+  const int R = instance.num_reviewers();
+  const int dp = instance.group_size();
+  for (int pick = 0; pick < dp; ++pick) {
+    instance.GainRow(group, paper, row);
+    if (instance.has_bids()) {
+      for (int r = 0; r < R; ++r) row[r] += instance.BidBonus(r, paper);
+    }
+    int best = -1;
+    double best_gain = -1.0;
+    for (int r = 0; r < R; ++r) {
+      if (row[r] > best_gain && !instance.IsConflict(r, paper) &&
+          std::find(picks, picks + pick, r) == picks + pick) {
+        best_gain = row[r];
+        best = r;
+      }
+    }
+    if (best < 0) return pick;
+    instance.FoldReviewer(best, group);
+    picks[pick] = best;
+    gains[pick] = best_gain;
+  }
+  return dp;
+}
+
+}  // namespace
+
 Result<Assignment> BuildIdealAssignment(const Instance& instance) {
   Assignment ideal(&instance);
   std::vector<double> gains(instance.group_size());
@@ -21,26 +58,19 @@ Result<Assignment> BuildIdealAssignment(const Instance& instance) {
 
 Status AddIdealPicks(int paper, Assignment* ideal, double* gains) {
   const Instance& instance = ideal->instance();
-  const int R = instance.num_reviewers();
-  std::vector<double> row(R);
-  for (int pick = 0; pick < instance.group_size(); ++pick) {
-    ideal->MarginalGainRow(paper, row.data());
-    int best = -1;
-    double best_gain = -1.0;
-    for (int r = 0; r < R; ++r) {
-      if (row[r] > best_gain && !instance.IsConflict(r, paper) &&
-          !ideal->Contains(paper, r)) {
-        best_gain = row[r];
-        best = r;
-      }
-    }
-    if (best < 0) return Status::Infeasible("not enough eligible reviewers");
-    // AddUnchecked re-derives the same gain (MarginalGain, bit-identical
-    // to the row) and adds it to the total, so the recorded gains fold to
-    // the total's exact bits.
-    WGRAP_RETURN_IF_ERROR(ideal->AddUnchecked(paper, best));
-    gains[pick] = best_gain;
+  const int dp = instance.group_size();
+  std::vector<double> group(instance.num_topics(), 0.0);
+  std::vector<double> row(instance.num_reviewers());
+  std::vector<int> picks(dp);
+  const int picked =
+      PickIdeal(instance, paper, group.data(), row.data(), picks.data(), gains);
+  // AddUnchecked re-derives each pick's gain (MarginalGain, bit-identical
+  // to the row) against the same group vector and adds it to the total, so
+  // the recorded gains fold to the total's exact bits.
+  for (int k = 0; k < picked; ++k) {
+    WGRAP_RETURN_IF_ERROR(ideal->AddUnchecked(paper, picks[k]));
   }
+  if (picked < dp) return Status::Infeasible("not enough eligible reviewers");
   return Status::OK();
 }
 
@@ -54,18 +84,23 @@ std::optional<double> IdealScore(const Instance& instance) {
   std::lock_guard<std::mutex> lock(memo.mutex);
   if (memo.rows.empty()) {
     memo.rows.assign(P, Row::kStale);
+    memo.picks.assign(static_cast<size_t>(P) * dp, -1);
     memo.gains.assign(static_cast<size_t>(P) * dp, 0.0);
   }
-  // One scratch AI, built on the first stale row: each paper's picks read
-  // only its own group, so the rows can be re-derived in any subset.
-  std::optional<Assignment> scratch;
+  // One group vector and one row buffer, sized on the first stale row:
+  // each paper's picks read only its own group, so the rows can be
+  // re-derived in any subset.
+  std::vector<double> group;
+  std::vector<double> row;
   int64_t stale = 0;
   for (int p = 0; p < P; ++p) {
     if (memo.rows[p] != Row::kStale) continue;
-    if (!scratch.has_value()) scratch.emplace(&instance);
-    const Status picked = AddIdealPicks(
-        p, &*scratch, &memo.gains[static_cast<size_t>(p) * dp]);
-    memo.rows[p] = picked.ok() ? Row::kFeasible : Row::kInfeasible;
+    if (row.empty()) row.resize(instance.num_reviewers());
+    group.assign(instance.num_topics(), 0.0);
+    const size_t at = static_cast<size_t>(p) * dp;
+    const int picked = PickIdeal(instance, p, group.data(), row.data(),
+                                 &memo.picks[at], &memo.gains[at]);
+    memo.rows[p] = picked == dp ? Row::kFeasible : Row::kInfeasible;
     ++stale;
   }
   if (refreshed != nullptr) refreshed->Add(stale);

@@ -23,10 +23,10 @@ Result<Assignment> BuildIdealAssignment(const Instance& instance);
 /// adds to `ideal` (which must hold no pair of `paper` yet) the δp
 /// reviewers BuildIdealAssignment picks for `paper`, in pick order, and
 /// writes each pick's marginal gain to gains[0..δp). Each pick is one
-/// Assignment::MarginalGainRow and an argmax over the reviewers that are
-/// neither
-/// members nor COIs: the first strictly larger gain wins, so a tie goes
-/// to the lowest reviewer index. kInfeasible when fewer than δp
+/// gain row (Assignment::MarginalGainRow's bits, against the group of the
+/// picks so far) and an argmax over the reviewers that are neither picked
+/// nor COIs: the first strictly larger gain wins, so a tie goes to the
+/// lowest reviewer index. kInfeasible when fewer than δp
 /// reviewers are eligible. The picks depend only on the paper's topics,
 /// mass, COIs and bids and on the reviewer matrix, so one paper can be
 /// re-derived without the others; folding all papers' gains left to
@@ -38,11 +38,12 @@ Status AddIdealPicks(int paper, Assignment* ideal, double* gains);
 /// eligible reviewers) — bit-identical to
 /// BuildIdealAssignment(instance)->TotalScore(), or to its failure. Reads
 /// the instance's c(AI) memo (core/instance.h): under the memo's mutex it
-/// re-derives, with AddIdealPicks, only the papers whose rows are stale
-/// (every paper on first use, the papers a mutation touched after it),
-/// then folds all P×δp pick gains left to right from 0.0 in (paper, pick)
-/// order. Safe to call concurrently on one instance and on copies sharing
-/// its memo. Counts the re-derived papers into
+/// re-derives, with AddIdealPicks's greedy on one T-wide group vector and
+/// one R-wide row, only the papers whose rows are stale (every paper on
+/// first use, the papers a mutation moved after it), keeping each row's
+/// picks and gains, then folds all P×δp pick gains left to right from 0.0
+/// in (paper, pick) order. Safe to call concurrently on one instance and
+/// on copies sharing its memo. Counts the re-derived papers into
 /// wgrap_ideal_papers_refreshed_total.
 std::optional<double> IdealScore(const Instance& instance);
 

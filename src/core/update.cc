@@ -316,6 +316,7 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       RebuildTopicViews(/*reviewer_side=*/false);
       if (assignment_ != nullptr) {
         assignment_->groups_.emplace_back();
+        assignment_->stale_.push_back(0);  // an empty group is exact
         assignment_->paper_score_.push_back(0.0);
         assignment_->group_vec_ =
             WithRowAppended(assignment_->group_vec_, {});
@@ -347,6 +348,7 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
       RebuildTopicViews(/*reviewer_side=*/false);
       if (assignment_ != nullptr) {
         assignment_->groups_.erase(assignment_->groups_.begin() + removed);
+        assignment_->stale_.erase(assignment_->stale_.begin() + removed);
         assignment_->paper_score_.erase(assignment_->paper_score_.begin() +
                                         removed);
         assignment_->group_vec_ =
@@ -480,22 +482,31 @@ Status InstanceUpdater::ApplyOne(const InstanceUpdate& u,
   return Status::Internal("unhandled update kind");
 }
 
-void InstanceUpdater::MarkIdealStale(const InstanceUpdate& u) {
+void InstanceUpdater::Applied(const InstanceUpdate& u) {
   switch (u.kind) {
     case InstanceUpdate::Kind::kSetCoi:
+      instance_->MarkIdealStale(u.paper, u.conflicted ? u.reviewer : -1);
+      break;
     case InstanceUpdate::Kind::kSetBid:
     case InstanceUpdate::Kind::kSetPaperTopics:
       instance_->MarkIdealStale(u.paper);
-      return;
+      break;
     default:
       instance_->ResetIdealMemo();
   }
+  // ApplyOne kept every exact row of the tracked assignment exact, so an
+  // assignment in step with the instance stays in step; one that already
+  // lagged behind (the instance changed where it did not see) stays behind.
+  const bool in_step = assignment_ != nullptr &&
+                       assignment_->revision_ == instance_->revision_;
+  instance_->revision_ = Instance::NextRevision();
+  if (in_step) assignment_->revision_ = instance_->revision_;
 }
 
 Result<UpdateReport> InstanceUpdater::Apply(const InstanceUpdate& update) {
   UpdateReport report;
   WGRAP_RETURN_IF_ERROR(ApplyOne(update, &report));
-  MarkIdealStale(update);
+  Applied(update);
   report.applied = 1;
   return report;
 }
@@ -505,7 +516,7 @@ Result<UpdateReport> InstanceUpdater::ApplyAll(
   UpdateReport report;
   for (const InstanceUpdate& u : updates) {
     WGRAP_RETURN_IF_ERROR(ApplyOne(u, &report));
-    MarkIdealStale(u);
+    Applied(u);
     ++report.applied;
   }
   static obs::Counter* const batches = obs::Registry::Global().GetCounter(

@@ -28,13 +28,25 @@
 // Staleness rules of the instance's c(AI) memo (core/instance.h). Paper
 // p's ideal picks depend only on p's topics, COIs and bids and on the
 // reviewer matrix, so each applied op marks exactly what it may move:
-//   - set_coi, set_bid, set_paper_topics: their one paper's row;
+//   - set_coi ... on: its paper's row, only if the reviewer is one of the
+//     row's picks or the row is not feasible (each pick is a first
+//     maximum, so removing a reviewer no step chose moves no pick and no
+//     gain bit); a kept row keeps the memo shared;
+//   - set_coi ... off, set_bid, set_paper_topics: their one paper's row;
 //   - add/remove_paper, add/remove_reviewer, set_reviewer_topics: every
 //     row (they move the reviewer matrix or shift paper ids), by starting
 //     an empty memo in O(1).
-// A memo that a copy of the instance still shares is cloned first, so the
-// copy keeps its own answer. Nothing is re-derived here: core::IdealScore
-// does that lazily, for the stale rows only. A rejected op marks nothing.
+// A memo that a copy of the instance still shares is cloned before a row
+// is marked, so the copy keeps its own answer. Nothing is re-derived here:
+// core::IdealScore does that lazily, for the stale rows only. A rejected
+// op marks nothing.
+//
+// Every applied op gives the instance a fresh revision (Instance::
+// revision()). The tracked assignment sees the op — Remove for evictions,
+// per-paper recomputes, the paper surgery — and keeps every exact row
+// exact, so it takes the new revision with the instance and its next
+// RecomputeAll re-derives only the rows Add marked stale. Any other
+// assignment on the instance lags behind and gets a full pass.
 #ifndef WGRAP_CORE_UPDATE_H_
 #define WGRAP_CORE_UPDATE_H_
 
@@ -126,9 +138,10 @@ class InstanceUpdater {
 
  private:
   Status ApplyOne(const InstanceUpdate& update, UpdateReport* report);
-  /// Marks the c(AI) memo rows an applied op may have moved (the
-  /// staleness rules above).
-  void MarkIdealStale(const InstanceUpdate& update);
+  /// After ApplyOne succeeded: marks the c(AI) memo rows the op may have
+  /// moved (the staleness rules above) and gives the instance a fresh
+  /// revision, which a tracked assignment in step with it takes too.
+  void Applied(const InstanceUpdate& update);
   Status ValidateTopics(const std::vector<double>& topics,
                         const char* what) const;
   /// Recomputes the dynamic δr after a shape change; on a decrease, evicts
@@ -167,10 +180,12 @@ struct ResolveReport {
 /// Repairs a mutated assignment in place instead of cold-solving: first
 /// RecomputeAll (so the numeric state is independent of the mutation
 /// history — two bitwise-equal instances with equal groups resolve along
-/// bit-identical trajectories), then swap-repair fills every under-δp
-/// group (core/repair.h), then the refiner selected by the registry knob
-/// `update_refine` ("sra" default, "ls", or "none") polishes the result,
-/// seeded from the survivors. Knobs are decoded by
+/// bit-identical trajectories; on an assignment its updater tracked, or a
+/// published service snapshot, that re-derives only the rows Add left
+/// stale and re-sums the total in O(P)), then swap-repair fills every
+/// under-δp group (core/repair.h), then the refiner selected by the
+/// registry knob `update_refine` ("sra" default, "ls", or "none") polishes
+/// the result, seeded from the survivors. Knobs are decoded by
 /// DecodeIncrementalResolveKnobs (core/registry.h): threads, sra_omega and
 /// sra_lambda go with "sra" only, and naming one with "ls" or "none" fails
 /// with kInvalidArgument before any work. Returns kInfeasible when a group

@@ -269,7 +269,10 @@ Result<SubmitResponse> ServiceApi::Resolve(const ResolveRequest& request) {
         // Work on a private copy of the snapshot's assignment (bound to
         // the same snapshot instance) — the snapshot itself stays
         // immutable for other readers. IncrementalResolve normalizes it
-        // with RecomputeAll before it reads a score.
+        // with RecomputeAll before it reads a score; a published snapshot
+        // has no stale row, so that only re-sums the total, and the
+        // install re-derives just the rows the repair and refiner added
+        // to.
         core::Assignment working = *snap.assignment;
         auto report = core::IncrementalResolve(
             *snap.instance, &working, WithJobContext(options, context));

@@ -181,7 +181,7 @@ void InstanceStore::PublishCopy(Session* session) {
   auto instance = std::make_shared<const core::Instance>(*session->instance);
   std::shared_ptr<const core::Assignment> assignment;
   if (session->assignment != nullptr) {
-    session->assignment->RecomputeTotal();
+    session->assignment->RecomputeAll();
     assignment = std::make_shared<const core::Assignment>(
         session->assignment->ReboundTo(instance.get()));
   }

@@ -21,21 +21,25 @@
 //
 // What a write publishes — each from state it already holds, and each
 // snapshot bitwise the Assignment::FromPairs build of its pairs on its own
-// instance:
+// instance, with no stale row and in step with that instance's revision
+// (Assignment::RecomputeAll):
 //   - An install (PutAssignment's pairs, or a job's finished result at a
 //     matched version) leaves the instance as it was, so the new snapshot
 //     shares the published shared_ptr<const Instance>. The installed
 //     assignment is normalized (FromPairs, or RecomputeAll on the job's
-//     result), becomes the snapshot's assignment as is, and the master
-//     gets an Assignment::ReboundTo copy of it.
+//     result, which re-derives only the rows the job's Adds left stale),
+//     becomes the snapshot's assignment as is, and the master gets an
+//     Assignment::ReboundTo copy of it, flags and revision included.
 //   - A mutate changed the master instance, so the snapshot gets a copy of
-//     it. The master assignment needs no rebuild: FromPairs built it, and
-//     the updater changes it only through Remove and per-paper recomputes,
-//     which keep every paper's group vector and score exact. Only its
-//     total depends on the mutation history, so Assignment::RecomputeTotal
-//     re-sums it in paper order, and the snapshot gets the master
-//     ReboundTo the instance copy: O(instance + P·(δp + T)) copies, no
-//     fold and no score.
+//     it. The master assignment needs no rebuild: the updater tracking it
+//     changes it only through Remove and per-paper recomputes, which keep
+//     every paper's group vector and score exact, and keeps it in step
+//     with the instance's revision. Only its total depends on the mutation
+//     history, so Assignment::RecomputeAll re-derives no row and re-sums
+//     it in paper order, and the snapshot gets the master ReboundTo the
+//     instance copy: O(instance + P·(δp + T)) copies, no fold and no
+//     score. A resolve of that snapshot therefore starts with no row to
+//     re-derive.
 //   - A rolled-back batch restores the master from the published snapshot
 //     (an instance copy and a ReboundTo copy of its assignment). A session
 //     holding an assignment then republishes that snapshot's state under
@@ -139,8 +143,9 @@ class InstanceStore {
   /// when the session is still at `expected_version` (i.e. no mutation
   /// landed while the job ran). `result` must be bound to the instance of
   /// the snapshot at that version (WGRAP_CHECKed); its cached scores may
-  /// carry any accumulation history, since one RecomputeAll normalizes it
-  /// before it is published as is over the same instance. Returns
+  /// carry any accumulation history, since one RecomputeAll (its stale
+  /// rows, and the total) normalizes it before it is published as is over
+  /// the same instance. Returns
   /// kFailedPrecondition with the current version otherwise; the caller
   /// keeps its result, the session keeps newer state.
   Result<SessionSnapshot> InstallAssignmentIfCurrent(

@@ -1,5 +1,6 @@
 #include "fuzz_util.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
@@ -11,6 +12,7 @@
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "core/metrics.h"
 #include "data/synthetic_dblp.h"
 
 namespace wgrap::core {
@@ -323,6 +325,21 @@ std::string AssignmentMismatch(const Assignment& got, const Assignment& want) {
     return StrFormat("total %.17g vs %.17g", got_total, want_total);
   }
   return "";
+}
+
+std::optional<std::vector<int>> ScratchIdealPicks(const Instance& instance,
+                                                  int paper) {
+  Assignment scratch(&instance);
+  std::vector<double> gains(instance.group_size());
+  if (!AddIdealPicks(paper, &scratch, gains.data()).ok()) return std::nullopt;
+  return scratch.GroupFor(paper);
+}
+
+bool CoiMovesAPick(const Instance& before, int reviewer, int paper) {
+  const std::optional<std::vector<int>> picks =
+      ScratchIdealPicks(before, paper);
+  return !picks.has_value() ||
+         std::find(picks->begin(), picks->end(), reviewer) != picks->end();
 }
 
 }  // namespace wgrap::core

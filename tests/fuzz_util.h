@@ -8,10 +8,12 @@
 // changing any of that silently reshuffles every case of both suites.
 // Mangle is the text-side twin for the parser fuzzer (parser_fuzz_test.cc).
 // ReplayPairs and AssignmentMismatch are the assignment-side oracle for
-// Assignment::FromPairs and the session store's publish. Db08Instance,
-// SparseP400Instance and FnvFold serve the golden suites (jra_test's BBA
-// goldens, cra_test's SRA goldens). ScopedTopicKernel pins the topic
-// kernel for suites that run both kernels across updates and rebuilds.
+// Assignment::FromPairs and the session store's publish; ScratchIdealPicks
+// and CoiMovesAPick are the oracle for the c(AI) memo's COI rule.
+// Db08Instance, SparseP400Instance and FnvFold serve the golden suites
+// (jra_test's BBA goldens, cra_test's SRA goldens). ScopedTopicKernel pins
+// the topic kernel for suites that run both kernels across updates and
+// rebuilds.
 #ifndef WGRAP_TESTS_FUZZ_UTIL_H_
 #define WGRAP_TESTS_FUZZ_UTIL_H_
 
@@ -147,6 +149,16 @@ Result<Assignment> ReplayPairs(const Instance* instance,
 /// loads and size, and memcmp-equal group-vector rows, paper scores and
 /// total; otherwise the first difference, in words.
 std::string AssignmentMismatch(const Assignment& got, const Assignment& want);
+
+/// AI's picks for `paper` (core/metrics.h), built from scratch in pick
+/// order, or nullopt when the paper has fewer than δp eligible reviewers.
+std::optional<std::vector<int>> ScratchIdealPicks(const Instance& instance,
+                                                  int paper);
+
+/// Whether a new COI (reviewer, paper) on `before`, whose c(AI) memo holds
+/// every row, makes the paper's row stale: only when the reviewer is one of
+/// the paper's from-scratch AI picks, or the paper has no feasible picks.
+bool CoiMovesAPick(const Instance& before, int reviewer, int paper);
 
 }  // namespace wgrap::core
 

@@ -709,6 +709,7 @@ TEST(IdealScoreCacheTest, SeededMutationsKeepEvaluateByteExact) {
         const int r = rng.NextInt(0, R - 1);
         std::vector<InstanceUpdate> batch;
         bool local = true;   // the batch touches only paper p's AI picks
+        int local_rows = 1;  // c(AI) rows a local batch makes stale
         bool expect_ok = true;
         const int kind = rng.NextInt(0, 12);
         std::string what;
@@ -716,17 +717,23 @@ TEST(IdealScoreCacheTest, SeededMutationsKeepEvaluateByteExact) {
           case 0: {  // COI on an assigned pair: evicts it
             const std::vector<int>& group = assignment.GroupFor(p);
             if (group.empty()) continue;
-            batch = {InstanceUpdate::SetCoi(
-                group[rng.NextInt(0, static_cast<int>(group.size()) - 1)], p,
-                true)};
+            const int member =
+                group[rng.NextInt(0, static_cast<int>(group.size()) - 1)];
+            batch = {InstanceUpdate::SetCoi(member, p, true)};
+            local_rows = core::CoiMovesAPick(instance, member, p) ? 1 : 0;
             what = "set_coi assigned on";
             break;
           }
-          case 1:  // COI on or off an unassigned pair
+          case 1: {  // COI on or off an unassigned pair
             if (assignment.Contains(p, r)) continue;
-            batch = {InstanceUpdate::SetCoi(r, p, rng.NextDouble() < 0.5)};
+            const bool on = rng.NextDouble() < 0.5;
+            batch = {InstanceUpdate::SetCoi(r, p, on)};
+            // An `off` always re-derives its row; an `on` only when r is
+            // one of AI's picks for p.
+            local_rows = !on || core::CoiMovesAPick(instance, r, p) ? 1 : 0;
             what = "set_coi unassigned";
             break;
+          }
           case 2: {  // lift a COI of p, if it has one
             int conflicted = -1;
             for (int q = 0; q < R && conflicted < 0; ++q) {
@@ -807,12 +814,108 @@ TEST(IdealScoreCacheTest, SeededMutationsKeepEvaluateByteExact) {
         ASSERT_EQ(outcome.ok(), expect_ok)
             << where << ": " << outcome.status().ToString();
         const int now = api.store().Get("conf")->instance->num_papers();
-        ExpectEvaluateMatchesScratch(api, "conf",
-                                     !expect_ok ? 0 : (local ? 1 : now),
-                                     where);
+        ExpectEvaluateMatchesScratch(
+            api, "conf", !expect_ok ? 0 : (local ? local_rows : now), where);
       }
     }
   }
+}
+
+// The COI rule on the service path: `set_coi ... on` for a reviewer that
+// is none of AI's picks for the paper re-derives no c(AI) row, for a pick
+// one row, and `off` one row; every evaluate reply equals a cold evaluate
+// of its snapshot.
+TEST(IdealScoreCacheTest, ACoiRefreshesItsRowOnlyWhenItHitsAPick) {
+  ServiceApi api;
+  OpenSmall(api, "conf");
+  ASSERT_TRUE(api.store()
+                  .InstallAssignment(
+                      "conf", SolvePairs(*api.store().Get("conf")->instance))
+                  .ok());
+  ExpectEvaluateMatchesScratch(api, "conf", SmallConfig().papers, "open");
+  constexpr int kPaper = 2;
+  const SessionSnapshot opened = *api.store().Get("conf");
+  const std::optional<std::vector<int>> picks =
+      core::ScratchIdealPicks(*opened.instance, kPaper);
+  ASSERT_TRUE(picks.has_value());
+  int non_pick = 0;
+  while (opened.instance->IsConflict(non_pick, kPaper) ||
+         std::find(picks->begin(), picks->end(), non_pick) != picks->end()) {
+    ++non_pick;
+  }
+  const auto mutate_and_evaluate = [&](const core::InstanceUpdate& update,
+                                       int64_t rows, const std::string& what) {
+    ASSERT_TRUE(api.store().Mutate("conf", {update}).ok()) << what;
+    ExpectEvaluateMatchesScratch(api, "conf", rows, what);
+    const SessionSnapshot snap = *api.store().Get("conf");
+    auto reply = api.Evaluate("conf");
+    ASSERT_TRUE(reply.ok()) << what;
+    EXPECT_EQ(reply->text, ScratchEvaluation(*snap.assignment, snap.params))
+        << what;
+  };
+  mutate_and_evaluate(core::InstanceUpdate::SetCoi(non_pick, kPaper, true),
+                      0, "on, non-pick");
+  mutate_and_evaluate(core::InstanceUpdate::SetCoi((*picks)[0], kPaper, true),
+                      1, "on, pick");
+  mutate_and_evaluate(core::InstanceUpdate::SetCoi(non_pick, kPaper, false),
+                      1, "off");
+}
+
+// Rows Assignment::RecomputeAll has re-derived so far; -1 when telemetry
+// is off.
+int64_t RowsRederived() {
+  obs::Counter* counter = obs::Registry::Global().GetCounter(
+      "wgrap_assignment_rows_rederived_total");
+  return counter != nullptr ? counter->Value() : -1;
+}
+
+// A published snapshot's rows are exact, so a repair-only resolve after
+// one evicting set_coi re-derives only the row its repair refilled: none
+// when IncrementalResolve normalizes the snapshot's copy, one when the
+// install normalizes the result. One spare slot per reviewer lets the
+// repair refill the paper directly. The installed snapshot is the replay.
+TEST(StorePublishTest, ResolveReDerivesOnlyTheRowsItsRepairTouched) {
+  core::FuzzInstanceConfig config = SmallConfig();
+  config.extra_workload = 1;
+  auto dataset = core::MakeFuzzDataset(config);
+  ASSERT_TRUE(dataset.ok());
+  ServiceApi api(ServiceOptions{/*job_workers=*/1, /*max_results=*/4});
+  ASSERT_TRUE(
+      api.store().Open("conf", *dataset, core::MakeFuzzParams(config)).ok());
+  ASSERT_TRUE(api.store()
+                  .InstallAssignment(
+                      "conf", SolvePairs(*api.store().Get("conf")->instance))
+                  .ok());
+  const SessionSnapshot installed = *api.store().Get("conf");
+  constexpr int kPaper = 4;
+  const int evicted = installed.assignment->GroupFor(kPaper)[0];
+  auto mutated = api.store().Mutate(
+      "conf", {core::InstanceUpdate::SetCoi(evicted, kPaper, true)});
+  ASSERT_TRUE(mutated.ok()) << mutated.status().ToString();
+  ASSERT_EQ(mutated->report.evicted.size(), 1u);
+  const SessionSnapshot broken = mutated->snapshot;
+
+  const int64_t before = RowsRederived();
+  ResolveRequest resolve;
+  resolve.session = "conf";
+  resolve.knobs["update_refine"] = "none";
+  auto job = api.Resolve(resolve);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  auto result = api.WaitJob(job->job);
+  ASSERT_TRUE(result.ok() && result->status.ok());
+  const SessionSnapshot resolved = *api.store().Get("conf");
+  ASSERT_EQ(resolved.version, broken.version + 1);
+  int changed = 0;
+  for (int p = 0; p < resolved.instance->num_papers(); ++p) {
+    if (resolved.assignment->GroupFor(p) != broken.assignment->GroupFor(p)) {
+      ++changed;
+    }
+  }
+  EXPECT_EQ(changed, 1);
+  if (before >= 0) {
+    EXPECT_EQ(RowsRederived() - before, changed);
+  }
+  ExpectSnapshotIsTheReplay(resolved, "resolve install");
 }
 
 TEST(IdealScoreCacheTest, InfeasibleIdealDropsTheRatioUntilLifted) {

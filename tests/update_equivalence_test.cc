@@ -349,16 +349,19 @@ void ExpectSameBits(std::optional<double> a, std::optional<double> b,
   }
 }
 
-// How many papers an applied op leaves stale in the c(AI) memo (the
-// staleness rules in core/update.h).
-int StaleAfter(const InstanceUpdate& u, const Instance& instance) {
+// How many papers an op applied to `before` (memo filled) leaves stale in
+// the c(AI) memo of `after` (the staleness rules in core/update.h).
+int StaleAfter(const InstanceUpdate& u, const Instance& before,
+               const Instance& after) {
   switch (u.kind) {
     case InstanceUpdate::Kind::kSetCoi:
+      if (!u.conflicted) return 1;
+      return CoiMovesAPick(before, u.reviewer, u.paper) ? 1 : 0;
     case InstanceUpdate::Kind::kSetBid:
     case InstanceUpdate::Kind::kSetPaperTopics:
       return 1;
     default:
-      return instance.num_papers();
+      return after.num_papers();
   }
 }
 
@@ -376,17 +379,39 @@ Assignment CloneOnto(const Assignment& tracked, const Instance& fresh) {
   return clone;
 }
 
-// What the session store's publish relies on: an assignment built by
-// FromPairs and then patched only by the updater keeps every group, load,
-// group vector and paper score bitwise what FromPairs of its pairs derives,
-// so re-summing its total (RecomputeTotal) makes it that build.
-void ExpectPublishableAsIs(const Assignment& tracked,
-                           const std::string& where) {
-  auto rebuilt = Assignment::FromPairs(&tracked.instance(), tracked.Pairs());
-  ASSERT_TRUE(rebuilt.ok()) << where << ": " << rebuilt.status().ToString();
-  Assignment resummed = tracked;
-  resummed.RecomputeTotal();
-  EXPECT_EQ(AssignmentMismatch(resummed, *rebuilt), "") << where;
+// Rows Assignment::RecomputeAll has re-derived so far; -1 when telemetry
+// is off.
+int64_t RowsRederived() {
+  obs::Counter* counter = obs::Registry::Global().GetCounter(
+      "wgrap_assignment_rows_rederived_total");
+  return counter != nullptr ? counter->Value() : -1;
+}
+
+// The stale-row contract of Assignment::RecomputeAll: whatever produced
+// `assignment`, re-deriving only the rows it marks stale (or every row,
+// when its instance moved on without it) gives FromPairs of its pairs
+// bit for bit — group vectors, paper scores and total. Returns the rows
+// that RecomputeAll re-derived (-1 when telemetry is off).
+int64_t ExpectRecomputeAllIsFromPairs(const Assignment& assignment,
+                                      const std::string& where) {
+  auto rebuilt =
+      Assignment::FromPairs(&assignment.instance(), assignment.Pairs());
+  EXPECT_TRUE(rebuilt.ok()) << where << ": " << rebuilt.status().ToString();
+  if (!rebuilt.ok()) return -1;
+  Assignment normalized = assignment;
+  const int64_t before = RowsRederived();
+  normalized.RecomputeAll();
+  const int64_t rows = before >= 0 ? RowsRederived() - before : -1;
+  EXPECT_EQ(AssignmentMismatch(normalized, *rebuilt), "") << where;
+  return rows;
+}
+
+// Expects RecomputeAll to have re-derived `want` rows; `rows` is -1 when
+// telemetry is off, and then nothing is checked.
+void ExpectRederived(int64_t rows, int64_t want, const std::string& where) {
+  if (rows >= 0) {
+    EXPECT_EQ(rows, want) << where;
+  }
 }
 
 // threads and sra_omega go on the sra leg only: the resolve refuses a knob
@@ -417,6 +442,9 @@ double ExpectResolveMechanismEqual(const Instance& patched_instance,
   EXPECT_EQ(a.status().code(), b.status().code())
       << a.status().ToString() << " vs " << b.status().ToString();
   if (!a.ok() || !b.ok()) return 0.0;
+  const std::string refine = options.extra.at("update_refine");
+  ExpectRecomputeAllIsFromPairs(patched_run, "resolve " + refine);
+  ExpectRecomputeAllIsFromPairs(fresh_run, "fresh resolve " + refine);
   EXPECT_EQ(a->score_before, b->score_before);
   EXPECT_EQ(a->score_after, b->score_after);
   EXPECT_EQ(a->repaired_papers, b->repaired_papers);
@@ -485,7 +513,7 @@ TEST_P(UpdateEquivalenceTest, PatchedStateMatchesFreshBuild) {
     const std::string where = update.ToString();
     int64_t refreshed = IdealPapersRefreshed();
     ExpectIdealScoreMatchesBuild(instance, where);
-    ExpectRefreshed(&refreshed, StaleAfter(update, instance), where);
+    ExpectRefreshed(&refreshed, StaleAfter(update, before, instance), where);
     ExpectSameBits(ExpectIdealScoreMatchesBuild(before, where + " (copy)"),
                    before_score, where + " (copy)");
 
@@ -494,7 +522,12 @@ TEST_P(UpdateEquivalenceTest, PatchedStateMatchesFreshBuild) {
     for (int r = 0; r < instance.num_reviewers(); ++r) {
       ASSERT_LE(assignment.LoadOf(r), instance.reviewer_workload());
     }
-    ExpectPublishableAsIs(assignment, where);
+    // What the session store's publish relies on: an assignment built by
+    // FromPairs and then patched only by the updater has no stale row and
+    // stays in step, so RecomputeAll re-derives nothing and re-sums the
+    // total into its FromPairs build.
+    ExpectRederived(ExpectRecomputeAllIsFromPairs(assignment, where), 0,
+                    where);
 
     if (op % kCheckpointEvery != 0) continue;
     SCOPED_TRACE("op " + std::to_string(op));
@@ -519,10 +552,13 @@ TEST_P(UpdateEquivalenceTest, PatchedStateMatchesFreshBuild) {
     }
     EXPECT_EQ(normalized.TotalScore(), fresh_clone.TotalScore());
 
-    // Repair-only resolve follows the bit-identical trajectory on the
-    // patched and the fresh state (cheap enough to run per checkpoint).
+    // Repair-only and local-search resolves follow the bit-identical
+    // trajectory on the patched and the fresh state (cheap enough to run
+    // per checkpoint).
     ExpectResolveMechanismEqual(instance, assignment, fresh, fresh_clone,
                                 ResolveOptions(c.threads, "none"));
+    ExpectResolveMechanismEqual(instance, assignment, fresh, fresh_clone,
+                                ResolveOptions(c.threads, "ls"));
     if (op == kNumOps) {
       // The full pipeline with refinement, plus the documented score bound
       // against a cold solve (core/update.h): repaired + refined lands
@@ -640,7 +676,8 @@ TEST(UpdateEquivalenceOpKinds, EveryOpKeepsTheTopicViewsCurrent) {
       ExpectInstancesBitEqual(before, BuildFresh(gt_before, params));
       int64_t refreshed = IdealPapersRefreshed();
       ExpectIdealScoreMatchesBuild(instance, "patched");
-      ExpectRefreshed(&refreshed, StaleAfter(ops[kind], instance), "patched");
+      ExpectRefreshed(&refreshed, StaleAfter(ops[kind], before, instance),
+                      "patched");
       ExpectSameBits(ExpectIdealScoreMatchesBuild(before, "copy"),
                      before_score, "copy");
     }
@@ -817,9 +854,10 @@ TEST(UpdateEquivalenceOpKinds, TheTopicKernelFollowsTheReviewerSide) {
 }
 
 // The two setup-time mutators outside InstanceUpdater, on an instance
-// whose memo is already filled: AddConflict re-derives its one paper,
-// SetBids every paper, and a copy taken before keeps its answer. The last
-// clear reviewer of a paper going COI makes AI infeasible.
+// whose memo is already filled: AddConflict re-derives its one paper when
+// it moves a pick, SetBids every paper, and a copy taken before keeps its
+// answer. The last clear reviewer of a paper going COI makes AI
+// infeasible.
 TEST(IdealScoreMemo, AddConflictAndSetBidsOnAnEvaluatedInstance) {
   for (const bool sparse : {false, true}) {
     SCOPED_TRACE(sparse ? "sparse" : "dense");
@@ -842,7 +880,8 @@ TEST(IdealScoreMemo, AddConflictAndSetBidsOnAnEvaluatedInstance) {
     const Instance before_coi = instance;
     instance.AddConflict(R - 1, 4);
     ExpectIdealScoreMatchesBuild(instance, "AddConflict");
-    ExpectRefreshed(&refreshed, 1, "AddConflict");
+    ExpectRefreshed(&refreshed, CoiMovesAPick(before_coi, R - 1, 4) ? 1 : 0,
+                    "AddConflict");
     ExpectSameBits(IdealScore(before_coi), cold, "copy before AddConflict");
 
     Matrix bids(P, R);
@@ -859,6 +898,180 @@ TEST(IdealScoreMemo, AddConflictAndSetBidsOnAnEvaluatedInstance) {
     for (int r = 0; r < R; ++r) instance.AddConflict(r, 2);
     EXPECT_FALSE(ExpectIdealScoreMatchesBuild(instance, "all COI").has_value());
     ExpectRefreshed(&refreshed, 1, "all COI");
+  }
+}
+
+// A COI that no greedy step chose moves no pick: set_coi ... on for a
+// non-pick keeps the paper's c(AI) row (0 re-derived) and the memo a copy
+// still shares, for a pick it re-derives that one row, and an `off`
+// always re-derives its row. Every answer equals a from-scratch build.
+TEST(IdealScoreMemo, ACoiReDerivesItsRowOnlyWhenItHitsAPick) {
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    const ScopedTopicKernel kernel(sparse);
+    const FuzzInstanceConfig config = BaseConfig(/*seed=*/91);
+    auto built = MakeFuzzInstance(config);
+    ASSERT_TRUE(built.ok());
+    Instance instance = *std::move(built);
+    InstanceUpdater updater(&instance, MakeFuzzParams(config));
+    constexpr int kPaper = 3;
+    const std::optional<std::vector<int>> picks =
+        ScratchIdealPicks(instance, kPaper);
+    ASSERT_TRUE(picks.has_value());
+    int non_pick = 0;
+    while (instance.IsConflict(non_pick, kPaper) ||
+           std::find(picks->begin(), picks->end(), non_pick) !=
+               picks->end()) {
+      ++non_pick;
+    }
+    ExpectIdealScoreMatchesBuild(instance, "cold");
+    int64_t refreshed = IdealPapersRefreshed();
+
+    const Instance before = instance;
+    const std::optional<double> before_score = IdealScore(before);
+    ASSERT_TRUE(
+        updater.Apply(InstanceUpdate::SetCoi(non_pick, kPaper, true)).ok());
+    ExpectIdealScoreMatchesBuild(instance, "on, non-pick");
+    ExpectRefreshed(&refreshed, 0, "on, non-pick");
+    ExpectSameBits(IdealScore(before), before_score, "copy before non-pick");
+    ExpectRefreshed(&refreshed, 0, "copy before non-pick");
+
+    ASSERT_TRUE(
+        updater.Apply(InstanceUpdate::SetCoi((*picks)[1], kPaper, true)).ok());
+    ExpectIdealScoreMatchesBuild(instance, "on, pick");
+    ExpectRefreshed(&refreshed, 1, "on, pick");
+    ExpectSameBits(IdealScore(before), before_score, "copy before pick");
+    ExpectRefreshed(&refreshed, 0, "copy before pick");
+
+    ASSERT_TRUE(
+        updater.Apply(InstanceUpdate::SetCoi(non_pick, kPaper, false)).ok());
+    ExpectIdealScoreMatchesBuild(instance, "off");
+    ExpectRefreshed(&refreshed, 1, "off");
+  }
+}
+
+// RecomputeAll re-derives the rows Add touched and nothing else while the
+// assignment is in step with its instance (the updater that tracks it
+// keeps it so), and every row once the instance changed where the
+// assignment did not see: an updater tracking no assignment, or SetBids.
+// Either way the result is FromPairs of its pairs bit for bit.
+TEST(AssignmentStaleRows, AnInstanceChangedBehindItsBackGetsTheFullDerivation) {
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    const ScopedTopicKernel kernel(sparse);
+    const FuzzInstanceConfig config = BaseConfig(/*seed=*/93);
+    const InstanceParams params = MakeFuzzParams(config);
+    auto built = MakeFuzzInstance(config);
+    ASSERT_TRUE(built.ok());
+    Instance instance = *std::move(built);
+    const int P = instance.num_papers();
+    auto solved = SolverRegistry::Default().SolveCra("sdga", instance);
+    ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    const int64_t before_build = RowsRederived();
+    auto from_pairs = Assignment::FromPairs(&instance, solved->Pairs());
+    ASSERT_TRUE(from_pairs.ok());
+    ExpectRederived(before_build >= 0 ? RowsRederived() - before_build : -1,
+                    P, "FromPairs of a complete assignment");
+    Assignment tracked = *from_pairs;
+
+    // In step: an evicting COI leaves every row exact, a refill marks one.
+    InstanceUpdater updater(&instance, params);
+    updater.TrackAssignment(&tracked);
+    const int moved = tracked.GroupFor(0)[0];
+    ASSERT_TRUE(updater.Apply(InstanceUpdate::SetCoi(moved, 0, true)).ok());
+    ExpectRederived(ExpectRecomputeAllIsFromPairs(tracked, "evicting COI"), 0,
+                    "evicting COI");
+    int refill = 0;
+    while (instance.IsConflict(refill, 0) || tracked.Contains(0, refill)) {
+      ++refill;
+    }
+    ASSERT_TRUE(tracked.AddUnchecked(0, refill).ok());
+    ExpectRederived(ExpectRecomputeAllIsFromPairs(tracked, "refill"), 1,
+                    "refill");
+
+    // Behind its back: paper 1's topics and a member of paper 2 move with
+    // no updater tracking `untracked`; `tracked` lags behind them too.
+    const Assignment untracked = tracked;
+    InstanceUpdater blind(&instance, params);
+    Rng rng(5);
+    ASSERT_TRUE(blind
+                    .Apply(InstanceUpdate::SetPaperTopics(
+                        1, RandomTopics(&rng, config.num_topics)))
+                    .ok());
+    ASSERT_TRUE(blind
+                    .Apply(InstanceUpdate::SetReviewerTopics(
+                        untracked.GroupFor(2)[0],
+                        RandomTopics(&rng, config.num_topics)))
+                    .ok());
+    ExpectRederived(ExpectRecomputeAllIsFromPairs(untracked, "untracked"), P,
+                    "untracked");
+    ExpectRederived(ExpectRecomputeAllIsFromPairs(tracked, "other updater"),
+                    P, "other updater");
+
+    // SetBids behind the back of the tracked assignment, back in step
+    // first: the next op its own updater applies does not bring it back.
+    tracked.RecomputeAll();
+    ExpectRederived(ExpectRecomputeAllIsFromPairs(tracked, "in step"), 0,
+                    "in step");
+    Matrix bids(P, instance.num_reviewers());
+    for (int p = 0; p < P; ++p) {
+      for (int r = 0; r < instance.num_reviewers(); ++r) {
+        bids(p, r) = ((p * 5 + r * 3) % 7) / 6.0;
+      }
+    }
+    ASSERT_TRUE(instance.SetBids(std::move(bids), 0.3).ok());
+    ASSERT_TRUE(updater.Apply(InstanceUpdate::SetCoi(moved, 0, false)).ok());
+    ExpectRederived(ExpectRecomputeAllIsFromPairs(tracked, "SetBids"), P,
+                    "SetBids");
+  }
+}
+
+// A stale row keeps its flag through the updater's paper surgery and id
+// shifts. Every third paper of a FromPairs build takes its first reviewer
+// out and back in (the same group, its score now summed by Add), then a
+// seeded op sequence runs with the assignment tracked: after every op,
+// RecomputeAll re-derives at most those rows and gives FromPairs bit for
+// bit. Some of the stale scores differ from FromPairs in the last bits, so
+// a flag lost or shifted onto the wrong paper shows.
+TEST(AssignmentStaleRows, StaleRowsRideAlongTheUpdatersSurgery) {
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    const ScopedTopicKernel kernel(sparse);
+    const FuzzInstanceConfig config = BaseConfig(/*seed=*/95);
+    const InstanceParams params = MakeFuzzParams(config);
+    auto built = MakeFuzzInstance(config);
+    ASSERT_TRUE(built.ok());
+    Instance instance = *std::move(built);
+    GroundTruth gt = MakeGroundTruth(config);
+    auto solved = SolverRegistry::Default().SolveCra("sdga", instance);
+    ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    auto from_pairs = Assignment::FromPairs(&instance, solved->Pairs());
+    ASSERT_TRUE(from_pairs.ok());
+    Assignment tracked = *from_pairs;
+    int stale = 0;
+    int off_by_bits = 0;
+    for (int p = 0; p < instance.num_papers(); p += 3) {
+      const int r = tracked.GroupFor(p)[0];
+      ASSERT_TRUE(tracked.Remove(p, r).ok());
+      ASSERT_TRUE(tracked.AddUnchecked(p, r).ok());
+      ++stale;
+      if (tracked.PaperScore(p) != from_pairs->PaperScore(p)) ++off_by_bits;
+    }
+    ASSERT_GT(off_by_bits, 0);
+
+    InstanceUpdater updater(&instance, params);
+    updater.TrackAssignment(&tracked);
+    Rng rng(95);
+    for (int op = 1; op <= 60; ++op) {
+      const InstanceUpdate update = RandomOp(&rng, gt, config);
+      ASSERT_TRUE(updater.Apply(update).ok()) << update.ToString();
+      ApplyToGroundTruth(&gt, update);
+      const int64_t rows =
+          ExpectRecomputeAllIsFromPairs(tracked, update.ToString());
+      if (rows >= 0) {
+        EXPECT_LE(rows, stale) << update.ToString();
+      }
+    }
   }
 }
 
